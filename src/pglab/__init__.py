@@ -54,6 +54,7 @@ from .congruence import (
     KernelClass,
     LatticeOps,
     congruence_from_classes,
+    congruences,
     congruences_bruteforce,
     congruences_theorem,
     is_normal_congruence,

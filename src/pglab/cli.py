@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 from .config import Caps, caps_from_env
 from .errors import CapExceeded, PolyadicError, ValidationError
 from .congruence import (
-    congruences_bruteforce,
-    congruences_theorem,
+    congruences,
     is_normal_congruence,
     kernel_class,
     lattice_ops,
@@ -34,7 +33,6 @@ from .polyadic import (
     dornte_witness,
     hosszu_gloskin,
     n_ary_identity,
-    retract,
     verify_axioms,
 )
 from .serialize import (
@@ -95,11 +93,16 @@ def cmd_verify(args, caps: Caps) -> int:
     return 0
 
 
-def _parse_members(text: str) -> tuple[int, ...]:
+def _parse_elements(text: str, order: int) -> tuple[int, ...]:
+    """Comma-separated elements of a carrier of the given order, in order."""
     try:
-        return tuple(sorted(int(tok) for tok in text.split(",") if tok != ""))
+        elements = tuple(int(tok) for tok in text.split(",") if tok != "")
     except ValueError:
-        raise ValidationError(f"cannot parse member list {text!r}")
+        raise ValidationError(f"cannot parse element list {text!r}")
+    bad = [x for x in elements if not 0 <= x < order]
+    if bad:
+        raise ValidationError(f"elements {bad} are outside the carrier 0..{order - 1}")
+    return elements
 
 
 def cmd_analyze(args, caps: Caps) -> int:
@@ -111,16 +114,15 @@ def cmd_analyze(args, caps: Caps) -> int:
         payload["skew"] = table
         lines.append("skew: " + " ".join(f"{x}↦{y}" for x, y in enumerate(table)))
     if args.retract is not None:
-        group, relabel = retract(p, args.retract)
         hg = hosszu_gloskin(p, args.retract, caps=caps)
         payload["retract"] = {
             "anchor": args.retract,
-            "table": [list(r) for r in group.table],
-            "relabel": list(relabel),
+            "table": [list(r) for r in hg.base.table],
+            "relabel": list(hg.relabel),
             "twist": list(hg.theta.perm),
             "constant": hg.b,
         }
-        lines.append(f"retract at {args.retract}: order {group.order}, "
+        lines.append(f"retract at {args.retract}: order {hg.base.order}, "
                      f"twist {list(hg.theta.perm)}, constant {hg.b}")
     if args.subgroups:
         subs = enumerate_polyadic_subgroups(p, caps=caps)
@@ -133,11 +135,7 @@ def cmd_analyze(args, caps: Caps) -> int:
         lines.append(f"normal polyadic subgroups ({len(subs)}): "
                      + ", ".join(str(list(s.members)) for s in subs))
     if args.congruences:
-        congs = congruences_theorem(p, caps=caps)
-        if p.order <= caps.partition_cap:
-            brute = congruences_bruteforce(p, caps=caps)
-            if [c.classes for c in brute] != [c.classes for c in congs]:
-                raise PolyadicError("congruence methods disagree")
+        congs = congruences(p, caps=caps)
         entries = []
         for c in congs:
             kc = kernel_class(c, caps=caps)
@@ -164,7 +162,7 @@ def cmd_analyze(args, caps: Caps) -> int:
             f"reduced: {_yes(rep.reduced)}"
         )
     if args.quotient is not None:
-        members = _parse_members(args.quotient)
+        members = tuple(sorted(_parse_elements(args.quotient, p.order)))
         q = quotient_polyadic(p, members, caps=caps)
         payload["quotient"] = {
             "classes": [list(c) for c in q.classes],
@@ -231,7 +229,7 @@ def cmd_hom(args, caps: Caps) -> int:
     p = load_polyadic(getattr(args, "from"), caps=caps)
     q = load_polyadic(args.to, caps=caps)
     if args.map is not None:
-        candidate = tuple(int(tok) for tok in args.map.split(","))
+        candidate = _parse_elements(args.map, q.order)
         ok, witness = is_polyadic_hom(candidate, p, q, caps=caps)
         if not ok:
             _emit(
@@ -276,7 +274,7 @@ def cmd_iso(args, caps: Caps) -> int:
 def cmd_quotient(args, caps: Caps) -> int:
     p = load_polyadic(args.path, caps=caps)
     if args.subgroup is not None:
-        members = _parse_members(args.subgroup)
+        members = tuple(sorted(_parse_elements(args.subgroup, p.order)))
         q = quotient_polyadic(p, members, caps=caps)
         payload = {
             "classes": [list(c) for c in q.classes],
@@ -285,9 +283,12 @@ def cmd_quotient(args, caps: Caps) -> int:
         lines = [f"quotient by subgroup {list(members)}: {len(q.classes)} classes"]
     else:
         classes = [
-            _parse_members(chunk) for chunk in args.congruence.split("|")
+            _parse_elements(chunk, p.order) for chunk in args.congruence.split("|")
         ]
-        cong = congruence_from_classes(p, classes)
+        try:
+            cong = congruence_from_classes(p, classes)
+        except ValueError as exc:
+            raise ValidationError(str(exc))
         result = quotient_by_congruence(p, cong, caps=caps)
         payload = {"polyadic": polyadic_to_doc(result)}
         lines = [f"quotient by congruence: order {result.order}"]
@@ -365,9 +366,8 @@ def _caps_from_args(args) -> Caps:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    caps = _caps_from_args(args)
     try:
-        return args.func(args, caps)
+        return args.func(args, _caps_from_args(args))
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2

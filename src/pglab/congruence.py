@@ -10,30 +10,36 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
 from .errors import (
     IllDefined,
     MethodDisagreement,
-    NotNormal,
     OrderCapExceeded,
 )
-from .groups import Automorphism, FiniteGroup, quotient_group
+from .groups import (
+    Automorphism,
+    FiniteGroup,
+    closure_lattice,
+    is_theta_simple,
+    subgroup_closure,
+    twisted_quotient,
+)
 from .polyadic import (
-    DerivedPresentation,
+    HosszuGloskin,
     PolyadicGroup,
-    coordinate_arrays,
     derive,
     derived_view,
 )
 from .substructures import (
     PolyadicSubgroup,
-    is_normal_polyadic,
-    polyadic_coset,
+    class_signature,
+    coset_classes,
+    is_polyadic_subgroup,
 )
 
 
@@ -86,7 +92,7 @@ def congruence_from_classes(
     cong = Congruence(p, canon)
     if validate:
         cls = np.asarray(cong.class_of)
-        if not (_skew_compatible(p, cong.class_of) and _f_compatible(p, cls)):
+        if not (_factors(cong.class_of, p.skew_table) and _f_compatible(p, cls)):
             raise ValueError("partition is not a congruence")
     return cong
 
@@ -97,13 +103,11 @@ def _canonical_sort(congs: list[Congruence]) -> list[Congruence]:
     return congs
 
 
-def _skew_compatible(p: PolyadicGroup, cls_of: Sequence[int]) -> bool:
-    skew = p.skew_table
+def _factors(cls_of: Sequence[int], values: Sequence[int]) -> bool:
+    """Whether the class of values[x] is a function of the class of x."""
     image: dict[int, int] = {}
-    for x in range(p.order):
-        c = cls_of[x]
-        s = cls_of[skew[x]]
-        if image.setdefault(c, s) != s:
+    for c, v in zip(cls_of, values):
+        if image.setdefault(c, cls_of[v]) != cls_of[v]:
             return False
     return True
 
@@ -111,34 +115,14 @@ def _skew_compatible(p: PolyadicGroup, cls_of: Sequence[int]) -> bool:
 def _translation_compatible(p: PolyadicGroup, cls_of: Sequence[int]) -> bool:
     # necessary conditions only: one-sided translations with constant filler 0
     edge = p.edge_table
-    m = p.order
-    for y in range(m):
-        row = edge[y]
-        image: dict[int, int] = {}
-        for x in range(m):
-            c = cls_of[x]
-            v = cls_of[row[x]]
-            if image.setdefault(c, v) != v:
-                return False
-        image.clear()
-        for x in range(m):
-            c = cls_of[x]
-            v = cls_of[edge[x][y]]
-            if image.setdefault(c, v) != v:
-                return False
-    return True
+    return all(_factors(cls_of, row) for row in edge) and all(
+        _factors(cls_of, col) for col in zip(*edge)
+    )
 
 
 def _f_compatible(p: PolyadicGroup, cls_arr: np.ndarray) -> bool:
     """Complete check: the class of f(x1..xn) is a function of the class tuple."""
-    m, n = p.order, p.arity
-    k = int(cls_arr.max()) + 1
-    coords = coordinate_arrays(m, n)
-    sig = cls_arr[coords[0]].astype(np.int64)
-    for i in range(1, n):
-        sig = sig * k + cls_arr[coords[i]]
-    combined = sig * k + cls_arr[p.flat_np]
-    return len(np.unique(combined)) == len(np.unique(sig))
+    return class_signature(p, cls_arr)[2]
 
 
 def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
@@ -191,7 +175,7 @@ def _bruteforce_cached(p: PolyadicGroup, caps: Caps) -> tuple[Congruence, ...]:
         )
     out = []
     for cls_of in _partitions_cached(m):
-        if not _skew_compatible(p, cls_of):
+        if not _factors(cls_of, p.skew_table):
             continue
         if not _translation_compatible(p, cls_of):
             continue
@@ -202,43 +186,13 @@ def _bruteforce_cached(p: PolyadicGroup, caps: Caps) -> tuple[Congruence, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_subgroups_over_diagonal(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+def _square_subgroups_over_diagonal(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Subgroups of G×G containing the diagonal, pairs packed as a·m + b."""
     m = group.order
-    t = group.table
-
-    def pair_mul(p: int, q: int) -> int:
-        a, b = divmod(p, m)
-        c, d = divmod(q, m)
-        return t[a][c] * m + t[b][d]
-
-    def closure(seed: frozenset[int]) -> frozenset[int]:
-        elems = list(seed)
-        known = set(elems)
-        i = 0
-        while i < len(elems):
-            x = elems[i]
-            for y in elems[: i + 1]:
-                for z in (pair_mul(x, y), pair_mul(y, x)):
-                    if z not in known:
-                        known.add(z)
-                        elems.append(z)
-            i += 1
-        return frozenset(known)
-
-    diagonal = frozenset(x * m + x for x in range(m))
-    found = {diagonal}
-    frontier = [diagonal]
-    while frontier:
-        current = frontier.pop()
-        for x in range(m * m):
-            if x in current:
-                continue
-            bigger = closure(current | {x})
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    t = group.np_table
+    square = (t[:, None, :, None] * m + t[None, :, None, :]).reshape(m * m, m * m)
+    diagonal = [x * m + x for x in range(m)]
+    return closure_lattice(partial(subgroup_closure, square.tolist()), [diagonal], m * m)
 
 
 @lru_cache(maxsize=None)
@@ -253,13 +207,10 @@ def _theorem_partitions(
         )
     out = []
     for pairs in _square_subgroups_over_diagonal(group):
-        if any((theta(x // m) * m + theta(x % m)) not in pairs for x in pairs):
+        pair_set = frozenset(pairs)
+        if any((theta(x // m) * m + theta(x % m)) not in pair_set for x in pairs):
             continue
-        classes: dict[int, list[int]] = {}
-        for x in range(m):
-            rep = min(y for y in range(m) if (x * m + y) in pairs)
-            classes.setdefault(rep, []).append(x)
-        out.append(tuple(tuple(sorted(c)) for _, c in sorted(classes.items())))
+        out.append(_pairs_to_classes(m, {divmod(x, m) for x in pairs}))
     return tuple(out)
 
 
@@ -272,16 +223,39 @@ def congruences_theorem(
     equivalence check is needed; each subgroup converts straight into its
     partition.  The relabelling round-trips for table presentations.
     """
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
+    hg = derived_view(p, caps)
     out = []
-    for classes in _theorem_partitions(pres.base, pres.theta, caps.square_cap):
+    for classes in _theorem_partitions(hg.base, hg.theta, caps.square_cap):
         original = tuple(
-            sorted(tuple(sorted(unrelabel[x] for x in cls)) for cls in classes)
+            sorted(tuple(sorted(hg.unrelabel[x] for x in cls)) for cls in classes)
         )
         out.append(Congruence(p, original))
     return _canonical_sort(out)
+
+
+def congruences(
+    p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
+) -> list[Congruence]:
+    """All congruences, finest first, by the routes of the strategy.  The
+    theorem route also checks that only the diagonal and the full relation
+    exist exactly when the base is twist-simple."""
+
+    def theorem() -> list[Congruence]:
+        congs = congruences_theorem(p, caps)
+        hg = derived_view(p, caps)
+        if (len(congs) <= 2) != is_theta_simple(hg.base, hg.theta, caps):
+            raise MethodDisagreement(
+                "congruence scan and twist-simplicity of the base disagree"
+            )
+        return congs
+
+    return cross_check(
+        "congruence",
+        strategy,
+        theorem,
+        lambda: congruences_bruteforce(p, caps),
+        p.order <= caps.partition_cap,
+    )
 
 
 @dataclass(frozen=True)
@@ -307,13 +281,11 @@ def kernel_class(
 @lru_cache(maxsize=None)
 def _kernel_cached(r: Congruence, caps: Caps) -> KernelClass:
     p = r.ambient
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta, b = pres.base, pres.theta, pres.b
-    identity_orig = unrelabel[0]
+    hg = derived_view(p, caps)
+    base, theta = hg.base, hg.theta
+    identity_orig = hg.unrelabel[0]
     members_orig = r.classes[r.class_of[identity_orig]]
-    members = tuple(sorted(relabel[x] for x in members_orig))
+    members = tuple(sorted(hg.relabel[x] for x in members_orig))
     mset = set(members)
     for x in members:
         if theta(x) not in mset:
@@ -325,9 +297,7 @@ def _kernel_cached(r: Congruence, caps: Caps) -> KernelClass:
         for h in members:
             if base.conj(g, h) not in mset:
                 raise IllDefined(f"kernel class not normal at ({g},{h})")
-    b_related = r.related(identity_orig, unrelabel[b])
-    from .substructures import is_polyadic_subgroup
-
+    b_related = r.related(identity_orig, hg.unrelabel[hg.b])
     is_sub = is_polyadic_subgroup(p, members_orig)
     return KernelClass(members_orig, b_related, is_sub)
 
@@ -343,11 +313,8 @@ class LatticeOps:
     kernel_identities: bool
 
 
-def _pairs_product(p: PolyadicGroup, r: Congruence, q: Congruence) -> frozenset:
-    view, relabel, unrelabel = derived_view(p)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base = pres.base
+def _pairs_product(hg: HosszuGloskin, r: Congruence, q: Congruence) -> frozenset:
+    base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
     out = set()
     for (a, b) in r.pairs:
         for (c, d) in q.pairs:
@@ -360,7 +327,9 @@ def _pairs_product(p: PolyadicGroup, r: Congruence, q: Congruence) -> frozenset:
     return frozenset(out)
 
 
-def _pairs_to_classes(m: int, pairs: frozenset) -> tuple[tuple[int, ...], ...]:
+def _pairs_to_classes(
+    m: int, pairs: Collection[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
     classes: dict[int, list[int]] = {}
     for x in range(m):
         rep = min(y for y in range(m) if (x, y) in pairs)
@@ -384,8 +353,9 @@ def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> Latt
         meet_classes.setdefault((r.class_of[x], q.class_of[x]), []).append(x)
     meet = Congruence(p, tuple(sorted(tuple(c) for c in meet_classes.values())))
 
-    rq = _pairs_product(p, r, q)
-    qr = _pairs_product(p, q, r)
+    hg = derived_view(p, caps)
+    rq = _pairs_product(hg, r, q)
+    qr = _pairs_product(hg, q, r)
     commutes = rq == qr
     compose = set()
     for x in range(m):
@@ -397,10 +367,7 @@ def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> Latt
 
     kr = set(kernel_class(r, caps).members)
     kq = set(kernel_class(q, caps).members)
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base = pres.base
+    base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
     product_kernel = {
         unrelabel[base.mul(relabel[h1], relabel[h2])] for h1 in kr for h2 in kq
     }
@@ -415,11 +382,7 @@ def sim_h(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> Congruence:
     """The congruence whose classes are the polyadic cosets of a normal h."""
-    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
-    if not is_normal_polyadic(p, members, caps=caps):
-        raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
-    classes = sorted({polyadic_coset(p, members, x) for x in range(p.order)})
-    return Congruence(p, tuple(classes))
+    return Congruence(p, coset_classes(p, h, caps))
 
 
 def is_normal_congruence(
@@ -432,22 +395,18 @@ def is_normal_congruence(
     a·kernel is rebuilt and its coset congruence must equal r.
     """
     p = r.ambient
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta_inv = pres.base, pres.theta.inverse()
+    hg = derived_view(p, caps)
+    base, theta_inv = hg.base, hg.theta.inverse()
+    relabel, unrelabel = hg.relabel, hg.unrelabel
     skew = p.skew_table
     for a_orig in range(p.order):
         if not r.related(a_orig, skew[a_orig]):
             continue
         a = relabel[a_orig]
-        ok = True
-        for x in range(base.order):
-            v = base.mul(theta_inv(base.mul(base.inv(x), a)), x)
-            if not r.related(unrelabel[v], a_orig):
-                ok = False
-                break
-        if not ok:
+        if not all(
+            r.related(unrelabel[base.mul(theta_inv(base.mul(base.inv(x), a)), x)], a_orig)
+            for x in range(base.order)
+        ):
             continue
         kernel = kernel_class(r, caps)
         members_view = [relabel[x] for x in kernel.members]
@@ -482,22 +441,9 @@ def quotient_by_congruence(
     p: PolyadicGroup, r: Congruence, caps: Caps = DEFAULT_CAPS
 ) -> PolyadicGroup:
     """Quotient in derived form: base modulo kernel, induced twist and constant."""
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta, b = pres.base, pres.theta, pres.b
+    hg = derived_view(p, caps)
     kernel = kernel_class(r, caps)
-    members_view = tuple(sorted(relabel[x] for x in kernel.members))
-    quotient, proj = quotient_group(base, members_view, caps=caps)
-    k = quotient.order
-    perm = [-1] * k
-    for x in range(base.order):
-        i, j = proj[x], proj[theta(x)]
-        if perm[i] == -1:
-            perm[i] = j
-        elif perm[i] != j:
-            raise IllDefined("induced twist is not well defined")
-    theta_r = Automorphism(tuple(perm))
-    b_r = proj[b]
-    return derive(quotient, theta_r, b_r, p.arity, caps=caps,
+    members_view = tuple(sorted(hg.relabel[x] for x in kernel.members))
+    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, members_view, caps)
+    return derive(quotient, theta_r, proj[hg.b], p.arity, caps=caps,
                   name=p.name and f"{p.name}/R")

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable, Literal, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -112,19 +112,10 @@ def make_group(
         if rows[i][0] != i:
             raise NoIdentityAtZero(f"{i}·0 = {rows[i][0]}, expected {i}")
     for i in range(m):
-        if len(set(rows[i])) != m:
-            seen: set[int] = set()
-            for v in rows[i]:
-                if v in seen:
-                    raise NotLatinSquare(f"row {i} repeats {v}")
-                seen.add(v)
-        col = tuple(rows[j][i] for j in range(m))
-        if len(set(col)) != m:
-            seen = set()
-            for v in col:
-                if v in seen:
-                    raise NotLatinSquare(f"column {i} repeats {v}")
-                seen.add(v)
+        for kind, line in (("row", rows[i]), ("column", tuple(r[i] for r in rows))):
+            if len(set(line)) != m:
+                repeated = next(v for j, v in enumerate(line) if v in line[:j])
+                raise NotLatinSquare(f"{kind} {i} repeats {repeated}")
     t = group.np_table
     left = t[t, :]          # left[i,j,k] = (i·j)·k
     right = t[:, t]         # right[i,j,k] = i·(j·k)
@@ -132,6 +123,14 @@ def make_group(
         i, j, k = (int(v) for v in np.argwhere(left != right)[0])
         raise NotAssociative(f"({i}·{j})·{k} = {left[i, j, k]} but {i}·({j}·{k}) = {right[i, j, k]}")
     return group
+
+
+def inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of {0,...,m-1}."""
+    out = [0] * len(perm)
+    for x, y in enumerate(perm):
+        out[y] = x
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,7 @@ class Automorphism:
         return Automorphism(tuple(self.perm[y] for y in other.perm))
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for i, y in enumerate(self.perm):
-            inv[y] = i
-        return Automorphism(tuple(inv))
+        return Automorphism(inverse_perm(self.perm))
 
     def power(self, k: int) -> "Automorphism":
         if k < 0:
@@ -288,18 +284,21 @@ class Subgroup:
         return f"Subgroup({list(self.members)})"
 
 
-def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing seed (product closure; inverses follow)."""
+def subgroup_closure(
+    table: Sequence[Sequence[int]], seed: Iterable[int]
+) -> frozenset[int]:
+    """Smallest subgroup containing seed in the group with this multiplication
+    table (product closure; inverses follow)."""
     elems = list(dict.fromkeys(seed))
     if not elems:
         elems = [0]
     known = set(elems)
     i = 0
-    t = group.table
     while i < len(elems):
         a = elems[i]
+        row = table[a]
         for b in elems[: i + 1]:
-            for p in (t[a][b], t[b][a]):
+            for p in (row[b], table[b][a]):
                 if p not in known:
                     known.add(p)
                     elems.append(p)
@@ -309,24 +308,37 @@ def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(known)
 
 
-@lru_cache(maxsize=None)
-def _all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup, found by closure-driven lattice search."""
-    trivial = frozenset({0})
-    found = {trivial}
-    frontier = [trivial]
+def closure_lattice(
+    closure: Callable[[frozenset[int]], frozenset[int]],
+    seeds: Iterable[Iterable[int]],
+    size: int,
+) -> tuple[tuple[int, ...], ...]:
+    """Every closed set above the seeds' closures, sorted by (size, members):
+    the closure of each found set plus one more element of {0,...,size-1} is
+    taken until nothing new appears."""
+    found: set[frozenset[int]] = set()
+    frontier = []
+    for seed in seeds:
+        c = closure(frozenset(seed))
+        if c not in found:
+            found.add(c)
+            frontier.append(c)
     while frontier:
         current = frontier.pop()
-        for x in range(group.order):
+        for x in range(size):
             if x in current:
                 continue
-            bigger = subgroup_closure(group, tuple(current) + (x,))
+            bigger = closure(current | {x})
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-    as_tuples = [tuple(sorted(s)) for s in found]
-    as_tuples.sort(key=lambda s: (len(s), s))
-    return tuple(as_tuples)
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
+
+
+@lru_cache(maxsize=None)
+def _all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Every subgroup: the closure lattice above the trivial one."""
+    return closure_lattice(partial(subgroup_closure, group.table), [{0}], group.order)
 
 
 def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
@@ -361,6 +373,14 @@ def enumerate_subgroups(
     return out
 
 
+def is_theta_simple(
+    group: FiniteGroup, theta: Automorphism, caps: Caps = DEFAULT_CAPS
+) -> bool:
+    """No twist-invariant normal subgroup besides the trivial ones."""
+    subs = enumerate_subgroups(group, "theta_invariant_normal", theta=theta, caps=caps)
+    return all(s.size in (1, group.order) for s in subs)
+
+
 def quotient_group(
     group: FiniteGroup, normal: Subgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -373,18 +393,39 @@ def quotient_group(
     if not is_normal_subgroup(group, members):
         raise NotNormal(f"{list(members)} is not normal")
     m = group.order
-    cosets = sorted({tuple(sorted(group.mul(x, h) for h in members)) for x in range(m)})
+    coset_of = [tuple(sorted(group.mul(x, h) for h in members)) for x in range(m)]
+    cosets = sorted(set(coset_of))
     index = {c: i for i, c in enumerate(cosets)}
-    proj = [0] * m
-    for x in range(m):
-        proj[x] = index[tuple(sorted(group.mul(x, h) for h in members))]
+    proj = tuple(index[c] for c in coset_of)
     k = len(cosets)
     table = [[0] * k for _ in range(k)]
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
             table[i][j] = proj[group.mul(ci[0], cj[0])]
     name = f"{group.name}/{list(members)}" if group.name else ""
-    return make_group(table, name=name, caps=caps), tuple(proj)
+    return make_group(table, name=name, caps=caps), proj
+
+
+def twisted_quotient(
+    group: FiniteGroup,
+    theta: Automorphism,
+    normal: Subgroup | Sequence[int],
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[FiniteGroup, tuple[int, ...], Automorphism]:
+    """Quotient by a theta-invariant normal subgroup, the projection, and the
+    automorphism xK ↦ theta(x)K on the relabelled quotient."""
+    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
+    if frozenset(theta(x) for x in members) != frozenset(members):
+        raise NotInvariant(f"theta does not fix {list(members)} setwise")
+    quotient, proj = quotient_group(group, members, caps=caps)
+    perm = [-1] * quotient.order
+    for x in range(group.order):
+        i, j = proj[x], proj[theta(x)]
+        if perm[i] == -1:
+            perm[i] = j
+        elif perm[i] != j:
+            raise NotInvariant("induced map is not well defined")
+    return quotient, proj, Automorphism(tuple(perm))
 
 
 def induced_automorphism(
@@ -394,16 +435,4 @@ def induced_automorphism(
     caps: Caps = DEFAULT_CAPS,
 ) -> Automorphism:
     """The automorphism xK ↦ theta(x)K on the relabelled quotient."""
-    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
-    if frozenset(theta(x) for x in members) != frozenset(members):
-        raise NotInvariant(f"theta does not fix {list(members)} setwise")
-    quotient, proj = quotient_group(group, members, caps=caps)
-    k = quotient.order
-    perm = [-1] * k
-    for x in range(group.order):
-        i, j = proj[x], proj[theta(x)]
-        if perm[i] == -1:
-            perm[i] = j
-        elif perm[i] != j:
-            raise NotInvariant("induced map is not well defined")
-    return Automorphism(tuple(perm))
+    return twisted_quotient(group, theta, normal, caps)[2]

@@ -12,21 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
 from .errors import (
     ArityMismatch,
     ConditionViolated,
     CostCapExceeded,
     DecompositionFailed,
-    MethodDisagreement,
 )
 from .groups import FiniteGroup
 from .polyadic import (
-    DerivedPresentation,
     HosszuGloskin,
     PolyadicGroup,
     coordinate_arrays,
@@ -91,28 +89,28 @@ def is_polyadic_hom(
     return False, witness
 
 
-def _target_eval(hg: HosszuGloskin, args: Sequence[int]) -> int:
-    return hg.group.eval(list(args))
-
-
 def _check_conditions(
-    src_pres: DerivedPresentation,
-    tgt: HosszuGloskin,
-    a: int,
-    phi: Sequence[int],
-    arity: int,
+    src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: Sequence[int]
 ) -> Optional[str]:
     """The two split conditions; returns the name of the first failure."""
     h_group = tgt.base
     eta = tgt.theta
-    diag = _target_eval(tgt, [a] * arity)
-    if diag != h_group.mul(phi[src_pres.b], a):
+    diag = tgt.group.eval([a] * tgt.group.arity)
+    if diag != h_group.mul(phi[src.b], a):
         return "anchor"
-    theta = src_pres.theta
-    for x in range(src_pres.base.order):
+    theta = src.theta
+    for x in range(src.base.order):
         if phi[theta(x)] != h_group.conj(a, eta(phi[x])):
             return "intertwine"
     return None
+
+
+def _raw_map(
+    src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: Sequence[int]
+) -> tuple[int, ...]:
+    """psi(x) = phi(x) ∗ a, taken back to the original carriers."""
+    h_group = tgt.base
+    return tuple(tgt.unrelabel[h_group.mul(phi[x], a)] for x in src.relabel)
 
 
 def _is_binary_hom(g: FiniteGroup, h: FiniteGroup, phi: Sequence[int]) -> bool:
@@ -163,6 +161,25 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _splits(
+    psi: PolyadicHom, caps: Caps
+) -> Iterator[tuple[HomDecomposition, Optional[str]]]:
+    """Every anchor a, the forced a = psi(identity) first, with the phi it
+    leaves and the first failure of that split: None, "homomorphism" or the
+    name of a side condition."""
+    src, tgt = derived_view(psi.source, caps), hg_anchor0(psi.target, caps)
+    h_group = tgt.base
+    psi_t = [tgt.relabel[y] for y in psi.map]
+    forced = psi_t[src.unrelabel[0]]
+    for a in [forced] + [a for a in range(h_group.order) if a != forced]:
+        a_inv = h_group.inv(a)
+        phi = tuple(h_group.mul(psi_t[x], a_inv) for x in src.unrelabel)
+        if not _is_binary_hom(src.base, h_group, phi):
+            yield HomDecomposition(a, phi), "homomorphism"
+        else:
+            yield HomDecomposition(a, phi), _check_conditions(src, tgt, a, phi)
+
+
 def decompositions(
     psi: PolyadicHom, caps: Caps = DEFAULT_CAPS
 ) -> list[HomDecomposition]:
@@ -171,27 +188,7 @@ def decompositions(
     phi must fix identities, which pins a = psi(e); the scan over all a
     exists to record that no second split survives the conditions.
     """
-    p, q = psi.source, psi.target
-    view, relabel_p, _ = derived_view(p, caps)
-    src_pres = view.presentation
-    assert isinstance(src_pres, DerivedPresentation)
-    tgt = hg_anchor0(q, caps)
-    h_group = tgt.base
-    psi_t = [tgt.relabel[psi.map[x]] for x in range(p.order)]
-    unrelabel_p = [0] * p.order
-    for x, i in enumerate(relabel_p):
-        unrelabel_p[i] = x
-    out = []
-    order = [psi_t[unrelabel_p[0]]]  # the split forced by phi fixing identities
-    order += [a for a in range(q.order) if a != order[0]]
-    for a in order:
-        a_inv = h_group.inv(a)
-        phi = tuple(h_group.mul(psi_t[x], a_inv) for x in unrelabel_p)
-        if phi[0] != 0 or not _is_binary_hom(src_pres.base, h_group, phi):
-            continue
-        if _check_conditions(src_pres, tgt, a, phi, p.arity) is None:
-            out.append(HomDecomposition(a, phi))
-    return out
+    return [split for split, failure in _splits(psi, caps) if failure is None]
 
 
 def decompose_hom(psi: PolyadicHom, caps: Caps = DEFAULT_CAPS) -> HomDecomposition:
@@ -200,29 +197,16 @@ def decompose_hom(psi: PolyadicHom, caps: Caps = DEFAULT_CAPS) -> HomDecompositi
     phi has to fix identities, so a is forced; the split is validated
     against both side conditions before being returned.
     """
-    p, q = psi.source, psi.target
-    view, relabel_p, _ = derived_view(p, caps)
-    src_pres = view.presentation
-    assert isinstance(src_pres, DerivedPresentation)
-    tgt = hg_anchor0(q, caps)
-    h_group = tgt.base
-    unrelabel_p = [0] * p.order
-    for x, i in enumerate(relabel_p):
-        unrelabel_p[i] = x
-    psi_t = [tgt.relabel[psi.map[x]] for x in range(p.order)]
-    a = psi_t[unrelabel_p[0]]
-    a_inv = h_group.inv(a)
-    phi = tuple(h_group.mul(psi_t[x], a_inv) for x in unrelabel_p)
-    if not _is_binary_hom(src_pres.base, h_group, phi):
+    split, failure = next(_splits(psi, caps))
+    if failure == "homomorphism":
         raise DecompositionFailed(
             f"translated map of {list(psi.map)} is not a group homomorphism"
         )
-    failure = _check_conditions(src_pres, tgt, a, phi, p.arity)
     if failure is not None:
         raise DecompositionFailed(
             f"canonical split of {list(psi.map)} fails the {failure} condition"
         )
-    return HomDecomposition(a, phi)
+    return split
 
 
 def compose_hom(
@@ -237,15 +221,13 @@ def compose_hom(
     a and phi are given in presentation coordinates: phi maps the source
     presentation base into the anchor-0 base of the target.
     """
-    view, relabel_p, _ = derived_view(p, caps)
-    src_pres = view.presentation
-    assert isinstance(src_pres, DerivedPresentation)
+    src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
     h_group = tgt.base
     phi_t = tuple(int(x) for x in phi)
-    if not _is_binary_hom(src_pres.base, h_group, phi_t):
+    if not _is_binary_hom(src.base, h_group, phi_t):
         raise ConditionViolated("phi is not a group homomorphism")
-    failure = _check_conditions(src_pres, tgt, a, phi_t, p.arity)
+    failure = _check_conditions(src, tgt, a, phi_t)
     if failure == "anchor":
         raise ConditionViolated(
             "anchor condition fails: h(a,...,a) differs from phi(b)∗a"
@@ -254,10 +236,7 @@ def compose_hom(
         raise ConditionViolated(
             "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi"
         )
-    raw = [0] * p.order
-    for x in range(p.order):
-        raw[x] = tgt.unrelabel[h_group.mul(phi_t[relabel_p[x]], a)]
-    psi = PolyadicHom(p, q, tuple(raw))
+    psi = PolyadicHom(p, q, _raw_map(src, tgt, a, phi_t))
     ok, witness = is_polyadic_hom(psi.map, p, q, caps)
     if not ok:
         raise DecompositionFailed(
@@ -320,21 +299,14 @@ def _oracle_hom_maps(
 def _theorem_hom_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> list[tuple[int, ...]]:
-    view, relabel_p, _ = derived_view(p, caps)
-    src_pres = view.presentation
-    assert isinstance(src_pres, DerivedPresentation)
+    src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
     h_group = tgt.base
     out = []
-    for phi in binary_homs(src_pres.base, h_group):
+    for phi in binary_homs(src.base, h_group):
         for a in range(q.order):
-            if _check_conditions(src_pres, tgt, a, phi, p.arity) is not None:
-                continue
-            raw = tuple(
-                tgt.unrelabel[h_group.mul(phi[relabel_p[x]], a)]
-                for x in range(p.order)
-            )
-            out.append(raw)
+            if _check_conditions(src, tgt, a, phi) is None:
+                out.append(_raw_map(src, tgt, a, phi))
     out.sort()
     return out
 
@@ -342,7 +314,7 @@ def _theorem_hom_maps(
 def enumerate_homs(
     p: PolyadicGroup,
     q: PolyadicGroup,
-    strategy: Literal["auto", "theorem", "oracle"] = "auto",
+    strategy: Strategy = "auto",
     caps: Caps = DEFAULT_CAPS,
 ) -> list[PolyadicHom]:
     """All homomorphisms p → q, sorted by the map tuple.
@@ -353,19 +325,13 @@ def enumerate_homs(
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
-    theorem: Optional[list[tuple[int, ...]]] = None
-    oracle: Optional[list[tuple[int, ...]]] = None
-    if strategy in ("auto", "theorem"):
-        theorem = _theorem_hom_maps(p, q, caps)
-    if strategy == "oracle" or (
-        strategy == "auto" and q.order**p.order <= caps.hom_oracle_cap
-    ):
-        oracle = _oracle_hom_maps(p, q, caps)
-    if theorem is not None and oracle is not None and theorem != oracle:
-        raise MethodDisagreement(
-            f"hom enumerations disagree: theorem={theorem} oracle={oracle}"
-        )
-    maps = theorem if theorem is not None else (oracle or [])
+    maps = cross_check(
+        "hom enumeration",
+        strategy,
+        lambda: _theorem_hom_maps(p, q, caps),
+        lambda: _oracle_hom_maps(p, q, caps),
+        q.order**p.order <= caps.hom_oracle_cap,
+    )
     return [PolyadicHom(p, q, m) for m in maps]
 
 
@@ -401,23 +367,18 @@ def are_isomorphic(
         return None
     if _iso_invariants(p) != _iso_invariants(q):
         return None
-    view, relabel_p, _ = derived_view(p, caps)
-    src_pres = view.presentation
-    assert isinstance(src_pres, DerivedPresentation)
+    src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
     h_group = tgt.base
     best: Optional[tuple[int, ...]] = None
     full = list(range(p.order))
-    for phi in binary_homs(src_pres.base, h_group):
+    for phi in binary_homs(src.base, h_group):
         if sorted(phi) != full:
             continue
         for a in range(q.order):
-            if _check_conditions(src_pres, tgt, a, phi, p.arity) is not None:
+            if _check_conditions(src, tgt, a, phi) is not None:
                 continue
-            raw = tuple(
-                tgt.unrelabel[h_group.mul(phi[relabel_p[x]], a)]
-                for x in range(p.order)
-            )
+            raw = _raw_map(src, tgt, a, phi)
             if best is None or raw < best:
                 best = raw
     return PolyadicHom(p, q, best) if best is not None else None

@@ -29,11 +29,13 @@ from .errors import (
     OrderCapExceeded,
     PowerCondition,
     RoundTripMismatch,
+    ValidationError,
 )
 from .groups import (
     Automorphism,
     FiniteGroup,
     automorphisms,
+    inverse_perm,
     make_automorphism,
     make_group,
 )
@@ -170,6 +172,11 @@ class PolyadicGroup:
             raise NotUnique(f"multiple skew candidates {hits} for {x}")
         return hits[0]
 
+    @cached_property
+    def identity_view(self) -> "HosszuGloskin":
+        """A derived group as its own derived view, relabelled by the identity."""
+        return HosszuGloskin(self, tuple(range(self.order)))
+
     def idempotents(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.order) if self.eval([x] * self.arity) == x)
 
@@ -189,7 +196,7 @@ def coordinate_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
 
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
     if n < 2:
-        raise ValueError(f"arity must be at least 2, got {n}")
+        raise ValidationError(f"arity must be at least 2, got {n}")
     if n > caps.arity_cap:
         raise OrderCapExceeded(f"arity {n} exceeds cap {caps.arity_cap}", required=n)
     if m > caps.order_cap:
@@ -388,6 +395,8 @@ def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
     to index 0 and keeps the remaining elements in ascending order.
     """
     m, n = p.order, p.arity
+    if not 0 <= a < m:
+        raise ValidationError(f"anchor {a} is outside the carrier 0..{m - 1}")
     abar = p.skew(a)
     relabel = [0] * m
     relabel[abar] = 0
@@ -396,9 +405,7 @@ def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
         if x != abar:
             relabel[x] = nxt
             nxt += 1
-    unrelabel = [0] * m
-    for x, i in enumerate(relabel):
-        unrelabel[i] = x
+    unrelabel = inverse_perm(relabel)
     mid = [a] * (n - 2)
     table = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -411,35 +418,33 @@ def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class HosszuGloskin:
-    """A derived presentation over a relabelled retract, plus the relabelling."""
+    """A derived-form group plus the relabelling of the original carrier
+    onto its carrier: the derived coordinates of a polyadic group."""
 
     group: PolyadicGroup
     relabel: tuple[int, ...]
 
     @property
+    def presentation(self) -> DerivedPresentation:
+        pres = self.group.presentation
+        assert isinstance(pres, DerivedPresentation)
+        return pres
+
+    @cached_property
     def base(self) -> FiniteGroup:
-        pres = self.group.presentation
-        assert isinstance(pres, DerivedPresentation)
-        return pres.base
+        return self.presentation.base
 
-    @property
+    @cached_property
     def theta(self) -> Automorphism:
-        pres = self.group.presentation
-        assert isinstance(pres, DerivedPresentation)
-        return pres.theta
+        return self.presentation.theta
 
-    @property
+    @cached_property
     def b(self) -> int:
-        pres = self.group.presentation
-        assert isinstance(pres, DerivedPresentation)
-        return pres.b
+        return self.presentation.b
 
     @cached_property
     def unrelabel(self) -> tuple[int, ...]:
-        out = [0] * len(self.relabel)
-        for x, i in enumerate(self.relabel):
-            out[i] = x
-        return tuple(out)
+        return inverse_perm(self.relabel)
 
 
 def hosszu_gloskin(
@@ -453,9 +458,7 @@ def hosszu_gloskin(
     """
     m, n = p.order, p.arity
     group, relabel = retract(p, a)
-    unrelabel = [0] * m
-    for x, i in enumerate(relabel):
-        unrelabel[i] = x
+    unrelabel = inverse_perm(relabel)
     abar = p.skew(a)
     tail = [a] * (n - 2)
     phi_perm = tuple(relabel[p.eval([abar, unrelabel[i]] + tail)] for i in range(m))
@@ -488,15 +491,11 @@ def n_ary_identity(p: PolyadicGroup) -> Optional[int]:
     """The smallest element acting as identity in every slot, if any."""
     m, n = p.order, p.arity
     for a in range(m):
-        good = True
-        for i in range(n):
-            for x in range(m):
-                if p.eval([a] * i + [x] + [a] * (n - 1 - i)) != x:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        if all(
+            p.eval([a] * i + [x] + [a] * (n - 1 - i)) == x
+            for i in range(n)
+            for x in range(m)
+        ):
             return a
     return None
 
@@ -533,19 +532,15 @@ def dornte_check(p: PolyadicGroup) -> bool:
     return dornte_witness(p) is None
 
 
-def derived_view(
-    p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
-) -> tuple[PolyadicGroup, tuple[int, ...], tuple[int, ...]]:
-    """(derived-form group, relabel, unrelabel) for any polyadic group.
+def derived_view(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
+    """The derived coordinates of any polyadic group.
 
-    Derived inputs are returned as-is with identity relabellings; table
+    Derived inputs are their own view with the identity relabelling; table
     inputs are canonicalized through the retract anchored at element 0.
     """
     if p.is_derived:
-        ident = tuple(range(p.order))
-        return p, ident, ident
-    hg = _canonical_hg(p, caps)
-    return hg.group, hg.relabel, hg.unrelabel
+        return p.identity_view
+    return _canonical_hg(p, caps)
 
 
 @lru_cache(maxsize=None)

@@ -8,38 +8,36 @@ table; only the transported automorphism differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable, Literal, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
 from .errors import (
     CostCapExceeded,
     IllDefined,
     MethodDisagreement,
     NotNormal,
-    OrderCapExceeded,
 )
 from .groups import (
     Automorphism,
     FiniteGroup,
+    closure_lattice,
     enumerate_subgroups,
-    induced_automorphism,
     inner_automorphism,
-    quotient_group,
+    inverse_perm,
+    twisted_quotient,
     _all_subgroups,
 )
 from .polyadic import (
-    DerivedPresentation,
+    HosszuGloskin,
     PolyadicGroup,
     TablePresentation,
     coordinate_arrays,
     derived_view,
     n_ary_identity,
 )
-
-Strategy = Literal["auto", "oracle", "theorem"]
 
 
 @dataclass(frozen=True)
@@ -90,20 +88,15 @@ class GuGroup:
 
 def gu_group(p: PolyadicGroup, u: int, caps: Caps = DEFAULT_CAPS) -> GuGroup:
     """Build G_u for the (canonicalized) presentation of p."""
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta = pres.base, pres.theta
-    u_view = relabel[u]
+    hg = derived_view(p, caps)
+    base, theta = hg.base, hg.theta
+    u_view = hg.relabel[u]
     re = tuple(base.mul(x, base.inv(u_view)) for x in range(base.order))
-    un = [0] * base.order
-    for x, i in enumerate(re):
-        un[i] = x
     psi = Automorphism(
         tuple(base.conj(u_view, theta(i)) for i in range(base.order))
     )
     return GuGroup(
-        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=tuple(un),
+        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=inverse_perm(re),
         base=base, theta=theta,
     )
 
@@ -131,26 +124,6 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     return _closed_under_op(p, tuple(members))
 
 
-def _oracle_subset_scan(p: PolyadicGroup, caps: Caps) -> list[tuple[int, ...]]:
-    m = p.order
-    if m > caps.subset_scan_cap:
-        raise OrderCapExceeded(
-            f"subset scan on order {m} exceeds cap {caps.subset_scan_cap}", required=m
-        )
-    skew = p.skew_table
-    diag = tuple(p.eval([x] * p.arity) for x in range(m))
-    out = []
-    for mask in range(1, 1 << m):
-        members = tuple(i for i in range(m) if mask >> i & 1)
-        mset = set(members)
-        if any(skew[x] not in mset or diag[x] not in mset for x in members):
-            continue
-        if _closed_under_op(p, members):
-            out.append(members)
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
 def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[int]:
     current = set(seed)
     while True:
@@ -163,31 +136,27 @@ def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[in
         current = nxt
 
 
-def _oracle_closure_search(p: PolyadicGroup, caps: Caps) -> list[tuple[int, ...]]:
-    # for carriers past the subset-scan cap: grow closures from seeds
+def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> Sequence[tuple[int, ...]]:
+    """Scan every subset for closure under f and skew; past the scan's cap,
+    grow the closures from every singleton instead."""
     m = p.order
-    if m**p.arity > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"closure search needs about {m ** p.arity} evaluations", required=m**p.arity
-        )
-    found: set[frozenset[int]] = set()
-    frontier: list[frozenset[int]] = []
-    for x in range(m):
-        c = _closure_under_f_skew(p, {x})
-        if c not in found:
-            found.add(c)
-            frontier.append(c)
-    while frontier:
-        s = frontier.pop()
-        for x in range(m):
-            if x in s:
-                continue
-            c = _closure_under_f_skew(p, s | {x})
-            if c not in found:
-                found.add(c)
-                frontier.append(c)
-    out = [tuple(sorted(s)) for s in found]
-    out.sort(key=lambda s: (len(s), s))
+    if m > caps.subset_scan_cap:
+        if m**p.arity > caps.axiom_cost_cap:
+            raise CostCapExceeded(
+                f"closure search needs about {m ** p.arity} evaluations", required=m**p.arity
+            )
+        seeds = [{x} for x in range(m)]
+        return closure_lattice(partial(_closure_under_f_skew, p), seeds, m)
+    skew = p.skew_table
+    diag = tuple(p.eval([x] * p.arity) for x in range(m))
+    out = []
+    for mask in range(1, 1 << m):
+        members = tuple(i for i in range(m) if mask >> i & 1)
+        mset = set(members)
+        if any(skew[x] not in mset or diag[x] not in mset for x in members):
+            continue
+        if _closed_under_op(p, members):
+            out.append(members)
     return out
 
 
@@ -201,16 +170,14 @@ def _theorem_subgroups(
     inside.  The last gate matters: without it the u-anchored copy need not
     be closed under f.
     """
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta = pres.base, pres.theta
+    hg = derived_view(p, caps)
+    base, theta, unrelabel = hg.base, hg.theta, hg.unrelabel
     m = base.order
     subgroups = _all_subgroups(base)
     found: dict[tuple[int, ...], int] = {}
     for u in range(m):
         twist = tuple(base.conj(u, theta(x)) for x in range(m))
-        cu = view.eval([u] * view.arity)
+        cu = hg.group.eval([u] * p.arity)
         for members in subgroups:
             mset = frozenset(members)
             if frozenset(twist[x] for x in members) != mset:
@@ -234,35 +201,37 @@ def enumerate_polyadic_subgroups(
     theorem strategy unions invariant subgroups over the copies G_u.  In
     auto mode both run (caps permitting) and must agree.
     """
-    return list(_subgroups_cached(p, strategy, caps))
+    return list(_routed(False, p, strategy, caps))
 
 
 @lru_cache(maxsize=None)
-def _subgroups_cached(
-    p: PolyadicGroup, strategy: Strategy, caps: Caps
+def _routed(
+    normal: bool, p: PolyadicGroup, strategy: Strategy, caps: Caps
 ) -> tuple[PolyadicSubgroup, ...]:
-    theorem: Optional[dict[tuple[int, ...], int]] = None
-    oracle: Optional[list[tuple[int, ...]]] = None
-    if strategy in ("auto", "theorem"):
-        theorem = _theorem_subgroups(p, caps)
-    if strategy == "oracle" or (strategy == "auto" and p.order <= caps.subset_scan_cap):
-        if p.order <= caps.subset_scan_cap:
-            oracle = _oracle_subset_scan(p, caps)
-        else:
-            oracle = _oracle_closure_search(p, caps)
-    if theorem is not None and oracle is not None:
-        if sorted(theorem) != sorted(oracle):
-            raise MethodDisagreement(
-                f"polyadic subgroup strategies differ: theorem={sorted(theorem)} "
-                f"oracle={sorted(oracle)}"
-            )
-    members_list = sorted(theorem) if theorem is not None else list(oracle or [])
-    members_list.sort(key=lambda s: (len(s), s))
+    """The polyadic subgroups, or the normal ones, by the routes of the
+    strategy; the theorem route records a witness anchor for each."""
+    theorem = _theorem_normal_subgroups if normal else _theorem_subgroups
+
+    def oracle() -> tuple[PolyadicSubgroup, ...]:
+        subs = _oracle_subgroups(p, caps)
+        kept = [s for s in subs if not normal or _normal_by_definition(p, s)]
+        return _as_subgroups(p, dict.fromkeys(kept))
+
+    return cross_check(
+        "normal-subgroup" if normal else "polyadic subgroup",
+        strategy,
+        lambda: _as_subgroups(p, theorem(p, caps)),
+        oracle,
+        p.order <= caps.subset_scan_cap,
+    )
+
+
+def _as_subgroups(
+    p: PolyadicGroup, found: dict[tuple[int, ...], Optional[int]]
+) -> tuple[PolyadicSubgroup, ...]:
     return tuple(
-        PolyadicSubgroup(
-            members, p, witness_u=theorem.get(members) if theorem else None
-        )
-        for members in members_list
+        PolyadicSubgroup(members, p, witness_u=found[members])
+        for members in sorted(found, key=lambda s: (len(s), s))
     )
 
 
@@ -285,11 +254,9 @@ def _normal_by_twist(
     p: PolyadicGroup, members: Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> bool:
     """Presentation check: theta⁻¹(x⁻¹·h)·x stays inside, all x and h."""
-    view, relabel, _ = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta_inv = pres.base, pres.theta.inverse()
-    mem = [relabel[h] for h in members]
+    hg = derived_view(p, caps)
+    base, theta_inv = hg.base, hg.theta.inverse()
+    mem = [hg.relabel[h] for h in members]
     mset = set(mem)
     for x in range(base.order):
         xi = base.inv(x)
@@ -322,16 +289,14 @@ def is_normal_polyadic(
     return by_twist
 
 
-def _thm_conditions_hold(
-    view: PolyadicGroup, base: FiniteGroup, theta: Automorphism,
-    members: tuple[int, ...], u: int,
-) -> bool:
+def _thm_conditions_hold(hg: HosszuGloskin, members: tuple[int, ...], u: int) -> bool:
     """Full normal-subgroup conditions at anchor u, checked explicitly.
 
     (1) the set is a psi_u-invariant normal subgroup of G_u,
     (2) theta⁻¹(x⁻¹·u)·x lands inside for every x,
     (3) the anchor constant f(u,...,u) lands inside.
     """
+    base, theta = hg.base, hg.theta
     mset = set(members)
     if u not in mset:
         return False
@@ -361,7 +326,7 @@ def _thm_conditions_hold(
         if base.mul(theta_inv(base.mul(base.inv(x), u)), x) not in mset:
             return False
     # condition (3): anchor constant
-    return view.eval([u] * view.arity) in mset
+    return hg.group.eval([u] * hg.group.arity) in mset
 
 
 def _theorem_normal_subgroups(
@@ -374,15 +339,12 @@ def _theorem_normal_subgroups(
     Every candidate is then confirmed by the explicit anchored conditions;
     the anchor-constant gate rejects shifts that are not f-closed.
     """
-    view, relabel, unrelabel = derived_view(p, caps)
-    pres = view.presentation
-    assert isinstance(pres, DerivedPresentation)
-    base, theta = pres.base, pres.theta
+    hg = derived_view(p, caps)
+    base, theta, unrelabel = hg.base, hg.theta, hg.unrelabel
     m = base.order
     candidates: set[tuple[int, ...]] = set()
     for k_sub in enumerate_subgroups(base, "theta_invariant_normal", theta=theta):
-        quotient, proj = quotient_group(base, k_sub.members)
-        theta_k = induced_automorphism(base, theta, k_sub.members)
+        quotient, proj, theta_k = twisted_quotient(base, theta, k_sub.members, caps)
         inner_cosets = [
             c for c in range(quotient.order)
             if inner_automorphism(quotient, c).perm == theta_k.perm
@@ -395,7 +357,7 @@ def _theorem_normal_subgroups(
     found: dict[tuple[int, ...], int] = {}
     for members in candidates:
         for u in members:
-            if _thm_conditions_hold(view, base, theta, members, u):
+            if _thm_conditions_hold(hg, members, u):
                 h_orig = tuple(sorted(unrelabel[x] for x in members))
                 found[h_orig] = unrelabel[u]
                 break
@@ -406,38 +368,7 @@ def enumerate_normal_polyadic(
     p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> list[PolyadicSubgroup]:
     """All normal polyadic subgroups, sorted by (size, members)."""
-    return list(_normal_cached(p, strategy, caps))
-
-
-@lru_cache(maxsize=None)
-def _normal_cached(
-    p: PolyadicGroup, strategy: Strategy, caps: Caps
-) -> tuple[PolyadicSubgroup, ...]:
-    theorem: Optional[dict[tuple[int, ...], int]] = None
-    oracle: Optional[list[tuple[int, ...]]] = None
-    if strategy in ("auto", "theorem"):
-        theorem = _theorem_normal_subgroups(p, caps)
-    if strategy == "oracle" or (strategy == "auto" and p.order <= caps.subset_scan_cap):
-        subs = (
-            _oracle_subset_scan(p, caps)
-            if p.order <= caps.subset_scan_cap
-            else _oracle_closure_search(p, caps)
-        )
-        oracle = [s for s in subs if _normal_by_definition(p, s)]
-    if theorem is not None and oracle is not None:
-        if sorted(theorem) != sorted(oracle):
-            raise MethodDisagreement(
-                f"normal-subgroup strategies differ: theorem={sorted(theorem)} "
-                f"oracle={sorted(oracle)}"
-            )
-    members_list = sorted(theorem) if theorem is not None else list(oracle or [])
-    members_list.sort(key=lambda s: (len(s), s))
-    return tuple(
-        PolyadicSubgroup(
-            members, p, witness_u=theorem.get(members) if theorem else None
-        )
-        for members in members_list
-    )
+    return list(_routed(True, p, strategy, caps))
 
 
 def polyadic_coset(
@@ -448,6 +379,31 @@ def polyadic_coset(
     idx = np.asarray(members)
     block = p.cube[x][np.ix_(*([idx] * (p.arity - 1)))]
     return tuple(int(v) for v in np.unique(block))
+
+
+def coset_classes(
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> tuple[tuple[int, ...], ...]:
+    """The sorted polyadic cosets of a normal polyadic subgroup."""
+    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
+    if not is_normal_polyadic(p, members, caps=caps):
+        raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
+    return tuple(sorted({polyadic_coset(p, members, x) for x in range(p.order)}))
+
+
+def class_signature(
+    p: PolyadicGroup, cls_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per flat index of the table: the classes of the arguments packed in
+    base k, and the class of the value; plus whether the value's class is a
+    function of the argument classes (the class operation is well defined)."""
+    k = int(cls_of.max()) + 1
+    coords = coordinate_arrays(p.order, p.arity)
+    sig = cls_of[coords[0]]
+    for c in coords[1:]:
+        sig = sig * k + cls_of[c]
+    vals = cls_of[p.flat_np]
+    return sig, vals, len(np.unique(sig * k + vals)) == len(np.unique(sig))
 
 
 @dataclass(frozen=True)
@@ -472,23 +428,14 @@ def quotient_polyadic(
     caps: Caps = DEFAULT_CAPS,
 ) -> PolyadicQuotient:
     """Quotient by a normal polyadic subgroup; the result is always reduced."""
-    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
-    if not is_normal_polyadic(p, members, caps=caps):
-        raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
-    m, n = p.order, p.arity
-    classes = sorted({polyadic_coset(p, members, x) for x in range(m)})
-    cls_of = np.zeros(m, dtype=np.int64)
+    classes = coset_classes(p, h, caps)
+    cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         cls_of[list(cls)] = i
-    k = len(classes)
-    # well-definedness: the class of f must be a function of the class tuple
-    sig = cls_of[_coord(m, n, 0)]
-    for i in range(1, n):
-        sig = sig * k + cls_of[_coord(m, n, i)]
-    vals = cls_of[p.flat_np]
-    combined = sig * k + vals
-    if len(np.unique(combined)) != len(np.unique(sig)):
+    sig, vals, well_defined = class_signature(p, cls_of)
+    if not well_defined:
         raise IllDefined("quotient operation depends on representatives")
+    k, n = len(classes), p.arity
     flat_q = np.full(k**n, -1, dtype=np.int64)
     flat_q[sig] = vals
     quotient = PolyadicGroup(
@@ -496,8 +443,4 @@ def quotient_polyadic(
     )
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")
-    return PolyadicQuotient(tuple(classes), quotient)
-
-
-def _coord(m: int, n: int, i: int) -> np.ndarray:
-    return coordinate_arrays(m, n)[i]
+    return PolyadicQuotient(classes, quotient)

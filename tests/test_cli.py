@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pglab
 
 from pglab.cli import main
 from pglab.polyadic import as_table
@@ -172,3 +178,31 @@ class TestParseFailures:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"kind": "group", "order": 1, "table": [[0]]}))
         assert main(["verify", str(path)]) == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["quotient", "{T3}", "--congruence", "0,1|2"], {}),
+            (["hom", "--from", "{T3}", "--to", "{T3}", "--map", "0,x,2"], {}),
+            (["hom", "--from", "{T3}", "--to", "{T3}", "--map", "0,5,2"], {}),
+            (["analyze", "{T3}", "--retract", "7"], {}),
+            (["analyze", "{T4}", "--quotient", "0,5"], {}),
+            (["census", "--order", "2", "--arity", "1"], {}),
+            (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "abc"}),
+            (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "-1"}),
+            (["--subset-scan-cap", "-1", "verify", "{T3}"], {}),
+        ],
+    )
+    def test_exit_1_without_traceback(self, doc_path, argv, env):
+        paths = {"{T3}": doc_path("T3"), "{T4}": doc_path("T4")}
+        src = str(Path(pglab.__file__).resolve().parents[1])
+        run_env = {**os.environ, **env, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pglab.cli"] + [paths.get(a, a) for a in argv],
+            capture_output=True, text=True, env=run_env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ValidationError: ")
+        assert "Traceback" not in proc.stderr

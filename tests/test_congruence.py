@@ -14,7 +14,10 @@ from pglab.congruence import (
     restricted_growth_strings,
     sim_h,
 )
+from pglab.catalog import catalog_group
+from pglab.config import Caps
 from pglab.groups import is_normal_subgroup
+from pglab.polyadic import as_table, derive_b
 from pglab.substructures import enumerate_normal_polyadic
 
 
@@ -166,6 +169,13 @@ class TestLattice:
                 assert ops.commutes
                 assert ops.composition_is_product
                 assert ops.kernel_identities
+
+    def test_honours_caps_on_tables(self):
+        caps = Caps(arity_cap=9)
+        p = as_table(derive_b(catalog_group("Z2"), 1, 9, caps=caps))
+        congs = congruences_theorem(p, caps)
+        ops = lattice_ops(congs[0], congs[-1], caps)
+        assert ops.join.classes == congs[-1].classes and ops.kernel_identities
 
     def test_modular_law_on_sample(self, small_corpus):
         for p in small_corpus[::4]:
