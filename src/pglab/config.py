@@ -1,4 +1,4 @@
-"""Resource caps and the theorem/oracle router.
+"""Resource caps, the per-instance cache and the theorem/oracle router.
 
 PGLAB_* environment variables override the default caps.
 """
@@ -57,6 +57,15 @@ def caps_from_env(base: Caps = DEFAULT_CAPS, environ=None) -> Caps:
             except ValueError:
                 raise ValidationError(f"{key}={env[key]!r} is not an integer")
     return replace(base, **overrides)
+
+
+def cached_on(obj, key: str, compute: Callable[[], T]) -> T:
+    """compute()'s answer, stored on obj under key as cached_property stores
+    its value: the answer is freed with the object it describes."""
+    store = obj.__dict__
+    if key not in store:
+        store[key] = compute()
+    return store[key]
 
 
 def routes(strategy: Strategy, oracle_feasible: bool) -> str:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .errors import (
     IllDefined,
     MethodDisagreement,
@@ -24,9 +24,7 @@ from .errors import (
 from .groups import (
     Automorphism,
     FiniteGroup,
-    closure_lattice,
     is_theta_simple,
-    subgroup_closure,
     twisted_quotient,
 )
 from .polyadic import (
@@ -162,19 +160,20 @@ def congruences_bruteforce(
 
     Cheap necessary filters (skew images, one-sided translations) reject
     almost every partition before the complete class-signature check runs.
+    The partition cap is checked on every call; the scan runs once per
+    structure and its answer is stored on p.
     """
-    return list(_bruteforce_cached(p, caps))
-
-
-@lru_cache(maxsize=None)
-def _bruteforce_cached(p: PolyadicGroup, caps: Caps) -> tuple[Congruence, ...]:
     m = p.order
     if m > caps.partition_cap:
         raise OrderCapExceeded(
             f"partition scan on order {m} exceeds cap {caps.partition_cap}", required=m
         )
+    return list(cached_on(p, "congruences_oracle", lambda: _partition_scan(p)))
+
+
+def _partition_scan(p: PolyadicGroup) -> tuple[Congruence, ...]:
     out = []
-    for cls_of in _partitions_cached(m):
+    for cls_of in _partitions_cached(p.order):
         if not _factors(cls_of, p.skew_table):
             continue
         if not _translation_compatible(p, cls_of):
@@ -186,27 +185,13 @@ def _bruteforce_cached(p: PolyadicGroup, caps: Caps) -> tuple[Congruence, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_subgroups_over_diagonal(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Subgroups of G×G containing the diagonal, pairs packed as a·m + b."""
-    m = group.order
-    t = group.np_table
-    square = (t[:, None, :, None] * m + t[None, :, None, :]).reshape(m * m, m * m)
-    diagonal = [x * m + x for x in range(m)]
-    return closure_lattice(partial(subgroup_closure, square.tolist()), [diagonal], m * m)
-
-
-@lru_cache(maxsize=None)
 def _theorem_partitions(
-    group: FiniteGroup, theta: Automorphism, square_cap: int
+    group: FiniteGroup, theta: Automorphism
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partitions of the twist-invariant over-diagonal subgroups of G×G."""
     m = group.order
-    if m * m > square_cap:
-        raise OrderCapExceeded(
-            f"direct square of order {m * m} exceeds cap {square_cap}", required=m * m
-        )
     out = []
-    for pairs in _square_subgroups_over_diagonal(group):
+    for pairs in group.square_subgroups_over_diagonal:
         pair_set = frozenset(pairs)
         if any((theta(x // m) * m + theta(x % m)) not in pair_set for x in pairs):
             continue
@@ -224,8 +209,13 @@ def congruences_theorem(
     partition.  The relabelling round-trips for table presentations.
     """
     hg = derived_view(p, caps)
+    m = p.order
+    if m * m > caps.square_cap:
+        raise OrderCapExceeded(
+            f"direct square of order {m * m} exceeds cap {caps.square_cap}", required=m * m
+        )
     out = []
-    for classes in _theorem_partitions(hg.base, hg.theta, caps.square_cap):
+    for classes in _theorem_partitions(hg.base, hg.theta):
         original = tuple(
             sorted(tuple(sorted(hg.unrelabel[x] for x in cls)) for cls in classes)
         )
@@ -273,15 +263,15 @@ def kernel_class(
     """Class of the identity; always a twist-invariant normal base subgroup.
 
     Also reports whether the constant b is related to the identity, which is
-    exactly when the kernel class is itself a polyadic subgroup.
+    exactly when the kernel class is itself a polyadic subgroup.  The caps
+    are those of derived_view, checked on every call; the class is found
+    and checked once per congruence and stored on r.
     """
-    return _kernel_cached(r, caps)
+    hg = derived_view(r.ambient, caps)
+    return cached_on(r, "kernel", lambda: _kernel(r, hg))
 
 
-@lru_cache(maxsize=None)
-def _kernel_cached(r: Congruence, caps: Caps) -> KernelClass:
-    p = r.ambient
-    hg = derived_view(p, caps)
+def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
     base, theta = hg.base, hg.theta
     identity_orig = hg.unrelabel[0]
     members_orig = r.classes[r.class_of[identity_orig]]
@@ -298,7 +288,7 @@ def _kernel_cached(r: Congruence, caps: Caps) -> KernelClass:
             if base.conj(g, h) not in mset:
                 raise IllDefined(f"kernel class not normal at ({g},{h})")
     b_related = r.related(identity_orig, hg.unrelabel[hg.b])
-    is_sub = is_polyadic_subgroup(p, members_orig)
+    is_sub = is_polyadic_subgroup(r.ambient, members_orig)
     return KernelClass(members_orig, b_related, is_sub)
 
 
@@ -371,9 +361,10 @@ def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> Latt
     product_kernel = {
         unrelabel[base.mul(relabel[h1], relabel[h2])] for h1 in kr for h2 in kq
     }
+    e = hg.unrelabel[0]
     kernel_identities = (
-        set(kernel_class(join, caps).members) == product_kernel
-        and set(kernel_class(meet, caps).members) == (kr & kq)
+        set(join.classes[join.class_of[e]]) == product_kernel
+        and set(meet.classes[meet.class_of[e]]) == (kr & kq)
     )
     return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
@@ -73,6 +73,62 @@ class FiniteGroup:
         t = self.table
         m = self.order
         return tuple(a for a in range(m) if all(t[a][x] == t[x][a] for x in range(m)))
+
+    @cached_property
+    def _automorphisms(self) -> tuple["Automorphism", ...]:
+        """Every automorphism, uncapped: backtracking over images of 1..m-1
+        with pruning on element orders and on every fully-assigned product
+        triple."""
+        m, t, orders = self.order, self.table, self.element_orders
+        preimages: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                preimages[t[i][j]].append((i, j))
+        results: list[Automorphism] = []
+        img = [0] * m
+
+        def consistent(k: int) -> bool:
+            # check every product pair whose three participants are all assigned
+            for i in range(k + 1):
+                p = t[i][k]
+                if p <= k and img[p] != t[img[i]][img[k]]:
+                    return False
+                q = t[k][i]
+                if q <= k and img[q] != t[img[k]][img[i]]:
+                    return False
+            for (i, j) in preimages[k]:
+                if i <= k and j <= k and t[img[i]][img[j]] != img[k]:
+                    return False
+            return True
+
+        def extend(k: int, used: set[int]) -> None:
+            if k == m:
+                results.append(Automorphism(tuple(img)))
+                return
+            for y in range(m):
+                if y in used or orders[y] != orders[k]:
+                    continue
+                img[k] = y
+                if consistent(k):
+                    used.add(y)
+                    extend(k + 1, used)
+                    used.remove(y)
+
+        extend(1, {0})
+        return tuple(results)
+
+    @cached_property
+    def subgroup_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Every subgroup: the closure lattice above the trivial one."""
+        return closure_lattice(partial(subgroup_closure, self.table), [{0}], self.order)
+
+    @cached_property
+    def square_subgroups_over_diagonal(self) -> tuple[tuple[int, ...], ...]:
+        """Subgroups of G×G containing the diagonal, pairs packed as a·m + b."""
+        m, t = self.order, self.np_table
+        square = (t[:, None, :, None] * m + t[None, :, None, :]).reshape(m * m, m * m)
+        diagonal = [x * m + x for x in range(m)]
+        return closure_lattice(partial(subgroup_closure, square.tolist()), [diagonal], m * m)
 
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
@@ -187,70 +243,15 @@ def make_automorphism(group: FiniteGroup, perm: Sequence[int]) -> Automorphism:
     return Automorphism(p)
 
 
-@lru_cache(maxsize=None)
-def _product_preimages(group: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each k, the pairs (i, j) with i·j = k."""
-    m = group.order
-    out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            out[group.table[i][j]].append((i, j))
-    return tuple(tuple(v) for v in out)
-
-
-@lru_cache(maxsize=None)
-def _automorphisms_cached(group: FiniteGroup, cap: int) -> tuple[Automorphism, ...]:
-    m = group.order
-    if m > cap:
-        raise OrderCapExceeded(
-            f"automorphism search on order {m} exceeds cap {cap}", required=m
-        )
-    t = group.table
-    orders = group.element_orders
-    preimages = _product_preimages(group)
-    results: list[Automorphism] = []
-    img = [0] * m
-
-    def consistent(k: int) -> bool:
-        # check every product pair whose three participants are all assigned
-        for i in range(k + 1):
-            p = t[i][k]
-            if p <= k and img[t[i][k]] != t[img[i]][img[k]]:
-                return False
-            q = t[k][i]
-            if q <= k and img[q] != t[img[k]][img[i]]:
-                return False
-        for (i, j) in preimages[k]:
-            if i <= k and j <= k and t[img[i]][img[j]] != img[k]:
-                return False
-        return True
-
-    def extend(k: int, used: set[int]) -> None:
-        if k == m:
-            results.append(Automorphism(tuple(img)))
-            return
-        for y in range(m):
-            if y in used or orders[y] != orders[k]:
-                continue
-            img[k] = y
-            if consistent(k):
-                used.add(y)
-                extend(k + 1, used)
-                used.remove(y)
-
-    if m == 1:
-        return (Automorphism((0,)),)
-    extend(1, {0})
-    return tuple(results)
-
-
 def automorphisms(group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Automorphism]:
-    """All automorphisms, as permutations in lexicographic order.
-
-    Backtracking over images of 1..m-1 with pruning on element orders and on
-    every fully-assigned product triple.
-    """
-    return list(_automorphisms_cached(group, caps.automorphism_cap))
+    """All automorphisms, as permutations in lexicographic order; the
+    search runs once per group, the cap is checked on every call."""
+    m = group.order
+    if m > caps.automorphism_cap:
+        raise OrderCapExceeded(
+            f"automorphism search on order {m} exceeds cap {caps.automorphism_cap}", required=m
+        )
+    return list(group._automorphisms)
 
 
 def inner_automorphism(group: FiniteGroup, a: int) -> Automorphism:
@@ -335,12 +336,6 @@ def closure_lattice(
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
 
 
-@lru_cache(maxsize=None)
-def _all_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup: the closure lattice above the trivial one."""
-    return closure_lattice(partial(subgroup_closure, group.table), [{0}], group.order)
-
-
 def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     mset = set(members)
     return all(group.conj(g, h) in mset for g in range(group.order) for h in mset)
@@ -360,7 +355,7 @@ def enumerate_subgroups(
     if filter in ("theta_invariant", "theta_invariant_normal") and theta is None:
         raise ValueError(f"filter {filter!r} requires theta")
     out = []
-    for members in _all_subgroups(group):
+    for members in group.subgroup_lattice:
         if filter in ("normal", "theta_invariant_normal") and not is_normal_subgroup(
             group, members
         ):

@@ -22,6 +22,7 @@ from .errors import (
     ConditionViolated,
     CostCapExceeded,
     DecompositionFailed,
+    ValidationError,
 )
 from .groups import FiniteGroup
 from .polyadic import (
@@ -69,6 +70,9 @@ def is_polyadic_hom(
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
     if len(psi) != p.order:
         raise ArityMismatch(f"map has {len(psi)} entries for order {p.order}")
+    bad = [y for y in psi if not 0 <= y < q.order]
+    if bad:
+        raise ValidationError(f"images {bad} are outside the target carrier 0..{q.order - 1}")
     m, n = p.order, p.arity
     if m**n > caps.axiom_cost_cap:
         raise CostCapExceeded(
@@ -155,8 +159,6 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             if consistent(k):
                 extend(k + 1)
 
-    if mg == 1:
-        return ((0,),)
     extend(1)
     return tuple(out)
 
@@ -296,19 +298,20 @@ def _oracle_hom_maps(
     return survivors
 
 
-def _theorem_hom_maps(
-    p: PolyadicGroup, q: PolyadicGroup, caps: Caps
-) -> list[tuple[int, ...]]:
+def _split_maps(
+    p: PolyadicGroup, q: PolyadicGroup, caps: Caps, bijective: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """psi = R_a ∘ phi for every binary homomorphism phi (the bijective
+    ones only, if asked) and every anchor a passing both conditions."""
     src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
-    h_group = tgt.base
-    out = []
-    for phi in binary_homs(src.base, h_group):
+    full = list(range(q.order))
+    for phi in binary_homs(src.base, tgt.base):
+        if bijective and sorted(phi) != full:
+            continue
         for a in range(q.order):
             if _check_conditions(src, tgt, a, phi) is None:
-                out.append(_raw_map(src, tgt, a, phi))
-    out.sort()
-    return out
+                yield _raw_map(src, tgt, a, phi)
 
 
 def enumerate_homs(
@@ -328,7 +331,7 @@ def enumerate_homs(
     maps = cross_check(
         "hom enumeration",
         strategy,
-        lambda: _theorem_hom_maps(p, q, caps),
+        lambda: sorted(_split_maps(p, q, caps)),
         lambda: _oracle_hom_maps(p, q, caps),
         q.order**p.order <= caps.hom_oracle_cap,
     )
@@ -367,18 +370,5 @@ def are_isomorphic(
         return None
     if _iso_invariants(p) != _iso_invariants(q):
         return None
-    src = derived_view(p, caps)
-    tgt = hg_anchor0(q, caps)
-    h_group = tgt.base
-    best: Optional[tuple[int, ...]] = None
-    full = list(range(p.order))
-    for phi in binary_homs(src.base, h_group):
-        if sorted(phi) != full:
-            continue
-        for a in range(q.order):
-            if _check_conditions(src, tgt, a, phi) is not None:
-                continue
-            raw = _raw_map(src, tgt, a, phi)
-            if best is None or raw < best:
-                best = raw
+    best = min(_split_maps(p, q, caps, bijective=True), default=None)
     return PolyadicHom(p, q, best) if best is not None else None

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, cached_on
 from .errors import (
     ArityMismatch,
     BNotFixed,
@@ -533,24 +533,23 @@ def dornte_check(p: PolyadicGroup) -> bool:
 
 
 def derived_view(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
-    """The derived coordinates of any polyadic group.
+    """The derived coordinates of any polyadic group, stored on p.
 
     Derived inputs are their own view with the identity relabelling; table
     inputs are canonicalized through the retract anchored at element 0.
+    Their arity and order caps are checked on every call; the view and its
+    round-trip check are built once, under the caps of the first call.
     """
     if p.is_derived:
         return p.identity_view
-    return _canonical_hg(p, caps)
-
-
-@lru_cache(maxsize=None)
-def _canonical_hg(p: PolyadicGroup, caps: Caps) -> HosszuGloskin:
-    return hosszu_gloskin(p, 0, caps=caps)
+    return hg_anchor0(p, caps)
 
 
 def hg_anchor0(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
-    """The anchor-0 decomposition, the canonical presentation for hom work."""
-    return _canonical_hg(p, caps)
+    """The anchor-0 decomposition, the canonical presentation for hom work;
+    stored on p, with the caps handled as in derived_view."""
+    _check_arity_order(p.arity, p.order, caps)
+    return cached_on(p, "anchor0_view", lambda: hosszu_gloskin(p, 0, caps=caps))
 
 
 def all_derived(

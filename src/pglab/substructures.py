@@ -8,17 +8,18 @@ table; only the transported automorphism differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .errors import (
     CostCapExceeded,
     IllDefined,
     MethodDisagreement,
     NotNormal,
+    ValidationError,
 )
 from .groups import (
     Automorphism,
@@ -28,7 +29,6 @@ from .groups import (
     inner_automorphism,
     inverse_perm,
     twisted_quotient,
-    _all_subgroups,
 )
 from .polyadic import (
     HosszuGloskin,
@@ -37,6 +37,7 @@ from .polyadic import (
     coordinate_arrays,
     derived_view,
     n_ary_identity,
+    _check_arity_order,
 )
 
 
@@ -106,6 +107,15 @@ def right_translate(group: FiniteGroup, members: Iterable[int], u: int) -> tuple
     return tuple(sorted(group.mul(s, u) for s in members))
 
 
+def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int, ...]:
+    """The sorted members of h, refused unless each lies in 0..m-1."""
+    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
+    bad = [x for x in members if not 0 <= x < p.order]
+    if bad:
+        raise ValidationError(f"elements {bad} are outside the carrier 0..{p.order - 1}")
+    return members
+
+
 def _closed_under_op(p: PolyadicGroup, members: Sequence[int]) -> bool:
     mask = np.zeros(p.order, dtype=bool)
     mask[list(members)] = True
@@ -116,12 +126,13 @@ def _closed_under_op(p: PolyadicGroup, members: Sequence[int]) -> bool:
 
 def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """Nonempty, closed under the operation and under skew."""
+    members = _members(p, members)
     if len(members) == 0:
         return False
     mset = set(members)
     if any(p.skew(x) not in mset for x in members):
         return False
-    return _closed_under_op(p, tuple(members))
+    return _closed_under_op(p, members)
 
 
 def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[int]:
@@ -136,17 +147,25 @@ def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[in
         current = nxt
 
 
-def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> Sequence[tuple[int, ...]]:
+def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ...]:
     """Scan every subset for closure under f and skew; past the scan's cap,
-    grow the closures from every singleton instead."""
+    grow the closures from every singleton instead.  The cost cap is checked
+    on every call; the search runs once per structure, for both oracles."""
     m = p.order
-    if m > caps.subset_scan_cap:
-        if m**p.arity > caps.axiom_cost_cap:
-            raise CostCapExceeded(
-                f"closure search needs about {m ** p.arity} evaluations", required=m**p.arity
-            )
+    if m <= caps.subset_scan_cap:
+        search = partial(_subset_scan, p)
+    elif m**p.arity > caps.axiom_cost_cap:
+        raise CostCapExceeded(
+            f"closure search needs about {m ** p.arity} evaluations", required=m**p.arity
+        )
+    else:
         seeds = [{x} for x in range(m)]
-        return closure_lattice(partial(_closure_under_f_skew, p), seeds, m)
+        search = partial(closure_lattice, partial(_closure_under_f_skew, p), seeds, m)
+    return cached_on(p, "subgroups_oracle_scan", search)
+
+
+def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
+    m = p.order
     skew = p.skew_table
     diag = tuple(p.eval([x] * p.arity) for x in range(m))
     out = []
@@ -157,7 +176,7 @@ def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> Sequence[tuple[int, ...]]
             continue
         if _closed_under_op(p, members):
             out.append(members)
-    return out
+    return tuple(out)
 
 
 def _theorem_subgroups(
@@ -173,7 +192,7 @@ def _theorem_subgroups(
     hg = derived_view(p, caps)
     base, theta, unrelabel = hg.base, hg.theta, hg.unrelabel
     m = base.order
-    subgroups = _all_subgroups(base)
+    subgroups = base.subgroup_lattice
     found: dict[tuple[int, ...], int] = {}
     for u in range(m):
         twist = tuple(base.conj(u, theta(x)) for x in range(m))
@@ -201,29 +220,35 @@ def enumerate_polyadic_subgroups(
     theorem strategy unions invariant subgroups over the copies G_u.  In
     auto mode both run (caps permitting) and must agree.
     """
-    return list(_routed(False, p, strategy, caps))
+    return _routed(False, p, strategy, caps)
 
 
-@lru_cache(maxsize=None)
 def _routed(
     normal: bool, p: PolyadicGroup, strategy: Strategy, caps: Caps
-) -> tuple[PolyadicSubgroup, ...]:
+) -> list[PolyadicSubgroup]:
     """The polyadic subgroups, or the normal ones, by the routes of the
-    strategy; the theorem route records a witness anchor for each."""
+    strategy; the theorem route records a witness anchor for each.  Each
+    route's answer is stored on p; every call checks the caps (the theorem
+    routes': arity and order) and cross-checks the routes."""
+    kind = "normal" if normal else "subgroups"
     theorem = _theorem_normal_subgroups if normal else _theorem_subgroups
+
+    def theorem_route() -> tuple[PolyadicSubgroup, ...]:
+        _check_arity_order(p.arity, p.order, caps)
+        return cached_on(p, f"{kind}_theorem", lambda: _as_subgroups(p, theorem(p, caps)))
 
     def oracle() -> tuple[PolyadicSubgroup, ...]:
         subs = _oracle_subgroups(p, caps)
-        kept = [s for s in subs if not normal or _normal_by_definition(p, s)]
-        return _as_subgroups(p, dict.fromkeys(kept))
+        kept = (s for s in subs if not normal or _normal_by_definition(p, s))
+        return cached_on(p, f"{kind}_oracle", lambda: _as_subgroups(p, dict.fromkeys(kept)))
 
-    return cross_check(
+    return list(cross_check(
         "normal-subgroup" if normal else "polyadic subgroup",
         strategy,
-        lambda: _as_subgroups(p, theorem(p, caps)),
+        theorem_route,
         oracle,
         p.order <= caps.subset_scan_cap,
-    )
+    ))
 
 
 def _as_subgroups(
@@ -277,7 +302,7 @@ def is_normal_polyadic(
     With debug=True the direct definitional check runs as well and the two
     answers must agree.
     """
-    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
+    members = _members(p, h)
     by_twist = _normal_by_twist(p, members, caps)
     if debug and p.arity >= 3:
         by_def = _normal_by_definition(p, members)
@@ -368,14 +393,15 @@ def enumerate_normal_polyadic(
     p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> list[PolyadicSubgroup]:
     """All normal polyadic subgroups, sorted by (size, members)."""
-    return list(_routed(True, p, strategy, caps))
+    return _routed(True, p, strategy, caps)
 
 
 def polyadic_coset(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], x: int
 ) -> tuple[int, ...]:
     """{f(x, h1, ..., h_{n-1})}: the equivalence class of x modulo h."""
-    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
+    members = _members(p, h)
+    _members(p, [x])  # refuses an x outside the carrier
     idx = np.asarray(members)
     block = p.cube[x][np.ix_(*([idx] * (p.arity - 1)))]
     return tuple(int(v) for v in np.unique(block))
@@ -385,7 +411,7 @@ def coset_classes(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> tuple[tuple[int, ...], ...]:
     """The sorted polyadic cosets of a normal polyadic subgroup."""
-    members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
+    members = _members(p, h)
     if not is_normal_polyadic(p, members, caps=caps):
         raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
     return tuple(sorted({polyadic_coset(p, members, x) for x in range(p.order)}))
@@ -412,14 +438,6 @@ class PolyadicQuotient:
 
     classes: tuple[tuple[int, ...], ...]
     quotient: PolyadicGroup
-
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        out = [0] * sum(len(c) for c in self.classes)
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                out[x] = i
-        return tuple(out)
 
 
 def quotient_polyadic(

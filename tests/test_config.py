@@ -1,8 +1,17 @@
 import pytest
 
+from pglab.catalog import catalog_group
 from pglab.config import Caps, caps_from_env, cross_check
-from pglab.errors import MethodDisagreement, ValidationError
+from pglab.congruence import congruences_bruteforce, congruences_theorem
+from pglab.errors import (
+    CostCapExceeded,
+    MethodDisagreement,
+    OrderCapExceeded,
+    ValidationError,
+)
+from pglab.groups import Automorphism, automorphisms
 from pglab.morphisms import enumerate_homs
+from pglab.polyadic import as_table, derive, derived_view, from_table, hg_anchor0
 from pglab.simplicity import simplicity_report
 from pglab.substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
 
@@ -66,3 +75,41 @@ class TestCaps:
         with pytest.raises(ValidationError):
             caps_from_env(environ={"PGLAB_ORDER_CAP": "abc"})
         assert caps_from_env(environ={"PGLAB_ORDER_CAP": "5"}).order_cap == 5
+
+
+class TestCaches:
+    def test_equal_structures_keep_their_own_answers(self):
+        z3 = catalog_group("Z3")
+        a, b = (derive(z3, Automorphism.identity(3), 0, 3) for _ in range(2))
+        assert a == b and a is not b
+        for enumerate_ in (
+            enumerate_polyadic_subgroups, enumerate_normal_polyadic, congruences_bruteforce
+        ):
+            assert enumerate_(a)[0].ambient is a
+            assert enumerate_(b)[0].ambient is b
+        flat = as_table(a).presentation.flat
+        t1, t2 = (from_table(3, 3, flat, name=name) for name in ("T1", "T2"))
+        assert t1 == t2
+        assert hg_anchor0(t1).group.name == "hg(T1)"
+        assert hg_anchor0(t2).group.name == "hg(T2)"
+
+    @pytest.mark.parametrize(
+        "call, table, tight, error",
+        [
+            (lambda p, caps: automorphisms(p.presentation.base, caps), False,
+             Caps(automorphism_cap=2), OrderCapExceeded),
+            (derived_view, True, Caps(order_cap=2), OrderCapExceeded),
+            (derived_view, True, Caps(arity_cap=2), OrderCapExceeded),
+            (congruences_bruteforce, False, Caps(partition_cap=2), OrderCapExceeded),
+            (congruences_theorem, False, Caps(square_cap=4), OrderCapExceeded),
+            (lambda p, caps: enumerate_polyadic_subgroups(p, "oracle", caps), False,
+             Caps(subset_scan_cap=2, axiom_cost_cap=8), CostCapExceeded),
+        ],
+    )
+    def test_caps_are_checked_before_the_cached_answer(self, call, table, tight, error):
+        p = derive(catalog_group("Z3"), Automorphism.identity(3), 0, 3)
+        if table:
+            p = as_table(p)
+        assert call(p, Caps())
+        with pytest.raises(error):
+            call(p, tight)

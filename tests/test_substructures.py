@@ -1,8 +1,10 @@
 import pytest
 
 from pglab.catalog import catalog_group
-from pglab.errors import NotNormal
+from pglab.congruence import sim_h
+from pglab.errors import NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup
+from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import n_ary_identity, verify_axioms
 from pglab.substructures import (
     enumerate_normal_polyadic,
@@ -219,3 +221,26 @@ class TestSingletonImpliesReduced:
         for p in corpus[::9]:
             if any(s.size == 1 for s in enumerate_normal_polyadic(p)):
                 assert n_ary_identity(p) is not None
+
+
+class TestMemberRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: quotient_polyadic(t, [-3]),
+            lambda t: sim_h(t, [-3]),
+            lambda t: is_normal_polyadic(t, [0, 3]),
+            lambda t: is_polyadic_subgroup(t, [-1]),
+            lambda t: polyadic_coset(t, [0], -1),
+            lambda t: polyadic_coset(t, [5], 0),
+            lambda t: is_polyadic_hom((0, -1, -2), t, t),
+            lambda t: is_polyadic_hom((0, 5, 1), t, t),
+        ],
+        ids=[
+            "quotient", "sim_h", "normal", "subgroup", "coset_x", "coset_members",
+            "hom_negative", "hom_too_large",
+        ],
+    )
+    def test_out_of_range_elements_refused(self, structs, call):
+        with pytest.raises(ValidationError):
+            call(structs["T3"])
