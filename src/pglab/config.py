@@ -30,7 +30,6 @@ class Caps:
     automorphism_cap: int = 16     # largest order for automorphism search
     axiom_cost_cap: int = 10_000_000   # elementary evaluations for axiom checks
     partition_cap: int = 10        # carrier size for the all-partitions scan
-    square_cap: int = 256          # |G x G| for the direct-square subgroup scan
     subset_scan_cap: int = 12      # carrier size for the 2^m subset scan
     hom_oracle_cap: int = 1_000_000    # candidate maps in the hom oracle
     census_exhaustive_cap: int = 4096  # candidate tables in the exhaustive census

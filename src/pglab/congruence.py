@@ -1,9 +1,9 @@
 """Congruence lattices of polyadic groups.
 
 Two independent routes: a partition scan testing compatibility with the
-operation and with skew directly, and a subgroup scan of the direct square
-G×G (a relation is a congruence exactly when, as a set of pairs, it is a
-twist-invariant subgroup of the square containing the diagonal).
+operation and with skew directly, and the theorem that the congruences of
+der(G, theta, b) are exactly the coset partitions of the theta-invariant
+normal subgroups of G.
 """
 
 from __future__ import annotations
@@ -21,24 +21,15 @@ from .errors import (
     MethodDisagreement,
     OrderCapExceeded,
 )
-from .groups import (
-    Automorphism,
-    FiniteGroup,
-    is_theta_simple,
-    twisted_quotient,
-)
+from .groups import enumerate_subgroups, twisted_quotient
 from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
+    _check_arity_order,
     derive,
     derived_view,
 )
-from .substructures import (
-    PolyadicSubgroup,
-    class_signature,
-    coset_classes,
-    is_polyadic_subgroup,
-)
+from .substructures import PolyadicSubgroup, class_signature, coset_classes
 
 
 @dataclass(frozen=True)
@@ -184,65 +175,34 @@ def _partition_scan(p: PolyadicGroup) -> tuple[Congruence, ...]:
     return tuple(_canonical_sort(out))
 
 
-@lru_cache(maxsize=None)
-def _theorem_partitions(
-    group: FiniteGroup, theta: Automorphism
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Partitions of the twist-invariant over-diagonal subgroups of G×G."""
-    m = group.order
-    out = []
-    for pairs in group.square_subgroups_over_diagonal:
-        pair_set = frozenset(pairs)
-        if any((theta(x // m) * m + theta(x % m)) not in pair_set for x in pairs):
-            continue
-        out.append(_pairs_to_classes(m, {divmod(x, m) for x in pairs}))
-    return tuple(out)
-
-
 def congruences_theorem(
     p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
-    """Enumerate congruences as over-diagonal twist-invariant pair subgroups.
-
-    Containing the diagonal already forces symmetry and transitivity, so no
-    equivalence check is needed; each subgroup converts straight into its
-    partition.  The relabelling round-trips for table presentations.
-    """
+    """Enumerate congruences as the coset partitions of the twist-invariant
+    normal subgroups of the base, mapped back to the original carrier
+    (the relabelling round-trips for table presentations).  The arity and
+    order caps are checked on every call."""
+    _check_arity_order(p.arity, p.order, caps)
     hg = derived_view(p, caps)
-    m = p.order
-    if m * m > caps.square_cap:
-        raise OrderCapExceeded(
-            f"direct square of order {m * m} exceeds cap {caps.square_cap}", required=m * m
-        )
+    base, unrelabel = hg.base, hg.unrelabel
     out = []
-    for classes in _theorem_partitions(hg.base, hg.theta):
-        original = tuple(
-            sorted(tuple(sorted(hg.unrelabel[x] for x in cls)) for cls in classes)
-        )
-        out.append(Congruence(p, original))
+    for k in enumerate_subgroups(base, "theta_invariant_normal", theta=hg.theta):
+        cosets = {
+            tuple(sorted(unrelabel[base.mul(x, h)] for h in k.members))
+            for x in range(base.order)
+        }
+        out.append(Congruence(p, tuple(sorted(cosets))))
     return _canonical_sort(out)
 
 
 def congruences(
     p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
-    """All congruences, finest first, by the routes of the strategy.  The
-    theorem route also checks that only the diagonal and the full relation
-    exist exactly when the base is twist-simple."""
-
-    def theorem() -> list[Congruence]:
-        congs = congruences_theorem(p, caps)
-        hg = derived_view(p, caps)
-        if (len(congs) <= 2) != is_theta_simple(hg.base, hg.theta, caps):
-            raise MethodDisagreement(
-                "congruence scan and twist-simplicity of the base disagree"
-            )
-        return congs
-
+    """All congruences, finest first, by the routes of the strategy."""
     return cross_check(
         "congruence",
         strategy,
-        theorem,
+        lambda: congruences_theorem(p, caps),
         lambda: congruences_bruteforce(p, caps),
         p.order <= caps.partition_cap,
     )
@@ -263,7 +223,8 @@ def kernel_class(
     """Class of the identity; always a twist-invariant normal base subgroup.
 
     Also reports whether the constant b is related to the identity, which is
-    exactly when the kernel class is itself a polyadic subgroup.  The caps
+    exactly when the kernel class is itself a polyadic subgroup; the flag is
+    read off that theorem, so no m^n table is built.  The caps
     are those of derived_view, checked on every call; the class is found
     and checked once per congruence and stored on r.
     """
@@ -288,8 +249,7 @@ def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
             if base.conj(g, h) not in mset:
                 raise IllDefined(f"kernel class not normal at ({g},{h})")
     b_related = r.related(identity_orig, hg.unrelabel[hg.b])
-    is_sub = is_polyadic_subgroup(r.ambient, members_orig)
-    return KernelClass(members_orig, b_related, is_sub)
+    return KernelClass(members_orig, b_related, b_related)
 
 
 @dataclass(frozen=True)

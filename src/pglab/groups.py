@@ -122,14 +122,6 @@ class FiniteGroup:
         """Every subgroup: the closure lattice above the trivial one."""
         return closure_lattice(partial(subgroup_closure, self.table), [{0}], self.order)
 
-    @cached_property
-    def square_subgroups_over_diagonal(self) -> tuple[tuple[int, ...], ...]:
-        """Subgroups of G×G containing the diagonal, pairs packed as a·m + b."""
-        m, t = self.order, self.np_table
-        square = (t[:, None, :, None] * m + t[None, :, None, :]).reshape(m * m, m * m)
-        diagonal = [x * m + x for x in range(m)]
-        return closure_lattice(partial(subgroup_closure, square.tolist()), [diagonal], m * m)
-
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"

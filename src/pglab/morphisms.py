@@ -28,10 +28,10 @@ from .groups import FiniteGroup
 from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
-    coordinate_arrays,
     derived_view,
     hg_anchor0,
     n_ary_identity,
+    packed_tuples,
 )
 
 
@@ -80,17 +80,11 @@ def is_polyadic_hom(
         )
     psi_arr = np.asarray(psi, dtype=np.int64)
     lhs = psi_arr[p.flat_np]
-    coords = coordinate_arrays(m, n)
-    mq = q.order
-    idx = psi_arr[coords[0]].astype(np.int64)
-    for i in range(1, n):
-        idx = idx * mq + psi_arr[coords[i]]
-    rhs = q.flat_np[idx]
+    rhs = q.flat_np[packed_tuples(psi_arr, q.order, n)]
     if np.array_equal(lhs, rhs):
         return True, None
     flat_bad = int(np.argwhere(lhs != rhs)[0][0])
-    witness = tuple(int(c[flat_bad]) for c in coords)
-    return False, witness
+    return False, tuple(int(c) for c in np.unravel_index(flat_bad, (m,) * n))
 
 
 def _check_conditions(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -187,11 +187,13 @@ class PolyadicGroup:
         return f"PolyadicGroup(n={self.arity}, table, order {self.order})"
 
 
-@lru_cache(maxsize=None)
-def coordinate_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """Per-position coordinates of every flat index of an (m,)*n table."""
-    idx = np.arange(m**n)
-    return tuple((idx // m ** (n - 1 - i)) % m for i in range(n))
+def packed_tuples(values: np.ndarray, base: int, n: int) -> np.ndarray:
+    """For every argument tuple (x1..xn), in flat-table order, the number
+    whose digits in the given base are values[x1], ..., values[xn]."""
+    out = values
+    for _ in range(n - 1):
+        out = np.add.outer(out * base, values)
+    return out.ravel()
 
 
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
@@ -473,8 +475,10 @@ def hosszu_gloskin(
     if m**n <= caps.axiom_cost_cap:
         ix = np.ix_(*([np.asarray(unrelabel)] * n))
         original = relabel_arr[p.cube[ix]].ravel()
-        if not np.array_equal(original, derived.flat_np):
-            bad = int(np.argwhere(original != derived.flat_np)[0][0])
+        # built on a fresh copy, so the view does not keep the table
+        rebuilt = PolyadicGroup(n, derived.presentation).flat_np
+        if not np.array_equal(original, rebuilt):
+            bad = int(np.argwhere(original != rebuilt)[0][0])
             raise RoundTripMismatch(f"rebuilt operation differs at flat index {bad}")
     else:
         rng = random.Random(0)

@@ -34,9 +34,9 @@ from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
     TablePresentation,
-    coordinate_arrays,
     derived_view,
     n_ary_identity,
+    packed_tuples,
     _check_arity_order,
 )
 
@@ -424,10 +424,7 @@ def class_signature(
     base k, and the class of the value; plus whether the value's class is a
     function of the argument classes (the class operation is well defined)."""
     k = int(cls_of.max()) + 1
-    coords = coordinate_arrays(p.order, p.arity)
-    sig = cls_of[coords[0]]
-    for c in coords[1:]:
-        sig = sig * k + cls_of[c]
+    sig = packed_tuples(cls_of, k, p.arity)
     vals = cls_of[p.flat_np]
     return sig, vals, len(np.unique(sig * k + vals)) == len(np.unique(sig))
 

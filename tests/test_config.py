@@ -101,7 +101,7 @@ class TestCaches:
             (derived_view, True, Caps(order_cap=2), OrderCapExceeded),
             (derived_view, True, Caps(arity_cap=2), OrderCapExceeded),
             (congruences_bruteforce, False, Caps(partition_cap=2), OrderCapExceeded),
-            (congruences_theorem, False, Caps(square_cap=4), OrderCapExceeded),
+            (congruences_theorem, False, Caps(order_cap=2), OrderCapExceeded),
             (lambda p, caps: enumerate_polyadic_subgroups(p, "oracle", caps), False,
              Caps(subset_scan_cap=2, axiom_cost_cap=8), CostCapExceeded),
         ],

@@ -1,6 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pglab.congruence import (
     congruence_from_classes,
@@ -16,9 +18,9 @@ from pglab.congruence import (
 )
 from pglab.catalog import catalog_group
 from pglab.config import Caps
-from pglab.groups import is_normal_subgroup
-from pglab.polyadic import as_table, derive_b
-from pglab.substructures import enumerate_normal_polyadic
+from pglab.groups import Automorphism, is_normal_subgroup
+from pglab.polyadic import as_table, derive, derive_b, from_table
+from pglab.substructures import enumerate_normal_polyadic, is_polyadic_subgroup
 
 
 def is_congruence_by_definition(p, classes):
@@ -137,13 +139,43 @@ class TestKernelClass:
 
     def test_constant_relation_flags_subgroup(self, small_corpus):
         # the kernel class is a polyadic subgroup exactly when b relates to e
-        from pglab.substructures import is_polyadic_subgroup
-
         for p in small_corpus[::3]:
             for c in congruences_bruteforce(p):
                 kc = kernel_class(c)
                 assert kc.polyadic_subgroup == kc.b_related
                 assert kc.polyadic_subgroup == is_polyadic_subgroup(p, kc.members)
+
+    def test_builds_no_operation_table(self):
+        p = derive(catalog_group("Z4"), Automorphism.identity(4), 0, 5)
+        for c in congruences_theorem(p):
+            kernel_class(c)
+        assert "flat_np" not in p.__dict__
+
+
+class TestRelabelledTables:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_theorem_equals_oracle(self, corpus, data):
+        p = data.draw(st.sampled_from(corpus))
+        m, n = p.order, p.arity
+        sigma = np.asarray(data.draw(st.permutations(range(m))))
+        cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * n))]]
+        t = from_table(n, m, cube.ravel().tolist(), verify=False)
+
+        image = sorted(
+            (
+                tuple(sorted(tuple(sorted(int(sigma[x]) for x in cls)) for cls in c.classes))
+                for c in congruences_bruteforce(p)
+            ),
+            key=lambda classes: (-len(classes), classes),
+        )
+        theorem = congruences_theorem(t)
+        assert [c.classes for c in theorem] == image
+        assert [c.classes for c in congruences_bruteforce(t)] == image
+        assert enumerate_normal_polyadic(t, "theorem") == enumerate_normal_polyadic(t, "oracle")
+        for r in theorem:
+            kc = kernel_class(r)
+            assert kc.polyadic_subgroup == is_polyadic_subgroup(t, kc.members)
 
 
 class TestLattice:

@@ -20,6 +20,7 @@ from pglab.polyadic import (
     dornte_check,
     dornte_witness,
     from_table,
+    hg_anchor0,
     hosszu_gloskin,
     is_reduced,
     n_ary_identity,
@@ -221,6 +222,9 @@ class TestHosszuGloskin:
         hg = hosszu_gloskin(structs["T4inv"], 0)
         assert hg.theta.perm == (0, 3, 2, 1)
         assert hg.b == 0
+
+    def test_view_keeps_no_table(self, structs):
+        assert "flat_np" not in hg_anchor0(as_table(structs["T4inv"])).group.__dict__
 
     def test_roundtrip_every_anchor(self, structs):
         for p in structs.values():
