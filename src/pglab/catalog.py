@@ -80,6 +80,10 @@ def quaternion8() -> FiniteGroup:
     return make_group(table, name="Q8")
 
 
+# OEIS A000001: the number of groups of order 1, 2, ..., 16.
+A000001 = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
+
+
 @lru_cache(maxsize=1)
 def catalog() -> dict[str, FiniteGroup]:
     """Name → group for the built-in small-group inventory."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -81,9 +81,17 @@ def congruence_from_classes(
     cong = Congruence(p, canon)
     if validate:
         cls = np.asarray(cong.class_of)
-        if not (_factors(cong.class_of, p.skew_table) and _f_compatible(p, cls)):
+        if not _factors(cong.class_of, p.skew_table) or class_signature(p, cls) is None:
             raise ValueError("partition is not a congruence")
     return cong
+
+
+def _partition_by(p: PolyadicGroup, keys: Iterable) -> Congruence:
+    """The congruence whose classes are the fibres of x ↦ keys[x]."""
+    fibres: dict = {}
+    for x, key in enumerate(keys):
+        fibres.setdefault(key, []).append(x)
+    return Congruence(p, tuple(sorted(tuple(c) for c in fibres.values())))
 
 
 def _canonical_sort(congs: list[Congruence]) -> list[Congruence]:
@@ -109,11 +117,6 @@ def _translation_compatible(p: PolyadicGroup, cls_of: Sequence[int]) -> bool:
     )
 
 
-def _f_compatible(p: PolyadicGroup, cls_arr: np.ndarray) -> bool:
-    """Complete check: the class of f(x1..xn) is a function of the class tuple."""
-    return class_signature(p, cls_arr)[2]
-
-
 def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of {0..m-1} as class-index strings, lexicographic."""
     a = [0] * m
@@ -134,14 +137,6 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
 @lru_cache(maxsize=16)
 def _partitions_cached(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(restricted_growth_strings(m))
-
-
-def _classes_from_string(cls_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    k = max(cls_of) + 1
-    out: list[list[int]] = [[] for _ in range(k)]
-    for x, c in enumerate(cls_of):
-        out[c].append(x)
-    return tuple(tuple(c) for c in out)
 
 
 def congruences_bruteforce(
@@ -169,9 +164,9 @@ def _partition_scan(p: PolyadicGroup) -> tuple[Congruence, ...]:
             continue
         if not _translation_compatible(p, cls_of):
             continue
-        if not _f_compatible(p, np.asarray(cls_of)):
+        if class_signature(p, np.asarray(cls_of)) is None:
             continue
-        out.append(Congruence(p, _classes_from_string(cls_of)))
+        out.append(_partition_by(p, cls_of))
     return tuple(_canonical_sort(out))
 
 
@@ -254,7 +249,10 @@ def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
 
 @dataclass(frozen=True)
 class LatticeOps:
-    """Meet/join of two congruences plus the commutation diagnostics."""
+    """Meet and join of congruences R, Q; each diagnostic compares the
+    partitions with base-group products of the kernels K_R, K_Q: R∘Q = Q∘R,
+    R∘Q is the coset relation of K_R·K_Q (for a group, the pair-set product
+    R·Q), and the join's and meet's kernels are K_R·K_Q and K_R ∩ K_Q."""
 
     meet: Congruence
     join: Congruence
@@ -263,68 +261,45 @@ class LatticeOps:
     kernel_identities: bool
 
 
-def _pairs_product(hg: HosszuGloskin, r: Congruence, q: Congruence) -> frozenset:
-    base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
-    out = set()
-    for (a, b) in r.pairs:
-        for (c, d) in q.pairs:
-            out.add(
-                (
-                    unrelabel[base.mul(relabel[a], relabel[c])],
-                    unrelabel[base.mul(relabel[b], relabel[d])],
-                )
-            )
-    return frozenset(out)
-
-
-def _pairs_to_classes(
-    m: int, pairs: Collection[tuple[int, int]]
-) -> tuple[tuple[int, ...], ...]:
-    classes: dict[int, list[int]] = {}
-    for x in range(m):
-        rep = min(y for y in range(m) if (x, y) in pairs)
-        classes.setdefault(rep, []).append(x)
-    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
+    """For each x, the z with x r y q z: the union of the q-classes that
+    x's r-class meets."""
+    out = [frozenset()] * r.ambient.order
+    for cls in r.classes:
+        image = frozenset().union(*(q.classes[c] for c in {q.class_of[y] for y in cls}))
+        for x in cls:
+            out[x] = image
+    return out
 
 
 def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> LatticeOps:
-    """Meet (intersection) and join (pair-set product) with diagnostics.
+    """Meet (intersection) and join (composition) with diagnostics, in O(m²).
 
-    Checks that the subgroup products commute, that relation composition
-    equals the product, and the two kernel identities (kernel of the join is
-    the product of kernels; kernel of the meet is their intersection).
+    A polyadic group is congruence-permutable, so the join R∨Q is the
+    relational composition R∘Q; both are read off the two partitions.  The
+    caps are those of derived_view, checked before any work.
     """
     p = r.ambient
     if q.ambient != p:
         raise ValueError("congruences live on different polyadic groups")
-    m = p.order
-    meet_classes: dict[tuple[int, int], list[int]] = {}
-    for x in range(m):
-        meet_classes.setdefault((r.class_of[x], q.class_of[x]), []).append(x)
-    meet = Congruence(p, tuple(sorted(tuple(c) for c in meet_classes.values())))
-
     hg = derived_view(p, caps)
-    rq = _pairs_product(hg, r, q)
-    qr = _pairs_product(hg, q, r)
-    commutes = rq == qr
-    compose = set()
-    for x in range(m):
-        for u in q.classes[q.class_of[x]]:
-            compose.update((x, y) for y in r.classes[r.class_of[u]])
-    composition_is_product = frozenset(compose) == rq
+    meet = _partition_by(p, zip(r.class_of, q.class_of))
+    rq = _composition(r, q)
+    join = _partition_by(p, rq)
+    commutes = rq == _composition(q, r)
 
-    join = Congruence(p, _pairs_to_classes(m, rq))
-
-    kr = set(kernel_class(r, caps).members)
-    kq = set(kernel_class(q, caps).members)
     base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
-    product_kernel = {
-        unrelabel[base.mul(relabel[h1], relabel[h2])] for h1 in kr for h2 in kq
-    }
-    e = hg.unrelabel[0]
+    kr = kernel_class(r, caps).members
+    kq = kernel_class(q, caps).members
+    product_kernel = {base.mul(relabel[h1], relabel[h2]) for h1 in kr for h2 in kq}
+    composition_is_product = rq == [
+        frozenset(unrelabel[base.mul(relabel[x], k)] for k in product_kernel)
+        for x in range(p.order)
+    ]
+    e = unrelabel[0]
     kernel_identities = (
-        set(join.classes[join.class_of[e]]) == product_kernel
-        and set(meet.classes[meet.class_of[e]]) == (kr & kq)
+        set(join.classes[join.class_of[e]]) == {unrelabel[k] for k in product_kernel}
+        and set(meet.classes[meet.class_of[e]]) == set(kr) & set(kq)
     )
     return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .config import Caps, DEFAULT_CAPS, Strategy, routes
-from .errors import CapExceeded, CostCapExceeded, MethodDisagreement
-from .catalog import groups_of_order
+from .errors import CostCapExceeded, MethodDisagreement, ValidationError
+from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences
 from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
@@ -113,18 +113,20 @@ def census(
 
     Derived mode twists every catalog base group of that order; exhaustive
     mode scans every operation table (tiny orders only) and keeps the ones
-    passing the axiom check.  Derived mode is only as complete as the
-    catalog: at order 12 it lacks Z2×Z6, D6 and Dic3, so it under-counts
-    there.  Where the catalog holds every group of the order, the two
-    censuses must coincide whenever both are feasible.
+    passing the axiom check.  Derived mode raises ValidationError at an
+    order where the catalog holds fewer groups than OEIS A000001 counts, so
+    it never under-counts; where both modes are feasible, the two censuses
+    must coincide.
     """
     from .morphisms import are_isomorphic
 
     candidates: list[PolyadicGroup] = []
     if mode == "derived":
         bases = groups_of_order(order)
-        if not bases:
-            raise CapExceeded(f"no catalog group of order {order}")
+        if not 1 <= order <= len(A000001) or len(bases) < A000001[order - 1]:
+            raise ValidationError(
+                f"the catalog lacks groups of order {order}; the census would under-count"
+            )
         for base in bases:
             candidates.extend(all_derived(base, arity, caps=caps))
     else:

@@ -417,16 +417,17 @@ def coset_classes(
     return tuple(sorted({polyadic_coset(p, members, x) for x in range(p.order)}))
 
 
-def class_signature(
-    p: PolyadicGroup, cls_of: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per flat index of the table: the classes of the arguments packed in
-    base k, and the class of the value; plus whether the value's class is a
-    function of the argument classes (the class operation is well defined)."""
+def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:
+    """The class operation as a flat k**n table, for classes 0..k-1 that are
+    all inhabited: the entry at the packed argument classes is the class of
+    the value.  None when the value's class is not a function of the
+    argument classes (the class operation is ill defined)."""
     k = int(cls_of.max()) + 1
     sig = packed_tuples(cls_of, k, p.arity)
     vals = cls_of[p.flat_np]
-    return sig, vals, len(np.unique(sig * k + vals)) == len(np.unique(sig))
+    table = np.empty(k**p.arity, dtype=vals.dtype)
+    table[sig] = vals
+    return table if np.array_equal(table[sig], vals) else None
 
 
 @dataclass(frozen=True)
@@ -447,14 +448,12 @@ def quotient_polyadic(
     cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         cls_of[list(cls)] = i
-    sig, vals, well_defined = class_signature(p, cls_of)
-    if not well_defined:
+    flat_q = class_signature(p, cls_of)
+    if flat_q is None:
         raise IllDefined("quotient operation depends on representatives")
-    k, n = len(classes), p.arity
-    flat_q = np.full(k**n, -1, dtype=np.int64)
-    flat_q[sig] = vals
     quotient = PolyadicGroup(
-        n, TablePresentation(k, tuple(int(v) for v in flat_q)), name=p.name and f"{p.name}/H"
+        p.arity, TablePresentation(len(classes), tuple(int(v) for v in flat_q)),
+        name=p.name and f"{p.name}/H",
     )
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")

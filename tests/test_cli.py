@@ -193,6 +193,8 @@ class TestBadInput:
             (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "abc"}),
             (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "-1"}),
             (["--subset-scan-cap", "-1", "verify", "{T3}"], {}),
+            (["census", "--order", "12", "--arity", "3"], {}),
+            (["census", "--order", "13", "--arity", "3"], {}),
         ],
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):

@@ -19,7 +19,7 @@ from pglab.congruence import (
 from pglab.catalog import catalog_group
 from pglab.config import Caps
 from pglab.groups import Automorphism, is_normal_subgroup
-from pglab.polyadic import as_table, derive, derive_b, from_table
+from pglab.polyadic import as_table, derive, derive_b, derived_view, from_table
 from pglab.substructures import enumerate_normal_polyadic, is_polyadic_subgroup
 
 
@@ -177,6 +177,18 @@ class TestRelabelledTables:
             kc = kernel_class(r)
             assert kc.polyadic_subgroup == is_polyadic_subgroup(t, kc.members)
 
+        def sigma_image(c):
+            return tuple(sorted(tuple(sorted(int(sigma[x]) for x in cls)) for cls in c.classes))
+
+        on_t = {c.classes: c for c in theorem}
+        source = congruences_bruteforce(p)
+        for r, q in itertools.product(source, repeat=2):
+            ref = lattice_ops(r, q)
+            ops = lattice_ops(on_t[sigma_image(r)], on_t[sigma_image(q)])
+            assert ops.meet.classes == sigma_image(ref.meet)
+            assert ops.join.classes == sigma_image(ref.join)
+            assert ops.commutes and ops.composition_is_product and ops.kernel_identities
+
 
 class TestLattice:
     def test_diagonal_is_identity(self, structs):
@@ -201,6 +213,22 @@ class TestLattice:
                 assert ops.commutes
                 assert ops.composition_is_product
                 assert ops.kernel_identities
+
+    def test_join_is_pair_set_product(self, small_corpus):
+        """Oracle: R∨Q = R·Q = {(a·c, b·d)}, products taken in the base group."""
+        for p in small_corpus[::4]:
+            hg = derived_view(p)
+            base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
+
+            def mul(x, y):
+                return unrelabel[base.mul(relabel[x], relabel[y])]
+
+            congs = congruences_theorem(p)
+            for r, q in itertools.product(congs, repeat=2):
+                product = {
+                    (mul(a, c), mul(b, d)) for (a, b) in r.pairs for (c, d) in q.pairs
+                }
+                assert lattice_ops(r, q).join.pairs == product
 
     def test_honours_caps_on_tables(self):
         caps = Caps(arity_cap=9)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pglab.catalog import catalog, catalog_group, cyclic, groups_of_order
+from pglab.catalog import A000001, catalog, catalog_group, cyclic, groups_of_order
 from pglab.errors import (
     NoIdentityAtZero,
     NotAssociative,
@@ -302,6 +302,9 @@ class TestCatalog:
     def test_groups_of_order_eight(self):
         names = [g.name for g in groups_of_order(8)]
         assert names == ["Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"]
+
+    def test_complete_through_order_eleven(self):
+        assert [len(groups_of_order(m)) for m in range(1, 12)] == list(A000001[:11])
 
     @given(st.sampled_from(sorted(catalog())), st.data())
     def test_cancellation(self, name, data):

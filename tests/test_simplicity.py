@@ -3,7 +3,7 @@ import time
 import pytest
 
 from pglab.catalog import catalog_group
-from pglab.errors import CostCapExceeded
+from pglab.errors import CostCapExceeded, ValidationError
 from pglab.groups import Automorphism
 from pglab.polyadic import dornte_check, verify_axioms, as_table
 from pglab.simplicity import (
@@ -140,6 +140,11 @@ class TestCensus:
     def test_exhaustive_cap(self):
         with pytest.raises(CostCapExceeded):
             census(3, 3, "exhaustive")
+
+    @pytest.mark.parametrize("order", [12, 13])
+    def test_refuses_incomplete_catalog_order(self, order):
+        with pytest.raises(ValidationError):
+            census(order, 3)
 
     def test_reports_attached(self):
         entries = census(2, 3, "exhaustive")
