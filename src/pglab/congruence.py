@@ -76,8 +76,8 @@ def congruence_from_classes(
 ) -> Congruence:
     canon = tuple(sorted(tuple(sorted(c)) for c in classes))
     flat = sorted(x for c in canon for x in c)
-    if flat != list(range(p.order)):
-        raise ValueError("classes must partition the carrier")
+    if flat != list(range(p.order)) or not all(canon):
+        raise ValueError("classes must partition the carrier into nonempty classes")
     cong = Congruence(p, canon)
     if validate:
         cls = np.asarray(cong.class_of)

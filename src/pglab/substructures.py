@@ -21,17 +21,8 @@ from .errors import (
     NotNormal,
     ValidationError,
 )
-from .groups import (
-    Automorphism,
-    FiniteGroup,
-    closure_lattice,
-    enumerate_subgroups,
-    inner_automorphism,
-    inverse_perm,
-    twisted_quotient,
-)
+from .groups import Automorphism, FiniteGroup, closure_lattice, inverse_perm
 from .polyadic import (
-    HosszuGloskin,
     PolyadicGroup,
     TablePresentation,
     derived_view,
@@ -190,24 +181,17 @@ def _theorem_subgroups(
     be closed under f.
     """
     hg = derived_view(p, caps)
-    base, theta, unrelabel = hg.base, hg.theta, hg.unrelabel
-    m = base.order
-    subgroups = base.subgroup_lattice
+    base, unrelabel = hg.base, hg.unrelabel
     found: dict[tuple[int, ...], int] = {}
-    for u in range(m):
-        twist = tuple(base.conj(u, theta(x)) for x in range(m))
-        cu = hg.group.eval([u] * p.arity)
-        for members in subgroups:
-            mset = frozenset(members)
-            if frozenset(twist[x] for x in members) != mset:
+    for u_orig in range(p.order):
+        gu = gu_group(p, u_orig, caps)
+        cu = hg.group.eval([gu.u] * p.arity)
+        for members in base.subgroup_lattice:
+            if frozenset(gu.psi_u(x) for x in members) != frozenset(members):
                 continue
-            h = right_translate(base, members, u)
-            if cu not in set(h):
-                continue
-            h_orig = tuple(sorted(unrelabel[x] for x in h))
-            u_orig = unrelabel[u]
-            if h_orig not in found or found[h_orig] > u_orig:
-                found[h_orig] = u_orig
+            h = right_translate(base, members, gu.u)
+            if cu in h:
+                found.setdefault(tuple(sorted(unrelabel[x] for x in h)), u_orig)
     return found
 
 
@@ -227,15 +211,21 @@ def _routed(
     normal: bool, p: PolyadicGroup, strategy: Strategy, caps: Caps
 ) -> list[PolyadicSubgroup]:
     """The polyadic subgroups, or the normal ones, by the routes of the
-    strategy; the theorem route records a witness anchor for each.  Each
-    route's answer is stored on p; every call checks the caps (the theorem
-    routes': arity and order) and cross-checks the routes."""
+    strategy; the theorem route records a witness anchor for each.  The
+    normal theorem route is the G_u subgroups filtered by the twist
+    criterion, the normal oracle the scanned subgroups filtered by the
+    definition, so the two routes stay independent.  Each route's answer is
+    stored on p; every call checks the caps (the theorem routes': arity and
+    order) and cross-checks the routes."""
     kind = "normal" if normal else "subgroups"
-    theorem = _theorem_normal_subgroups if normal else _theorem_subgroups
 
     def theorem_route() -> tuple[PolyadicSubgroup, ...]:
         _check_arity_order(p.arity, p.order, caps)
-        return cached_on(p, f"{kind}_theorem", lambda: _as_subgroups(p, theorem(p, caps)))
+        subs = cached_on(
+            p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p, caps))
+        )
+        kept = (s for s in subs if not normal or _normal_by_twist(p, s.members, caps))
+        return cached_on(p, f"{kind}_theorem", lambda: tuple(kept))
 
     def oracle() -> tuple[PolyadicSubgroup, ...]:
         subs = _oracle_subgroups(p, caps)
@@ -314,85 +304,15 @@ def is_normal_polyadic(
     return by_twist
 
 
-def _thm_conditions_hold(hg: HosszuGloskin, members: tuple[int, ...], u: int) -> bool:
-    """Full normal-subgroup conditions at anchor u, checked explicitly.
-
-    (1) the set is a psi_u-invariant normal subgroup of G_u,
-    (2) theta⁻¹(x⁻¹·u)·x lands inside for every x,
-    (3) the anchor constant f(u,...,u) lands inside.
-    """
-    base, theta = hg.base, hg.theta
-    mset = set(members)
-    if u not in mset:
-        return False
-    inv_u = base.inv(u)
-    # subgroup of G_u: closed under x·u⁻¹·y and u-inverses
-    for x in members:
-        if base.mul(base.mul(u, base.inv(x)), u) not in mset:
-            return False
-        for y in members:
-            if base.mul(base.mul(x, inv_u), y) not in mset:
-                return False
-    # psi_u-invariance
-    if frozenset(
-        base.mul(base.mul(u, theta(x)), theta(inv_u)) for x in members
-    ) != mset:
-        return False
-    # normality inside G_u: u·x⁻¹·h·u⁻¹·x stays inside
-    for x in range(base.order):
-        xi = base.inv(x)
-        for h in members:
-            v = base.mul(base.mul(base.mul(base.mul(u, xi), h), inv_u), x)
-            if v not in mset:
-                return False
-    # condition (2)
-    theta_inv = theta.inverse()
-    for x in range(base.order):
-        if base.mul(theta_inv(base.mul(base.inv(x), u)), x) not in mset:
-            return False
-    # condition (3): anchor constant
-    return hg.group.eval([u] * hg.group.arity) in mset
-
-
-def _theorem_normal_subgroups(
-    p: PolyadicGroup, caps: Caps
-) -> dict[tuple[int, ...], int]:
-    """Candidates from the quotient-twist scan, verified at some anchor u.
-
-    Generator: for every theta-invariant normal K of the base with induced
-    automorphism inner via the coset of w, the shift K·w⁻¹ is a candidate.
-    Every candidate is then confirmed by the explicit anchored conditions;
-    the anchor-constant gate rejects shifts that are not f-closed.
-    """
-    hg = derived_view(p, caps)
-    base, theta, unrelabel = hg.base, hg.theta, hg.unrelabel
-    m = base.order
-    candidates: set[tuple[int, ...]] = set()
-    for k_sub in enumerate_subgroups(base, "theta_invariant_normal", theta=theta):
-        quotient, proj, theta_k = twisted_quotient(base, theta, k_sub.members, caps)
-        inner_cosets = [
-            c for c in range(quotient.order)
-            if inner_automorphism(quotient, c).perm == theta_k.perm
-        ]
-        if not inner_cosets:
-            continue
-        for w in range(m):
-            if proj[w] in inner_cosets:
-                candidates.add(right_translate(base, k_sub.members, base.inv(w)))
-    found: dict[tuple[int, ...], int] = {}
-    for members in candidates:
-        for u in members:
-            if _thm_conditions_hold(hg, members, u):
-                h_orig = tuple(sorted(unrelabel[x] for x in members))
-                found[h_orig] = unrelabel[u]
-                break
-    return found
-
-
 def enumerate_normal_polyadic(
     p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> list[PolyadicSubgroup]:
-    """All normal polyadic subgroups, sorted by (size, members)."""
+    """All normal polyadic subgroups, sorted by (size, members).
+
+    The theorem strategy takes the G_u subgroups filtered by the twist
+    criterion; the oracle strategy takes the scanned subgroups filtered by
+    the definition.  In auto mode both run (caps permitting) and must agree.
+    """
     return _routed(True, p, strategy, caps)
 
 

@@ -40,7 +40,7 @@ def test_c01_congruence_characterization(corpus):
         if brute != theorem:
             mismatches.append(p)
     elapsed = time.monotonic() - start
-    ok = not mismatches and elapsed < 300.0
+    ok = not mismatches and total == 4143 and elapsed < 300.0
     _report(
         "C1 congruence-characterization",
         ok,
@@ -59,7 +59,7 @@ def test_c02_normal_subgroup_characterization(corpus):
             mismatches.append(p)
     _report(
         "C2 normal-subgroup-characterization",
-        not mismatches,
+        not mismatches and total == 3743,
         f"({total} normal subgroups across {len(corpus)} structures)",
     )
 

@@ -195,6 +195,7 @@ class TestBadInput:
             (["--subset-scan-cap", "-1", "verify", "{T3}"], {}),
             (["census", "--order", "12", "--arity", "3"], {}),
             (["census", "--order", "13", "--arity", "3"], {}),
+            (["quotient", "{T3}", "--congruence", "0|1|2|"], {}),
         ],
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):
@@ -208,3 +209,16 @@ class TestBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("ValidationError: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestGoldenDigests:
+    def test_analyze_json_matches_golden(self):
+        """`pglab --json analyze` on every 10th corpus structure and its table
+        form gives the recorded exit code, stdout and stderr digests."""
+        root = Path(__file__).resolve().parents[1]
+        run_env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "cli_golden.py"), "--check"],
+            capture_output=True, text=True, env=run_env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -333,3 +333,8 @@ class TestFromClasses:
     def test_rejects_non_partition(self, structs):
         with pytest.raises(ValueError):
             congruence_from_classes(structs["T4"], [[0, 1], [1, 2, 3]])
+
+    @pytest.mark.parametrize("classes", [[[0], [1], [2], []], [[], [0, 1, 2]]])
+    def test_rejects_empty_class(self, structs, classes):
+        with pytest.raises(ValueError):
+            congruence_from_classes(structs["T3"], classes)

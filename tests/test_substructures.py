@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from pglab.catalog import catalog_group
+from pglab.catalog import catalog_group, cyclic, dihedral, direct_product, quaternion8
 from pglab.congruence import sim_h
 from pglab.errors import NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup
 from pglab.morphisms import is_polyadic_hom
-from pglab.polyadic import n_ary_identity, verify_axioms
+from pglab.polyadic import all_derived, n_ary_identity, verify_axioms
 from pglab.substructures import (
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
@@ -123,6 +125,29 @@ class TestNormality:
                 s.members for s in enumerate_normal_polyadic(p, strategy="theorem")
             ]
             assert oracle == theorem
+
+
+class TestBeyondDefaultOracleRange:
+    """Orders 13-16, past the subset scan: the closure-lattice oracle is the
+    only independent check of the theorem routes there."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            dihedral(7),
+            cyclic(13),
+            direct_product(cyclic(2), cyclic(8)),
+            direct_product(quaternion8(), cyclic(2)),
+            dihedral(8),
+        ],
+        ids=["D7", "Z13", "Z2xZ8", "Q8xZ2", "D8"],
+    )
+    def test_theorem_equals_closure_oracle(self, base):
+        for p in random.Random(base.order).sample(all_derived(base, 3), 3):
+            for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
+                theorem = [s.members for s in enumerate_(p, strategy="theorem")]
+                oracle = [s.members for s in enumerate_(p, strategy="oracle")]
+                assert theorem == oracle
 
 
 class TestShiftCorrespondence:
