@@ -1,12 +1,13 @@
 """Record or check digests of the CLI's --json analyze output on the corpus.
 
-Usage: python scripts/cli_golden.py (--write | --check) [--golden PATH]
+Usage: python scripts/cli_golden.py (--write | --check)
 
 For every 10th structure of the standard corpus and for its as_table form,
 runs `pglab --json analyze --subgroups --normal --congruences --simplicity`
 in process and records the sha256 of (exit code, stdout, stderr).  --write
-stores the digests in the golden file; --check compares against it and
-exits 1 naming every run whose output changed.  PGLAB_* cap variables are
+stores the command and the digests in tests/data/cli_golden.json; --check
+compares against that file and exits 1 if the command differs or naming
+every run whose output changed.  PGLAB_* cap variables are
 ignored, so the digests hold the default caps' answers.
 """
 
@@ -27,7 +28,7 @@ from pglab.serialize import polyadic_to_doc
 
 ANALYZE = ["--json", "analyze", "--subgroups", "--normal", "--congruences", "--simplicity"]
 STRIDE = 10
-DEFAULT_GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden.json"
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden.json"
 
 
 def _digest(argv: list[str]) -> str:
@@ -61,17 +62,22 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
-    parser.add_argument("--golden", type=Path, default=DEFAULT_GOLDEN)
     args = parser.parse_args(argv)
 
+    command = ["pglab"] + ANALYZE + ["<structure>"]
+    if args.check:
+        golden = json.loads(GOLDEN.read_text())
+        if golden["command"] != command:
+            print(f"golden digests are of {golden['command']}, not of {command}")
+            return 1
     found = digests()
     if args.write:
-        doc = {"command": ["pglab"] + ANALYZE + ["<structure>"], "digests": found}
-        args.golden.parent.mkdir(parents=True, exist_ok=True)
-        args.golden.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(found)} digests to {args.golden}")
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        doc = {"command": command, "digests": found}
+        GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(found)} digests to {GOLDEN}")
         return 0
-    expected = json.loads(args.golden.read_text())["digests"]
+    expected = golden["digests"]
     changed = [k for k in sorted(set(found) | set(expected)) if found.get(k) != expected.get(k)]
     for key in changed:
         print(f"changed: corpus[{key}]")

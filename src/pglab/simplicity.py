@@ -29,38 +29,31 @@ from .substructures import (
 )
 
 
-_PROPER = {
-    "uas": lambda p, c: not c.is_diagonal() and not c.is_full(),
-    "gts": lambda p, s: s.size not in (1, p.order),
-    "gts_star": lambda p, s: s.size != p.order,
-}
-
-
-def _decide(flag: str, p: PolyadicGroup, items: list) -> tuple[bool, Optional[object]]:
-    """(flag, witness): the witness is the first item that the flag forbids."""
-    witness = next((x for x in items if _PROPER[flag](p, x)), None)
-    return witness is None, witness
-
-
 def is_uas(
     p: PolyadicGroup, method: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[Congruence]]:
     """(flag, witness): witness is the smallest proper nontrivial congruence."""
-    return _decide("uas", p, congruences(p, method, caps))
+    congs = congruences(p, method, caps)
+    witness = next((c for c in congs if not c.is_diagonal() and not c.is_full()), None)
+    return witness is None, witness
 
 
 def is_gts(
     p: PolyadicGroup, method: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[PolyadicSubgroup]]:
     """(flag, witness): witness is the smallest proper non-singleton subgroup."""
-    return _decide("gts", p, enumerate_normal_polyadic(p, strategy=method, caps=caps))
+    subs = enumerate_normal_polyadic(p, strategy=method, caps=caps)
+    witness = next((s for s in subs if s.size not in (1, p.order)), None)
+    return witness is None, witness
 
 
 def is_gts_star(
     p: PolyadicGroup, method: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, Optional[PolyadicSubgroup]]:
     """(flag, witness): witness is the smallest proper normal polyadic subgroup."""
-    return _decide("gts_star", p, enumerate_normal_polyadic(p, strategy=method, caps=caps))
+    subs = enumerate_normal_polyadic(p, strategy=method, caps=caps)
+    witness = next((s for s in subs if s.size != p.order), None)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,16 @@ def simplicity_report(
     list, cross-check the implications, collect witnesses."""
     congs = congruences(p, method, caps)
     subs = enumerate_normal_polyadic(p, strategy=method, caps=caps)
-    flags = {f: _decide(f, p, congs if f == "uas" else subs) for f in _PROPER}
-    witnesses = {f: w for f, (_, w) in flags.items() if w is not None}
+    found = {
+        "uas": next((c for c in congs if not c.is_diagonal() and not c.is_full()), None),
+        "gts": next((s for s in subs if s.size not in (1, p.order)), None),
+        "gts_star": next((s for s in subs if s.size != p.order), None),
+    }
+    witnesses = {key: w for key, w in found.items() if w is not None}
     return SimplicityReport(
-        uas=flags["uas"][0],
-        gts=flags["gts"][0],
-        gts_star=flags["gts_star"][0],
+        uas=found["uas"] is None,
+        gts=found["gts"] is None,
+        gts_star=found["gts_star"] is None,
         reduced=is_reduced(p),
         degenerate=p.order == 1,
         method=routes(method, p.order <= min(caps.partition_cap, caps.subset_scan_cap)),

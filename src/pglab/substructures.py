@@ -224,8 +224,11 @@ def _routed(
         subs = cached_on(
             p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p, caps))
         )
-        kept = (s for s in subs if not normal or _normal_by_twist(p, s.members, caps))
-        return cached_on(p, f"{kind}_theorem", lambda: tuple(kept))
+        if not normal:
+            return subs
+        return cached_on(p, "normal_theorem", lambda: tuple(
+            s for s in subs if _normal_by_twist(p, s.members, caps)
+        ))
 
     def oracle() -> tuple[PolyadicSubgroup, ...]:
         subs = _oracle_subgroups(p, caps)

@@ -7,7 +7,7 @@ from pglab.congruence import sim_h
 from pglab.errors import NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup
 from pglab.morphisms import is_polyadic_hom
-from pglab.polyadic import all_derived, n_ary_identity, verify_axioms
+from pglab.polyadic import all_derived, as_table, n_ary_identity, verify_axioms
 from pglab.substructures import (
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
@@ -84,9 +84,14 @@ class TestEnumerateSubgroups:
             ]
             assert oracle == theorem
 
-    def test_witness_is_member(self, structs):
-        for s in enumerate_polyadic_subgroups(structs["T4inv"], strategy="theorem"):
-            assert s.witness_u in s.members
+    def test_witness_is_member(self, structs, corpus):
+        # every member anchors its subgroup, so the witness is the smallest
+        # one in original labels, also on table forms, which are relabelled
+        # before the presentation is read off
+        for p in [structs["T4inv"]] + [as_table(q) for q in corpus[::17]]:
+            for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
+                for s in enumerate_(p, strategy="theorem"):
+                    assert s.witness_u == s.members[0]
 
     def test_is_polyadic_subgroup_spot(self, structs):
         assert is_polyadic_subgroup(structs["T4inv"], (0, 2))
