@@ -52,6 +52,12 @@ class FiniteGroup:
         return np.asarray(self.table, dtype=np.int64)
 
     @cached_property
+    def conj_table(self) -> np.ndarray:
+        """conj_table[a, x] = a·x·a⁻¹."""
+        t = self.np_table
+        return t[t, np.asarray(self.inverses)[:, None]]
+
+    @cached_property
     def is_abelian(self) -> bool:
         t = self.table
         m = len(t)
@@ -189,6 +195,10 @@ class Automorphism:
 
     def __call__(self, x: int) -> int:
         return self.perm[x]
+
+    @cached_property
+    def np_perm(self) -> np.ndarray:
+        return np.asarray(self.perm)
 
     @property
     def degree(self) -> int:

@@ -11,12 +11,11 @@ anchor-0 form so a split is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cross_check
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .errors import (
     ArityMismatch,
     ConditionViolated,
@@ -31,7 +30,6 @@ from .polyadic import (
     derived_view,
     hg_anchor0,
     n_ary_identity,
-    packed_tuples,
 )
 
 
@@ -59,13 +57,61 @@ class HomDecomposition:
     phi: tuple[int, ...]
 
 
+# Cells (map rows × checked tuples) per batched hom check: the check's
+# temporaries stay a few MB however many maps it is handed.
+_BLOCK_CELLS = 1 << 16
+
+
+def _blocks(maps: np.ndarray, cells_per_row: int) -> Iterator[np.ndarray]:
+    """maps in consecutive blocks of at most _BLOCK_CELLS cells (one row at
+    least)."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+    return (maps[lo : lo + step] for lo in range(0, len(maps), step))
+
+
+def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarray:
+    """For each row of maps (column x holds the image of source element x),
+    whether h(psi(t)) = psi(f(t)) on every tuple of rows, whose n+1 lines
+    are the tuples' arguments and then their values f(t)."""
+    args, image = rows[:-1], rows[-1]
+    weights = q.order ** np.arange(len(args) - 1, -1, -1)[:, None]
+    return np.concatenate([
+        (q.flat_np[(block[:, args] * weights).sum(axis=1)] == block[:, image]).all(axis=1)
+        for block in _blocks(maps, len(image))
+    ])
+
+
+def _complete_check(
+    maps: np.ndarray, p: PolyadicGroup, q: PolyadicGroup, caps: Caps
+) -> np.ndarray:
+    """For each row of maps, the flat index of the first of the m^n source
+    tuples t with h(psi(t)) != psi(f(t)), or -1; refused beyond
+    axiom_cost_cap.  The one check every reported homomorphism passes."""
+    m, n, mq = p.order, p.arity, q.order
+    if m**n > caps.axiom_cost_cap:
+        raise CostCapExceeded(
+            f"hom check needs {m ** n} evaluations", required=m**n
+        )
+    out = []
+    for block in _blocks(maps, m**n):
+        packed = block.astype(np.int64, copy=False)
+        for _ in range(n - 1):
+            packed = (packed[:, :, None] * mq + block[:, None, :]).reshape(len(block), -1)
+        bad = q.flat_np[packed] != block[:, p.flat_np]
+        out.append(np.where(bad.any(axis=1), bad.argmax(axis=1), -1))
+    return np.concatenate(out)
+
+
 def is_polyadic_hom(
     psi: Sequence[int],
     p: PolyadicGroup,
     q: PolyadicGroup,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exhaustive check of psi(f(xs)) = h(psi(xs)); returns first bad tuple."""
+    """Exhaustive check of psi(f(xs)) = h(psi(xs)); returns first bad tuple.
+
+    The one-map case of the complete check the hom oracle runs on its
+    leaves."""
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
     if len(psi) != p.order:
@@ -73,55 +119,64 @@ def is_polyadic_hom(
     bad = [y for y in psi if not 0 <= y < q.order]
     if bad:
         raise ValidationError(f"images {bad} are outside the target carrier 0..{q.order - 1}")
-    m, n = p.order, p.arity
-    if m**n > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"hom check needs {m ** n} evaluations", required=m**n
-        )
-    psi_arr = np.asarray(psi, dtype=np.int64)
-    lhs = psi_arr[p.flat_np]
-    rhs = q.flat_np[packed_tuples(psi_arr, q.order, n)]
-    if np.array_equal(lhs, rhs):
+    first = int(_complete_check(np.asarray([psi], dtype=np.int64), p, q, caps)[0])
+    if first < 0:
         return True, None
-    flat_bad = int(np.argwhere(lhs != rhs)[0][0])
-    return False, tuple(int(c) for c in np.unravel_index(flat_bad, (m,) * n))
+    return False, tuple(int(c) for c in np.unravel_index(first, (p.order,) * p.arity))
+
+
+def _condition_masks(
+    src: HosszuGloskin, tgt: HosszuGloskin, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two split conditions for every anchor a at once, a on the last
+    axis: h(a,...,a) = phi(b)∗a, and phi∘theta = I_a∘eta∘phi (I_a the
+    conjugation by a).  phi is one map or a stack of maps (rows)."""
+    anchor = tgt.diagonal == tgt.base.np_table[phi[..., src.b]]
+    conj_eta_phi = tgt.base.conj_table.T[tgt.theta.np_perm[phi]]
+    intertwine = (conj_eta_phi == phi[..., src.theta.np_perm, None]).all(axis=-2)
+    return anchor, intertwine
 
 
 def _check_conditions(
-    src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: Sequence[int]
+    src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: np.ndarray
 ) -> Optional[str]:
     """The two split conditions; returns the name of the first failure."""
-    h_group = tgt.base
-    eta = tgt.theta
-    diag = tgt.group.eval([a] * tgt.group.arity)
-    if diag != h_group.mul(phi[src.b], a):
+    anchor, intertwine = _condition_masks(src, tgt, phi)
+    if not anchor[a]:
         return "anchor"
-    theta = src.theta
-    for x in range(src.base.order):
-        if phi[theta(x)] != h_group.conj(a, eta(phi[x])):
-            return "intertwine"
+    if not intertwine[a]:
+        return "intertwine"
     return None
 
 
-def _raw_map(
-    src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: Sequence[int]
-) -> tuple[int, ...]:
-    """psi(x) = phi(x) ∗ a, taken back to the original carriers."""
-    h_group = tgt.base
-    return tuple(tgt.unrelabel[h_group.mul(phi[x], a)] for x in src.relabel)
+def _raw_maps(
+    src: HosszuGloskin, tgt: HosszuGloskin, phis: np.ndarray, anchors: np.ndarray
+) -> list[tuple[int, ...]]:
+    """psi(x) = phi(x) ∗ a for each row phi of phis and its anchor a, taken
+    back to the original carriers."""
+    images = tgt.base.np_table[phis[:, src.relabel], anchors[:, None]]
+    return [tuple(m) for m in np.asarray(tgt.unrelabel)[images].tolist()]
 
 
-def _is_binary_hom(g: FiniteGroup, h: FiniteGroup, phi: Sequence[int]) -> bool:
-    return all(
-        phi[g.mul(i, j)] == h.mul(phi[i], phi[j])
-        for i in range(g.order)
-        for j in range(g.order)
-    )
+def _is_binary_hom(g: FiniteGroup, h: FiniteGroup, phi: np.ndarray) -> bool:
+    return bool((phi[g.np_table] == h.np_table[phi[:, None], phi]).all())
 
 
-@lru_cache(maxsize=None)
 def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All group homomorphisms g → h by backtracking, lexicographic order."""
+    return tuple(map(tuple, _binary_hom_rows(g, h).tolist()))
+
+
+def _binary_hom_rows(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
+    """binary_homs(g, h) as the rows of an array, stored on g, keyed by h's
+    table."""
+    by_target = cached_on(g, "binary_homs", dict)
+    if h.table not in by_target:
+        by_target[h.table] = np.asarray(_binary_homs(g, h)).reshape(-1, g.order)
+    return by_target[h.table]
+
+
+def _binary_homs(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:
     mg, mh = g.order, h.order
     h_orders = h.element_orders
     g_orders = g.element_orders
@@ -154,7 +209,7 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                 extend(k + 1)
 
     extend(1)
-    return tuple(out)
+    return out
 
 
 def _splits(
@@ -165,15 +220,15 @@ def _splits(
     name of a side condition."""
     src, tgt = derived_view(psi.source, caps), hg_anchor0(psi.target, caps)
     h_group = tgt.base
-    psi_t = [tgt.relabel[y] for y in psi.map]
-    forced = psi_t[src.unrelabel[0]]
+    psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
+    forced = int(psi_t[0])
     for a in [forced] + [a for a in range(h_group.order) if a != forced]:
-        a_inv = h_group.inv(a)
-        phi = tuple(h_group.mul(psi_t[x], a_inv) for x in src.unrelabel)
+        phi = h_group.np_table[psi_t, h_group.inv(a)]
+        split = HomDecomposition(a, tuple(phi.tolist()))
         if not _is_binary_hom(src.base, h_group, phi):
-            yield HomDecomposition(a, phi), "homomorphism"
+            yield split, "homomorphism"
         else:
-            yield HomDecomposition(a, phi), _check_conditions(src, tgt, a, phi)
+            yield split, _check_conditions(src, tgt, a, phi)
 
 
 def decompositions(
@@ -220,7 +275,12 @@ def compose_hom(
     src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
     h_group = tgt.base
-    phi_t = tuple(int(x) for x in phi)
+    images = [int(x) for x in phi]
+    if len(images) != p.order or not all(0 <= y < q.order for y in [a, *images]):
+        raise ValidationError(
+            f"need a and {p.order} images of phi in the target carrier 0..{q.order - 1}"
+        )
+    phi_t = np.asarray(images)
     if not _is_binary_hom(src.base, h_group, phi_t):
         raise ConditionViolated("phi is not a group homomorphism")
     failure = _check_conditions(src, tgt, a, phi_t)
@@ -232,7 +292,8 @@ def compose_hom(
         raise ConditionViolated(
             "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi"
         )
-    psi = PolyadicHom(p, q, _raw_map(src, tgt, a, phi_t))
+    (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
+    psi = PolyadicHom(p, q, psi_map)
     ok, witness = is_polyadic_hom(psi.map, p, q, caps)
     if not ok:
         raise DecompositionFailed(
@@ -241,71 +302,78 @@ def compose_hom(
     return psi
 
 
+def _scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
+    """The diagonal (x,...,x), skew (x,...,x,skew(x)) and edge (x,0,...,0,y)
+    tuples of p, each as the n+1 columns (t, f(t)), grouped by the largest
+    element among them: the step of the scan at which all are assigned.
+    Stored on p."""
+    return cached_on(p, "hom_scan_rows", lambda: _build_scan_rows(p))
+
+
+def _build_scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
+    n = p.arity
+    rows = {(x,) * n + (p.eval([x] * n),) for x in range(p.order)}
+    rows |= {(x,) * (n - 1) + (s, x) for x, s in enumerate(p.skew_table)}
+    rows |= {
+        (x,) + (0,) * (n - 2) + (y, e)
+        for x, row in enumerate(p.edge_table)
+        for y, e in enumerate(row)
+    }
+    by_step: list[list[tuple[int, ...]]] = [[] for _ in range(p.order)]
+    for row in sorted(rows):
+        by_step[max(row)].append(row)
+    return [np.asarray(step).T if step else None for step in by_step]
+
+
 def _oracle_hom_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> list[tuple[int, ...]]:
-    """Vectorized scan of all |Q|^|P| candidate maps.
+    """Frontier scan of the |Q|^|P| candidate maps, then the complete check.
 
-    Staged necessary filters (diagonal images, skew images, edge products)
-    cut the pool to a handful before the complete per-map check runs.
+    The partial maps are extended one source element at a time, 0 first
+    (the middle argument of every edge tuple).  After each step the rows
+    whose diagonal, skew or edge tuple has just been fully assigned are
+    checked at once and the violating rows dropped.  The surviving total
+    maps get the complete check on every tuple.  Columns are assigned in
+    order and each row is extended by its images in order, so the maps come
+    out sorted.  The scan never consults the theorem route.
     """
-    mp, mq, n = p.order, q.order, p.arity
+    mp, mq = p.order, q.order
     total = mq**mp
     if total > caps.hom_oracle_cap:
         raise CostCapExceeded(
             f"oracle scan of {total} maps exceeds cap {caps.hom_oracle_cap}",
             required=total,
         )
-    idx = np.arange(total)
-    maps = np.empty((total, mp), dtype=np.int16)
-    for i in range(mp):
-        maps[:, i] = (idx // mq ** (mp - 1 - i)) % mq
-    alive = np.ones(total, dtype=bool)
-
-    p_diag = [p.eval([x] * n) for x in range(mp)]
-    q_diag = np.asarray([q.eval([y] * n) for y in range(mq)])
-    for x in range(mp):
-        alive &= q_diag[maps[:, x]] == maps[:, p_diag[x]]
-    p_skew = p.skew_table
-    q_skew = np.asarray(q.skew_table)
-    for x in range(mp):
-        alive &= q_skew[maps[:, x]] == maps[:, p_skew[x]]
-    p_edge = p.edge_table
-    q_cube = q.cube
-    mid = (n - 2)
-    for x in range(mp):
-        col_x = maps[:, x]
-        for y in range(mp):
-            target = maps[:, p_edge[x][y]]
-            args = (col_x,) + (maps[:, 0],) * mid + (maps[:, y],)
-            alive &= q_cube[args] == target
-            if not alive.any():
-                return []
-
-    survivors = []
-    for row in maps[alive]:
-        candidate = tuple(int(v) for v in row)
-        ok, _ = is_polyadic_hom(candidate, p, q, caps)
-        if ok:
-            survivors.append(candidate)
-    survivors.sort()
-    return survivors
+    maps = np.zeros((1, 0), dtype=np.int16)
+    for k, rows in enumerate(_scan_rows(p)):
+        grown = np.empty((len(maps), mq, k + 1), dtype=np.int16)
+        grown[:, :, :k] = maps[:, None, :]
+        grown[:, :, k] = np.arange(mq)
+        maps = grown.reshape(-1, k + 1)
+        if rows is not None:
+            maps = maps[_rows_hold(maps, q, rows)]
+        if not len(maps):
+            return []
+    maps = maps[_complete_check(maps, p, q, caps) < 0]
+    return [tuple(row) for row in maps.tolist()]
 
 
 def _split_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps, bijective: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """psi = R_a ∘ phi for every binary homomorphism phi (the bijective
-    ones only, if asked) and every anchor a passing both conditions."""
+    ones only, if asked) and every anchor a passing both conditions, the
+    conditions tested for all a at once."""
     src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
-    full = list(range(q.order))
-    for phi in binary_homs(src.base, tgt.base):
-        if bijective and sorted(phi) != full:
-            continue
-        for a in range(q.order):
-            if _check_conditions(src, tgt, a, phi) is None:
-                yield _raw_map(src, tgt, a, phi)
+    phis = _binary_hom_rows(src.base, tgt.base)
+    if bijective:
+        phis = phis[(np.sort(phis, axis=1) == np.arange(q.order)).all(axis=1)]
+    for block in _blocks(phis, p.order * q.order):
+        anchor, intertwine = _condition_masks(src, tgt, block)
+        rows, anchors = np.nonzero(anchor & intertwine)
+        yield from _raw_maps(src, tgt, block[rows], anchors)
 
 
 def enumerate_homs(
@@ -316,9 +384,11 @@ def enumerate_homs(
 ) -> list[PolyadicHom]:
     """All homomorphisms p → q, sorted by the map tuple.
 
-    The theorem route crosses binary homomorphisms with valid anchors; the
-    oracle scans raw maps.  Auto runs both when the scan fits the cap and
-    insists they agree.
+    The theorem route crosses binary homomorphisms with the anchors that
+    pass both split conditions.  The oracle scans raw maps: a frontier of
+    partial maps pruned on the diagonal, skew and edge tuples, then the
+    complete check on every leaf.  Auto runs both when the scan's
+    |Q|^|P| candidate maps fit hom_oracle_cap and insists they agree.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")

@@ -77,7 +77,7 @@ class PolyadicGroup:
     presentation: Presentation
     name: str = field(default="", compare=False)
 
-    @property
+    @cached_property
     def order(self) -> int:
         if isinstance(self.presentation, DerivedPresentation):
             return self.presentation.base.order
@@ -447,6 +447,15 @@ class HosszuGloskin:
     @cached_property
     def unrelabel(self) -> tuple[int, ...]:
         return inverse_perm(self.relabel)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """f(a, ..., a) for every element a of the presentation."""
+        table = self.base.np_table
+        acc = np.arange(self.base.order)
+        for perm in self.group.theta_pows[1:]:
+            acc = table[acc, perm]
+        return table[acc, self.b]
 
 
 def hosszu_gloskin(

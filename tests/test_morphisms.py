@@ -1,11 +1,20 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pglab import morphisms
 from pglab.catalog import catalog_group
 from pglab.config import Caps
-from pglab.errors import ArityMismatch, ConditionViolated, CostCapExceeded
-from pglab.groups import Automorphism
+from pglab.errors import (
+    ArityMismatch,
+    ConditionViolated,
+    CostCapExceeded,
+    ValidationError,
+)
+from pglab.groups import Automorphism, FiniteGroup
 from pglab.morphisms import (
     PolyadicHom,
     are_isomorphic,
@@ -17,7 +26,7 @@ from pglab.morphisms import (
     hom_compose,
     is_polyadic_hom,
 )
-from pglab.polyadic import derive
+from pglab.polyadic import derive, from_table, packed_tuples
 
 
 def brute_homs(p, q):
@@ -31,6 +40,43 @@ def brute_homs(p, q):
         if good:
             out.append(image)
     return sorted(out)
+
+
+def dense_hom_maps(p, q):
+    """Reference oracle: every one of the |Q|^|P| maps as one dense matrix,
+    cut by the diagonal, skew and edge filters one numpy pass at a time,
+    then the exhaustive check on each survivor."""
+    mp, mq, n = p.order, q.order, p.arity
+    total = mq**mp
+    idx = np.arange(total)
+    maps = np.empty((total, mp), dtype=np.int16)
+    for i in range(mp):
+        maps[:, i] = (idx // mq ** (mp - 1 - i)) % mq
+    alive = np.ones(total, dtype=bool)
+    p_diag = [p.eval([x] * n) for x in range(mp)]
+    q_diag = np.asarray([q.eval([y] * n) for y in range(mq)])
+    for x in range(mp):
+        alive &= q_diag[maps[:, x]] == maps[:, p_diag[x]]
+    q_skew = np.asarray(q.skew_table)
+    for x in range(mp):
+        alive &= q_skew[maps[:, x]] == maps[:, p.skew_table[x]]
+    for x in range(mp):
+        for y in range(mp):
+            args = (maps[:, x],) + (maps[:, 0],) * (n - 2) + (maps[:, y],)
+            alive &= q.cube[args] == maps[:, p.edge_table[x][y]]
+    survivors = []
+    for row in maps[alive]:
+        psi = row.astype(np.int64)
+        if np.array_equal(psi[p.flat_np], q.flat_np[packed_tuples(psi, mq, n)]):
+            survivors.append(tuple(int(v) for v in row))
+    return sorted(survivors)
+
+
+def relabelled_table(p, sigma):
+    """p as a raw table carried along the permutation sigma of its carrier."""
+    n = p.arity
+    cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * n))]]
+    return from_table(n, p.order, cube.ravel().tolist(), verify=False)
 
 
 class TestIsHom:
@@ -78,12 +124,78 @@ class TestEnumerate:
             oracle = [h.map for h in enumerate_homs(p, q, strategy="oracle")]
             assert theorem == oracle == brute_homs(p, q)
 
+    def test_oracle_cap(self, structs):
+        p = structs["T3"]
+        theorem = enumerate_homs(p, p, strategy="theorem")
+        with pytest.raises(CostCapExceeded) as info:
+            enumerate_homs(p, p, strategy="oracle", caps=Caps(hom_oracle_cap=26))
+        assert info.value.required == 3**3
+        # past the cap, auto runs the theorem route alone instead of refusing
+        assert enumerate_homs(p, p, caps=Caps(hom_oracle_cap=26)) == theorem
+        assert enumerate_homs(p, p, strategy="oracle", caps=Caps(hom_oracle_cap=27)) == theorem
+
+    def test_oracle_equals_dense_reference(self, corpus):
+        pairs = [
+            (p, q)
+            for p in corpus
+            for q in corpus
+            if p.arity == q.arity and q.order**p.order <= 10_000
+        ]
+        caps = Caps(hom_oracle_cap=10_000)
+        found = []
+        for p, q in random.Random(8).sample(pairs, 150):
+            oracle = [h.map for h in enumerate_homs(p, q, strategy="oracle", caps=caps)]
+            assert oracle == dense_hom_maps(p, q)
+            found.append(len(oracle))
+        assert 0 in found and max(found) > 1
+
+    def test_oracle_in_small_blocks(self, structs, monkeypatch):
+        monkeypatch.setattr(morphisms, "_BLOCK_CELLS", 7)
+        for a, b in [("T4inv", "T4"), ("T3", "T3"), ("V4swap", "V4swap"), ("T9", "T1")]:
+            p, q = structs[a], structs[b]
+            assert [h.map for h in enumerate_homs(p, q)] == dense_hom_maps(p, q)
+
+    def test_witness_is_first_bad_tuple(self, structs):
+        rng = random.Random(8)
+        for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "T2"), ("T5", "T5")]:
+            p, q = structs[a], structs[b]
+            for _ in range(20):
+                psi = tuple(rng.randrange(q.order) for _ in range(p.order))
+                first = next(
+                    (
+                        args
+                        for args in itertools.product(range(p.order), repeat=p.arity)
+                        if psi[p.eval(list(args))] != q.eval([psi[x] for x in args])
+                    ),
+                    None,
+                )
+                assert is_polyadic_hom(psi, p, q) == (first is None, first)
+
     def test_composition_is_hom(self, structs):
         p = structs["T4inv"]
         homs = enumerate_homs(p, p)
         for f, g in itertools.product(homs, repeat=2):
             composite = hom_compose(f, g)
             assert is_polyadic_hom(composite.map, p, p)[0]
+
+
+class TestRelabelledTables:
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_routes_equal_the_relabelled_homs(self, small_corpus, data):
+        p = data.draw(st.sampled_from(small_corpus))
+        q = data.draw(st.sampled_from([q for q in small_corpus if q.arity == p.arity]))
+        sigma = np.asarray(data.draw(st.permutations(range(p.order))))
+        tau = np.asarray(data.draw(st.permutations(range(q.order))))
+        pt, qt = relabelled_table(p, sigma), relabelled_table(q, tau)
+        inv_sigma = np.argsort(sigma)
+        image = sorted(
+            tuple(int(tau[h.map[x]]) for x in inv_sigma) for h in enumerate_homs(p, q)
+        )
+        assert [h.map for h in enumerate_homs(pt, qt, strategy="theorem")] == image
+        assert [h.map for h in enumerate_homs(pt, qt, strategy="oracle")] == image
+        if q.order**p.order <= 256:
+            assert brute_homs(pt, qt) == image
 
 
 class TestDecompose:
@@ -125,6 +237,12 @@ class TestCompose:
         with pytest.raises(ConditionViolated, match="anchor"):
             compose_hom(1, (0, 1, 2), structs["T3"], structs["T3"])
 
+    @pytest.mark.parametrize("a, phi", [(0, (0, 1)), (0, (0, 1, 2, 0)), (0, (0, 1, 3)),
+                                        (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2))])
+    def test_rejects_out_of_range_split(self, structs, a, phi):
+        with pytest.raises(ValidationError):
+            compose_hom(a, phi, structs["T3"], structs["T3"])
+
     def test_rejects_non_homomorphism_phi(self, structs):
         with pytest.raises(ConditionViolated, match="homomorphism"):
             compose_hom(0, (0, 1, 1), structs["T3"], structs["T3"])
@@ -141,6 +259,12 @@ class TestBinaryHoms:
         # maps to the abelianization: 1 trivial + sign-like maps
         assert len(binary_homs(s3, catalog_group("Z2"))) == 2
         assert len(binary_homs(z6, z6)) == 6
+
+    def test_stored_on_the_source_group(self):
+        g, h = catalog_group("Z6"), catalog_group("Z2")
+        fresh = FiniteGroup(g.table)
+        assert binary_homs(fresh, h) == binary_homs(g, h)
+        assert h.table in fresh.__dict__["binary_homs"]
 
     def test_all_are_homs(self):
         g, h = catalog_group("D4"), catalog_group("Z2xZ2")
