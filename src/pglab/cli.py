@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import Caps, caps_from_env
+from .config import ENV_PREFIX, Caps, caps_from_env
 from .errors import CapExceeded, PolyadicError, ValidationError
 from .congruence import (
     congruences,
@@ -362,7 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args, _caps_from_args(args))
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+        flag, variable = exc.cap.replace("_", "-"), ENV_PREFIX + exc.cap.upper()
+        print(f"cap exceeded: {exc} (raise it with --{flag} or {variable})", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

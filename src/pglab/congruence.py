@@ -80,8 +80,9 @@ def congruence_from_classes(
         raise ValueError("classes must partition the carrier into nonempty classes")
     cong = Congruence(p, canon)
     if validate:
-        cls = np.asarray(cong.class_of)
-        if not _factors(cong.class_of, p.skew_table) or class_signature(p, cls) is None:
+        part = np.asarray([cong.class_of])
+        kept = _filtered(p, part, _first_of_class(part))
+        if not len(kept) or class_signature(p, part[0]) is None:
             raise ValueError("partition is not a congruence")
     return cong
 
@@ -98,23 +99,6 @@ def _canonical_sort(congs: list[Congruence]) -> list[Congruence]:
     # finest first: the diagonal leads, the full relation closes the list
     congs.sort(key=lambda c: (-c.num_classes, c.classes))
     return congs
-
-
-def _factors(cls_of: Sequence[int], values: Sequence[int]) -> bool:
-    """Whether the class of values[x] is a function of the class of x."""
-    image: dict[int, int] = {}
-    for c, v in zip(cls_of, values):
-        if image.setdefault(c, cls_of[v]) != cls_of[v]:
-            return False
-    return True
-
-
-def _translation_compatible(p: PolyadicGroup, cls_of: Sequence[int]) -> bool:
-    # necessary conditions only: one-sided translations with constant filler 0
-    edge = p.edge_table
-    return all(_factors(cls_of, row) for row in edge) and all(
-        _factors(cls_of, col) for col in zip(*edge)
-    )
 
 
 def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
@@ -134,9 +118,43 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
             a[t] = 0
 
 
+# Partitions per block of the scan, so that its temporaries stay small.
+_BLOCK_ROWS = 1 << 13
+
+
+def _first_of_class(part: np.ndarray) -> np.ndarray:
+    """For each row of part (column x the class of x), the first element
+    of x's class, in part's dtype."""
+    firsts = [(part == col[:, None]).argmax(axis=1).astype(part.dtype) for col in part.T]
+    return np.stack(firsts, axis=1)
+
+
 @lru_cache(maxsize=16)
-def _partitions_cached(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(restricted_growth_strings(m))
+def _partition_array(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """restricted_growth_strings(m) as an int8 array, each row of m-1
+    extended by every class up to one past its largest; and its firsts."""
+    if m == 1:
+        part = np.zeros((1, 1), dtype=np.int8)
+    else:
+        prev = _partition_array(m - 1)[0]
+        counts = prev.max(axis=1).astype(np.intp) + 2
+        new = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        part = np.column_stack([np.repeat(prev, counts, axis=0), new.astype(np.int8)])
+    first = _first_of_class(part)
+    part.flags.writeable = first.flags.writeable = False
+    return part, first
+
+
+def _filtered(p: PolyadicGroup, part: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The rows of part whose classes each necessary map v respects (the
+    class of v(x) a function of the class of x): skew, then the one-sided
+    translations with filler 0, every edge row and every edge column."""
+    edge = np.asarray(p.edge_table)
+    for v in (np.asarray(p.skew_table), *edge, *edge.T):
+        cls = part[:, v]
+        keep = (cls == np.take_along_axis(cls, first, axis=1)).all(axis=1)
+        part, first = part[keep], first[keep]
+    return part
 
 
 def congruences_bruteforce(
@@ -152,21 +170,19 @@ def congruences_bruteforce(
     m = p.order
     if m > caps.partition_cap:
         raise OrderCapExceeded(
-            f"partition scan on order {m} exceeds cap {caps.partition_cap}", required=m
+            f"partition scan on order {m} exceeds cap {caps.partition_cap}",
+            cap="partition_cap", required=m,
         )
     return list(cached_on(p, "congruences_oracle", lambda: _partition_scan(p)))
 
 
 def _partition_scan(p: PolyadicGroup) -> tuple[Congruence, ...]:
+    part, first = _partition_array(p.order)
     out = []
-    for cls_of in _partitions_cached(p.order):
-        if not _factors(cls_of, p.skew_table):
-            continue
-        if not _translation_compatible(p, cls_of):
-            continue
-        if class_signature(p, np.asarray(cls_of)) is None:
-            continue
-        out.append(_partition_by(p, cls_of))
+    for lo in range(0, len(part), _BLOCK_ROWS):
+        for row in _filtered(p, part[lo : lo + _BLOCK_ROWS], first[lo : lo + _BLOCK_ROWS]):
+            if class_signature(p, row) is not None:
+                out.append(_partition_by(p, row.tolist()))
     return tuple(_canonical_sort(out))
 
 

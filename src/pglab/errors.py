@@ -95,10 +95,11 @@ class MethodDisagreement(InternalContradiction):
 
 
 class CapExceeded(PolyadicError):
-    """A configured resource cap refuses the requested computation."""
+    """A configured resource cap (cap: the Caps field) refuses a computation."""
 
-    def __init__(self, message: str, required: int | None = None):
+    def __init__(self, message: str, *, cap: str, required: int | None = None):
         super().__init__(message)
+        self.cap = cap
         self.required = required
 
 

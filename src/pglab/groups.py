@@ -149,7 +149,7 @@ def make_group(
     if m == 0:
         raise NoIdentityAtZero("empty table has no identity row")
     if m > caps.order_cap:
-        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", required=m)
+        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", cap="order_cap", required=m)
     for i, row in enumerate(rows):
         if len(row) != m:
             raise ValueError(f"table is not square: row {i} has length {len(row)}")
@@ -251,7 +251,8 @@ def automorphisms(group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Automor
     m = group.order
     if m > caps.automorphism_cap:
         raise OrderCapExceeded(
-            f"automorphism search on order {m} exceeds cap {caps.automorphism_cap}", required=m
+            f"automorphism search on order {m} exceeds cap {caps.automorphism_cap}",
+            cap="automorphism_cap", required=m,
         )
     return list(group._automorphisms)
 

@@ -30,6 +30,8 @@ from .polyadic import (
     derived_view,
     hg_anchor0,
     n_ary_identity,
+    packed_tuples,
+    row_blocks,
 )
 
 
@@ -62,13 +64,6 @@ class HomDecomposition:
 _BLOCK_CELLS = 1 << 16
 
 
-def _blocks(maps: np.ndarray, cells_per_row: int) -> Iterator[np.ndarray]:
-    """maps in consecutive blocks of at most _BLOCK_CELLS cells (one row at
-    least)."""
-    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
-    return (maps[lo : lo + step] for lo in range(0, len(maps), step))
-
-
 def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarray:
     """For each row of maps (column x holds the image of source element x),
     whether h(psi(t)) = psi(f(t)) on every tuple of rows, whose n+1 lines
@@ -77,7 +72,7 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     weights = q.order ** np.arange(len(args) - 1, -1, -1)[:, None]
     return np.concatenate([
         (q.flat_np[(block[:, args] * weights).sum(axis=1)] == block[:, image]).all(axis=1)
-        for block in _blocks(maps, len(image))
+        for block in row_blocks(maps, len(image), _BLOCK_CELLS)
     ])
 
 
@@ -90,14 +85,11 @@ def _complete_check(
     m, n, mq = p.order, p.arity, q.order
     if m**n > caps.axiom_cost_cap:
         raise CostCapExceeded(
-            f"hom check needs {m ** n} evaluations", required=m**n
+            f"hom check needs {m ** n} evaluations", cap="axiom_cost_cap", required=m**n
         )
     out = []
-    for block in _blocks(maps, m**n):
-        packed = block.astype(np.int64, copy=False)
-        for _ in range(n - 1):
-            packed = (packed[:, :, None] * mq + block[:, None, :]).reshape(len(block), -1)
-        bad = q.flat_np[packed] != block[:, p.flat_np]
+    for block in row_blocks(maps, m**n, _BLOCK_CELLS):
+        bad = q.flat_np[packed_tuples(block, mq, n)] != block[:, p.flat_np]
         out.append(np.where(bad.any(axis=1), bad.argmax(axis=1), -1))
     return np.concatenate(out)
 
@@ -343,7 +335,7 @@ def _oracle_hom_maps(
     if total > caps.hom_oracle_cap:
         raise CostCapExceeded(
             f"oracle scan of {total} maps exceeds cap {caps.hom_oracle_cap}",
-            required=total,
+            cap="hom_oracle_cap", required=total,
         )
     maps = np.zeros((1, 0), dtype=np.int16)
     for k, rows in enumerate(_scan_rows(p)):
@@ -370,7 +362,7 @@ def _split_maps(
     phis = _binary_hom_rows(src.base, tgt.base)
     if bijective:
         phis = phis[(np.sort(phis, axis=1) == np.arange(q.order)).all(axis=1)]
-    for block in _blocks(phis, p.order * q.order):
+    for block in row_blocks(phis, p.order * q.order, _BLOCK_CELLS):
         anchor, intertwine = _condition_masks(src, tgt, block)
         rows, anchors = np.nonzero(anchor & intertwine)
         yield from _raw_maps(src, tgt, block[rows], anchors)
@@ -411,14 +403,14 @@ def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
 
 
 def _iso_invariants(p: PolyadicGroup) -> tuple:
-    skew_fixed = sum(1 for x in range(p.order) if p.skew(x) == x)
-    return (
+    # stored on p: the census compares each candidate with every class
+    return cached_on(p, "iso_invariants", lambda: (
         p.order,
         p.arity,
         n_ary_identity(p) is not None,
-        skew_fixed,
+        sum(1 for x in range(p.order) if p.skew(x) == x),
         len(p.idempotents()),
-    )
+    ))
 
 
 def are_isomorphic(

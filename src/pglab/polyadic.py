@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -189,20 +189,27 @@ class PolyadicGroup:
 
 def packed_tuples(values: np.ndarray, base: int, n: int) -> np.ndarray:
     """For every argument tuple (x1..xn), in flat-table order, the number
-    whose digits in the given base are values[x1], ..., values[xn]."""
-    out = values
+    whose digits in the given base are values[x1], ..., values[xn]; for a
+    stack of values (rows), one row of such numbers per row."""
+    out = values = np.asarray(values, dtype=np.int64)
     for _ in range(n - 1):
-        out = np.add.outer(out * base, values)
-    return out.ravel()
+        out = (out[..., :, None] * base + values[..., None, :]).reshape(*values.shape[:-1], -1)
+    return out
+
+
+def row_blocks(rows: np.ndarray, cells_per_row: int, cells: int) -> Iterator[np.ndarray]:
+    """rows in consecutive blocks of at most `cells` cells (one row at least)."""
+    step = max(1, cells // max(1, cells_per_row))
+    return (rows[lo : lo + step] for lo in range(0, len(rows), step))
 
 
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
     if n < 2:
         raise ValidationError(f"arity must be at least 2, got {n}")
     if n > caps.arity_cap:
-        raise OrderCapExceeded(f"arity {n} exceeds cap {caps.arity_cap}", required=n)
+        raise OrderCapExceeded(f"arity {n} exceeds cap {caps.arity_cap}", cap="arity_cap", required=n)
     if m > caps.order_cap:
-        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", required=m)
+        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", cap="order_cap", required=m)
 
 
 def derive(
@@ -288,7 +295,7 @@ def verify_table_axioms(
         raise CostCapExceeded(
             f"exhaustive associativity needs {cost} evaluations, cap is "
             f"{caps.axiom_cost_cap}",
-            required=cost,
+            cap="axiom_cost_cap", required=cost,
         )
 
     small = cube.astype(np.int16)  # keeps the m^(2n-1) grids compact

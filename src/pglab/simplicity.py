@@ -138,7 +138,7 @@ def census(
             raise CostCapExceeded(
                 f"exhaustive census would scan {table_count} tables, cap is "
                 f"{caps.census_exhaustive_cap}",
-                required=table_count,
+                cap="census_exhaustive_cap", required=table_count,
             )
         for flat in itertools.product(range(order), repeat=order**arity):
             report = verify_table_axioms(arity, order, flat, caps=caps)

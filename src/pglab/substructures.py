@@ -28,6 +28,7 @@ from .polyadic import (
     derived_view,
     n_ary_identity,
     packed_tuples,
+    row_blocks,
     _check_arity_order,
 )
 
@@ -107,12 +108,20 @@ def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int
     return members
 
 
-def _closed_under_op(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    mask = np.zeros(p.order, dtype=bool)
-    mask[list(members)] = True
-    idx = np.asarray(members)
-    sub = p.cube[np.ix_(*([idx] * p.arity))]
-    return bool(mask[sub].all())
+# Cells (rows × member tuples) per block of the closure check: a few MB.
+_BLOCK_CELLS = 1 << 16
+
+
+def _closed(p: PolyadicGroup, members: np.ndarray) -> np.ndarray:
+    """For each row of members (the sorted members of a subset, all rows of
+    one size), whether f maps every tuple of members into the subset."""
+    out = []
+    for block in row_blocks(members, members.shape[1] ** p.arity, _BLOCK_CELLS):
+        inside = np.zeros((len(block), p.order), dtype=bool)
+        np.put_along_axis(inside, block, True, axis=1)
+        values = p.flat_np[packed_tuples(block, p.order, p.arity)]
+        out.append(np.take_along_axis(inside, values, axis=1).all(axis=1))
+    return np.concatenate(out)
 
 
 def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
@@ -123,7 +132,7 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     mset = set(members)
     if any(p.skew(x) not in mset for x in members):
         return False
-    return _closed_under_op(p, members)
+    return bool(_closed(p, np.asarray([members]))[0])
 
 
 def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[int]:
@@ -147,7 +156,8 @@ def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ..
         search = partial(_subset_scan, p)
     elif m**p.arity > caps.axiom_cost_cap:
         raise CostCapExceeded(
-            f"closure search needs about {m ** p.arity} evaluations", required=m**p.arity
+            f"closure search needs about {m ** p.arity} evaluations",
+            cap="axiom_cost_cap", required=m**p.arity,
         )
     else:
         seeds = [{x} for x in range(m)]
@@ -156,18 +166,19 @@ def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ..
 
 
 def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty subset as one row of a mask matrix, in mask order: one
+    skew and diagonal filter, then the closure check by subset size."""
     m = p.order
-    skew = p.skew_table
-    diag = tuple(p.eval([x] * p.arity) for x in range(m))
-    out = []
-    for mask in range(1, 1 << m):
-        members = tuple(i for i in range(m) if mask >> i & 1)
-        mset = set(members)
-        if any(skew[x] not in mset or diag[x] not in mset for x in members):
-            continue
-        if _closed_under_op(p, members):
-            out.append(members)
-    return tuple(out)
+    inside = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    skew = np.asarray(p.skew_table)
+    diag = np.asarray([p.eval([x] * p.arity) for x in range(m)])
+    keep = (~inside | inside[:, skew] & inside[:, diag]).all(axis=1)
+    sizes = inside.sum(axis=1)
+    for k in np.unique(sizes[keep]):
+        rows = np.flatnonzero(keep & (sizes == k))
+        members = np.nonzero(inside[rows])[1].reshape(len(rows), k)
+        keep[rows] = _closed(p, members)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in inside[keep])
 
 
 def _theorem_subgroups(

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import settings
 
-from pglab.catalog import catalog
+from pglab.catalog import catalog, groups_of_order
 from pglab.corpus import standard_corpus
 from pglab.groups import Automorphism
-from pglab.polyadic import derive, derive_b
+from pglab.polyadic import all_derived, derive, derive_b
 
 settings.register_profile("pglab", deadline=None, max_examples=60)
 settings.load_profile("pglab")
@@ -39,3 +41,15 @@ def corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return standard_corpus(max_order=5)
+
+
+@pytest.fixture(scope="session")
+def twists_9_10():
+    """Two twists of each of orders 9 and 10, arities 3-5, drawn with a
+    fixed seed: the largest carriers both oracle scans take by default."""
+    rng = random.Random(9)
+    out = []
+    for order in (9, 10):
+        pool = [p for g in groups_of_order(order) for n in (3, 4, 5) for p in all_derived(g, n)]
+        out.extend(rng.sample(pool, 2))
+    return out

@@ -107,6 +107,22 @@ class TestCensus:
         rc = main(["--axiom-cost-cap", "4", "verify", doc_path("T2b", table_form=True)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv,flag,variable",
+        [
+            (["verify", "{T2b}"], "--axiom-cost-cap", "PGLAB_AXIOM_COST_CAP"),
+            (["census", "--order", "3", "--arity", "3", "--mode", "exhaustive"],
+             "--census-exhaustive-cap", "PGLAB_CENSUS_EXHAUSTIVE_CAP"),
+            (["--order-cap", "1", "analyze", "{T2b}"], "--order-cap", "PGLAB_ORDER_CAP"),
+        ],
+    )
+    def test_refusal_names_flag_and_variable(self, doc_path, monkeypatch, capsys, argv, flag,
+                                             variable):
+        monkeypatch.setenv("PGLAB_AXIOM_COST_CAP", "4")
+        path = doc_path("T2b", table_form=True)
+        assert main([path if a == "{T2b}" else a for a in argv]) == 2
+        assert capsys.readouterr().err.endswith(f"(raise it with {flag} or {variable})\n")
+
 
 class TestHomIsoQuotient:
     def test_hom_enumerate(self, doc_path, capsys):

@@ -4,15 +4,23 @@ from pglab.catalog import catalog_group
 from pglab.config import Caps, caps_from_env, cross_check
 from pglab.congruence import congruences_bruteforce, congruences_theorem
 from pglab.errors import (
+    CapExceeded,
     CostCapExceeded,
     MethodDisagreement,
     OrderCapExceeded,
     ValidationError,
 )
-from pglab.groups import Automorphism, automorphisms
-from pglab.morphisms import enumerate_homs
-from pglab.polyadic import as_table, derive, derived_view, from_table, hg_anchor0
-from pglab.simplicity import simplicity_report
+from pglab.groups import Automorphism, automorphisms, make_group
+from pglab.morphisms import enumerate_homs, is_polyadic_hom
+from pglab.polyadic import (
+    as_table,
+    derive,
+    derived_view,
+    from_table,
+    hg_anchor0,
+    verify_table_axioms,
+)
+from pglab.simplicity import census, simplicity_report
 from pglab.substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
 
 
@@ -75,6 +83,28 @@ class TestCaps:
         with pytest.raises(ValidationError):
             caps_from_env(environ={"PGLAB_ORDER_CAP": "abc"})
         assert caps_from_env(environ={"PGLAB_ORDER_CAP": "5"}).order_cap == 5
+
+    @pytest.mark.parametrize(
+        "cap,call",
+        [
+            ("order_cap", lambda s, c: make_group(catalog_group("Z3").table, caps=c)),
+            ("automorphism_cap", lambda s, c: automorphisms(catalog_group("Z3"), c)),
+            ("arity_cap", lambda s, c: congruences_theorem(s["T4"], c)),
+            ("order_cap", lambda s, c: congruences_theorem(s["T4"], c)),
+            ("axiom_cost_cap", lambda s, c: verify_table_axioms(3, 2, [0] * 8, caps=c)),
+            ("partition_cap", lambda s, c: congruences_bruteforce(s["T4"], c)),
+            ("axiom_cost_cap",
+             lambda s, c: enumerate_polyadic_subgroups(
+                 s["T4"], "oracle", Caps(subset_scan_cap=1, axiom_cost_cap=1))),
+            ("axiom_cost_cap", lambda s, c: is_polyadic_hom((0, 1, 2), s["T3"], s["T3"], c)),
+            ("hom_oracle_cap", lambda s, c: enumerate_homs(s["T3"], s["T3"], "oracle", c)),
+            ("census_exhaustive_cap", lambda s, c: census(2, 3, "exhaustive", c)),
+        ],
+    )
+    def test_refusal_names_its_cap(self, structs, cap, call):
+        with pytest.raises(CapExceeded) as exc:
+            call(structs, Caps(**{cap: 1}))
+        assert exc.value.cap == cap
 
 
 class TestCaches:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pglab import congruence
 from pglab.congruence import (
+    _partition_array,
+    _partition_scan,
     congruence_from_classes,
     congruences_bruteforce,
     congruences_theorem,
@@ -20,7 +23,11 @@ from pglab.catalog import catalog_group
 from pglab.config import Caps
 from pglab.groups import Automorphism, is_normal_subgroup
 from pglab.polyadic import as_table, derive, derive_b, derived_view, from_table
-from pglab.substructures import enumerate_normal_polyadic, is_polyadic_subgroup
+from pglab.substructures import (
+    class_signature,
+    enumerate_normal_polyadic,
+    is_polyadic_subgroup,
+)
 
 
 def is_congruence_by_definition(p, classes):
@@ -41,6 +48,36 @@ def is_congruence_by_definition(p, classes):
     return True
 
 
+def _factors(cls_of, values):
+    """Whether the class of values[x] is a function of the class of x."""
+    image = {}
+    for c, v in zip(cls_of, values):
+        if image.setdefault(c, cls_of[v]) != cls_of[v]:
+            return False
+    return True
+
+
+def reference_partition_scan(p):
+    """The per-partition Python scan the batched oracle replaced: skew
+    images, then one-sided translations with constant filler 0, then the
+    complete class-signature check, one partition at a time."""
+    edge = p.edge_table
+    out = []
+    for cls_of in restricted_growth_strings(p.order):
+        if not _factors(cls_of, p.skew_table):
+            continue
+        if not (all(_factors(cls_of, row) for row in edge)
+                and all(_factors(cls_of, col) for col in zip(*edge))):
+            continue
+        if class_signature(p, np.asarray(cls_of)) is None:
+            continue
+        fibres = {}
+        for x, c in enumerate(cls_of):
+            fibres.setdefault(c, []).append(x)
+        out.append(tuple(sorted(tuple(c) for c in fibres.values())))
+    return sorted(out, key=lambda classes: (-len(classes), classes))
+
+
 class TestPartitionGenerator:
     @pytest.mark.parametrize("m,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
     def test_bell_counts(self, m, count):
@@ -51,6 +88,14 @@ class TestPartitionGenerator:
             assert rgs[0] == 0
             for i in range(1, 4):
                 assert rgs[i] <= max(rgs[:i]) + 1
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_array_equals_generator(self, m):
+        part, first = _partition_array(m)
+        assert part.dtype == first.dtype == np.int8
+        assert part.tolist() == [list(rgs) for rgs in restricted_growth_strings(m)]
+        for row, firsts in zip(part.tolist(), first.tolist()):
+            assert firsts == [row.index(c) for c in row]
 
 
 class TestBruteforce:
@@ -76,6 +121,16 @@ class TestBruteforce:
 
     def test_one_element(self, structs):
         assert len(congruences_bruteforce(structs["T1"])) == 1
+
+    def test_equals_reference_scan(self, small_corpus, twists_9_10):
+        for p in small_corpus + [as_table(p) for p in small_corpus] + twists_9_10:
+            assert [c.classes for c in congruences_bruteforce(p)] == reference_partition_scan(p)
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_scan_in_small_blocks(self, small_corpus, monkeypatch, rows):
+        monkeypatch.setattr(congruence, "_BLOCK_ROWS", rows)
+        for p in small_corpus[rows::9]:
+            assert [c.classes for c in _partition_scan(p)] == reference_partition_scan(p)
 
 
 class TestTheorem:

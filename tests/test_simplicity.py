@@ -141,6 +141,40 @@ class TestCensus:
         with pytest.raises(CostCapExceeded):
             census(3, 3, "exhaustive")
 
+    # (order, arity) -> (classes, multiplicity sum, UAS, GTS, GTS* classes)
+    @pytest.mark.parametrize(
+        "cell,counts",
+        [
+            ((4, 3), (7, 16, 0, 1, 1)),
+            ((4, 4), (3, 10, 1, 1, 1)),
+            ((4, 5), (9, 16, 0, 1, 1)),
+            ((6, 3), (5, 14, 0, 1, 1)),
+            ((6, 4), (3, 12, 0, 0, 0)),
+            ((6, 5), (5, 14, 0, 1, 1)),
+            ((8, 3), (28, 184, 0, 1, 1)),
+            ((8, 4), (7, 168, 0, 1, 1)),
+            ((8, 5), (40, 272, 0, 1, 1)),
+            ((9, 3), (5, 56, 0, 2, 2)),
+            ((9, 4), (8, 48, 0, 1, 1)),
+            ((9, 5), (6, 62, 1, 3, 3)),
+            ((10, 3), (6, 32, 0, 2, 2)),
+            ((10, 4), (2, 20, 0, 0, 0)),
+            ((10, 5), (10, 36, 0, 3, 3)),
+            ((11, 3), (2, 12, 2, 2, 1)),
+            ((11, 4), (1, 11, 1, 1, 0)),
+            ((11, 5), (2, 12, 2, 2, 1)),
+        ],
+    )
+    def test_derived_cell_counts(self, cell, counts):
+        entries = census(*cell)
+        assert (
+            len(entries),
+            sum(e.multiplicity for e in entries),
+            sum(e.report.uas for e in entries),
+            sum(e.report.gts for e in entries),
+            sum(e.report.gts_star for e in entries),
+        ) == counts
+
     @pytest.mark.parametrize("order", [12, 13])
     def test_refuses_incomplete_catalog_order(self, order):
         with pytest.raises(ValidationError):

@@ -1,14 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
+from pglab import substructures
 from pglab.catalog import catalog_group, cyclic, dihedral, direct_product, quaternion8
 from pglab.congruence import sim_h
 from pglab.errors import NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup
 from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import all_derived, as_table, n_ary_identity, verify_axioms
+from pglab.config import DEFAULT_CAPS
 from pglab.substructures import (
+    _oracle_subgroups,
+    _subset_scan,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     gu_group,
@@ -18,6 +23,23 @@ from pglab.substructures import (
     quotient_polyadic,
     right_translate,
 )
+
+
+def reference_subset_scan(p):
+    """The per-mask Python scan the batched oracle replaced: skew and
+    diagonal images, then closure under f, one subset at a time."""
+    m = p.order
+    diag = [p.eval([x] * p.arity) for x in range(m)]
+    out = []
+    for mask in range(1, 1 << m):
+        members = tuple(i for i in range(m) if mask >> i & 1)
+        mset = set(members)
+        if any(p.skew(x) not in mset or diag[x] not in mset for x in members):
+            continue
+        idx = np.asarray(members)
+        if set(p.cube[np.ix_(*([idx] * p.arity))].ravel().tolist()) <= mset:
+            out.append(members)
+    return tuple(out)
 
 
 class TestGuGroup:
@@ -92,6 +114,16 @@ class TestEnumerateSubgroups:
             for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
                 for s in enumerate_(p, strategy="theorem"):
                     assert s.witness_u == s.members[0]
+
+    def test_oracle_equals_reference_scan(self, small_corpus, twists_9_10):
+        for p in small_corpus + [as_table(p) for p in small_corpus] + twists_9_10:
+            assert _oracle_subgroups(p, DEFAULT_CAPS) == reference_subset_scan(p)
+
+    @pytest.mark.parametrize("cells", range(1, 8))
+    def test_scan_in_small_blocks(self, small_corpus, monkeypatch, cells):
+        monkeypatch.setattr(substructures, "_BLOCK_CELLS", cells)
+        for p in small_corpus[cells::9]:
+            assert _subset_scan(p) == reference_subset_scan(p)
 
     def test_is_polyadic_subgroup_spot(self, structs):
         assert is_polyadic_subgroup(structs["T4inv"], (0, 2))
