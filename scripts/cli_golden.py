@@ -1,14 +1,16 @@
-"""Record or check digests of the CLI's --json analyze output on the corpus.
+"""Record or check digests of the CLI's --json analyze and census output.
 
 Usage: python scripts/cli_golden.py (--write | --check)
 
 For every 10th structure of the standard corpus and for its as_table form,
 runs `pglab --json analyze --subgroups --normal --congruences --simplicity`
-in process and records the sha256 of (exit code, stdout, stderr).  --write
-stores the command and the digests in tests/data/cli_golden.json; --check
-compares against that file and exits 1 if the command differs or naming
-every run whose output changed.  PGLAB_* cap variables are
-ignored, so the digests hold the default caps' answers.
+in process; then `pglab --json census` on the derived cells of orders 4, 6,
+8, 9, 10, 11 at arities 3-5 and on the exhaustive cell of order 2, arity 3.
+Each run's sha256 of (exit code, stdout, stderr) is recorded.  --write
+stores the commands and the digests in tests/data/cli_golden.json; --check
+compares against that file and exits 1 if the commands differ or naming
+every run whose output changed.  PGLAB_* cap variables are ignored, so the
+digests hold the default caps' answers.
 """
 
 import argparse
@@ -27,6 +29,10 @@ from pglab.polyadic import as_table
 from pglab.serialize import polyadic_to_doc
 
 ANALYZE = ["--json", "analyze", "--subgroups", "--normal", "--congruences", "--simplicity"]
+CENSUS = ["--json", "census"]
+CENSUS_CELLS = [
+    (order, arity, "derived") for order in (4, 6, 8, 9, 10, 11) for arity in (3, 4, 5)
+] + [(2, 3, "exhaustive")]
 STRIDE = 10
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden.json"
 
@@ -40,7 +46,8 @@ def _digest(argv: list[str]) -> str:
 
 
 def digests() -> dict[str, str]:
-    """Run name → digest, for the sampled corpus structures and their tables."""
+    """Run name → digest, for the sampled corpus structures and their
+    tables, then for the census cells."""
     for key in [k for k in os.environ if k.startswith("PGLAB_")]:
         del os.environ[key]
     found = {}
@@ -51,9 +58,12 @@ def digests() -> dict[str, str]:
             for i, p in enumerate(standard_corpus()[::STRIDE]):
                 for form, q in (("derived", p), ("table", as_table(p))):
                     Path("structure.json").write_text(json.dumps(polyadic_to_doc(q)))
-                    found[f"{i * STRIDE}/{form}"] = _digest(ANALYZE + ["structure.json"])
+                    found[f"analyze/{i * STRIDE}/{form}"] = _digest(ANALYZE + ["structure.json"])
         finally:
             os.chdir(cwd)
+    for order, arity, mode in CENSUS_CELLS:
+        argv = CENSUS + ["--order", str(order), "--arity", str(arity), "--mode", mode]
+        found[f"census/{order}/{arity}/{mode}"] = _digest(argv)
     return found
 
 
@@ -64,23 +74,26 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true")
     args = parser.parse_args(argv)
 
-    command = ["pglab"] + ANALYZE + ["<structure>"]
+    commands = [
+        ["pglab"] + ANALYZE + ["<structure>"],
+        ["pglab"] + CENSUS + ["--order", "<order>", "--arity", "<arity>", "--mode", "<mode>"],
+    ]
     if args.check:
         golden = json.loads(GOLDEN.read_text())
-        if golden["command"] != command:
-            print(f"golden digests are of {golden['command']}, not of {command}")
+        if golden["commands"] != commands:
+            print(f"golden digests are of {golden['commands']}, not of {commands}")
             return 1
     found = digests()
     if args.write:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"command": command, "digests": found}
+        doc = {"commands": commands, "digests": found}
         GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(found)} digests to {GOLDEN}")
         return 0
     expected = golden["digests"]
     changed = [k for k in sorted(set(found) | set(expected)) if found.get(k) != expected.get(k)]
     for key in changed:
-        print(f"changed: corpus[{key}]")
+        print(f"changed: {key}")
     print(f"{len(found) - len(changed)} of {len(expected)} runs match")
     return 1 if changed else 0
 
