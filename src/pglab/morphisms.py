@@ -132,11 +132,12 @@ def _condition_masks(
 def _check_conditions(
     src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: np.ndarray
 ) -> Optional[str]:
-    """The two split conditions; returns the name of the first failure."""
-    anchor, intertwine = _condition_masks(src, tgt, phi)
-    if not anchor[a]:
+    """The two split conditions at the one anchor a, in O(m) (the column
+    a of _condition_masks); returns the name of the first failure."""
+    h_group = tgt.base
+    if tgt.diagonal[a] != h_group.np_table[phi[src.b], a]:
         return "anchor"
-    if not intertwine[a]:
+    if not (h_group.conj_table[a][tgt.theta.np_perm[phi]] == phi[src.theta.np_perm]).all():
         return "intertwine"
     return None
 
@@ -403,7 +404,8 @@ def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
 
 
 def _iso_invariants(p: PolyadicGroup) -> tuple:
-    # stored on p: the census compares each candidate with every class
+    # stored on p: the exhaustive census compares each candidate with every
+    # class found before it
     return cached_on(p, "iso_invariants", lambda: (
         p.order,
         p.arity,

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from functools import partial
+from typing import Callable, Iterable, Literal, Optional, TypeVar
 
-from .config import Caps, DEFAULT_CAPS, Strategy, routes
-from .errors import CostCapExceeded, MethodDisagreement, ValidationError
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, routes
+from .errors import (
+    CostCapExceeded,
+    InternalContradiction,
+    MethodDisagreement,
+    ValidationError,
+)
 from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences
+from .groups import FiniteGroup, automorphisms
 from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
     PolyadicGroup,
@@ -27,6 +34,10 @@ from .substructures import (
     PolyadicSubgroup,
     enumerate_normal_polyadic,
 )
+
+T = TypeVar("T")
+# A twist (theta.perm, b) of a fixed base group.
+Twist = tuple[tuple[int, ...], int]
 
 
 def is_uas(
@@ -114,24 +125,24 @@ def census(
 ) -> list[CensusEntry]:
     """Isomorphism classes of n-ary groups of a given order.
 
-    Derived mode twists every catalog base group of that order; exhaustive
-    mode scans every operation table (tiny orders only) and keeps the ones
-    passing the axiom check.  Derived mode raises ValidationError at an
-    order where the catalog holds fewer groups than OEIS A000001 counts, so
-    it never under-counts; where both modes are feasible, the two censuses
-    must coincide.
+    Derived mode twists every catalog base group G of that order; its
+    classes are the orbits of the holomorph Hol(G) = G ⋊ Aut(G) on the
+    valid twists (θ, b), since every isomorphism of twists of G is a right
+    translation after an automorphism.  Exhaustive mode scans every
+    operation table (tiny orders only), keeps the ones passing the axiom
+    check and sorts them into classes pairwise.  Either way a class's
+    representative is its first candidate.  Derived mode raises
+    ValidationError at an order where the catalog holds fewer groups than
+    OEIS A000001 counts, so it never under-counts; where both modes are
+    feasible, the two censuses must coincide.
     """
-    from .morphisms import are_isomorphic
-
-    candidates: list[PolyadicGroup] = []
     if mode == "derived":
         bases = groups_of_order(order)
         if not 1 <= order <= len(A000001) or len(bases) < A000001[order - 1]:
             raise ValidationError(
                 f"the catalog lacks groups of order {order}; the census would under-count"
             )
-        for base in bases:
-            candidates.extend(all_derived(base, arity, caps=caps))
+        classes = [c for base in bases for c in _twist_classes(base, arity, caps)]
     else:
         table_count = order ** (order**arity)
         if table_count > caps.census_exhaustive_cap:
@@ -140,10 +151,24 @@ def census(
                 f"{caps.census_exhaustive_cap}",
                 cap="census_exhaustive_cap", required=table_count,
             )
-        for flat in itertools.product(range(order), repeat=order**arity):
-            report = verify_table_axioms(arity, order, flat, caps=caps)
-            if report.ok:
-                candidates.append(from_table(arity, order, flat, caps=caps, verify=False))
+        candidates = [
+            from_table(arity, order, flat, caps=caps, verify=False)
+            for flat in itertools.product(range(order), repeat=order**arity)
+            if verify_table_axioms(arity, order, flat, caps=caps).ok
+        ]
+        classes = _pairwise_classes(candidates, caps)
+    return [
+        CensusEntry(rep, simplicity_report(rep, caps=caps), count)
+        for rep, count in classes
+    ]
+
+
+def _pairwise_classes(
+    candidates: list[PolyadicGroup], caps: Caps
+) -> list[tuple[PolyadicGroup, int]]:
+    """(representative, class size) in order of first candidate, each
+    candidate tested against the representatives found so far."""
+    from .morphisms import are_isomorphic
 
     reps: list[PolyadicGroup] = []
     counts: list[int] = []
@@ -155,7 +180,98 @@ def census(
         else:
             reps.append(cand)
             counts.append(1)
-    return [
-        CensusEntry(rep, simplicity_report(rep, caps=caps), count)
-        for rep, count in zip(reps, counts)
+    return list(zip(reps, counts))
+
+
+def _twist_classes(
+    base: FiniteGroup, arity: int, caps: Caps
+) -> list[tuple[PolyadicGroup, int]]:
+    """(representative, orbit size) for the Hol(base)-orbits of the valid
+    twists, in the order of all_derived; every twist an orbit reaches must
+    be one of them."""
+    candidates = all_derived(base, arity, caps=caps)
+    keys = [(p.presentation.theta.perm, p.presentation.b) for p in candidates]
+    index = set(keys)
+    moves = [
+        partial(_transport_twist, base, arity, phi, g)
+        for phi, g in _hol_generators(base, caps)
     ]
+    seen: set[Twist] = set()
+    classes = []
+    for p, key in zip(candidates, keys):
+        if key in seen:
+            continue
+        orbit = _orbit(key, moves)
+        stray = orbit - index
+        if stray:
+            raise InternalContradiction(
+                f"twist {min(stray)} of {base!r} is isomorphic to the valid twist "
+                f"{key} but is not among the valid twists at arity {arity}"
+            )
+        seen |= orbit
+        classes.append((p, len(orbit)))
+    return classes
+
+
+def _transport_twist(
+    base: FiniteGroup, arity: int, phi: tuple[int, ...], g: int, twist: Twist
+) -> Twist:
+    """The twist (θ′, b′) onto which ψ = R_g ∘ φ (ψ(x) = φ(x)·g, φ an
+    automorphism of base) carries der(base, θ, b) = twist: with
+    θ₁ = φθφ⁻¹, θ′(x) = g⁻¹·θ₁(x)·g and
+    b′ = g⁻¹·θ₁(g⁻¹)·…·θ₁^(n−1)(g⁻¹)·φ(b)·g."""
+    theta, b = twist
+    t, gi = base.table, base.inverses[g]
+    theta1 = [0] * base.order
+    for x, y in enumerate(phi):
+        theta1[y] = phi[theta[x]]
+    acc, y = 0, gi
+    for _ in range(arity):
+        acc, y = t[acc][y], theta1[y]
+    return tuple(t[t[gi][z]][g] for z in theta1), t[t[acc][phi[b]]][g]
+
+
+def _hol_generators(
+    base: FiniteGroup, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[tuple[int, ...], int]]:
+    """Generators (φ, g) of Hol(base), each standing for ψ = R_g ∘ φ: a
+    generating set of Aut(base) with g = 0, then one of base with φ the
+    identity.  Stored on base; the automorphism cap is checked on every
+    call."""
+    auts = automorphisms(base, caps=caps)
+    identity = tuple(range(base.order))
+
+    def build() -> list[tuple[tuple[int, ...], int]]:
+        t = base.table
+        perms = (a.perm for a in auts)
+        phis = _generating_set(perms, identity, lambda a, b: tuple(a[y] for y in b))
+        gs = _generating_set(range(base.order), 0, lambda a, b: t[a][b])
+        return [(phi, 0) for phi in phis] + [(identity, g) for g in gs]
+
+    return cached_on(base, "hol_generators", build)
+
+
+def _generating_set(elements: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> list[T]:
+    """A generating set of the finite group of elements: each element
+    outside the span of those kept so far is kept."""
+    gens: list[T] = []
+    span = {identity}
+    for x in elements:
+        if x not in span:
+            gens.append(x)
+            span = _orbit(identity, [partial(mul, g) for g in gens])
+    return gens
+
+
+def _orbit(start: T, moves: list[Callable[[T], T]]) -> set[T]:
+    """Everything reached from start by the moves, which are bijections
+    of a finite set."""
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen

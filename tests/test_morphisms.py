@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import morphisms
 from pglab.catalog import catalog_group
-from pglab.config import Caps
+from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import (
     ArityMismatch,
     ConditionViolated,
@@ -26,7 +26,7 @@ from pglab.morphisms import (
     hom_compose,
     is_polyadic_hom,
 )
-from pglab.polyadic import derive, from_table, packed_tuples
+from pglab.polyadic import derive, derived_view, from_table, hg_anchor0, packed_tuples
 
 
 def brute_homs(p, q):
@@ -214,6 +214,31 @@ class TestDecompose:
             p, q = structs[a], structs[b]
             for psi in enumerate_homs(p, q):
                 assert len(decompositions(psi)) == 1
+
+    def test_one_anchor_check_is_the_mask_column(self, corpus):
+        """The split check at one anchor answers what that anchor's column of
+        _condition_masks says, for every anchor and every split of the homs
+        of a seeded sample of C9's pairs."""
+        pairs = [
+            (p, q) for p in corpus for q in corpus
+            if p.arity == q.arity and q.order**p.order <= 10_000
+        ]
+        answers = {}
+        for p, q in random.Random(9).sample(pairs, 40):
+            src, tgt = derived_view(p), hg_anchor0(q)
+            for psi in enumerate_homs(p, q, strategy="theorem"):
+                for split, _ in morphisms._splits(psi, DEFAULT_CAPS):
+                    phi = np.asarray(split.phi)
+                    anchor, intertwine = morphisms._condition_masks(src, tgt, phi)
+                    for a in range(q.order):
+                        expected = (
+                            "anchor" if not anchor[a]
+                            else "intertwine" if not intertwine[a] else None
+                        )
+                        got = morphisms._check_conditions(src, tgt, a, phi)
+                        assert got == expected, (p, q, psi, a)
+                        answers[got] = answers.get(got, 0) + 1
+        assert set(answers) == {None, "anchor", "intertwine"}, answers
 
     def test_roundtrip(self, structs):
         for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "V4swap")]:

@@ -2,10 +2,13 @@ import time
 
 import pytest
 
-from pglab.catalog import catalog_group
-from pglab.errors import CostCapExceeded, ValidationError
-from pglab.groups import Automorphism
-from pglab.polyadic import dornte_check, verify_axioms, as_table
+from pglab import morphisms, simplicity
+from pglab.catalog import catalog_group, groups_of_order
+from pglab.config import DEFAULT_CAPS
+from pglab.errors import CostCapExceeded, InternalContradiction, ValidationError
+from pglab.groups import Automorphism, automorphisms, inverse_perm
+from pglab.morphisms import _split_maps, are_isomorphic
+from pglab.polyadic import all_derived, dornte_check, verify_axioms, as_table
 from pglab.simplicity import (
     census,
     is_gts,
@@ -184,3 +187,91 @@ class TestCensus:
         entries = census(2, 3, "exhaustive")
         reduced_flags = sorted(e.report.reduced for e in entries)
         assert reduced_flags == [False, True]
+
+
+def reference_pairwise_census(order, arity):
+    """The derived census's classes found pairwise: (representative, class
+    size) in order of first candidate, every twist of every catalog group
+    of the order tested against the representatives found so far."""
+    reps, counts = [], []
+    for base in groups_of_order(order):
+        for cand in all_derived(base, arity):
+            for i, rep in enumerate(reps):
+                if are_isomorphic(cand, rep) is not None:
+                    counts[i] += 1
+                    break
+            else:
+                reps.append(cand)
+                counts.append(1)
+    return list(zip(reps, counts))
+
+
+class TestHolomorphOrbits:
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_census_equals_pairwise_reference(self, order):
+        for arity in (3, 4, 5):
+            entries = census(order, arity)
+            found = [(e.representative, e.multiplicity) for e in entries]
+            assert found == reference_pairwise_census(order, arity), (order, arity)
+
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_orbit_stabilizer(self, order):
+        """|orbit| · |Aut(der(G, θ, b))| = |Hol(G)| = m · |Aut(G)| for every
+        class, Aut(der(G, θ, b)) counted as the bijective split maps."""
+        for base in groups_of_order(order):
+            holomorph = order * len(automorphisms(base))
+            for arity in (3, 4, 5):
+                for rep, size in simplicity._twist_classes(base, arity, DEFAULT_CAPS):
+                    stabilizer = len(list(_split_maps(rep, rep, DEFAULT_CAPS, bijective=True)))
+                    assert size * stabilizer == holomorph, (rep, size, stabilizer)
+
+    def test_transport_is_the_transported_operation(self, corpus):
+        """For every twist of order at most 8 and every generator ψ = R_g ∘ φ,
+        the closed form equals the twist read off f′ = ψ∘f∘(ψ⁻¹)ⁿ:
+        b′ = f′(0,...,0) and θ′(x) = f′(0,x,0,...,0)·b′⁻¹."""
+        for p in corpus:
+            base, n = p.presentation.base, p.arity
+            twist = (p.presentation.theta.perm, p.presentation.b)
+            for phi, g in simplicity._hol_generators(base):
+                psi = [base.mul(phi[x], g) for x in range(p.order)]
+                back = inverse_perm(psi)
+
+                def moved(*args):
+                    return psi[p.eval([back[y] for y in args])]
+
+                b = moved(*[0] * n)
+                theta = tuple(
+                    base.mul(moved(0, x, *[0] * (n - 2)), base.inv(b))
+                    for x in range(p.order)
+                )
+                assert simplicity._transport_twist(base, n, phi, g, twist) == (theta, b)
+
+    def test_generators_span_the_holomorph(self):
+        for order in (4, 6, 8, 9):
+            for base in groups_of_order(order):
+                gens = simplicity._hol_generators(base)
+                moves = [
+                    (lambda psi, phi=phi, g=g: tuple(base.mul(phi[x], g) for x in psi))
+                    for phi, g in gens
+                ]
+                span = simplicity._orbit(tuple(range(order)), moves)
+                assert len(span) == order * len(automorphisms(base))
+
+    def test_derived_census_is_not_pairwise(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("are_isomorphic called")
+
+        monkeypatch.setattr(morphisms, "are_isomorphic", refuse)
+        assert len(census(4, 3)) == 7
+        with pytest.raises(AssertionError):
+            census(2, 3, "exhaustive")
+
+    def test_orbit_outside_the_valid_twists_is_refused(self, monkeypatch):
+        # der(Z3, id, 1) lies in the orbit of der(Z3, id, 0); hide it
+        def drop_second(base, arity, caps):
+            twists = all_derived(base, arity, caps=caps)
+            return twists[:1] + twists[2:]
+
+        monkeypatch.setattr(simplicity, "all_derived", drop_second)
+        with pytest.raises(InternalContradiction):
+            census(3, 3)
