@@ -206,6 +206,8 @@ def row_blocks(rows: np.ndarray, cells_per_row: int, cells: int) -> Iterator[np.
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
     if n < 2:
         raise ValidationError(f"arity must be at least 2, got {n}")
+    if m < 1:
+        raise ValidationError(f"order must be at least 1, got {m}")
     if n > caps.arity_cap:
         raise OrderCapExceeded(f"arity {n} exceeds cap {caps.arity_cap}", cap="arity_cap", required=n)
     if m > caps.order_cap:
@@ -260,15 +262,23 @@ def verify_table_axioms(
 ) -> AxiomReport:
     """Check n-ary associativity and per-position solvability of a raw table.
 
-    The exhaustive mode refuses (CostCapExceeded) when m^(2n-1) exceeds the
-    cost cap rather than silently sampling; the sampled mode is labelled.
+    The exhaustive mode compares f(x₀…x_{i−1}, f(x_i…x_{i+n−1}), x_{i+n}…)
+    for every adjacent pair of placements i over all m^(2n−1) argument
+    tuples. Placement i is one gather: the inner value depends only on the
+    middle n coordinates, so the flat table, viewed as (m^i, m, m^(n−1−i)),
+    is indexed along its middle axis by the flat table itself, which gives
+    the grid in C order. Two grids of m^(2n−1) cells, in the smallest dtype
+    that holds m−1, are live at a time, plus a boolean mask while they are
+    compared. It refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap
+    rather than silently sampling; the sampled mode is labelled.
     """
     m, n = order, arity
+    _check_arity_order(n, m, caps)
     flat_arr = np.asarray(flat, dtype=np.int64)
     if flat_arr.shape != (m**n,):
-        raise ValueError(f"flat table must have m^n = {m ** n} entries")
+        raise ValidationError(f"flat table must have m^n = {m ** n} entries")
     if flat_arr.size and (flat_arr.min() < 0 or flat_arr.max() >= m):
-        raise ValueError("table entries out of range")
+        raise ValidationError("table entries out of range")
     cube = flat_arr.reshape((m,) * n)
     violations: list[tuple] = []
 
@@ -298,30 +308,13 @@ def verify_table_axioms(
             cap="axiom_cost_cap", required=cost,
         )
 
-    small = cube.astype(np.int16)  # keeps the m^(2n-1) grids compact
-
-    def nested(i: int) -> np.ndarray:
-        # f applied at window position i of a (2n-1)-tuple, over the full grid
-        axes = []
-        for j in range(i):
-            axes.append(np.arange(m).reshape((m,) + (1,) * (2 * n - 2 - j)))
-        window = tuple(
-            np.arange(m).reshape((1,) * (i + t) + (m,) + (1,) * (2 * n - 2 - i - t))
-            for t in range(n)
-        )
-        inner = small[window]
-        tail = []
-        for j in range(i + n, 2 * n - 1):
-            tail.append(np.arange(m).reshape((1,) * j + (m,) + (1,) * (2 * n - 2 - j)))
-        return small[tuple(axes) + (inner,) + tuple(tail)]
-
+    small = flat_arr.astype(np.min_scalar_type(m - 1))
     associative = True
-    prev = nested(0)
-    prev = np.broadcast_to(prev, (m,) * (2 * n - 1))
+    prev = np.take(small.reshape(1, m, -1), small, axis=1).ravel()
     for i in range(1, n):
-        cur = np.broadcast_to(nested(i), (m,) * (2 * n - 1))
+        cur = np.take(small.reshape(m**i, m, -1), small, axis=1).ravel()
         if not np.array_equal(prev, cur):
-            bad = np.argwhere(prev != cur)[0]
+            bad = np.unravel_index(int((prev != cur).argmax()), (m,) * (2 * n - 1))
             violations.append(("associativity", i, tuple(int(v) for v in bad)))
             associative = False
             break

@@ -75,6 +75,8 @@ def polyadic_from_doc(
         return derive(base, theta, b, arity, caps=caps)
     if kind == "table":
         order = _expect(pres, "order", "table presentation")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise ParseError(f"order must be an integer >= 1, got {order!r}")
         flat = _expect(pres, "flat", "table presentation")
         if not isinstance(flat, list) or len(flat) != order**arity:
             raise ParseError(f"flat table must have {order ** arity} entries")

@@ -46,6 +46,19 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 1
 
+    def test_json_violations_of_corrupted_table(self, tmp_path, structs, capsys):
+        doc = polyadic_to_doc(as_table(structs["T3"]))
+        doc["presentation"]["flat"][5] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--json", "verify", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["axioms"]["violations"] == [
+            ["associativity", 1, [0, 0, 1, 0, 2]],
+            ["solvability", 0, [1, 2], 0],
+        ]
+
     def test_json_output(self, doc_path, capsys):
         rc = main(["--json", "verify", doc_path("T3")])
         payload = json.loads(capsys.readouterr().out)
@@ -196,6 +209,15 @@ class TestParseFailures:
         assert main(["verify", str(path)]) == 1
 
 
+def run_cli(argv, env):
+    src = str(Path(pglab.__file__).resolve().parents[1])
+    run_env = {**os.environ, **env, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "pglab.cli"] + argv,
+        capture_output=True, text=True, env=run_env, timeout=60,
+    )
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, env",
@@ -216,14 +238,20 @@ class TestBadInput:
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):
         paths = {"{T3}": doc_path("T3"), "{T4}": doc_path("T4")}
-        src = str(Path(pglab.__file__).resolve().parents[1])
-        run_env = {**os.environ, **env, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pglab.cli"] + [paths.get(a, a) for a in argv],
-            capture_output=True, text=True, env=run_env, timeout=60,
-        )
+        proc = run_cli([paths.get(a, a) for a in argv], env)
         assert proc.returncode == 1
         assert proc.stderr.startswith("ValidationError: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("order, flat", [(0, []), (True, [0])])
+    def test_bad_table_order_exits_1(self, tmp_path, order, flat):
+        doc = {"kind": "polyadic", "arity": 3,
+               "presentation": {"type": "table", "order": order, "flat": flat}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["verify", str(path)], {})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ParseError: ")
         assert "Traceback" not in proc.stderr
 
 

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from pglab.catalog import catalog_group
+from pglab.catalog import catalog_group, cyclic
 from pglab.config import Caps
 from pglab.errors import (
     ArityMismatch,
@@ -10,6 +12,7 @@ from pglab.errors import (
     NotCentral,
     NotSolvable,
     PowerCondition,
+    ValidationError,
 )
 from pglab.groups import Automorphism
 from pglab.polyadic import (
@@ -41,6 +44,42 @@ def eval_reference(p, args):
             y = theta(y)
         acc = base.mul(acc, y)
     return base.mul(acc, b)
+
+
+def placement_mismatches(arity, order, flat, i):
+    """Every (2n−1)-tuple, in lexicographic order, at which placements i−1
+    and i of the inner f give different values."""
+    m, n = order, arity
+
+    def f(args):
+        idx = 0
+        for x in args:
+            idx = idx * m + x
+        return flat[idx]
+
+    def placed(j, args):
+        return f(args[:j] + (f(args[j : j + n]),) + args[j + n :])
+
+    for args in itertools.product(range(m), repeat=2 * n - 1):
+        if placed(i - 1, args) != placed(i, args):
+            yield args
+
+
+def reference_associativity(arity, order, flat):
+    """Oracle: the first ("associativity", i, args) over i = 1..n−1 at which
+    placements i−1 and i differ; None when the table is associative."""
+    for i in range(1, arity):
+        for args in placement_mismatches(arity, order, flat, i):
+            return ("associativity", i, args)
+    return None
+
+
+def check_against_reference(arity, order, flat):
+    report = verify_table_axioms(arity, order, flat)
+    expected = reference_associativity(arity, order, flat)
+    assert report.associative == (expected is None)
+    found = [v for v in report.violations if v[0] == "associativity"]
+    assert found == ([] if expected is None else [expected])
 
 
 class TestDerive:
@@ -142,6 +181,59 @@ class TestVerifyAxioms:
     def test_from_table_rejects_unsolvable(self):
         with pytest.raises(NotSolvable):
             from_table(3, 2, [0, 0, 0, 0, 1, 1, 1, 1])
+
+    def test_wrong_length_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            verify_table_axioms(3, 2, [0] * 7)
+
+    def test_out_of_range_entry_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            verify_table_axioms(3, 2, [0] * 7 + [2])
+        with pytest.raises(ValidationError):
+            verify_table_axioms(3, 2, [-1] + [0] * 7)
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValidationError):
+            verify_table_axioms(3, 0, [])
+        with pytest.raises(ValidationError):
+            from_table(3, 0, [])
+
+    @given(st.data())
+    def test_random_tables_equal_reference(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 4))
+        flat = data.draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
+        check_against_reference(n, m, flat)
+
+    @given(st.data())
+    def test_corrupted_corpus_tables_equal_reference(self, small_corpus, data):
+        p = data.draw(
+            st.sampled_from([q for q in small_corpus if q.order ** (2 * q.arity - 1) <= 5**5])
+        )
+        flat = list(as_table(p).presentation.flat)
+        for _ in range(data.draw(st.integers(1, 2))):
+            cell = data.draw(st.integers(0, len(flat) - 1))
+            flat[cell] = data.draw(st.integers(0, p.order - 1))
+        check_against_reference(p.arity, p.order, flat)
+
+    @pytest.mark.parametrize(
+        "flat, agree, placement",
+        [((1, 0) * 8, [True, True, False], 3), ((0, 0, 0, 1) * 4, [True, False, False], 2)],
+    )
+    def test_every_placement_pair_is_compared(self, flat, agree, placement):
+        # (1,0)*8 fails only between placements 2 and 3, (0,0,0,1)*4 first
+        # between 1 and 2: a check of placements 0 and 1 alone passes both
+        assert [next(placement_mismatches(4, 2, flat, i), None) is None for i in (1, 2, 3)] == agree
+        report = verify_table_axioms(4, 2, flat)
+        assert not report.associative
+        assert report.violations[0][:2] == ("associativity", placement)
+        check_against_reference(4, 2, flat)
+
+    def test_largest_table_under_the_cost_cap(self):
+        # 10^(2·4−1) = 10^7 evaluations, exactly the default axiom_cost_cap
+        p = as_table(all_derived(cyclic(10), 4)[5])
+        assert p.order ** (2 * p.arity - 1) == Caps().axiom_cost_cap
+        assert verify_axioms(p).ok
 
 
 class TestSkew:
