@@ -29,7 +29,7 @@ class Caps:
     arity_cap: int = 8             # largest accepted operation arity
     automorphism_cap: int = 16     # largest order for automorphism search
     axiom_cost_cap: int = 10_000_000   # elementary evaluations for axiom checks
-    partition_cap: int = 10        # carrier size for the all-partitions scan
+    partition_cap: int = 10        # order gate of the congruence oracle
     subset_scan_cap: int = 12      # carrier size for the 2^m subset scan
     hom_oracle_cap: int = 1_000_000    # candidate maps in the hom oracle
     census_exhaustive_cap: int = 4096  # candidate tables in the exhaustive census

@@ -1,16 +1,17 @@
 """Congruence lattices of polyadic groups.
 
-Two independent routes: a partition scan testing compatibility with the
-operation and with skew directly, and the theorem that the congruences of
-der(G, theta, b) are exactly the coset partitions of the theta-invariant
-normal subgroups of G.
+Two independent routes: Mal'cev's lemma (an equivalence is a congruence
+exactly when every basic translation and skew respect it, so the lattice is
+the join closure of the principal congruences), and the theorem that the
+congruences of der(G, theta, b) are exactly the coset partitions of the
+theta-invariant normal subgroups of G.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -80,9 +81,9 @@ def congruence_from_classes(
         raise ValueError("classes must partition the carrier into nonempty classes")
     cong = Congruence(p, canon)
     if validate:
-        part = np.asarray([cong.class_of])
-        kept = _filtered(p, part, _first_of_class(part))
-        if not len(kept) or class_signature(p, part[0]) is None:
+        cls_of = np.asarray(cong.class_of)
+        skew_classes = set(zip(cong.class_of, cls_of[np.asarray(p.skew_table)].tolist()))
+        if len(skew_classes) != len(canon) or class_signature(p, cls_of) is None:
             raise ValueError("partition is not a congruence")
     return cong
 
@@ -118,72 +119,82 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
             a[t] = 0
 
 
-# Partitions per block of the scan, so that its temporaries stay small.
-_BLOCK_ROWS = 1 << 13
+# A row of m ≤ 16 values 0..m-1 packs into one uint64 key, 4 bits a value.
+_SHIFTS = np.arange(16, dtype=np.uint64) * np.uint64(4)
 
 
-def _first_of_class(part: np.ndarray) -> np.ndarray:
-    """For each row of part (column x the class of x), the first element
-    of x's class, in part's dtype."""
-    firsts = [(part == col[:, None]).argmax(axis=1).astype(part.dtype) for col in part.T]
-    return np.stack(firsts, axis=1)
+def oracle_order_limit(caps: Caps) -> int:
+    """The congruence oracle's order gate: partition_cap, at most 16 (a key's values)."""
+    return min(caps.partition_cap, len(_SHIFTS))
 
 
-@lru_cache(maxsize=16)
-def _partition_array(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """restricted_growth_strings(m) as an int8 array, each row of m-1
-    extended by every class up to one past its largest; and its firsts."""
-    if m == 1:
-        part = np.zeros((1, 1), dtype=np.int8)
-    else:
-        prev = _partition_array(m - 1)[0]
-        counts = prev.max(axis=1).astype(np.intp) + 2
-        new = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        part = np.column_stack([np.repeat(prev, counts, axis=0), new.astype(np.int8)])
-    first = _first_of_class(part)
-    part.flags.writeable = first.flags.writeable = False
-    return part, first
+def _keys(rows: np.ndarray) -> np.ndarray:
+    return rows @ (np.uint64(1) << _SHIFTS[: rows.shape[-1]])  # rows in an unsigned dtype
 
 
-def _filtered(p: PolyadicGroup, part: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The rows of part whose classes each necessary map v respects (the
-    class of v(x) a function of the class of x): skew, then the one-sided
-    translations with filler 0, every edge row and every edge column."""
-    edge = np.asarray(p.edge_table)
-    for v in (np.asarray(p.skew_table), *edge, *edge.T):
-        cls = part[:, v]
-        keep = (cls == np.take_along_axis(cls, first, axis=1)).all(axis=1)
-        part, first = part[keep], first[keep]
-    return part
+def _rows(keys: np.ndarray, m: int) -> np.ndarray:
+    return (keys[:, None] >> _SHIFTS[:m] & np.uint64(15)).astype(np.intp)
+
+
+def _closure(rel: np.ndarray) -> np.ndarray:
+    """The transitive closure of each reflexive relation in a stack."""
+    while True:
+        step = rel.astype(np.float32)
+        nxt = np.matmul(step, step) > 0
+        if np.array_equal(nxt, rel):
+            return rel
+        rel = nxt
+
+
+def _classes(rel: np.ndarray) -> np.ndarray:
+    """The keys of the distinct equivalences a stack of reflexive, symmetric
+    relations generate, each labelling x by the least member of its class."""
+    labels = _closure(rel).argmax(axis=-1).astype(np.uint8)
+    return np.unique(_keys(labels.reshape(-1, labels.shape[-1])))
+
+
+def _relations(keys: np.ndarray, m: int) -> np.ndarray:
+    labels = _rows(keys, m)
+    return labels[:, :, None] == labels[:, None, :]
 
 
 def congruences_bruteforce(
     p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
-    """Scan every partition of the carrier for both compatibility clauses.
-
-    Cheap necessary filters (skew images, one-sided translations) reject
-    almost every partition before the complete class-signature check runs.
-    The partition cap is checked on every call; the scan runs once per
-    structure and its answer is stored on p.
-    """
+    """The congruence lattice by Mal'cev's lemma, true in every algebra:
+    Cg(a, b) is the equivalence generated by the pairs the basic translations
+    and skew reach from (a, b), and every congruence is a join of these
+    (R. Freese, Algebra Universalis 59, 2008).  The order gate
+    (oracle_order_limit) is checked on every call; the lattice is stored on p."""
     m = p.order
-    if m > caps.partition_cap:
+    limit = oracle_order_limit(caps)
+    if m > limit:
         raise OrderCapExceeded(
-            f"partition scan on order {m} exceeds cap {caps.partition_cap}",
-            cap="partition_cap", required=m,
+            f"congruence oracle on order {m} exceeds cap {limit}", cap="partition_cap", required=m
         )
-    return list(cached_on(p, "congruences_oracle", lambda: _partition_scan(p)))
+    return list(cached_on(p, "congruences_oracle", lambda: _malcev_lattice(p)))
 
 
-def _partition_scan(p: PolyadicGroup) -> tuple[Congruence, ...]:
-    part, first = _partition_array(p.order)
-    out = []
-    for lo in range(0, len(part), _BLOCK_ROWS):
-        for row in _filtered(p, part[lo : lo + _BLOCK_ROWS], first[lo : lo + _BLOCK_ROWS]):
-            if class_signature(p, row) is not None:
-                out.append(_partition_by(p, row.tolist()))
-    return tuple(_canonical_sort(out))
+def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
+    m = p.order
+    small = p.cube.astype(np.min_scalar_type(m - 1))
+    # the distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}), then skew
+    keys = [np.unique(_keys(np.moveaxis(small, i, -1).reshape(-1, m))) for i in range(p.arity)]
+    maps = np.vstack([_rows(np.unique(np.concatenate(keys)), m), [p.skew_table]])
+    # the pair (x, y) is node x·m + y; a map sends it to (t(x), t(y))
+    edges = (maps[:, :, None] * m + maps[:, None, :]).reshape(len(maps), -1)
+    reach = np.eye(m * m, dtype=bool)
+    reach[np.arange(m * m), edges] = True
+    a, b = np.triu_indices(m, 1)
+    pairs = _closure(reach)[a * m + b].reshape(-1, m, m)
+    principal = _classes(pairs | pairs.transpose(0, 2, 1) | np.eye(m, dtype=bool))
+    generators = _relations(principal, m)
+    lattice = new = np.union1d(principal, _keys(np.arange(m, dtype=np.uint8)))
+    while len(new):
+        joins = _classes(_relations(new, m)[:, None] | generators)
+        new = np.setdiff1d(joins, lattice)
+        lattice = np.union1d(lattice, new)
+    return tuple(_canonical_sort([_partition_by(p, row.tolist()) for row in _rows(lattice, m)]))
 
 
 def congruences_theorem(
@@ -215,7 +226,7 @@ def congruences(
         strategy,
         lambda: congruences_theorem(p, caps),
         lambda: congruences_bruteforce(p, caps),
-        p.order <= caps.partition_cap,
+        p.order <= oracle_order_limit(caps),
     )
 
 

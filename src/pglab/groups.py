@@ -17,6 +17,7 @@ from .errors import (
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
+    ValidationError,
 )
 
 SubgroupFilter = Literal["all", "normal", "theta_invariant", "theta_invariant_normal"]
@@ -126,7 +127,7 @@ class FiniteGroup:
     @cached_property
     def subgroup_lattice(self) -> tuple[tuple[int, ...], ...]:
         """Every subgroup: the closure lattice above the trivial one."""
-        return closure_lattice(partial(subgroup_closure, self.table), [{0}], self.order)
+        return closure_lattice(partial(subgroup_closure, self.table), self.order)
 
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
@@ -152,10 +153,10 @@ def make_group(
         raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", cap="order_cap", required=m)
     for i, row in enumerate(rows):
         if len(row) != m:
-            raise ValueError(f"table is not square: row {i} has length {len(row)}")
+            raise ValidationError(f"table is not square: row {i} has length {len(row)}")
         for x in row:
             if not 0 <= x < m:
-                raise ValueError(f"entry {x} in row {i} out of range 0..{m - 1}")
+                raise ValidationError(f"entry {x} in row {i} out of range 0..{m - 1}")
     group = FiniteGroup(rows, name)
     if not validate:
         return group
@@ -313,20 +314,13 @@ def subgroup_closure(
 
 
 def closure_lattice(
-    closure: Callable[[frozenset[int]], frozenset[int]],
-    seeds: Iterable[Iterable[int]],
-    size: int,
+    closure: Callable[[frozenset[int]], frozenset[int]], size: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Every closed set above the seeds' closures, sorted by (size, members):
-    the closure of each found set plus one more element of {0,...,size-1} is
-    taken until nothing new appears."""
-    found: set[frozenset[int]] = set()
-    frontier = []
-    for seed in seeds:
-        c = closure(frozenset(seed))
-        if c not in found:
-            found.add(c)
-            frontier.append(c)
+    """Every closed set, sorted by (size, members): from the closure of the
+    empty set, the closure of each found set plus one more element of
+    {0,...,size-1} is taken until nothing new appears."""
+    found = {closure(frozenset())}
+    frontier = list(found)
     while frontier:
         current = frontier.pop()
         for x in range(size):

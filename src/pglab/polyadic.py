@@ -204,6 +204,8 @@ def row_blocks(rows: np.ndarray, cells_per_row: int, cells: int) -> Iterator[np.
 
 
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n, m)):
+        raise ValidationError(f"arity and order must be integers, got {n!r} and {m!r}")
     if n < 2:
         raise ValidationError(f"arity must be at least 2, got {n}")
     if m < 1:
@@ -353,7 +355,7 @@ def verify_axioms(
 ) -> AxiomReport:
     """Axiom report for a table-form polyadic group."""
     if p.is_derived:
-        raise ValueError("verify_axioms expects a table presentation")
+        raise ValidationError("verify_axioms expects a table presentation")
     pres = p.presentation
     assert isinstance(pres, TablePresentation)
     return verify_table_axioms(

@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .catalog import A000001, groups_of_order
-from .congruence import Congruence, congruences
+from .congruence import Congruence, congruences, oracle_order_limit
 from .groups import FiniteGroup, automorphisms
 from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
@@ -105,7 +105,7 @@ def simplicity_report(
         gts_star=found["gts_star"] is None,
         reduced=is_reduced(p),
         degenerate=p.order == 1,
-        method=routes(method, p.order <= min(caps.partition_cap, caps.subset_scan_cap)),
+        method=routes(method, p.order <= min(oracle_order_limit(caps), caps.subset_scan_cap)),
         witnesses=witnesses,
     )
 

@@ -8,7 +8,6 @@ table; only the transported automorphism differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     NotNormal,
     ValidationError,
 )
-from .groups import Automorphism, FiniteGroup, closure_lattice, inverse_perm
+from .groups import Automorphism, FiniteGroup, inverse_perm
 from .polyadic import (
     PolyadicGroup,
     TablePresentation,
@@ -112,14 +111,17 @@ def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int
 _BLOCK_CELLS = 1 << 16
 
 
-def _closed(p: PolyadicGroup, members: np.ndarray) -> np.ndarray:
+def _closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
     """For each row of members (the sorted members of a subset, all rows of
-    one size), whether f maps every tuple of members into the subset."""
-    out = []
-    for block in row_blocks(members, members.shape[1] ** p.arity, _BLOCK_CELLS):
-        inside = np.zeros((len(block), p.order), dtype=bool)
+    one size), whether the operation with this table (an m×…×m cube, one
+    axis per argument) maps every tuple of members into the subset."""
+    m, n = cube.shape[0], cube.ndim
+    flat = cube.ravel()
+    out = [np.zeros(0, dtype=bool)]
+    for block in row_blocks(members, members.shape[1] ** n, _BLOCK_CELLS):
+        inside = np.zeros((len(block), m), dtype=bool)
         np.put_along_axis(inside, block, True, axis=1)
-        values = p.flat_np[packed_tuples(block, p.order, p.arity)]
+        values = flat[packed_tuples(block, m, n)]
         out.append(np.take_along_axis(inside, values, axis=1).all(axis=1))
     return np.concatenate(out)
 
@@ -132,53 +134,44 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     mset = set(members)
     if any(p.skew(x) not in mset for x in members):
         return False
-    return bool(_closed(p, np.asarray([members]))[0])
-
-
-def _closure_under_f_skew(p: PolyadicGroup, seed: Iterable[int]) -> frozenset[int]:
-    current = set(seed)
-    while True:
-        nxt = set(current)
-        nxt.update(p.skew(x) for x in current)
-        idx = np.asarray(sorted(current))
-        nxt.update(int(v) for v in np.unique(p.cube[np.ix_(*([idx] * p.arity))]))
-        if nxt == current:
-            return frozenset(current)
-        current = nxt
+    return bool(_closed(p.cube, np.asarray([members]))[0])
 
 
 def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ...]:
-    """Scan every subset for closure under f and skew; past the scan's cap,
-    grow the closures from every singleton instead.  The cost cap is checked
-    on every call; the search runs once per structure, for both oracles."""
+    """The subset scan's answer, stored on p for both oracles; past
+    subset_scan_cap its m·2^m-cell mask meets the cost cap on every call."""
     m = p.order
-    if m <= caps.subset_scan_cap:
-        search = partial(_subset_scan, p)
-    elif m**p.arity > caps.axiom_cost_cap:
+    if m > caps.subset_scan_cap and m << m > caps.axiom_cost_cap:
         raise CostCapExceeded(
-            f"closure search needs about {m ** p.arity} evaluations",
-            cap="axiom_cost_cap", required=m**p.arity,
+            f"subset scan needs a mask of {m << m} cells", cap="axiom_cost_cap", required=m << m
         )
-    else:
-        seeds = [{x} for x in range(m)]
-        search = partial(closure_lattice, partial(_closure_under_f_skew, p), seeds, m)
-    return cached_on(p, "subgroups_oracle_scan", search)
+    return cached_on(p, "subgroups_oracle_scan", lambda: _subset_scan(p))
 
 
 def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
     """Every nonempty subset as one row of a mask matrix, in mask order: one
-    skew and diagonal filter, then the closure check by subset size."""
-    m = p.order
+    skew and diagonal filter, then by subset size closure under the term
+    g(x, y, z) = f(x, y, z, …, z) (necessary: a subset closed under f is
+    closed under its terms; at arity 3 g is f) and closure under f."""
+    m, n = p.order, p.arity
     inside = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     skew = np.asarray(p.skew_table)
-    diag = np.asarray([p.eval([x] * p.arity) for x in range(m)])
+    diag = np.asarray([p.eval([x] * n) for x in range(m)])
     keep = (~inside | inside[:, skew] & inside[:, diag]).all(axis=1)
     sizes = inside.sum(axis=1)
+    tables = [p.cube]
+    if n > 3:
+        z = np.arange(m)
+        tables = [p.cube[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], p.cube]
+    found = [np.zeros(0, dtype=np.intp)]
     for k in np.unique(sizes[keep]):
         rows = np.flatnonzero(keep & (sizes == k))
-        members = np.nonzero(inside[rows])[1].reshape(len(rows), k)
-        keep[rows] = _closed(p, members)
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in inside[keep])
+        for cube in tables:
+            rows = rows[_closed(cube, np.nonzero(inside[rows])[1].reshape(-1, k))]
+        found.append(rows)
+    return tuple(
+        tuple(np.flatnonzero(row).tolist()) for row in inside[np.sort(np.concatenate(found))]
+    )
 
 
 def _theorem_subgroups(

@@ -254,6 +254,18 @@ class TestBadInput:
         assert proc.stderr.startswith("ParseError: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], [1, 5]]])
+    def test_bad_base_table_exits_1(self, tmp_path, table):
+        doc = {"kind": "polyadic", "arity": 3,
+               "presentation": {"type": "derived", "theta": [0, 1], "b": 0,
+                                "base": {"kind": "group", "order": 2, "table": table}}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["verify", str(path)], {})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ValidationError: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestGoldenDigests:
     def test_analyze_json_matches_golden(self):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import congruence
 from pglab.congruence import (
-    _partition_array,
-    _partition_scan,
     congruence_from_classes,
+    congruences,
     congruences_bruteforce,
     congruences_theorem,
     is_normal_congruence,
@@ -21,8 +20,10 @@ from pglab.congruence import (
 )
 from pglab.catalog import catalog_group
 from pglab.config import Caps
-from pglab.groups import Automorphism, is_normal_subgroup
+from pglab.errors import OrderCapExceeded
+from pglab.groups import Automorphism, is_normal_subgroup, make_group
 from pglab.polyadic import as_table, derive, derive_b, derived_view, from_table
+from pglab.simplicity import simplicity_report
 from pglab.substructures import (
     class_signature,
     enumerate_normal_polyadic,
@@ -91,11 +92,12 @@ class TestPartitionGenerator:
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_array_equals_generator(self, m):
-        part, first = _partition_array(m)
-        assert part.dtype == first.dtype == np.int8
-        assert part.tolist() == [list(rgs) for rgs in restricted_growth_strings(m)]
-        for row, firsts in zip(part.tolist(), first.tolist()):
-            assert firsts == [row.index(c) for c in row]
+        # every partition of the carrier, packed into the congruence
+        # oracle's uint64 keys and unpacked, is the generator's string
+        strings = np.asarray(list(restricted_growth_strings(m)), dtype=np.uint8)
+        keys = congruence._keys(strings)
+        assert keys.dtype == np.uint64 and len(np.unique(keys)) == len(strings)
+        assert congruence._rows(keys, m).tolist() == strings.tolist()
 
 
 class TestBruteforce:
@@ -126,11 +128,41 @@ class TestBruteforce:
         for p in small_corpus + [as_table(p) for p in small_corpus] + twists_9_10:
             assert [c.classes for c in congruences_bruteforce(p)] == reference_partition_scan(p)
 
-    @pytest.mark.parametrize("rows", range(1, 8))
-    def test_scan_in_small_blocks(self, small_corpus, monkeypatch, rows):
-        monkeypatch.setattr(congruence, "_BLOCK_ROWS", rows)
-        for p in small_corpus[rows::9]:
-            assert [c.classes for c in _partition_scan(p)] == reference_partition_scan(p)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_equals_reference_on_relabelled_tables(self, corpus, data):
+        p = data.draw(st.sampled_from(corpus))
+        sigma = np.asarray(data.draw(st.permutations(range(p.order))))
+        cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * p.arity))]]
+        t = from_table(p.arity, p.order, cube.ravel().tolist(), verify=False)
+        assert [c.classes for c in congruences_bruteforce(t)] == reference_partition_scan(t)
+
+    def test_auto_runs_the_theorem_alone_past_16(self):
+        # packed keys hold 16 values: with partition_cap above that, "auto"
+        # must not decide the oracle is feasible on order 17
+        caps = Caps(order_cap=20, partition_cap=20, subset_scan_cap=20)
+        base = make_group([[(i + j) % 17 for j in range(17)] for i in range(17)], caps=caps)
+        p = derive_b(base, 0, 3, caps=caps)
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 16"):
+            congruences_bruteforce(p, caps)
+        assert congruences(p, caps=caps) == congruences_theorem(p, caps)
+        assert simplicity_report(p, caps=caps).method == "auto"
+
+    def test_skew_is_one_of_the_maps(self):
+        # not a polyadic group: f(x, y, z) stays in the class of x for the
+        # classes {0, 1} | {2, 3}, so the partition is compatible with f,
+        # but skew sends 0 to 0 and 1 to 2
+        skew = (0, 2, 2, 3)
+        flat = []
+        for x, y, z in itertools.product(range(4), repeat=3):
+            mate = x ^ 1
+            flat.append(x if x != y or z == skew[x] else mate)
+        p = from_table(3, 4, flat, verify=False)
+        assert p.skew_table == skew
+        assert class_signature(p, np.asarray([0, 0, 1, 1])) is not None
+        got = [c.classes for c in congruences_bruteforce(p)]
+        assert ((0, 1), (2, 3)) not in got
+        assert got == reference_partition_scan(p)
 
 
 class TestTheorem:

@@ -11,6 +11,7 @@ from pglab.errors import (
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
+    ValidationError,
 )
 from pglab.groups import (
     Automorphism,
@@ -98,6 +99,11 @@ class TestMakeGroup:
     def test_order_cap(self):
         with pytest.raises(OrderCapExceeded):
             make_group([[0] * 20 for _ in range(20)])
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], [1, 5]], [[0, 1], [1, -1]]])
+    def test_malformed_table_is_a_validation_error(self, table):
+        with pytest.raises(ValidationError):
+            make_group(table)
 
 
 class TestSubgroups:

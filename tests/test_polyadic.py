@@ -198,6 +198,15 @@ class TestVerifyAxioms:
         with pytest.raises(ValidationError):
             from_table(3, 0, [])
 
+    @pytest.mark.parametrize("arity, order", [(3, True), (True, 1), (3, 1.0), (3.0, 1)])
+    def test_non_integer_arity_or_order_is_refused(self, arity, order):
+        with pytest.raises(ValidationError):
+            from_table(arity, order, [0])
+
+    def test_derived_input_is_a_validation_error(self, structs):
+        with pytest.raises(ValidationError):
+            verify_axioms(structs["T3"])
+
     @given(st.data())
     def test_random_tables_equal_reference(self, data):
         m = data.draw(st.integers(1, 3))

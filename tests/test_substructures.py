@@ -5,12 +5,12 @@ import pytest
 
 from pglab import substructures
 from pglab.catalog import catalog_group, cyclic, dihedral, direct_product, quaternion8
-from pglab.congruence import sim_h
-from pglab.errors import NotNormal, ValidationError
-from pglab.groups import enumerate_subgroups, is_normal_subgroup
+from pglab.congruence import congruences_bruteforce, congruences_theorem, sim_h
+from pglab.errors import CostCapExceeded, NotNormal, ValidationError
+from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
 from pglab.morphisms import is_polyadic_hom
-from pglab.polyadic import all_derived, as_table, n_ary_identity, verify_axioms
-from pglab.config import DEFAULT_CAPS
+from pglab.polyadic import all_derived, as_table, derive_b, n_ary_identity, verify_axioms
+from pglab.config import DEFAULT_CAPS, Caps
 from pglab.substructures import (
     _oracle_subgroups,
     _subset_scan,
@@ -165,8 +165,10 @@ class TestNormality:
 
 
 class TestBeyondDefaultOracleRange:
-    """Orders 13-16, past the subset scan: the closure-lattice oracle is the
-    only independent check of the theorem routes there."""
+    """Orders 13-16, past the default oracle gates: the filtered subset scan
+    (its ternary-term filter on at arity 4) and, with partition_cap raised,
+    the Mal'cev congruence oracle are the independent checks of the theorem
+    routes there."""
 
     @pytest.mark.parametrize(
         "base",
@@ -176,15 +178,46 @@ class TestBeyondDefaultOracleRange:
             direct_product(cyclic(2), cyclic(8)),
             direct_product(quaternion8(), cyclic(2)),
             dihedral(8),
+            direct_product(direct_product(catalog_group("Z2xZ2"), cyclic(2)), cyclic(2)),
+            direct_product(cyclic(4), cyclic(4)),
+            cyclic(16),
         ],
-        ids=["D7", "Z13", "Z2xZ8", "Q8xZ2", "D8"],
+        ids=["D7", "Z13", "Z2xZ8", "Q8xZ2", "D8", "Z2^4", "Z4xZ4", "Z16"],
     )
     def test_theorem_equals_closure_oracle(self, base):
-        for p in random.Random(base.order).sample(all_derived(base, 3), 3):
-            for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
-                theorem = [s.members for s in enumerate_(p, strategy="theorem")]
-                oracle = [s.members for s in enumerate_(p, strategy="oracle")]
-                assert theorem == oracle
+        rng = random.Random(base.order)
+        for arity in (3, 4):
+            for p in rng.sample(all_derived(base, arity), 3):
+                for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
+                    theorem = [s.members for s in enumerate_(p, strategy="theorem")]
+                    oracle = [s.members for s in enumerate_(p, strategy="oracle")]
+                    assert theorem == oracle
+                oracle = congruences_bruteforce(p, Caps(partition_cap=16))
+                assert [c.classes for c in oracle] == [c.classes for c in congruences_theorem(p)]
+
+
+class TestSubsetScanCap:
+    """Past subset_scan_cap the scan runs only when its m·2^m mask fits
+    axiom_cost_cap, and is refused before anything is built."""
+
+    def test_order_24_refused_before_the_scan(self, monkeypatch):
+        caps = Caps(order_cap=24)
+        base = make_group([[(i + j) % 24 for j in range(24)] for i in range(24)], caps=caps)
+        p = derive_b(base, 0, 3, caps=caps)
+        monkeypatch.setattr(substructures, "_subset_scan", lambda p: pytest.fail("scan ran"))
+        with pytest.raises(CostCapExceeded, match="mask of 402653184 cells") as err:
+            enumerate_polyadic_subgroups(p, strategy="oracle", caps=caps)
+        assert err.value.cap == "axiom_cost_cap"
+
+    @pytest.mark.parametrize("slack, runs", [(-1, False), (0, True)])
+    def test_gate_is_the_mask_size(self, slack, runs):
+        caps = Caps(axiom_cost_cap=(13 << 13) + slack)
+        p = derive_b(cyclic(13), 0, 3)
+        if runs:
+            assert len(_oracle_subgroups(p, caps)) == 2
+        else:
+            with pytest.raises(CostCapExceeded):
+                _oracle_subgroups(p, caps)
 
 
 class TestShiftCorrespondence:
