@@ -1,7 +1,9 @@
 """Command-line front end: verify, analyze, census, hom, iso, quotient.
 
 Exit codes: 0 success, 1 validation failure, 2 cap exceedance.  Caps come
-from PGLAB_* environment variables and per-invocation flags.
+from PGLAB_* environment variables and per-invocation flags.  analyze and
+census cross-check with the congruence and subgroup oracles only where
+their m^n table and m·2^m mask fit --axiom-cost-cap (order ≤ 16).
 """
 
 from __future__ import annotations

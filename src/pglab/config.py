@@ -1,4 +1,5 @@
-"""Resource caps, the per-instance cache and the theorem/oracle router.
+"""Resource caps, the per-instance cache, the oracles' one gate and the
+theorem/oracle router.
 
 PGLAB_* environment variables override the default caps.
 """
@@ -7,9 +8,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Literal, TypeVar, get_args
+from typing import Callable, Literal, Optional, TypeVar, get_args
 
-from .errors import MethodDisagreement, ValidationError
+from .errors import CapExceeded, CostCapExceeded, MethodDisagreement, OrderCapExceeded, ValidationError
 
 ENV_PREFIX = "PGLAB_"
 
@@ -28,9 +29,7 @@ class Caps:
     order_cap: int = 16            # largest accepted base-group order
     arity_cap: int = 8             # largest accepted operation arity
     automorphism_cap: int = 16     # largest order for automorphism search
-    axiom_cost_cap: int = 10_000_000   # elementary evaluations for axiom checks
-    partition_cap: int = 10        # order gate of the congruence oracle
-    subset_scan_cap: int = 12      # carrier size for the 2^m subset scan
+    axiom_cost_cap: int = 10_000_000   # cells for axiom checks and the oracles' arrays
     hom_oracle_cap: int = 1_000_000    # candidate maps in the hom oracle
     census_exhaustive_cap: int = 4096  # candidate tables in the exhaustive census
 
@@ -67,9 +66,38 @@ def cached_on(obj, key: str, compute: Callable[[], T]) -> T:
     return store[key]
 
 
+# The oracles pack a row of carrier values into one uint64 key, 4 bits a value.
+KEY_VALUES = 16
+
+
+def oracle_refusal(p, caps: Caps) -> Optional[CapExceeded]:
+    """Why the congruence and subgroup oracles may not run on p, or None:
+    both build the m^n table, the subgroup oracle an m·2^m subset mask too,
+    and their cells must fit axiom_cost_cap; the congruence oracle's rows
+    must fit a packed key (KEY_VALUES values)."""
+    m = p.order
+    cells = max(m**p.arity, m << m)
+    if cells > caps.axiom_cost_cap:
+        return CostCapExceeded(
+            f"the oracles need {cells} cells on order {m}, arity {p.arity}; cap is "
+            f"{caps.axiom_cost_cap}", cap="axiom_cost_cap", required=cells,
+        )
+    if m > KEY_VALUES:
+        return OrderCapExceeded(
+            f"the oracles pack rows of at most {KEY_VALUES} values, not {m}",
+            cap="order_cap", required=m,
+        )
+    return None
+
+
+def oracle_fits(p, caps: Caps) -> bool:
+    """The one gate of both oracles: whether they may run on p."""
+    return oracle_refusal(p, caps) is None
+
+
 def routes(strategy: Strategy, oracle_feasible: bool) -> str:
     """The routes a strategy runs: "both" when "auto" runs the oracle too
-    (oracle_feasible: the oracle's cap admits the input), else the strategy
+    (oracle_feasible: the oracle's gate admits the input), else the strategy
     itself, "auto" then running the theorem alone.  Unknown values raise
     ValueError."""
     if strategy not in get_args(Strategy):

@@ -17,11 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
-from .errors import (
-    IllDefined,
-    MethodDisagreement,
-    OrderCapExceeded,
-)
+from .config import KEY_VALUES, oracle_fits, oracle_refusal
+from .errors import IllDefined, MethodDisagreement
 from .groups import enumerate_subgroups, twisted_quotient
 from .polyadic import (
     HosszuGloskin,
@@ -119,13 +116,8 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
             a[t] = 0
 
 
-# A row of m ≤ 16 values 0..m-1 packs into one uint64 key, 4 bits a value.
-_SHIFTS = np.arange(16, dtype=np.uint64) * np.uint64(4)
-
-
-def oracle_order_limit(caps: Caps) -> int:
-    """The congruence oracle's order gate: partition_cap, at most 16 (a key's values)."""
-    return min(caps.partition_cap, len(_SHIFTS))
+# A row of m ≤ KEY_VALUES values 0..m-1 packs into one uint64 key, 4 bits a value.
+_SHIFTS = np.arange(KEY_VALUES, dtype=np.uint64) * np.uint64(4)
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -162,16 +154,14 @@ def congruences_bruteforce(
     p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
     """The congruence lattice by Mal'cev's lemma, true in every algebra:
-    Cg(a, b) is the equivalence generated by the pairs the basic translations
-    and skew reach from (a, b), and every congruence is a join of these
-    (R. Freese, Algebra Universalis 59, 2008).  The order gate
-    (oracle_order_limit) is checked on every call; the lattice is stored on p."""
-    m = p.order
-    limit = oracle_order_limit(caps)
-    if m > limit:
-        raise OrderCapExceeded(
-            f"congruence oracle on order {m} exceeds cap {limit}", cap="partition_cap", required=m
-        )
+    Cg(a, b) is the least equivalence containing (a, b) that the basic
+    translations and skew respect, and every congruence is a join of these
+    (R. Freese, Algebra Universalis 59, 2008).  The oracles' gate
+    (config.oracle_refusal) is checked on every call, before any table is
+    built; the lattice is stored on p."""
+    refusal = oracle_refusal(p, caps)
+    if refusal:
+        raise refusal
     return list(cached_on(p, "congruences_oracle", lambda: _malcev_lattice(p)))
 
 
@@ -181,13 +171,23 @@ def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
     # the distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}), then skew
     keys = [np.unique(_keys(np.moveaxis(small, i, -1).reshape(-1, m))) for i in range(p.arity)]
     maps = np.vstack([_rows(np.unique(np.concatenate(keys)), m), [p.skew_table]])
-    # the pair (x, y) is node x·m + y; a map sends it to (t(x), t(y))
-    edges = (maps[:, :, None] * m + maps[:, None, :]).reshape(len(maps), -1)
-    reach = np.eye(m * m, dtype=bool)
-    reach[np.arange(m * m), edges] = True
-    a, b = np.triu_indices(m, 1)
-    pairs = _closure(reach)[a * m + b].reshape(-1, m, m)
-    principal = _classes(pairs | pairs.transpose(0, 2, 1) | np.eye(m, dtype=bool))
+    # Cg(a, b) for every a < b, a fixpoint on a stack of relations held as
+    # labels (x ↦ the least member of its class): a round relates t(x) to
+    # t(label x) for every map t and every x not its own label, then closes
+    # the relations; it stops when a round relates no new pair
+    r = np.arange(m)
+    a, b = np.nonzero(r[:, None] < r)
+    labels = np.where(r == b[:, None], a[:, None], r)
+    while True:
+        i, x = np.nonzero(labels != r)
+        tx, ty = maps[:, x], maps[:, labels[i, x]]
+        apart = labels[i, tx] != labels[i, ty]
+        if not apart.any():
+            break
+        rel = labels[:, :, None] == labels[:, None, :]
+        rel[np.broadcast_to(i, tx.shape)[apart], tx[apart], ty[apart]] = True
+        labels = _closure(rel | rel.transpose(0, 2, 1)).argmax(axis=-1)
+    principal = np.unique(_keys(labels.astype(np.uint8)))
     generators = _relations(principal, m)
     lattice = new = np.union1d(principal, _keys(np.arange(m, dtype=np.uint8)))
     while len(new):
@@ -226,7 +226,7 @@ def congruences(
         strategy,
         lambda: congruences_theorem(p, caps),
         lambda: congruences_bruteforce(p, caps),
-        p.order <= oracle_order_limit(caps),
+        oracle_fits(p, caps),
     )
 
 

@@ -62,7 +62,6 @@ class AxiomReport:
     associative: bool
     solvable: bool
     violations: tuple[tuple, ...]
-    checked_exhaustively: bool
 
     @property
     def ok(self) -> bool:
@@ -258,13 +257,10 @@ def verify_table_axioms(
     order: int,
     flat: Sequence[int],
     caps: Caps = DEFAULT_CAPS,
-    exhaustive: bool = True,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> AxiomReport:
     """Check n-ary associativity and per-position solvability of a raw table.
 
-    The exhaustive mode compares f(x₀…x_{i−1}, f(x_i…x_{i+n−1}), x_{i+n}…)
+    Associativity compares f(x₀…x_{i−1}, f(x_i…x_{i+n−1}), x_{i+n}…)
     for every adjacent pair of placements i over all m^(2n−1) argument
     tuples. Placement i is one gather: the inner value depends only on the
     middle n coordinates, so the flat table, viewed as (m^i, m, m^(n−1−i)),
@@ -272,7 +268,7 @@ def verify_table_axioms(
     the grid in C order. Two grids of m^(2n−1) cells, in the smallest dtype
     that holds m−1, are live at a time, plus a boolean mask while they are
     compared. It refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap
-    rather than silently sampling; the sampled mode is labelled.
+    rather than silently sampling.
     """
     m, n = order, arity
     _check_arity_order(n, m, caps)
@@ -283,24 +279,6 @@ def verify_table_axioms(
         raise ValidationError("table entries out of range")
     cube = flat_arr.reshape((m,) * n)
     violations: list[tuple] = []
-
-    if not exhaustive:
-        rng = random.Random(seed)
-        associative = True
-        for _ in range(samples):
-            args = [rng.randrange(m) for _ in range(2 * n - 1)]
-            vals = set()
-            for i in range(n):
-                inner = cube[tuple(args[i : i + n])]
-                outer = args[:i] + [int(inner)] + args[i + n :]
-                vals.add(int(cube[tuple(outer)]))
-            if len(vals) > 1:
-                associative = False
-                violations.append(("associativity", tuple(args)))
-                break
-        solvable, solve_viol = _check_solvability(cube, m, n)
-        violations.extend(solve_viol)
-        return AxiomReport(associative, solvable, tuple(violations), False)
 
     cost = m ** (2 * n - 1)
     if cost > caps.axiom_cost_cap:
@@ -324,7 +302,7 @@ def verify_table_axioms(
 
     solvable, solve_viol = _check_solvability(cube, m, n)
     violations.extend(solve_viol)
-    return AxiomReport(associative, solvable, tuple(violations), True)
+    return AxiomReport(associative, solvable, tuple(violations))
 
 
 def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, list[tuple]]:
@@ -346,22 +324,13 @@ def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, list[tup
     return True, violations
 
 
-def verify_axioms(
-    p: PolyadicGroup,
-    caps: Caps = DEFAULT_CAPS,
-    exhaustive: bool = True,
-    samples: int = 2000,
-    seed: int = 0,
-) -> AxiomReport:
+def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     """Axiom report for a table-form polyadic group."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
     pres = p.presentation
     assert isinstance(pres, TablePresentation)
-    return verify_table_axioms(
-        p.arity, pres.order, pres.flat, caps=caps, exhaustive=exhaustive,
-        samples=samples, seed=seed,
-    )
+    return verify_table_axioms(p.arity, pres.order, pres.flat, caps=caps)
 
 
 def from_table(

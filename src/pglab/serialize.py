@@ -130,7 +130,6 @@ def axiom_report_to_doc(report) -> dict:
         "associative": report.associative,
         "solvable": report.solvable,
         "violations": [list(v) for v in report.violations],
-        "checked_exhaustively": report.checked_exhaustively,
     }
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Literal, Optional, TypeVar
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, routes
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, oracle_fits, routes
 from .errors import (
     CostCapExceeded,
     InternalContradiction,
@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .catalog import A000001, groups_of_order
-from .congruence import Congruence, congruences, oracle_order_limit
+from .congruence import Congruence, congruences
 from .groups import FiniteGroup, automorphisms
 from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
@@ -105,7 +105,7 @@ def simplicity_report(
         gts_star=found["gts_star"] is None,
         reduced=is_reduced(p),
         degenerate=p.order == 1,
-        method=routes(method, p.order <= min(oracle_order_limit(caps), caps.subset_scan_cap)),
+        method=routes(method, oracle_fits(p, caps)),
         witnesses=witnesses,
     )
 

@@ -13,8 +13,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
+from .config import oracle_fits, oracle_refusal
 from .errors import (
-    CostCapExceeded,
     IllDefined,
     MethodDisagreement,
     NotNormal,
@@ -138,13 +138,12 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
 
 
 def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ...]:
-    """The subset scan's answer, stored on p for both oracles; past
-    subset_scan_cap its m·2^m-cell mask meets the cost cap on every call."""
-    m = p.order
-    if m > caps.subset_scan_cap and m << m > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"subset scan needs a mask of {m << m} cells", cap="axiom_cost_cap", required=m << m
-        )
+    """The subset scan's answer, stored on p for both oracles; the oracles'
+    gate (config.oracle_refusal) is checked on every call, before any table
+    or mask is built."""
+    refusal = oracle_refusal(p, caps)
+    if refusal:
+        raise refusal
     return cached_on(p, "subgroups_oracle_scan", lambda: _subset_scan(p))
 
 
@@ -206,7 +205,7 @@ def enumerate_polyadic_subgroups(
 
     The oracle strategy scans subsets for closure under f and skew; the
     theorem strategy unions invariant subgroups over the copies G_u.  In
-    auto mode both run (caps permitting) and must agree.
+    auto mode both run (inside the oracles' gate) and must agree.
     """
     return _routed(False, p, strategy, caps)
 
@@ -244,7 +243,7 @@ def _routed(
         strategy,
         theorem_route,
         oracle,
-        p.order <= caps.subset_scan_cap,
+        oracle_fits(p, caps),
     ))
 
 
@@ -318,7 +317,8 @@ def enumerate_normal_polyadic(
 
     The theorem strategy takes the G_u subgroups filtered by the twist
     criterion; the oracle strategy takes the scanned subgroups filtered by
-    the definition.  In auto mode both run (caps permitting) and must agree.
+    the definition.  In auto mode both run (inside the oracles' gate) and
+    must agree.
     """
     return _routed(True, p, strategy, caps)
 

@@ -230,7 +230,7 @@ class TestBadInput:
             (["census", "--order", "2", "--arity", "1"], {}),
             (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "abc"}),
             (["verify", "{T3}"], {"PGLAB_ORDER_CAP": "-1"}),
-            (["--subset-scan-cap", "-1", "verify", "{T3}"], {}),
+            (["--axiom-cost-cap", "-1", "verify", "{T3}"], {}),
             (["census", "--order", "12", "--arity", "3"], {}),
             (["census", "--order", "13", "--arity", "3"], {}),
             (["quotient", "{T3}", "--congruence", "0|1|2|"], {}),

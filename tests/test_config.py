@@ -92,11 +92,9 @@ class TestCaps:
             ("arity_cap", lambda s, c: congruences_theorem(s["T4"], c)),
             ("order_cap", lambda s, c: congruences_theorem(s["T4"], c)),
             ("axiom_cost_cap", lambda s, c: verify_table_axioms(3, 2, [0] * 8, caps=c)),
-            ("partition_cap", lambda s, c: congruences_bruteforce(s["T4"], c)),
-            ("axiom_cost_cap",
-             lambda s, c: enumerate_polyadic_subgroups(
-                 s["T4"], "oracle", Caps(subset_scan_cap=1, axiom_cost_cap=1))),
+            ("axiom_cost_cap", lambda s, c: enumerate_polyadic_subgroups(s["T4"], "oracle", c)),
             ("axiom_cost_cap", lambda s, c: is_polyadic_hom((0, 1, 2), s["T3"], s["T3"], c)),
+            ("axiom_cost_cap", lambda s, c: congruences_bruteforce(s["T4"], c)),
             ("hom_oracle_cap", lambda s, c: enumerate_homs(s["T3"], s["T3"], "oracle", c)),
             ("census_exhaustive_cap", lambda s, c: census(2, 3, "exhaustive", c)),
         ],
@@ -130,10 +128,11 @@ class TestCaches:
              Caps(automorphism_cap=2), OrderCapExceeded),
             (derived_view, True, Caps(order_cap=2), OrderCapExceeded),
             (derived_view, True, Caps(arity_cap=2), OrderCapExceeded),
-            (congruences_bruteforce, False, Caps(partition_cap=2), OrderCapExceeded),
+            # der(Z3, id, 0, 3): the oracles' 27-cell table meets a cap of 26
+            (congruences_bruteforce, False, Caps(axiom_cost_cap=26), CostCapExceeded),
             (congruences_theorem, False, Caps(order_cap=2), OrderCapExceeded),
             (lambda p, caps: enumerate_polyadic_subgroups(p, "oracle", caps), False,
-             Caps(subset_scan_cap=2, axiom_cost_cap=8), CostCapExceeded),
+             Caps(axiom_cost_cap=26), CostCapExceeded),
         ],
     )
     def test_caps_are_checked_before_the_cached_answer(self, call, table, tight, error):

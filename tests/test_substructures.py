@@ -11,6 +11,7 @@ from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
 from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import all_derived, as_table, derive_b, n_ary_identity, verify_axioms
 from pglab.config import DEFAULT_CAPS, Caps
+from pglab.simplicity import simplicity_report
 from pglab.substructures import (
     _oracle_subgroups,
     _subset_scan,
@@ -165,10 +166,9 @@ class TestNormality:
 
 
 class TestBeyondDefaultOracleRange:
-    """Orders 13-16, past the default oracle gates: the filtered subset scan
-    (its ternary-term filter on at arity 4) and, with partition_cap raised,
-    the Mal'cev congruence oracle are the independent checks of the theorem
-    routes there."""
+    """Orders 13-16: the filtered subset scan (its ternary-term filter on at
+    arities 4 and 5) and the Mal'cev congruence oracle are the independent
+    checks of the theorem routes there, and "auto" runs both oracles."""
 
     @pytest.mark.parametrize(
         "base",
@@ -186,28 +186,40 @@ class TestBeyondDefaultOracleRange:
     )
     def test_theorem_equals_closure_oracle(self, base):
         rng = random.Random(base.order)
-        for arity in (3, 4):
+        for arity in (3, 4, 5):
             for p in rng.sample(all_derived(base, arity), 3):
                 for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
                     theorem = [s.members for s in enumerate_(p, strategy="theorem")]
                     oracle = [s.members for s in enumerate_(p, strategy="oracle")]
                     assert theorem == oracle
-                oracle = congruences_bruteforce(p, Caps(partition_cap=16))
+                oracle = congruences_bruteforce(p)
                 assert [c.classes for c in oracle] == [c.classes for c in congruences_theorem(p)]
+                assert simplicity_report(p).method == "both"
 
 
 class TestSubsetScanCap:
-    """Past subset_scan_cap the scan runs only when its m·2^m mask fits
-    axiom_cost_cap, and is refused before anything is built."""
+    """The subset scan runs only inside the oracles' one gate: its m·2^m
+    mask and the m^n table fit axiom_cost_cap, and the order fits a packed
+    key.  Outside it the scan is refused before the mask or the table is
+    built."""
 
     def test_order_24_refused_before_the_scan(self, monkeypatch):
         caps = Caps(order_cap=24)
         base = make_group([[(i + j) % 24 for j in range(24)] for i in range(24)], caps=caps)
         p = derive_b(base, 0, 3, caps=caps)
         monkeypatch.setattr(substructures, "_subset_scan", lambda p: pytest.fail("scan ran"))
-        with pytest.raises(CostCapExceeded, match="mask of 402653184 cells") as err:
+        with pytest.raises(CostCapExceeded, match="402653184 cells") as err:
             enumerate_polyadic_subgroups(p, strategy="oracle", caps=caps)
         assert err.value.cap == "axiom_cost_cap"
+
+    def test_large_table_refused_before_it_is_built(self, monkeypatch):
+        # 12^8 ≈ 4.3e8 table cells; the mask is only 12·2^12
+        p = derive_b(cyclic(12), 0, 8)
+        monkeypatch.setattr(substructures, "_subset_scan", lambda p: pytest.fail("scan ran"))
+        with pytest.raises(CostCapExceeded) as err:
+            enumerate_polyadic_subgroups(p, "oracle")
+        assert err.value.cap == "axiom_cost_cap" and err.value.required == 12**8
+        assert "flat_np" not in p.__dict__
 
     @pytest.mark.parametrize("slack, runs", [(-1, False), (0, True)])
     def test_gate_is_the_mask_size(self, slack, runs):
