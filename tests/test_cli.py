@@ -270,7 +270,9 @@ class TestBadInput:
 class TestGoldenDigests:
     def test_analyze_json_matches_golden(self):
         """`pglab --json analyze` on every 10th corpus structure and its table
-        form gives the recorded exit code, stdout and stderr digests."""
+        form, `iso` between the two, `hom --enumerate` on sampled corpus pairs
+        and `census` on fixed cells give the recorded exit code, stdout and
+        stderr digests."""
         root = Path(__file__).resolve().parents[1]
         run_env = {**os.environ, "PYTHONPATH": str(root / "src")}
         proc = subprocess.run(
