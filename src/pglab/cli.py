@@ -1,9 +1,10 @@
 """Command-line front end: verify, analyze, census, hom, iso, quotient.
 
-Exit codes: 0 success, 1 validation failure, 2 cap exceedance.  Caps come
-from PGLAB_* environment variables and per-invocation flags.  analyze and
-census cross-check with the congruence and subgroup oracles only where
-their m^n table and m·2^m mask fit --axiom-cost-cap (order ≤ 16).
+Exit codes: 0 success, 1 validation failure or a closed stdout, 2 cap
+exceedance.  Caps come from PGLAB_* environment variables and
+per-invocation flags.  analyze and census cross-check with the congruence
+and subgroup oracles only where their m^n table and m·2^m mask fit
+--axiom-cost-cap (order ≤ 16).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -372,6 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except PolyadicError as exc:
         print(f"internal contradiction: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at exit does not raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, cached_on
 from .errors import (
     NoIdentityAtZero,
     NotAssociative,
@@ -80,49 +80,6 @@ class FiniteGroup:
         t = self.table
         m = self.order
         return tuple(a for a in range(m) if all(t[a][x] == t[x][a] for x in range(m)))
-
-    @cached_property
-    def _automorphisms(self) -> tuple["Automorphism", ...]:
-        """Every automorphism, uncapped: backtracking over images of 1..m-1
-        with pruning on element orders and on every fully-assigned product
-        triple."""
-        m, t, orders = self.order, self.table, self.element_orders
-        preimages: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                preimages[t[i][j]].append((i, j))
-        results: list[Automorphism] = []
-        img = [0] * m
-
-        def consistent(k: int) -> bool:
-            # check every product pair whose three participants are all assigned
-            for i in range(k + 1):
-                p = t[i][k]
-                if p <= k and img[p] != t[img[i]][img[k]]:
-                    return False
-                q = t[k][i]
-                if q <= k and img[q] != t[img[k]][img[i]]:
-                    return False
-            for (i, j) in preimages[k]:
-                if i <= k and j <= k and t[img[i]][img[j]] != img[k]:
-                    return False
-            return True
-
-        def extend(k: int, used: set[int]) -> None:
-            if k == m:
-                results.append(Automorphism(tuple(img)))
-                return
-            for y in range(m):
-                if y in used or orders[y] != orders[k]:
-                    continue
-                img[k] = y
-                if consistent(k):
-                    used.add(y)
-                    extend(k + 1, used)
-                    used.remove(y)
-
-        extend(1, {0})
-        return tuple(results)
 
     @cached_property
     def subgroup_lattice(self) -> tuple[tuple[int, ...], ...]:
@@ -246,16 +203,67 @@ def make_automorphism(group: FiniteGroup, perm: Sequence[int]) -> Automorphism:
     return Automorphism(p)
 
 
+def hom_rows(g: FiniteGroup, h: FiniteGroup, injective: bool = False) -> np.ndarray:
+    """Every homomorphism g → h (the injective ones only, if asked) as the
+    rows of an array, in lexicographic order; stored on g, keyed by h's
+    table."""
+    by_target = cached_on(g, "injective_homs" if injective else "binary_homs", dict)
+    if h.table not in by_target:
+        by_target[h.table] = np.asarray(_hom_search(g, h, injective)).reshape(-1, g.order)
+    return by_target[h.table]
+
+
+def _hom_search(g: FiniteGroup, h: FiniteGroup, injective: bool) -> list[tuple[int, ...]]:
+    """Backtracking over the images of 1, ..., m-1 in turn, each in
+    increasing order, so the maps come out sorted.  The image of k has an
+    order dividing k's (equal to it, and not yet used, if injective); the
+    products i·j = p whose last element max(i, j, p) is k are checked as
+    soon as k is assigned."""
+    m, gt, ht, h_orders = g.order, g.table, h.table, h.element_orders
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for i, row in enumerate(gt):
+        for j, p in enumerate(row):
+            checks[max(i, j, p)].append((i, j, p))
+    candidates = [
+        [y for y in range(h.order) if (h_orders[y] == o if injective else o % h_orders[y] == 0)]
+        for o in g.element_orders
+    ]
+    img, out = [0] * m, []
+    used = [injective] + [False] * (h.order - 1)  # an injective map has used 0 on 0
+
+    def extend(k: int) -> None:
+        if k == m:
+            out.append(tuple(img))
+            return
+        for y in candidates[k]:
+            if used[y]:
+                continue
+            img[k] = y
+            for i, j, p in checks[k]:
+                if ht[img[i]][img[j]] != img[p]:
+                    break
+            else:
+                used[y] = injective
+                extend(k + 1)
+                used[y] = False
+
+    extend(1)
+    return out
+
+
 def automorphisms(group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Automorphism]:
-    """All automorphisms, as permutations in lexicographic order; the
-    search runs once per group, the cap is checked on every call."""
+    """All automorphisms, the injective homomorphisms group → group, as
+    permutations in lexicographic order; the search runs once per group,
+    order_cap is checked on every call."""
     m = group.order
-    if m > caps.automorphism_cap:
+    if m > caps.order_cap:
         raise OrderCapExceeded(
-            f"automorphism search on order {m} exceeds cap {caps.automorphism_cap}",
-            cap="automorphism_cap", required=m,
+            f"automorphism search on order {m} exceeds cap {caps.order_cap}",
+            cap="order_cap", required=m,
         )
-    return list(group._automorphisms)
+    return list(cached_on(
+        group, "automorphisms", lambda: tuple(map(Automorphism, _hom_search(group, group, True)))
+    ))
 
 
 def inner_automorphism(group: FiniteGroup, a: int) -> Automorphism:

@@ -23,7 +23,7 @@ from .errors import (
     DecompositionFailed,
     ValidationError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, hom_rows
 from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
@@ -156,53 +156,8 @@ def _is_binary_hom(g: FiniteGroup, h: FiniteGroup, phi: np.ndarray) -> bool:
 
 
 def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All group homomorphisms g → h by backtracking, lexicographic order."""
-    return tuple(map(tuple, _binary_hom_rows(g, h).tolist()))
-
-
-def _binary_hom_rows(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
-    """binary_homs(g, h) as the rows of an array, stored on g, keyed by h's
-    table."""
-    by_target = cached_on(g, "binary_homs", dict)
-    if h.table not in by_target:
-        by_target[h.table] = np.asarray(_binary_homs(g, h)).reshape(-1, g.order)
-    return by_target[h.table]
-
-
-def _binary_homs(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:
-    mg, mh = g.order, h.order
-    h_orders = h.element_orders
-    g_orders = g.element_orders
-    out: list[tuple[int, ...]] = []
-    img = [0] * mg
-
-    def consistent(k: int) -> bool:
-        for i in range(k + 1):
-            p = g.table[i][k]
-            if p <= k and img[p] != h.table[img[i]][img[k]]:
-                return False
-            p = g.table[k][i]
-            if p <= k and img[p] != h.table[img[k]][img[i]]:
-                return False
-        for i in range(k):
-            for j in range(k):
-                if g.table[i][j] == k and h.table[img[i]][img[j]] != img[k]:
-                    return False
-        return True
-
-    def extend(k: int) -> None:
-        if k == mg:
-            out.append(tuple(img))
-            return
-        for y in range(mh):
-            if g_orders[k] % h_orders[y] != 0:
-                continue  # image order must divide source order
-            img[k] = y
-            if consistent(k):
-                extend(k + 1)
-
-    extend(1)
-    return out
+    """All group homomorphisms g → h, in lexicographic order."""
+    return tuple(map(tuple, hom_rows(g, h).tolist()))
 
 
 def _splits(
@@ -355,14 +310,13 @@ def _oracle_hom_maps(
 def _split_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps, bijective: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """psi = R_a ∘ phi for every binary homomorphism phi (the bijective
-    ones only, if asked) and every anchor a passing both conditions, the
-    conditions tested for all a at once."""
+    """psi = R_a ∘ phi for every binary homomorphism phi (the injective
+    ones only, if bijective maps are asked for: the callers have checked
+    that the orders are equal) and every anchor a passing both conditions,
+    the conditions tested for all a at once."""
     src = derived_view(p, caps)
     tgt = hg_anchor0(q, caps)
-    phis = _binary_hom_rows(src.base, tgt.base)
-    if bijective:
-        phis = phis[(np.sort(phis, axis=1) == np.arange(q.order)).all(axis=1)]
+    phis = hom_rows(src.base, tgt.base, injective=bijective)
     for block in row_blocks(phis, p.order * q.order, _BLOCK_CELLS):
         anchor, intertwine = _condition_masks(src, tgt, block)
         rows, anchors = np.nonzero(anchor & intertwine)
@@ -422,7 +376,7 @@ def are_isomorphic(
 
     Cheap invariants (order, arity, identity presence, skew fixed points,
     idempotent count) prune before the bijection search; the search itself
-    crosses bijective binary homomorphisms with valid anchors.
+    crosses the injective binary homomorphisms with valid anchors.
     """
     if p.arity != q.arity or p.order != q.order:
         return None

@@ -218,6 +218,22 @@ def run_cli(argv, env):
     )
 
 
+class TestBrokenPipe:
+    def test_reader_closing_early_gives_no_traceback(self):
+        """A reader that closes the pipe before the output is written (as
+        `| head -c 10` does) ends the run with exit code 1, not a traceback."""
+        src = str(Path(pglab.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pglab.cli", "--json", "census", "--order", "9", "--arity", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, env",

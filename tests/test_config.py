@@ -88,9 +88,9 @@ class TestCaps:
         "cap,call",
         [
             ("order_cap", lambda s, c: make_group(catalog_group("Z3").table, caps=c)),
-            ("automorphism_cap", lambda s, c: automorphisms(catalog_group("Z3"), c)),
             ("arity_cap", lambda s, c: congruences_theorem(s["T4"], c)),
             ("order_cap", lambda s, c: congruences_theorem(s["T4"], c)),
+            ("order_cap", lambda s, c: automorphisms(catalog_group("Z3"), c)),
             ("axiom_cost_cap", lambda s, c: verify_table_axioms(3, 2, [0] * 8, caps=c)),
             ("axiom_cost_cap", lambda s, c: enumerate_polyadic_subgroups(s["T4"], "oracle", c)),
             ("axiom_cost_cap", lambda s, c: is_polyadic_hom((0, 1, 2), s["T3"], s["T3"], c)),
@@ -125,7 +125,7 @@ class TestCaches:
         "call, table, tight, error",
         [
             (lambda p, caps: automorphisms(p.presentation.base, caps), False,
-             Caps(automorphism_cap=2), OrderCapExceeded),
+             Caps(order_cap=2), OrderCapExceeded),
             (derived_view, True, Caps(order_cap=2), OrderCapExceeded),
             (derived_view, True, Caps(arity_cap=2), OrderCapExceeded),
             # der(Z3, id, 0, 3): the oracles' 27-cell table meets a cap of 26

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglab import morphisms
-from pglab.catalog import catalog_group
+from pglab.catalog import catalog, catalog_group
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import (
     ArityMismatch,
@@ -14,7 +14,7 @@ from pglab.errors import (
     CostCapExceeded,
     ValidationError,
 )
-from pglab.groups import Automorphism, FiniteGroup
+from pglab.groups import Automorphism, FiniteGroup, hom_rows
 from pglab.morphisms import (
     PolyadicHom,
     are_isomorphic,
@@ -273,7 +273,32 @@ class TestCompose:
             compose_hom(0, (0, 1, 1), structs["T3"], structs["T3"])
 
 
+def brute_binary_homs(g, h):
+    """Oracle: every one of the |h|^|g| maps, in lexicographic order, that
+    satisfies phi(x·y) = phi(x)·phi(y) on every pair."""
+    maps = np.indices((h.order,) * g.order).reshape(g.order, -1).T
+    holds = (maps[:, g.np_table] == h.np_table[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    return maps[holds]
+
+
+SMALL_CATALOG_PAIRS = [
+    (a, b) for a, g in catalog().items() for b, h in catalog().items() if h.order**g.order <= 10**5
+]
+
+
 class TestBinaryHoms:
+    @pytest.mark.parametrize(
+        "source, target", SMALL_CATALOG_PAIRS, ids=[f"{a}->{b}" for a, b in SMALL_CATALOG_PAIRS]
+    )
+    def test_equals_brute_force_scan(self, source, target):
+        """The search finds every homomorphism of the |h|^|g| scan, in its
+        order, and its injective mode the injective maps among them."""
+        g, h = catalog_group(source), catalog_group(target)
+        brute = brute_binary_homs(g, h)
+        assert binary_homs(g, h) == tuple(map(tuple, brute.tolist()))
+        injective = [row for row in brute.tolist() if len(set(row)) == g.order]
+        assert hom_rows(g, h, injective=True).tolist() == injective
+
     def test_z2_to_z4(self):
         homs = binary_homs(catalog_group("Z2"), catalog_group("Z4"))
         assert homs == ((0, 0), (0, 2))
