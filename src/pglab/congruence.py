@@ -167,9 +167,8 @@ def congruences_bruteforce(
 
 def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
     m = p.order
-    small = p.cube.astype(np.min_scalar_type(m - 1))
     # the distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}), then skew
-    keys = [np.unique(_keys(np.moveaxis(small, i, -1).reshape(-1, m))) for i in range(p.arity)]
+    keys = [np.unique(_keys(np.moveaxis(p.cube, i, -1).reshape(-1, m))) for i in range(p.arity)]
     maps = np.vstack([_rows(np.unique(np.concatenate(keys)), m), [p.skew_table]])
     # Cg(a, b) for every a < b, a fixpoint on a stack of relations held as
     # labels (x ↦ the least member of its class): a round relates t(x) to

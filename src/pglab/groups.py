@@ -158,10 +158,6 @@ class Automorphism:
     def np_perm(self) -> np.ndarray:
         return np.asarray(self.perm)
 
-    @property
-    def degree(self) -> int:
-        return len(self.perm)
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self ∘ other (apply other first)."""
         return Automorphism(tuple(self.perm[y] for y in other.perm))

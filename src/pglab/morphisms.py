@@ -76,22 +76,12 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     ])
 
 
-def _complete_check(
-    maps: np.ndarray, p: PolyadicGroup, q: PolyadicGroup, caps: Caps
-) -> np.ndarray:
-    """For each row of maps, the flat index of the first of the m^n source
-    tuples t with h(psi(t)) != psi(f(t)), or -1; refused beyond
-    axiom_cost_cap.  The one check every reported homomorphism passes."""
-    m, n, mq = p.order, p.arity, q.order
-    if m**n > caps.axiom_cost_cap:
+def _check_cost(p: PolyadicGroup, caps: Caps) -> None:
+    cells = p.order**p.arity  # the complete check reads every source tuple
+    if cells > caps.axiom_cost_cap:
         raise CostCapExceeded(
-            f"hom check needs {m ** n} evaluations", cap="axiom_cost_cap", required=m**n
+            f"hom check needs {cells} evaluations", cap="axiom_cost_cap", required=cells
         )
-    out = []
-    for block in row_blocks(maps, m**n, _BLOCK_CELLS):
-        bad = q.flat_np[packed_tuples(block, mq, n)] != block[:, p.flat_np]
-        out.append(np.where(bad.any(axis=1), bad.argmax(axis=1), -1))
-    return np.concatenate(out)
 
 
 def is_polyadic_hom(
@@ -102,8 +92,8 @@ def is_polyadic_hom(
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustive check of psi(f(xs)) = h(psi(xs)); returns first bad tuple.
 
-    The one-map case of the complete check the hom oracle runs on its
-    leaves."""
+    h(psi(xs)) for every xs is q's table gathered at psi along each of its
+    n axes; the hom oracle runs the same check on many maps at once."""
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
     if len(psi) != p.order:
@@ -111,10 +101,14 @@ def is_polyadic_hom(
     bad = [y for y in psi if not 0 <= y < q.order]
     if bad:
         raise ValidationError(f"images {bad} are outside the target carrier 0..{q.order - 1}")
-    first = int(_complete_check(np.asarray([psi], dtype=np.int64), p, q, caps)[0])
-    if first < 0:
+    _check_cost(p, caps)
+    psi_np, image = np.asarray(psi, dtype=q.flat_np.dtype), q.cube
+    for k in range(p.arity):
+        image = image.take(psi_np, axis=k)
+    bad = (image.ravel() != psi_np.take(p.flat_np)).nonzero()[0]
+    if not len(bad):
         return True, None
-    return False, tuple(int(c) for c in np.unravel_index(first, (p.order,) * p.arity))
+    return False, tuple(int(c) for c in np.unravel_index(bad[0], image.shape))
 
 
 def _condition_masks(
@@ -282,11 +276,11 @@ def _oracle_hom_maps(
     (the middle argument of every edge tuple).  After each step the rows
     whose diagonal, skew or edge tuple has just been fully assigned are
     checked at once and the violating rows dropped.  The surviving total
-    maps get the complete check on every tuple.  Columns are assigned in
-    order and each row is extended by its images in order, so the maps come
-    out sorted.  The scan never consults the theorem route.
+    maps get the complete check on every tuple, in blocks.  Columns are
+    assigned in order and each row is extended by its images in order, so
+    the maps come out sorted.  The scan never consults the theorem route.
     """
-    mp, mq = p.order, q.order
+    mp, mq, n = p.order, q.order, p.arity
     total = mq**mp
     if total > caps.hom_oracle_cap:
         raise CostCapExceeded(
@@ -303,8 +297,12 @@ def _oracle_hom_maps(
             maps = maps[_rows_hold(maps, q, rows)]
         if not len(maps):
             return []
-    maps = maps[_complete_check(maps, p, q, caps) < 0]
-    return [tuple(row) for row in maps.tolist()]
+    _check_cost(p, caps)
+    holds = [
+        (q.flat_np[packed_tuples(block, mq, n)] == np.take(block, p.flat_np, axis=1)).all(axis=1)
+        for block in row_blocks(maps, mp**n, _BLOCK_CELLS)
+    ]
+    return [tuple(row) for row in maps[np.concatenate(holds)].tolist()]
 
 
 def _split_maps(

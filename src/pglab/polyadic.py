@@ -50,8 +50,10 @@ class DerivedPresentation:
 
 @dataclass(frozen=True)
 class TablePresentation:
+    """The cells of the flat table, as flat_np holds them, in bytes."""
+
     order: int
-    flat: tuple[int, ...]
+    flat: bytes
 
 
 Presentation = Union[DerivedPresentation, TablePresentation]
@@ -101,11 +103,7 @@ class PolyadicGroup:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
         pres = self.presentation
         if isinstance(pres, TablePresentation):
-            m = pres.order
-            idx = 0
-            for x in args:
-                idx = idx * m + x
-            return pres.flat[idx]
+            return self.cube.item(*args)
         table = pres.base.table
         pows = self.theta_pows
         acc = args[0]
@@ -113,21 +111,26 @@ class PolyadicGroup:
             acc = table[acc][pows[i][args[i]]]
         return table[acc][pres.b]
 
-    @cached_property
-    def flat_np(self) -> np.ndarray:
-        """Flat operation table, index of (x1..xn) being sum of xi·m^(n-i)."""
-        m, n = self.order, self.arity
+    def eval_many(self, args: np.ndarray) -> np.ndarray:
+        """eval on every column of args, an n-row array of carrier elements,
+        read from the presentation: a derived group builds no m^n table."""
         pres = self.presentation
         if isinstance(pres, TablePresentation):
-            return np.asarray(pres.flat, dtype=np.int64)
-        table = pres.base.np_table
-        pows = self.theta_pows
-        acc = np.arange(m).reshape((m,) + (1,) * (n - 1))
-        for i in range(1, n):
-            v = np.asarray(pows[i]).reshape((1,) * i + (m,) + (1,) * (n - 1 - i))
-            acc = table[acc, v]
-        acc = table[acc, pres.b]
-        return np.ascontiguousarray(np.broadcast_to(acc, (m,) * n)).ravel()
+            return self.flat_np[np.ravel_multi_index(tuple(args), (self.order,) * self.arity)]
+        table, acc = pres.base.np_table, args[0]
+        for perm, x in zip(self.theta_pows[1:], args[1:]):
+            acc = table[acc, np.take(perm, x)]
+        return table[acc, pres.b]
+
+    @cached_property
+    def flat_np(self) -> np.ndarray:
+        """Flat operation table, index of (x1..xn) being sum of xi·m^(n-i), in
+        the smallest unsigned dtype holding m−1 (one byte a cell through order
+        256): index with it through np.take, widen it before arithmetic."""
+        pres = self.presentation
+        if isinstance(pres, TablePresentation):
+            return np.frombuffer(pres.flat, dtype=np.min_scalar_type(self.order - 1))
+        return _twisted_table(pres.base.np_table, pres.theta.np_perm, pres.b, self.arity)
 
     @cached_property
     def cube(self) -> np.ndarray:
@@ -141,21 +144,15 @@ class PolyadicGroup:
 
     @cached_property
     def skew_table(self) -> tuple[int, ...]:
-        if self.is_derived:
-            return tuple(self._skew_closed_form(x) for x in range(self.order))
-        return tuple(self.skew_oracle(x) for x in range(self.order))
-
-    def _skew_closed_form(self, x: int) -> int:
-        # skew(x) = b⁻¹ · theta^(n-2)(x⁻¹) ⋯ theta²(x⁻¹) · theta(x⁻¹)
         pres = self.presentation
-        assert isinstance(pres, DerivedPresentation)
-        group = pres.base
-        pows = self.theta_pows
-        xi = group.inv(x)
-        acc = group.inv(pres.b)
-        for k in range(self.arity - 2, 0, -1):
-            acc = group.mul(acc, pows[k][xi])
-        return acc
+        if isinstance(pres, TablePresentation):
+            return tuple(self.skew_oracle(x) for x in range(self.order))
+        # skew(x) = b⁻¹ · theta^(n-2)(x⁻¹) ⋯ theta²(x⁻¹) · theta(x⁻¹), every x at once
+        group, inverses = pres.base, np.asarray(pres.base.inverses)
+        acc = np.full(self.order, group.inv(pres.b))
+        for perm in self.theta_pows[self.arity - 2 : 0 : -1]:
+            acc = group.np_table[acc, np.take(perm, inverses)]
+        return tuple(acc.tolist())
 
     def skew(self, x: int) -> int:
         return self.skew_table[x]
@@ -184,6 +181,19 @@ class PolyadicGroup:
             base = self.presentation.base.name or f"order {self.order}"
             return f"PolyadicGroup(n={self.arity}, der({base}, b={self.presentation.b}))"
         return f"PolyadicGroup(n={self.arity}, table, order {self.order})"
+
+
+def _twisted_table(table: np.ndarray, theta: np.ndarray, b: int, n: int) -> np.ndarray:
+    """The flat table of x1·θ(x2)···θ^(n−1)(xn)·b by row gathers: acc holds
+    x1·θ(x2)···θ^i(x_{i+1}) for every prefix in flat order, so the rows of
+    table[:, θ^(i+1)] taken at acc append the next argument as the fastest
+    axis; a final gather multiplies by b."""
+    table = np.asarray(table, dtype=np.min_scalar_type(len(table) - 1))
+    acc = perm = np.arange(len(table), dtype=table.dtype)
+    for _ in range(n - 1):
+        perm = np.take(theta, perm)
+        acc = np.take(table[:, perm], acc, axis=0).ravel()
+    return np.take(table[:, b], acc)
 
 
 def packed_tuples(values: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -265,19 +275,14 @@ def verify_table_axioms(
     tuples. Placement i is one gather: the inner value depends only on the
     middle n coordinates, so the flat table, viewed as (m^i, m, m^(n−1−i)),
     is indexed along its middle axis by the flat table itself, which gives
-    the grid in C order. Two grids of m^(2n−1) cells, in the smallest dtype
-    that holds m−1, are live at a time, plus a boolean mask while they are
+    the grid in C order. Two grids of m^(2n−1) cells, in the table's dtype
+    (flat_np's), are live at a time, plus a boolean mask while they are
     compared. It refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap
     rather than silently sampling.
     """
     m, n = order, arity
     _check_arity_order(n, m, caps)
-    flat_arr = np.asarray(flat, dtype=np.int64)
-    if flat_arr.shape != (m**n,):
-        raise ValidationError(f"flat table must have m^n = {m ** n} entries")
-    if flat_arr.size and (flat_arr.min() < 0 or flat_arr.max() >= m):
-        raise ValidationError("table entries out of range")
-    cube = flat_arr.reshape((m,) * n)
+    small = _table_array(n, m, flat)
     violations: list[tuple] = []
 
     cost = m ** (2 * n - 1)
@@ -288,7 +293,6 @@ def verify_table_axioms(
             cap="axiom_cost_cap", required=cost,
         )
 
-    small = flat_arr.astype(np.min_scalar_type(m - 1))
     associative = True
     prev = np.take(small.reshape(1, m, -1), small, axis=1).ravel()
     for i in range(1, n):
@@ -300,7 +304,7 @@ def verify_table_axioms(
             break
         prev = cur
 
-    solvable, solve_viol = _check_solvability(cube, m, n)
+    solvable, solve_viol = _check_solvability(small.reshape((m,) * n), m, n)
     violations.extend(solve_viol)
     return AxiomReport(associative, solvable, tuple(violations))
 
@@ -324,13 +328,22 @@ def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, list[tup
     return True, violations
 
 
+def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
+    """flat in flat_np's dtype, refused (ValidationError) unless it has m^n
+    entries, each in 0..m−1."""
+    arr = np.asarray(flat)
+    if arr.shape != (m**n,):
+        raise ValidationError(f"flat table must have m^n = {m ** n} entries")
+    if arr.min() < 0 or arr.max() >= m:
+        raise ValidationError("table entries out of range")
+    return arr.astype(np.min_scalar_type(m - 1), copy=False)
+
+
 def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     """Axiom report for a table-form polyadic group."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
-    pres = p.presentation
-    assert isinstance(pres, TablePresentation)
-    return verify_table_axioms(p.arity, pres.order, pres.flat, caps=caps)
+    return verify_table_axioms(p.arity, p.order, p.flat_np, caps=caps)
 
 
 def from_table(
@@ -341,24 +354,47 @@ def from_table(
     verify: bool = True,
     name: str = "",
 ) -> PolyadicGroup:
-    """Wrap a raw flat table, verifying the n-ary group axioms by default."""
+    """Wrap a raw flat table, verifying the n-ary group axioms by default;
+    its length and range are checked (ValidationError) whatever verify says."""
     _check_arity_order(arity, order, caps)
-    flat_t = tuple(int(x) for x in flat)
+    table = _table_array(arity, order, tuple(int(x) for x in flat))
     if verify:
-        report = verify_table_axioms(arity, order, flat_t, caps=caps)
+        report = verify_table_axioms(arity, order, table, caps=caps)
         if not report.associative:
             raise NotAssociative(f"table fails associativity: {report.violations[0]}")
         if not report.solvable:
             raise NotSolvable(f"table fails solvability: {report.violations[0]}")
-    return PolyadicGroup(arity, TablePresentation(order, flat_t), name=name)
+    return PolyadicGroup(arity, TablePresentation(order, table.tobytes()), name=name)
 
 
 def as_table(p: PolyadicGroup) -> PolyadicGroup:
     """Forget the presentation, keeping only the raw operation table."""
     if not p.is_derived:
         return p
-    flat = tuple(int(v) for v in p.flat_np)
-    return PolyadicGroup(p.arity, TablePresentation(p.order, flat), name=p.name)
+    return PolyadicGroup(p.arity, TablePresentation(p.order, p.flat_np.tobytes()), name=p.name)
+
+
+def _retract(p: PolyadicGroup, a: int):
+    """The retract at a and its relabelling (see `retract`), then, from one
+    batched evaluation of p in p's coordinates, the retract table f(x, a,…,a, y),
+    the twist f(skew(a), x, a,…,a) and c = f(skew(a),…,skew(a))."""
+    m, n = p.order, p.arity
+    if not 0 <= a < m:
+        raise ValidationError(f"anchor {a} is outside the carrier 0..{m - 1}")
+    abar = p.skew(a)
+    k = m * m
+    args = np.full((n, k + m + 1), a)
+    args[0, :k], args[-1, :k] = np.divmod(np.arange(k), m)
+    args[0, k:] = abar
+    args[1, k:] = np.append(np.arange(m), abar)
+    args[2:, -1] = abar
+    values = p.eval_many(args)
+    ret, twist, c = values[:k].reshape(m, m), values[k:-1], int(values[-1])
+    unrelabel = np.asarray([abar] + [x for x in range(m) if x != abar])
+    relabel = np.argsort(unrelabel)
+    name = f"ret_{a}({p.name})" if p.name else ""
+    group = make_group(relabel[ret[np.ix_(unrelabel, unrelabel)]].tolist(), name=name)
+    return group, relabel, ret, twist, c
 
 
 def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -367,26 +403,8 @@ def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
     skew(a) is the identity of the retract; the returned relabelling moves it
     to index 0 and keeps the remaining elements in ascending order.
     """
-    m, n = p.order, p.arity
-    if not 0 <= a < m:
-        raise ValidationError(f"anchor {a} is outside the carrier 0..{m - 1}")
-    abar = p.skew(a)
-    relabel = [0] * m
-    relabel[abar] = 0
-    nxt = 1
-    for x in range(m):
-        if x != abar:
-            relabel[x] = nxt
-            nxt += 1
-    unrelabel = inverse_perm(relabel)
-    mid = [a] * (n - 2)
-    table = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            table[i][j] = relabel[p.eval([unrelabel[i]] + mid + [unrelabel[j]])]
-    name = f"ret_{a}({p.name})" if p.name else ""
-    group = make_group(table, name=name)
-    return group, tuple(relabel)
+    group, relabel, *_ = _retract(p, a)
+    return group, tuple(relabel.tolist())
 
 
 @dataclass(frozen=True)
@@ -422,11 +440,8 @@ class HosszuGloskin:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """f(a, ..., a) for every element a of the presentation."""
-        table = self.base.np_table
-        acc = np.arange(self.base.order)
-        for perm in self.group.theta_pows[1:]:
-            acc = table[acc, perm]
-        return table[acc, self.b]
+        m, n = self.base.order, self.group.arity
+        return self.group.eval_many(np.broadcast_to(np.arange(m), (n, m)))
 
 
 def hosszu_gloskin(
@@ -435,40 +450,33 @@ def hosszu_gloskin(
     """Decompose f over the retract at a: twist phi(x) = f(skew(a), x, a,...,a)
     and constant c = f(skew(a),...,skew(a)).
 
-    Validates the derived-form gates and that the rebuilt operation matches f
-    on every tuple within the cost cap (sampled beyond).
+    Validates the derived-form gates and that der(retract, phi, c), rebuilt
+    in p's own coordinates, matches f on every tuple within the cost cap
+    (sampled beyond); a RoundTripMismatch names the first differing flat
+    index, or argument tuple, of p itself.
     """
     m, n = p.order, p.arity
-    group, relabel = retract(p, a)
-    unrelabel = inverse_perm(relabel)
-    abar = p.skew(a)
-    tail = [a] * (n - 2)
-    phi_perm = tuple(relabel[p.eval([abar, unrelabel[i]] + tail)] for i in range(m))
-    c = relabel[p.eval([abar] * n)]
+    group, relabel, ret, twist, c = _retract(p, a)
     try:
-        phi = make_automorphism(group, phi_perm)
-        derived = derive(group, phi, c, n, caps=caps, name=p.name and f"hg({p.name})")
+        phi = make_automorphism(group, tuple(relabel[twist[np.argsort(relabel)]].tolist()))
+        derived = derive(group, phi, int(relabel[c]), n, caps=caps, name=p.name and f"hg({p.name})")
     except (NotAutomorphism, BNotFixed, PowerCondition) as exc:
         raise RoundTripMismatch(f"retract twist is not a valid presentation: {exc}")
 
-    relabel_arr = np.asarray(relabel)
     if m**n <= caps.axiom_cost_cap:
-        ix = np.ix_(*([np.asarray(unrelabel)] * n))
-        original = relabel_arr[p.cube[ix]].ravel()
-        # built on a fresh copy, so the view does not keep the table
-        rebuilt = PolyadicGroup(n, derived.presentation).flat_np
-        if not np.array_equal(original, rebuilt):
-            bad = int(np.argwhere(original != rebuilt)[0][0])
-            raise RoundTripMismatch(f"rebuilt operation differs at flat index {bad}")
+        # ret, twist and c are the retract, phi and c carried back to p's carrier
+        bad = np.flatnonzero(_twisted_table(ret, twist, c, n) != p.flat_np)
+        if len(bad):
+            raise RoundTripMismatch(f"rebuilt operation differs at flat index {bad[0]}")
     else:
         rng = random.Random(0)
-        for _ in range(2000):
-            args = [rng.randrange(m) for _ in range(n)]
-            expect = relabel[p.eval(args)]
-            got = derived.eval([relabel[x] for x in args])
-            if expect != got:
-                raise RoundTripMismatch(f"rebuilt operation differs at {tuple(args)}")
-    return HosszuGloskin(derived, tuple(relabel))
+        args = np.asarray([[rng.randrange(m) for _ in range(n)] for _ in range(2000)]).T
+        bad = np.flatnonzero(relabel[p.eval_many(args)] != derived.eval_many(relabel[args]))
+        if len(bad):
+            raise RoundTripMismatch(
+                f"rebuilt operation differs at {tuple(args[:, bad[0]].tolist())}"
+            )
+    return HosszuGloskin(derived, tuple(relabel.tolist()))
 
 
 def n_ary_identity(p: PolyadicGroup) -> Optional[int]:

@@ -51,7 +51,7 @@ def polyadic_to_doc(p: PolyadicGroup) -> dict:
             "b": pres.b,
         }
     else:
-        body = {"type": "table", "order": pres.order, "flat": list(pres.flat)}
+        body = {"type": "table", "order": pres.order, "flat": p.flat_np.tolist()}
     return {"kind": "polyadic", "arity": p.arity, "presentation": body}
 
 

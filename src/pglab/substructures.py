@@ -23,8 +23,8 @@ from .errors import (
 from .groups import Automorphism, FiniteGroup, inverse_perm
 from .polyadic import (
     PolyadicGroup,
-    TablePresentation,
     derived_view,
+    from_table,
     n_ary_identity,
     packed_tuples,
     row_blocks,
@@ -351,7 +351,7 @@ def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray
     argument classes (the class operation is ill defined)."""
     k = int(cls_of.max()) + 1
     sig = packed_tuples(cls_of, k, p.arity)
-    vals = cls_of[p.flat_np]
+    vals = np.take(cls_of.astype(p.flat_np.dtype), p.flat_np)
     table = np.empty(k**p.arity, dtype=vals.dtype)
     table[sig] = vals
     return table if np.array_equal(table[sig], vals) else None
@@ -378,9 +378,8 @@ def quotient_polyadic(
     flat_q = class_signature(p, cls_of)
     if flat_q is None:
         raise IllDefined("quotient operation depends on representatives")
-    quotient = PolyadicGroup(
-        p.arity, TablePresentation(len(classes), tuple(int(v) for v in flat_q)),
-        name=p.name and f"{p.name}/H",
+    quotient = from_table(
+        p.arity, len(classes), flat_q, caps=caps, verify=False, name=p.name and f"{p.name}/H"
     )
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")

@@ -26,7 +26,9 @@ from pglab.morphisms import (
     hom_compose,
     is_polyadic_hom,
 )
-from pglab.polyadic import derive, derived_view, from_table, hg_anchor0, packed_tuples
+from pglab.polyadic import (
+    as_table, derive, derived_view, from_table, hg_anchor0, packed_tuples,
+)
 
 
 def brute_homs(p, q):
@@ -170,6 +172,27 @@ class TestEnumerate:
                     None,
                 )
                 assert is_polyadic_hom(psi, p, q) == (first is None, first)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_witness_is_first_bad_tuple_on_corpus_pairs(self, small_corpus, data):
+        # random maps and true homomorphisms, between derived and table forms
+        p = data.draw(st.sampled_from(small_corpus))
+        q = data.draw(st.sampled_from([q for q in small_corpus if q.arity == p.arity]))
+        homs = [h.map for h in enumerate_homs(p, q)]
+        maps = st.lists(st.integers(0, q.order - 1), min_size=p.order, max_size=p.order)
+        psi = data.draw(st.sampled_from(homs) | maps if homs else maps)
+        p = as_table(p) if data.draw(st.booleans()) else p
+        q = as_table(q) if data.draw(st.booleans()) else q
+        first = next(
+            (
+                args
+                for args in itertools.product(range(p.order), repeat=p.arity)
+                if psi[p.eval(list(args))] != q.eval([psi[x] for x in args])
+            ),
+            None,
+        )
+        assert is_polyadic_hom(psi, p, q) == (first is None, first)
 
     def test_composition_is_hom(self, structs):
         p = structs["T4inv"]

@@ -1,10 +1,13 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pglab.catalog import catalog_group, cyclic
+from pglab.catalog import catalog_group, cyclic, direct_product
 from pglab.config import Caps
+from pglab.corpus import corpus_bases
 from pglab.errors import (
     ArityMismatch,
     BNotFixed,
@@ -12,6 +15,7 @@ from pglab.errors import (
     NotCentral,
     NotSolvable,
     PowerCondition,
+    RoundTripMismatch,
     ValidationError,
 )
 from pglab.groups import Automorphism
@@ -149,6 +153,21 @@ class TestEval:
             idx = (args[0] * 4 + args[1]) * 4 + args[2]
             assert p.flat_np[idx] == p.eval(list(args))
 
+    @pytest.mark.parametrize("arity", [3, 4, 5])
+    def test_flat_table_is_eval_in_one_byte_cells(self, arity):
+        # a seeded twist of every corpus base, and of Z16 and Z2^4 at arity 3
+        rng = random.Random(arity)
+        bases = corpus_bases()
+        if arity == 3:
+            z2_4 = direct_product(direct_product(catalog_group("Z2xZ2"), cyclic(2)), cyclic(2))
+            bases += [cyclic(16), z2_4]
+        for base in bases:
+            p = rng.choice(all_derived(base, arity))
+            m = p.order
+            assert p.flat_np.dtype == np.uint8 and p.flat_np.nbytes == m**arity
+            every = itertools.product(range(m), repeat=arity)
+            assert p.flat_np.tolist() == [p.eval(list(args)) for args in every]
+
 
 class TestVerifyAxioms:
     def test_valid_table(self, structs):
@@ -192,6 +211,14 @@ class TestVerifyAxioms:
             verify_table_axioms(3, 0, [])
         with pytest.raises(ValidationError):
             from_table(3, 0, [])
+
+    @pytest.mark.parametrize(
+        "flat", [[0, 1, 1, 5, 1, 0, 0, 1], [0, 1, 1, 300, 1, 0, 0, 1], [0, 1, 1, 255, 1, 0, 0, 1],
+                 [-1, 1, 1, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0, 0]],
+    )
+    def test_unverified_table_is_still_length_and_range_checked(self, flat):
+        with pytest.raises(ValidationError):
+            from_table(3, 2, flat, verify=False)
 
     @pytest.mark.parametrize("arity, order", [(3, True), (True, 1), (3, 1.0), (3.0, 1)])
     def test_non_integer_arity_or_order_is_refused(self, arity, order):
@@ -321,6 +348,25 @@ class TestHosszuGloskin:
 
     def test_view_keeps_no_table(self, structs):
         assert "flat_np" not in hg_anchor0(as_table(structs["T4inv"])).group.__dict__
+
+    def test_view_beyond_the_cap_builds_no_table(self):
+        # the retract, twist and c are read off the presentation
+        p = derive(catalog_group("Z5"), Automorphism(tuple(2 * x % 5 for x in range(5))), 0, 5)
+        view = hg_anchor0(p, Caps(axiom_cost_cap=5**5 - 1))
+        assert "flat_np" not in p.__dict__
+        exact = hosszu_gloskin(p, 0)
+        assert (view.group, view.relabel) == (exact.group, exact.relabel)
+
+    def test_mismatch_names_the_input_flat_index(self, small_corpus):
+        # cell 4 is (0, 1, 0): neither the retract at 0 nor, when skew(0) != 0,
+        # the twist or c reads it, so the rebuilt operation differs there first
+        twists = [p for p in small_corpus if (p.order, p.arity) == (4, 3) and p.skew(0) != 0]
+        assert len(twists) == 10
+        for p in twists:
+            flat = list(as_table(p).presentation.flat)
+            flat[4] = (flat[4] + 1) % 4
+            with pytest.raises(RoundTripMismatch, match=r"at flat index 4$"):
+                hosszu_gloskin(from_table(3, 4, flat, verify=False), 0)
 
     def test_roundtrip_every_anchor(self, structs):
         for p in structs.values():
