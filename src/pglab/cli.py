@@ -138,17 +138,17 @@ def cmd_analyze(args, caps: Caps) -> int:
         congs = congruences(p, caps=caps)
         entries = []
         for c in congs:
-            kc = kernel_class(c, caps=caps)
+            kc = kernel_class(c)
             entries.append(
                 {
                     "classes": [list(x) for x in c.classes],
                     "kernel": list(kc.members),
                     "kernel_related_to_constant": kc.b_related,
-                    "normal_witness": is_normal_congruence(c, caps=caps),
+                    "normal_witness": is_normal_congruence(c),
                 }
             )
         payload["congruences"] = entries
-        modular = _lattice_summary(congs, caps)
+        modular = _lattice_summary(congs)
         payload["lattice"] = modular
         lines.append(f"congruences: {len(congs)}; commuting pairs: "
                      f"{_yes(modular['all_commute'])}; modular: {_yes(modular['modular'])}")
@@ -174,14 +174,14 @@ def cmd_analyze(args, caps: Caps) -> int:
     return 0
 
 
-def _lattice_summary(congs, caps: Caps) -> dict:
+def _lattice_summary(congs) -> dict:
     all_commute = True
     meets = [[0] * len(congs) for _ in congs]
     joins = [[0] * len(congs) for _ in congs]
     index = {c.classes: i for i, c in enumerate(congs)}
     for i, r in enumerate(congs):
         for j, q in enumerate(congs):
-            ops = lattice_ops(r, q, caps=caps)
+            ops = lattice_ops(r, q)
             all_commute &= ops.commutes and ops.composition_is_product
             meets[i][j] = index[ops.meet.classes]
             joins[i][j] = index[ops.join.classes]

@@ -20,13 +20,7 @@ from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement
 from .groups import enumerate_subgroups, twisted_quotient
-from .polyadic import (
-    HosszuGloskin,
-    PolyadicGroup,
-    _check_arity_order,
-    derive,
-    derived_view,
-)
+from .polyadic import HosszuGloskin, PolyadicGroup, derive
 from .substructures import PolyadicSubgroup, class_signature, coset_classes
 
 
@@ -196,15 +190,11 @@ def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
     return tuple(_canonical_sort([_partition_by(p, row.tolist()) for row in _rows(lattice, m)]))
 
 
-def congruences_theorem(
-    p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
-) -> list[Congruence]:
+def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
     """Enumerate congruences as the coset partitions of the twist-invariant
     normal subgroups of the base, mapped back to the original carrier
-    (the relabelling round-trips for table presentations).  The arity and
-    order caps are checked on every call."""
-    _check_arity_order(p.arity, p.order, caps)
-    hg = derived_view(p, caps)
+    (the relabelling round-trips for table presentations)."""
+    hg = p.view
     base, unrelabel = hg.base, hg.unrelabel
     out = []
     for k in enumerate_subgroups(base, "theta_invariant_normal", theta=hg.theta):
@@ -223,7 +213,7 @@ def congruences(
     return cross_check(
         "congruence",
         strategy,
-        lambda: congruences_theorem(p, caps),
+        lambda: congruences_theorem(p),
         lambda: congruences_bruteforce(p, caps),
         oracle_fits(p, caps),
     )
@@ -238,19 +228,15 @@ class KernelClass:
     polyadic_subgroup: bool
 
 
-def kernel_class(
-    r: Congruence, caps: Caps = DEFAULT_CAPS
-) -> KernelClass:
+def kernel_class(r: Congruence) -> KernelClass:
     """Class of the identity; always a twist-invariant normal base subgroup.
 
     Also reports whether the constant b is related to the identity, which is
     exactly when the kernel class is itself a polyadic subgroup; the flag is
-    read off that theorem, so no m^n table is built.  The caps
-    are those of derived_view, checked on every call; the class is found
-    and checked once per congruence and stored on r.
+    read off that theorem, so no m^n table is built.  The class is found and
+    checked once per congruence and stored on r.
     """
-    hg = derived_view(r.ambient, caps)
-    return cached_on(r, "kernel", lambda: _kernel(r, hg))
+    return cached_on(r, "kernel", lambda: _kernel(r, r.ambient.view))
 
 
 def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
@@ -298,25 +284,24 @@ def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
     return out
 
 
-def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> LatticeOps:
+def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     """Meet (intersection) and join (composition) with diagnostics, in O(m²).
 
     A polyadic group is congruence-permutable, so the join R∨Q is the
-    relational composition R∘Q; both are read off the two partitions.  The
-    caps are those of derived_view, checked before any work.
+    relational composition R∘Q; both are read off the two partitions.
     """
     p = r.ambient
     if q.ambient != p:
         raise ValueError("congruences live on different polyadic groups")
-    hg = derived_view(p, caps)
+    hg = p.view
     meet = _partition_by(p, zip(r.class_of, q.class_of))
     rq = _composition(r, q)
     join = _partition_by(p, rq)
     commutes = rq == _composition(q, r)
 
     base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
-    kr = kernel_class(r, caps).members
-    kq = kernel_class(q, caps).members
+    kr = kernel_class(r).members
+    kq = kernel_class(q).members
     product_kernel = {base.mul(relabel[h1], relabel[h2]) for h1 in kr for h2 in kq}
     composition_is_product = rq == [
         frozenset(unrelabel[base.mul(relabel[x], k)] for k in product_kernel)
@@ -330,16 +315,12 @@ def lattice_ops(r: Congruence, q: Congruence, caps: Caps = DEFAULT_CAPS) -> Latt
     return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
 
 
-def sim_h(
-    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
-) -> Congruence:
+def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:
     """The congruence whose classes are the polyadic cosets of a normal h."""
-    return Congruence(p, coset_classes(p, h, caps))
+    return Congruence(p, coset_classes(p, h))
 
 
-def is_normal_congruence(
-    r: Congruence, caps: Caps = DEFAULT_CAPS
-) -> Optional[int]:
+def is_normal_congruence(r: Congruence) -> Optional[int]:
     """The smallest witness a such that r is the coset congruence of a·[e].
 
     Conditions scanned: a is related to its skew, and the twisted conjugate
@@ -347,7 +328,7 @@ def is_normal_congruence(
     a·kernel is rebuilt and its coset congruence must equal r.
     """
     p = r.ambient
-    hg = derived_view(p, caps)
+    hg = p.view
     base, theta_inv = hg.base, hg.theta.inverse()
     relabel, unrelabel = hg.relabel, hg.unrelabel
     skew = p.skew_table
@@ -360,11 +341,11 @@ def is_normal_congruence(
             for x in range(base.order)
         ):
             continue
-        kernel = kernel_class(r, caps)
+        kernel = kernel_class(r)
         members_view = [relabel[x] for x in kernel.members]
         h_view = tuple(sorted(base.mul(a, x) for x in members_view))
         h_orig = tuple(sorted(unrelabel[x] for x in h_view))
-        if sim_h(p, h_orig, caps).classes != r.classes:
+        if sim_h(p, h_orig).classes != r.classes:
             raise MethodDisagreement(
                 f"witness {a_orig} satisfies both conditions but the rebuilt "
                 f"subgroup {list(h_orig)} does not reproduce the congruence"
@@ -373,9 +354,7 @@ def is_normal_congruence(
     return None
 
 
-def normal_congruence_condition_direct(
-    r: Congruence, a: int, caps: Caps = DEFAULT_CAPS
-) -> bool:
+def normal_congruence_condition_direct(r: Congruence, a: int) -> bool:
     """Operation-level form of the second witness condition (arity >= 3)."""
     p = r.ambient
     n = p.arity
@@ -393,8 +372,8 @@ def quotient_by_congruence(
     p: PolyadicGroup, r: Congruence, caps: Caps = DEFAULT_CAPS
 ) -> PolyadicGroup:
     """Quotient in derived form: base modulo kernel, induced twist and constant."""
-    hg = derived_view(p, caps)
-    kernel = kernel_class(r, caps)
+    hg = p.view
+    kernel = kernel_class(r)
     members_view = tuple(sorted(hg.relabel[x] for x in kernel.members))
     quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, members_view, caps)
     return derive(quotient, theta_r, proj[hg.b], p.arity, caps=caps,

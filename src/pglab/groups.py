@@ -97,17 +97,27 @@ def make_group(
     caps: Caps = DEFAULT_CAPS,
     validate: bool = True,
 ) -> FiniteGroup:
-    """Validate a multiplication table and wrap it as a FiniteGroup.
+    """Validate a multiplication table within the order cap and wrap it as a
+    FiniteGroup.
 
     Checks, in order: identity at index 0, Latin-square rows/columns, and
     associativity.  Each failure names the first violating row or triple.
     """
     rows = tuple(tuple(int(x) for x in row) for row in table)
+    if len(rows) > caps.order_cap:
+        raise OrderCapExceeded(
+            f"order {len(rows)} exceeds cap {caps.order_cap}", cap="order_cap", required=len(rows)
+        )
+    return group_from_rows(rows, name, validate)
+
+
+def group_from_rows(
+    rows: tuple[tuple[int, ...], ...], name: str = "", validate: bool = True
+) -> FiniteGroup:
+    """make_group without the order cap, for an order already checked."""
     m = len(rows)
     if m == 0:
         raise NoIdentityAtZero("empty table has no identity row")
-    if m > caps.order_cap:
-        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", cap="order_cap", required=m)
     for i, row in enumerate(rows):
         if len(row) != m:
             raise ValidationError(f"table is not square: row {i} has length {len(row)}")

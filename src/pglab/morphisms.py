@@ -27,7 +27,6 @@ from .groups import FiniteGroup, hom_rows
 from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
-    derived_view,
     hg_anchor0,
     n_ary_identity,
     packed_tuples,
@@ -160,7 +159,7 @@ def _splits(
     """Every anchor a, the forced a = psi(identity) first, with the phi it
     leaves and the first failure of that split: None, "homomorphism" or the
     name of a side condition."""
-    src, tgt = derived_view(psi.source, caps), hg_anchor0(psi.target, caps)
+    src, tgt = psi.source.view, hg_anchor0(psi.target, caps)
     h_group = tgt.base
     psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
     forced = int(psi_t[0])
@@ -214,8 +213,7 @@ def compose_hom(
     a and phi are given in presentation coordinates: phi maps the source
     presentation base into the anchor-0 base of the target.
     """
-    src = derived_view(p, caps)
-    tgt = hg_anchor0(q, caps)
+    src, tgt = p.view, hg_anchor0(q, caps)
     h_group = tgt.base
     images = [int(x) for x in phi]
     if len(images) != p.order or not all(0 <= y < q.order for y in [a, *images]):
@@ -312,8 +310,7 @@ def _split_maps(
     ones only, if bijective maps are asked for: the callers have checked
     that the orders are equal) and every anchor a passing both conditions,
     the conditions tested for all a at once."""
-    src = derived_view(p, caps)
-    tgt = hg_anchor0(q, caps)
+    src, tgt = p.view, hg_anchor0(q, caps)
     phis = hom_rows(src.base, tgt.base, injective=bijective)
     for block in row_blocks(phis, p.order * q.order, _BLOCK_CELLS):
         anchor, intertwine = _condition_masks(src, tgt, block)

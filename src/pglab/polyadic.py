@@ -35,9 +35,9 @@ from .groups import (
     Automorphism,
     FiniteGroup,
     automorphisms,
+    group_from_rows,
     inverse_perm,
     make_automorphism,
-    make_group,
 )
 
 
@@ -169,9 +169,14 @@ class PolyadicGroup:
         return hits[0]
 
     @cached_property
-    def identity_view(self) -> "HosszuGloskin":
-        """A derived group as its own derived view, relabelled by the identity."""
-        return HosszuGloskin(self, tuple(range(self.order)))
+    def view(self) -> "HosszuGloskin":
+        """The derived coordinates der(G, θ, b) every theorem route reads: a
+        derived group is its own view, relabelled by the identity; a table is
+        read through its split at anchor 0, whose round trip is checked on
+        every cell.  The caps were checked when the group was built."""
+        if self.is_derived:
+            return HosszuGloskin(self, tuple(range(self.order)))
+        return hosszu_gloskin(self, 0)
 
     def idempotents(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.order) if self.eval([x] * self.arity) == x)
@@ -232,16 +237,18 @@ def derive(
     arity: int,
     caps: Caps = DEFAULT_CAPS,
     name: str = "",
-    validate_theta: bool = False,
 ) -> PolyadicGroup:
-    """Twist a binary group into an n-ary one.
+    """Twist a binary group into an n-ary one, within the arity and order caps.
 
     Requires theta(b) = b and theta^(n-1) = conjugation by b; associativity
     then holds by construction and is not re-verified.
     """
     _check_arity_order(arity, base.order, caps)
-    if validate_theta:
-        theta = make_automorphism(base, theta.perm)
+    return _twist(base, theta, b, arity, name)
+
+
+def _twist(base: FiniteGroup, theta: Automorphism, b: int, arity: int, name: str) -> PolyadicGroup:
+    """derive without the caps, for an arity and order already checked."""
     if theta(b) != b:
         raise BNotFixed(f"theta({b}) = {theta(b)} differs from {b}")
     power = theta.power(arity - 1)
@@ -393,7 +400,8 @@ def _retract(p: PolyadicGroup, a: int):
     unrelabel = np.asarray([abar] + [x for x in range(m) if x != abar])
     relabel = np.argsort(unrelabel)
     name = f"ret_{a}({p.name})" if p.name else ""
-    group = make_group(relabel[ret[np.ix_(unrelabel, unrelabel)]].tolist(), name=name)
+    table = relabel[ret[np.ix_(unrelabel, unrelabel)]].tolist()
+    group = group_from_rows(tuple(map(tuple, table)), name)
     return group, relabel, ret, twist, c
 
 
@@ -451,19 +459,21 @@ def hosszu_gloskin(
     and constant c = f(skew(a),...,skew(a)).
 
     Validates the derived-form gates and that der(retract, phi, c), rebuilt
-    in p's own coordinates, matches f on every tuple within the cost cap
-    (sampled beyond); a RoundTripMismatch names the first differing flat
-    index, or argument tuple, of p itself.
+    in p's own coordinates, matches f on every tuple: always for a table,
+    whose m^n cells are held, and for a derived p within the cost cap
+    (sampled beyond, the only use of caps); a RoundTripMismatch names the
+    first differing flat index, or argument tuple, of p itself.  p's arity
+    and order passed the caps when p was built and are not checked again.
     """
     m, n = p.order, p.arity
     group, relabel, ret, twist, c = _retract(p, a)
     try:
         phi = make_automorphism(group, tuple(relabel[twist[np.argsort(relabel)]].tolist()))
-        derived = derive(group, phi, int(relabel[c]), n, caps=caps, name=p.name and f"hg({p.name})")
+        derived = _twist(group, phi, int(relabel[c]), n, p.name and f"hg({p.name})")
     except (NotAutomorphism, BNotFixed, PowerCondition) as exc:
         raise RoundTripMismatch(f"retract twist is not a valid presentation: {exc}")
 
-    if m**n <= caps.axiom_cost_cap:
+    if not p.is_derived or m**n <= caps.axiom_cost_cap:
         # ret, twist and c are the retract, phi and c carried back to p's carrier
         bad = np.flatnonzero(_twisted_table(ret, twist, c, n) != p.flat_np)
         if len(bad):
@@ -524,23 +534,12 @@ def dornte_check(p: PolyadicGroup) -> bool:
     return dornte_witness(p) is None
 
 
-def derived_view(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
-    """The derived coordinates of any polyadic group, stored on p.
-
-    Derived inputs are their own view with the identity relabelling; table
-    inputs are canonicalized through the retract anchored at element 0.
-    Their arity and order caps are checked on every call; the view and its
-    round-trip check are built once, under the caps of the first call.
-    """
-    if p.is_derived:
-        return p.identity_view
-    return hg_anchor0(p, caps)
-
-
 def hg_anchor0(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
-    """The anchor-0 decomposition, the canonical presentation for hom work;
-    stored on p, with the caps handled as in derived_view."""
-    _check_arity_order(p.arity, p.order, caps)
+    """The anchor-0 decomposition, the canonical presentation for hom work:
+    a table's view, or for a derived p its split at 0, stored on p and
+    round-tripped under the caps of the first call."""
+    if not p.is_derived:
+        return p.view
     return cached_on(p, "anchor0_view", lambda: hosszu_gloskin(p, 0, caps=caps))
 
 

@@ -21,15 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import Automorphism, FiniteGroup, inverse_perm
-from .polyadic import (
-    PolyadicGroup,
-    derived_view,
-    from_table,
-    n_ary_identity,
-    packed_tuples,
-    row_blocks,
-    _check_arity_order,
-)
+from .polyadic import PolyadicGroup, from_table, n_ary_identity, packed_tuples, row_blocks
 
 
 @dataclass(frozen=True)
@@ -78,9 +70,9 @@ class GuGroup:
         )
 
 
-def gu_group(p: PolyadicGroup, u: int, caps: Caps = DEFAULT_CAPS) -> GuGroup:
+def gu_group(p: PolyadicGroup, u: int) -> GuGroup:
     """Build G_u for the (canonicalized) presentation of p."""
-    hg = derived_view(p, caps)
+    hg = p.view
     base, theta = hg.base, hg.theta
     u_view = hg.relabel[u]
     re = tuple(base.mul(x, base.inv(u_view)) for x in range(base.order))
@@ -173,9 +165,7 @@ def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _theorem_subgroups(
-    p: PolyadicGroup, caps: Caps
-) -> dict[tuple[int, ...], int]:
+def _theorem_subgroups(p: PolyadicGroup) -> dict[tuple[int, ...], int]:
     """Member set → smallest witness u, via invariant subgroups of each G_u.
 
     A subset is a polyadic subgroup exactly when, for some u inside it, it is
@@ -183,11 +173,11 @@ def _theorem_subgroups(
     inside.  The last gate matters: without it the u-anchored copy need not
     be closed under f.
     """
-    hg = derived_view(p, caps)
+    hg = p.view
     base, unrelabel = hg.base, hg.unrelabel
     found: dict[tuple[int, ...], int] = {}
     for u_orig in range(p.order):
-        gu = gu_group(p, u_orig, caps)
+        gu = gu_group(p, u_orig)
         cu = hg.group.eval([gu.u] * p.arity)
         for members in base.subgroup_lattice:
             if frozenset(gu.psi_u(x) for x in members) != frozenset(members):
@@ -218,19 +208,18 @@ def _routed(
     normal theorem route is the G_u subgroups filtered by the twist
     criterion, the normal oracle the scanned subgroups filtered by the
     definition, so the two routes stay independent.  Each route's answer is
-    stored on p; every call checks the caps (the theorem routes': arity and
-    order) and cross-checks the routes."""
+    stored on p; every call checks the oracles' gate and cross-checks the
+    routes."""
     kind = "normal" if normal else "subgroups"
 
     def theorem_route() -> tuple[PolyadicSubgroup, ...]:
-        _check_arity_order(p.arity, p.order, caps)
         subs = cached_on(
-            p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p, caps))
+            p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p))
         )
         if not normal:
             return subs
         return cached_on(p, "normal_theorem", lambda: tuple(
-            s for s in subs if _normal_by_twist(p, s.members, caps)
+            s for s in subs if _normal_by_twist(p, s.members)
         ))
 
     def oracle() -> tuple[PolyadicSubgroup, ...]:
@@ -257,25 +246,24 @@ def _as_subgroups(
 
 
 def _normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    """Direct check: f(skew(x), x,...,x, h, x) stays inside, all x and h."""
-    if p.arity < 3:
-        return _normal_by_twist(p, members)
-    mset = set(members)
-    n = p.arity
+    """Direct check, read off the operation alone: f(skew(x), x,...,x, h, x)
+    stays inside, all x and h; at arity 2, x⁻¹·h·x, with x⁻¹ the y where
+    f(x, y) = skew(0), the identity."""
+    mset, n = set(members), p.arity
     for x in range(p.order):
-        pad = [x] * (n - 3)
-        sx = p.skew(x)
-        for h in members:
-            if p.eval([sx] + pad + [h, x]) not in mset:
-                return False
+        if n == 2:
+            xi = p.edge_table[x].index(p.skew(0))
+            conjugates = (p.eval([p.eval([xi, h]), x]) for h in members)
+        else:
+            conjugates = (p.eval([p.skew(x)] + [x] * (n - 3) + [h, x]) for h in members)
+        if any(y not in mset for y in conjugates):
+            return False
     return True
 
 
-def _normal_by_twist(
-    p: PolyadicGroup, members: Sequence[int], caps: Caps = DEFAULT_CAPS
-) -> bool:
+def _normal_by_twist(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """Presentation check: theta⁻¹(x⁻¹·h)·x stays inside, all x and h."""
-    hg = derived_view(p, caps)
+    hg = p.view
     base, theta_inv = hg.base, hg.theta.inverse()
     mem = [hg.relabel[h] for h in members]
     mset = set(mem)
@@ -288,10 +276,7 @@ def _normal_by_twist(
 
 
 def is_normal_polyadic(
-    p: PolyadicGroup,
-    h: PolyadicSubgroup | Sequence[int],
-    debug: bool = False,
-    caps: Caps = DEFAULT_CAPS,
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], debug: bool = False
 ) -> bool:
     """Normality of a polyadic subgroup via the twist criterion.
 
@@ -299,8 +284,8 @@ def is_normal_polyadic(
     answers must agree.
     """
     members = _members(p, h)
-    by_twist = _normal_by_twist(p, members, caps)
-    if debug and p.arity >= 3:
+    by_twist = _normal_by_twist(p, members)
+    if debug:
         by_def = _normal_by_definition(p, members)
         if by_def != by_twist:
             raise MethodDisagreement(
@@ -335,11 +320,11 @@ def polyadic_coset(
 
 
 def coset_classes(
-    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
     """The sorted polyadic cosets of a normal polyadic subgroup."""
     members = _members(p, h)
-    if not is_normal_polyadic(p, members, caps=caps):
+    if not is_normal_polyadic(p, members):
         raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
     return tuple(sorted({polyadic_coset(p, members, x) for x in range(p.order)}))
 
@@ -371,7 +356,7 @@ def quotient_polyadic(
     caps: Caps = DEFAULT_CAPS,
 ) -> PolyadicQuotient:
     """Quotient by a normal polyadic subgroup; the result is always reduced."""
-    classes = coset_classes(p, h, caps)
+    classes = coset_classes(p, h)
     cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         cls_of[list(cls)] = i

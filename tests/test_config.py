@@ -1,8 +1,15 @@
 import pytest
 
+from pglab import polyadic
 from pglab.catalog import catalog_group
 from pglab.config import Caps, caps_from_env, cross_check
-from pglab.congruence import congruences_bruteforce, congruences_theorem
+from pglab.congruence import (
+    congruences,
+    congruences_bruteforce,
+    is_normal_congruence,
+    kernel_class,
+    lattice_ops,
+)
 from pglab.errors import (
     CapExceeded,
     CostCapExceeded,
@@ -15,7 +22,6 @@ from pglab.morphisms import enumerate_homs, is_polyadic_hom
 from pglab.polyadic import (
     as_table,
     derive,
-    derived_view,
     from_table,
     hg_anchor0,
     verify_table_axioms,
@@ -88,8 +94,10 @@ class TestCaps:
         "cap,call",
         [
             ("order_cap", lambda s, c: make_group(catalog_group("Z3").table, caps=c)),
-            ("arity_cap", lambda s, c: congruences_theorem(s["T4"], c)),
-            ("order_cap", lambda s, c: congruences_theorem(s["T4"], c)),
+            # arity and order caps refuse a structure when it is built
+            ("arity_cap",
+             lambda s, c: derive(catalog_group("Z4"), Automorphism.identity(4), 0, 3, c)),
+            ("order_cap", lambda s, c: from_table(3, 2, as_table(s["T2"]).presentation.flat, c)),
             ("order_cap", lambda s, c: automorphisms(catalog_group("Z3"), c)),
             ("axiom_cost_cap", lambda s, c: verify_table_axioms(3, 2, [0] * 8, caps=c)),
             ("axiom_cost_cap", lambda s, c: enumerate_polyadic_subgroups(s["T4"], "oracle", c)),
@@ -126,11 +134,8 @@ class TestCaches:
         [
             (lambda p, caps: automorphisms(p.presentation.base, caps), False,
              Caps(order_cap=2), OrderCapExceeded),
-            (derived_view, True, Caps(order_cap=2), OrderCapExceeded),
-            (derived_view, True, Caps(arity_cap=2), OrderCapExceeded),
             # der(Z3, id, 0, 3): the oracles' 27-cell table meets a cap of 26
             (congruences_bruteforce, False, Caps(axiom_cost_cap=26), CostCapExceeded),
-            (congruences_theorem, False, Caps(order_cap=2), OrderCapExceeded),
             (lambda p, caps: enumerate_polyadic_subgroups(p, "oracle", caps), False,
              Caps(axiom_cost_cap=26), CostCapExceeded),
         ],
@@ -142,3 +147,22 @@ class TestCaches:
         assert call(p, Caps())
         with pytest.raises(error):
             call(p, tight)
+
+    def test_table_view_is_built_once(self, structs, monkeypatch):
+        split, calls = polyadic.hosszu_gloskin, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(polyadic, "hosszu_gloskin", counted)
+        p = as_table(structs["V4swap"])
+        congs = congruences(p)
+        assert enumerate_normal_polyadic(p)
+        for r in congs:
+            kernel_class(r)
+            is_normal_congruence(r)
+            for q in congs:
+                lattice_ops(r, q)
+        assert hg_anchor0(p) is p.view
+        assert len(congs) == 3 and len(calls) == 1

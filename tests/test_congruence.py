@@ -22,7 +22,7 @@ from pglab.catalog import catalog_group
 from pglab.config import Caps
 from pglab.errors import OrderCapExceeded
 from pglab.groups import Automorphism, is_normal_subgroup, make_group
-from pglab.polyadic import as_table, derive, derive_b, derived_view, from_table
+from pglab.polyadic import as_table, derive, derive_b, from_table
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
     class_signature,
@@ -146,7 +146,7 @@ class TestBruteforce:
         p = derive_b(base, 0, 3, caps=caps)
         with pytest.raises(OrderCapExceeded, match="at most 16 values"):
             congruences_bruteforce(p, caps)
-        assert congruences(p, caps=caps) == congruences_theorem(p, caps)
+        assert congruences(p, caps=caps) == congruences_theorem(p)
         assert simplicity_report(p, caps=caps).method == "auto"
 
     def test_skew_is_one_of_the_maps(self):
@@ -305,7 +305,7 @@ class TestLattice:
     def test_join_is_pair_set_product(self, small_corpus):
         """Oracle: R∨Q = R·Q = {(a·c, b·d)}, products taken in the base group."""
         for p in small_corpus[::4]:
-            hg = derived_view(p)
+            hg = p.view
             base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
 
             def mul(x, y):
@@ -319,11 +319,19 @@ class TestLattice:
                 assert lattice_ops(r, q).join.pairs == product
 
     def test_honours_caps_on_tables(self):
+        # built under arity_cap 9, the table's view is not refused by the defaults
         caps = Caps(arity_cap=9)
         p = as_table(derive_b(catalog_group("Z2"), 1, 9, caps=caps))
-        congs = congruences_theorem(p, caps)
-        ops = lattice_ops(congs[0], congs[-1], caps)
+        congs = congruences_theorem(p)
+        ops = lattice_ops(congs[0], congs[-1])
         assert ops.join.classes == congs[-1].classes and ops.kernel_identities
+
+    def test_honours_order_cap_on_tables(self):
+        # the view's retract group is not refused by the default order cap
+        caps = Caps(order_cap=17)
+        base = make_group([[(i + j) % 17 for j in range(17)] for i in range(17)], caps=caps)
+        p = as_table(derive_b(base, 0, 3, caps=caps))
+        assert [c.num_classes for c in congruences_theorem(p)] == [17, 1]
 
     def test_modular_law_on_sample(self, small_corpus):
         for p in small_corpus[::4]:

@@ -27,7 +27,7 @@ from pglab.morphisms import (
     is_polyadic_hom,
 )
 from pglab.polyadic import (
-    as_table, derive, derived_view, from_table, hg_anchor0, packed_tuples,
+    as_table, derive, from_table, hg_anchor0, packed_tuples,
 )
 
 
@@ -248,7 +248,7 @@ class TestDecompose:
         ]
         answers = {}
         for p, q in random.Random(9).sample(pairs, 40):
-            src, tgt = derived_view(p), hg_anchor0(q)
+            src, tgt = p.view, hg_anchor0(q)
             for psi in enumerate_homs(p, q, strategy="theorem"):
                 for split, _ in morphisms._splits(psi, DEFAULT_CAPS):
                     phi = np.asarray(split.phi)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from pglab import substructures
-from pglab.catalog import catalog_group, cyclic, dihedral, direct_product, quaternion8
+from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
 from pglab.congruence import congruences_bruteforce, congruences_theorem, sim_h
 from pglab.errors import CostCapExceeded, NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
 from pglab.morphisms import is_polyadic_hom
-from pglab.polyadic import all_derived, as_table, derive_b, n_ary_identity, verify_axioms
+from pglab.polyadic import (
+    PolyadicGroup, all_derived, as_table, derive_b, n_ary_identity, verify_axioms,
+)
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
@@ -163,6 +165,21 @@ class TestNormality:
                 s.members for s in enumerate_normal_polyadic(p, strategy="theorem")
             ]
             assert oracle == theorem
+
+
+    def test_binary_oracle_reads_only_the_operation(self, monkeypatch):
+        """At arity 2 the normal oracle checks x⁻¹·h·x in the table and never
+        reads the derived view, yet equals the theorem route."""
+        twists = [p for g in catalog().values() if g.order <= 8 for p in all_derived(g, 2)]
+        structures = twists + [as_table(p) for p in twists]
+        theorem = [enumerate_normal_polyadic(p, strategy="theorem") for p in structures]
+
+        def no_view(p):
+            raise AssertionError("the oracle read the derived view")
+
+        monkeypatch.setattr(PolyadicGroup, "view", property(no_view))
+        oracle = [enumerate_normal_polyadic(p, strategy="oracle") for p in structures]
+        assert len(structures) == 2 * 78 and oracle == theorem
 
 
 class TestBeyondDefaultOracleRange:
