@@ -80,7 +80,6 @@ from .morphisms import (
     binary_homs,
     compose_hom,
     decompose_hom,
-    decompositions,
     enumerate_homs,
     hom_compose,
     is_polyadic_hom,

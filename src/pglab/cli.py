@@ -163,7 +163,7 @@ def cmd_analyze(args, caps: Caps) -> int:
         )
     if args.quotient is not None:
         members = tuple(sorted(_parse_elements(args.quotient)))
-        q = quotient_polyadic(p, members, caps=caps)
+        q = quotient_polyadic(p, members)
         payload["quotient"] = {
             "classes": [list(c) for c in q.classes],
             "polyadic": polyadic_to_doc(q.quotient),
@@ -275,7 +275,7 @@ def cmd_quotient(args, caps: Caps) -> int:
     p = load_polyadic(args.path, caps=caps)
     if args.subgroup is not None:
         members = tuple(sorted(_parse_elements(args.subgroup)))
-        q = quotient_polyadic(p, members, caps=caps)
+        q = quotient_polyadic(p, members)
         payload = {
             "classes": [list(c) for c in q.classes],
             "polyadic": polyadic_to_doc(q.quotient),
@@ -289,7 +289,7 @@ def cmd_quotient(args, caps: Caps) -> int:
             cong = congruence_from_classes(p, classes)
         except ValueError as exc:
             raise ValidationError(str(exc))
-        result = quotient_by_congruence(p, cong, caps=caps)
+        result = quotient_by_congruence(p, cong)
         payload = {"polyadic": polyadic_to_doc(result)}
         lines = [f"quotient by congruence: order {result.order}"]
     _emit(args, payload, lines)

@@ -20,7 +20,7 @@ from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement
 from .groups import enumerate_subgroups, twisted_quotient
-from .polyadic import HosszuGloskin, PolyadicGroup, derive
+from .polyadic import HosszuGloskin, PolyadicGroup, _twist
 from .substructures import PolyadicSubgroup, class_signature, coset_classes
 
 
@@ -368,13 +368,11 @@ def normal_congruence_condition_direct(r: Congruence, a: int) -> bool:
     return True
 
 
-def quotient_by_congruence(
-    p: PolyadicGroup, r: Congruence, caps: Caps = DEFAULT_CAPS
-) -> PolyadicGroup:
-    """Quotient in derived form: base modulo kernel, induced twist and constant."""
+def quotient_by_congruence(p: PolyadicGroup, r: Congruence) -> PolyadicGroup:
+    """Quotient in derived form: base modulo kernel, induced twist and
+    constant; p's arity and order passed the caps when p was built."""
     hg = p.view
     kernel = kernel_class(r)
     members_view = tuple(sorted(hg.relabel[x] for x in kernel.members))
-    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, members_view, caps)
-    return derive(quotient, theta_r, proj[hg.b], p.arity, caps=caps,
-                  name=p.name and f"{p.name}/R")
+    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, members_view)
+    return _twist(quotient, theta_r, proj[hg.b], p.arity, p.name and f"{p.name}/R")

@@ -356,7 +356,6 @@ def enumerate_subgroups(
     group: FiniteGroup,
     filter: SubgroupFilter = "all",
     theta: Optional[Automorphism] = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> list[Subgroup]:
     """Complete subgroup list, sorted by (size, members).
 
@@ -379,21 +378,20 @@ def enumerate_subgroups(
     return out
 
 
-def is_theta_simple(
-    group: FiniteGroup, theta: Automorphism, caps: Caps = DEFAULT_CAPS
-) -> bool:
+def is_theta_simple(group: FiniteGroup, theta: Automorphism) -> bool:
     """No twist-invariant normal subgroup besides the trivial ones."""
-    subs = enumerate_subgroups(group, "theta_invariant_normal", theta=theta, caps=caps)
+    subs = enumerate_subgroups(group, "theta_invariant_normal", theta=theta)
     return all(s.size in (1, group.order) for s in subs)
 
 
 def quotient_group(
-    group: FiniteGroup, normal: Subgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
+    group: FiniteGroup, normal: Subgroup | Sequence[int]
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup, plus the projection map.
 
     Cosets are relabelled in order of their smallest member, so the coset of
-    0 (the subgroup itself) becomes index 0.
+    0 (the subgroup itself) becomes index 0.  The quotient is no larger than
+    the group, whose order was checked when it was built.
     """
     members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
     if not is_normal_subgroup(group, members):
@@ -409,21 +407,20 @@ def quotient_group(
         for j, cj in enumerate(cosets):
             table[i][j] = proj[group.mul(ci[0], cj[0])]
     name = f"{group.name}/{list(members)}" if group.name else ""
-    return make_group(table, name=name, caps=caps), proj
+    return group_from_rows(tuple(map(tuple, table)), name), proj
 
 
 def twisted_quotient(
     group: FiniteGroup,
     theta: Automorphism,
     normal: Subgroup | Sequence[int],
-    caps: Caps = DEFAULT_CAPS,
 ) -> tuple[FiniteGroup, tuple[int, ...], Automorphism]:
     """Quotient by a theta-invariant normal subgroup, the projection, and the
     automorphism xK ↦ theta(x)K on the relabelled quotient."""
     members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
     if frozenset(theta(x) for x in members) != frozenset(members):
         raise NotInvariant(f"theta does not fix {list(members)} setwise")
-    quotient, proj = quotient_group(group, members, caps=caps)
+    quotient, proj = quotient_group(group, members)
     perm = [-1] * quotient.order
     for x in range(group.order):
         i, j = proj[x], proj[theta(x)]
@@ -438,7 +435,6 @@ def induced_automorphism(
     group: FiniteGroup,
     theta: Automorphism,
     normal: Subgroup | Sequence[int],
-    caps: Caps = DEFAULT_CAPS,
 ) -> Automorphism:
     """The automorphism xK ↦ theta(x)K on the relabelled quotient."""
-    return twisted_quotient(group, theta, normal, caps)[2]
+    return twisted_quotient(group, theta, normal)[2]

@@ -122,15 +122,19 @@ def _condition_masks(
     return anchor, intertwine
 
 
-def _check_conditions(
+def _split_failure(
     src: HosszuGloskin, tgt: HosszuGloskin, a: int, phi: np.ndarray
 ) -> Optional[str]:
-    """The two split conditions at the one anchor a, in O(m) (the column
-    a of _condition_masks); returns the name of the first failure."""
-    h_group = tgt.base
-    if tgt.diagonal[a] != h_group.np_table[phi[src.b], a]:
+    """The first failure of the split psi = R_a ∘ phi: "homomorphism" when
+    phi is no group homomorphism, else the side condition that column a of
+    _condition_masks fails, "anchor" or "intertwine"; None when all hold."""
+    g, h = src.base, tgt.base
+    if not (phi[g.np_table] == h.np_table[phi[:, None], phi]).all():
+        return "homomorphism"
+    anchor, intertwine = _condition_masks(src, tgt, phi)
+    if not anchor[a]:
         return "anchor"
-    if not (h_group.conj_table[a][tgt.theta.np_perm[phi]] == phi[src.theta.np_perm]).all():
+    if not intertwine[a]:
         return "intertwine"
     return None
 
@@ -144,61 +148,30 @@ def _raw_maps(
     return [tuple(m) for m in np.asarray(tgt.unrelabel)[images].tolist()]
 
 
-def _is_binary_hom(g: FiniteGroup, h: FiniteGroup, phi: np.ndarray) -> bool:
-    return bool((phi[g.np_table] == h.np_table[phi[:, None], phi]).all())
-
-
 def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All group homomorphisms g → h, in lexicographic order."""
     return tuple(map(tuple, hom_rows(g, h).tolist()))
 
 
-def _splits(
-    psi: PolyadicHom, caps: Caps
-) -> Iterator[tuple[HomDecomposition, Optional[str]]]:
-    """Every anchor a, the forced a = psi(identity) first, with the phi it
-    leaves and the first failure of that split: None, "homomorphism" or the
-    name of a side condition."""
-    src, tgt = psi.source.view, hg_anchor0(psi.target, caps)
-    h_group = tgt.base
-    psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
-    forced = int(psi_t[0])
-    for a in [forced] + [a for a in range(h_group.order) if a != forced]:
-        phi = h_group.np_table[psi_t, h_group.inv(a)]
-        split = HomDecomposition(a, tuple(phi.tolist()))
-        if not _is_binary_hom(src.base, h_group, phi):
-            yield split, "homomorphism"
-        else:
-            yield split, _check_conditions(src, tgt, a, phi)
-
-
-def decompositions(
-    psi: PolyadicHom, caps: Caps = DEFAULT_CAPS
-) -> list[HomDecomposition]:
-    """Every valid (a, phi) split of a validated homomorphism.
-
-    phi must fix identities, which pins a = psi(e); the scan over all a
-    exists to record that no second split survives the conditions.
-    """
-    return [split for split, failure in _splits(psi, caps) if failure is None]
-
-
 def decompose_hom(psi: PolyadicHom, caps: Caps = DEFAULT_CAPS) -> HomDecomposition:
     """The canonical split with a = psi(identity of the source presentation).
 
-    phi has to fix identities, so a is forced; the split is validated
-    against both side conditions before being returned.
+    phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹; the
+    split is validated against both side conditions before being returned.
     """
-    split, failure = next(_splits(psi, caps))
-    if failure == "homomorphism":
-        raise DecompositionFailed(
-            f"translated map of {list(psi.map)} is not a group homomorphism"
-        )
+    src, tgt = psi.source.view, hg_anchor0(psi.target, caps)
+    h_group = tgt.base
+    psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
+    a = int(psi_t[0])
+    phi = h_group.np_table[psi_t, h_group.inv(a)]
+    failure = _split_failure(src, tgt, a, phi)
     if failure is not None:
         raise DecompositionFailed(
-            f"canonical split of {list(psi.map)} fails the {failure} condition"
+            f"translated map of {list(psi.map)} is not a group homomorphism"
+            if failure == "homomorphism"
+            else f"canonical split of {list(psi.map)} fails the {failure} condition"
         )
-    return split
+    return HomDecomposition(a, tuple(phi.tolist()))
 
 
 def compose_hom(
@@ -214,24 +187,19 @@ def compose_hom(
     presentation base into the anchor-0 base of the target.
     """
     src, tgt = p.view, hg_anchor0(q, caps)
-    h_group = tgt.base
     images = [int(x) for x in phi]
     if len(images) != p.order or not all(0 <= y < q.order for y in [a, *images]):
         raise ValidationError(
             f"need a and {p.order} images of phi in the target carrier 0..{q.order - 1}"
         )
     phi_t = np.asarray(images)
-    if not _is_binary_hom(src.base, h_group, phi_t):
-        raise ConditionViolated("phi is not a group homomorphism")
-    failure = _check_conditions(src, tgt, a, phi_t)
-    if failure == "anchor":
-        raise ConditionViolated(
-            "anchor condition fails: h(a,...,a) differs from phi(b)∗a"
-        )
-    if failure == "intertwine":
-        raise ConditionViolated(
-            "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi"
-        )
+    failure = _split_failure(src, tgt, a, phi_t)
+    if failure is not None:
+        raise ConditionViolated({
+            "homomorphism": "phi is not a group homomorphism",
+            "anchor": "anchor condition fails: h(a,...,a) differs from phi(b)∗a",
+            "intertwine": "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi",
+        }[failure])
     (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
     psi = PolyadicHom(p, q, psi_map)
     ok, witness = is_polyadic_hom(psi.map, p, q, caps)
@@ -353,8 +321,7 @@ def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
 
 
 def _iso_invariants(p: PolyadicGroup) -> tuple:
-    # stored on p: the exhaustive census compares each candidate with every
-    # class found before it
+    # stored on p: a structure compared with many others computes them once
     return cached_on(p, "iso_invariants", lambda: (
         p.order,
         p.arity,

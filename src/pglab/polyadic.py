@@ -364,13 +364,20 @@ def from_table(
     """Wrap a raw flat table, verifying the n-ary group axioms by default;
     its length and range are checked (ValidationError) whatever verify says."""
     _check_arity_order(arity, order, caps)
-    table = _table_array(arity, order, tuple(int(x) for x in flat))
+    p = _wrap_table(arity, order, tuple(int(x) for x in flat), name)
     if verify:
-        report = verify_table_axioms(arity, order, table, caps=caps)
+        report = verify_table_axioms(arity, order, p.flat_np, caps=caps)
         if not report.associative:
             raise NotAssociative(f"table fails associativity: {report.violations[0]}")
         if not report.solvable:
             raise NotSolvable(f"table fails solvability: {report.violations[0]}")
+    return p
+
+
+def _wrap_table(arity: int, order: int, flat: Sequence[int], name: str = "") -> PolyadicGroup:
+    """from_table without the caps or the axioms, for an arity and order
+    already checked and a table that is an n-ary group by construction."""
+    table = _table_array(arity, order, flat)
     return PolyadicGroup(arity, TablePresentation(order, table.tobytes()), name=name)
 
 

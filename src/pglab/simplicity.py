@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Literal, Optional, TypeVar
 
+import numpy as np
+
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, oracle_fits, routes
 from .errors import (
     CostCapExceeded,
@@ -28,6 +30,7 @@ from .polyadic import (
     all_derived,
     from_table,
     is_reduced,
+    packed_tuples,
     verify_table_axioms,
 )
 from .substructures import (
@@ -36,6 +39,7 @@ from .substructures import (
 )
 
 T = TypeVar("T")
+K = TypeVar("K")
 # A twist (theta.perm, b) of a fixed base group.
 Twist = tuple[tuple[int, ...], int]
 
@@ -129,8 +133,10 @@ def census(
     classes are the orbits of the holomorph Hol(G) = G ⋊ Aut(G) on the
     valid twists (θ, b), since every isomorphism of twists of G is a right
     translation after an automorphism.  Exhaustive mode scans every
-    operation table (tiny orders only), keeps the ones passing the axiom
-    check and sorts them into classes pairwise.  Either way a class's
+    operation table (tiny orders only) and keeps the ones passing the axiom
+    check; its classes are the orbits of S_m relabelling the tables, since
+    n-ary groups on one carrier are isomorphic exactly when a permutation
+    of the carrier carries one table to the other.  Either way a class's
     representative is its first candidate.  Derived mode raises
     ValidationError at an order where the catalog holds fewer groups than
     OEIS A000001 counts, so it never under-counts; where both modes are
@@ -151,36 +157,41 @@ def census(
                 f"{caps.census_exhaustive_cap}",
                 cap="census_exhaustive_cap", required=table_count,
             )
-        candidates = [
-            from_table(arity, order, flat, caps=caps, verify=False)
-            for flat in itertools.product(range(order), repeat=order**arity)
+        flats = [
+            flat for flat in itertools.product(range(order), repeat=order**arity)
             if verify_table_axioms(arity, order, flat, caps=caps).ok
         ]
-        classes = _pairwise_classes(candidates, caps)
+        orbits = _orbit_classes(flats, flats, _relabellings(order, arity), lambda stray, key: (
+            f"table {stray} is a relabelling of the valid table {key} but fails the axiom check"
+        ))
+        classes = [(from_table(arity, order, f, caps=caps, verify=False), k) for f, k in orbits]
     return [
         CensusEntry(rep, simplicity_report(rep, caps=caps), count)
         for rep, count in classes
     ]
 
 
-def _pairwise_classes(
-    candidates: list[PolyadicGroup], caps: Caps
-) -> list[tuple[PolyadicGroup, int]]:
-    """(representative, class size) in order of first candidate, each
-    candidate tested against the representatives found so far."""
-    from .morphisms import are_isomorphic
-
-    reps: list[PolyadicGroup] = []
-    counts: list[int] = []
-    for cand in candidates:
-        for i, rep in enumerate(reps):
-            if are_isomorphic(cand, rep, caps=caps) is not None:
-                counts[i] += 1
-                break
-        else:
-            reps.append(cand)
-            counts.append(1)
-    return list(zip(reps, counts))
+def _orbit_classes(
+    candidates: list[T], keys: list[K], moves: list[Callable[[K], K]],
+    stray_message: Callable[[K, K], str],
+) -> list[tuple[T, int]]:
+    """(representative, orbit size) for the orbits of the moves on the
+    candidates' keys, in candidate order: each orbit is walked from the key
+    of its first candidate.  An orbit that reaches a key of no candidate
+    raises InternalContradiction, with stray_message(stray key, key)."""
+    index = set(keys)
+    seen: set[K] = set()
+    classes = []
+    for cand, key in zip(candidates, keys):
+        if key in seen:
+            continue
+        orbit = _orbit(key, moves)
+        stray = orbit - index
+        if stray:
+            raise InternalContradiction(stray_message(min(stray), key))
+        seen |= orbit
+        classes.append((cand, len(orbit)))
+    return classes
 
 
 def _twist_classes(
@@ -191,26 +202,30 @@ def _twist_classes(
     be one of them."""
     candidates = all_derived(base, arity, caps=caps)
     keys = [(p.presentation.theta.perm, p.presentation.b) for p in candidates]
-    index = set(keys)
     moves = [
         partial(_transport_twist, base, arity, phi, g)
         for phi, g in _hol_generators(base, caps)
     ]
-    seen: set[Twist] = set()
-    classes = []
-    for p, key in zip(candidates, keys):
-        if key in seen:
-            continue
-        orbit = _orbit(key, moves)
-        stray = orbit - index
-        if stray:
-            raise InternalContradiction(
-                f"twist {min(stray)} of {base!r} is isomorphic to the valid twist "
-                f"{key} but is not among the valid twists at arity {arity}"
-            )
-        seen |= orbit
-        classes.append((p, len(orbit)))
-    return classes
+    return _orbit_classes(candidates, keys, moves, lambda stray, key: (
+        f"twist {stray} of {base!r} is isomorphic to the valid twist {key} "
+        f"but is not among the valid twists at arity {arity}"
+    ))
+
+
+def _relabellings(order: int, arity: int) -> list[Callable[[tuple], tuple]]:
+    """The relabellings of a flat table by (0 1) and (0 1 … m−1), which
+    generate S_m (one move at m = 2, none at m = 1).  σ carries f to f′
+    with f′(σx₁,…,σxₙ) = σ(f(x₁,…,xₙ)): cell i of f′ is σ of the cell of f
+    whose digits are σ⁻¹ of cell i's."""
+    moves = []
+    for sigma in {(1, 0, *range(2, order)), (*range(1, order), 0)} if order > 1 else ():
+        cells = packed_tuples(np.argsort(sigma), order, arity).tolist()
+        moves.append(partial(_relabel, sigma, cells))
+    return moves
+
+
+def _relabel(sigma: tuple[int, ...], cells: list[int], flat: tuple) -> tuple:
+    return tuple([sigma[flat[i]] for i in cells])
 
 
 def _transport_twist(
@@ -236,8 +251,8 @@ def _hol_generators(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Generators (φ, g) of Hol(base), each standing for ψ = R_g ∘ φ: a
     generating set of Aut(base) with g = 0, then one of base with φ the
-    identity.  Stored on base; the automorphism cap is checked on every
-    call."""
+    identity.  Stored on base; automorphisms checks the order cap on
+    every call."""
     auts = automorphisms(base, caps=caps)
     identity = tuple(range(base.order))
 

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import Automorphism, FiniteGroup, inverse_perm
-from .polyadic import PolyadicGroup, from_table, n_ary_identity, packed_tuples, row_blocks
+from .polyadic import PolyadicGroup, _wrap_table, n_ary_identity, packed_tuples, row_blocks
 
 
 @dataclass(frozen=True)
@@ -351,11 +351,10 @@ class PolyadicQuotient:
 
 
 def quotient_polyadic(
-    p: PolyadicGroup,
-    h: PolyadicSubgroup | Sequence[int],
-    caps: Caps = DEFAULT_CAPS,
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]
 ) -> PolyadicQuotient:
-    """Quotient by a normal polyadic subgroup; the result is always reduced."""
+    """Quotient by a normal polyadic subgroup; the result is always reduced.
+    p's arity and order passed the caps when p was built."""
     classes = coset_classes(p, h)
     cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
@@ -363,9 +362,7 @@ def quotient_polyadic(
     flat_q = class_signature(p, cls_of)
     if flat_q is None:
         raise IllDefined("quotient operation depends on representatives")
-    quotient = from_table(
-        p.arity, len(classes), flat_q, caps=caps, verify=False, name=p.name and f"{p.name}/H"
-    )
+    quotient = _wrap_table(p.arity, len(classes), flat_q, p.name and f"{p.name}/H")
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")
     return PolyadicQuotient(classes, quotient)

@@ -4,11 +4,13 @@ from pglab import polyadic
 from pglab.catalog import catalog_group
 from pglab.config import Caps, caps_from_env, cross_check
 from pglab.congruence import (
+    congruence_from_classes,
     congruences,
     congruences_bruteforce,
     is_normal_congruence,
     kernel_class,
     lattice_ops,
+    quotient_by_congruence,
 )
 from pglab.errors import (
     CapExceeded,
@@ -27,7 +29,11 @@ from pglab.polyadic import (
     verify_table_axioms,
 )
 from pglab.simplicity import census, simplicity_report
-from pglab.substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
+from pglab.substructures import (
+    enumerate_normal_polyadic,
+    enumerate_polyadic_subgroups,
+    quotient_polyadic,
+)
 
 
 class TestCrossCheck:
@@ -111,6 +117,20 @@ class TestCaps:
         with pytest.raises(CapExceeded) as exc:
             call(structs, Caps(**{cap: 1}))
         assert exc.value.cap == cap
+
+    def test_quotients_do_not_check_the_caps_again(self):
+        """der(Z18, id, 0, 3) built under order_cap 18 has order-18
+        quotients, which the default caps do not refuse."""
+        z18 = make_group([[(i + j) % 18 for j in range(18)] for i in range(18)],
+                         caps=Caps(order_cap=18))
+        p = derive(z18, Automorphism.identity(18), 0, 3, Caps(order_cap=18))
+        diagonal = congruence_from_classes(p, [[x] for x in range(18)])
+        by_congruence = quotient_by_congruence(p, diagonal)
+        assert by_congruence.order == 18
+        assert by_congruence.flat_np.tobytes() == p.flat_np.tobytes()
+        by_subgroup = quotient_polyadic(p, [0])
+        assert by_subgroup.classes == tuple((x,) for x in range(18))
+        assert by_subgroup.quotient.flat_np.tobytes() == p.flat_np.tobytes()
 
 
 class TestCaches:

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import morphisms
 from pglab.catalog import catalog, catalog_group
-from pglab.config import DEFAULT_CAPS, Caps
+from pglab.config import Caps
 from pglab.errors import (
     ArityMismatch,
     ConditionViolated,
     CostCapExceeded,
+    DecompositionFailed,
     ValidationError,
 )
 from pglab.groups import Automorphism, FiniteGroup, hom_rows
@@ -21,7 +22,6 @@ from pglab.morphisms import (
     binary_homs,
     compose_hom,
     decompose_hom,
-    decompositions,
     enumerate_homs,
     hom_compose,
     is_polyadic_hom,
@@ -233,35 +233,34 @@ class TestDecompose:
         assert dec.a == 0 and dec.phi == (0, 2, 1)
 
     def test_split_is_unique_on_small_pairs(self, structs):
-        for a, b in [("T3", "T3"), ("T2b", "T2b"), ("T4inv", "T4inv"), ("T2", "T4")]:
-            p, q = structs[a], structs[b]
-            for psi in enumerate_homs(p, q):
-                assert len(decompositions(psi)) == 1
-
-    def test_one_anchor_check_is_the_mask_column(self, corpus):
-        """The split check at one anchor answers what that anchor's column of
-        _condition_masks says, for every anchor and every split of the homs
-        of a seeded sample of C9's pairs."""
-        pairs = [
-            (p, q) for p in corpus for q in corpus
-            if p.arity == q.arity and q.order**p.order <= 10_000
-        ]
-        answers = {}
-        for p, q in random.Random(9).sample(pairs, 40):
+        """Of the maps phi_a = psi ∗ a⁻¹, one for every anchor a (psi in
+        presentation coordinates), exactly one is a group homomorphism that
+        passes both split conditions at its own anchor: decompose_hom's."""
+        for s, t in [("T3", "T3"), ("T2b", "T2b"), ("T4inv", "T4inv"), ("T2", "T4")]:
+            p, q = structs[s], structs[t]
             src, tgt = p.view, hg_anchor0(q)
-            for psi in enumerate_homs(p, q, strategy="theorem"):
-                for split, _ in morphisms._splits(psi, DEFAULT_CAPS):
-                    phi = np.asarray(split.phi)
-                    anchor, intertwine = morphisms._condition_masks(src, tgt, phi)
-                    for a in range(q.order):
-                        expected = (
-                            "anchor" if not anchor[a]
-                            else "intertwine" if not intertwine[a] else None
-                        )
-                        got = morphisms._check_conditions(src, tgt, a, phi)
-                        assert got == expected, (p, q, psi, a)
-                        answers[got] = answers.get(got, 0) + 1
-        assert set(answers) == {None, "anchor", "intertwine"}, answers
+            h = tgt.base
+            for psi in enumerate_homs(p, q):
+                psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
+                phis = h.np_table[psi_t, np.asarray(h.inverses)[:, None]]
+                anchor, intertwine = morphisms._condition_masks(src, tgt, phis)
+                is_hom = (phis[:, src.base.np_table] == h.np_table[phis[:, :, None], phis[:, None]])
+                valid = [
+                    a for a in range(h.order)
+                    if is_hom[a].all() and anchor[a, a] and intertwine[a, a]
+                ]
+                split = decompose_hom(psi)
+                assert valid == [split.a], (p, q, psi)
+                assert tuple(phis[split.a].tolist()) == split.phi
+
+    @pytest.mark.parametrize("s, t, image, failure", [
+        ("T3", "T3", (0, 1, 1), "is not a group homomorphism"),
+        ("T3", "T3", (1, 1, 1), "fails the anchor condition"),
+        ("T4", "T4inv", (0, 1, 2, 3), "fails the intertwine condition"),
+    ])
+    def test_failed_split_names_its_condition(self, structs, s, t, image, failure):
+        with pytest.raises(DecompositionFailed, match=failure):
+            decompose_hom(PolyadicHom(structs[s], structs[t], image))
 
     def test_roundtrip(self, structs):
         for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "V4swap")]:
@@ -284,6 +283,11 @@ class TestCompose:
     def test_anchor_condition_violation(self, structs):
         with pytest.raises(ConditionViolated, match="anchor"):
             compose_hom(1, (0, 1, 2), structs["T3"], structs["T3"])
+
+    def test_intertwine_condition_violation(self, structs):
+        # phi = id meets the anchor condition but not eta∘phi = phi∘theta
+        with pytest.raises(ConditionViolated, match="intertwine"):
+            compose_hom(0, (0, 1, 2, 3), structs["T4"], structs["T4inv"])
 
     @pytest.mark.parametrize("a, phi", [(0, (0, 1)), (0, (0, 1, 2, 0)), (0, (0, 1, 3)),
                                         (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2))])

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,9 @@ from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import CostCapExceeded, InternalContradiction, ValidationError
 from pglab.groups import Automorphism, automorphisms, inverse_perm
 from pglab.morphisms import _split_maps, are_isomorphic
-from pglab.polyadic import all_derived, as_table, derive_b, dornte_check, verify_axioms
+from pglab.polyadic import (
+    PolyadicGroup, all_derived, as_table, derive_b, dornte_check, verify_axioms,
+)
 from pglab.simplicity import (
     census,
     is_gts,
@@ -165,6 +168,15 @@ class TestCensus:
         assert len(entries) == 2
         assert sorted(e.multiplicity for e in entries) == [1, 3]
 
+    def test_three_elements_exhaustive_at_arity_two(self):
+        """The one exhaustive cell of the suite with m > 2, where (0 1) and
+        (0 1 2) are two moves: the three labellings of Z3 are one class."""
+        exhaustive = census(3, 2, "exhaustive", caps=Caps(census_exhaustive_cap=3**9))
+        derived = census(3, 2)
+        assert [(e.multiplicity, e.report) for e in exhaustive] == [
+            (e.multiplicity, e.report) for e in derived
+        ] == [(3, derived[0].report)]
+
     def test_exhaustive_cap(self):
         with pytest.raises(CostCapExceeded):
             census(3, 3, "exhaustive")
@@ -272,13 +284,20 @@ class TestHolomorphOrbits:
                 assert simplicity._transport_twist(base, n, phi, g, twist) == (theta, b)
 
     def test_derived_census_is_not_pairwise(self, monkeypatch):
+        """Both modes class by orbits alone: with the reports stubbed (they
+        read the derived view by design), neither an isomorphism test nor
+        the view is needed."""
         def refuse(*args, **kwargs):
-            raise AssertionError("are_isomorphic called")
+            raise AssertionError("isomorphism test or view called")
 
+        cells = [(4, 3, "derived"), (2, 3, "exhaustive"), (2, 2, "exhaustive")]
+        expected = [[e.multiplicity for e in census(*cell)] for cell in cells]
         monkeypatch.setattr(morphisms, "are_isomorphic", refuse)
-        assert len(census(4, 3)) == 7
-        with pytest.raises(AssertionError):
-            census(2, 3, "exhaustive")
+        monkeypatch.setattr(PolyadicGroup, "view", property(refuse))
+        monkeypatch.setattr(simplicity, "simplicity_report", lambda p, caps: None)
+        got = [[e.multiplicity for e in census(*cell)] for cell in cells]
+        assert got == expected
+        assert [len(e) for e in got] == [7, 2, 1]
 
     def test_orbit_outside_the_valid_twists_is_refused(self, monkeypatch):
         # der(Z3, id, 1) lies in the orbit of der(Z3, id, 0); hide it
@@ -289,3 +308,16 @@ class TestHolomorphOrbits:
         monkeypatch.setattr(simplicity, "all_derived", drop_second)
         with pytest.raises(InternalContradiction):
             census(3, 3)
+
+    def test_relabelled_table_outside_the_valid_tables_is_refused(self, monkeypatch):
+        # the two tables of Z2 (identity 0 and identity 1) are one orbit of
+        # (0 1); reject the second
+        check = simplicity.verify_table_axioms
+
+        def reject_second(arity, order, flat, caps):
+            report = check(arity, order, flat, caps=caps)
+            return replace(report, solvable=report.solvable and flat != (1, 0, 0, 1))
+
+        monkeypatch.setattr(simplicity, "verify_table_axioms", reject_second)
+        with pytest.raises(InternalContradiction):
+            census(2, 2, "exhaustive")
