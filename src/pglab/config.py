@@ -28,9 +28,8 @@ class Caps:
 
     order_cap: int = 16            # largest accepted base-group order
     arity_cap: int = 8             # largest accepted operation arity
-    axiom_cost_cap: int = 10_000_000   # cells for axiom checks and the oracles' arrays
+    axiom_cost_cap: int = 10_000_000   # cells: axiom checks, oracles, exhaustive census
     hom_oracle_cap: int = 1_000_000    # candidate maps in the hom oracle
-    census_exhaustive_cap: int = 4096  # candidate tables in the exhaustive census
 
     def __post_init__(self):
         for f in fields(self):

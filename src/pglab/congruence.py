@@ -63,19 +63,16 @@ class Congruence:
         return f"Congruence({[list(c) for c in self.classes]})"
 
 
-def congruence_from_classes(
-    p: PolyadicGroup, classes: Sequence[Sequence[int]], validate: bool = True
-) -> Congruence:
+def congruence_from_classes(p: PolyadicGroup, classes: Sequence[Sequence[int]]) -> Congruence:
     canon = tuple(sorted(tuple(sorted(c)) for c in classes))
     flat = sorted(x for c in canon for x in c)
     if flat != list(range(p.order)) or not all(canon):
         raise ValueError("classes must partition the carrier into nonempty classes")
     cong = Congruence(p, canon)
-    if validate:
-        cls_of = np.asarray(cong.class_of)
-        skew_classes = set(zip(cong.class_of, cls_of[np.asarray(p.skew_table)].tolist()))
-        if len(skew_classes) != len(canon) or class_signature(p, cls_of) is None:
-            raise ValueError("partition is not a congruence")
+    cls_of = np.asarray(cong.class_of)
+    skew_classes = set(zip(cong.class_of, cls_of[np.asarray(p.skew_table)].tolist()))
+    if len(skew_classes) != len(canon) or class_signature(p, cls_of) is None:
+        raise ValueError("partition is not a congruence")
     return cong
 
 
@@ -225,7 +222,6 @@ class KernelClass:
 
     members: tuple[int, ...]
     b_related: bool
-    polyadic_subgroup: bool
 
 
 def kernel_class(r: Congruence) -> KernelClass:
@@ -256,7 +252,7 @@ def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
             if base.conj(g, h) not in mset:
                 raise IllDefined(f"kernel class not normal at ({g},{h})")
     b_related = r.related(identity_orig, hg.unrelabel[hg.b])
-    return KernelClass(members_orig, b_related, b_related)
+    return KernelClass(members_orig, b_related)
 
 
 @dataclass(frozen=True)

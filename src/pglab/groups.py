@@ -92,10 +92,7 @@ class FiniteGroup:
 
 
 def make_group(
-    table: Sequence[Sequence[int]],
-    name: str = "",
-    caps: Caps = DEFAULT_CAPS,
-    validate: bool = True,
+    table: Sequence[Sequence[int]], name: str = "", caps: Caps = DEFAULT_CAPS
 ) -> FiniteGroup:
     """Validate a multiplication table within the order cap and wrap it as a
     FiniteGroup.
@@ -108,12 +105,10 @@ def make_group(
         raise OrderCapExceeded(
             f"order {len(rows)} exceeds cap {caps.order_cap}", cap="order_cap", required=len(rows)
         )
-    return group_from_rows(rows, name, validate)
+    return group_from_rows(rows, name)
 
 
-def group_from_rows(
-    rows: tuple[tuple[int, ...], ...], name: str = "", validate: bool = True
-) -> FiniteGroup:
+def group_from_rows(rows: tuple[tuple[int, ...], ...], name: str = "") -> FiniteGroup:
     """make_group without the order cap, for an order already checked."""
     m = len(rows)
     if m == 0:
@@ -124,10 +119,6 @@ def group_from_rows(
         for x in row:
             if not 0 <= x < m:
                 raise ValidationError(f"entry {x} in row {i} out of range 0..{m - 1}")
-    group = FiniteGroup(rows, name)
-    if not validate:
-        return group
-
     for i in range(m):
         if rows[0][i] != i:
             raise NoIdentityAtZero(f"0·{i} = {rows[0][i]}, expected {i}")
@@ -138,6 +129,7 @@ def group_from_rows(
             if len(set(line)) != m:
                 repeated = next(v for j, v in enumerate(line) if v in line[:j])
                 raise NotLatinSquare(f"{kind} {i} repeats {repeated}")
+    group = FiniteGroup(rows, name)
     t = group.np_table
     left = t[t, :]          # left[i,j,k] = (i·j)·k
     right = t[:, t]         # right[i,j,k] = i·(j·k)

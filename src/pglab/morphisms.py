@@ -75,12 +75,24 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     ])
 
 
-def _check_cost(p: PolyadicGroup, caps: Caps) -> None:
-    cells = p.order**p.arity  # the complete check reads every source tuple
+def _oracle_refusal(
+    p: PolyadicGroup, q: PolyadicGroup, caps: Caps, scan: bool = True
+) -> Optional[CostCapExceeded]:
+    """Why the hom oracle may not run from p to q, or None: its |Q|^|P| maps
+    must fit hom_oracle_cap (unless scan is False, for a one-map check), and
+    the cells of the two m^n tables it reads axiom_cost_cap."""
+    total = q.order**p.order
+    if scan and total > caps.hom_oracle_cap:
+        return CostCapExceeded(
+            f"oracle scan of {total} maps exceeds cap {caps.hom_oracle_cap}",
+            cap="hom_oracle_cap", required=total,
+        )
+    cells = max(p.order, q.order) ** p.arity
     if cells > caps.axiom_cost_cap:
-        raise CostCapExceeded(
+        return CostCapExceeded(
             f"hom check needs {cells} evaluations", cap="axiom_cost_cap", required=cells
         )
+    return None
 
 
 def is_polyadic_hom(
@@ -100,7 +112,9 @@ def is_polyadic_hom(
     bad = [y for y in psi if not 0 <= y < q.order]
     if bad:
         raise ValidationError(f"images {bad} are outside the target carrier 0..{q.order - 1}")
-    _check_cost(p, caps)
+    refusal = _oracle_refusal(p, q, caps, scan=False)
+    if refusal:
+        raise refusal
     psi_np, image = np.asarray(psi, dtype=q.flat_np.dtype), q.cube
     for k in range(p.arity):
         image = image.take(psi_np, axis=k)
@@ -116,7 +130,7 @@ def _condition_masks(
     """The two split conditions for every anchor a at once, a on the last
     axis: h(a,...,a) = phi(b)∗a, and phi∘theta = I_a∘eta∘phi (I_a the
     conjugation by a).  phi is one map or a stack of maps (rows)."""
-    anchor = tgt.diagonal == tgt.base.np_table[phi[..., src.b]]
+    anchor = tgt.group.diagonal == tgt.base.np_table[phi[..., src.b]]
     conj_eta_phi = tgt.base.conj_table.T[tgt.theta.np_perm[phi]]
     intertwine = (conj_eta_phi == phi[..., src.theta.np_perm, None]).all(axis=-2)
     return anchor, intertwine
@@ -220,7 +234,7 @@ def _scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
 
 def _build_scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
     n = p.arity
-    rows = {(x,) * n + (p.eval([x] * n),) for x in range(p.order)}
+    rows = {(x,) * n + (d,) for x, d in enumerate(p.diagonal.tolist())}
     rows |= {(x,) * (n - 1) + (s, x) for x, s in enumerate(p.skew_table)}
     rows |= {
         (x,) + (0,) * (n - 2) + (y, e)
@@ -244,15 +258,13 @@ def _oracle_hom_maps(
     checked at once and the violating rows dropped.  The surviving total
     maps get the complete check on every tuple, in blocks.  Columns are
     assigned in order and each row is extended by its images in order, so
-    the maps come out sorted.  The scan never consults the theorem route.
+    the maps come out sorted.  The scan never consults the theorem route;
+    the oracle's gate refuses before any table is read.
     """
+    refusal = _oracle_refusal(p, q, caps)
+    if refusal:
+        raise refusal
     mp, mq, n = p.order, q.order, p.arity
-    total = mq**mp
-    if total > caps.hom_oracle_cap:
-        raise CostCapExceeded(
-            f"oracle scan of {total} maps exceeds cap {caps.hom_oracle_cap}",
-            cap="hom_oracle_cap", required=total,
-        )
     maps = np.zeros((1, 0), dtype=np.int16)
     for k, rows in enumerate(_scan_rows(p)):
         grown = np.empty((len(maps), mq, k + 1), dtype=np.int16)
@@ -263,7 +275,6 @@ def _oracle_hom_maps(
             maps = maps[_rows_hold(maps, q, rows)]
         if not len(maps):
             return []
-    _check_cost(p, caps)
     holds = [
         (q.flat_np[packed_tuples(block, mq, n)] == np.take(block, p.flat_np, axis=1)).all(axis=1)
         for block in row_blocks(maps, mp**n, _BLOCK_CELLS)
@@ -297,8 +308,10 @@ def enumerate_homs(
     The theorem route crosses binary homomorphisms with the anchors that
     pass both split conditions.  The oracle scans raw maps: a frontier of
     partial maps pruned on the diagonal, skew and edge tuples, then the
-    complete check on every leaf.  Auto runs both when the scan's
-    |Q|^|P| candidate maps fit hom_oracle_cap and insists they agree.
+    complete check on every leaf.  Auto runs both when the oracle's gate
+    (_oracle_refusal: |Q|^|P| maps within hom_oracle_cap, both tables within
+    axiom_cost_cap) admits the pair, and insists they agree; outside it the
+    theorem runs alone.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
@@ -307,7 +320,7 @@ def enumerate_homs(
         strategy,
         lambda: sorted(_split_maps(p, q, caps)),
         lambda: _oracle_hom_maps(p, q, caps),
-        q.order**p.order <= caps.hom_oracle_cap,
+        _oracle_refusal(p, q, caps) is None,
     )
     return [PolyadicHom(p, q, m) for m in maps]
 

@@ -123,6 +123,12 @@ class PolyadicGroup:
         return table[acc, pres.b]
 
     @cached_property
+    def diagonal(self) -> np.ndarray:
+        """f(x, ..., x) for every element x, by eval_many: a derived group
+        builds no m^n table."""
+        return self.eval_many(np.broadcast_to(np.arange(self.order), (self.arity, self.order)))
+
+    @cached_property
     def flat_np(self) -> np.ndarray:
         """Flat operation table, index of (x1..xn) being sum of xi·m^(n-i), in
         the smallest unsigned dtype holding m−1 (one byte a cell through order
@@ -179,7 +185,7 @@ class PolyadicGroup:
         return hosszu_gloskin(self, 0)
 
     def idempotents(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.order) if self.eval([x] * self.arity) == x)
+        return tuple(x for x, y in enumerate(self.diagonal.tolist()) if x == y)
 
     def __repr__(self) -> str:
         if isinstance(self.presentation, DerivedPresentation):
@@ -451,12 +457,6 @@ class HosszuGloskin:
     @cached_property
     def unrelabel(self) -> tuple[int, ...]:
         return inverse_perm(self.relabel)
-
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """f(a, ..., a) for every element a of the presentation."""
-        m, n = self.base.order, self.group.arity
-        return self.group.eval_many(np.broadcast_to(np.arange(m), (n, m)))
 
 
 def hosszu_gloskin(

@@ -27,6 +27,7 @@ from .groups import FiniteGroup, automorphisms
 from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
     PolyadicGroup,
+    _check_arity_order,
     all_derived,
     from_table,
     is_reduced,
@@ -93,24 +94,16 @@ class SimplicityReport:
 def simplicity_report(
     p: PolyadicGroup, method: Strategy = "auto", caps: Caps = DEFAULT_CAPS
 ) -> SimplicityReport:
-    """Run all deciders off one congruence list and one normal-subgroup
-    list, cross-check the implications, collect witnesses."""
-    congs = congruences(p, method, caps)
-    subs = enumerate_normal_polyadic(p, strategy=method, caps=caps)
-    found = {
-        "uas": next((c for c in congs if not c.is_diagonal() and not c.is_full()), None),
-        "gts": next((s for s in subs if s.size not in (1, p.order)), None),
-        "gts_star": next((s for s in subs if s.size != p.order), None),
-    }
-    witnesses = {key: w for key, w in found.items() if w is not None}
+    """Run the three deciders (the normal subgroups are found once and
+    stored on p), cross-check the implications, collect witnesses."""
+    found = {key: decide(p, method, caps) for key, decide in
+             (("uas", is_uas), ("gts", is_gts), ("gts_star", is_gts_star))}
     return SimplicityReport(
-        uas=found["uas"] is None,
-        gts=found["gts"] is None,
-        gts_star=found["gts_star"] is None,
+        **{key: flag for key, (flag, _) in found.items()},
         reduced=is_reduced(p),
         degenerate=p.order == 1,
         method=routes(method, oracle_fits(p, caps)),
-        witnesses=witnesses,
+        witnesses={key: w for key, (_, w) in found.items() if w is not None},
     )
 
 
@@ -150,12 +143,16 @@ def census(
             )
         classes = [c for base in bases for c in _twist_classes(base, arity, caps)]
     else:
-        table_count = order ** (order**arity)
-        if table_count > caps.census_exhaustive_cap:
+        _check_arity_order(arity, order, caps)
+        # m^(m^n) tables of m^(2n−1) tuples each, m^e cells: counted only when
+        # they may fit (m^e ≥ 2^(e·⌊log₂ m⌋)), and named as a power
+        m, n = int(order), int(arity)
+        e = m**n + 2 * n - 1
+        cells = m**e if e * (m.bit_length() - 1) <= caps.axiom_cost_cap.bit_length() else None
+        if cells is None or cells > caps.axiom_cost_cap:
             raise CostCapExceeded(
-                f"exhaustive census would scan {table_count} tables, cap is "
-                f"{caps.census_exhaustive_cap}",
-                cap="census_exhaustive_cap", required=table_count,
+                f"exhaustive census needs {m}^{e} cells on order {m}, arity {n}; cap is "
+                f"{caps.axiom_cost_cap}", cap="axiom_cost_cap", required=cells,
             )
         flats = [
             flat for flat in itertools.product(range(order), repeat=order**arity)

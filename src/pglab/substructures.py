@@ -55,18 +55,17 @@ class GuGroup:
     psi_u: Automorphism
     relabel: tuple[int, ...]
     unrelabel: tuple[int, ...]
-    base: FiniteGroup = field(compare=False, repr=False)
     theta: Automorphism = field(compare=False, repr=False)
 
     def star(self, x: int, y: int) -> int:
-        return self.base.mul(self.base.mul(x, self.base.inv(self.u)), y)
+        return self.group.mul(self.group.mul(x, self.group.inv(self.u)), y)
 
     def inv_u(self, x: int) -> int:
-        return self.base.mul(self.base.mul(self.u, self.base.inv(x)), self.u)
+        return self.group.mul(self.group.mul(self.u, self.group.inv(x)), self.u)
 
     def psi_raw(self, x: int) -> int:
-        return self.base.mul(
-            self.base.mul(self.u, self.theta(x)), self.theta(self.base.inv(self.u))
+        return self.group.mul(
+            self.group.mul(self.u, self.theta(x)), self.theta(self.group.inv(self.u))
         )
 
 
@@ -80,8 +79,7 @@ def gu_group(p: PolyadicGroup, u: int) -> GuGroup:
         tuple(base.conj(u_view, theta(i)) for i in range(base.order))
     )
     return GuGroup(
-        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=inverse_perm(re),
-        base=base, theta=theta,
+        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=inverse_perm(re), theta=theta
     )
 
 
@@ -147,8 +145,7 @@ def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
     m, n = p.order, p.arity
     inside = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     skew = np.asarray(p.skew_table)
-    diag = np.asarray([p.eval([x] * n) for x in range(m)])
-    keep = (~inside | inside[:, skew] & inside[:, diag]).all(axis=1)
+    keep = (~inside | inside[:, skew] & inside[:, p.diagonal]).all(axis=1)
     sizes = inside.sum(axis=1)
     tables = [p.cube]
     if n > 3:
@@ -175,10 +172,11 @@ def _theorem_subgroups(p: PolyadicGroup) -> dict[tuple[int, ...], int]:
     """
     hg = p.view
     base, unrelabel = hg.base, hg.unrelabel
+    diagonal = hg.group.diagonal.tolist()
     found: dict[tuple[int, ...], int] = {}
     for u_orig in range(p.order):
         gu = gu_group(p, u_orig)
-        cu = hg.group.eval([gu.u] * p.arity)
+        cu = diagonal[gu.u]
         for members in base.subgroup_lattice:
             if frozenset(gu.psi_u(x) for x in members) != frozenset(members):
                 continue

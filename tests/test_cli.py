@@ -111,6 +111,14 @@ class TestCensus:
         rc = main(["census", "--order", "3", "--arity", "3", "--mode", "exhaustive"])
         assert rc == 2
 
+    def test_exhaustive_refusal_exits_2_without_traceback(self):
+        """(5, 6) would scan 5^15625 tables; the refusal names the count as a
+        power instead of printing it."""
+        proc = run_cli(["census", "--order", "5", "--arity", "6", "--mode", "exhaustive"], {})
+        assert proc.returncode == 2
+        assert "5^15636 cells" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_env_cap_override(self, doc_path, monkeypatch, capsys):
         monkeypatch.setenv("PGLAB_AXIOM_COST_CAP", "4")
         rc = main(["verify", doc_path("T2b", table_form=True)])
@@ -125,7 +133,7 @@ class TestCensus:
         [
             (["verify", "{T2b}"], "--axiom-cost-cap", "PGLAB_AXIOM_COST_CAP"),
             (["census", "--order", "3", "--arity", "3", "--mode", "exhaustive"],
-             "--census-exhaustive-cap", "PGLAB_CENSUS_EXHAUSTIVE_CAP"),
+             "--axiom-cost-cap", "PGLAB_AXIOM_COST_CAP"),
             (["--order-cap", "1", "analyze", "{T2b}"], "--order-cap", "PGLAB_ORDER_CAP"),
         ],
     )
@@ -250,6 +258,8 @@ class TestBadInput:
             (["census", "--order", "12", "--arity", "3"], {}),
             (["census", "--order", "13", "--arity", "3"], {}),
             (["quotient", "{T3}", "--congruence", "0|1|2|"], {}),
+            (["census", "--order", "-2", "--arity", "3", "--mode", "exhaustive"], {}),
+            (["census", "--order", "2", "--arity", "-1", "--mode", "exhaustive"], {}),
         ],
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):

@@ -109,8 +109,8 @@ class TestCaps:
             ("axiom_cost_cap", lambda s, c: enumerate_polyadic_subgroups(s["T4"], "oracle", c)),
             ("axiom_cost_cap", lambda s, c: is_polyadic_hom((0, 1, 2), s["T3"], s["T3"], c)),
             ("axiom_cost_cap", lambda s, c: congruences_bruteforce(s["T4"], c)),
+            ("axiom_cost_cap", lambda s, c: census(2, 3, "exhaustive", c)),
             ("hom_oracle_cap", lambda s, c: enumerate_homs(s["T3"], s["T3"], "oracle", c)),
-            ("census_exhaustive_cap", lambda s, c: census(2, 3, "exhaustive", c)),
         ],
     )
     def test_refusal_names_its_cap(self, structs, cap, call):

@@ -101,6 +101,16 @@ class TestIsHom:
         with pytest.raises(CostCapExceeded):
             is_polyadic_hom((0, 1, 2), structs["T3"], structs["T3"], caps=Caps(axiom_cost_cap=8))
 
+    def test_cost_cap_counts_the_target_table(self):
+        """The check reads both tables: a one-cell source does not admit an
+        8^5-cell target, which is refused before it is built."""
+        p = derive(catalog_group("Z1"), Automorphism.identity(1), 0, 5)
+        q = derive(catalog_group("Z8"), Automorphism.identity(8), 0, 5)
+        with pytest.raises(CostCapExceeded) as info:
+            is_polyadic_hom([0], p, q, caps=Caps(axiom_cost_cap=1000))
+        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 8**5)
+        assert "flat_np" not in q.__dict__
+
 
 class TestEnumerate:
     def test_plain_sum_self_homs(self, structs):
@@ -135,6 +145,32 @@ class TestEnumerate:
         # past the cap, auto runs the theorem route alone instead of refusing
         assert enumerate_homs(p, p, caps=Caps(hom_oracle_cap=26)) == theorem
         assert enumerate_homs(p, p, strategy="oracle", caps=Caps(hom_oracle_cap=27)) == theorem
+
+    def test_gate_reads_both_tables_before_building(self):
+        """Der(Z4) → der(Z2) at arity 5 has 2^4 candidate maps but 4^5 table
+        cells: past axiom_cost_cap oracle refuses before building a table,
+        and auto runs the theorem alone, which builds no table of p (q's
+        2^5-cell table, within the cap, comes from its anchor-0 split)."""
+        def pair():
+            return tuple(derive(catalog_group(f"Z{m}"), Automorphism.identity(m), 0, 5)
+                         for m in (4, 2))
+        theorem = [h.map for h in enumerate_homs(*pair(), strategy="theorem")]
+        assert len(theorem) == 4
+        caps = Caps(axiom_cost_cap=1000)
+        p, q = pair()
+        with pytest.raises(CostCapExceeded) as info:
+            enumerate_homs(p, q, strategy="oracle", caps=caps)
+        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 4**5)
+        assert "flat_np" not in p.__dict__ and "flat_np" not in q.__dict__
+        assert [h.map for h in enumerate_homs(p, q, caps=caps)] == theorem
+        assert "flat_np" not in p.__dict__
+
+    def test_auto_runs_the_theorem_alone_past_the_table_cap(self):
+        """At the default caps der(Z8) → der(Z2) at arity 8 fits
+        hom_oracle_cap (2^8 maps) but not the 8^8-cell source table."""
+        p, q = (derive(catalog_group(f"Z{m}"), Automorphism.identity(m), 0, 8) for m in (8, 2))
+        assert [h.map for h in enumerate_homs(p, q)] == [(0,) * 8, (0, 1) * 4]
+        assert "flat_np" not in p.__dict__
 
     def test_oracle_equals_dense_reference(self, corpus):
         pairs = [

@@ -171,7 +171,7 @@ class TestCensus:
     def test_three_elements_exhaustive_at_arity_two(self):
         """The one exhaustive cell of the suite with m > 2, where (0 1) and
         (0 1 2) are two moves: the three labellings of Z3 are one class."""
-        exhaustive = census(3, 2, "exhaustive", caps=Caps(census_exhaustive_cap=3**9))
+        exhaustive = census(3, 2, "exhaustive")
         derived = census(3, 2)
         assert [(e.multiplicity, e.report) for e in exhaustive] == [
             (e.multiplicity, e.report) for e in derived
@@ -180,6 +180,27 @@ class TestCensus:
     def test_exhaustive_cap(self):
         with pytest.raises(CostCapExceeded):
             census(3, 3, "exhaustive")
+
+    def test_exhaustive_cost_is_axiom_cost(self):
+        """The scan checks m^(m^n) tables on m^(2n−1) tuples each: (2, 3)
+        needs 2^13 cells."""
+        census(2, 3, "exhaustive", caps=Caps(axiom_cost_cap=2**13))
+        with pytest.raises(CostCapExceeded) as info:
+            census(2, 3, "exhaustive", caps=Caps(axiom_cost_cap=2**13 - 1))
+        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 2**13)
+
+    def test_exhaustive_refusal_computes_no_huge_count(self):
+        start = time.perf_counter()
+        with pytest.raises(CostCapExceeded) as info:
+            census(5, 6, "exhaustive")
+        assert time.perf_counter() - start < 1
+        assert info.value.required is None
+        assert "5^15636" in str(info.value)
+
+    @pytest.mark.parametrize("order, arity", [(-2, 3), (2, -1)])
+    def test_exhaustive_refuses_bad_order_and_arity(self, order, arity):
+        with pytest.raises(ValidationError):
+            census(order, arity, "exhaustive")
 
     # (order, arity) -> (classes, multiplicity sum, UAS, GTS, GTS* classes)
     @pytest.mark.parametrize(
