@@ -114,7 +114,7 @@ def cmd_analyze(args, caps: Caps) -> int:
         payload["skew"] = table
         lines.append("skew: " + " ".join(f"{x}↦{y}" for x, y in enumerate(table)))
     if args.retract is not None:
-        hg = hosszu_gloskin(p, args.retract, caps=caps)
+        hg = hosszu_gloskin(p, args.retract)
         payload["retract"] = {
             "anchor": args.retract,
             "table": [list(r) for r in hg.base.table],
@@ -239,7 +239,7 @@ def cmd_hom(args, caps: Caps) -> int:
             )
             return 1
         psi = PolyadicHom(p, q, candidate)
-        dec = decompose_hom(psi, caps=caps)
+        dec = decompose_hom(psi)
         _emit(
             args,
             {"hom": True, **hom_to_doc(psi, dec)},
@@ -247,7 +247,7 @@ def cmd_hom(args, caps: Caps) -> int:
         )
         return 0
     homs = enumerate_homs(p, q, caps=caps)
-    docs = [hom_to_doc(h, decompose_hom(h, caps=caps)) for h in homs]
+    docs = [hom_to_doc(h, decompose_hom(h)) for h in homs]
     lines = [f"{len(homs)} homomorphisms"]
     for d in docs:
         lines.append(f"  map {d['map']} a={d['decomposition']['a']} "
@@ -259,7 +259,7 @@ def cmd_hom(args, caps: Caps) -> int:
 def cmd_iso(args, caps: Caps) -> int:
     p = load_polyadic(getattr(args, "from"), caps=caps)
     q = load_polyadic(args.to, caps=caps)
-    psi = are_isomorphic(p, q, caps=caps)
+    psi = are_isomorphic(p, q)
     if psi is None:
         _emit(args, {"isomorphic": False}, ["not isomorphic"])
         return 0

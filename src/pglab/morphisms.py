@@ -58,11 +58,6 @@ class HomDecomposition:
     phi: tuple[int, ...]
 
 
-# Cells (map rows × checked tuples) per batched hom check: the check's
-# temporaries stay a few MB however many maps it is handed.
-_BLOCK_CELLS = 1 << 16
-
-
 def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarray:
     """For each row of maps (column x holds the image of source element x),
     whether h(psi(t)) = psi(f(t)) on every tuple of rows, whose n+1 lines
@@ -71,7 +66,7 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     weights = q.order ** np.arange(len(args) - 1, -1, -1)[:, None]
     return np.concatenate([
         (q.flat_np[(block[:, args] * weights).sum(axis=1)] == block[:, image]).all(axis=1)
-        for block in row_blocks(maps, len(image), _BLOCK_CELLS)
+        for block in row_blocks(maps, len(image))
     ])
 
 
@@ -167,13 +162,13 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, hom_rows(g, h).tolist()))
 
 
-def decompose_hom(psi: PolyadicHom, caps: Caps = DEFAULT_CAPS) -> HomDecomposition:
+def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     """The canonical split with a = psi(identity of the source presentation).
 
     phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹; the
     split is validated against both side conditions before being returned.
     """
-    src, tgt = psi.source.view, hg_anchor0(psi.target, caps)
+    src, tgt = psi.source.view, hg_anchor0(psi.target)
     h_group = tgt.base
     psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
     a = int(psi_t[0])
@@ -200,7 +195,7 @@ def compose_hom(
     a and phi are given in presentation coordinates: phi maps the source
     presentation base into the anchor-0 base of the target.
     """
-    src, tgt = p.view, hg_anchor0(q, caps)
+    src, tgt = p.view, hg_anchor0(q)
     images = [int(x) for x in phi]
     if len(images) != p.order or not all(0 <= y < q.order for y in [a, *images]):
         raise ValidationError(
@@ -277,21 +272,21 @@ def _oracle_hom_maps(
             return []
     holds = [
         (q.flat_np[packed_tuples(block, mq, n)] == np.take(block, p.flat_np, axis=1)).all(axis=1)
-        for block in row_blocks(maps, mp**n, _BLOCK_CELLS)
+        for block in row_blocks(maps, mp**n)
     ]
     return [tuple(row) for row in maps[np.concatenate(holds)].tolist()]
 
 
 def _split_maps(
-    p: PolyadicGroup, q: PolyadicGroup, caps: Caps, bijective: bool = False
+    p: PolyadicGroup, q: PolyadicGroup, bijective: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """psi = R_a ∘ phi for every binary homomorphism phi (the injective
     ones only, if bijective maps are asked for: the callers have checked
     that the orders are equal) and every anchor a passing both conditions,
     the conditions tested for all a at once."""
-    src, tgt = p.view, hg_anchor0(q, caps)
+    src, tgt = p.view, hg_anchor0(q)
     phis = hom_rows(src.base, tgt.base, injective=bijective)
-    for block in row_blocks(phis, p.order * q.order, _BLOCK_CELLS):
+    for block in row_blocks(phis, p.order * q.order):
         anchor, intertwine = _condition_masks(src, tgt, block)
         rows, anchors = np.nonzero(anchor & intertwine)
         yield from _raw_maps(src, tgt, block[rows], anchors)
@@ -318,7 +313,7 @@ def enumerate_homs(
     maps = cross_check(
         "hom enumeration",
         strategy,
-        lambda: sorted(_split_maps(p, q, caps)),
+        lambda: sorted(_split_maps(p, q)),
         lambda: _oracle_hom_maps(p, q, caps),
         _oracle_refusal(p, q, caps) is None,
     )
@@ -344,9 +339,7 @@ def _iso_invariants(p: PolyadicGroup) -> tuple:
     ))
 
 
-def are_isomorphic(
-    p: PolyadicGroup, q: PolyadicGroup, caps: Caps = DEFAULT_CAPS
-) -> Optional[PolyadicHom]:
+def are_isomorphic(p: PolyadicGroup, q: PolyadicGroup) -> Optional[PolyadicHom]:
     """The smallest bijective homomorphism in map order, or None.
 
     Cheap invariants (order, arity, identity presence, skew fixed points,
@@ -357,5 +350,5 @@ def are_isomorphic(
         return None
     if _iso_invariants(p) != _iso_invariants(q):
         return None
-    best = min(_split_maps(p, q, caps, bijective=True), default=None)
+    best = min(_split_maps(p, q, bijective=True), default=None)
     return PolyadicHom(p, q, best) if best is not None else None

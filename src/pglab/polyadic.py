@@ -8,7 +8,6 @@ varying fastest.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
@@ -217,9 +216,14 @@ def packed_tuples(values: np.ndarray, base: int, n: int) -> np.ndarray:
     return out
 
 
-def row_blocks(rows: np.ndarray, cells_per_row: int, cells: int) -> Iterator[np.ndarray]:
-    """rows in consecutive blocks of at most `cells` cells (one row at least)."""
-    step = max(1, cells // max(1, cells_per_row))
+# Cells (rows × tuples) per block of a batched check: its temporaries stay a
+# few MB however many rows it is handed.
+_BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows: np.ndarray, cells_per_row: int) -> Iterator[np.ndarray]:
+    """rows in consecutive blocks of at most _BLOCK_CELLS cells (one row at least)."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
     return (rows[lo : lo + step] for lo in range(0, len(rows), step))
 
 
@@ -394,28 +398,30 @@ def as_table(p: PolyadicGroup) -> PolyadicGroup:
     return PolyadicGroup(p.arity, TablePresentation(p.order, p.flat_np.tobytes()), name=p.name)
 
 
+def split_tuples(p: PolyadicGroup, a: int, xs: Sequence[int]) -> np.ndarray:
+    """Columns (x, a,…,a, y), x-major, then (skew(a), x, a,…,a), then
+    (skew(a),…,skew(a)), x and y in xs: they read p's retract, twist and c at a."""
+    abar, k = p.skew(a), len(xs)
+    args = np.full((p.arity, k * k + k + 1), a)
+    args[0, : k * k], args[-1, : k * k] = np.repeat(xs, k), np.tile(xs, k)
+    args[0, k * k :], args[1, k * k :] = abar, np.append(xs, abar)
+    args[2:, -1] = abar
+    return args
+
+
 def _retract(p: PolyadicGroup, a: int):
-    """The retract at a and its relabelling (see `retract`), then, from one
-    batched evaluation of p in p's coordinates, the retract table f(x, a,…,a, y),
-    the twist f(skew(a), x, a,…,a) and c = f(skew(a),…,skew(a))."""
-    m, n = p.order, p.arity
+    """The retract at a and its relabelling (see `retract`), then the
+    split_tuples at a over the carrier and p's values on them."""
+    m = p.order
     if not 0 <= a < m:
         raise ValidationError(f"anchor {a} is outside the carrier 0..{m - 1}")
-    abar = p.skew(a)
-    k = m * m
-    args = np.full((n, k + m + 1), a)
-    args[0, :k], args[-1, :k] = np.divmod(np.arange(k), m)
-    args[0, k:] = abar
-    args[1, k:] = np.append(np.arange(m), abar)
-    args[2:, -1] = abar
+    args, abar = split_tuples(p, a, np.arange(m)), p.skew(a)
     values = p.eval_many(args)
-    ret, twist, c = values[:k].reshape(m, m), values[k:-1], int(values[-1])
     unrelabel = np.asarray([abar] + [x for x in range(m) if x != abar])
     relabel = np.argsort(unrelabel)
-    name = f"ret_{a}({p.name})" if p.name else ""
-    table = relabel[ret[np.ix_(unrelabel, unrelabel)]].tolist()
-    group = group_from_rows(tuple(map(tuple, table)), name)
-    return group, relabel, ret, twist, c
+    table = relabel[values[: m * m].reshape(m, m)[np.ix_(unrelabel, unrelabel)]].tolist()
+    group = group_from_rows(tuple(map(tuple, table)), p.name and f"ret_{a}({p.name})")
+    return group, relabel, args, values
 
 
 def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -459,40 +465,34 @@ class HosszuGloskin:
         return inverse_perm(self.relabel)
 
 
-def hosszu_gloskin(
-    p: PolyadicGroup, a: int, caps: Caps = DEFAULT_CAPS
-) -> HosszuGloskin:
+def hosszu_gloskin(p: PolyadicGroup, a: int) -> HosszuGloskin:
     """Decompose f over the retract at a: twist phi(x) = f(skew(a), x, a,...,a)
-    and constant c = f(skew(a),...,skew(a)).
-
-    Validates the derived-form gates and that der(retract, phi, c), rebuilt
-    in p's own coordinates, matches f on every tuple: always for a table,
-    whose m^n cells are held, and for a derived p within the cost cap
-    (sampled beyond, the only use of caps); a RoundTripMismatch names the
-    first differing flat index, or argument tuple, of p itself.  p's arity
-    and order passed the caps when p was built and are not checked again.
-    """
+    and constant c = f(skew(a),...,skew(a)), checking the derived-form gates
+    and that der(retract, phi, c), rebuilt in p's coordinates, is f.  A table,
+    which may hold any cells, is compared on every cell, a RoundTripMismatch
+    naming the flat index.  A derived p and the rebuilt side are n-ary groups
+    by construction, each fixed by its split at a, so they are compared on
+    the m²+m+1 split_tuples alone, with no m^n table, a RoundTripMismatch
+    naming the argument tuple."""
     m, n = p.order, p.arity
-    group, relabel, ret, twist, c = _retract(p, a)
+    group, relabel, args, values = _retract(p, a)
+    ret, twist, c = values[: m * m].reshape(m, m), values[m * m : -1], int(values[-1])
     try:
         phi = make_automorphism(group, tuple(relabel[twist[np.argsort(relabel)]].tolist()))
         derived = _twist(group, phi, int(relabel[c]), n, p.name and f"hg({p.name})")
     except (NotAutomorphism, BNotFixed, PowerCondition) as exc:
         raise RoundTripMismatch(f"retract twist is not a valid presentation: {exc}")
 
-    if not p.is_derived or m**n <= caps.axiom_cost_cap:
-        # ret, twist and c are the retract, phi and c carried back to p's carrier
+    if p.is_derived:
+        bad = np.flatnonzero(relabel[values] != derived.eval_many(relabel[args]))
+        if len(bad):
+            where = tuple(args[:, bad[0]].tolist())
+            raise RoundTripMismatch(f"rebuilt operation differs at {where}")
+    else:
+        # the retract, phi and c carried back to p's carrier
         bad = np.flatnonzero(_twisted_table(ret, twist, c, n) != p.flat_np)
         if len(bad):
             raise RoundTripMismatch(f"rebuilt operation differs at flat index {bad[0]}")
-    else:
-        rng = random.Random(0)
-        args = np.asarray([[rng.randrange(m) for _ in range(n)] for _ in range(2000)]).T
-        bad = np.flatnonzero(relabel[p.eval_many(args)] != derived.eval_many(relabel[args]))
-        if len(bad):
-            raise RoundTripMismatch(
-                f"rebuilt operation differs at {tuple(args[:, bad[0]].tolist())}"
-            )
     return HosszuGloskin(derived, tuple(relabel.tolist()))
 
 
@@ -541,13 +541,13 @@ def dornte_check(p: PolyadicGroup) -> bool:
     return dornte_witness(p) is None
 
 
-def hg_anchor0(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> HosszuGloskin:
+def hg_anchor0(p: PolyadicGroup) -> HosszuGloskin:
     """The anchor-0 decomposition, the canonical presentation for hom work:
-    a table's view, or for a derived p its split at 0, stored on p and
-    round-tripped under the caps of the first call."""
+    a table's view, or for a derived p its split at 0, stored on p and built
+    without p's m^n table."""
     if not p.is_derived:
         return p.view
-    return cached_on(p, "anchor0_view", lambda: hosszu_gloskin(p, 0, caps=caps))
+    return cached_on(p, "anchor0_view", lambda: hosszu_gloskin(p, 0))
 
 
 def all_derived(

@@ -21,7 +21,9 @@ from .errors import (
     ValidationError,
 )
 from .groups import Automorphism, FiniteGroup, inverse_perm
-from .polyadic import PolyadicGroup, _wrap_table, n_ary_identity, packed_tuples, row_blocks
+from .polyadic import (
+    PolyadicGroup, _wrap_table, n_ary_identity, packed_tuples, row_blocks, split_tuples,
+)
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,6 @@ def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int
     return members
 
 
-# Cells (rows × member tuples) per block of the closure check: a few MB.
-_BLOCK_CELLS = 1 << 16
-
-
 def _closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
     """For each row of members (the sorted members of a subset, all rows of
     one size), whether the operation with this table (an m×…×m cube, one
@@ -108,7 +106,7 @@ def _closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
     m, n = cube.shape[0], cube.ndim
     flat = cube.ravel()
     out = [np.zeros(0, dtype=bool)]
-    for block in row_blocks(members, members.shape[1] ** n, _BLOCK_CELLS):
+    for block in row_blocks(members, members.shape[1] ** n):
         inside = np.zeros((len(block), m), dtype=bool)
         np.put_along_axis(inside, block, True, axis=1)
         values = flat[packed_tuples(block, m, n)]
@@ -309,22 +307,30 @@ def enumerate_normal_polyadic(
 def polyadic_coset(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], x: int
 ) -> tuple[int, ...]:
-    """{f(x, h1, ..., h_{n-1})}: the equivalence class of x modulo h."""
-    members = _members(p, h)
-    _members(p, [x])  # refuses an x outside the carrier
-    idx = np.asarray(members)
-    block = p.cube[x][np.ix_(*([idx] * (p.arity - 1)))]
-    return tuple(int(v) for v in np.unique(block))
+    """{f(x, h1, ..., h_{n-1})}: the class of x modulo h, a polyadic subgroup."""
+    return _cosets(p, _members(p, h), _members(p, [x]))[0]
+
+
+def _cosets(p: PolyadicGroup, members: Sequence[int], xs: Sequence[int]) -> list[tuple[int, ...]]:
+    """The class of each x in xs modulo the polyadic subgroup h with these
+    members.  Every (n−1)-sequence over h is equivalent to one (h1, u, ..., u),
+    u the least member, so one eval_many reads them all, with no m^n table."""
+    args = np.full((p.arity, len(xs), len(members)), members[0] if members else 0)
+    args[0], args[1] = np.asarray(xs)[:, None], members
+    values = p.eval_many(args.reshape(p.arity, -1)).reshape(len(xs), -1)
+    return [tuple(sorted(set(row))) for row in values.tolist()]
 
 
 def coset_classes(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The sorted polyadic cosets of a normal polyadic subgroup."""
+    """The sorted polyadic cosets of a normal polyadic subgroup: h is a polyadic subgroup
+    iff f's retract, twist and c at its least member keep it (f is der of them there)."""
     members = _members(p, h)
-    if not is_normal_polyadic(p, members):
+    closed = members and np.isin(p.eval_many(split_tuples(p, members[0], members)), members).all()
+    if not (closed and is_normal_polyadic(p, members)):
         raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
-    return tuple(sorted({polyadic_coset(p, members, x) for x in range(p.order)}))
+    return tuple(sorted(set(_cosets(p, members, range(p.order)))))
 
 
 def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:

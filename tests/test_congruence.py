@@ -379,6 +379,16 @@ class TestNormalCongruence:
                 if r.pairs <= q.pairs and is_normal_congruence(r) is not None:
                     assert is_normal_congruence(q) is not None
 
+    def test_builds_no_operation_table(self):
+        # the oracle's gate refuses der(Z4, id, 0, 5)'s 1,024 cells, and the
+        # coset congruences rebuilt by the check read no table either
+        p = derive(catalog_group("Z4"), Automorphism.identity(4), 0, 5)
+        congs = congruences(p, caps=Caps(axiom_cost_cap=500))
+        assert len(congs) == 3
+        for r in congs:
+            assert is_normal_congruence(r) is not None
+        assert "flat_np" not in p.__dict__
+
     def test_direct_condition_agrees(self, small_corpus):
         for p in small_corpus[::6]:
             if p.arity < 3:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pglab import morphisms
+from pglab import morphisms, polyadic
 from pglab.catalog import catalog, catalog_group
 from pglab.config import Caps
 from pglab.errors import (
@@ -188,7 +188,7 @@ class TestEnumerate:
         assert 0 in found and max(found) > 1
 
     def test_oracle_in_small_blocks(self, structs, monkeypatch):
-        monkeypatch.setattr(morphisms, "_BLOCK_CELLS", 7)
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 7)
         for a, b in [("T4inv", "T4"), ("T3", "T3"), ("V4swap", "V4swap"), ("T9", "T1")]:
             p, q = structs[a], structs[b]
             assert [h.map for h in enumerate_homs(p, q)] == dense_hom_maps(p, q)

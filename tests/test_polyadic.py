@@ -350,24 +350,38 @@ class TestHosszuGloskin:
         assert "flat_np" not in hg_anchor0(as_table(structs["T4inv"])).group.__dict__
 
     def test_view_beyond_the_cap_builds_no_table(self):
-        # the retract, twist and c are read off the presentation
-        p = derive(catalog_group("Z5"), Automorphism(tuple(2 * x % 5 for x in range(5))), 0, 5)
-        view = hg_anchor0(p, Caps(axiom_cost_cap=5**5 - 1))
+        # 8^8 cells, past the default axiom_cost_cap: the retract, twist and c
+        # are read off the presentation, and the split is exact all the same
+        p = derive(catalog_group("D4"), Automorphism((0, 1, 2, 3, 6, 7, 4, 5)), 1, 8)
+        view = hg_anchor0(p)
         assert "flat_np" not in p.__dict__
-        exact = hosszu_gloskin(p, 0)
-        assert (view.group, view.relabel) == (exact.group, exact.relabel)
+        rng = random.Random(8)
+        for _ in range(300):
+            args = [rng.randrange(8) for _ in range(8)]
+            image = view.group.eval([view.relabel[x] for x in args])
+            assert view.relabel[p.eval(args)] == image
+
+    def test_split_of_a_derived_group_builds_no_table(self, small_corpus):
+        # fresh copies, so no other test's table is found on them; the table
+        # form's split is compared on every cell
+        for q in small_corpus[::4]:
+            p = derive(q.presentation.base, q.presentation.theta, q.presentation.b, q.arity)
+            view = hg_anchor0(p)
+            assert "flat_np" not in p.__dict__
+            exact = hosszu_gloskin(as_table(p), 0)
+            assert (view.group, view.relabel) == (exact.group, exact.relabel)
 
     def test_mismatch_names_the_input_flat_index(self, small_corpus):
         # cell 4 is (0, 1, 0): neither the retract at 0 nor, when skew(0) != 0,
         # the twist or c reads it, so the rebuilt operation differs there first;
-        # a table's round trip is exact whatever the cost cap
+        # a table is compared on every cell it holds
         twists = [p for p in small_corpus if (p.order, p.arity) == (4, 3) and p.skew(0) != 0]
         assert len(twists) == 10
         for p in twists:
             flat = list(as_table(p).presentation.flat)
             flat[4] = (flat[4] + 1) % 4
             with pytest.raises(RoundTripMismatch, match=r"at flat index 4$"):
-                hosszu_gloskin(from_table(3, 4, flat, verify=False), 0, Caps(axiom_cost_cap=1))
+                hosszu_gloskin(from_table(3, 4, flat, verify=False), 0)
 
     def test_roundtrip_every_anchor(self, structs):
         for p in structs.values():

@@ -280,7 +280,7 @@ class TestHolomorphOrbits:
             holomorph = order * len(automorphisms(base))
             for arity in (3, 4, 5):
                 for rep, size in simplicity._twist_classes(base, arity, DEFAULT_CAPS):
-                    stabilizer = len(list(_split_maps(rep, rep, DEFAULT_CAPS, bijective=True)))
+                    stabilizer = len(list(_split_maps(rep, rep, bijective=True)))
                     assert size * stabilizer == holomorph, (rep, size, stabilizer)
 
     def test_transport_is_the_transported_operation(self, corpus):

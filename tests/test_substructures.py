@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from pglab import substructures
+from pglab import polyadic, substructures
 from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
 from pglab.congruence import congruences_bruteforce, congruences_theorem, sim_h
 from pglab.errors import CostCapExceeded, NotNormal, ValidationError
@@ -17,6 +18,7 @@ from pglab.simplicity import simplicity_report
 from pglab.substructures import (
     _oracle_subgroups,
     _subset_scan,
+    coset_classes,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     gu_group,
@@ -124,7 +126,7 @@ class TestEnumerateSubgroups:
 
     @pytest.mark.parametrize("cells", range(1, 8))
     def test_scan_in_small_blocks(self, small_corpus, monkeypatch, cells):
-        monkeypatch.setattr(substructures, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
         for p in small_corpus[cells::9]:
             assert _subset_scan(p) == reference_subset_scan(p)
 
@@ -304,6 +306,7 @@ class TestCosets:
 
     def test_singleton_subgroup(self, structs):
         assert polyadic_coset(structs["T3"], (0,), 2) == (2,)
+        assert polyadic_coset(structs["T3"], (), 2) == ()
 
     def test_cosets_partition(self, corpus):
         for p in corpus[::23]:
@@ -311,6 +314,20 @@ class TestCosets:
                 cosets = {polyadic_coset(p, h, x) for x in range(p.order)}
                 assert sum(len(c) for c in cosets) == p.order
                 assert all(len(c) == h.size for c in cosets)
+
+    def test_coset_is_the_whole_block(self, corpus):
+        # {f(x, h1, ..., h_{n-1})} over every (n−1)-tuple of members, on
+        # every polyadic subgroup, normal or not
+        for p in corpus:
+            if p.order > 4:
+                continue
+            for h in enumerate_polyadic_subgroups(p):
+                for x in range(p.order):
+                    block = {
+                        p.eval([x, *hs])
+                        for hs in itertools.product(h.members, repeat=p.arity - 1)
+                    }
+                    assert polyadic_coset(p, h, x) == tuple(sorted(block))
 
 
 class TestQuotient:
@@ -332,6 +349,26 @@ class TestQuotient:
     def test_rejects_non_normal(self, structs):
         with pytest.raises(NotNormal):
             quotient_polyadic(structs["T4inv"], (1,))
+
+    def test_rejects_a_set_that_is_no_subgroup(self, structs):
+        # {0, 1} passes the twist criterion of der(Z3, id, 0, 3) but is not
+        # closed: f(1, 1, 1) = 0 and f(0, 1, 1) = 2
+        with pytest.raises(NotNormal):
+            quotient_polyadic(structs["T3"], (0, 1))
+
+    def test_accepts_exactly_the_normal_subgroups(self, corpus):
+        for p in corpus[::7]:
+            if p.order > 4:
+                continue
+            normal = {h.members for h in enumerate_normal_polyadic(p)}
+            for r in range(p.order + 1):
+                for h in itertools.combinations(range(p.order), r):
+                    try:
+                        coset_classes(p, h)
+                        accepted = True
+                    except NotNormal:
+                        accepted = False
+                    assert accepted == (h in normal), (p, h)
 
     def test_reduced_on_corpus_sample(self, corpus):
         for p in corpus[::31]:
