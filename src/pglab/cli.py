@@ -163,7 +163,7 @@ def cmd_analyze(args, caps: Caps) -> int:
         )
     if args.quotient is not None:
         members = tuple(sorted(_parse_elements(args.quotient)))
-        q = quotient_polyadic(p, members)
+        q = quotient_polyadic(p, members, caps)
         payload["quotient"] = {
             "classes": [list(c) for c in q.classes],
             "polyadic": polyadic_to_doc(q.quotient),
@@ -275,7 +275,7 @@ def cmd_quotient(args, caps: Caps) -> int:
     p = load_polyadic(args.path, caps=caps)
     if args.subgroup is not None:
         members = tuple(sorted(_parse_elements(args.subgroup)))
-        q = quotient_polyadic(p, members)
+        q = quotient_polyadic(p, members, caps)
         payload = {
             "classes": [list(c) for c in q.classes],
             "polyadic": polyadic_to_doc(q.quotient),

@@ -162,15 +162,37 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, hom_rows(g, h).tolist()))
 
 
+def _stored_split(
+    p: PolyadicGroup, q: PolyadicGroup, psi: tuple[int, ...]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """psi's split (a, phi) in the theorem route's table p → q, or None when
+    that pair was never enumerated by the theorem route or psi is not in
+    its table.  Reads the table and never builds it."""
+    return p.__dict__.get("split_tables", {}).get(q, {}).get(psi)
+
+
 def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     """The canonical split with a = psi(identity of the source presentation).
 
-    phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹; the
-    split is validated against both side conditions before being returned.
+    phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹.  A map
+    the theorem route has enumerated for its pair is read from the stored
+    table; any other split is validated against both side conditions
+    before being returned.
     """
-    src, tgt = psi.source.view, hg_anchor0(psi.target)
+    p, q = psi.source, psi.target
+    if p.arity != q.arity:
+        raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
+    images = tuple(map(int, psi.map))
+    if len(images) != p.order or min(images) < 0 or max(images) >= q.order:
+        raise ValidationError(
+            f"need {p.order} images in the target carrier 0..{q.order - 1}, got {list(psi.map)}"
+        )
+    stored = _stored_split(p, q, images)
+    if stored is not None:
+        return HomDecomposition(*stored)
+    src, tgt = p.view, hg_anchor0(q)
     h_group = tgt.base
-    psi_t = np.asarray([tgt.relabel[psi.map[x]] for x in src.unrelabel])
+    psi_t = np.asarray([tgt.relabel[images[x]] for x in src.unrelabel])
     a = int(psi_t[0])
     phi = h_group.np_table[psi_t, h_group.inv(a)]
     failure = _split_failure(src, tgt, a, phi)
@@ -193,7 +215,9 @@ def compose_hom(
     """Build psi = (translate by a) ∘ phi after validating both conditions.
 
     a and phi are given in presentation coordinates: phi maps the source
-    presentation base into the anchor-0 base of the target.
+    presentation base into the anchor-0 base of the target.  The conditions
+    are not re-derived when the theorem route's stored table p → q holds
+    the built map with this very split; the complete check always runs.
     """
     src, tgt = p.view, hg_anchor0(q)
     images = [int(x) for x in phi]
@@ -202,14 +226,15 @@ def compose_hom(
             f"need a and {p.order} images of phi in the target carrier 0..{q.order - 1}"
         )
     phi_t = np.asarray(images)
-    failure = _split_failure(src, tgt, a, phi_t)
-    if failure is not None:
-        raise ConditionViolated({
-            "homomorphism": "phi is not a group homomorphism",
-            "anchor": "anchor condition fails: h(a,...,a) differs from phi(b)∗a",
-            "intertwine": "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi",
-        }[failure])
     (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
+    if _stored_split(p, q, psi_map) != (a, tuple(images)):
+        failure = _split_failure(src, tgt, a, phi_t)
+        if failure is not None:
+            raise ConditionViolated({
+                "homomorphism": "phi is not a group homomorphism",
+                "anchor": "anchor condition fails: h(a,...,a) differs from phi(b)∗a",
+                "intertwine": "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi",
+            }[failure])
     psi = PolyadicHom(p, q, psi_map)
     ok, witness = is_polyadic_hom(psi.map, p, q, caps)
     if not ok:
@@ -279,17 +304,32 @@ def _oracle_hom_maps(
 
 def _split_maps(
     p: PolyadicGroup, q: PolyadicGroup, bijective: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """psi = R_a ∘ phi for every binary homomorphism phi (the injective
-    ones only, if bijective maps are asked for: the callers have checked
-    that the orders are equal) and every anchor a passing both conditions,
-    the conditions tested for all a at once."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
+    """Each psi = R_a ∘ phi with its split (a, phi), for every binary
+    homomorphism phi (the injective ones only, if bijective maps are asked
+    for: the callers have checked that the orders are equal) and every
+    anchor a passing both conditions, the conditions tested for all a at
+    once."""
     src, tgt = p.view, hg_anchor0(q)
     phis = hom_rows(src.base, tgt.base, injective=bijective)
     for block in row_blocks(phis, p.order * q.order):
         anchor, intertwine = _condition_masks(src, tgt, block)
         rows, anchors = np.nonzero(anchor & intertwine)
-        yield from _raw_maps(src, tgt, block[rows], anchors)
+        phi_rows = [tuple(phi) for phi in block.tolist()]
+        splits = zip(anchors.tolist(), [phi_rows[r] for r in rows.tolist()])
+        yield from zip(_raw_maps(src, tgt, block[rows], anchors), splits)
+
+
+def _split_table(
+    p: PolyadicGroup, q: PolyadicGroup
+) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """The theorem route's answer p → q: every hom's map, in map order, with
+    its split (a, phi).  Stored on p, keyed by q, so that enumerating the
+    pair again and splitting its homs are lookups."""
+    tables = cached_on(p, "split_tables", dict)
+    if q not in tables:
+        tables[q] = dict(sorted(_split_maps(p, q)))
+    return tables[q]
 
 
 def enumerate_homs(
@@ -301,19 +341,20 @@ def enumerate_homs(
     """All homomorphisms p → q, sorted by the map tuple.
 
     The theorem route crosses binary homomorphisms with the anchors that
-    pass both split conditions.  The oracle scans raw maps: a frontier of
-    partial maps pruned on the diagonal, skew and edge tuples, then the
-    complete check on every leaf.  Auto runs both when the oracle's gate
-    (_oracle_refusal: |Q|^|P| maps within hom_oracle_cap, both tables within
-    axiom_cost_cap) admits the pair, and insists they agree; outside it the
-    theorem runs alone.
+    pass both split conditions, and stores each map's split on p
+    (_split_table) for decompose_hom and compose_hom to read.  The oracle
+    scans raw maps: a frontier of partial maps pruned on the diagonal, skew
+    and edge tuples, then the complete check on every leaf.  Auto runs both
+    when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
+    hom_oracle_cap, both tables within axiom_cost_cap) admits the pair, and
+    insists they agree; outside it the theorem runs alone.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
     maps = cross_check(
         "hom enumeration",
         strategy,
-        lambda: sorted(_split_maps(p, q)),
+        lambda: list(_split_table(p, q)),
         lambda: _oracle_hom_maps(p, q, caps),
         _oracle_refusal(p, q, caps) is None,
     )
@@ -350,5 +391,5 @@ def are_isomorphic(p: PolyadicGroup, q: PolyadicGroup) -> Optional[PolyadicHom]:
         return None
     if _iso_invariants(p) != _iso_invariants(q):
         return None
-    best = min(_split_maps(p, q, bijective=True), default=None)
+    best = min((psi for psi, _ in _split_maps(p, q, bijective=True)), default=None)
     return PolyadicHom(p, q, best) if best is not None else None

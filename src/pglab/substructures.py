@@ -15,6 +15,7 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import oracle_fits, oracle_refusal
 from .errors import (
+    CostCapExceeded,
     IllDefined,
     MethodDisagreement,
     NotNormal,
@@ -355,11 +356,18 @@ class PolyadicQuotient:
 
 
 def quotient_polyadic(
-    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> PolyadicQuotient:
     """Quotient by a normal polyadic subgroup; the result is always reduced.
-    p's arity and order passed the caps when p was built."""
+    Its well-definedness check reads p's m^n table, whose cells must fit
+    axiom_cost_cap."""
     classes = coset_classes(p, h)
+    cells = p.order**p.arity
+    if cells > caps.axiom_cost_cap:
+        raise CostCapExceeded(
+            f"quotient check needs {cells} cells; cap is {caps.axiom_cost_cap}",
+            cap="axiom_cost_cap", required=cells,
+        )
     cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         cls_of[list(cls)] = i

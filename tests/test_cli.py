@@ -168,6 +168,11 @@ class TestHomIsoQuotient:
         assert rc == 1
         assert "witness (0, 0, 0)" in out
 
+    def test_hom_map_arity_mismatch_exits_1(self, doc_path, capsys):
+        rc = main(["hom", "--from", doc_path("T3"), "--to", doc_path("T5"), "--map", "0,1,2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ArityMismatch: ")
+
     def test_iso(self, doc_path, capsys):
         rc = main(["iso", "--from", doc_path("T4inv"), "--to", doc_path("T4")])
         out = capsys.readouterr().out
@@ -187,6 +192,16 @@ class TestHomIsoQuotient:
         out = capsys.readouterr().out
         assert rc == 0
         assert "order 3" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "{T5}", "--subgroup", "0,1,2,3,4"],
+        ["analyze", "{T5}", "--quotient", "0,1,2,3,4"],
+    ])
+    def test_quotient_past_the_cost_cap_exits_2(self, doc_path, capsys, argv):
+        argv = [doc_path("T5") if a == "{T5}" else a for a in argv]
+        assert main(["--axiom-cost-cap", "3124", *argv]) == 2
+        assert "quotient check needs 3125 cells" in capsys.readouterr().err
+        assert main(["--axiom-cost-cap", "3125", *argv]) == 0
 
     def test_quotient_rejects_non_normal(self, doc_path, capsys):
         rc = main(["quotient", doc_path("T4inv"), "--subgroup", "1"])

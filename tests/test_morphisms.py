@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -305,6 +306,97 @@ class TestDecompose:
                 dec = decompose_hom(psi)
                 rebuilt = compose_hom(dec.a, dec.phi, p, q)
                 assert rebuilt.map == psi.map
+
+    def test_rejects_arity_mismatch(self):
+        # (0, 1) is a hom of neither arity into the other: der(Z2) at arity 3
+        # and at arity 4 differ in f(1, 1, 1) = 1 against f(1, 1, 1, 1) = 0
+        z2 = catalog_group("Z2")
+        p3, p4 = (derive(z2, Automorphism.identity(2), 0, n) for n in (3, 4))
+        with pytest.raises(ArityMismatch):
+            decompose_hom(PolyadicHom(p3, p4, (0, 1)))
+
+    @pytest.mark.parametrize("image", [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1)])
+    def test_rejects_a_map_outside_the_carriers(self, structs, image):
+        with pytest.raises(ValidationError):
+            decompose_hom(PolyadicHom(structs["T3"], structs["T3"], image))
+
+
+def _fresh(p):
+    """An equal copy of p that holds none of p's stored answers."""
+    return dataclasses.replace(p)
+
+
+class TestStoredSplits:
+    """The theorem route stores every hom's split per pair; decompose_hom
+    and compose_hom read it instead of re-deriving the split conditions."""
+
+    @staticmethod
+    def _pairs(corpus):
+        """Same-arity corpus pairs of orders 2..6, a third with a table
+        target and a third with a table source (139 homs)."""
+        small = [p for p in corpus if 2 <= p.order <= 6]
+        same = [(p, q) for p in small[::11] for q in small[::13] if p.arity == q.arity]
+        return [
+            (as_table(p) if k % 3 == 2 else _fresh(p), as_table(q) if k % 3 == 1 else _fresh(q))
+            for k, (p, q) in enumerate(same)
+        ]
+
+    def test_enumerated_homs_split_from_the_table(self, corpus, monkeypatch):
+        homs = [(p, q, enumerate_homs(p, q, strategy="theorem")) for p, q in self._pairs(corpus)]
+        one_split = {
+            (i, psi.map): decompose_hom(PolyadicHom(_fresh(p), q, psi.map))
+            for i, (p, q, found) in enumerate(homs) for psi in found
+        }
+        assert one_split
+
+        def rederived(*args):
+            raise AssertionError("split conditions re-derived for an enumerated hom")
+
+        monkeypatch.setattr(morphisms, "_split_failure", rederived)
+        for i, (p, q, found) in enumerate(homs):
+            for psi in found:
+                split = decompose_hom(psi)
+                assert split == one_split[i, psi.map]
+                assert compose_hom(split.a, split.phi, p, q).map == psi.map
+
+    def test_second_enumeration_reads_the_table(self, structs, monkeypatch):
+        p, q = _fresh(structs["V4swap"]), structs["V4swap"]
+        first = enumerate_homs(p, q, strategy="theorem")
+        monkeypatch.setattr(morphisms, "hom_rows", lambda *a, **k: pytest.fail("re-enumerated"))
+        assert enumerate_homs(p, q, strategy="theorem") == first
+        assert enumerate_homs(p, _fresh(q), strategy="theorem") == first
+
+    def test_corrupted_entry_is_caught_by_the_complete_check(self, structs):
+        # compose_hom(1, id) builds the shift (1, 2, 0), which fails the
+        # anchor condition; a stored entry claiming it skips that test, and
+        # the complete check must still refuse the map
+        p = _fresh(structs["T3"])
+        enumerate_homs(p, p, strategy="theorem")
+        morphisms._split_table(p, p)[(1, 2, 0)] = (1, (0, 1, 2))
+        with pytest.raises(DecompositionFailed, match="non-homomorphism"):
+            compose_hom(1, (0, 1, 2), p, p)
+
+    def test_entry_for_another_split_is_not_trusted(self, structs):
+        p = _fresh(structs["T3"])
+        enumerate_homs(p, p, strategy="theorem")
+        morphisms._split_table(p, p)[(1, 2, 0)] = (0, (0, 1, 2))
+        with pytest.raises(ConditionViolated, match="anchor"):
+            compose_hom(1, (0, 1, 2), p, p)
+
+    def test_pair_never_enumerated_takes_the_one_split_path(self, structs, monkeypatch):
+        p, q = _fresh(structs["T4"]), _fresh(structs["T4inv"])
+        calls = []
+        split_failure = morphisms._split_failure
+        monkeypatch.setattr(
+            morphisms, "_split_failure", lambda *a: calls.append(a) or split_failure(*a)
+        )
+        for image in [(0, 0, 0, 0), (1, 3, 1, 3)]:
+            split = decompose_hom(PolyadicHom(p, q, image))
+            assert compose_hom(split.a, split.phi, p, q).map == image
+        assert len(calls) == 4
+        assert "split_tables" not in p.__dict__
+        with pytest.raises(DecompositionFailed, match="intertwine"):
+            decompose_hom(PolyadicHom(p, q, (0, 1, 2, 3)))
 
 
 class TestCompose:

@@ -370,6 +370,14 @@ class TestQuotient:
                         accepted = False
                     assert accepted == (h in normal), (p, h)
 
+    def test_table_past_the_cost_cap_is_refused_unbuilt(self):
+        p = derive_b(catalog_group("Z4"), 0, 5)  # 4^5 = 1,024 table cells
+        with pytest.raises(CostCapExceeded) as err:
+            quotient_polyadic(p, (1,), Caps(axiom_cost_cap=500))
+        assert (err.value.cap, err.value.required) == ("axiom_cost_cap", 4**5)
+        assert "flat_np" not in p.__dict__
+        assert len(quotient_polyadic(p, (1,), Caps(axiom_cost_cap=4**5)).classes) == 4
+
     def test_reduced_on_corpus_sample(self, corpus):
         for p in corpus[::31]:
             for h in enumerate_normal_polyadic(p):
