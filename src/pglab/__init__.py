@@ -7,9 +7,6 @@ from .groups import (
     Subgroup,
     automorphisms,
     enumerate_subgroups,
-    induced_automorphism,
-    inner_automorphism,
-    is_inner,
     make_automorphism,
     make_group,
     quotient_group,
@@ -25,7 +22,6 @@ from .polyadic import (
     as_table,
     derive,
     derive_b,
-    dornte_check,
     dornte_witness,
     from_table,
     hg_anchor0,
@@ -45,7 +41,6 @@ from .substructures import (
     gu_group,
     is_normal_polyadic,
     is_polyadic_subgroup,
-    polyadic_coset,
     quotient_polyadic,
     right_translate,
 )
@@ -69,7 +64,6 @@ from .simplicity import (
     census,
     is_gts,
     is_gts_star,
-    is_theta_simple,
     is_uas,
     simplicity_report,
 )
@@ -81,7 +75,6 @@ from .morphisms import (
     compose_hom,
     decompose_hom,
     enumerate_homs,
-    hom_compose,
     is_polyadic_hom,
 )
 from .corpus import corpus_bases, standard_corpus

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -88,23 +88,6 @@ def _canonical_sort(congs: list[Congruence]) -> list[Congruence]:
     # finest first: the diagonal leads, the full relation closes the list
     congs.sort(key=lambda c: (-c.num_classes, c.classes))
     return congs
-
-
-def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
-    """All set partitions of {0..m-1} as class-index strings, lexicographic."""
-    a = [0] * m
-    while True:
-        yield tuple(a)
-        j = m - 1
-        while j > 0:
-            if a[j] <= max(a[:j]):
-                break
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        for t in range(j + 1, m):
-            a[t] = 0
 
 
 # A row of m ≤ KEY_VALUES values 0..m-1 packs into one uint64 key, 4 bits a value.
@@ -194,7 +177,7 @@ def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
     hg = p.view
     base, unrelabel = hg.base, hg.unrelabel
     out = []
-    for k in enumerate_subgroups(base, "theta_invariant_normal", theta=hg.theta):
+    for k in enumerate_subgroups(base, theta=hg.theta):
         cosets = {
             tuple(sorted(unrelabel[base.mul(x, h)] for h in k.members))
             for x in range(base.order)
@@ -348,20 +331,6 @@ def is_normal_congruence(r: Congruence) -> Optional[int]:
             )
         return a_orig
     return None
-
-
-def normal_congruence_condition_direct(r: Congruence, a: int) -> bool:
-    """Operation-level form of the second witness condition (arity >= 3)."""
-    p = r.ambient
-    n = p.arity
-    if n < 3:
-        raise ValueError("direct form needs arity at least 3")
-    skew = p.skew_table
-    for x in range(p.order):
-        v = p.eval([skew[x]] + [x] * (n - 3) + [a, x])
-        if not r.related(v, a):
-            return False
-    return True
 
 
 def quotient_by_congruence(p: PolyadicGroup, r: Congruence) -> PolyadicGroup:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import (
     OrderCapExceeded,
     ValidationError,
 )
-
-SubgroupFilter = Literal["all", "normal", "theta_invariant", "theta_invariant_normal"]
-
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -264,19 +261,6 @@ def automorphisms(group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Automor
     ))
 
 
-def inner_automorphism(group: FiniteGroup, a: int) -> Automorphism:
-    """Conjugation x ↦ a·x·a⁻¹."""
-    return Automorphism(tuple(group.conj(a, x) for x in range(group.order)))
-
-
-def is_inner(group: FiniteGroup, alpha: Automorphism) -> Optional[int]:
-    """The smallest a with alpha = conjugation by a, or None."""
-    for a in range(group.order):
-        if all(group.conj(a, x) == alpha(x) for x in range(group.order)):
-            return a
-    return None
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its sorted member set."""
@@ -345,35 +329,18 @@ def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
 
 
 def enumerate_subgroups(
-    group: FiniteGroup,
-    filter: SubgroupFilter = "all",
-    theta: Optional[Automorphism] = None,
+    group: FiniteGroup, theta: Optional[Automorphism] = None
 ) -> list[Subgroup]:
-    """Complete subgroup list, sorted by (size, members).
-
-    theta_invariant keeps only subgroups with theta(H) = H setwise; the
-    normal filters additionally require closure under conjugation.
-    """
-    if filter in ("theta_invariant", "theta_invariant_normal") and theta is None:
-        raise ValueError(f"filter {filter!r} requires theta")
-    out = []
-    for members in group.subgroup_lattice:
-        if filter in ("normal", "theta_invariant_normal") and not is_normal_subgroup(
-            group, members
-        ):
-            continue
-        if filter in ("theta_invariant", "theta_invariant_normal"):
-            assert theta is not None
-            if frozenset(theta(x) for x in members) != frozenset(members):
-                continue
-        out.append(Subgroup(members, group))
-    return out
-
-
-def is_theta_simple(group: FiniteGroup, theta: Automorphism) -> bool:
-    """No twist-invariant normal subgroup besides the trivial ones."""
-    subs = enumerate_subgroups(group, "theta_invariant_normal", theta=theta)
-    return all(s.size in (1, group.order) for s in subs)
+    """Every subgroup, or with theta the theta-invariant normal ones (theta
+    the identity: the normal subgroups), sorted by (size, members)."""
+    return [
+        Subgroup(members, group)
+        for members in group.subgroup_lattice
+        if theta is None or (
+            frozenset(theta(x) for x in members) == frozenset(members)
+            and is_normal_subgroup(group, members)
+        )
+    ]
 
 
 def quotient_group(
@@ -421,12 +388,3 @@ def twisted_quotient(
         elif perm[i] != j:
             raise NotInvariant("induced map is not well defined")
     return quotient, proj, Automorphism(tuple(perm))
-
-
-def induced_automorphism(
-    group: FiniteGroup,
-    theta: Automorphism,
-    normal: Subgroup | Sequence[int],
-) -> Automorphism:
-    """The automorphism xK ↦ theta(x)K on the relabelled quotient."""
-    return twisted_quotient(group, theta, normal)[2]

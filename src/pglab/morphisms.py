@@ -256,9 +256,10 @@ def _build_scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
     n = p.arity
     rows = {(x,) * n + (d,) for x, d in enumerate(p.diagonal.tolist())}
     rows |= {(x,) * (n - 1) + (s, x) for x, s in enumerate(p.skew_table)}
+    edge = p.cube[(slice(None),) + (0,) * (n - 2) + (slice(None),)]
     rows |= {
         (x,) + (0,) * (n - 2) + (y, e)
-        for x, row in enumerate(p.edge_table)
+        for x, row in enumerate(edge.tolist())
         for y, e in enumerate(row)
     }
     by_step: list[list[tuple[int, ...]]] = [[] for _ in range(p.order)]
@@ -359,14 +360,6 @@ def enumerate_homs(
         _oracle_refusal(p, q, caps) is None,
     )
     return [PolyadicHom(p, q, m) for m in maps]
-
-
-def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
-    if inner.target != outer.source:
-        raise ArityMismatch("middle structures differ")
-    return PolyadicHom(
-        inner.source, outer.target, tuple(outer.map[y] for y in inner.map)
-    )
 
 
 def _iso_invariants(p: PolyadicGroup) -> tuple:

@@ -88,27 +88,26 @@ class PolyadicGroup:
         return isinstance(self.presentation, DerivedPresentation)
 
     @cached_property
-    def theta_pows(self) -> tuple[tuple[int, ...], ...]:
-        """Permutations id, theta, theta², ..., theta^(n-1)."""
+    def theta_pows(self) -> np.ndarray:
+        """Permutations id, theta, theta², ..., theta^(n-1), one a row."""
         pres = self.presentation
         assert isinstance(pres, DerivedPresentation)
-        pows = [Automorphism.identity(self.order)]
+        pows = [np.arange(self.order)]
         for _ in range(self.arity - 1):
-            pows.append(pres.theta.compose(pows[-1]))
-        return tuple(p.perm for p in pows)
+            pows.append(pres.theta.np_perm[pows[-1]])
+        return np.stack(pows)
 
     def eval(self, args: Sequence[int]) -> int:
+        """f(args), read by eval_many; arguments outside 0..m−1 are refused
+        (ValidationError)."""
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
-        pres = self.presentation
-        if isinstance(pres, TablePresentation):
-            return self.cube.item(*args)
-        table = pres.base.table
-        pows = self.theta_pows
-        acc = args[0]
-        for i in range(1, self.arity):
-            acc = table[acc][pows[i][args[i]]]
-        return table[acc][pres.b]
+        column = np.asarray(args)
+        if column.dtype.kind not in "iu" or min(args) < 0 or max(args) >= self.order:
+            raise ValidationError(
+                f"arguments {column.tolist()} must be elements of the carrier 0..{self.order - 1}"
+            )
+        return int(self.eval_many(column[:, None])[0])
 
     def eval_many(self, args: np.ndarray) -> np.ndarray:
         """eval on every column of args, an n-row array of carrier elements,
@@ -118,7 +117,7 @@ class PolyadicGroup:
             return self.flat_np[np.ravel_multi_index(tuple(args), (self.order,) * self.arity)]
         table, acc = pres.base.np_table, args[0]
         for perm, x in zip(self.theta_pows[1:], args[1:]):
-            acc = table[acc, np.take(perm, x)]
+            acc = table[acc, perm[x]]
         return table[acc, pres.b]
 
     @cached_property
@@ -142,21 +141,15 @@ class PolyadicGroup:
         return self.flat_np.reshape((self.order,) * self.arity)
 
     @cached_property
-    def edge_table(self) -> tuple[tuple[int, ...], ...]:
-        """edge_table[x][y] = f(x, 0, ..., 0, y)."""
-        view = self.cube[(slice(None),) + (0,) * (self.arity - 2) + (slice(None),)]
-        return tuple(tuple(int(v) for v in row) for row in view)
-
-    @cached_property
     def skew_table(self) -> tuple[int, ...]:
         pres = self.presentation
         if isinstance(pres, TablePresentation):
-            return tuple(self.skew_oracle(x) for x in range(self.order))
+            return tuple(self._skew_scan(np.arange(self.order)))
         # skew(x) = b⁻¹ · theta^(n-2)(x⁻¹) ⋯ theta²(x⁻¹) · theta(x⁻¹), every x at once
         group, inverses = pres.base, np.asarray(pres.base.inverses)
         acc = np.full(self.order, group.inv(pres.b))
         for perm in self.theta_pows[self.arity - 2 : 0 : -1]:
-            acc = group.np_table[acc, np.take(perm, inverses)]
+            acc = group.np_table[acc, perm[inverses]]
         return tuple(acc.tolist())
 
     def skew(self, x: int) -> int:
@@ -164,14 +157,21 @@ class PolyadicGroup:
 
     def skew_oracle(self, x: int) -> int:
         """The unique y with f(x,...,x,y) = x, found by scanning all candidates."""
-        hits = [
-            y for y in range(self.order) if self.eval([x] * (self.arity - 1) + [y]) == x
-        ]
-        if not hits:
-            raise NoSolution(f"no skew candidate for {x}; structure is corrupted")
-        if len(hits) > 1:
-            raise NotUnique(f"multiple skew candidates {hits} for {x}")
-        return hits[0]
+        return self._skew_scan(np.asarray([x]))[0]
+
+    def _skew_scan(self, xs: np.ndarray) -> list[int]:
+        """skew_oracle of each x in xs, by one eval_many of every (x,...,x,y);
+        the first x with no candidate or several raises."""
+        args = np.empty((self.arity, len(xs), self.order), dtype=np.intp)
+        args[:-1], args[-1] = xs[:, None], np.arange(self.order)
+        hits = self.eval_many(args.reshape(self.arity, -1)).reshape(len(xs), -1) == xs[:, None]
+        wrong = np.flatnonzero(hits.sum(axis=1) != 1)
+        if len(wrong):
+            x, found = int(xs[wrong[0]]), np.flatnonzero(hits[wrong[0]]).tolist()
+            if not found:
+                raise NoSolution(f"no skew candidate for {x}; structure is corrupted")
+            raise NotUnique(f"multiple skew candidates {found} for {x}")
+        return hits.argmax(axis=1).tolist()
 
     @cached_property
     def view(self) -> "HosszuGloskin":
@@ -497,16 +497,19 @@ def hosszu_gloskin(p: PolyadicGroup, a: int) -> HosszuGloskin:
 
 
 def n_ary_identity(p: PolyadicGroup) -> Optional[int]:
-    """The smallest element acting as identity in every slot, if any."""
+    """The smallest element acting as identity in every slot, if any: only
+    an idempotent can be one, so the n·m slot tuples (a,…,a, x, a,…,a) of
+    every idempotent a are read at once."""
     m, n = p.order, p.arity
-    for a in range(m):
-        if all(
-            p.eval([a] * i + [x] + [a] * (n - 1 - i)) == x
-            for i in range(n)
-            for x in range(m)
-        ):
-            return a
-    return None
+    candidates = np.flatnonzero(p.diagonal == np.arange(m))
+    if not len(candidates):
+        return None
+    # args[j, a, i, x]: slot j of the tuple with x in slot i, a elsewhere
+    slot = np.eye(n, dtype=bool)[:, None, :, None]
+    args = np.where(slot, np.arange(m), candidates[:, None, None])
+    values = p.eval_many(args.reshape(n, -1)).reshape(len(candidates), -1)
+    identities = candidates[(values == np.tile(np.arange(m), n)).all(axis=1)]
+    return int(identities[0]) if len(identities) else None
 
 
 def is_reduced(p: PolyadicGroup) -> bool:
@@ -519,26 +522,21 @@ def dornte_witness(p: PolyadicGroup) -> Optional[tuple]:
 
     The identities assert that skew(x) cancels x in every slot arrangement:
     f(x..x, skew, x..x, y) = y, f(y, x..x, skew, x..x) = y and
-    f(x..x, skew, x..x) = x.
+    f(x..x, skew, x..x) = x.  Every instance is read by one eval_many.
     """
     m, n = p.order, p.arity
-    for x in range(m):
-        sx = p.skew(x)
+    checks = []  # (witness, arguments, value the identity asserts), in scan order
+    for x, sx in enumerate(p.skew_table):
         for k in range(1, n + 1):
-            if p.eval([x] * (k - 1) + [sx] + [x] * (n - k)) != x:
-                return ("fixed", x, k)
+            checks.append((("fixed", x, k), [x] * (k - 1) + [sx] + [x] * (n - k), x))
         for y in range(m):
             for i in range(2, n + 1):
-                if p.eval([x] * (i - 2) + [sx] + [x] * (n - i) + [y]) != y:
-                    return ("left", x, y, i)
+                checks.append((("left", x, y, i), [x] * (i - 2) + [sx] + [x] * (n - i) + [y], y))
             for j in range(2, n + 1):
-                if p.eval([y] + [x] * (n - j) + [sx] + [x] * (j - 2)) != y:
-                    return ("right", x, y, j)
-    return None
-
-
-def dornte_check(p: PolyadicGroup) -> bool:
-    return dornte_witness(p) is None
+                checks.append((("right", x, y, j), [y] + [x] * (n - j) + [sx] + [x] * (j - 2), y))
+    witnesses, args, values = zip(*checks)
+    bad = np.flatnonzero(p.eval_many(np.asarray(args).T) != values)
+    return witnesses[bad[0]] if len(bad) else None
 
 
 def hg_anchor0(p: PolyadicGroup) -> HosszuGloskin:
@@ -553,14 +551,18 @@ def hg_anchor0(p: PolyadicGroup) -> HosszuGloskin:
 def all_derived(
     base: FiniteGroup, arity: int, caps: Caps = DEFAULT_CAPS
 ) -> list[PolyadicGroup]:
-    """Every valid twist (theta, b) of a base group at a given arity."""
+    """Every valid twist (theta, b) of a base group at a given arity, theta
+    in automorphism order, then b ascending: each gate of derive is checked
+    once, for every b at once."""
+    auts = automorphisms(base, caps=caps)
+    _check_arity_order(arity, base.order, caps)
     out = []
-    for theta in automorphisms(base, caps=caps):
-        power = theta.power(arity - 1)
-        for b in range(base.order):
-            if theta(b) != b:
-                continue
-            if any(power(x) != base.conj(b, x) for x in range(base.order)):
-                continue
-            out.append(derive(base, theta, b, arity, caps=caps, name=base.name))
+    for theta in auts:
+        # theta(b) = b, and theta^(n−1) = conjugation by b
+        power = theta.power(arity - 1).np_perm
+        valid = (theta.np_perm == np.arange(base.order)) & (base.conj_table == power).all(axis=1)
+        out += [
+            PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=base.name)
+            for b in np.flatnonzero(valid).tolist()
+        ]
     return out

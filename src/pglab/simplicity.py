@@ -24,7 +24,6 @@ from .errors import (
 from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences
 from .groups import FiniteGroup, automorphisms
-from .groups import is_theta_simple  # noqa: F401  (re-exported)
 from .polyadic import (
     PolyadicGroup,
     _check_arity_order,

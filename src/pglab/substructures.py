@@ -17,7 +17,6 @@ from .config import oracle_fits, oracle_refusal
 from .errors import (
     CostCapExceeded,
     IllDefined,
-    MethodDisagreement,
     NotNormal,
     ValidationError,
 )
@@ -243,19 +242,25 @@ def _as_subgroups(
 
 
 def _normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    """Direct check, read off the operation alone: f(skew(x), x,...,x, h, x)
-    stays inside, all x and h; at arity 2, x⁻¹·h·x, with x⁻¹ the y where
-    f(x, y) = skew(0), the identity."""
-    mset, n = set(members), p.arity
-    for x in range(p.order):
-        if n == 2:
-            xi = p.edge_table[x].index(p.skew(0))
-            conjugates = (p.eval([p.eval([xi, h]), x]) for h in members)
-        else:
-            conjugates = (p.eval([p.skew(x)] + [x] * (n - 3) + [h, x]) for h in members)
-        if any(y not in mset for y in conjugates):
-            return False
-    return True
+    """Direct check, read off the operation alone: every conjugate of a
+    member stays inside (see _conjugates)."""
+    inside = np.zeros(p.order, dtype=bool)
+    inside[list(members)] = True
+    conj = cached_on(p, "conjugates", lambda: _conjugates(p))
+    return bool(inside[conj[:, inside]].all())
+
+
+def _conjugates(p: PolyadicGroup) -> np.ndarray:
+    """conj[x, h] = f(skew(x), x,...,x, h, x), by one eval_many; at arity
+    2, x⁻¹·h·x, with x⁻¹ the y where f(x, y) = skew(0), the identity."""
+    m, n = p.order, p.arity
+    x, h = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    if n == 2:
+        table = p.eval_many(np.stack([x.ravel(), h.ravel()])).reshape(m, m)
+        inverse = (table == p.skew(0)).argmax(axis=1)
+        return table[table[inverse], x]
+    args = np.stack([np.asarray(p.skew_table)[x]] + [x] * (n - 3) + [h, x])
+    return p.eval_many(args.reshape(n, -1)).reshape(m, m)
 
 
 def _normal_by_twist(p: PolyadicGroup, members: Sequence[int]) -> bool:
@@ -272,24 +277,9 @@ def _normal_by_twist(p: PolyadicGroup, members: Sequence[int]) -> bool:
     return True
 
 
-def is_normal_polyadic(
-    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], debug: bool = False
-) -> bool:
-    """Normality of a polyadic subgroup via the twist criterion.
-
-    With debug=True the direct definitional check runs as well and the two
-    answers must agree.
-    """
-    members = _members(p, h)
-    by_twist = _normal_by_twist(p, members)
-    if debug:
-        by_def = _normal_by_definition(p, members)
-        if by_def != by_twist:
-            raise MethodDisagreement(
-                f"normality criteria disagree on {list(members)}: "
-                f"definition={by_def} twist={by_twist}"
-            )
-    return by_twist
+def is_normal_polyadic(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> bool:
+    """Normality of a polyadic subgroup via the twist criterion."""
+    return _normal_by_twist(p, _members(p, h))
 
 
 def enumerate_normal_polyadic(
@@ -303,13 +293,6 @@ def enumerate_normal_polyadic(
     must agree.
     """
     return _routed(True, p, strategy, caps)
-
-
-def polyadic_coset(
-    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], x: int
-) -> tuple[int, ...]:
-    """{f(x, h1, ..., h_{n-1})}: the class of x modulo h, a polyadic subgroup."""
-    return _cosets(p, _members(p, h), _members(p, [x]))[0]
 
 
 def _cosets(p: PolyadicGroup, members: Sequence[int], xs: Sequence[int]) -> list[tuple[int, ...]]:

@@ -1,0 +1,193 @@
+"""Reference implementations the tests compare the engine against.
+
+Each is a plain loop, kept as the engine had it before a batched form
+replaced it, or a function that only the tests call.  The loops read the
+operation through scalar_eval, one tuple at a time, not through
+PolyadicGroup.eval_many.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
+
+from pglab.errors import ArityMismatch, BNotFixed, NoSolution, NotUnique, PowerCondition
+from pglab.groups import Automorphism, FiniteGroup, automorphisms
+from pglab.morphisms import PolyadicHom
+from pglab.polyadic import PolyadicGroup, TablePresentation, derive
+from pglab.substructures import PolyadicSubgroup, _cosets, _members, class_signature
+
+
+def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
+    """f(args) one tuple at a time: a table's cell, or for a derived group
+    x1·θ(x2)···θ^(n−1)(xn)·b by the base table and the powers of θ."""
+    pres = p.presentation
+    if isinstance(pres, TablePresentation):
+        return p.cube.item(*args)
+    table, pows = pres.base.table, p.theta_pows
+    acc = args[0]
+    for i in range(1, p.arity):
+        acc = table[acc][pows[i, args[i]]]
+    return table[acc][pres.b]
+
+
+def skew_oracle(p: PolyadicGroup, x: int) -> int:
+    """The unique y with f(x,...,x,y) = x, one candidate at a time."""
+    hits = [y for y in range(p.order) if scalar_eval(p, [x] * (p.arity - 1) + [y]) == x]
+    if not hits:
+        raise NoSolution(f"no skew candidate for {x}; structure is corrupted")
+    if len(hits) > 1:
+        raise NotUnique(f"multiple skew candidates {hits} for {x}")
+    return hits[0]
+
+
+def n_ary_identity(p: PolyadicGroup) -> Optional[int]:
+    """The smallest element acting as identity in every slot, if any."""
+    m, n = p.order, p.arity
+    for a in range(m):
+        if all(
+            scalar_eval(p, [a] * i + [x] + [a] * (n - 1 - i)) == x
+            for i in range(n)
+            for x in range(m)
+        ):
+            return a
+    return None
+
+
+def normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
+    """f(skew(x), x,...,x, h, x) stays inside, all x and h; at arity 2,
+    x⁻¹·h·x, with x⁻¹ the y where f(x, y) = skew(0), the identity."""
+    mset, n = set(members), p.arity
+    for x in range(p.order):
+        if n == 2:
+            xi = [scalar_eval(p, [x, y]) for y in range(p.order)].index(p.skew(0))
+            conjugates = (scalar_eval(p, [scalar_eval(p, [xi, h]), x]) for h in members)
+        else:
+            conjugates = (
+                scalar_eval(p, [p.skew(x)] + [x] * (n - 3) + [h, x]) for h in members
+            )
+        if any(y not in mset for y in conjugates):
+            return False
+    return True
+
+
+def dornte_witness(p: PolyadicGroup) -> Optional[tuple]:
+    """First violated skew identity, or None, scanning x, then the fixed
+    identities by k, then for each y the left ones by i and the right ones
+    by j."""
+    m, n = p.order, p.arity
+    for x in range(m):
+        sx = p.skew(x)
+        for k in range(1, n + 1):
+            if scalar_eval(p, [x] * (k - 1) + [sx] + [x] * (n - k)) != x:
+                return ("fixed", x, k)
+        for y in range(m):
+            for i in range(2, n + 1):
+                if scalar_eval(p, [x] * (i - 2) + [sx] + [x] * (n - i) + [y]) != y:
+                    return ("left", x, y, i)
+            for j in range(2, n + 1):
+                if scalar_eval(p, [y] + [x] * (n - j) + [sx] + [x] * (j - 2)) != y:
+                    return ("right", x, y, j)
+    return None
+
+
+def all_derived(base: FiniteGroup, arity: int) -> list[PolyadicGroup]:
+    """Every valid twist, each (theta, b) put to derive's gates in turn."""
+    out = []
+    for theta in automorphisms(base):
+        for b in range(base.order):
+            try:
+                out.append(derive(base, theta, b, arity, name=base.name))
+            except (BNotFixed, PowerCondition):
+                pass
+    return out
+
+
+def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
+    """All set partitions of {0..m-1} as class-index strings, lexicographic."""
+    a = [0] * m
+    while True:
+        yield tuple(a)
+        j = m - 1
+        while j > 0:
+            if a[j] <= max(a[:j]):
+                break
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        for t in range(j + 1, m):
+            a[t] = 0
+
+
+def _factors(cls_of, values):
+    """Whether the class of values[x] is a function of the class of x."""
+    image = {}
+    for c, v in zip(cls_of, values):
+        if image.setdefault(c, cls_of[v]) != cls_of[v]:
+            return False
+    return True
+
+
+def reference_partition_scan(p: PolyadicGroup):
+    """The per-partition Python scan the batched oracle replaced: skew
+    images, then one-sided translations with constant filler 0, then the
+    complete class-signature check, one partition at a time."""
+    edge = p.cube[(slice(None),) + (0,) * (p.arity - 2) + (slice(None),)].tolist()
+    out = []
+    for cls_of in restricted_growth_strings(p.order):
+        if not _factors(cls_of, p.skew_table):
+            continue
+        if not (all(_factors(cls_of, row) for row in edge)
+                and all(_factors(cls_of, col) for col in zip(*edge))):
+            continue
+        if class_signature(p, np.asarray(cls_of)) is None:
+            continue
+        fibres = {}
+        for x, c in enumerate(cls_of):
+            fibres.setdefault(c, []).append(x)
+        out.append(tuple(sorted(tuple(c) for c in fibres.values())))
+    return sorted(out, key=lambda classes: (-len(classes), classes))
+
+
+def normal_congruence_condition_direct(r, a: int) -> bool:
+    """Operation-level form of the second witness condition (arity >= 3)."""
+    p = r.ambient
+    n = p.arity
+    if n < 3:
+        raise ValueError("direct form needs arity at least 3")
+    skew = p.skew_table
+    for x in range(p.order):
+        v = p.eval([skew[x]] + [x] * (n - 3) + [a, x])
+        if not r.related(v, a):
+            return False
+    return True
+
+
+def inner_automorphism(group: FiniteGroup, a: int) -> Automorphism:
+    """Conjugation x ↦ a·x·a⁻¹."""
+    return Automorphism(tuple(group.conj(a, x) for x in range(group.order)))
+
+
+def is_inner(group: FiniteGroup, alpha: Automorphism) -> Optional[int]:
+    """The smallest a with alpha = conjugation by a, or None."""
+    for a in range(group.order):
+        if all(group.conj(a, x) == alpha(x) for x in range(group.order)):
+            return a
+    return None
+
+
+def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
+    if inner.target != outer.source:
+        raise ArityMismatch("middle structures differ")
+    return PolyadicHom(
+        inner.source, outer.target, tuple(outer.map[y] for y in inner.map)
+    )
+
+
+def polyadic_coset(
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], x: int
+) -> tuple[int, ...]:
+    """{f(x, h1, ..., h_{n-1})}: the class of x modulo h, a polyadic subgroup."""
+    return _cosets(p, _members(p, h), _members(p, [x]))[0]

@@ -13,9 +13,7 @@ from pglab.congruence import (
     is_normal_congruence,
     kernel_class,
     lattice_ops,
-    normal_congruence_condition_direct,
     quotient_by_congruence,
-    restricted_growth_strings,
     sim_h,
 )
 from pglab.catalog import catalog_group
@@ -28,6 +26,12 @@ from pglab.substructures import (
     class_signature,
     enumerate_normal_polyadic,
     is_polyadic_subgroup,
+)
+
+from reference import (
+    normal_congruence_condition_direct,
+    reference_partition_scan,
+    restricted_growth_strings,
 )
 
 
@@ -47,36 +51,6 @@ def is_congruence_by_definition(p, classes):
                 if cls_of[p.eval(list(args))] != cls_of[p.eval(list(other))]:
                     return False
     return True
-
-
-def _factors(cls_of, values):
-    """Whether the class of values[x] is a function of the class of x."""
-    image = {}
-    for c, v in zip(cls_of, values):
-        if image.setdefault(c, cls_of[v]) != cls_of[v]:
-            return False
-    return True
-
-
-def reference_partition_scan(p):
-    """The per-partition Python scan the batched oracle replaced: skew
-    images, then one-sided translations with constant filler 0, then the
-    complete class-signature check, one partition at a time."""
-    edge = p.edge_table
-    out = []
-    for cls_of in restricted_growth_strings(p.order):
-        if not _factors(cls_of, p.skew_table):
-            continue
-        if not (all(_factors(cls_of, row) for row in edge)
-                and all(_factors(cls_of, col) for col in zip(*edge))):
-            continue
-        if class_signature(p, np.asarray(cls_of)) is None:
-            continue
-        fibres = {}
-        for x, c in enumerate(cls_of):
-            fibres.setdefault(c, []).append(x)
-        out.append(tuple(sorted(tuple(c) for c in fibres.values())))
-    return sorted(out, key=lambda classes: (-len(classes), classes))
 
 
 class TestPartitionGenerator:

@@ -24,12 +24,13 @@ from pglab.morphisms import (
     compose_hom,
     decompose_hom,
     enumerate_homs,
-    hom_compose,
     is_polyadic_hom,
 )
 from pglab.polyadic import (
     as_table, derive, from_table, hg_anchor0, packed_tuples,
 )
+
+from reference import hom_compose
 
 
 def brute_homs(p, q):
@@ -63,10 +64,11 @@ def dense_hom_maps(p, q):
     q_skew = np.asarray(q.skew_table)
     for x in range(mp):
         alive &= q_skew[maps[:, x]] == maps[:, p.skew_table[x]]
+    edge = p.cube[(slice(None),) + (0,) * (n - 2) + (slice(None),)]
     for x in range(mp):
         for y in range(mp):
             args = (maps[:, x],) + (maps[:, 0],) * (n - 2) + (maps[:, y],)
-            alive &= q.cube[args] == maps[:, p.edge_table[x][y]]
+            alive &= q.cube[args] == maps[:, edge[x, y]]
     survivors = []
     for row in maps[alive]:
         psi = row.astype(np.int64)

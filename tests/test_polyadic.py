@@ -24,7 +24,6 @@ from pglab.polyadic import (
     as_table,
     derive,
     derive_b,
-    dornte_check,
     dornte_witness,
     from_table,
     hg_anchor0,
@@ -108,7 +107,7 @@ class TestDerive:
         theta = Automorphism(tuple(s3.conj(three_cycle, x) for x in range(6)))
         b = s3.mul(three_cycle, three_cycle)
         p = derive(s3, theta, b, 3)
-        assert dornte_check(p)
+        assert dornte_witness(p) is None
 
 
 class TestDeriveB:
@@ -134,6 +133,13 @@ class TestEval:
     def test_arity_mismatch(self, structs):
         with pytest.raises(ArityMismatch):
             structs["T3"].eval([1, 1])
+
+    @pytest.mark.parametrize("args", [[0, 0, -1], [0, 0, 5], [3, 0, 0], [0, 1.5, 0]])
+    def test_arguments_outside_the_carrier_are_refused(self, structs, args):
+        # at the parent -1 wrapped round to 2 and 5 raised a bare IndexError
+        for p in (structs["T3"], as_table(structs["T3"])):
+            with pytest.raises(ValidationError):
+                p.eval(args)
 
     @given(st.data())
     def test_matches_reference(self, structs, data):
@@ -411,14 +417,13 @@ class TestIdentityAndDornte:
                 assert hg.theta.is_identity() and hg.b == 0
 
     def test_dornte_examples(self, structs):
-        assert dornte_check(structs["T3"])
-        assert dornte_check(structs["T5"])
+        assert dornte_witness(structs["T3"]) is None
+        assert dornte_witness(structs["T5"]) is None
 
     def test_corrupted_table_fails_with_witness(self, structs):
         flat = list(as_table(structs["T3"]).presentation.flat)
         flat[5] = (flat[5] + 1) % 3
         corrupted = from_table(3, 3, flat, verify=False)
-        assert not dornte_check(corrupted)
         assert dornte_witness(corrupted) is not None
 
 
@@ -445,7 +450,7 @@ class TestAllDerived:
 
     def test_members_pass_dornte(self):
         for p in all_derived(catalog_group("Z4"), 4):
-            assert dornte_check(p)
+            assert dornte_witness(p) is None
 
     def test_derivation_conditions_hold(self):
         for p in all_derived(catalog_group("S3"), 3):

@@ -7,16 +7,15 @@ from pglab import congruence, morphisms, simplicity, substructures
 from pglab.catalog import catalog_group, cyclic, groups_of_order
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import CostCapExceeded, InternalContradiction, ValidationError
-from pglab.groups import Automorphism, automorphisms, inverse_perm
+from pglab.groups import Automorphism, automorphisms, enumerate_subgroups, inverse_perm
 from pglab.morphisms import _split_maps, are_isomorphic
 from pglab.polyadic import (
-    PolyadicGroup, all_derived, as_table, derive_b, dornte_check, verify_axioms,
+    PolyadicGroup, all_derived, as_table, derive_b, dornte_witness, verify_axioms,
 )
 from pglab.simplicity import (
     census,
     is_gts,
     is_gts_star,
-    is_theta_simple,
     is_uas,
     simplicity_report,
 )
@@ -25,14 +24,18 @@ from pglab.simplicity import (
 class TestThetaSimple:
     def test_prime_order_always(self):
         theta = Automorphism(tuple(2 * x % 5 for x in range(5)))
-        assert is_theta_simple(catalog_group("Z5"), theta)
+        sizes = [s.size for s in enumerate_subgroups(catalog_group("Z5"), theta=theta)]
+        assert sizes == [1, 5]
 
     def test_inversion_on_z9(self):
         theta = Automorphism(tuple((-x) % 9 for x in range(9)))
-        assert not is_theta_simple(catalog_group("Z9"), theta)
+        sizes = [s.size for s in enumerate_subgroups(catalog_group("Z9"), theta=theta)]
+        assert sizes == [1, 3, 9]
 
     def test_swap_on_klein(self):
-        assert not is_theta_simple(catalog_group("Z2xZ2"), Automorphism((0, 2, 1, 3)))
+        swap = Automorphism((0, 2, 1, 3))
+        sizes = [s.size for s in enumerate_subgroups(catalog_group("Z2xZ2"), theta=swap)]
+        assert sizes == [1, 2, 4]
 
 
 class TestUAS:
@@ -147,7 +150,7 @@ class TestCensus:
         assert len(entries) == 2
         assert elapsed < 1.0
         for e in entries:
-            assert dornte_check(e.representative)
+            assert dornte_witness(e.representative) is None
             assert verify_axioms(as_table(e.representative)).ok
 
     def test_two_elements_derived_matches(self):
