@@ -22,7 +22,7 @@ from .congruence import (
     congruences,
     is_normal_congruence,
     kernel_class,
-    lattice_ops,
+    lattice_table,
     quotient_by_congruence,
     congruence_from_classes,
 )
@@ -148,10 +148,12 @@ def cmd_analyze(args, caps: Caps) -> int:
                 }
             )
         payload["congruences"] = entries
-        modular = _lattice_summary(congs)
-        payload["lattice"] = modular
+        table = lattice_table(p)
+        all_commute = bool((table.commutes & table.composition_is_product).all())
+        payload["lattice"] = {"meet": table.meet.tolist(), "join": table.join.tolist(),
+                              "all_commute": all_commute, "modular": table.modular}
         lines.append(f"congruences: {len(congs)}; commuting pairs: "
-                     f"{_yes(modular['all_commute'])}; modular: {_yes(modular['modular'])}")
+                     f"{_yes(all_commute)}; modular: {_yes(table.modular)}")
         for e in entries:
             lines.append(f"  classes {e['classes']} kernel {e['kernel']}")
     if args.simplicity:
@@ -172,30 +174,6 @@ def cmd_analyze(args, caps: Caps) -> int:
                      f"identity class index {n_ary_identity(q.quotient)}")
     _emit(args, payload, lines)
     return 0
-
-
-def _lattice_summary(congs) -> dict:
-    all_commute = True
-    meets = [[0] * len(congs) for _ in congs]
-    joins = [[0] * len(congs) for _ in congs]
-    index = {c.classes: i for i, c in enumerate(congs)}
-    for i, r in enumerate(congs):
-        for j, q in enumerate(congs):
-            ops = lattice_ops(r, q)
-            all_commute &= ops.commutes and ops.composition_is_product
-            meets[i][j] = index[ops.meet.classes]
-            joins[i][j] = index[ops.join.classes]
-    modular = True
-    k = len(congs)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if meets[a][c] != a:  # only test when a <= c
-                    continue
-                lhs = joins[a][meets[b][c]]
-                rhs = meets[joins[a][b]][c]
-                modular &= lhs == rhs
-    return {"meet": meets, "join": joins, "all_commute": all_commute, "modular": modular}
 
 
 def cmd_census(args, caps: Caps) -> int:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
-from .errors import IllDefined, MethodDisagreement
+from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import enumerate_subgroups, twisted_quotient
-from .polyadic import HosszuGloskin, PolyadicGroup, _twist
+from .polyadic import HosszuGloskin, PolyadicGroup, _twist, row_blocks
 from .substructures import PolyadicSubgroup, class_signature, coset_classes
 
 
@@ -173,7 +173,11 @@ def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
 def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
     """Enumerate congruences as the coset partitions of the twist-invariant
     normal subgroups of the base, mapped back to the original carrier
-    (the relabelling round-trips for table presentations)."""
+    (the relabelling round-trips for table presentations); stored on p."""
+    return list(cached_on(p, "congruences_theorem", lambda: _coset_partitions(p)))
+
+
+def _coset_partitions(p: PolyadicGroup) -> tuple[Congruence, ...]:
     hg = p.view
     base, unrelabel = hg.base, hg.unrelabel
     out = []
@@ -183,7 +187,7 @@ def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
             for x in range(base.order)
         }
         out.append(Congruence(p, tuple(sorted(cosets))))
-    return _canonical_sort(out)
+    return tuple(_canonical_sort(out))
 
 
 def congruences(
@@ -240,10 +244,11 @@ def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
 
 @dataclass(frozen=True)
 class LatticeOps:
-    """Meet and join of congruences R, Q; each diagnostic compares the
-    partitions with base-group products of the kernels K_R, K_Q: R∘Q = Q∘R,
-    R∘Q is the coset relation of K_R·K_Q (for a group, the pair-set product
-    R·Q), and the join's and meet's kernels are K_R·K_Q and K_R ∩ K_Q."""
+    """Meet and join of congruences R, Q, one cell of p's lattice_table; each
+    diagnostic compares the partitions with base-group products of the
+    kernels K_R, K_Q: R∘Q = Q∘R, R∘Q is the coset relation of K_R·K_Q (for a
+    group, the pair-set product R·Q), and the join's and meet's kernels are
+    K_R·K_Q and K_R ∩ K_Q.  A failed diagnostic reads False."""
 
     meet: Congruence
     join: Congruence
@@ -252,46 +257,74 @@ class LatticeOps:
     kernel_identities: bool
 
 
-def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
-    """For each x, the z with x r y q z: the union of the q-classes that
-    x's r-class meets."""
-    out = [frozenset()] * r.ambient.order
-    for cls in r.classes:
-        image = frozenset().union(*(q.classes[c] for c in {q.class_of[y] for y in cls}))
-        for x in cls:
-            out[x] = image
-    return out
+@dataclass(frozen=True, eq=False)
+class LatticeTable:
+    """p's congruences (congruences_theorem's list) and index[classes], k×k
+    meet and join index arrays, LatticeOps' three flags as k×k boolean
+    arrays, and the modular law."""
+
+    congs: tuple[Congruence, ...]
+    index: dict
+    meet: np.ndarray
+    join: np.ndarray
+    commutes: np.ndarray
+    composition_is_product: np.ndarray
+    kernel_identities: np.ndarray
+    modular: bool
+
+
+def lattice_table(p: PolyadicGroup) -> LatticeTable:
+    """p's lattice table, built once and stored on p: see _lattice_table."""
+    return cached_on(p, "lattice", lambda: _lattice_table(p))
+
+
+def _lattice_table(p: PolyadicGroup) -> LatticeTable:
+    """Two routes, a block of rows at a time (row_blocks, k·m² cells a row).
+    Partitions: x labelled by the least member of its class, R[i] the
+    relation; meet is R & Q, join the boolean product R∘Q (congruences of a
+    polyadic group permute), each labelled row looked up in the list.
+    Kernels, in the view's coordinates: K[i] the class of the identity,
+    the product P[i, j, x] = ∨ₙ K_i[n] ∧ K_j[n⁻¹x] by one einsum."""
+    congs, hg = congruences_theorem(p), p.view
+    k, m = len(congs), p.order
+    labels = np.array([[c.classes[i][0] for i in c.class_of] for c in congs], dtype=np.intp)
+    rel = labels[:, :, None] == labels[:, None, :]
+    weight = rel.astype(np.float32)  # boolean products by BLAS
+    rows = {x.tobytes(): i for i, x in enumerate(labels)}
+    relabel, unrelabel = np.asarray(hg.relabel), np.asarray(hg.unrelabel)
+    kernel = labels[:, unrelabel] == labels[:, unrelabel[:1]]
+    left_quotient = hg.base.np_table[np.asarray(hg.base.inverses)]  # [n, x] = n⁻¹x
+    shifted, cosets = kernel[:, left_quotient], left_quotient[np.ix_(relabel, relabel)]
+    meet, join = np.zeros((2, k, k), dtype=np.intp)
+    commutes, composition_is_product, kernel_identities = np.zeros((3, k, k), dtype=bool)
+    for r in row_blocks(np.arange(k), k * m * m):
+        rq, product = weight[r, None] @ weight > 0, np.einsum("rn,jnx->rjx", kernel[r], shifted)
+        for out, relation in ((meet, rel[r, None] & rel), (join, rq)):
+            found = [rows[x.tobytes()] for x in relation.argmax(axis=-1).reshape(-1, m)]
+            out[r] = np.reshape(found, (len(r), k))
+        commutes[r] = (rq == (weight @ weight[r, None] > 0)).all(axis=(2, 3))
+        composition_is_product[r] = (rq == product[:, :, cosets]).all(axis=(2, 3))  # x⁻¹z ∈ P
+        kernel_identities[r] = ((kernel[join[r]] == product).all(axis=2)
+                                & (kernel[meet[r]] == kernel[r, None] & kernel).all(axis=2))
+    # R ≤ T ⇒ R ∨ (Q ∧ T) = (R ∨ Q) ∧ T, a block of R at a time (k² cells each)
+    modular = all(((join[a][:, meet] == meet[join[a]]) | (meet[a] != a[:, None])[:, None]).all()
+                  for a in row_blocks(np.arange(k), k * k))
+    return LatticeTable(tuple(congs), {c.classes: i for i, c in enumerate(congs)}, meet, join,
+                        commutes, composition_is_product, kernel_identities, modular)
 
 
 def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
-    """Meet (intersection) and join (composition) with diagnostics, in O(m²).
-
-    A polyadic group is congruence-permutable, so the join R∨Q is the
-    relational composition R∘Q; both are read off the two partitions.
-    """
+    """Meet (intersection) and join (composition) with diagnostics, one cell of
+    lattice_table(p); a congruence not in p's lattice is refused (ValidationError)."""
     p = r.ambient
-    if q.ambient != p:
+    if q.ambient is not p and q.ambient != p:
         raise ValueError("congruences live on different polyadic groups")
-    hg = p.view
-    meet = _partition_by(p, zip(r.class_of, q.class_of))
-    rq = _composition(r, q)
-    join = _partition_by(p, rq)
-    commutes = rq == _composition(q, r)
-
-    base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
-    kr = kernel_class(r).members
-    kq = kernel_class(q).members
-    product_kernel = {base.mul(relabel[h1], relabel[h2]) for h1 in kr for h2 in kq}
-    composition_is_product = rq == [
-        frozenset(unrelabel[base.mul(relabel[x], k)] for k in product_kernel)
-        for x in range(p.order)
-    ]
-    e = unrelabel[0]
-    kernel_identities = (
-        set(join.classes[join.class_of[e]]) == {unrelabel[k] for k in product_kernel}
-        and set(meet.classes[meet.class_of[e]]) == set(kr) & set(kq)
-    )
-    return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
+    t = lattice_table(p)
+    i, j = t.index.get(r.classes), t.index.get(q.classes)
+    if i is None or j is None:
+        raise ValidationError(f"{r if i is None else q} is not a congruence of {p}")
+    flags = (t.commutes, t.composition_is_product, t.kernel_identities)
+    return LatticeOps(t.congs[t.meet[i, j]], t.congs[t.join[i, j]], *(bool(f[i, j]) for f in flags))
 
 
 def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:

@@ -56,12 +56,6 @@ class FiniteGroup:
         return t[t, np.asarray(self.inverses)[:, None]]
 
     @cached_property
-    def is_abelian(self) -> bool:
-        t = self.table
-        m = len(t)
-        return all(t[i][j] == t[j][i] for i in range(m) for j in range(m))
-
-    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         out = []
         for a in range(self.order):

@@ -102,16 +102,20 @@ class PolyadicGroup:
         (ValidationError)."""
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
+        return int(self.eval_many(self._in_carrier(args)[:, None])[0])
+
+    def _in_carrier(self, args) -> np.ndarray:
         column = np.asarray(args)
-        if column.dtype.kind not in "iu" or min(args) < 0 or max(args) >= self.order:
+        if column.dtype.kind not in "iu" or column.min() < 0 or column.max() >= self.order:
             raise ValidationError(
                 f"arguments {column.tolist()} must be elements of the carrier 0..{self.order - 1}"
             )
-        return int(self.eval_many(column[:, None])[0])
+        return column
 
     def eval_many(self, args: np.ndarray) -> np.ndarray:
         """eval on every column of args, an n-row array of carrier elements,
-        read from the presentation: a derived group builds no m^n table."""
+        read from the presentation: a derived group builds no m^n table.
+        Unchecked: callers pass integer arrays in 0..m−1."""
         pres = self.presentation
         if isinstance(pres, TablePresentation):
             return self.flat_np[np.ravel_multi_index(tuple(args), (self.order,) * self.arity)]
@@ -156,8 +160,9 @@ class PolyadicGroup:
         return self.skew_table[x]
 
     def skew_oracle(self, x: int) -> int:
-        """The unique y with f(x,...,x,y) = x, found by scanning all candidates."""
-        return self._skew_scan(np.asarray([x]))[0]
+        """The unique y with f(x,...,x,y) = x, found by scanning all candidates;
+        an x outside 0..m−1 is refused (ValidationError)."""
+        return self._skew_scan(self._in_carrier([x]))[0]
 
     def _skew_scan(self, xs: np.ndarray) -> list[int]:
         """skew_oracle of each x in xs, by one eval_many of every (x,...,x,y);

@@ -14,12 +14,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import oracle_fits, oracle_refusal
-from .errors import (
-    CostCapExceeded,
-    IllDefined,
-    NotNormal,
-    ValidationError,
-)
+from .errors import CostCapExceeded, IllDefined, NoSolution, NotNormal, ValidationError
 from .groups import Automorphism, FiniteGroup, inverse_perm
 from .polyadic import (
     PolyadicGroup, _wrap_table, n_ary_identity, packed_tuples, row_blocks, split_tuples,
@@ -58,17 +53,6 @@ class GuGroup:
     relabel: tuple[int, ...]
     unrelabel: tuple[int, ...]
     theta: Automorphism = field(compare=False, repr=False)
-
-    def star(self, x: int, y: int) -> int:
-        return self.group.mul(self.group.mul(x, self.group.inv(self.u)), y)
-
-    def inv_u(self, x: int) -> int:
-        return self.group.mul(self.group.mul(self.u, self.group.inv(x)), self.u)
-
-    def psi_raw(self, x: int) -> int:
-        return self.group.mul(
-            self.group.mul(self.u, self.theta(x)), self.theta(self.group.inv(self.u))
-        )
 
 
 def gu_group(p: PolyadicGroup, u: int) -> GuGroup:
@@ -252,13 +236,17 @@ def _normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
 
 def _conjugates(p: PolyadicGroup) -> np.ndarray:
     """conj[x, h] = f(skew(x), x,...,x, h, x), by one eval_many; at arity
-    2, x⁻¹·h·x, with x⁻¹ the y where f(x, y) = skew(0), the identity."""
+    2, x⁻¹·h·x, with x⁻¹ the first y where f(x, y) = skew(0), the identity,
+    and NoSolution for the first x whose row lacks it."""
     m, n = p.order, p.arity
     x, h = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     if n == 2:
         table = p.eval_many(np.stack([x.ravel(), h.ravel()])).reshape(m, m)
-        inverse = (table == p.skew(0)).argmax(axis=1)
-        return table[table[inverse], x]
+        hits = table == p.skew(0)
+        lacking = np.flatnonzero(~hits.any(axis=1))
+        if len(lacking):
+            raise NoSolution(f"no inverse candidate for {lacking[0]}; structure is corrupted")
+        return table[table[hits.argmax(axis=1)], x]
     args = np.stack([np.asarray(p.skew_table)[x]] + [x] * (n - 3) + [h, x])
     return p.eval_many(args.reshape(n, -1)).reshape(m, m)
 

@@ -12,11 +12,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from pglab.congruence import Congruence, LatticeOps, _partition_by, kernel_class
 from pglab.errors import ArityMismatch, BNotFixed, NoSolution, NotUnique, PowerCondition
 from pglab.groups import Automorphism, FiniteGroup, automorphisms
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import PolyadicGroup, TablePresentation, derive
-from pglab.substructures import PolyadicSubgroup, _cosets, _members, class_signature
+from pglab.substructures import GuGroup, PolyadicSubgroup, _cosets, _members, class_signature
 
 
 def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
@@ -57,12 +58,17 @@ def n_ary_identity(p: PolyadicGroup) -> Optional[int]:
 
 def normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """f(skew(x), x,...,x, h, x) stays inside, all x and h; at arity 2,
-    x⁻¹·h·x, with x⁻¹ the y where f(x, y) = skew(0), the identity."""
-    mset, n = set(members), p.arity
+    x⁻¹·h·x, with x⁻¹ the first y where f(x, y) = skew(0), the identity,
+    every x⁻¹ found before any conjugate is read."""
+    mset, n, inverses = set(members), p.arity, []
+    for x in range(p.order if n == 2 else 0):
+        row = [scalar_eval(p, [x, y]) for y in range(p.order)]
+        if p.skew(0) not in row:
+            raise NoSolution(f"no inverse candidate for {x}; structure is corrupted")
+        inverses.append(row.index(p.skew(0)))
     for x in range(p.order):
         if n == 2:
-            xi = [scalar_eval(p, [x, y]) for y in range(p.order)].index(p.skew(0))
-            conjugates = (scalar_eval(p, [scalar_eval(p, [xi, h]), x]) for h in members)
+            conjugates = (scalar_eval(p, [scalar_eval(p, [inverses[x], h]), x]) for h in members)
         else:
             conjugates = (
                 scalar_eval(p, [p.skew(x)] + [x] * (n - 3) + [h, x]) for h in members
@@ -191,3 +197,55 @@ def polyadic_coset(
 ) -> tuple[int, ...]:
     """{f(x, h1, ..., h_{n-1})}: the class of x modulo h, a polyadic subgroup."""
     return _cosets(p, _members(p, h), _members(p, [x]))[0]
+
+
+def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
+    """For each x, the z with x r y q z: the union of the q-classes that
+    x's r-class meets."""
+    out = [frozenset()] * r.ambient.order
+    for cls in r.classes:
+        image = frozenset().union(*(q.classes[c] for c in {q.class_of[y] for y in cls}))
+        for x in cls:
+            out[x] = image
+    return out
+
+
+def reference_lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
+    """Meet (intersection) and join (composition) with diagnostics, one pair
+    at a time in O(m²), read off the two partitions and the kernel classes."""
+    p = r.ambient
+    hg = p.view
+    meet = _partition_by(p, zip(r.class_of, q.class_of))
+    rq = _composition(r, q)
+    join = _partition_by(p, rq)
+    commutes = rq == _composition(q, r)
+
+    base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
+    kr = kernel_class(r).members
+    kq = kernel_class(q).members
+    product_kernel = {base.mul(relabel[h1], relabel[h2]) for h1 in kr for h2 in kq}
+    composition_is_product = rq == [
+        frozenset(unrelabel[base.mul(relabel[x], k)] for k in product_kernel)
+        for x in range(p.order)
+    ]
+    e = unrelabel[0]
+    kernel_identities = (
+        set(join.classes[join.class_of[e]]) == {unrelabel[k] for k in product_kernel}
+        and set(meet.classes[meet.class_of[e]]) == set(kr) & set(kq)
+    )
+    return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
+
+
+def gu_star(gu: GuGroup, x: int, y: int) -> int:
+    """G_u's pre-relabel product x∗y = x·u⁻¹·y."""
+    return gu.group.mul(gu.group.mul(x, gu.group.inv(gu.u)), y)
+
+
+def gu_inv(gu: GuGroup, x: int) -> int:
+    """The inverse u·x⁻¹·u of x in G_u, before relabelling."""
+    return gu.group.mul(gu.group.mul(gu.u, gu.group.inv(x)), gu.u)
+
+
+def gu_psi_raw(gu: GuGroup, x: int) -> int:
+    """G_u's twist u·θ(x)·θ(u⁻¹), before relabelling."""
+    return gu.group.mul(gu.group.mul(gu.u, gu.theta(x)), gu.theta(gu.group.inv(gu.u)))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from pglab.congruence import (
     congruences_theorem,
     is_normal_congruence,
     kernel_class,
+    Congruence,
     lattice_ops,
+    lattice_table,
     quotient_by_congruence,
     sim_h,
 )
 from pglab.catalog import catalog_group
 from pglab.config import Caps
-from pglab.errors import OrderCapExceeded
+from pglab.errors import OrderCapExceeded, ValidationError
 from pglab.groups import Automorphism, is_normal_subgroup, make_group
 from pglab.polyadic import as_table, derive, derive_b, from_table
 from pglab.simplicity import simplicity_report
@@ -30,6 +33,7 @@ from pglab.substructures import (
 
 from reference import (
     normal_congruence_condition_direct,
+    reference_lattice_ops,
     reference_partition_scan,
     restricted_growth_strings,
 )
@@ -244,7 +248,7 @@ class TestRelabelledTables:
         on_t = {c.classes: c for c in theorem}
         source = congruences_bruteforce(p)
         for r, q in itertools.product(source, repeat=2):
-            ref = lattice_ops(r, q)
+            ref = reference_lattice_ops(r, q)
             ops = lattice_ops(on_t[sigma_image(r)], on_t[sigma_image(q)])
             assert ops.meet.classes == sigma_image(ref.meet)
             assert ops.join.classes == sigma_image(ref.join)
@@ -315,6 +319,66 @@ class TestLattice:
                 lhs = lattice_ops(r, lattice_ops(q, t).meet).join
                 rhs = lattice_ops(lattice_ops(r, q).join, t).meet
                 assert lhs.classes == rhs.classes
+
+
+def lattice_cells(p):
+    """(meet, join, commutes, composition_is_product, kernel_identities) of
+    every ordered pair of p's congruences, read from the stored table and
+    from the pairwise reference."""
+    congs = congruences_theorem(p)
+    table, ref = [], []
+    for r, q in itertools.product(congs, repeat=2):
+        for out, ops in ((table, lattice_ops(r, q)), (ref, reference_lattice_ops(r, q))):
+            out.append((ops.meet.classes, ops.join.classes, ops.commutes,
+                        ops.composition_is_product, ops.kernel_identities))
+    return table, ref
+
+
+def modular_by_triples(p):
+    table = lattice_table(p)
+    meet, join, k = table.meet, table.join, len(table.congs)
+    return all(
+        join[a, meet[b, c]] == meet[join[a, b], c]
+        for a, b, c in itertools.product(range(k), repeat=3)
+        if meet[a, c] == a
+    )
+
+
+class TestLatticeTable:
+    def test_equals_reference_on_corpus(self, corpus):
+        pairs = 0
+        for p in corpus:
+            table, ref = lattice_cells(p)
+            assert table == ref, p
+            assert lattice_table(p).modular and modular_by_triples(p)
+            pairs += len(table)
+        assert len(corpus) == 770 and pairs == 28153
+
+    def test_equals_reference_on_table_forms(self, corpus):
+        # a table form is read through its split at 0, which moves skew(0) to
+        # the identity: when b is not the identity the relabelling is not either
+        sample = [as_table(p) for p in random.Random(22).sample(corpus, 80)]
+        moved = [t for t in sample if t.view.relabel != tuple(range(t.order))]
+        assert len(moved) >= 20
+        for t in sample:
+            table, ref = lattice_cells(t)
+            assert table == ref, t
+            assert lattice_table(t).modular and modular_by_triples(t)
+
+    def test_stored_once(self, structs):
+        p = structs["V4swap"]
+        congs = congruences_theorem(p)
+        ops = lattice_ops(congs[1], congs[2])
+        assert lattice_table(p) is p.__dict__["lattice"]
+        assert ops.meet is congs[1] and ops.join is congs[2]
+
+    def test_refuses_a_partition_outside_the_lattice(self, structs):
+        p = structs["T4"]
+        outside = Congruence(p, ((0, 1), (2, 3)))  # not a congruence of Z4
+        full = congruences_theorem(p)[-1]
+        for r, q in ((outside, full), (full, outside)):
+            with pytest.raises(ValidationError, match="not a congruence"):
+                lattice_ops(r, q)
 
 
 class TestSimH:

@@ -141,6 +141,13 @@ class TestEval:
             with pytest.raises(ValidationError):
                 p.eval(args)
 
+    @pytest.mark.parametrize("x", [-1, 5, 3, 1.0, True])
+    def test_skew_oracle_refuses_outside_the_carrier(self, structs, x):
+        # an unchecked scan reads -1 as a corrupted structure (NoSolution), 5 as an IndexError
+        for p in (structs["T3"], as_table(structs["T3"])):
+            with pytest.raises(ValidationError, match="elements of the carrier 0..2"):
+                p.skew_oracle(x)
+
     @given(st.data())
     def test_matches_reference(self, structs, data):
         p = data.draw(st.sampled_from(sorted(structs)).map(structs.get))

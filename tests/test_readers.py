@@ -32,18 +32,24 @@ def corrupted(p, cell, rng):
 @pytest.fixture(scope="module")
 def forms(corpus):
     """(structure, the subgroups of its uncorrupted form) for each corpus
-    structure, its table form, a corruption at a seeded random cell and
-    one at (skew(x), x,…,x, skew(x)) for a seeded x, where the left and
-    right identities of x at y = skew(x) read the same cell."""
+    structure and each arity-2 twist of order up to 8, its table form, a
+    corruption at a seeded random cell and one at (skew(x), x,…,x, skew(x))
+    for a seeded x, where the left and right identities of x at y = skew(x)
+    read the same cell; at arity 2, at (x, x⁻¹) for a seeded x other than
+    the identity e = skew(x), so that row x lacks e."""
     rng = random.Random(21)
     out = []
-    for p in corpus:
+    arity_2 = [q for g in catalog().values() if g.order <= 8 for q in all_derived(g, 2)]
+    for p in list(corpus) + arity_2:
         subs = _oracle_subgroups(p, DEFAULT_CAPS)
         out += [(p, subs), (as_table(p), subs)]
         if p.order > 1:
             x = rng.randrange(p.order)
             s = p.skew(x)
             cell = int(np.ravel_multi_index((s,) + (x,) * (p.arity - 2) + (s,), p.cube.shape))
+            if p.arity == 2:
+                x = (s + 1 + x % (p.order - 1)) % p.order
+                cell = x * p.order + int(np.argmax(p.cube[x] == s))
             out += [(corrupted(p, rng.randrange(p.order**p.arity), rng), subs),
                     (corrupted(p, cell, rng), subs)]
     return out
@@ -73,10 +79,14 @@ def test_dornte_witness_equals_the_loop(forms):
 
 
 def test_normal_by_definition_equals_the_loop(forms):
+    kinds = set()
     for p, subs in forms:
         for members in subs:
             got = outcome(lambda: _normal_by_definition(p, members))
             assert got == outcome(lambda: reference.normal_by_definition(p, members))
+            kinds.add((p.arity == 2, got[0] if got[0] == "value" else got[1].split(" for")[0]))
+    # an arity-2 row that lacks the identity is named, not read as x⁻¹ = 0
+    assert (True, "no inverse candidate") in kinds
 
 
 def test_normal_by_definition_at_arity_2():

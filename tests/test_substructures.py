@@ -28,7 +28,7 @@ from pglab.substructures import (
     right_translate,
 )
 
-from reference import polyadic_coset
+from reference import gu_inv, gu_psi_raw, gu_star, polyadic_coset
 
 
 def reference_subset_scan(p):
@@ -58,8 +58,8 @@ class TestGuGroup:
     def test_alternating_anchor_one(self, structs):
         gu = gu_group(structs["T4inv"], 1)
         # pre-relabel law: x∗y = x - 1 + y and psi(x) = 2 - x
-        assert [gu.star(x, 2) for x in range(4)] == [1, 2, 3, 0]
-        assert [gu.psi_raw(x) for x in range(4)] == [2, 1, 0, 3]
+        assert [gu_star(gu, x, 2) for x in range(4)] == [1, 2, 3, 0]
+        assert [gu_psi_raw(gu, x) for x in range(4)] == [2, 1, 0, 3]
 
     def test_inversion_twist_anchor_zero(self, structs):
         gu = gu_group(structs["T9"], 0)
@@ -70,13 +70,13 @@ class TestGuGroup:
             base = p.presentation.base
             for u in range(p.order):
                 gu = gu_group(p, u)
-                assert gu.star(u, u) == u  # u is the twisted identity
+                assert gu_star(gu, u, u) == u  # u is the twisted identity
                 for x in range(p.order):
-                    assert gu.star(x, gu.inv_u(x)) == u
+                    assert gu_star(gu, x, gu_inv(gu, x)) == u
                     # the twist is a homomorphism for the twisted product
                     for y in range(p.order):
-                        assert gu.psi_raw(gu.star(x, y)) == gu.star(
-                            gu.psi_raw(x), gu.psi_raw(y)
+                        assert gu_psi_raw(gu, gu_star(gu, x, y)) == gu_star(
+                            gu, gu_psi_raw(gu, x), gu_psi_raw(gu, y)
                         )
 
     def test_relabel_transports_to_base(self, structs):
@@ -85,7 +85,7 @@ class TestGuGroup:
             gu = gu_group(p, u)
             for x in range(4):
                 for y in range(4):
-                    lhs = gu.relabel[gu.star(x, y)]
+                    lhs = gu.relabel[gu_star(gu, x, y)]
                     assert lhs == gu.group.mul(gu.relabel[x], gu.relabel[y])
 
 
@@ -285,15 +285,15 @@ def _gu_invariant_normal(gu, members, p) -> bool:
     if gu.u not in mset:
         return False
     for x in members:
-        if gu.inv_u(x) not in mset:
+        if gu_inv(gu, x) not in mset:
             return False
         for y in members:
-            if gu.star(x, y) not in mset:
+            if gu_star(gu, x, y) not in mset:
                 return False
-    if frozenset(gu.psi_raw(x) for x in members) != mset:
+    if frozenset(gu_psi_raw(gu, x) for x in members) != mset:
         return False
     return all(
-        gu.star(gu.star(gu.inv_u(x), h), x) in mset
+        gu_star(gu, gu_star(gu, gu_inv(gu, x), h), x) in mset
         for x in range(p.order)
         for h in members
     )
