@@ -136,17 +136,11 @@ def cmd_analyze(args, caps: Caps) -> int:
                      + ", ".join(str(list(s.members)) for s in subs))
     if args.congruences:
         congs = congruences(p, caps=caps)
-        entries = []
-        for c in congs:
-            kc = kernel_class(c)
-            entries.append(
-                {
-                    "classes": [list(x) for x in c.classes],
-                    "kernel": list(kc.members),
-                    "kernel_related_to_constant": kc.b_related,
-                    "normal_witness": is_normal_congruence(c),
-                }
-            )
+        entries = [
+            {"classes": [list(x) for x in c.classes], "kernel": list(kc.members),
+             "kernel_related_to_constant": kc.b_related, "normal_witness": is_normal_congruence(c)}
+            for c, kc in zip(congs, map(kernel_class, congs))
+        ]
         payload["congruences"] = entries
         table = lattice_table(p)
         all_commute = bool((table.commutes & table.composition_is_product).all())
@@ -263,10 +257,7 @@ def cmd_quotient(args, caps: Caps) -> int:
         classes = [
             _parse_elements(chunk) for chunk in args.congruence.split("|")
         ]
-        try:
-            cong = congruence_from_classes(p, classes)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        cong = congruence_from_classes(p, classes)
         result = quotient_by_congruence(p, cong)
         payload = {"polyadic": polyadic_to_doc(result)}
         lines = [f"quotient by congruence: order {result.order}"]

@@ -20,8 +20,8 @@ from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import enumerate_subgroups, twisted_quotient
-from .polyadic import HosszuGloskin, PolyadicGroup, _twist, row_blocks
-from .substructures import PolyadicSubgroup, class_signature, coset_classes
+from .polyadic import PolyadicGroup, _twist, row_blocks
+from .substructures import PolyadicSubgroup, _cosets, coset_classes, twisted_conjugates
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,9 @@ def congruence_from_classes(p: PolyadicGroup, classes: Sequence[Sequence[int]]) 
     canon = tuple(sorted(tuple(sorted(c)) for c in classes))
     flat = sorted(x for c in canon for x in c)
     if flat != list(range(p.order)) or not all(canon):
-        raise ValueError("classes must partition the carrier into nonempty classes")
+        raise ValidationError("classes must partition the carrier into nonempty classes")
     cong = Congruence(p, canon)
-    cls_of = np.asarray(cong.class_of)
-    skew_classes = set(zip(cong.class_of, cls_of[np.asarray(p.skew_table)].tolist()))
-    if len(skew_classes) != len(canon) or class_signature(p, cls_of) is None:
-        raise ValueError("partition is not a congruence")
+    _kernel_row(cong)  # refuses a partition that is not a congruence
     return cong
 
 
@@ -179,15 +176,11 @@ def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
 
 def _coset_partitions(p: PolyadicGroup) -> tuple[Congruence, ...]:
     hg = p.view
-    base, unrelabel = hg.base, hg.unrelabel
-    out = []
-    for k in enumerate_subgroups(base, theta=hg.theta):
-        cosets = {
-            tuple(sorted(unrelabel[base.mul(x, h)] for h in k.members))
-            for x in range(base.order)
-        }
-        out.append(Congruence(p, tuple(sorted(cosets))))
-    return tuple(_canonical_sort(out))
+    products = hg.base.np_table[np.asarray(hg.relabel)]  # [x, v] = x·v, x read in the view
+    return tuple(_canonical_sort([
+        _partition_by(p, products[:, list(k.members)].min(axis=1).tolist())  # xK's least member
+        for k in enumerate_subgroups(hg.base, theta=hg.theta)
+    ]))
 
 
 def congruences(
@@ -211,35 +204,80 @@ class KernelClass:
     b_related: bool
 
 
+@dataclass(frozen=True, eq=False)
+class KernelTable:
+    """index[classes] into p's congruences (congruences_theorem's list), and
+    a row for each: labels (x ↦ the least member of its class), the kernel
+    as a mask over the view's carrier, whether b is related to the identity,
+    and the smallest normal witness (-1 for none)."""
+
+    index: dict
+    labels: np.ndarray
+    kernel: np.ndarray
+    b_related: np.ndarray
+    witness: np.ndarray
+
+
+def kernel_table(p: PolyadicGroup) -> KernelTable:
+    """p's kernel table, built and checked once and stored on p: see _kernel_table."""
+    return cached_on(p, "kernels", lambda: _kernel_table(p))
+
+
+def _kernel_table(p: PolyadicGroup) -> KernelTable:
+    """A block of rows at a time (row_blocks, m² cells a row).  Each kernel K,
+    the class of the identity, must be a twist-invariant normal subgroup of
+    the base (IllDefined).  A witness a is related to skew(a) and to every
+    tc[x, a]; the cosets {f(x, h, a,…,a) : h ∈ a·K} of each witness, read by
+    one eval_many, must be the congruence's classes (MethodDisagreement)."""
+    congs, hg, m = congruences_theorem(p), p.view, p.order
+    base, tc = hg.base, twisted_conjugates(p)
+    labels = np.array([[c.classes[i][0] for i in c.class_of] for c in congs], dtype=np.intp)
+    relabel, unrelabel = np.asarray(hg.relabel), np.asarray(hg.unrelabel)
+    kernel = labels[:, unrelabel] == labels[:, unrelabel[:1]]
+    quotients = base.np_table[:, np.asarray(base.inverses)]  # [x, y] = x·y⁻¹
+    witness = np.full(len(congs), -1)
+    for r in row_blocks(np.arange(len(congs)), m * m):
+        lab, ker = labels[r], kernel[r]
+        for what, bad in (("twist-invariant", ker & ~ker[:, hg.theta.np_perm]),
+                          ("a subgroup", ker[:, :, None] & ker[:, None] & ~ker[:, quotients]),
+                          ("normal", ker[:, None] & ~ker[:, base.conj_table])):
+            if bad.any():
+                i, *at = np.argwhere(bad)[0].tolist()
+                raise IllDefined(f"kernel class of {congs[r[i]]} not {what} at {tuple(at)}")
+        ok = (lab[:, p.skew_table] == lab) & (lab[:, tc] == lab[:, None]).all(axis=1)
+        witness[r] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+        row, v = np.nonzero(ker & (witness[r] >= 0)[:, None])  # h = a·v, v ∈ K, in the view
+        a = witness[r][row]
+        cosets = _cosets(p, unrelabel[base.np_table[relabel[a], v]], a, np.arange(m)).T
+        apart = (np.take_along_axis(lab[row], cosets, axis=1) != lab[row]).any(axis=1)
+        if apart.any():
+            i = r[row[apart.argmax()]]
+            raise MethodDisagreement(f"witness {witness[i]} satisfies both conditions but its "
+                                     f"subgroup's cosets do not reproduce {congs[i]}")
+    b_related = labels[:, unrelabel[0]] == labels[:, unrelabel[hg.b]]
+    index = {c.classes: i for i, c in enumerate(congs)}
+    return KernelTable(index, labels, kernel, b_related, witness)
+
+
+def _kernel_row(r: Congruence) -> tuple[KernelTable, int]:
+    """r's row of its structure's kernel table; a partition that is not one
+    of its congruences is refused (ValidationError)."""
+    t = kernel_table(r.ambient)
+    i = t.index.get(r.classes)
+    if i is None:
+        raise ValidationError(f"{r} is not a congruence of {r.ambient}")
+    return t, i
+
+
 def kernel_class(r: Congruence) -> KernelClass:
     """Class of the identity; always a twist-invariant normal base subgroup.
 
     Also reports whether the constant b is related to the identity, which is
-    exactly when the kernel class is itself a polyadic subgroup; the flag is
-    read off that theorem, so no m^n table is built.  The class is found and
-    checked once per congruence and stored on r.
-    """
-    return cached_on(r, "kernel", lambda: _kernel(r, r.ambient.view))
-
-
-def _kernel(r: Congruence, hg: HosszuGloskin) -> KernelClass:
-    base, theta = hg.base, hg.theta
-    identity_orig = hg.unrelabel[0]
-    members_orig = r.classes[r.class_of[identity_orig]]
-    members = tuple(sorted(hg.relabel[x] for x in members_orig))
-    mset = set(members)
-    for x in members:
-        if theta(x) not in mset:
-            raise IllDefined(f"kernel class not twist-invariant at {x}")
-        for y in members:
-            if base.mul(x, base.inv(y)) not in mset:
-                raise IllDefined(f"kernel class not a subgroup at ({x},{y})")
-    for g in range(base.order):
-        for h in members:
-            if base.conj(g, h) not in mset:
-                raise IllDefined(f"kernel class not normal at ({g},{h})")
-    b_related = r.related(identity_orig, hg.unrelabel[hg.b])
-    return KernelClass(members_orig, b_related)
+    exactly when the kernel class is itself a polyadic subgroup.  Read from
+    r's row of the kernel table, so no m^n table is built."""
+    t, i = _kernel_row(r)
+    members = np.asarray(r.ambient.view.unrelabel)[t.kernel[i]]
+    return KernelClass(tuple(sorted(members.tolist())), bool(t.b_related[i]))
 
 
 @dataclass(frozen=True)
@@ -259,12 +297,9 @@ class LatticeOps:
 
 @dataclass(frozen=True, eq=False)
 class LatticeTable:
-    """p's congruences (congruences_theorem's list) and index[classes], k×k
-    meet and join index arrays, LatticeOps' three flags as k×k boolean
-    arrays, and the modular law."""
+    """k×k meet and join arrays of indices into congruences_theorem's list,
+    LatticeOps' three flags as k×k boolean arrays, and the modular law."""
 
-    congs: tuple[Congruence, ...]
-    index: dict
     meet: np.ndarray
     join: np.ndarray
     commutes: np.ndarray
@@ -280,19 +315,17 @@ def lattice_table(p: PolyadicGroup) -> LatticeTable:
 
 def _lattice_table(p: PolyadicGroup) -> LatticeTable:
     """Two routes, a block of rows at a time (row_blocks, k·m² cells a row).
-    Partitions: x labelled by the least member of its class, R[i] the
-    relation; meet is R & Q, join the boolean product R∘Q (congruences of a
-    polyadic group permute), each labelled row looked up in the list.
-    Kernels, in the view's coordinates: K[i] the class of the identity,
-    the product P[i, j, x] = ∨ₙ K_i[n] ∧ K_j[n⁻¹x] by one einsum."""
-    congs, hg = congruences_theorem(p), p.view
-    k, m = len(congs), p.order
-    labels = np.array([[c.classes[i][0] for i in c.class_of] for c in congs], dtype=np.intp)
+    Partitions: the kernel table's labels, R[i] the relation; meet is R & Q,
+    join the boolean product R∘Q (congruences of a polyadic group permute),
+    each labelled row looked up in the list.  Kernels: the kernel table's
+    masks K[i], the product P[i, j, x] = ∨ₙ K_i[n] ∧ K_j[n⁻¹x] by one einsum."""
+    hg, kernels = p.view, kernel_table(p)
+    labels, kernel = kernels.labels, kernels.kernel
+    k, m = labels.shape
     rel = labels[:, :, None] == labels[:, None, :]
     weight = rel.astype(np.float32)  # boolean products by BLAS
     rows = {x.tobytes(): i for i, x in enumerate(labels)}
-    relabel, unrelabel = np.asarray(hg.relabel), np.asarray(hg.unrelabel)
-    kernel = labels[:, unrelabel] == labels[:, unrelabel[:1]]
+    relabel = np.asarray(hg.relabel)
     left_quotient = hg.base.np_table[np.asarray(hg.base.inverses)]  # [n, x] = n⁻¹x
     shifted, cosets = kernel[:, left_quotient], left_quotient[np.ix_(relabel, relabel)]
     meet, join = np.zeros((2, k, k), dtype=np.intp)
@@ -309,8 +342,7 @@ def _lattice_table(p: PolyadicGroup) -> LatticeTable:
     # R ≤ T ⇒ R ∨ (Q ∧ T) = (R ∨ Q) ∧ T, a block of R at a time (k² cells each)
     modular = all(((join[a][:, meet] == meet[join[a]]) | (meet[a] != a[:, None])[:, None]).all()
                   for a in row_blocks(np.arange(k), k * k))
-    return LatticeTable(tuple(congs), {c.classes: i for i, c in enumerate(congs)}, meet, join,
-                        commutes, composition_is_product, kernel_identities, modular)
+    return LatticeTable(meet, join, commutes, composition_is_product, kernel_identities, modular)
 
 
 def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
@@ -318,13 +350,11 @@ def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     lattice_table(p); a congruence not in p's lattice is refused (ValidationError)."""
     p = r.ambient
     if q.ambient is not p and q.ambient != p:
-        raise ValueError("congruences live on different polyadic groups")
-    t = lattice_table(p)
-    i, j = t.index.get(r.classes), t.index.get(q.classes)
-    if i is None or j is None:
-        raise ValidationError(f"{r if i is None else q} is not a congruence of {p}")
+        raise ValidationError("congruences live on different polyadic groups")
+    (_, i), (_, j), t = _kernel_row(r), _kernel_row(q), lattice_table(p)
     flags = (t.commutes, t.composition_is_product, t.kernel_identities)
-    return LatticeOps(t.congs[t.meet[i, j]], t.congs[t.join[i, j]], *(bool(f[i, j]) for f in flags))
+    congs = congruences_theorem(p)
+    return LatticeOps(congs[t.meet[i, j]], congs[t.join[i, j]], *(bool(f[i, j]) for f in flags))
 
 
 def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:
@@ -333,44 +363,17 @@ def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:
 
 
 def is_normal_congruence(r: Congruence) -> Optional[int]:
-    """The smallest witness a such that r is the coset congruence of a·[e].
-
-    Conditions scanned: a is related to its skew, and the twisted conjugate
-    theta⁻¹(x⁻¹·a)·x is related to a for every x.  On success the subgroup
-    a·kernel is rebuilt and its coset congruence must equal r.
-    """
-    p = r.ambient
-    hg = p.view
-    base, theta_inv = hg.base, hg.theta.inverse()
-    relabel, unrelabel = hg.relabel, hg.unrelabel
-    skew = p.skew_table
-    for a_orig in range(p.order):
-        if not r.related(a_orig, skew[a_orig]):
-            continue
-        a = relabel[a_orig]
-        if not all(
-            r.related(unrelabel[base.mul(theta_inv(base.mul(base.inv(x), a)), x)], a_orig)
-            for x in range(base.order)
-        ):
-            continue
-        kernel = kernel_class(r)
-        members_view = [relabel[x] for x in kernel.members]
-        h_view = tuple(sorted(base.mul(a, x) for x in members_view))
-        h_orig = tuple(sorted(unrelabel[x] for x in h_view))
-        if sim_h(p, h_orig).classes != r.classes:
-            raise MethodDisagreement(
-                f"witness {a_orig} satisfies both conditions but the rebuilt "
-                f"subgroup {list(h_orig)} does not reproduce the congruence"
-            )
-        return a_orig
-    return None
+    """The smallest witness a such that r is the coset congruence of a·[e]:
+    a is related to its skew and to each twisted conjugate θ⁻¹(x⁻¹·a)·x.
+    Read from r's row of the kernel table, which rebuilt a·[e]'s cosets."""
+    t, i = _kernel_row(r)
+    return None if t.witness[i] < 0 else int(t.witness[i])
 
 
 def quotient_by_congruence(p: PolyadicGroup, r: Congruence) -> PolyadicGroup:
     """Quotient in derived form: base modulo kernel, induced twist and
     constant; p's arity and order passed the caps when p was built."""
-    hg = p.view
-    kernel = kernel_class(r)
-    members_view = tuple(sorted(hg.relabel[x] for x in kernel.members))
-    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, members_view)
+    hg, (t, i) = p.view, _kernel_row(r)
+    kernel = np.flatnonzero(t.kernel[i]).tolist()
+    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, kernel)
     return _twist(quotient, theta_r, proj[hg.b], p.arity, p.name and f"{p.name}/R")

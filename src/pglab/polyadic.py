@@ -264,15 +264,22 @@ def derive(
 
 def _twist(base: FiniteGroup, theta: Automorphism, b: int, arity: int, name: str) -> PolyadicGroup:
     """derive without the caps, for an arity and order already checked."""
-    if theta(b) != b:
+    failures = _twist_gates(base, theta, arity)[b]
+    if failures[0]:
         raise BNotFixed(f"theta({b}) = {theta(b)} differs from {b}")
-    power = theta.power(arity - 1)
-    for x in range(base.order):
-        if power(x) != base.conj(b, x):
-            raise PowerCondition(
-                f"theta^{arity - 1}({x}) = {power(x)} but {b}·{x}·{b}⁻¹ = {base.conj(b, x)}"
-            )
+    if failures.any():
+        x, power = int(failures.argmax()) - 1, theta.power(arity - 1)
+        raise PowerCondition(
+            f"theta^{arity - 1}({x}) = {power(x)} but {b}·{x}·{b}⁻¹ = {base.conj(b, x)}"
+        )
     return PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=name)
+
+
+def _twist_gates(base: FiniteGroup, theta: Automorphism, arity: int) -> np.ndarray:
+    """derive's gates, a row for each b: whether theta(b) ≠ b, then for each
+    x whether theta^(n−1)(x) ≠ b·x·b⁻¹."""
+    power = theta.power(arity - 1).np_perm
+    return np.column_stack([theta.np_perm != np.arange(base.order), base.conj_table != power])
 
 
 def derive_b(
@@ -561,13 +568,8 @@ def all_derived(
     once, for every b at once."""
     auts = automorphisms(base, caps=caps)
     _check_arity_order(arity, base.order, caps)
-    out = []
-    for theta in auts:
-        # theta(b) = b, and theta^(n−1) = conjugation by b
-        power = theta.power(arity - 1).np_perm
-        valid = (theta.np_perm == np.arange(base.order)) & (base.conj_table == power).all(axis=1)
-        out += [
-            PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=base.name)
-            for b in np.flatnonzero(valid).tolist()
-        ]
-    return out
+    return [
+        PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=base.name)
+        for theta in auts
+        for b in np.flatnonzero(~_twist_gates(base, theta, arity).any(axis=1)).tolist()
+    ]

@@ -99,14 +99,13 @@ def _closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    """Nonempty, closed under the operation and under skew."""
+    """Nonempty and closed under the operation and skew: exactly when f's
+    retract, twist and c at its least member keep it (f is der of them
+    there), read from its split_tuples by one eval_many, no m^n table."""
     members = _members(p, members)
-    if len(members) == 0:
+    if not members:
         return False
-    mset = set(members)
-    if any(p.skew(x) not in mset for x in members):
-        return False
-    return bool(_closed(p.cube, np.asarray([members]))[0])
+    return bool(np.isin(p.eval_many(split_tuples(p, members[0], members)), members).all())
 
 
 def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ...]:
@@ -199,7 +198,7 @@ def _routed(
         if not normal:
             return subs
         return cached_on(p, "normal_theorem", lambda: tuple(
-            s for s in subs if _normal_by_twist(p, s.members)
+            s for s in subs if is_normal_polyadic(p, s)
         ))
 
     def oracle() -> tuple[PolyadicSubgroup, ...]:
@@ -228,10 +227,14 @@ def _as_subgroups(
 def _normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """Direct check, read off the operation alone: every conjugate of a
     member stays inside (see _conjugates)."""
-    inside = np.zeros(p.order, dtype=bool)
+    return _stays_inside(cached_on(p, "conjugates", lambda: _conjugates(p)), members)
+
+
+def _stays_inside(conjugates: np.ndarray, members: Sequence[int]) -> bool:
+    """Whether conjugates[x, h] lies in members for every x and member h."""
+    inside = np.zeros(len(conjugates), dtype=bool)
     inside[list(members)] = True
-    conj = cached_on(p, "conjugates", lambda: _conjugates(p))
-    return bool(inside[conj[:, inside]].all())
+    return bool(inside[conjugates[:, inside]].all())
 
 
 def _conjugates(p: PolyadicGroup) -> np.ndarray:
@@ -251,23 +254,24 @@ def _conjugates(p: PolyadicGroup) -> np.ndarray:
     return p.eval_many(args.reshape(n, -1)).reshape(m, m)
 
 
-def _normal_by_twist(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    """Presentation check: theta⁻¹(x⁻¹·h)·x stays inside, all x and h."""
+def twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
+    """tc[x, h] = θ⁻¹(x⁻¹·h)·x, read in the view and carried back to p's
+    carrier: the twist criterion's one table, m×m, stored on p."""
+    return cached_on(p, "twisted_conjugates", lambda: _twisted_conjugates(p))
+
+
+def _twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
     hg = p.view
-    base, theta_inv = hg.base, hg.theta.inverse()
-    mem = [hg.relabel[h] for h in members]
-    mset = set(mem)
-    for x in range(base.order):
-        xi = base.inv(x)
-        for h in mem:
-            if base.mul(theta_inv(base.mul(xi, h)), x) not in mset:
-                return False
-    return True
+    table, x = hg.base.np_table, np.arange(p.order)
+    theta_inv, relabel = np.argsort(hg.theta.np_perm), np.asarray(hg.relabel)
+    tc = table[theta_inv[table[np.asarray(hg.base.inverses)[:, None], x]], x[:, None]]
+    return np.asarray(hg.unrelabel)[tc[np.ix_(relabel, relabel)]]
 
 
 def is_normal_polyadic(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> bool:
-    """Normality of a polyadic subgroup via the twist criterion."""
-    return _normal_by_twist(p, _members(p, h))
+    """Normality of a polyadic subgroup via the twist criterion: every
+    twisted conjugate of a member stays inside."""
+    return _stays_inside(twisted_conjugates(p), _members(p, h))
 
 
 def enumerate_normal_polyadic(
@@ -283,26 +287,25 @@ def enumerate_normal_polyadic(
     return _routed(True, p, strategy, caps)
 
 
-def _cosets(p: PolyadicGroup, members: Sequence[int], xs: Sequence[int]) -> list[tuple[int, ...]]:
-    """The class of each x in xs modulo the polyadic subgroup h with these
-    members.  Every (n−1)-sequence over h is equivalent to one (h1, u, ..., u),
-    u the least member, so one eval_many reads them all, with no m^n table."""
-    args = np.full((p.arity, len(xs), len(members)), members[0] if members else 0)
-    args[0], args[1] = np.asarray(xs)[:, None], members
-    values = p.eval_many(args.reshape(p.arity, -1)).reshape(len(xs), -1)
-    return [tuple(sorted(set(row))) for row in values.tolist()]
+def _cosets(p: PolyadicGroup, hs: Sequence[int], us, xs: Sequence[int]) -> np.ndarray:
+    """f(x, h, u,…,u) for each x in xs (a row each) and each h in hs with
+    the u of us beside it (a column each), by one eval_many, no m^n table.
+    For u in a polyadic subgroup H, every (n−1)-sequence over H is
+    equivalent to one (h, u,…,u), so x's row over H is x's coset."""
+    args = np.broadcast_to(us, (p.arity, len(xs), len(hs))).copy()
+    args[0], args[1] = np.asarray(xs)[:, None], hs
+    return p.eval_many(args.reshape(p.arity, -1)).reshape(len(xs), -1)
 
 
 def coset_classes(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The sorted polyadic cosets of a normal polyadic subgroup: h is a polyadic subgroup
-    iff f's retract, twist and c at its least member keep it (f is der of them there)."""
+    """The sorted polyadic cosets of a normal polyadic subgroup."""
     members = _members(p, h)
-    closed = members and np.isin(p.eval_many(split_tuples(p, members[0], members)), members).all()
-    if not (closed and is_normal_polyadic(p, members)):
+    if not (is_polyadic_subgroup(p, members) and is_normal_polyadic(p, members)):
         raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
-    return tuple(sorted(set(_cosets(p, members, range(p.order)))))
+    rows = _cosets(p, members, members[0], range(p.order)).tolist()
+    return tuple(sorted({tuple(sorted(set(row))) for row in rows}))
 
 
 def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:

@@ -12,12 +12,16 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from pglab.congruence import Congruence, LatticeOps, _partition_by, kernel_class
-from pglab.errors import ArityMismatch, BNotFixed, NoSolution, NotUnique, PowerCondition
+from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by, sim_h
+from pglab.errors import (
+    ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotUnique, PowerCondition,
+)
 from pglab.groups import Automorphism, FiniteGroup, automorphisms
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import PolyadicGroup, TablePresentation, derive
-from pglab.substructures import GuGroup, PolyadicSubgroup, _cosets, _members, class_signature
+from pglab.substructures import (
+    GuGroup, PolyadicSubgroup, _closed, _cosets, _members, class_signature,
+)
 
 
 def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
@@ -192,11 +196,25 @@ def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
     )
 
 
+def polyadic_subgroup_by_closure(p: PolyadicGroup, members: Sequence[int]) -> bool:
+    """Nonempty, closed under skew, and closed under f on every tuple of
+    members, read from p's m^n table."""
+    members = _members(p, members)
+    if len(members) == 0:
+        return False
+    mset = set(members)
+    if any(p.skew(x) not in mset for x in members):
+        return False
+    return bool(_closed(p.cube, np.asarray([members]))[0])
+
+
 def polyadic_coset(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], x: int
 ) -> tuple[int, ...]:
     """{f(x, h1, ..., h_{n-1})}: the class of x modulo h, a polyadic subgroup."""
-    return _cosets(p, _members(p, h), _members(p, [x]))[0]
+    members = _members(p, h)
+    row = _cosets(p, members, members[0] if members else 0, _members(p, [x]))[0]
+    return tuple(sorted(set(row.tolist())))
 
 
 def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
@@ -210,6 +228,72 @@ def _composition(r: Congruence, q: Congruence) -> list[frozenset[int]]:
     return out
 
 
+def reference_kernel(r: Congruence) -> KernelClass:
+    """The class of the identity, checked to be a twist-invariant normal base
+    subgroup pair by pair, and whether b is related to the identity."""
+    hg = r.ambient.view
+    base, theta = hg.base, hg.theta
+    identity_orig = hg.unrelabel[0]
+    members_orig = r.classes[r.class_of[identity_orig]]
+    members = tuple(sorted(hg.relabel[x] for x in members_orig))
+    mset = set(members)
+    for x in members:
+        if theta(x) not in mset:
+            raise IllDefined(f"kernel class not twist-invariant at {x}")
+        for y in members:
+            if base.mul(x, base.inv(y)) not in mset:
+                raise IllDefined(f"kernel class not a subgroup at ({x},{y})")
+    for g in range(base.order):
+        for h in members:
+            if base.conj(g, h) not in mset:
+                raise IllDefined(f"kernel class not normal at ({g},{h})")
+    b_related = r.related(identity_orig, hg.unrelabel[hg.b])
+    return KernelClass(members_orig, b_related)
+
+
+def reference_normal_congruence(r: Congruence) -> Optional[int]:
+    """The smallest a related to its skew and to every twisted conjugate
+    theta⁻¹(x⁻¹·a)·x, a candidate at a time; a·kernel is rebuilt and its
+    coset congruence must equal r."""
+    p = r.ambient
+    hg = p.view
+    base, theta_inv = hg.base, hg.theta.inverse()
+    relabel, unrelabel = hg.relabel, hg.unrelabel
+    skew = p.skew_table
+    for a_orig in range(p.order):
+        if not r.related(a_orig, skew[a_orig]):
+            continue
+        a = relabel[a_orig]
+        if not all(
+            r.related(unrelabel[base.mul(theta_inv(base.mul(base.inv(x), a)), x)], a_orig)
+            for x in range(base.order)
+        ):
+            continue
+        members_view = [relabel[x] for x in reference_kernel(r).members]
+        h_orig = tuple(sorted(unrelabel[base.mul(a, x)] for x in members_view))
+        if sim_h(p, h_orig).classes != r.classes:
+            raise MethodDisagreement(
+                f"witness {a_orig} satisfies both conditions but the rebuilt "
+                f"subgroup {list(h_orig)} does not reproduce the congruence"
+            )
+        return a_orig
+    return None
+
+
+def reference_normal_by_twist(p: PolyadicGroup, members: Sequence[int]) -> bool:
+    """theta⁻¹(x⁻¹·h)·x stays inside, all x and h, a pair at a time."""
+    hg = p.view
+    base, theta_inv = hg.base, hg.theta.inverse()
+    mem = [hg.relabel[h] for h in members]
+    mset = set(mem)
+    for x in range(base.order):
+        xi = base.inv(x)
+        for h in mem:
+            if base.mul(theta_inv(base.mul(xi, h)), x) not in mset:
+                return False
+    return True
+
+
 def reference_lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     """Meet (intersection) and join (composition) with diagnostics, one pair
     at a time in O(m²), read off the two partitions and the kernel classes."""
@@ -221,8 +305,8 @@ def reference_lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     commutes = rq == _composition(q, r)
 
     base, relabel, unrelabel = hg.base, hg.relabel, hg.unrelabel
-    kr = kernel_class(r).members
-    kq = kernel_class(q).members
+    kr = reference_kernel(r).members
+    kq = reference_kernel(q).members
     product_kernel = {base.mul(relabel[h1], relabel[h2]) for h1 in kr for h2 in kq}
     composition_is_product = rq == [
         frozenset(unrelabel[base.mul(relabel[x], k)] for k in product_kernel)

@@ -13,6 +13,7 @@ from pglab.congruence import (
     congruences_theorem,
     is_normal_congruence,
     kernel_class,
+    kernel_table,
     Congruence,
     lattice_ops,
     lattice_table,
@@ -21,19 +22,24 @@ from pglab.congruence import (
 )
 from pglab.catalog import catalog_group
 from pglab.config import Caps
-from pglab.errors import OrderCapExceeded, ValidationError
+from pglab.errors import IllDefined, MethodDisagreement, OrderCapExceeded, ValidationError
 from pglab.groups import Automorphism, is_normal_subgroup, make_group
 from pglab.polyadic import as_table, derive, derive_b, from_table
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
     class_signature,
     enumerate_normal_polyadic,
+    enumerate_polyadic_subgroups,
+    is_normal_polyadic,
     is_polyadic_subgroup,
 )
 
 from reference import (
     normal_congruence_condition_direct,
+    reference_kernel,
     reference_lattice_ops,
+    reference_normal_by_twist,
+    reference_normal_congruence,
     reference_partition_scan,
     restricted_growth_strings,
 )
@@ -336,7 +342,7 @@ def lattice_cells(p):
 
 def modular_by_triples(p):
     table = lattice_table(p)
-    meet, join, k = table.meet, table.join, len(table.congs)
+    meet, join, k = table.meet, table.join, len(table.meet)
     return all(
         join[a, meet[b, c]] == meet[join[a, b], c]
         for a, b, c in itertools.product(range(k), repeat=3)
@@ -379,6 +385,74 @@ class TestLatticeTable:
         for r, q in ((outside, full), (full, outside)):
             with pytest.raises(ValidationError, match="not a congruence"):
                 lattice_ops(r, q)
+
+    def test_refuses_congruences_on_different_structures(self, structs):
+        r, q = congruences_theorem(structs["T4"])[0], congruences_theorem(structs["T3"])[0]
+        with pytest.raises(ValidationError, match="different polyadic groups"):
+            lattice_ops(r, q)
+
+
+def kernel_rows(p):
+    """(kernel class, normal witness) of each of p's congruences, read from
+    the kernel table and from the one-congruence-at-a-time references, and
+    the twist criterion on each theorem subgroup, read both ways."""
+    congs = congruences_theorem(p)
+    subs = [s.members for s in enumerate_polyadic_subgroups(p, "theorem")]
+    table = ([(kernel_class(r), is_normal_congruence(r)) for r in congs],
+             [is_normal_polyadic(p, s) for s in subs])
+    ref = ([(reference_kernel(r), reference_normal_congruence(r)) for r in congs],
+           [reference_normal_by_twist(p, s) for s in subs])
+    return table, ref
+
+
+class TestKernelTable:
+    def test_equals_reference_on_corpus(self, corpus):
+        congs = subs = 0
+        for p in corpus:
+            table, ref = kernel_rows(p)
+            assert table == ref, p
+            congs, subs = congs + len(table[0]), subs + len(table[1])
+        assert len(corpus) == 770 and congs == 4143 and subs == 7531
+
+    def test_equals_reference_on_table_forms(self, corpus):
+        # a table form's view relabels its carrier (skew(0) moves to the
+        # identity), so the kernel masks and the twisted conjugates are read
+        # through a relabelling that is not the identity
+        sample = [as_table(p) for p in random.Random(23).sample(corpus, 110)]
+        moved = [t for t in sample if t.view.relabel != tuple(range(t.order))]
+        assert len(moved) >= 60
+        for t in sample:
+            table, ref = kernel_rows(t)
+            assert table == ref, t
+
+    def test_reads_build_no_lattice_table(self, structs):
+        for p in (as_table(structs["V4swap"]), derive_b(catalog_group("Z2"), 1, 3)):
+            for r in congruences(p):
+                kernel_class(r)
+                is_normal_congruence(r)
+            assert "kernels" in p.__dict__ and "lattice" not in p.__dict__
+
+    def test_refuses_a_partition_outside_the_lattice(self):
+        p = derive(catalog_group("Z4"), Automorphism.identity(4), 0, 3)
+        outside = Congruence(p, ((0, 2), (1,), (3,)))
+        for read in (kernel_class, is_normal_congruence):
+            with pytest.raises(ValidationError, match="not a congruence"):
+                read(outside)
+
+    def test_a_kernel_that_is_not_a_subgroup_is_ill_defined(self):
+        # a stored theorem list holding {0, 1} | {2, 3}, not the cosets of a subgroup of Z4
+        p = derive(catalog_group("Z4"), Automorphism.identity(4), 0, 3)
+        p.__dict__["congruences_theorem"] = (Congruence(p, ((0, 1), (2, 3))),)
+        with pytest.raises(IllDefined, match=r"not a subgroup at \(0, 1\)"):
+            kernel_table(p)
+
+    def test_a_witness_whose_cosets_differ_is_a_disagreement(self):
+        # with skew taken as the identity, 0 passes both witness conditions on
+        # der(Z2, id, 1, 3)'s diagonal, but f(x, 0, 0) = x + 1 moves every class
+        p = derive_b(catalog_group("Z2"), 1, 3)
+        p.__dict__["skew_table"] = (0, 1)
+        with pytest.raises(MethodDisagreement, match="witness 0"):
+            is_normal_congruence(congruences_theorem(p)[0])
 
 
 class TestSimH:
@@ -470,14 +544,14 @@ class TestFromClasses:
         assert cong.num_classes == 2
 
     def test_rejects_incompatible(self, structs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             congruence_from_classes(structs["T4"], [[0, 1], [2, 3]])
 
     def test_rejects_non_partition(self, structs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             congruence_from_classes(structs["T4"], [[0, 1], [1, 2, 3]])
 
     @pytest.mark.parametrize("classes", [[[0], [1], [2], []], [[], [0, 1, 2]]])
     def test_rejects_empty_class(self, structs, classes):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             congruence_from_classes(structs["T3"], classes)

@@ -101,6 +101,14 @@ class TestDerive:
         with pytest.raises(BNotFixed):
             derive(catalog_group("Z9"), theta, 1, 3)
 
+    def test_gate_messages_name_the_first_bad_element(self):
+        doubling = Automorphism(tuple(2 * x % 5 for x in range(5)))
+        with pytest.raises(PowerCondition, match=r"^theta\^2\(1\) = 4 but 0·1·0⁻¹ = 1$"):
+            derive(catalog_group("Z5"), doubling, 0, 3)
+        negation = Automorphism(tuple((-x) % 9 for x in range(9)))
+        with pytest.raises(BNotFixed, match=r"^theta\(1\) = 8 differs from 1$"):
+            derive(catalog_group("Z9"), negation, 1, 3)
+
     def test_nonabelian_twist(self):
         s3 = catalog_group("S3")
         three_cycle = next(a for a in range(6) if s3.element_orders[a] == 3)

@@ -12,7 +12,7 @@ import reference
 from pglab.catalog import catalog, groups_of_order
 from pglab.config import DEFAULT_CAPS
 from pglab.polyadic import all_derived, as_table, dornte_witness, from_table, n_ary_identity
-from pglab.substructures import _normal_by_definition, _oracle_subgroups
+from pglab.substructures import _normal_by_definition, _oracle_subgroups, is_polyadic_subgroup
 
 
 def outcome(call):
@@ -109,3 +109,18 @@ def test_all_derived_equals_the_gate_loop(arity):
     for base in [g for m in range(1, 12) for g in groups_of_order(m)]:
         got, want = all_derived(base, arity), reference.all_derived(base, arity)
         assert got == want and [p.name for p in got] == [p.name for p in want]
+
+
+def test_is_polyadic_subgroup_equals_closure(small_corpus):
+    """The split-tuple test against closure under f and skew on the m^n
+    table, on every subset of each structure of order up to 5 and of its
+    table form."""
+    found = 0
+    for p in small_corpus:
+        for t in (p, as_table(p)):
+            for mask in range(1, 1 << t.order):
+                members = [x for x in range(t.order) if mask >> x & 1]
+                got = is_polyadic_subgroup(t, members)
+                assert got == reference.polyadic_subgroup_by_closure(t, members), (t, members)
+                found += got
+    assert found > 0
