@@ -78,7 +78,8 @@ def cmd_verify(args, caps: Caps) -> int:
     else:
         report = verify_axioms(p, caps=caps)
         payload["axioms"] = axiom_report_to_doc(report)
-        lines.append(f"associative: {_yes(report.associative)}")
+        undecided = report.associative is None
+        lines.append(f"associative: {'undecided' if undecided else _yes(report.associative)}")
         lines.append(f"solvable: {_yes(report.solvable)}")
         if not report.ok:
             payload["ok"] = False

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, cached_on
+from .config import Caps, DEFAULT_CAPS, cached_on, cross_check
 from .errors import (
     ArityMismatch,
     BNotFixed,
@@ -60,13 +60,18 @@ Presentation = Union[DerivedPresentation, TablePresentation]
 
 @dataclass(frozen=True)
 class AxiomReport:
-    associative: bool
+    """associative is None when undecided: a table that is not solvable has
+    no split, and past axiom_cost_cap no exhaustive check.  Two reports are
+    equal when they decide alike; the violations are witnesses, and the
+    theorem route and the oracle find different ones."""
+
+    associative: Optional[bool]
     solvable: bool
-    violations: tuple[tuple, ...]
+    violations: tuple[tuple, ...] = field(compare=False)
 
     @property
     def ok(self) -> bool:
-        return self.associative and self.solvable
+        return self.associative is True and self.solvable
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,8 @@ class PolyadicGroup:
         """The derived coordinates der(G, θ, b) every theorem route reads: a
         derived group is its own view, relabelled by the identity; a table is
         read through its split at anchor 0, whose round trip is checked on
-        every cell.  The caps were checked when the group was built."""
+        every cell (from_table's verification builds it).  The caps were
+        checked when the group was built."""
         if self.is_derived:
             return HosszuGloskin(self, tuple(range(self.order)))
         return hosszu_gloskin(self, 0)
@@ -297,23 +303,21 @@ def verify_table_axioms(
     flat: Sequence[int],
     caps: Caps = DEFAULT_CAPS,
 ) -> AxiomReport:
-    """Check n-ary associativity and per-position solvability of a raw table.
+    """Check n-ary associativity and per-position solvability of a raw table
+    exhaustively, with no theorem: the oracle of verify_axioms and the
+    exhaustive census's check.
 
     Associativity compares f(x₀…x_{i−1}, f(x_i…x_{i+n−1}), x_{i+n}…)
     for every adjacent pair of placements i over all m^(2n−1) argument
-    tuples. Placement i is one gather: the inner value depends only on the
-    middle n coordinates, so the flat table, viewed as (m^i, m, m^(n−1−i)),
-    is indexed along its middle axis by the flat table itself, which gives
-    the grid in C order. Two grids of m^(2n−1) cells, in the table's dtype
-    (flat_np's), are live at a time, plus a boolean mask while they are
-    compared. It refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap
-    rather than silently sampling.
+    tuples, a block of leading coordinates x₀ at a time (see
+    _associativity_witness): one block of each placement grid is live, in
+    the table's dtype (flat_np's), not two m^(2n−1) grids.  It refuses
+    (CostCapExceeded) when m^(2n−1) exceeds the cost cap rather than
+    silently sampling.
     """
     m, n = order, arity
     _check_arity_order(n, m, caps)
     small = _table_array(n, m, flat)
-    violations: list[tuple] = []
-
     cost = m ** (2 * n - 1)
     if cost > caps.axiom_cost_cap:
         raise CostCapExceeded(
@@ -321,46 +325,71 @@ def verify_table_axioms(
             f"{caps.axiom_cost_cap}",
             cap="axiom_cost_cap", required=cost,
         )
+    bad = _associativity_witness(small, m, n)
+    solvable, violations = _check_solvability(small.reshape((m,) * n), m, n)
+    return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
 
-    associative = True
-    prev = np.take(small.reshape(1, m, -1), small, axis=1).ravel()
-    for i in range(1, n):
-        cur = np.take(small.reshape(m**i, m, -1), small, axis=1).ravel()
-        if not np.array_equal(prev, cur):
-            bad = np.unravel_index(int((prev != cur).argmax()), (m,) * (2 * n - 1))
-            violations.append(("associativity", i, tuple(int(v) for v in bad)))
-            associative = False
+
+def _associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]:
+    """("associativity", i, args) for the smallest i whose placements i−1
+    and i differ, args their first differing tuple in C order; None when
+    the table is associative.
+
+    The grid is read in blocks of leading coordinates x₀ (row_blocks, one x₀
+    at least), in C order.  With rows = the table as (m, m^(n−1)), placement
+    0 of a block is rows[rows[x₀]]; placement i ≥ 1 indexes rows[x₀],
+    viewed as (m^(i−1), m, m^(n−1−i)), along its middle axis by the table
+    itself.  A later block can only lower the failing placement, so after a
+    failure at i the later blocks compare the placements below i alone.  A
+    grid of at most _BLOCK_CELLS cells is one block: each placement is one
+    gather of the whole grid."""
+    rows, width = small.reshape(m, -1), m ** (2 * n - 2)
+    found, limit, start = None, n, 0
+    for lead in row_blocks(rows, width):
+        k = len(lead)
+        prev = np.take(rows, lead, axis=0).ravel()
+        for i in range(1, limit):
+            cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
+            differ = prev != cur
+            if differ.any():
+                found, limit = (i, start + int(differ.argmax())), i
+                break
+            prev = cur
+        if limit == 1:
             break
-        prev = cur
+        start += k * width
+    if found is None:
+        return None
+    bad = np.unravel_index(found[1], (m,) * (2 * n - 1))
+    return ("associativity", found[0], tuple(int(v) for v in bad))
 
-    solvable, solve_viol = _check_solvability(small.reshape((m,) * n), m, n)
-    violations.extend(solve_viol)
-    return AxiomReport(associative, solvable, tuple(violations))
 
-
-def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, list[tuple]]:
+def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:
     """Existence of solutions at each argument position (rows must be onto)."""
-    violations: list[tuple] = []
     for i in range(n):
         rows = np.moveaxis(cube, i, -1).reshape(-1, m)
-        hit = np.zeros((rows.shape[0], m), dtype=bool)
-        np.put_along_axis(hit, rows, True, axis=1)
+        hit = np.zeros(rows.shape, dtype=bool)
+        hit[np.arange(len(rows))[:, None], rows] = True
         ok = hit.all(axis=1)
         if not ok.all():
             row = int(np.argwhere(~ok)[0][0])
             missing = int(np.argwhere(~hit[row])[0][0])
             context = np.unravel_index(row, (m,) * (n - 1))
-            violations.append(
-                ("solvability", i, tuple(int(v) for v in context), missing)
-            )
-            return False, violations
-    return True, violations
+            return False, (("solvability", i, tuple(int(v) for v in context), missing),)
+    return True, ()
 
 
 def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     """flat in flat_np's dtype, refused (ValidationError) unless it has m^n
-    entries, each in 0..m−1."""
+    entries, each an integer (not a bool) in 0..m−1; bytes are read as a
+    sequence of byte values."""
+    if isinstance(flat, bytes):
+        flat = np.frombuffer(flat, dtype=np.uint8)
     arr = np.asarray(flat)
+    # numpy reads a bool among ints as 0 or 1, so a list's cell types are read
+    bools = not isinstance(flat, np.ndarray) and bool in set(map(type, flat))
+    if arr.dtype.kind not in "iu" or bools:
+        raise ValidationError("table entries must be integers")
     if arr.shape != (m**n,):
         raise ValidationError(f"flat table must have m^n = {m ** n} entries")
     if arr.min() < 0 or arr.max() >= m:
@@ -368,11 +397,54 @@ def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     return arr.astype(np.min_scalar_type(m - 1), copy=False)
 
 
+def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
+    """_check_solvability of p's table, stored on p; reading its m^n cells
+    is charged to axiom_cost_cap (CostCapExceeded)."""
+    cells = p.order**p.arity
+    if cells > caps.axiom_cost_cap:
+        raise CostCapExceeded(
+            f"the axiom check reads {cells} table cells, cap is {caps.axiom_cost_cap}",
+            cap="axiom_cost_cap", required=cells,
+        )
+    return cached_on(p, "solvability", lambda: _check_solvability(p.cube, p.order, p.arity))
+
+
+def _split_report(p: PolyadicGroup) -> AxiomReport:
+    """The theorem route for a solvable table: it is an n-ary group iff its
+    split at anchor 0 succeeds (Hosszú 1963, Gluskin 1965), and a split that
+    fails (a retract that is not a group, an invalid twist, a round trip
+    that differs) means it is not associative.  A split that succeeds is
+    p's view, built here once."""
+    try:
+        p.view
+    except (ValidationError, RoundTripMismatch) as exc:
+        return AxiomReport(False, True, (("split", 0, str(exc)),))
+    return AxiomReport(True, True, ())
+
+
 def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
-    """Axiom report for a table-form polyadic group."""
+    """Axiom report for a table-form polyadic group, decided through
+    config.cross_check.  Solvability is read first, from the m^n cells.  On
+    a solvable table the theorem route is the split at anchor 0
+    (_split_report), and the oracle, verify_table_axioms' exhaustive
+    associativity check, runs too where its m^(2n−1) evaluations fit
+    axiom_cost_cap.  A table
+    that is not solvable has no split: its associativity is the oracle's,
+    None past the cap.  Reading the m^n cells is charged to axiom_cost_cap
+    (CostCapExceeded)."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
-    return verify_table_axioms(p.arity, p.order, p.flat_np, caps=caps)
+    m, n = p.order, p.arity
+    solvable, violations = _solvability(p, caps)
+    feasible = m ** (2 * n - 1) <= caps.axiom_cost_cap
+
+    def oracle() -> AxiomReport:
+        bad = _associativity_witness(p.flat_np, m, n)
+        return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
+
+    if not solvable:
+        return oracle() if feasible else AxiomReport(None, False, violations)
+    return cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)
 
 
 def from_table(
@@ -383,16 +455,19 @@ def from_table(
     verify: bool = True,
     name: str = "",
 ) -> PolyadicGroup:
-    """Wrap a raw flat table, verifying the n-ary group axioms by default;
-    its length and range are checked (ValidationError) whatever verify says."""
+    """Wrap a raw flat table, verifying the n-ary group axioms by default
+    (verify_axioms, solvability first; a verified table keeps its split as
+    its view); its length, cells and range are checked (ValidationError)
+    whatever verify says."""
     _check_arity_order(arity, order, caps)
-    p = _wrap_table(arity, order, tuple(int(x) for x in flat), name)
+    p = _wrap_table(arity, order, flat, name)
     if verify:
-        report = verify_table_axioms(arity, order, p.flat_np, caps=caps)
+        solvable, violations = _solvability(p, caps)
+        if not solvable:
+            raise NotSolvable(f"table fails solvability: {violations[0]}")
+        report = verify_axioms(p, caps)
         if not report.associative:
             raise NotAssociative(f"table fails associativity: {report.violations[0]}")
-        if not report.solvable:
-            raise NotSolvable(f"table fails solvability: {report.violations[0]}")
     return p
 
 

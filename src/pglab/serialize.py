@@ -80,7 +80,9 @@ def polyadic_from_doc(
         flat = _expect(pres, "flat", "table presentation")
         if not isinstance(flat, list) or len(flat) != order**arity:
             raise ParseError(f"flat table must have {order ** arity} entries")
-        if any(not isinstance(v, int) or not 0 <= v < order for v in flat):
+        if not set(map(type, flat)) <= {int}:  # a bool is refused too
+            raise ParseError("flat table entries must be integers")
+        if min(flat) < 0 or max(flat) >= order:
             raise ParseError("flat table entries out of range")
         return from_table(arity, order, flat, caps=caps, verify=verify)
     raise ParseError(f"unknown presentation type {kind!r}")

@@ -18,7 +18,9 @@ from pglab.errors import (
 )
 from pglab.groups import Automorphism, FiniteGroup, automorphisms
 from pglab.morphisms import PolyadicHom
-from pglab.polyadic import PolyadicGroup, TablePresentation, derive
+from pglab.polyadic import (
+    AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
+)
 from pglab.substructures import (
     GuGroup, PolyadicSubgroup, _closed, _cosets, _members, class_signature,
 )
@@ -35,6 +37,29 @@ def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
     for i in range(1, p.arity):
         acc = table[acc][pows[i, args[i]]]
     return table[acc][pres.b]
+
+
+def full_grid_axioms(arity: int, order: int, flat: Sequence[int]) -> AxiomReport:
+    """verify_table_axioms as one shot over the whole grid, with no cap:
+    placement i is one gather of the flat table, viewed as (m^i, m,
+    m^(n−1−i)), along its middle axis by the table itself, giving all
+    m^(2n−1) tuples in C order; placements i−1 and i are compared whole,
+    and the first differing pair and tuple is the witness."""
+    m, n = order, arity
+    small = _table_array(n, m, flat)
+    violations: tuple = ()
+    associative = True
+    prev = np.take(small.reshape(1, m, -1), small, axis=1).ravel()
+    for i in range(1, n):
+        cur = np.take(small.reshape(m**i, m, -1), small, axis=1).ravel()
+        if not np.array_equal(prev, cur):
+            bad = np.unravel_index(int((prev != cur).argmax()), (m,) * (2 * n - 1))
+            violations = (("associativity", i, tuple(int(v) for v in bad)),)
+            associative = False
+            break
+        prev = cur
+    solvable, solve_viol = _check_solvability(small.reshape((m,) * n), m, n)
+    return AxiomReport(associative, solvable, violations + solve_viol)
 
 
 def skew_oracle(p: PolyadicGroup, x: int) -> int:

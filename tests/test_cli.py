@@ -8,8 +8,10 @@ import pytest
 
 import pglab
 
+from pglab.catalog import cyclic
 from pglab.cli import main
-from pglab.polyadic import as_table
+from pglab.groups import Automorphism
+from pglab.polyadic import as_table, derive
 from pglab.serialize import polyadic_to_doc
 
 
@@ -58,6 +60,25 @@ class TestVerify:
             ["associativity", 1, [0, 0, 1, 0, 2]],
             ["solvability", 0, [1, 2], 0],
         ]
+
+    def test_table_past_the_exhaustive_cap(self, tmp_path, capsys):
+        """der(Z8, id, 0, 5) needs 8^9 exhaustive evaluations, past the
+        default cap: verify and analyze decide it by its split, and a
+        one-cell corruption exits 1, its associativity undecided."""
+        doc = polyadic_to_doc(as_table(derive(cyclic(8), Automorphism.identity(8), 0, 5)))
+        path = tmp_path / "z8.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--json", "verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert main(["--json", "analyze", "--congruences", "--simplicity", str(path)]) == 0
+        doc["presentation"]["flat"][1] = doc["presentation"]["flat"][0]
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["verify", str(path)], {})
+        assert proc.returncode == 1 and "associative: undecided" in proc.stdout
+        proc = run_cli(["analyze", "--congruences", str(path)], {})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("NotSolvable: table fails solvability")
+        assert "Traceback" not in proc.stderr
 
     def test_json_output(self, doc_path, capsys):
         rc = main(["--json", "verify", doc_path("T3")])

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pglab.polyadic as polyadic
+from reference import full_grid_axioms
+
 from pglab.catalog import catalog_group, cyclic, direct_product
-from pglab.config import Caps
+from pglab.config import DEFAULT_CAPS, Caps
 from pglab.corpus import corpus_bases
 from pglab.errors import (
     ArityMismatch,
     BNotFixed,
     CostCapExceeded,
+    NotAssociative,
     NotCentral,
     NotSolvable,
+    PolyadicError,
     PowerCondition,
     RoundTripMismatch,
     ValidationError,
@@ -33,6 +38,8 @@ from pglab.polyadic import (
     retract,
     verify_axioms,
     verify_table_axioms,
+    _solvability,
+    _split_report,
 )
 
 
@@ -75,6 +82,42 @@ def reference_associativity(arity, order, flat):
         for args in placement_mismatches(arity, order, flat, i):
             return ("associativity", i, args)
     return None
+
+
+def within_cap(p):
+    return p.order ** (2 * p.arity - 1) <= DEFAULT_CAPS.axiom_cost_cap
+
+
+def relabelled(p, sigma):
+    """p's table carried through the carrier permutation sigma."""
+    m, n = p.order, p.arity
+    unsigma = np.argsort(sigma)
+    return sigma[as_table(p).cube[np.ix_(*([unsigma] * n))]].ravel()
+
+
+def isotope(flat, m, n, j, sigma):
+    """The table with sigma applied to argument j, or to the value when j = n:
+    every line stays a permutation, so the table stays solvable."""
+    cube = np.asarray(flat).reshape((m,) * n)
+    return (sigma[cube] if j == n else np.take(cube, sigma, axis=j)).ravel()
+
+
+def perturbed(data, flat, m, n, change):
+    """flat with an isotopy drawn on a random argument or the value, or with
+    one or two cells drawn anew; "none" leaves it as it is."""
+    if change == "isotope":
+        j = data.draw(st.integers(0, n))
+        return isotope(flat, m, n, j, np.asarray(data.draw(st.permutations(range(m)))))
+    flat = np.array(flat)
+    if change == "cells":
+        for _ in range(data.draw(st.integers(1, 2))):
+            flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(st.integers(0, m - 1))
+    return flat
+
+
+def check_equals_full_grid(arity, order, flat):
+    report, expected = verify_table_axioms(arity, order, flat), full_grid_axioms(arity, order, flat)
+    assert report == expected and report.violations == expected.violations
 
 
 def check_against_reference(arity, order, flat):
@@ -209,9 +252,15 @@ class TestVerifyAxioms:
         assert report.associative and report.solvable
 
     def test_cost_cap_refusal(self, structs):
-        small = Caps(axiom_cost_cap=8)
+        # the oracle's 2^5 evaluations exceed a cap of 8, the table's 2^3
+        # cells do not: verify_axioms answers by the split alone, and
+        # refuses once the cells exceed the cap too
+        table, small = as_table(structs["T2b"]), Caps(axiom_cost_cap=8)
         with pytest.raises(CostCapExceeded):
-            verify_axioms(as_table(structs["T2b"]), caps=small)
+            verify_table_axioms(3, 2, table.flat_np, caps=small)
+        assert verify_axioms(table, caps=small).ok
+        with pytest.raises(CostCapExceeded):
+            verify_axioms(table, caps=Caps(axiom_cost_cap=7))
 
     def test_from_table_rejects_unsolvable(self):
         with pytest.raises(NotSolvable):
@@ -286,6 +335,131 @@ class TestVerifyAxioms:
         p = as_table(all_derived(cyclic(10), 4)[5])
         assert p.order ** (2 * p.arity - 1) == Caps().axiom_cost_cap
         assert verify_axioms(p).ok
+
+
+class TestBlockedOracle:
+    def test_corpus_tables_relabellings_and_corruptions_equal_full_grid(self, corpus):
+        rng = random.Random(24)
+        tables = 0
+        for p in filter(within_cap, corpus):
+            m, n = p.order, p.arity
+            flat = as_table(p).flat_np
+            corrupt = flat.copy()
+            for _ in range(rng.randint(1, 2)):
+                corrupt[rng.randrange(len(corrupt))] = rng.randrange(m)
+            for table in (flat, relabelled(p, np.asarray(rng.sample(range(m), m))), corrupt):
+                check_equals_full_grid(n, m, table)
+                tables += 1
+        assert tables == 3 * 476
+
+    @given(st.data())
+    def test_one_leading_coordinate_a_block_equals_full_grid(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 4))
+        flat = data.draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyadic, "_BLOCK_CELLS", 1)
+            check_equals_full_grid(n, m, flat)
+
+    @pytest.mark.parametrize(
+        "flat, violation",
+        [
+            # every failing tuple has x₀ = 1, the last block
+            ((0, 0, 0, 0, 0, 0, 1, 0), ("associativity", 1, (1, 1, 0, 1, 0))),
+            # placement pair 2 fails in block x₀ = 0, pair 1 only in block 1
+            ((0, 1, 0, 0, 0, 1, 0, 1), ("associativity", 1, (1, 0, 0, 1, 1))),
+        ],
+    )
+    def test_witness_is_the_first_failing_placement_over_every_block(self, flat, violation):
+        assert full_grid_axioms(3, 2, flat).violations[0] == violation
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyadic, "_BLOCK_CELLS", 1)
+            assert verify_table_axioms(3, 2, flat).violations[0] == violation
+            check_equals_full_grid(3, 2, flat)
+
+    @pytest.mark.parametrize(
+        "flat", [[0.9, 1, 1, 0, 1, 0, 0, 1], ["0", 1, 1, 0, 1, 0, 0, 1],
+                 [True, 1, 1, 0, 1, 0, 0, 1], [False, True, True, False] * 2,
+                 np.asarray([0, 1, 1, 0, 1, 0, 0, 1], dtype=float)],
+    )
+    def test_non_integer_cells_are_refused(self, flat):
+        with pytest.raises(ValidationError, match="integers"):
+            verify_table_axioms(3, 2, flat)
+        for verify in (True, False):
+            with pytest.raises(ValidationError, match="integers"):
+                from_table(3, 2, flat, verify=verify)
+
+
+def theorem_ok(p):
+    """The theorem route's decision: solvable, then split at anchor 0."""
+    return _solvability(p, DEFAULT_CAPS)[0] and _split_report(p).ok
+
+
+class TestAxiomRoutes:
+    @given(st.data())
+    def test_theorem_and_oracle_agree(self, small_corpus, data):
+        p = data.draw(st.sampled_from([q for q in small_corpus if within_cap(q)]))
+        m, n = p.order, p.arity
+        flat = relabelled(p, np.asarray(data.draw(st.permutations(range(m)))))
+        flat = perturbed(data, flat, m, n, data.draw(st.sampled_from(["none", "isotope", "cells"])))
+        oracle = verify_table_axioms(n, m, flat)
+        assert theorem_ok(from_table(n, m, flat, verify=False)) == oracle.ok
+        # both routes run under verify_axioms, which raises if they disagree
+        assert verify_axioms(from_table(n, m, flat, verify=False)) == oracle
+
+    def test_only_the_round_trip_refuses_an_isotope(self):
+        # x1 + x2 − x3 + x4 on Z3: solvable, its retract at 0 is Z3, its
+        # twist the identity and its constant 0, yet it is not der(Z3, id, 0)
+        flat = isotope(as_table(derive(cyclic(3), Automorphism.identity(3), 0, 4)).flat_np,
+                       3, 4, 2, np.asarray([0, 2, 1]))
+        p = from_table(4, 3, flat, verify=False)
+        group, _ = retract(p, 0)
+        assert group.table == cyclic(3).table and p.skew(0) == 0
+        report = _split_report(p)
+        assert not report.associative and "rebuilt operation differs" in report.violations[0][2]
+        assert not verify_table_axioms(4, 3, flat).associative
+        assert not verify_axioms(p).ok
+        with pytest.raises(NotAssociative):
+            from_table(4, 3, flat)
+
+    def test_a_verified_table_keeps_its_split(self, monkeypatch, structs):
+        splits = []
+        real = polyadic.hosszu_gloskin
+        monkeypatch.setattr(polyadic, "hosszu_gloskin", lambda p, a: splits.append(a) or real(p, a))
+        p = from_table(5, 5, as_table(structs["T5"]).flat_np)
+        assert splits == [0] and p.__dict__["view"] is p.view is hg_anchor0(p)
+        assert p.view.base.order == 5
+        assert verify_axioms(p).ok and splits == [0]
+
+    @pytest.mark.parametrize("base", ["Z8", "Z2^4"])
+    def test_tables_past_the_cap_are_verified_by_their_split(self, base):
+        v = catalog_group("Z2xZ2")
+        group = cyclic(8) if base == "Z8" else direct_product(v, v)
+        table = as_table(derive(group, Automorphism.identity(group.order), 0, 5))
+        assert not within_cap(table)
+        p = from_table(5, table.order, table.flat_np.tolist())
+        assert p.view.base.order == group.order and verify_axioms(p).ok
+        with pytest.raises(CostCapExceeded):
+            verify_table_axioms(5, table.order, table.flat_np)
+
+    def test_unsolvable_table_past_the_cap_leaves_associativity_undecided(self):
+        flat = as_table(derive(cyclic(8), Automorphism.identity(8), 0, 5)).flat_np.copy()
+        flat[1] = flat[0]
+        report = verify_axioms(from_table(5, 8, flat, verify=False))
+        assert report.associative is None and not report.solvable and not report.ok
+        with pytest.raises(NotSolvable):
+            from_table(5, 8, flat)
+
+    @given(st.data())
+    def test_tables_past_the_cap_fail_typed(self, corpus, data):
+        p = data.draw(st.sampled_from([q for q in corpus if not within_cap(q)]))
+        m, n = p.order, p.arity
+        change = data.draw(st.sampled_from(["isotope", "cells"]))
+        flat = perturbed(data, as_table(p).flat_np, m, n, change)
+        try:
+            from_table(n, m, flat)
+        except PolyadicError as exc:
+            assert isinstance(exc, (NotSolvable, NotAssociative)), repr(exc)
 
 
 class TestSkew:

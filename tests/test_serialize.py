@@ -70,6 +70,14 @@ class TestPolyadicDocs:
         with pytest.raises(ParseError):
             polyadic_from_doc(doc)
 
+    @pytest.mark.parametrize("cell", [True, False, 0.0, "0"])
+    def test_rejects_non_integer_cells(self, structs, cell):
+        # a JSON true or false is not the cell 1 or 0
+        doc = polyadic_to_doc(as_table(structs["T2"]))
+        doc["presentation"]["flat"][0] = cell
+        with pytest.raises(ParseError, match="integers"):
+            polyadic_from_doc(json.loads(json.dumps(doc)))
+
 
 class TestFileLoading:
     def test_load(self, tmp_path, structs):
