@@ -9,7 +9,7 @@ varying fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -426,25 +426,27 @@ def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     """Axiom report for a table-form polyadic group, decided through
     config.cross_check.  Solvability is read first, from the m^n cells.  On
     a solvable table the theorem route is the split at anchor 0
-    (_split_report), and the oracle, verify_table_axioms' exhaustive
-    associativity check, runs too where its m^(2n−1) evaluations fit
-    axiom_cost_cap.  A table
-    that is not solvable has no split: its associativity is the oracle's,
-    None past the cap.  Reading the m^n cells is charged to axiom_cost_cap
-    (CostCapExceeded)."""
+    (_split_report); the oracle, verify_table_axioms' exhaustive check,
+    runs too where its m^(2n−1) evaluations fit axiom_cost_cap, and its
+    witness comes first, then the split's.  A table that is not solvable
+    has no split: its associativity is the oracle's, None past the cap.
+    Reading the m^n cells is charged to axiom_cost_cap (CostCapExceeded)."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
     m, n = p.order, p.arity
     solvable, violations = _solvability(p, caps)
     feasible = m ** (2 * n - 1) <= caps.axiom_cost_cap
 
+    @cache
     def oracle() -> AxiomReport:
         bad = _associativity_witness(p.flat_np, m, n)
         return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
 
     if not solvable:
         return oracle() if feasible else AxiomReport(None, False, violations)
-    return cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)
+    report = cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)
+    witness = oracle().violations if feasible else ()
+    return AxiomReport(report.associative, True, witness + report.violations)
 
 
 def from_table(

@@ -108,39 +108,49 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     return bool(np.isin(p.eval_many(split_tuples(p, members[0], members)), members).all())
 
 
-def _oracle_subgroups(p: PolyadicGroup, caps: Caps) -> tuple[tuple[int, ...], ...]:
-    """The subset scan's answer, stored on p for both oracles; the oracles'
-    gate (config.oracle_refusal) is checked on every call, before any table
-    or mask is built."""
+def _oracle_subgroups(
+    p: PolyadicGroup, caps: Caps, normal: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """The subset scan's polyadic subgroups, or the normal ones, each stored
+    on p; the oracles' gate (config.oracle_refusal) is checked on every
+    call, before any table or mask is built."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
-    return cached_on(p, "subgroups_oracle_scan", lambda: _subset_scan(p))
+
+    def scan() -> tuple[tuple[int, ...], ...]:
+        rows = [p.skew_table, p.diagonal] + ([_conjugates(p)] if normal else [])
+        return _subset_scan(p, np.vstack(rows))
+
+    return cached_on(p, "normal_oracle_scan" if normal else "subgroups_oracle_scan", scan)
 
 
-def _subset_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
-    """Every nonempty subset as one row of a mask matrix, in mask order: one
-    skew and diagonal filter, then by subset size closure under the term
-    g(x, y, z) = f(x, y, z, …, z) (necessary: a subset closed under f is
-    closed under its terms; at arity 3 g is f) and closure under f."""
+def _subset_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets closed under f and each unary map (a row of
+    images, the diagonal among them), in mask order.  A mask S passes when
+    need[x], the OR of the bits of x's images, lies in S for every x in S;
+    survivors of sizes 2..m−1 are checked for closure under the term
+    g(x, y, z) = f(x, y, z, …, z) (arity > 3) and under f.  {x} is closed
+    exactly when the diagonal fixes x, and the whole carrier always is."""
     m, n = p.order, p.arity
-    inside = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
-    skew = np.asarray(p.skew_table)
-    keep = (~inside | inside[:, skew] & inside[:, p.diagonal]).all(axis=1)
+    need = np.bitwise_or.reduce(np.left_shift(1, images.astype(np.int64)), axis=0)
+    covered = np.zeros(1, dtype=np.int64)  # covered[S]: the OR of need over S
+    for x in range(m):
+        covered = np.concatenate([covered, covered | need[x]])
+    masks = np.flatnonzero((covered & ~np.arange(1 << m)) == 0)[1:]
+    inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
     sizes = inside.sum(axis=1)
     tables = [p.cube]
     if n > 3:
         z = np.arange(m)
         tables = [p.cube[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], p.cube]
-    found = [np.zeros(0, dtype=np.intp)]
-    for k in np.unique(sizes[keep]):
-        rows = np.flatnonzero(keep & (sizes == k))
+    found = [np.flatnonzero((sizes == 1) | (sizes == m))]
+    for k in np.unique(sizes[(sizes > 1) & (sizes < m)]):
+        rows = np.flatnonzero(sizes == k)
         for cube in tables:
             rows = rows[_closed(cube, np.nonzero(inside[rows])[1].reshape(-1, k))]
         found.append(rows)
-    return tuple(
-        tuple(np.flatnonzero(row).tolist()) for row in inside[np.sort(np.concatenate(found))]
-    )
+    return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
 
 
 def _theorem_subgroups(p: PolyadicGroup) -> dict[tuple[int, ...], int]:
@@ -185,11 +195,10 @@ def _routed(
     """The polyadic subgroups, or the normal ones, by the routes of the
     strategy; the theorem route records a witness anchor for each.  The
     normal theorem route is the G_u subgroups filtered by the twist
-    criterion, the normal oracle the scanned subgroups filtered by the
-    definition, so the two routes stay independent.  Each route's answer is
-    stored on p; every call checks the oracles' gate and cross-checks the
-    routes."""
-    kind = "normal" if normal else "subgroups"
+    criterion; the normal oracle's own subset scan also filters by the
+    conjugations and never reads the view, so the routes stay independent.
+    Each route's answer is stored on p; every call checks the oracles' gate
+    and cross-checks the routes."""
 
     def theorem_route() -> tuple[PolyadicSubgroup, ...]:
         subs = cached_on(
@@ -201,16 +210,11 @@ def _routed(
             s for s in subs if is_normal_polyadic(p, s)
         ))
 
-    def oracle() -> tuple[PolyadicSubgroup, ...]:
-        subs = _oracle_subgroups(p, caps)
-        kept = (s for s in subs if not normal or _normal_by_definition(p, s))
-        return cached_on(p, f"{kind}_oracle", lambda: _as_subgroups(p, dict.fromkeys(kept)))
-
     return list(cross_check(
         "normal-subgroup" if normal else "polyadic subgroup",
         strategy,
         theorem_route,
-        oracle,
+        lambda: _as_subgroups(p, dict.fromkeys(_oracle_subgroups(p, caps, normal))),
         oracle_fits(p, caps),
     ))
 
@@ -222,12 +226,6 @@ def _as_subgroups(
         PolyadicSubgroup(members, p, witness_u=found[members])
         for members in sorted(found, key=lambda s: (len(s), s))
     )
-
-
-def _normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
-    """Direct check, read off the operation alone: every conjugate of a
-    member stays inside (see _conjugates)."""
-    return _stays_inside(cached_on(p, "conjugates", lambda: _conjugates(p)), members)
 
 
 def _stays_inside(conjugates: np.ndarray, members: Sequence[int]) -> bool:
@@ -280,9 +278,9 @@ def enumerate_normal_polyadic(
     """All normal polyadic subgroups, sorted by (size, members).
 
     The theorem strategy takes the G_u subgroups filtered by the twist
-    criterion; the oracle strategy takes the scanned subgroups filtered by
-    the definition.  In auto mode both run (inside the oracles' gate) and
-    must agree.
+    criterion; the oracle strategy scans for closure under f only the subsets
+    closed under skew, the diagonal and every conjugation (see _conjugates).
+    In auto mode both run (inside the oracles' gate) and must agree.
     """
     return _routed(True, p, strategy, caps)
 

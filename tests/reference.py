@@ -12,6 +12,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from pglab.config import DEFAULT_CAPS
 from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by, sim_h
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotUnique, PowerCondition,
@@ -22,7 +23,8 @@ from pglab.polyadic import (
     AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
 )
 from pglab.substructures import (
-    GuGroup, PolyadicSubgroup, _closed, _cosets, _members, class_signature,
+    GuGroup, PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups,
+    _stays_inside, class_signature,
 )
 
 
@@ -105,6 +107,19 @@ def normal_by_definition(p: PolyadicGroup, members: Sequence[int]) -> bool:
         if any(y not in mset for y in conjugates):
             return False
     return True
+
+
+def normal_by_conjugate_table(p: PolyadicGroup, members: Sequence[int]) -> bool:
+    """The normal oracle's check before its scan took the conjugations:
+    every conjugate of a member stays inside, one gather of the m×m table
+    _conjugates reads by one eval_many."""
+    return _stays_inside(_conjugates(p), members)
+
+
+def reference_normal_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
+    """The normal oracle before its unary filter took the conjugations: the
+    subgroup oracle's scan, filtered by normal_by_conjugate_table."""
+    return tuple(s for s in _oracle_subgroups(p, DEFAULT_CAPS) if normal_by_conjugate_table(p, s))
 
 
 def dornte_witness(p: PolyadicGroup) -> Optional[tuple]:

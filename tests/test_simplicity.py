@@ -132,7 +132,8 @@ class TestReport:
         for module, name in ((congruence, "_malcev_lattice"), (substructures, "_subset_scan")):
             oracle = getattr(module, name)
             monkeypatch.setattr(
-                module, name, lambda p, oracle=oracle, name=name: ran.append(name) or oracle(p)
+                module, name,
+                lambda p, *args, oracle=oracle, name=name: ran.append(name) or oracle(p, *args),
             )
         p = derive_b(cyclic(order), 0, arity, caps=caps)
         rep = simplicity_report(p, caps=caps)

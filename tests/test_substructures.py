@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pglab import polyadic, substructures
 from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
@@ -11,11 +12,12 @@ from pglab.errors import CostCapExceeded, NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
 from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import (
-    PolyadicGroup, all_derived, as_table, derive_b, n_ary_identity, verify_axioms,
+    PolyadicGroup, all_derived, as_table, derive_b, from_table, n_ary_identity, verify_axioms,
 )
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
+    _conjugates,
     _oracle_subgroups,
     _subset_scan,
     coset_classes,
@@ -28,7 +30,9 @@ from pglab.substructures import (
     right_translate,
 )
 
-from reference import gu_inv, gu_psi_raw, gu_star, polyadic_coset
+from reference import (
+    gu_inv, gu_psi_raw, gu_star, normal_by_conjugate_table, polyadic_coset, reference_normal_scan,
+)
 
 
 def reference_subset_scan(p):
@@ -46,6 +50,18 @@ def reference_subset_scan(p):
         if set(p.cube[np.ix_(*([idx] * p.arity))].ravel().tolist()) <= mset:
             out.append(members)
     return tuple(out)
+
+
+def unary_rows(p, normal=False):
+    """The unary maps the oracles pass to the scan: skew and the diagonal,
+    and for the normal oracle every conjugation h ↦ conj[x, h]."""
+    return np.vstack([p.skew_table, p.diagonal] + ([_conjugates(p)] if normal else []))
+
+
+def relabelled(p, sigma):
+    """p as a raw table carried along the permutation sigma of its carrier."""
+    cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * p.arity))]]
+    return from_table(p.arity, p.order, cube.ravel().tolist(), verify=False)
 
 
 class TestGuGroup:
@@ -129,7 +145,8 @@ class TestEnumerateSubgroups:
     def test_scan_in_small_blocks(self, small_corpus, monkeypatch, cells):
         monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
         for p in small_corpus[cells::9]:
-            assert _subset_scan(p) == reference_subset_scan(p)
+            assert _subset_scan(p, unary_rows(p)) == reference_subset_scan(p)
+            assert _subset_scan(p, unary_rows(p, normal=True)) == reference_normal_scan(p)
 
     def test_is_polyadic_subgroup_spot(self, structs):
         assert is_polyadic_subgroup(structs["T4inv"], (0, 2))
@@ -141,15 +158,15 @@ class TestNormality:
         for p in structs.values():
             whole = tuple(range(p.order))
             assert is_normal_polyadic(p, whole)
-            assert substructures._normal_by_definition(p, whole)
+            assert normal_by_conjugate_table(p, whole)
 
     def test_diagonal_of_swap(self, structs):
         assert is_normal_polyadic(structs["V4swap"], (0, 3))
-        assert substructures._normal_by_definition(structs["V4swap"], (0, 3))
+        assert normal_by_conjugate_table(structs["V4swap"], (0, 3))
 
     def test_alternating_singleton_not_normal(self, structs):
         assert not is_normal_polyadic(structs["T4inv"], (1,))
-        assert not substructures._normal_by_definition(structs["T4inv"], (1,))
+        assert not normal_by_conjugate_table(structs["T4inv"], (1,))
 
     def test_inversion_twist_only_whole(self, structs):
         got = [s.members for s in enumerate_normal_polyadic(structs["T9"])]
@@ -187,6 +204,75 @@ class TestNormality:
         monkeypatch.setattr(PolyadicGroup, "view", property(no_view))
         oracle = [enumerate_normal_polyadic(p, strategy="oracle") for p in structures]
         assert len(structures) == 2 * 78 and oracle == theorem
+
+
+ORDER_12_TO_16 = {
+    "Z2xZ6": lambda: direct_product(cyclic(2), cyclic(6)),
+    "Z2xZ7": lambda: direct_product(cyclic(2), cyclic(7)),
+    "Z2^4": lambda: direct_product(direct_product(catalog_group("Z2xZ2"), cyclic(2)), cyclic(2)),
+    "Z4xZ4": lambda: direct_product(cyclic(4), cyclic(4)),
+    "Z2xZ8": lambda: direct_product(cyclic(2), cyclic(8)),
+}
+
+
+@pytest.fixture(scope="module")
+def twists_to_11():
+    """Every valid twist of every catalog group, orders 1-11, arities 2-5."""
+    bases = [g for g in catalog().values() if g.order <= 11]
+    return [p for g in bases for n in (2, 3, 4, 5) for p in all_derived(g, n)]
+
+
+class TestNormalScan:
+    """The normal oracle scans only the subsets closed under skew, the
+    diagonal and every conjugation; before, it filtered the subgroup scan
+    by the definition (reference_normal_scan).  The two must agree."""
+
+    def test_equals_reference_on_corpus(self, corpus):
+        rng = random.Random(25)
+        for p in corpus:
+            sigma = np.asarray(rng.sample(range(p.order), p.order))
+            for q in (p, as_table(p), relabelled(p, sigma)):
+                assert _oracle_subgroups(q, DEFAULT_CAPS, normal=True) == reference_normal_scan(q)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_12_TO_16))
+    def test_equals_reference_on_orders_12_to_16(self, name):
+        base = ORDER_12_TO_16[name]()
+        rng = random.Random(base.order)
+        for arity in (3, 4, 5):
+            for p in rng.sample(all_derived(base, arity), 3):
+                assert _oracle_subgroups(p, DEFAULT_CAPS, normal=True) == reference_normal_scan(p)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_equals_reference_on_random_twists(self, twists_to_11, data):
+        p = data.draw(st.sampled_from(twists_to_11))
+        t = relabelled(p, np.asarray(data.draw(st.permutations(range(p.order)))))
+        for q in (p, t):
+            assert _oracle_subgroups(q, DEFAULT_CAPS, normal=True) == reference_normal_scan(q)
+
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_closure_sees_only_filtered_subsets(self, small_corpus, monkeypatch, normal):
+        """Each subset the scan checks for closure is closed under every
+        unary map the oracle passes (skew, the diagonal, the conjugations
+        for the normal one) and has 2..m−1 members: a singleton is settled
+        by the diagonal row, the whole carrier needs no check."""
+        checked = []
+        real = substructures._closed
+        monkeypatch.setattr(
+            substructures, "_closed", lambda cube, rows: checked.append(rows) or real(cube, rows)
+        )
+        seen = 0
+        for p in small_corpus:
+            t = as_table(p)  # a fresh structure: nothing of it is stored yet
+            checked.clear()
+            _oracle_subgroups(t, DEFAULT_CAPS, normal)
+            images = unary_rows(t, normal)
+            for rows in checked:
+                assert 1 < rows.shape[1] < t.order
+                for members in rows:
+                    assert set(images[:, members].ravel().tolist()) <= set(members.tolist())
+                seen += len(rows)
+        assert seen > 0
 
 
 class TestBeyondDefaultOracleRange:
@@ -231,7 +317,7 @@ class TestSubsetScanCap:
         caps = Caps(order_cap=24)
         base = make_group([[(i + j) % 24 for j in range(24)] for i in range(24)], caps=caps)
         p = derive_b(base, 0, 3, caps=caps)
-        monkeypatch.setattr(substructures, "_subset_scan", lambda p: pytest.fail("scan ran"))
+        monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
         with pytest.raises(CostCapExceeded, match="402653184 cells") as err:
             enumerate_polyadic_subgroups(p, strategy="oracle", caps=caps)
         assert err.value.cap == "axiom_cost_cap"
@@ -239,11 +325,26 @@ class TestSubsetScanCap:
     def test_large_table_refused_before_it_is_built(self, monkeypatch):
         # 12^8 ≈ 4.3e8 table cells; the mask is only 12·2^12
         p = derive_b(cyclic(12), 0, 8)
-        monkeypatch.setattr(substructures, "_subset_scan", lambda p: pytest.fail("scan ran"))
+        monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
         with pytest.raises(CostCapExceeded) as err:
             enumerate_polyadic_subgroups(p, "oracle")
         assert err.value.cap == "axiom_cost_cap" and err.value.required == 12**8
         assert "flat_np" not in p.__dict__
+
+    def test_normal_oracle_refused_before_its_mask_or_tables(self, monkeypatch):
+        # 12^8 ≈ 4.3e8 table cells: refused before the conjugate table, the
+        # m^n table or the scan's masks are built
+        p = derive_b(cyclic(12), 0, 8)
+        monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
+        monkeypatch.setattr(substructures, "_conjugates", lambda p: pytest.fail("table built"))
+        for call in (
+            lambda: enumerate_normal_polyadic(p, "oracle"),
+            lambda: _oracle_subgroups(p, DEFAULT_CAPS, normal=True),
+        ):
+            with pytest.raises(CostCapExceeded) as err:
+                call()
+            assert err.value.cap == "axiom_cost_cap" and err.value.required == 12**8
+        assert not {"flat_np", "diagonal", "normal_oracle_scan"} & set(p.__dict__)
 
     @pytest.mark.parametrize("slack, runs", [(-1, False), (0, True)])
     def test_gate_is_the_mask_size(self, slack, runs):
