@@ -33,16 +33,13 @@ from .polyadic import (
     verify_table_axioms,
 )
 from .substructures import (
-    GuGroup,
     PolyadicQuotient,
     PolyadicSubgroup,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
-    gu_group,
     is_normal_polyadic,
     is_polyadic_subgroup,
     quotient_polyadic,
-    right_translate,
 )
 from .congruence import (
     Congruence,
@@ -56,7 +53,6 @@ from .congruence import (
     kernel_class,
     lattice_ops,
     quotient_by_congruence,
-    sim_h,
 )
 from .simplicity import (
     CensusEntry,

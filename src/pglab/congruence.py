@@ -9,7 +9,6 @@ theta-invariant normal subgroups of G.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -21,7 +20,7 @@ from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import enumerate_subgroups, twisted_quotient
 from .polyadic import PolyadicGroup, _twist, row_blocks
-from .substructures import PolyadicSubgroup, _cosets, coset_classes, twisted_conjugates
+from .substructures import _cosets, twisted_conjugates
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,6 @@ class Congruence:
             for x in cls:
                 out[x] = i
         return tuple(out)
-
-    def related(self, x: int, y: int) -> bool:
-        return self.class_of[x] == self.class_of[y]
-
-    @cached_property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for cls in self.classes:
-            out.update(itertools.product(cls, cls))
-        return frozenset(out)
 
     @property
     def num_classes(self) -> int:
@@ -355,11 +344,6 @@ def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     flags = (t.commutes, t.composition_is_product, t.kernel_identities)
     congs = congruences_theorem(p)
     return LatticeOps(congs[t.meet[i, j]], congs[t.join[i, j]], *(bool(f[i, j]) for f in flags))
-
-
-def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:
-    """The congruence whose classes are the polyadic cosets of a normal h."""
-    return Congruence(p, coset_classes(p, h))
 
 
 def is_normal_congruence(r: Congruence) -> Optional[int]:

@@ -77,6 +77,14 @@ class FiniteGroup:
         """Every subgroup: the closure lattice above the trivial one."""
         return closure_lattice(partial(subgroup_closure, self.table), self.order)
 
+    @cached_property
+    def subgroup_masks(self) -> np.ndarray:
+        """subgroup_lattice as an (s, m) boolean matrix, a subgroup a row."""
+        masks = np.zeros((len(self.subgroup_lattice), self.order), dtype=bool)
+        for row, members in zip(masks, self.subgroup_lattice):
+            row[list(members)] = True
+        return masks
+
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
@@ -165,9 +173,6 @@ class Automorphism:
         for _ in range(k):
             acc = self.compose(acc)
         return acc
-
-    def is_identity(self) -> bool:
-        return all(i == y for i, y in enumerate(self.perm))
 
     @staticmethod
     def identity(m: int) -> "Automorphism":
@@ -322,19 +327,26 @@ def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     return all(group.conj(g, h) in mset for g in range(group.order) for h in mset)
 
 
+def invariant_subgroups(group: FiniteGroup, perms: np.ndarray) -> np.ndarray:
+    """For each row of perms, an (r, m) stack of permutations of the carrier,
+    which subgroups of group.subgroup_lattice it maps onto itself: an (r, s)
+    boolean matrix read off the lattice masks (into itself is enough, as
+    each row is a permutation)."""
+    masks = group.subgroup_masks
+    return (masks[:, None] <= masks[:, perms]).all(axis=2).T
+
+
 def enumerate_subgroups(
     group: FiniteGroup, theta: Optional[Automorphism] = None
 ) -> list[Subgroup]:
     """Every subgroup, or with theta the theta-invariant normal ones (theta
-    the identity: the normal subgroups), sorted by (size, members)."""
-    return [
-        Subgroup(members, group)
-        for members in group.subgroup_lattice
-        if theta is None or (
-            frozenset(theta(x) for x in members) == frozenset(members)
-            and is_normal_subgroup(group, members)
-        )
-    ]
+    the identity: the normal subgroups), sorted by (size, members).  K is
+    both exactly when conj(u)∘theta maps K onto itself for every u."""
+    lattice = group.subgroup_lattice
+    if theta is not None:
+        kept = invariant_subgroups(group, group.conj_table[:, theta.np_perm]).all(axis=0)
+        lattice = [members for members, ok in zip(lattice, kept) if ok]
+    return [Subgroup(members, group) for members in lattice]
 
 
 def quotient_group(

@@ -397,15 +397,21 @@ def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     return arr.astype(np.min_scalar_type(m - 1), copy=False)
 
 
-def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
-    """_check_solvability of p's table, stored on p; reading its m^n cells
-    is charged to axiom_cost_cap (CostCapExceeded)."""
+def charge_table(p: PolyadicGroup, caps: Caps, what: str) -> None:
+    """Refuse (CostCapExceeded) unless p's m^n cells, which what reads or
+    builds, fit axiom_cost_cap."""
     cells = p.order**p.arity
     if cells > caps.axiom_cost_cap:
         raise CostCapExceeded(
-            f"the axiom check reads {cells} table cells, cap is {caps.axiom_cost_cap}",
+            f"{what} needs {cells} cells; cap is {caps.axiom_cost_cap}",
             cap="axiom_cost_cap", required=cells,
         )
+
+
+def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
+    """_check_solvability of p's table, stored on p; reading its m^n cells
+    is charged to axiom_cost_cap (CostCapExceeded)."""
+    charge_table(p, caps, "the axiom check")
     return cached_on(p, "solvability", lambda: _check_solvability(p.cube, p.order, p.arity))
 
 
@@ -480,10 +486,12 @@ def _wrap_table(arity: int, order: int, flat: Sequence[int], name: str = "") -> 
     return PolyadicGroup(arity, TablePresentation(order, table.tobytes()), name=name)
 
 
-def as_table(p: PolyadicGroup) -> PolyadicGroup:
-    """Forget the presentation, keeping only the raw operation table."""
+def as_table(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> PolyadicGroup:
+    """Forget the presentation, keeping only the raw operation table; a
+    derived group's m^n cells must fit axiom_cost_cap before it is built."""
     if not p.is_derived:
         return p
+    charge_table(p, caps, "the table form")
     return PolyadicGroup(p.arity, TablePresentation(p.order, p.flat_np.tobytes()), name=p.name)
 
 

