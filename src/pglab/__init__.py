@@ -9,7 +9,6 @@ from .groups import (
     enumerate_subgroups,
     make_automorphism,
     make_group,
-    quotient_group,
 )
 from .catalog import catalog, catalog_group, groups_of_order
 from .polyadic import (
@@ -33,18 +32,17 @@ from .polyadic import (
     verify_table_axioms,
 )
 from .substructures import (
-    PolyadicQuotient,
     PolyadicSubgroup,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
     is_polyadic_subgroup,
-    quotient_polyadic,
 )
 from .congruence import (
     Congruence,
     KernelClass,
     LatticeOps,
+    PolyadicQuotient,
     congruence_from_classes,
     congruences,
     congruences_bruteforce,
@@ -53,6 +51,7 @@ from .congruence import (
     kernel_class,
     lattice_ops,
     quotient_by_congruence,
+    quotient_polyadic,
 )
 from .simplicity import (
     CensusEntry,

@@ -24,6 +24,7 @@ from .congruence import (
     kernel_class,
     lattice_table,
     quotient_by_congruence,
+    quotient_polyadic,
     congruence_from_classes,
 )
 from .morphisms import (
@@ -48,11 +49,7 @@ from .serialize import (
     subgroup_to_doc,
 )
 from .simplicity import census, simplicity_report
-from .substructures import (
-    enumerate_normal_polyadic,
-    enumerate_polyadic_subgroups,
-    quotient_polyadic,
-)
+from .substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
 
 
 def _yes(flag: bool) -> str:

@@ -1,10 +1,11 @@
-"""Congruence lattices of polyadic groups.
+"""Congruence lattices of polyadic groups, and their quotients.
 
 Two independent routes: Mal'cev's lemma (an equivalence is a congruence
 exactly when every basic translation and skew respect it, so the lattice is
 the join closure of the principal congruences), and the theorem that the
 congruences of der(G, theta, b) are exactly the coset partitions of the
-theta-invariant normal subgroups of G.
+theta-invariant normal subgroups of G, so each quotient is der(G/K,
+theta-bar, b-bar) for the kernel K of its congruence.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
-from .groups import enumerate_subgroups, twisted_quotient
-from .polyadic import PolyadicGroup, _twist, row_blocks
-from .substructures import _cosets, twisted_conjugates
+from .groups import Automorphism, enumerate_subgroups, group_from_rows
+from .polyadic import (
+    PolyadicGroup, _twist, _wrap_table, charge_table, n_ary_identity, packed_tuples, row_blocks,
+)
+from .substructures import PolyadicSubgroup, _cosets, coset_classes, twisted_conjugates
 
 
 @dataclass(frozen=True)
@@ -354,10 +357,82 @@ def is_normal_congruence(r: Congruence) -> Optional[int]:
     return None if t.witness[i] < 0 else int(t.witness[i])
 
 
+def _quotient(p: PolyadicGroup, r: Congruence) -> tuple[PolyadicGroup, np.ndarray]:
+    """der(G/K, θ̄, b̄), K r's kernel-table row, and proj, the map of the
+    view's carrier onto it: the cosets vK are ordered by their least member,
+    so K is element 0, and with reps those members, G/K's table is
+    proj[G[reps, reps]], θ̄ is proj[θ[reps]] and b̄ is proj[b].  The kernel
+    table checked that K is a θ-invariant normal subgroup; group_from_rows
+    and _twist's gates check the result."""
+    hg, (t, i) = p.view, _kernel_row(r)
+    table, kernel = hg.base.np_table, t.kernel[i]
+    reps, proj = np.unique(table[:, kernel].min(axis=1), return_inverse=True)
+    name = hg.base.name and f"{hg.base.name}/{np.flatnonzero(kernel).tolist()}"
+    base = group_from_rows(tuple(map(tuple, proj[table[np.ix_(reps, reps)]].tolist())), name)
+    theta = Automorphism(tuple(proj[hg.theta.np_perm[reps]].tolist()))
+    return _twist(base, theta, int(proj[hg.b]), p.arity, p.name and f"{p.name}/R"), proj
+
+
 def quotient_by_congruence(p: PolyadicGroup, r: Congruence) -> PolyadicGroup:
     """Quotient in derived form: base modulo kernel, induced twist and
-    constant; p's arity and order passed the caps when p was built."""
-    hg, (t, i) = p.view, _kernel_row(r)
-    kernel = np.flatnonzero(t.kernel[i]).tolist()
-    quotient, proj, theta_r = twisted_quotient(hg.base, hg.theta, kernel)
-    return _twist(quotient, theta_r, proj[hg.b], p.arity, p.name and f"{p.name}/R")
+    constant, read off r's kernel-table row (see _quotient); p's arity and
+    order passed the caps when p was built."""
+    return _quotient(p, r)[0]
+
+
+def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:
+    """The class operation as a flat k**n table, for classes 0..k-1 that are
+    all inhabited: the entry at the packed argument classes is the class of
+    the value.  None when the value's class is not a function of the
+    argument classes (the class operation is ill defined)."""
+    k = int(cls_of.max()) + 1
+    sig = packed_tuples(cls_of, k, p.arity)
+    vals = np.take(cls_of.astype(p.flat_np.dtype), p.flat_np)
+    table = np.empty(k**p.arity, dtype=vals.dtype)
+    table[sig] = vals
+    return table if np.array_equal(table[sig], vals) else None
+
+
+@dataclass(frozen=True)
+class PolyadicQuotient:
+    """Cosets of a normal polyadic subgroup with the induced operation."""
+
+    classes: tuple[tuple[int, ...], ...]
+    quotient: PolyadicGroup
+
+
+def quotient_polyadic(
+    p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> PolyadicQuotient:
+    """Quotient by a normal polyadic subgroup H: a table on coset_classes'
+    classes, in their order; the result is always reduced.  Both routes go
+    through config.cross_check.  Theorem: the classes are the congruence
+    ∼_H, whose quotient is read off its kernel-table row (_quotient) and
+    written in class coordinates by one eval_many over the k^n class
+    tuples, charged to axiom_cost_cap before anything is built; it reads no
+    m^n table.  Oracle: class_signature on p's m^n table, where those
+    cells fit axiom_cost_cap."""
+    classes = coset_classes(p, h)
+    k, n, name = len(classes), p.arity, p.name and f"{p.name}/H"
+    cls_of = np.empty(p.order, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        cls_of[list(cls)] = i
+
+    def theorem() -> PolyadicGroup:
+        charge_table(k, n, caps, "the quotient table")
+        q, proj = _quotient(p, Congruence(p, classes))
+        to_q = np.empty(k, dtype=np.min_scalar_type(k - 1))
+        to_q[cls_of] = proj[np.asarray(p.view.relabel)]
+        args = to_q[np.indices((k,) * n, dtype=to_q.dtype).reshape(n, -1)]
+        return _wrap_table(n, k, np.argsort(to_q)[q.eval_many(args)], name)
+
+    def oracle() -> PolyadicGroup:
+        flat = class_signature(p, cls_of)
+        if flat is None:
+            raise IllDefined("quotient operation depends on representatives")
+        return _wrap_table(n, k, flat, name)
+
+    quotient = cross_check("quotient", "auto", theorem, oracle, p.order**n <= caps.axiom_cost_cap)
+    if n_ary_identity(quotient) is None:
+        raise IllDefined("quotient lacks an identity element; expected reduced")
+    return PolyadicQuotient(classes, quotient)

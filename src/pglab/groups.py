@@ -13,9 +13,7 @@ from .errors import (
     NoIdentityAtZero,
     NotAssociative,
     NotAutomorphism,
-    NotInvariant,
     NotLatinSquare,
-    NotNormal,
     OrderCapExceeded,
     ValidationError,
 )
@@ -322,11 +320,6 @@ def closure_lattice(
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
 
 
-def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
-    mset = set(members)
-    return all(group.conj(g, h) in mset for g in range(group.order) for h in mset)
-
-
 def invariant_subgroups(group: FiniteGroup, perms: np.ndarray) -> np.ndarray:
     """For each row of perms, an (r, m) stack of permutations of the carrier,
     which subgroups of group.subgroup_lattice it maps onto itself: an (r, s)
@@ -347,50 +340,3 @@ def enumerate_subgroups(
         kept = invariant_subgroups(group, group.conj_table[:, theta.np_perm]).all(axis=0)
         lattice = [members for members, ok in zip(lattice, kept) if ok]
     return [Subgroup(members, group) for members in lattice]
-
-
-def quotient_group(
-    group: FiniteGroup, normal: Subgroup | Sequence[int]
-) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup, plus the projection map.
-
-    Cosets are relabelled in order of their smallest member, so the coset of
-    0 (the subgroup itself) becomes index 0.  The quotient is no larger than
-    the group, whose order was checked when it was built.
-    """
-    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
-    if not is_normal_subgroup(group, members):
-        raise NotNormal(f"{list(members)} is not normal")
-    m = group.order
-    coset_of = [tuple(sorted(group.mul(x, h) for h in members)) for x in range(m)]
-    cosets = sorted(set(coset_of))
-    index = {c: i for i, c in enumerate(cosets)}
-    proj = tuple(index[c] for c in coset_of)
-    k = len(cosets)
-    table = [[0] * k for _ in range(k)]
-    for i, ci in enumerate(cosets):
-        for j, cj in enumerate(cosets):
-            table[i][j] = proj[group.mul(ci[0], cj[0])]
-    name = f"{group.name}/{list(members)}" if group.name else ""
-    return group_from_rows(tuple(map(tuple, table)), name), proj
-
-
-def twisted_quotient(
-    group: FiniteGroup,
-    theta: Automorphism,
-    normal: Subgroup | Sequence[int],
-) -> tuple[FiniteGroup, tuple[int, ...], Automorphism]:
-    """Quotient by a theta-invariant normal subgroup, the projection, and the
-    automorphism xK ↦ theta(x)K on the relabelled quotient."""
-    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
-    if frozenset(theta(x) for x in members) != frozenset(members):
-        raise NotInvariant(f"theta does not fix {list(members)} setwise")
-    quotient, proj = quotient_group(group, members)
-    perm = [-1] * quotient.order
-    for x in range(group.order):
-        i, j = proj[x], proj[theta(x)]
-        if perm[i] == -1:
-            perm[i] = j
-        elif perm[i] != j:
-            raise NotInvariant("induced map is not well defined")
-    return quotient, proj, Automorphism(tuple(perm))

@@ -397,10 +397,10 @@ def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     return arr.astype(np.min_scalar_type(m - 1), copy=False)
 
 
-def charge_table(p: PolyadicGroup, caps: Caps, what: str) -> None:
-    """Refuse (CostCapExceeded) unless p's m^n cells, which what reads or
-    builds, fit axiom_cost_cap."""
-    cells = p.order**p.arity
+def charge_table(order: int, arity: int, caps: Caps, what: str) -> None:
+    """Refuse (CostCapExceeded) unless the order^arity cells of the table
+    that what reads or builds fit axiom_cost_cap."""
+    cells = order**arity
     if cells > caps.axiom_cost_cap:
         raise CostCapExceeded(
             f"{what} needs {cells} cells; cap is {caps.axiom_cost_cap}",
@@ -411,7 +411,7 @@ def charge_table(p: PolyadicGroup, caps: Caps, what: str) -> None:
 def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
     """_check_solvability of p's table, stored on p; reading its m^n cells
     is charged to axiom_cost_cap (CostCapExceeded)."""
-    charge_table(p, caps, "the axiom check")
+    charge_table(p.order, p.arity, caps, "the axiom check")
     return cached_on(p, "solvability", lambda: _check_solvability(p.cube, p.order, p.arity))
 
 
@@ -491,7 +491,7 @@ def as_table(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> PolyadicGroup:
     derived group's m^n cells must fit axiom_cost_cap before it is built."""
     if not p.is_derived:
         return p
-    charge_table(p, caps, "the table form")
+    charge_table(p.order, p.arity, caps, "the table form")
     return PolyadicGroup(p.arity, TablePresentation(p.order, p.flat_np.tobytes()), name=p.name)
 
 

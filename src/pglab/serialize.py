@@ -12,6 +12,7 @@ from .groups import FiniteGroup, make_automorphism, make_group
 from .polyadic import (
     DerivedPresentation,
     PolyadicGroup,
+    _check_arity_order,
     derive,
     from_table,
 )
@@ -31,6 +32,17 @@ def _expect(obj: Any, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _integers(values: Any, what: str) -> list[int]:
+    """values, refused (ParseError) unless a list of integers; a JSON true
+    or false is not an integer here, and a float is not truncated."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what}: expected a list of integers, got {values!r}")
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ParseError(f"{what}: expected integers, got {bad[0]!r}")
+    return values
+
+
 def group_from_doc(obj: Any, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     if _expect(obj, "kind", "group document") != "group":
         raise ParseError(f"expected kind 'group', got {obj.get('kind')!r}")
@@ -38,6 +50,8 @@ def group_from_doc(obj: Any, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     table = _expect(obj, "table", "group document")
     if not isinstance(table, list) or len(table) != order:
         raise ParseError(f"group table must have {order} rows")
+    for i, row in enumerate(table):
+        _integers(row, f"group table row {i}")
     return make_group(table, caps=caps)
 
 
@@ -67,21 +81,20 @@ def polyadic_from_doc(
     kind = _expect(pres, "type", "presentation")
     if kind == "derived":
         base = group_from_doc(_expect(pres, "base", "derived presentation"), caps)
-        theta_perm = _expect(pres, "theta", "derived presentation")
+        theta_perm = _integers(_expect(pres, "theta", "derived presentation"), "theta")
         theta = make_automorphism(base, theta_perm)
-        b = _expect(pres, "b", "derived presentation")
-        if not isinstance(b, int) or not 0 <= b < base.order:
+        (b,) = _integers([_expect(pres, "b", "derived presentation")], "constant b")
+        if not 0 <= b < base.order:
             raise ParseError(f"constant b = {b!r} out of range")
         return derive(base, theta, b, arity, caps=caps)
     if kind == "table":
         order = _expect(pres, "order", "table presentation")
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ParseError(f"order must be an integer >= 1, got {order!r}")
-        flat = _expect(pres, "flat", "table presentation")
-        if not isinstance(flat, list) or len(flat) != order**arity:
-            raise ParseError(f"flat table must have {order ** arity} entries")
-        if not set(map(type, flat)) <= {int}:  # a bool is refused too
-            raise ParseError("flat table entries must be integers")
+        _check_arity_order(arity, order, caps)  # before order**arity is computed
+        flat = _integers(_expect(pres, "flat", "table presentation"), "flat table")
+        if len(flat) != order**arity:
+            raise ParseError(f"flat table must have {order}^{arity} entries, not {len(flat)}")
         if min(flat) < 0 or max(flat) >= order:
             raise ParseError("flat table entries out of range")
         return from_table(arity, order, flat, caps=caps, verify=verify)

@@ -14,18 +14,21 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from pglab.config import DEFAULT_CAPS
-from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by
+from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by, class_signature
 from pglab.errors import (
-    ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotUnique, PowerCondition,
+    ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
+    NotUnique, PowerCondition,
 )
-from pglab.groups import Automorphism, FiniteGroup, automorphisms, inverse_perm
+from pglab.groups import (
+    Automorphism, FiniteGroup, Subgroup, automorphisms, group_from_rows, inverse_perm,
+)
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import (
     AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
 )
 from pglab.substructures import (
     PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups, _stays_inside,
-    class_signature, coset_classes,
+    coset_classes,
 )
 
 
@@ -245,6 +248,56 @@ def is_inner(group: FiniteGroup, alpha: Automorphism) -> Optional[int]:
         if all(group.conj(a, x) == alpha(x) for x in range(group.order)):
             return a
     return None
+
+
+def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
+    mset = set(members)
+    return all(group.conj(g, h) in mset for g in range(group.order) for h in mset)
+
+
+def quotient_group(
+    group: FiniteGroup, normal: Subgroup | Sequence[int]
+) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient by a normal subgroup, plus the projection map, coset by
+    coset: the cosets are relabelled in order of their smallest member, so
+    the coset of 0 (the subgroup itself) becomes index 0."""
+    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
+    if not is_normal_subgroup(group, members):
+        raise NotNormal(f"{list(members)} is not normal")
+    m = group.order
+    coset_of = [tuple(sorted(group.mul(x, h) for h in members)) for x in range(m)]
+    cosets = sorted(set(coset_of))
+    index = {c: i for i, c in enumerate(cosets)}
+    proj = tuple(index[c] for c in coset_of)
+    k = len(cosets)
+    table = [[0] * k for _ in range(k)]
+    for i, ci in enumerate(cosets):
+        for j, cj in enumerate(cosets):
+            table[i][j] = proj[group.mul(ci[0], cj[0])]
+    name = f"{group.name}/{list(members)}" if group.name else ""
+    return group_from_rows(tuple(map(tuple, table)), name), proj
+
+
+def twisted_quotient(
+    group: FiniteGroup,
+    theta: Automorphism,
+    normal: Subgroup | Sequence[int],
+) -> tuple[FiniteGroup, tuple[int, ...], Automorphism]:
+    """Quotient by a theta-invariant normal subgroup, the projection, and the
+    automorphism xK ↦ theta(x)K on the relabelled quotient: the reference of
+    congruence._quotient's gathers."""
+    members = normal.members if isinstance(normal, Subgroup) else tuple(sorted(normal))
+    if frozenset(theta(x) for x in members) != frozenset(members):
+        raise NotInvariant(f"theta does not fix {list(members)} setwise")
+    quotient, proj = quotient_group(group, members)
+    perm = [-1] * quotient.order
+    for x in range(group.order):
+        i, j = proj[x], proj[theta(x)]
+        if perm[i] == -1:
+            perm[i] = j
+        elif perm[i] != j:
+            raise NotInvariant("induced map is not well defined")
+    return quotient, proj, Automorphism(tuple(perm))
 
 
 def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import pglab
 
@@ -215,14 +218,15 @@ class TestHomIsoQuotient:
         assert "order 3" in out
 
     @pytest.mark.parametrize("argv", [
-        ["quotient", "{T5}", "--subgroup", "0,1,2,3,4"],
-        ["analyze", "{T5}", "--quotient", "0,1,2,3,4"],
+        ["quotient", "{T3}", "--subgroup", "0"],
+        ["analyze", "{T3}", "--quotient", "0"],
     ])
     def test_quotient_past_the_cost_cap_exits_2(self, doc_path, capsys, argv):
-        argv = [doc_path("T5") if a == "{T5}" else a for a in argv]
-        assert main(["--axiom-cost-cap", "3124", *argv]) == 2
-        assert "quotient check needs 3125 cells" in capsys.readouterr().err
-        assert main(["--axiom-cost-cap", "3125", *argv]) == 0
+        # der(Z3, id, 0, 3) / {0} has 3 classes: its table has 3^3 cells
+        argv = [doc_path("T3") if a == "{T3}" else a for a in argv]
+        assert main(["--axiom-cost-cap", "26", *argv]) == 2
+        assert "the quotient table needs 27 cells" in capsys.readouterr().err
+        assert main(["--axiom-cost-cap", "27", *argv]) == 0
 
     def test_quotient_rejects_non_normal(self, doc_path, capsys):
         rc = main(["quotient", doc_path("T4inv"), "--subgroup", "1"])
@@ -327,6 +331,89 @@ class TestBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("ValidationError: ")
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("order, arity", [(16, 3600), (2, 9)])
+    def test_table_past_the_arity_cap_exits_2(self, tmp_path, capsys, order, arity):
+        # the caps are read before order**arity, whatever the flat table holds
+        doc = {"kind": "polyadic", "arity": arity,
+               "presentation": {"type": "table", "order": order, "flat": [0] * 8}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "raise it with --arity-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("theta",), 5),
+            (("theta",), [[0], [1]]),
+            (("theta",), ["a", "b"]),
+            (("theta",), None),
+            (("theta",), [0.0, 1.5]),
+            (("base", "table", 1), 5),
+            (("base", "table", 1, 0), "a"),
+            (("base", "table", 1, 0), {}),
+            (("base", "table", 1, 0), 1.5),
+            (("b",), True),
+        ],
+    )
+    def test_derived_document_values_must_be_integers(self, tmp_path, structs, capsys, where,
+                                                      value):
+        doc = polyadic_to_doc(structs["T2"])
+        *path, last = where
+        leaf = doc["presentation"]
+        for key in path:
+            leaf = leaf[key]
+        leaf[last] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ParseError: ")
+
+
+def _leaves(doc, where=()):
+    """The path of every leaf (a value that is no dict or list) of doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, where + (key,))
+        else:
+            yield where + (key,)
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """Every 25th structure of order at most 5, derived and as a table,
+    with the paths of its leaves, and a directory to write mutants into."""
+    from pglab.corpus import standard_corpus
+
+    docs = [polyadic_to_doc(q) for p in standard_corpus(max_order=5)[::25]
+            for q in (p, as_table(p))]
+    return [(doc, list(_leaves(doc))) for doc in docs], tmp_path_factory.mktemp("fuzz")
+
+
+class TestDocumentFuzz:
+    @given(data=st.data())
+    def test_one_bad_leaf_exits_cleanly(self, fuzz_documents, data):
+        """One leaf of a corpus document replaced by a value of the wrong
+        type or range: verify and analyze --congruences return an exit code
+        (0, 1 or 2) and raise nothing."""
+        documents, tmp = fuzz_documents
+        doc, leaves = data.draw(st.sampled_from(documents))
+        where = data.draw(st.sampled_from(leaves))
+        value = data.draw(st.sampled_from([-1, 1.5, True, None, "a", [], {}, 10**6]))
+        mutant = json.loads(json.dumps(doc))
+        leaf = mutant
+        for key in where[:-1]:
+            leaf = leaf[key]
+        leaf[where[-1]] = value
+        path = tmp / "mutant.json"
+        path.write_text(json.dumps(mutant))
+        for argv in (["--json", "verify"], ["--json", "analyze", "--congruences"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + [str(path)]) in (0, 1, 2)
 
 
 class TestGoldenDigests:

@@ -11,6 +11,7 @@ from pglab.congruence import (
     kernel_class,
     lattice_ops,
     quotient_by_congruence,
+    quotient_polyadic,
 )
 from pglab.errors import (
     CapExceeded,
@@ -29,11 +30,7 @@ from pglab.polyadic import (
     verify_table_axioms,
 )
 from pglab.simplicity import census, simplicity_report
-from pglab.substructures import (
-    enumerate_normal_polyadic,
-    enumerate_polyadic_subgroups,
-    quotient_polyadic,
-)
+from pglab.substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
 
 
 class TestCrossCheck:

