@@ -33,7 +33,6 @@ from .polyadic import (
 )
 from .substructures import (
     PolyadicSubgroup,
-    enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
     is_polyadic_subgroup,
@@ -47,6 +46,7 @@ from .congruence import (
     congruences,
     congruences_bruteforce,
     congruences_theorem,
+    enumerate_normal_polyadic,
     is_normal_congruence,
     kernel_class,
     lattice_ops,

@@ -20,6 +20,7 @@ from .config import ENV_PREFIX, Caps, caps_from_env
 from .errors import CapExceeded, PolyadicError, ValidationError
 from .congruence import (
     congruences,
+    enumerate_normal_polyadic,
     is_normal_congruence,
     kernel_class,
     lattice_table,
@@ -49,7 +50,7 @@ from .serialize import (
     subgroup_to_doc,
 )
 from .simplicity import census, simplicity_report
-from .substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
+from .substructures import enumerate_polyadic_subgroups
 
 
 def _yes(flag: bool) -> str:

@@ -5,7 +5,9 @@ exactly when every basic translation and skew respect it, so the lattice is
 the join closure of the principal congruences), and the theorem that the
 congruences of der(G, theta, b) are exactly the coset partitions of the
 theta-invariant normal subgroups of G, so each quotient is der(G/K,
-theta-bar, b-bar) for the kernel K of its congruence.
+theta-bar, b-bar) for the kernel K of its congruence.  The theorem side is
+one kernel table per structure: its rows give the congruences, their
+normal witnesses and the normal polyadic subgroups.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
-from .groups import Automorphism, enumerate_subgroups, group_from_rows
+from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
     PolyadicGroup, _twist, _wrap_table, charge_table, n_ary_identity, packed_tuples, row_blocks,
 )
-from .substructures import PolyadicSubgroup, _cosets, coset_classes, twisted_conjugates
+from .substructures import (
+    PolyadicSubgroup, _as_subgroups, _cosets, _oracle_subgroups, coset_classes, twisted_conjugates,
+)
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,9 @@ def _partition_by(p: PolyadicGroup, keys: Iterable) -> Congruence:
     return Congruence(p, tuple(sorted(tuple(c) for c in fibres.values())))
 
 
-def _canonical_sort(congs: list[Congruence]) -> list[Congruence]:
+def _canonical_order(congs: Sequence[Congruence]) -> list[int]:
     # finest first: the diagonal leads, the full relation closes the list
-    congs.sort(key=lambda c: (-c.num_classes, c.classes))
-    return congs
+    return sorted(range(len(congs)), key=lambda i: (-congs[i].num_classes, congs[i].classes))
 
 
 # A row of m ≤ KEY_VALUES values 0..m-1 packs into one uint64 key, 4 bits a value.
@@ -156,23 +159,16 @@ def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
         joins = _classes(_relations(new, m)[:, None] | generators)
         new = np.setdiff1d(joins, lattice)
         lattice = np.union1d(lattice, new)
-    return tuple(_canonical_sort([_partition_by(p, row.tolist()) for row in _rows(lattice, m)]))
+    congs = [_partition_by(p, row.tolist()) for row in _rows(lattice, m)]
+    return tuple(congs[i] for i in _canonical_order(congs))
 
 
 def congruences_theorem(p: PolyadicGroup) -> list[Congruence]:
     """Enumerate congruences as the coset partitions of the twist-invariant
     normal subgroups of the base, mapped back to the original carrier
-    (the relabelling round-trips for table presentations); stored on p."""
-    return list(cached_on(p, "congruences_theorem", lambda: _coset_partitions(p)))
-
-
-def _coset_partitions(p: PolyadicGroup) -> tuple[Congruence, ...]:
-    hg = p.view
-    products = hg.base.np_table[np.asarray(hg.relabel)]  # [x, v] = x·v, x read in the view
-    return tuple(_canonical_sort([
-        _partition_by(p, products[:, list(k.members)].min(axis=1).tolist())  # xK's least member
-        for k in enumerate_subgroups(hg.base, theta=hg.theta)
-    ]))
+    (the relabelling round-trips for table presentations): the rows of p's
+    kernel table."""
+    return list(kernel_table(p).congruences)
 
 
 def congruences(
@@ -198,16 +194,18 @@ class KernelClass:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """index[classes] into p's congruences (congruences_theorem's list), and
-    a row for each: labels (x ↦ the least member of its class), the kernel
-    as a mask over the view's carrier, whether b is related to the identity,
-    and the smallest normal witness (-1 for none)."""
+    """p's congruences, finest first (congruences_theorem's list), index[classes]
+    into them, and a row for each: labels (x ↦ the least member of its
+    class), the kernel as a mask over the view's carrier, whether b is
+    related to the identity, and the normal mask (a related to skew(a) and
+    to every tc[x, a], so a's class is a normal polyadic subgroup)."""
 
+    congruences: tuple[Congruence, ...]
     index: dict
     labels: np.ndarray
     kernel: np.ndarray
     b_related: np.ndarray
-    witness: np.ndarray
+    normal: np.ndarray
 
 
 def kernel_table(p: PolyadicGroup) -> KernelTable:
@@ -216,39 +214,38 @@ def kernel_table(p: PolyadicGroup) -> KernelTable:
 
 
 def _kernel_table(p: PolyadicGroup) -> KernelTable:
-    """A block of rows at a time (row_blocks, m² cells a row).  Each kernel K,
-    the class of the identity, must be a twist-invariant normal subgroup of
-    the base (IllDefined).  A witness a is related to skew(a) and to every
-    tc[x, a]; the cosets {f(x, h, a,…,a) : h ∈ a·K} of each witness, read by
-    one eval_many, must be the congruence's classes (MethodDisagreement)."""
-    congs, hg, m = congruences_theorem(p), p.view, p.order
+    """The kernels are the rows of the view base's lattice masks that
+    groups.invariant_normal keeps, so each is a twist-invariant normal
+    subgroup by construction.  A block of rows at a time (row_blocks, m²
+    cells a row): x is labelled by the least p-element of its coset, x·v over
+    v ∈ K, in one gather; the cosets {f(x, h, a,…,a) : h ∈ a·K} of each
+    row's first normal a, read by one eval_many, must be the congruence's
+    classes (MethodDisagreement).  Then the rows are sorted finest first."""
+    hg, m = p.view, p.order
     base, tc = hg.base, twisted_conjugates(p)
-    labels = np.array([[c.classes[i][0] for i in c.class_of] for c in congs], dtype=np.intp)
     relabel, unrelabel = np.asarray(hg.relabel), np.asarray(hg.unrelabel)
-    kernel = labels[:, unrelabel] == labels[:, unrelabel[:1]]
-    quotients = base.np_table[:, np.asarray(base.inverses)]  # [x, y] = x·y⁻¹
-    witness = np.full(len(congs), -1)
-    for r in row_blocks(np.arange(len(congs)), m * m):
-        lab, ker = labels[r], kernel[r]
-        for what, bad in (("twist-invariant", ker & ~ker[:, hg.theta.np_perm]),
-                          ("a subgroup", ker[:, :, None] & ker[:, None] & ~ker[:, quotients]),
-                          ("normal", ker[:, None] & ~ker[:, base.conj_table])):
-            if bad.any():
-                i, *at = np.argwhere(bad)[0].tolist()
-                raise IllDefined(f"kernel class of {congs[r[i]]} not {what} at {tuple(at)}")
-        ok = (lab[:, p.skew_table] == lab) & (lab[:, tc] == lab[:, None]).all(axis=1)
-        witness[r] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-        row, v = np.nonzero(ker & (witness[r] >= 0)[:, None])  # h = a·v, v ∈ K, in the view
-        a = witness[r][row]
+    kernel = base.subgroup_masks[invariant_normal(base, hg.theta)]
+    products = unrelabel[base.np_table[relabel]]  # [x, v] = x·v, x read in the view, back in p
+    labels, normal = np.empty(kernel.shape, dtype=np.intp), np.empty(kernel.shape, dtype=bool)
+    for r in row_blocks(np.arange(len(kernel)), m * m):
+        lab = labels[r] = np.where(kernel[r, None], products, m).min(axis=2)
+        ok = normal[r] = (lab[:, p.skew_table] == lab) & (lab[:, tc] == lab[:, None]).all(axis=1)
+        row, v = np.nonzero(kernel[r] & ok.any(axis=1)[:, None])  # h = a·v, v ∈ K, in the view
+        a = ok.argmax(axis=1)[row]
         cosets = _cosets(p, unrelabel[base.np_table[relabel[a], v]], a, np.arange(m)).T
         apart = (np.take_along_axis(lab[row], cosets, axis=1) != lab[row]).any(axis=1)
         if apart.any():
-            i = r[row[apart.argmax()]]
-            raise MethodDisagreement(f"witness {witness[i]} satisfies both conditions but its "
-                                     f"subgroup's cosets do not reproduce {congs[i]}")
+            i = apart.argmax()
+            cong = _partition_by(p, lab[row[i]].tolist())
+            raise MethodDisagreement(f"witness {a[i]} satisfies both conditions but its "
+                                     f"subgroup's cosets do not reproduce {cong}")
+    congs = [_partition_by(p, row.tolist()) for row in labels]
+    order = _canonical_order(congs)
+    labels, kernel, normal = labels[order], kernel[order], normal[order]
+    congs = tuple(congs[i] for i in order)
     b_related = labels[:, unrelabel[0]] == labels[:, unrelabel[hg.b]]
     index = {c.classes: i for i, c in enumerate(congs)}
-    return KernelTable(index, labels, kernel, b_related, witness)
+    return KernelTable(congs, index, labels, kernel, b_related, normal)
 
 
 def _kernel_row(r: Congruence) -> tuple[KernelTable, int]:
@@ -343,18 +340,47 @@ def lattice_ops(r: Congruence, q: Congruence) -> LatticeOps:
     p = r.ambient
     if q.ambient is not p and q.ambient != p:
         raise ValidationError("congruences live on different polyadic groups")
-    (_, i), (_, j), t = _kernel_row(r), _kernel_row(q), lattice_table(p)
+    (kernels, i), (_, j), t = _kernel_row(r), _kernel_row(q), lattice_table(p)
     flags = (t.commutes, t.composition_is_product, t.kernel_identities)
-    congs = congruences_theorem(p)
+    congs = kernels.congruences
     return LatticeOps(congs[t.meet[i, j]], congs[t.join[i, j]], *(bool(f[i, j]) for f in flags))
 
 
 def is_normal_congruence(r: Congruence) -> Optional[int]:
     """The smallest witness a such that r is the coset congruence of a·[e]:
     a is related to its skew and to each twisted conjugate θ⁻¹(x⁻¹·a)·x.
-    Read from r's row of the kernel table, which rebuilt a·[e]'s cosets."""
+    The first True of r's normal row, whose cosets the kernel table rebuilt."""
     t, i = _kernel_row(r)
-    return None if t.witness[i] < 0 else int(t.witness[i])
+    return int(t.normal[i].argmax()) if t.normal[i].any() else None
+
+
+def enumerate_normal_polyadic(
+    p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
+) -> list[PolyadicSubgroup]:
+    """All normal polyadic subgroups, sorted by (size, members).
+
+    The theorem strategy reads the kernel table: the distinct classes [a]_r
+    over every congruence r and every a with normal[r, a].  The oracle is
+    the normal subset scan (substructures._oracle_subgroups), which never
+    reads the view.  Each route's answer is stored on p; in auto mode both
+    run (inside the oracles' gate) and must agree.
+    """
+
+    def theorem() -> tuple[PolyadicSubgroup, ...]:
+        t = kernel_table(p)
+        r, a = np.nonzero(t.normal)
+        # a class is its row and its label: distinct kernels have no coset in common
+        r, label = np.divmod(np.unique(r * p.order + t.labels[r, a]), p.order)
+        classes = t.labels[r] == label[:, None]
+        return _as_subgroups(p, (tuple(np.flatnonzero(c).tolist()) for c in classes))
+
+    return list(cross_check(
+        "normal-subgroup",
+        strategy,
+        lambda: cached_on(p, "normal_theorem", theorem),
+        lambda: _as_subgroups(p, _oracle_subgroups(p, caps, normal=True)),
+        oracle_fits(p, caps),
+    ))
 
 
 def _quotient(p: PolyadicGroup, r: Congruence) -> tuple[PolyadicGroup, np.ndarray]:
@@ -408,10 +434,11 @@ def quotient_polyadic(
     classes, in their order; the result is always reduced.  Both routes go
     through config.cross_check.  Theorem: the classes are the congruence
     ∼_H, whose quotient is read off its kernel-table row (_quotient) and
-    written in class coordinates by one eval_many over the k^n class
-    tuples, charged to axiom_cost_cap before anything is built; it reads no
-    m^n table.  Oracle: class_signature on p's m^n table, where those
-    cells fit axiom_cost_cap."""
+    written in class coordinates by eval_many over the k^n class tuples,
+    a row_blocks block at a time into a one-byte table, charged to
+    axiom_cost_cap before anything is built; it reads no m^n table.
+    Oracle: class_signature on p's m^n table, where those cells fit
+    axiom_cost_cap."""
     classes = coset_classes(p, h)
     k, n, name = len(classes), p.arity, p.name and f"{p.name}/H"
     cls_of = np.empty(p.order, dtype=np.intp)
@@ -421,10 +448,13 @@ def quotient_polyadic(
     def theorem() -> PolyadicGroup:
         charge_table(k, n, caps, "the quotient table")
         q, proj = _quotient(p, Congruence(p, classes))
-        to_q = np.empty(k, dtype=np.min_scalar_type(k - 1))
+        to_q = np.empty(k, dtype=np.intp)
         to_q[cls_of] = proj[np.asarray(p.view.relabel)]
-        args = to_q[np.indices((k,) * n, dtype=to_q.dtype).reshape(n, -1)]
-        return _wrap_table(n, k, np.argsort(to_q)[q.eval_many(args)], name)
+        back, flat = np.argsort(to_q), np.empty(k**n, dtype=np.min_scalar_type(k - 1))
+        for cells in row_blocks(range(k**n), n):  # the class tuples, a block at a time
+            args = np.unravel_index(np.arange(cells.start, cells.stop), (k,) * n)
+            flat[cells.start : cells.stop] = back[q.eval_many(to_q[np.stack(args)])]
+        return _wrap_table(n, k, flat, name)
 
     def oracle() -> PolyadicGroup:
         flat = class_signature(p, cls_of)

@@ -333,10 +333,15 @@ def enumerate_subgroups(
     group: FiniteGroup, theta: Optional[Automorphism] = None
 ) -> list[Subgroup]:
     """Every subgroup, or with theta the theta-invariant normal ones (theta
-    the identity: the normal subgroups), sorted by (size, members).  K is
-    both exactly when conj(u)∘theta maps K onto itself for every u."""
+    the identity: the normal subgroups), sorted by (size, members), kept
+    by invariant_normal."""
     lattice = group.subgroup_lattice
     if theta is not None:
-        kept = invariant_subgroups(group, group.conj_table[:, theta.np_perm]).all(axis=0)
-        lattice = [members for members, ok in zip(lattice, kept) if ok]
+        lattice = [members for members, ok in zip(lattice, invariant_normal(group, theta)) if ok]
     return [Subgroup(members, group) for members in lattice]
+
+
+def invariant_normal(group: FiniteGroup, theta: Automorphism) -> np.ndarray:
+    """Which subgroups of group.subgroup_lattice are theta-invariant and normal:
+    K is both exactly when conj(u)∘theta maps K onto itself for every u."""
+    return invariant_subgroups(group, group.conj_table[:, theta.np_perm]).all(axis=0)

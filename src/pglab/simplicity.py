@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .catalog import A000001, groups_of_order
-from .congruence import Congruence, congruences
+from .congruence import Congruence, congruences, enumerate_normal_polyadic
 from .groups import FiniteGroup, automorphisms
 from .polyadic import (
     PolyadicGroup,
@@ -33,10 +33,7 @@ from .polyadic import (
     packed_tuples,
     verify_table_axioms,
 )
-from .substructures import (
-    PolyadicSubgroup,
-    enumerate_normal_polyadic,
-)
+from .substructures import PolyadicSubgroup
 
 T = TypeVar("T")
 K = TypeVar("K")

@@ -1,9 +1,12 @@
 """Polyadic subgroups, normality and cosets.
 
-The theorem routes read the view der(G, θ, b): H is a polyadic subgroup
+The theorem route reads the view der(G, θ, b): H is a polyadic subgroup
 exactly when, for u in H, H·u⁻¹ is a subgroup of G that psi_u = conj(u)∘θ
 maps onto itself (the twist of the copy of G anchored at u, relabelled by
 x ↦ x·u⁻¹ onto G itself) and that holds the anchor constant f(u,…,u)·u⁻¹.
+The normal polyadic subgroups' theorem route reads the kernel table
+(congruence.enumerate_normal_polyadic); their oracle scan, the twist
+criterion for one H and the cosets stay here.
 """
 
 from __future__ import annotations
@@ -138,37 +141,14 @@ def enumerate_polyadic_subgroups(
 
     The oracle strategy scans subsets for closure under f and skew; the
     theorem strategy reads the cosets of the psi_u-invariant subgroups of the
-    base (see _theorem_subgroups).  In auto mode both run (inside the
-    oracles' gate) and must agree.
+    base (see _theorem_subgroups).  Each route's answer is stored on p; in
+    auto mode both run (inside the oracles' gate) and must agree.
     """
-    return _routed(False, p, strategy, caps)
-
-
-def _routed(
-    normal: bool, p: PolyadicGroup, strategy: Strategy, caps: Caps
-) -> list[PolyadicSubgroup]:
-    """The polyadic subgroups, or the normal ones, by the routes of the
-    strategy.  The normal theorem route is the theorem route's subgroups
-    filtered by the twist criterion; the normal oracle's own subset scan
-    also filters by the conjugations and never reads the view, so the routes
-    stay independent.  Each route's answer is stored on p; every call checks
-    the oracles' gate and cross-checks the routes."""
-
-    def theorem_route() -> tuple[PolyadicSubgroup, ...]:
-        subs = cached_on(
-            p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p))
-        )
-        if not normal:
-            return subs
-        return cached_on(p, "normal_theorem", lambda: tuple(
-            s for s in subs if is_normal_polyadic(p, s)
-        ))
-
     return list(cross_check(
-        "normal-subgroup" if normal else "polyadic subgroup",
+        "polyadic subgroup",
         strategy,
-        theorem_route,
-        lambda: _as_subgroups(p, _oracle_subgroups(p, caps, normal)),
+        lambda: cached_on(p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p))),
+        lambda: _as_subgroups(p, _oracle_subgroups(p, caps)),
         oracle_fits(p, caps),
     ))
 
@@ -222,20 +202,6 @@ def is_normal_polyadic(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) ->
     """Normality of a polyadic subgroup via the twist criterion: every
     twisted conjugate of a member stays inside."""
     return _stays_inside(twisted_conjugates(p), _members(p, h))
-
-
-def enumerate_normal_polyadic(
-    p: PolyadicGroup, strategy: Strategy = "auto", caps: Caps = DEFAULT_CAPS
-) -> list[PolyadicSubgroup]:
-    """All normal polyadic subgroups, sorted by (size, members).
-
-    The theorem strategy filters the theorem route's polyadic subgroups by
-    the twist criterion; the oracle strategy scans for closure under f only
-    the subsets closed under skew, the diagonal and every conjugation (see
-    _conjugates).
-    In auto mode both run (inside the oracles' gate) and must agree.
-    """
-    return _routed(True, p, strategy, caps)
 
 
 def _cosets(p: PolyadicGroup, hs: Sequence[int], us, xs: Sequence[int]) -> np.ndarray:

@@ -28,7 +28,7 @@ from pglab.polyadic import (
 )
 from pglab.substructures import (
     PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups, _stays_inside,
-    coset_classes,
+    coset_classes, enumerate_polyadic_subgroups, is_normal_polyadic,
 )
 
 
@@ -142,6 +142,12 @@ def reference_normal_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
     """The normal oracle before its unary filter took the conjugations: the
     subgroup oracle's scan, filtered by normal_by_conjugate_table."""
     return tuple(s for s in _oracle_subgroups(p, DEFAULT_CAPS) if normal_by_conjugate_table(p, s))
+
+
+def reference_normal_theorem(p: PolyadicGroup) -> list[PolyadicSubgroup]:
+    """The normal theorem route before it read the kernel table: the
+    theorem route's polyadic subgroups filtered by the twist criterion."""
+    return [s for s in enumerate_polyadic_subgroups(p, "theorem") if is_normal_polyadic(p, s)]
 
 
 def dornte_witness(p: PolyadicGroup) -> Optional[tuple]:

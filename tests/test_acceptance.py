@@ -13,13 +13,13 @@ import numpy as np
 from pglab.congruence import (
     congruences_bruteforce,
     congruences_theorem,
+    enumerate_normal_polyadic,
     lattice_ops,
     quotient_polyadic,
 )
 from pglab.morphisms import are_isomorphic, compose_hom, decompose_hom, enumerate_homs
 from pglab.polyadic import as_table, dornte_witness, hosszu_gloskin
 from pglab.simplicity import census, is_gts, is_gts_star, is_uas, simplicity_report
-from pglab.substructures import enumerate_normal_polyadic
 from pglab.config import DEFAULT_CAPS, Caps
 
 

@@ -7,6 +7,7 @@ from pglab.congruence import (
     congruence_from_classes,
     congruences,
     congruences_bruteforce,
+    enumerate_normal_polyadic,
     is_normal_congruence,
     kernel_class,
     lattice_ops,
@@ -30,7 +31,7 @@ from pglab.polyadic import (
     verify_table_axioms,
 )
 from pglab.simplicity import census, simplicity_report
-from pglab.substructures import enumerate_normal_polyadic, enumerate_polyadic_subgroups
+from pglab.substructures import enumerate_polyadic_subgroups
 
 
 class TestCrossCheck:

@@ -11,9 +11,9 @@ from pglab.congruence import (
     congruences,
     congruences_bruteforce,
     congruences_theorem,
+    enumerate_normal_polyadic,
     is_normal_congruence,
     kernel_class,
-    kernel_table,
     Congruence,
     lattice_ops,
     lattice_table,
@@ -23,12 +23,11 @@ from pglab.congruence import (
 )
 from pglab.catalog import catalog, catalog_group
 from pglab.config import Caps
-from pglab.errors import IllDefined, MethodDisagreement, OrderCapExceeded, ValidationError
+from pglab.errors import MethodDisagreement, OrderCapExceeded, ValidationError
 from pglab.groups import Automorphism, make_group
 from pglab.polyadic import all_derived, as_table, derive, derive_b, from_table
 from pglab.simplicity import simplicity_report
 from pglab.substructures import (
-    enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
     is_polyadic_subgroup,
@@ -42,6 +41,7 @@ from reference import (
     reference_lattice_ops,
     reference_normal_by_twist,
     reference_normal_congruence,
+    reference_normal_theorem,
     reference_partition_scan,
     related,
     restricted_growth_strings,
@@ -444,13 +444,6 @@ class TestKernelTable:
             with pytest.raises(ValidationError, match="not a congruence"):
                 read(outside)
 
-    def test_a_kernel_that_is_not_a_subgroup_is_ill_defined(self):
-        # a stored theorem list holding {0, 1} | {2, 3}, not the cosets of a subgroup of Z4
-        p = derive(catalog_group("Z4"), Automorphism.identity(4), 0, 3)
-        p.__dict__["congruences_theorem"] = (Congruence(p, ((0, 1), (2, 3))),)
-        with pytest.raises(IllDefined, match=r"not a subgroup at \(0, 1\)"):
-            kernel_table(p)
-
     def test_a_witness_whose_cosets_differ_is_a_disagreement(self):
         # with skew taken as the identity, 0 passes both witness conditions on
         # der(Z2, id, 1, 3)'s diagonal, but f(x, 0, 0) = x + 1 moves every class
@@ -521,6 +514,46 @@ class TestNormalCongruence:
                     assert twist_form == normal_congruence_condition_direct(c, a)
 
 
+def _carry(cube, perm):
+    """The flat table of perm·cube: x ↦ perm[x] on every axis."""
+    return perm[cube[np.ix_(*[np.argsort(perm)] * cube.ndim)]].ravel()
+
+
+class TestNormalTheoremRoute:
+    """The normal polyadic subgroups read off the kernel table's normal mask
+    equal the theorem subgroups filtered by the twist criterion."""
+
+    def test_equals_reference_on_corpus(self, corpus):
+        found = 0
+        for p in corpus:
+            got = enumerate_normal_polyadic(p, "theorem")
+            assert got == reference_normal_theorem(p), p
+            found += len(got)
+        assert len(corpus) == 770 and found == 3743
+
+    def test_equals_reference_on_table_forms(self, corpus):
+        # only forms whose view relabels the carrier, so the labels, the
+        # normal mask and the twisted conjugates are read through a
+        # relabelling that is not the identity
+        sample = [as_table(p) for p in random.Random(28).sample(corpus, 300)]
+        moved = [t for t in sample if t.view.relabel != tuple(range(t.order))]
+        assert len(moved) >= 110
+        for t in moved:
+            assert enumerate_normal_polyadic(t, "theorem") == reference_normal_theorem(t), t
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_relabelled_copy_gives_the_carried_subgroups(self, corpus, data):
+        p = data.draw(st.sampled_from(corpus))
+        sigma = np.asarray(data.draw(st.permutations(range(p.order))))
+        t = from_table(p.arity, p.order, _carry(p.cube, sigma), verify=False)
+        got = enumerate_normal_polyadic(t, "theorem")
+        assert got == reference_normal_theorem(t)
+        carried = [tuple(sorted(sigma[list(h.members)].tolist()))
+                   for h in enumerate_normal_polyadic(p)]
+        assert [h.members for h in got] == sorted(carried, key=lambda s: (len(s), s))
+
+
 class TestQuotientByCongruence:
     def test_inversion_twist_middle(self, structs):
         congs = congruences_bruteforce(structs["T9"])
@@ -572,18 +605,14 @@ class TestQuotientTransport:
         p = data.draw(st.sampled_from(all_derived(base, data.draw(st.integers(3, 5)))))
         h = data.draw(st.sampled_from(enumerate_normal_polyadic(p)))
         m, n = p.order, p.arity
-
-        def carry(cube, perm):  # the flat table of perm·cube: x ↦ perm[x] on every axis
-            return perm[cube[np.ix_(*[np.argsort(perm)] * n)]].ravel()
-
         sigma = np.asarray(data.draw(st.permutations(range(m))))
-        got = quotient_polyadic(from_table(n, m, carry(p.cube, sigma)), sigma[list(h.members)])
+        got = quotient_polyadic(from_table(n, m, _carry(p.cube, sigma)), sigma[list(h.members)])
 
         want = quotient_polyadic(p, h)
         carried = [tuple(sorted(sigma[list(c)].tolist())) for c in want.classes]
         pi = np.argsort(sorted(range(len(carried)), key=carried.__getitem__))  # class i ↦ its rank
         assert got.classes == tuple(sorted(carried))
-        assert got.quotient == from_table(n, len(carried), carry(want.quotient.cube, pi))
+        assert got.quotient == from_table(n, len(carried), _carry(want.quotient.cube, pi))
 
 
 class TestFromClasses:

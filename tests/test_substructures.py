@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from pglab import polyadic, substructures
 from pglab.catalog import catalog, catalog_group, cyclic, dihedral, direct_product, quaternion8
-from pglab.congruence import congruences_bruteforce, congruences_theorem, quotient_polyadic
+from pglab.congruence import (
+    congruences_bruteforce, congruences_theorem, enumerate_normal_polyadic, quotient_polyadic,
+)
 from pglab.errors import CostCapExceeded, NotNormal, ValidationError
-from pglab.groups import enumerate_subgroups, make_group
+from pglab.groups import Automorphism, enumerate_subgroups, make_group
 from pglab.morphisms import is_polyadic_hom
 from pglab.polyadic import (
-    PolyadicGroup, all_derived, as_table, derive_b, from_table, n_ary_identity, verify_axioms,
+    PolyadicGroup, all_derived, as_table, derive, derive_b, from_table, n_ary_identity,
+    verify_axioms,
 )
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.simplicity import simplicity_report
@@ -21,7 +25,6 @@ from pglab.substructures import (
     _oracle_subgroups,
     _subset_scan,
     coset_classes,
-    enumerate_normal_polyadic,
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
     is_polyadic_subgroup,
@@ -511,6 +514,20 @@ class TestQuotient:
         assert q.classes == ((0, 2), (1, 3))
         assert q.quotient == quotient_polyadic(derive_b(catalog_group("Z4"), 0, 5), (0, 2)).quotient
         assert "flat_np" not in p.__dict__
+
+    def test_theorem_route_holds_under_four_bytes_a_cell(self):
+        # der(Z2⁴, id, 0, 7) / {0, 1}: 8 classes, 8^7 = 2,097,152 class cells;
+        # p's 16^7 cells are past the cost cap, so the theorem route runs alone
+        v = catalog_group("Z2xZ2")
+        p = derive(direct_product(v, v), Automorphism.identity(16), 0, 7)
+        tracemalloc.start()
+        try:
+            q = quotient_polyadic(p, (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.quotient.order == 8 and "flat_np" not in p.__dict__
+        assert peak < 4 * 8**7, peak / 8**7
 
     def test_reduced_on_corpus_sample(self, corpus):
         for p in corpus[::31]:
