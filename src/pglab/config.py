@@ -1,5 +1,5 @@
-"""Resource caps, the per-instance cache, the oracles' one gate and the
-theorem/oracle router.
+"""Resource caps and the one cap check (`refusal`, raised by `charge`), the
+per-instance cache, the oracles' one gate and the theorem/oracle router.
 
 PGLAB_* environment variables override the default caps.
 """
@@ -34,8 +34,8 @@ class Caps:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0:
-                raise ValidationError(f"{f.name} must be non-negative, got {value}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValidationError(f"{f.name} must be a non-negative integer, got {value!r}")
 
 
 DEFAULT_CAPS = Caps()
@@ -64,6 +64,31 @@ def cached_on(obj, key: str, compute: Callable[[], T]) -> T:
     return store[key]
 
 
+# What each cap counts, as its refusals word it.
+_UNITS = {"order_cap": "elements", "arity_cap": "arguments", "axiom_cost_cap": "cells",
+          "hom_oracle_cap": "maps"}
+
+
+def refusal(caps: Caps, cap: str, required: Optional[int], what: str) -> Optional[CapExceeded]:
+    """None when required fits the Caps field cap, else the refusal
+    (OrderCapExceeded for order_cap and arity_cap, CostCapExceeded for the
+    cost caps), worded "{what} needs {required} {unit}; {cap} is {limit}".
+    A required of None is too large to count, and is worded "too many"."""
+    limit = getattr(caps, cap)
+    if required is not None and required <= limit:
+        return None
+    kind = OrderCapExceeded if cap in ("order_cap", "arity_cap") else CostCapExceeded
+    count = "too many" if required is None else required
+    return kind(f"{what} needs {count} {_UNITS[cap]}; {cap} is {limit}", cap=cap, required=required)
+
+
+def charge(caps: Caps, cap: str, required: Optional[int], what: str) -> None:
+    """Raise refusal(caps, cap, required, what) unless it is None."""
+    exc = refusal(caps, cap, required, what)
+    if exc:
+        raise exc
+
+
 # The oracles pack a row of carrier values into one uint64 key, 4 bits a value.
 KEY_VALUES = 16
 
@@ -74,18 +99,14 @@ def oracle_refusal(p, caps: Caps) -> Optional[CapExceeded]:
     and their cells must fit axiom_cost_cap; the congruence oracle's rows
     must fit a packed key (KEY_VALUES values)."""
     m = p.order
-    cells = max(m**p.arity, m << m)
-    if cells > caps.axiom_cost_cap:
-        return CostCapExceeded(
-            f"the oracles need {cells} cells on order {m}, arity {p.arity}; cap is "
-            f"{caps.axiom_cost_cap}", cap="axiom_cost_cap", required=cells,
-        )
-    if m > KEY_VALUES:
-        return OrderCapExceeded(
+    exc = refusal(caps, "axiom_cost_cap", max(m**p.arity, m << m),
+                  f"an oracle run on order {m}, arity {p.arity}")
+    if exc is None and m > KEY_VALUES:
+        exc = OrderCapExceeded(
             f"the oracles pack rows of at most {KEY_VALUES} values, not {m}",
             cap="order_cap", required=m,
         )
-    return None
+    return exc
 
 
 def oracle_fits(p, caps: Caps) -> bool:

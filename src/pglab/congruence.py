@@ -18,12 +18,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, cross_check, refusal
 from .config import KEY_VALUES, oracle_fits, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
-    PolyadicGroup, _twist, _wrap_table, charge_table, n_ary_identity, packed_tuples, row_blocks,
+    PolyadicGroup, _twist, _wrap_table, n_ary_identity, packed_tuples, row_blocks,
 )
 from .substructures import (
     PolyadicSubgroup, _as_subgroups, _cosets, _oracle_subgroups, coset_classes, twisted_conjugates,
@@ -446,7 +446,7 @@ def quotient_polyadic(
         cls_of[list(cls)] = i
 
     def theorem() -> PolyadicGroup:
-        charge_table(k, n, caps, "the quotient table")
+        charge(caps, "axiom_cost_cap", k**n, "the quotient table")
         q, proj = _quotient(p, Congruence(p, classes))
         to_q = np.empty(k, dtype=np.intp)
         to_q[cls_of] = proj[np.asarray(p.view.relabel)]
@@ -462,7 +462,8 @@ def quotient_polyadic(
             raise IllDefined("quotient operation depends on representatives")
         return _wrap_table(n, k, flat, name)
 
-    quotient = cross_check("quotient", "auto", theorem, oracle, p.order**n <= caps.axiom_cost_cap)
+    feasible = refusal(caps, "axiom_cost_cap", p.order**n, "the class signature") is None
+    quotient = cross_check("quotient", "auto", theorem, oracle, feasible)
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")
     return PolyadicQuotient(classes, quotient)

@@ -8,13 +8,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, cached_on
+from .config import Caps, DEFAULT_CAPS, cached_on, charge
 from .errors import (
     NoIdentityAtZero,
     NotAssociative,
     NotAutomorphism,
     NotLatinSquare,
-    OrderCapExceeded,
     ValidationError,
 )
 
@@ -98,10 +97,7 @@ def make_group(
     associativity.  Each failure names the first violating row or triple.
     """
     rows = tuple(tuple(int(x) for x in row) for row in table)
-    if len(rows) > caps.order_cap:
-        raise OrderCapExceeded(
-            f"order {len(rows)} exceeds cap {caps.order_cap}", cap="order_cap", required=len(rows)
-        )
+    charge(caps, "order_cap", len(rows), "the group table")
     return group_from_rows(rows, name)
 
 
@@ -247,12 +243,7 @@ def automorphisms(group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Automor
     """All automorphisms, the injective homomorphisms group → group, as
     permutations in lexicographic order; the search runs once per group,
     order_cap is checked on every call."""
-    m = group.order
-    if m > caps.order_cap:
-        raise OrderCapExceeded(
-            f"automorphism search on order {m} exceeds cap {caps.order_cap}",
-            cap="order_cap", required=m,
-        )
+    charge(caps, "order_cap", group.order, "the automorphism search")
     return list(cached_on(
         group, "automorphisms", lambda: tuple(map(Automorphism, _hom_search(group, group, True)))
     ))

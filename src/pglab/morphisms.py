@@ -15,11 +15,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check, refusal
 from .errors import (
     ArityMismatch,
+    CapExceeded,
     ConditionViolated,
-    CostCapExceeded,
     DecompositionFailed,
     ValidationError,
 )
@@ -72,22 +72,12 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
 
 def _oracle_refusal(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps, scan: bool = True
-) -> Optional[CostCapExceeded]:
+) -> Optional[CapExceeded]:
     """Why the hom oracle may not run from p to q, or None: its |Q|^|P| maps
     must fit hom_oracle_cap (unless scan is False, for a one-map check), and
     the cells of the two m^n tables it reads axiom_cost_cap."""
-    total = q.order**p.order
-    if scan and total > caps.hom_oracle_cap:
-        return CostCapExceeded(
-            f"oracle scan of {total} maps exceeds cap {caps.hom_oracle_cap}",
-            cap="hom_oracle_cap", required=total,
-        )
-    cells = max(p.order, q.order) ** p.arity
-    if cells > caps.axiom_cost_cap:
-        return CostCapExceeded(
-            f"hom check needs {cells} evaluations", cap="axiom_cost_cap", required=cells
-        )
-    return None
+    return (scan and refusal(caps, "hom_oracle_cap", q.order**p.order, "the hom oracle's scan")
+            or refusal(caps, "axiom_cost_cap", max(p.order, q.order) ** p.arity, "the hom check"))
 
 
 def is_polyadic_hom(

@@ -14,18 +14,17 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, cached_on, cross_check
+from .config import Caps, DEFAULT_CAPS, cached_on, charge, cross_check, refusal
 from .errors import (
     ArityMismatch,
     BNotFixed,
-    CostCapExceeded,
+    CapExceeded,
     NoSolution,
     NotAssociative,
     NotCentral,
     NotSolvable,
     NotUnique,
     NotAutomorphism,
-    OrderCapExceeded,
     PowerCondition,
     RoundTripMismatch,
     ValidationError,
@@ -245,10 +244,8 @@ def _check_arity_order(n: int, m: int, caps: Caps) -> None:
         raise ValidationError(f"arity must be at least 2, got {n}")
     if m < 1:
         raise ValidationError(f"order must be at least 1, got {m}")
-    if n > caps.arity_cap:
-        raise OrderCapExceeded(f"arity {n} exceeds cap {caps.arity_cap}", cap="arity_cap", required=n)
-    if m > caps.order_cap:
-        raise OrderCapExceeded(f"order {m} exceeds cap {caps.order_cap}", cap="order_cap", required=m)
+    charge(caps, "arity_cap", n, "the operation")
+    charge(caps, "order_cap", m, "the carrier")
 
 
 def derive(
@@ -318,15 +315,22 @@ def verify_table_axioms(
     m, n = order, arity
     _check_arity_order(n, m, caps)
     small = _table_array(n, m, flat)
-    cost = m ** (2 * n - 1)
-    if cost > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"exhaustive associativity needs {cost} evaluations, cap is "
-            f"{caps.axiom_cost_cap}",
-            cap="axiom_cost_cap", required=cost,
-        )
+    exc = _exhaustive_refusal(m, n, caps)
+    if exc:
+        raise exc
+    return _exhaustive_report(small, m, n, _check_solvability(small.reshape((m,) * n), m, n))
+
+
+def _exhaustive_refusal(m: int, n: int, caps: Caps) -> Optional[CapExceeded]:
+    """The exhaustive check's gate: its m^(2n−1) tuples within axiom_cost_cap."""
+    return refusal(caps, "axiom_cost_cap", m ** (2 * n - 1), "exhaustive associativity")
+
+
+def _exhaustive_report(small: np.ndarray, m: int, n: int, solvability: tuple) -> AxiomReport:
+    """The exhaustive check's report on the raw table small: its
+    associativity witness first, then solvability's violations."""
     bad = _associativity_witness(small, m, n)
-    solvable, violations = _check_solvability(small.reshape((m,) * n), m, n)
+    solvable, violations = solvability
     return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
 
 
@@ -397,21 +401,10 @@ def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     return arr.astype(np.min_scalar_type(m - 1), copy=False)
 
 
-def charge_table(order: int, arity: int, caps: Caps, what: str) -> None:
-    """Refuse (CostCapExceeded) unless the order^arity cells of the table
-    that what reads or builds fit axiom_cost_cap."""
-    cells = order**arity
-    if cells > caps.axiom_cost_cap:
-        raise CostCapExceeded(
-            f"{what} needs {cells} cells; cap is {caps.axiom_cost_cap}",
-            cap="axiom_cost_cap", required=cells,
-        )
-
-
 def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
     """_check_solvability of p's table, stored on p; reading its m^n cells
     is charged to axiom_cost_cap (CostCapExceeded)."""
-    charge_table(p.order, p.arity, caps, "the axiom check")
+    charge(caps, "axiom_cost_cap", p.order**p.arity, "the axiom check")
     return cached_on(p, "solvability", lambda: _check_solvability(p.cube, p.order, p.arity))
 
 
@@ -441,13 +434,8 @@ def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
         raise ValidationError("verify_axioms expects a table presentation")
     m, n = p.order, p.arity
     solvable, violations = _solvability(p, caps)
-    feasible = m ** (2 * n - 1) <= caps.axiom_cost_cap
-
-    @cache
-    def oracle() -> AxiomReport:
-        bad = _associativity_witness(p.flat_np, m, n)
-        return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
-
+    feasible = _exhaustive_refusal(m, n, caps) is None
+    oracle = cache(lambda: _exhaustive_report(p.flat_np, m, n, (solvable, violations)))
     if not solvable:
         return oracle() if feasible else AxiomReport(None, False, violations)
     report = cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)
@@ -491,7 +479,7 @@ def as_table(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> PolyadicGroup:
     derived group's m^n cells must fit axiom_cost_cap before it is built."""
     if not p.is_derived:
         return p
-    charge_table(p.order, p.arity, caps, "the table form")
+    charge(caps, "axiom_cost_cap", p.order**p.arity, "the table form")
     return PolyadicGroup(p.arity, TablePresentation(p.order, p.flat_np.tobytes()), name=p.name)
 
 

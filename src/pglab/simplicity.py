@@ -14,13 +14,8 @@ from typing import Callable, Iterable, Literal, Optional, TypeVar
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, oracle_fits, routes
-from .errors import (
-    CostCapExceeded,
-    InternalContradiction,
-    MethodDisagreement,
-    ValidationError,
-)
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, oracle_fits, routes
+from .errors import InternalContradiction, MethodDisagreement, ValidationError
 from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences, enumerate_normal_polyadic
 from .groups import FiniteGroup, automorphisms
@@ -145,11 +140,8 @@ def census(
         m, n = int(order), int(arity)
         e = m**n + 2 * n - 1
         cells = m**e if e * (m.bit_length() - 1) <= caps.axiom_cost_cap.bit_length() else None
-        if cells is None or cells > caps.axiom_cost_cap:
-            raise CostCapExceeded(
-                f"exhaustive census needs {m}^{e} cells on order {m}, arity {n}; cap is "
-                f"{caps.axiom_cost_cap}", cap="axiom_cost_cap", required=cells,
-            )
+        charge(caps, "axiom_cost_cap", cells,
+               f"the exhaustive census of order {m}, arity {n} ({m}^{e} cells)")
         flats = [
             flat for flat in itertools.product(range(order), repeat=order**arity)
             if verify_table_axioms(arity, order, flat, caps=caps).ok

@@ -159,6 +159,7 @@ class TestCensus:
             (["census", "--order", "3", "--arity", "3", "--mode", "exhaustive"],
              "--axiom-cost-cap", "PGLAB_AXIOM_COST_CAP"),
             (["--order-cap", "1", "analyze", "{T2b}"], "--order-cap", "PGLAB_ORDER_CAP"),
+            (["--arity-cap", "2", "analyze", "{T2b}"], "--arity-cap", "PGLAB_ARITY_CAP"),
         ],
     )
     def test_refusal_names_flag_and_variable(self, doc_path, monkeypatch, capsys, argv, flag,

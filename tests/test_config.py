@@ -89,6 +89,14 @@ class TestCaps:
         with pytest.raises(ValidationError):
             Caps(order_cap=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("axiom_cost_cap", 1e8), ("order_cap", "16"), ("hom_oracle_cap", None),
+        ("axiom_cost_cap", True), ("order_cap", 1.5),
+    ])
+    def test_non_integer_cap_refused(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            Caps(**{field: value})
+
     def test_env_must_be_integer(self):
         with pytest.raises(ValidationError):
             caps_from_env(environ={"PGLAB_ORDER_CAP": "abc"})
@@ -109,12 +117,19 @@ class TestCaps:
             ("axiom_cost_cap", lambda s, c: congruences_bruteforce(s["T4"], c)),
             ("axiom_cost_cap", lambda s, c: census(2, 3, "exhaustive", c)),
             ("hom_oracle_cap", lambda s, c: enumerate_homs(s["T3"], s["T3"], "oracle", c)),
+            ("axiom_cost_cap", lambda s, c: as_table(s["T3"], c)),
+            ("axiom_cost_cap", lambda s, c: quotient_polyadic(s["T3"], [0], c)),
+            ("axiom_cost_cap", lambda s, c: from_table(3, 2, as_table(s["T2"]).presentation.flat, c)),
         ],
     )
     def test_refusal_names_its_cap(self, structs, cap, call):
         with pytest.raises(CapExceeded) as exc:
             call(structs, Caps(**{cap: 1}))
         assert exc.value.cap == cap
+        # the requirement, or "too many" when it is not counted, and the cap field
+        required = exc.value.required
+        assert f" needs {'too many' if required is None else required} " in str(exc.value)
+        assert str(exc.value).endswith(f"; {cap} is 1")
 
     def test_quotients_do_not_check_the_caps_again(self):
         """der(Z18, id, 0, 3) built under order_cap 18 has order-18
