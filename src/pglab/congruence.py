@@ -13,7 +13,7 @@ normal witnesses and the normal polyadic subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -119,23 +119,33 @@ def _relations(keys: np.ndarray, m: int) -> np.ndarray:
 def congruences_bruteforce(
     p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
-    """The congruence lattice by Mal'cev's lemma, true in every algebra:
-    Cg(a, b) is the least equivalence containing (a, b) that the basic
-    translations and skew respect, and every congruence is a join of these
-    (R. Freese, Algebra Universalis 59, 2008).  The oracles' gate
-    (config.oracle_refusal) is checked on every call, before any table is
-    built; the lattice is stored on p."""
+    """The congruence lattice by Mal'cev's lemma, true in every algebra: Cg(a, b) is the least
+    equivalence containing (a, b) that the basic translations (_translations: by Post's lemma
+    on a derived group) and skew respect, and every congruence is a join of these (R. Freese,
+    Algebra Universalis 59, 2008).  The oracles' gate (config.oracle_refusal) is checked on
+    every call; the lattice is stored on p."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
     return list(cached_on(p, "congruences_oracle", lambda: _malcev_lattice(p)))
 
 
+def _translations(p: PolyadicGroup) -> np.ndarray:
+    """The keys of p's distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}): a table,
+    maybe no n-ary group (from_table(verify=False)), gives every row of every axis.  In
+    an n-ary group each is x ↦ f(α, u,…,u, x, u,…,u, γ), α dropped at the first position
+    and γ at the last (E. L. Post, Trans. AMS 48, 1940): a derived group's, by one eval_many."""
+    m, n, r = p.order, p.arity, np.arange(p.order)
+    if not p.is_derived:
+        return reduce(np.union1d, [_keys(p.cube.swapaxes(i, -1).reshape(-1, m)) for i in range(n)])
+    grid = np.zeros((n, n, m, m, m), dtype=np.intp)  # [argument, position, α, γ, x], u = 0
+    grid[0], grid[-1], grid[range(n), range(n)] = r[:, None, None], r[:, None], r
+    return np.unique(_keys(p.eval_many(grid.reshape(n, -1)).reshape(-1, m).astype(np.uint8)))
+
+
 def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
     m = p.order
-    # the distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}), then skew
-    keys = [np.unique(_keys(np.moveaxis(p.cube, i, -1).reshape(-1, m))) for i in range(p.arity)]
-    maps = np.vstack([_rows(np.unique(np.concatenate(keys)), m), [p.skew_table]])
+    maps = np.vstack([_rows(_translations(p), m), [p.skew_table]])
     # Cg(a, b) for every a < b, a fixpoint on a stack of relations held as
     # labels (x ↦ the least member of its class): a round relates t(x) to
     # t(label x) for every map t and every x not its own label, then closes

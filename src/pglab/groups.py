@@ -28,6 +28,9 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
+    def __hash__(self) -> int:  # the dataclass's value hash, computed once
+        return cached_on(self, "hash", lambda: hash((self.table,)))
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 

@@ -91,6 +91,9 @@ class PolyadicGroup:
     def is_derived(self) -> bool:
         return isinstance(self.presentation, DerivedPresentation)
 
+    def __hash__(self) -> int:  # the dataclass's value hash, computed once
+        return cached_on(self, "hash", lambda: hash((self.arity, self.presentation)))
+
     @cached_property
     def theta_pows(self) -> np.ndarray:
         """Permutations id, theta, theta², ..., theta^(n-1), one a row."""

@@ -135,12 +135,11 @@ def census(
         classes = [c for base in bases for c in _twist_classes(base, arity, caps)]
     else:
         _check_arity_order(arity, order, caps)
-        # m^(m^n) tables of m^(2n−1) tuples each, m^e cells: counted only when
-        # they may fit (m^e ≥ 2^(e·⌊log₂ m⌋)), and named as a power
+        # m^(m^n) tables of m^(2n−1) tuples each, m^e cells, named as a power and
+        # counted while e·⌊log₂ m⌋ ≤ 64: past that, m^e exceeds every 64-bit cap
         m, n = int(order), int(arity)
         e = m**n + 2 * n - 1
-        cells = m**e if e * (m.bit_length() - 1) <= caps.axiom_cost_cap.bit_length() else None
-        charge(caps, "axiom_cost_cap", cells,
+        charge(caps, "axiom_cost_cap", m**e if e * (m.bit_length() - 1) <= 64 else None,
                f"the exhaustive census of order {m}, arity {n} ({m}^{e} cells)")
         flats = [
             flat for flat in itertools.product(range(order), repeat=order**arity)

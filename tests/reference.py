@@ -14,7 +14,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from pglab.config import DEFAULT_CAPS
-from pglab.congruence import Congruence, KernelClass, LatticeOps, _partition_by, class_signature
+from pglab.congruence import (
+    Congruence, KernelClass, LatticeOps, _keys, _partition_by, class_signature,
+)
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
     NotUnique, PowerCondition,
@@ -227,6 +229,15 @@ def reference_partition_scan(p: PolyadicGroup):
             fibres.setdefault(c, []).append(x)
         out.append(tuple(sorted(tuple(c) for c in fibres.values())))
     return sorted(out, key=lambda classes: (-len(classes), classes))
+
+
+def reference_translations(p: PolyadicGroup) -> np.ndarray:
+    """The keys of p's distinct basic translations as the congruence oracle
+    read them before Post's lemma, for every input: each position's m^(n−1)
+    rows of the m^n table, deduplicated per position and then together."""
+    m = p.order
+    keys = [np.unique(_keys(np.moveaxis(p.cube, i, -1).reshape(-1, m))) for i in range(p.arity)]
+    return np.unique(np.concatenate(keys))
 
 
 def normal_congruence_condition_direct(r, a: int) -> bool:

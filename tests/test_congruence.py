@@ -21,12 +21,12 @@ from pglab.congruence import (
     quotient_by_congruence,
     quotient_polyadic,
 )
-from pglab.catalog import catalog, catalog_group
-from pglab.config import Caps
+from pglab.catalog import catalog, catalog_group, groups_of_order
+from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import MethodDisagreement, OrderCapExceeded, ValidationError
 from pglab.groups import Automorphism, make_group
-from pglab.polyadic import all_derived, as_table, derive, derive_b, from_table
-from pglab.simplicity import simplicity_report
+from pglab.polyadic import PolyadicGroup, all_derived, as_table, derive, derive_b, from_table
+from pglab.simplicity import _twist_classes, simplicity_report
 from pglab.substructures import (
     enumerate_polyadic_subgroups,
     is_normal_polyadic,
@@ -43,6 +43,7 @@ from reference import (
     reference_normal_congruence,
     reference_normal_theorem,
     reference_partition_scan,
+    reference_translations,
     related,
     restricted_growth_strings,
     twisted_quotient,
@@ -153,6 +154,36 @@ class TestBruteforce:
         got = [c.classes for c in congruences_bruteforce(p)]
         assert ((0, 1), (2, 3)) not in got
         assert got == reference_partition_scan(p)
+
+
+class TestTranslations:
+    """The congruence oracle's maps: on a derived group Post's
+    f(α, 0,…,0, x, 0,…,0, γ), on a table every row of every axis.  Both must
+    be the distinct translations the table rows give.  The lattice tests
+    above cannot tell a map set that only generates the same congruences
+    (γ held at 0 at the inner positions, or the end positions dropped, give
+    the true lattice on the whole corpus), so the sets are compared here."""
+
+    def test_equal_the_table_rows_on_the_corpus(self, corpus):
+        for p in corpus:
+            fresh = PolyadicGroup(p.arity, p.presentation)  # holds no table yet
+            post = congruence._translations(fresh)
+            assert "flat_np" not in fresh.__dict__
+            expected = reference_translations(fresh)
+            assert np.array_equal(post, expected), p
+            assert np.array_equal(congruence._translations(as_table(fresh)), expected), p
+
+    @pytest.mark.parametrize("order, arity", [(7, 7), (7, 8), (8, 7), (8, 8)])
+    def test_equal_the_table_rows_on_census_representatives(self, order, arity):
+        for base in groups_of_order(order):
+            for p, _ in _twist_classes(base, arity, DEFAULT_CAPS):
+                assert np.array_equal(congruence._translations(p), reference_translations(p)), p
+
+    def test_derived_oracle_builds_no_operation_table(self):
+        v = catalog_group("Z2xZ2")
+        for p in (derive(v, Automorphism((0, 2, 1, 3)), 0, 7), derive_b(catalog_group("Z7"), 2, 7)):
+            assert congruences_bruteforce(p) == congruences_theorem(p)
+            assert "flat_np" not in p.__dict__
 
 
 class TestTheorem:

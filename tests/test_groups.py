@@ -107,6 +107,12 @@ class TestMakeGroup:
         with pytest.raises(ValidationError):
             make_group(table)
 
+    def test_hash_is_by_value_and_stable(self):
+        g, h = make_group(KLEIN_TABLE, name="V"), make_group(KLEIN_TABLE)
+        assert g is not h and g == h
+        assert hash(g) == hash(h) == hash(g) == hash((g.table,))
+        assert len({g, h, make_group(Z3_TABLE)}) == 2
+
 
 class TestSubgroups:
     def test_z4_all(self):

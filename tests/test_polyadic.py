@@ -233,6 +233,16 @@ class TestEval:
             assert p.flat_np.tolist() == [p.eval(list(args)) for args in every]
 
 
+class TestHash:
+    def test_equal_structures_built_apart_hash_alike(self):
+        p, q = (derive_b(cyclic(8), 3, 5, name=name) for name in ("p", ""))
+        t, u = as_table(p), as_table(q)
+        assert p is not q and p == q and t is not u and t == u
+        assert hash(p) == hash(q) == hash(p) == hash((p.arity, p.presentation))
+        assert hash(t) == hash(u) == hash(t) == hash((t.arity, t.presentation))
+        assert len({p, q, t, u}) == 2
+
+
 class TestAsTable:
     def test_cells_charged_before_the_table_is_built(self):
         # der(Z8, id, 0, 5) has 8^5 = 32,768 cells

@@ -193,6 +193,14 @@ class TestCensus:
             census(2, 3, "exhaustive", caps=Caps(axiom_cost_cap=2**13 - 1))
         assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 2**13)
 
+    def test_exhaustive_refusal_counts_below_the_cap_bits(self):
+        # the size guard counts m^e whenever e·⌊log₂ m⌋ ≤ 64, whatever the
+        # cap: (2, 3) needs 2^13 cells, a 12-bit cap refuses that number
+        with pytest.raises(CostCapExceeded) as info:
+            census(2, 3, "exhaustive", caps=Caps(axiom_cost_cap=4000))
+        assert info.value.required == 2**13
+        assert "needs 8192 cells; axiom_cost_cap is 4000" in str(info.value)
+
     def test_exhaustive_refusal_computes_no_huge_count(self):
         start = time.perf_counter()
         with pytest.raises(CostCapExceeded) as info:
