@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation failure or a closed stdout, 2 cap
 exceedance.  Caps come from PGLAB_* environment variables and
 per-invocation flags.  analyze and census cross-check with the congruence
-and subgroup oracles only where their m^n table and m·2^m mask fit
---axiom-cost-cap (order ≤ 16).
+and subgroup oracles only where the subset scan's m·2^m mask fits
+--axiom-cost-cap and the order fits a packed key (order ≤ 16).
 """
 
 from __future__ import annotations

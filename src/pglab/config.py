@@ -95,23 +95,18 @@ KEY_VALUES = 16
 
 def oracle_refusal(p, caps: Caps) -> Optional[CapExceeded]:
     """Why the congruence and subgroup oracles may not run on p, or None:
-    both build the m^n table, the subgroup oracle an m·2^m subset mask too,
-    and their cells must fit axiom_cost_cap; the congruence oracle's rows
-    must fit a packed key (KEY_VALUES values)."""
+    the subgroup oracles' m·2^m subset mask must fit axiom_cost_cap, and
+    every oracle's rows a packed key (KEY_VALUES values).  No oracle builds
+    the m^n table of a derived p (the congruence oracle reads Post's
+    translations, the subset scan Post's closure families)."""
     m = p.order
-    exc = refusal(caps, "axiom_cost_cap", max(m**p.arity, m << m),
-                  f"an oracle run on order {m}, arity {p.arity}")
+    exc = refusal(caps, "axiom_cost_cap", m << m, f"an oracle run on order {m}")
     if exc is None and m > KEY_VALUES:
         exc = OrderCapExceeded(
             f"the oracles pack rows of at most {KEY_VALUES} values, not {m}",
             cap="order_cap", required=m,
         )
     return exc
-
-
-def oracle_fits(p, caps: Caps) -> bool:
-    """The one gate of both oracles: whether they may run on p."""
-    return oracle_refusal(p, caps) is None
 
 
 def routes(strategy: Strategy, oracle_feasible: bool) -> str:

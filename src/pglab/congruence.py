@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, cross_check, refusal
-from .config import KEY_VALUES, oracle_fits, oracle_refusal
+from .config import KEY_VALUES, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
@@ -190,7 +190,7 @@ def congruences(
         strategy,
         lambda: congruences_theorem(p),
         lambda: congruences_bruteforce(p, caps),
-        oracle_fits(p, caps),
+        oracle_refusal(p, caps) is None,
     )
 
 
@@ -389,7 +389,7 @@ def enumerate_normal_polyadic(
         strategy,
         lambda: cached_on(p, "normal_theorem", theorem),
         lambda: _as_subgroups(p, _oracle_subgroups(p, caps, normal=True)),
-        oracle_fits(p, caps),
+        oracle_refusal(p, caps) is None,
     ))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Literal, Optional, TypeVar
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, oracle_fits, routes
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, oracle_refusal, routes
 from .errors import InternalContradiction, MethodDisagreement, ValidationError
 from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences, enumerate_normal_polyadic
@@ -93,7 +93,7 @@ def simplicity_report(
         **{key: flag for key, (flag, _) in found.items()},
         reduced=is_reduced(p),
         degenerate=p.order == 1,
-        method=routes(method, oracle_fits(p, caps)),
+        method=routes(method, oracle_refusal(p, caps) is None),
         witnesses={key: w for key, (_, w) in found.items() if w is not None},
     )
 

@@ -16,11 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check
-from .config import oracle_fits, oracle_refusal
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check, oracle_refusal
 from .errors import NoSolution, NotNormal, ValidationError
 from .groups import invariant_subgroups
-from .polyadic import PolyadicGroup, packed_tuples, row_blocks, split_tuples
+from .polyadic import PolyadicGroup, row_blocks, split_tuples
 
 
 @dataclass(frozen=True)
@@ -47,19 +46,29 @@ def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int
     return members
 
 
-def _closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """For each row of members (the sorted members of a subset, all rows of
-    one size), whether the operation with this table (an m×…×m cube, one
-    axis per argument) maps every tuple of members into the subset."""
-    m, n = cube.shape[0], cube.ndim
-    flat = cube.ravel()
-    out = [np.zeros(0, dtype=bool)]
-    for block in row_blocks(members, members.shape[1] ** n):
-        inside = np.zeros((len(block), m), dtype=bool)
-        np.put_along_axis(inside, block, True, axis=1)
-        values = flat[packed_tuples(block, m, n)]
-        out.append(np.take_along_axis(inside, values, axis=1).all(axis=1))
-    return np.concatenate(out)
+def _closed(p: PolyadicGroup, members: np.ndarray) -> np.ndarray:
+    """For each row of members (the sorted members of a skew-closed subset
+    S, all rows of one size k), whether f maps S into S, by Post's reduction
+    (E. L. Post, "Polyadic groups", Trans. AMS 48, 1940): with u the least
+    member and ū = skew(u), exactly when f maps into S, for s, t in S, the
+    tuples (A_j) (s, u^(j−1), t, u^(n−j−2), ū), j = 1..n−2, and (B)
+    (s, u^(n−2), t), family j = n−1; each picks its arguments from a row's
+    members and ū (column k), by one eval_many per block of the rows the
+    families before it kept.  The proof reads the n-ary group axioms, not
+    the split: from_table(verify=False) is the caller's promise of them."""
+    n, k = p.arity, members.shape[1]
+    s, t = np.divmod(np.arange(k * k), k)
+    pool = np.column_stack([members, np.asarray(p.skew_table)[members[:, 0]]]).T
+    bits = np.left_shift(1, members).sum(axis=1)
+    keep = np.ones(len(members), dtype=bool)
+    for j in range(1, n):
+        family = np.zeros((n, k * k), dtype=np.intp)
+        family[-1], family[0], family[j] = k, s, t  # (B) puts t last
+        for rows in row_blocks(np.flatnonzero(keep), k * k):
+            args = pool[family[..., None], rows].reshape(n, -1)
+            values = p.eval_many(args).reshape(k * k, -1)
+            keep[rows] = (bits[rows] >> values & 1).all(axis=0)
+    return keep
 
 
 def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
@@ -77,7 +86,7 @@ def _oracle_subgroups(
 ) -> tuple[tuple[int, ...], ...]:
     """The subset scan's polyadic subgroups, or the normal ones, each stored
     on p; the oracles' gate (config.oracle_refusal) is checked on every
-    call, before any table or mask is built."""
+    call, before the mask is built."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
@@ -93,10 +102,10 @@ def _subset_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...],
     """The nonempty subsets closed under f and each unary map (a row of
     images, the diagonal among them), in mask order.  A mask S passes when
     need[x], the OR of the bits of x's images, lies in S for every x in S;
-    survivors of sizes 2..m−1 are checked for closure under the term
-    g(x, y, z) = f(x, y, z, …, z) (arity > 3) and under f.  {x} is closed
-    exactly when the diagonal fixes x, and the whole carrier always is."""
-    m, n = p.order, p.arity
+    survivors of sizes 2..m−1 are checked for closure under f by Post's
+    reduction (_closed).  {x} is closed exactly when the diagonal fixes x,
+    and the whole carrier always is."""
+    m = p.order
     need = np.bitwise_or.reduce(np.left_shift(1, images.astype(np.int64)), axis=0)
     covered = np.zeros(1, dtype=np.int64)  # covered[S]: the OR of need over S
     for x in range(m):
@@ -104,16 +113,10 @@ def _subset_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...],
     masks = np.flatnonzero((covered & ~np.arange(1 << m)) == 0)[1:]
     inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
     sizes = inside.sum(axis=1)
-    tables = [p.cube]
-    if n > 3:
-        z = np.arange(m)
-        tables = [p.cube[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], p.cube]
     found = [np.flatnonzero((sizes == 1) | (sizes == m))]
     for k in np.unique(sizes[(sizes > 1) & (sizes < m)]):
         rows = np.flatnonzero(sizes == k)
-        for cube in tables:
-            rows = rows[_closed(cube, np.nonzero(inside[rows])[1].reshape(-1, k))]
-        found.append(rows)
+        found.append(rows[_closed(p, np.nonzero(inside[rows])[1].reshape(-1, k))])
     return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
 
 
@@ -149,7 +152,7 @@ def enumerate_polyadic_subgroups(
         strategy,
         lambda: cached_on(p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p))),
         lambda: _as_subgroups(p, _oracle_subgroups(p, caps)),
-        oracle_fits(p, caps),
+        oracle_refusal(p, caps) is None,
     ))
 
 

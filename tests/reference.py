@@ -27,10 +27,11 @@ from pglab.groups import (
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import (
     AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
+    packed_tuples, row_blocks,
 )
 from pglab.substructures import (
-    PolyadicSubgroup, _closed, _conjugates, _cosets, _members, _oracle_subgroups, _stays_inside,
-    coset_classes, enumerate_polyadic_subgroups, is_normal_polyadic,
+    PolyadicSubgroup, _conjugates, _cosets, _members, _stays_inside, coset_classes,
+    enumerate_polyadic_subgroups, is_normal_polyadic,
 )
 
 
@@ -140,10 +141,54 @@ def normal_by_conjugate_table(p: PolyadicGroup, members: Sequence[int]) -> bool:
     return _stays_inside(_conjugates(p), members)
 
 
+def cube_closed(cube: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The subset scan's closure test before Post's reduction: for each row
+    of members (the sorted members of a subset, all rows of one size),
+    whether the operation with this table (an m×…×m cube, one axis per
+    argument) maps every tuple of members into the subset."""
+    m, n = cube.shape[0], cube.ndim
+    flat = cube.ravel()
+    out = [np.zeros(0, dtype=bool)]
+    for block in row_blocks(members, members.shape[1] ** n):
+        inside = np.zeros((len(block), m), dtype=bool)
+        np.put_along_axis(inside, block, True, axis=1)
+        values = flat[packed_tuples(block, m, n)]
+        out.append(np.take_along_axis(inside, values, axis=1).all(axis=1))
+    return np.concatenate(out)
+
+
+def reference_cube_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The subset scan before Post's reduction, reading p's m^n table: the
+    masks closed under each unary map (a row of images), then, per size
+    2..m−1, closure under the term g(x, y, z) = f(x, y, z, …, z) (arity > 3)
+    and under f, each by cube_closed."""
+    m, n = p.order, p.arity
+    need = np.bitwise_or.reduce(np.left_shift(1, images.astype(np.int64)), axis=0)
+    covered = np.zeros(1, dtype=np.int64)
+    for x in range(m):
+        covered = np.concatenate([covered, covered | need[x]])
+    masks = np.flatnonzero((covered & ~np.arange(1 << m)) == 0)[1:]
+    inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
+    sizes = inside.sum(axis=1)
+    tables = [p.cube]
+    if n > 3:
+        z = np.arange(m)
+        tables = [p.cube[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], p.cube]
+    found = [np.flatnonzero((sizes == 1) | (sizes == m))]
+    for k in np.unique(sizes[(sizes > 1) & (sizes < m)]):
+        rows = np.flatnonzero(sizes == k)
+        for cube in tables:
+            rows = rows[cube_closed(cube, np.nonzero(inside[rows])[1].reshape(-1, k))]
+        found.append(rows)
+    return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
+
+
 def reference_normal_scan(p: PolyadicGroup) -> tuple[tuple[int, ...], ...]:
-    """The normal oracle before its unary filter took the conjugations: the
-    subgroup oracle's scan, filtered by normal_by_conjugate_table."""
-    return tuple(s for s in _oracle_subgroups(p, DEFAULT_CAPS) if normal_by_conjugate_table(p, s))
+    """The normal oracle before its unary filter took the conjugations and
+    its closure test was Post's: the cube scan's polyadic subgroups,
+    filtered by normal_by_conjugate_table."""
+    subgroups = reference_cube_scan(p, np.vstack([p.skew_table, p.diagonal]))
+    return tuple(s for s in subgroups if normal_by_conjugate_table(p, s))
 
 
 def reference_normal_theorem(p: PolyadicGroup) -> list[PolyadicSubgroup]:
@@ -334,7 +379,7 @@ def polyadic_subgroup_by_closure(p: PolyadicGroup, members: Sequence[int]) -> bo
     mset = set(members)
     if any(p.skew(x) not in mset for x in members):
         return False
-    return bool(_closed(p.cube, np.asarray([members]))[0])
+    return bool(cube_closed(p.cube, np.asarray([members]))[0])
 
 
 def polyadic_coset(

@@ -167,10 +167,10 @@ class TestCaches:
         [
             (lambda p, caps: automorphisms(p.presentation.base, caps), False,
              Caps(order_cap=2), OrderCapExceeded),
-            # der(Z3, id, 0, 3): the oracles' 27-cell table meets a cap of 26
-            (congruences_bruteforce, False, Caps(axiom_cost_cap=26), CostCapExceeded),
+            # der(Z3, id, 0, 3): the oracles' 3·2^3 = 24-bit subset mask meets a cap of 23
+            (congruences_bruteforce, False, Caps(axiom_cost_cap=23), CostCapExceeded),
             (lambda p, caps: enumerate_polyadic_subgroups(p, "oracle", caps), False,
-             Caps(axiom_cost_cap=26), CostCapExceeded),
+             Caps(axiom_cost_cap=23), CostCapExceeded),
         ],
     )
     def test_caps_are_checked_before_the_cached_answer(self, call, table, tight, error):

@@ -19,7 +19,7 @@ from pglab.polyadic import (
     verify_axioms,
 )
 from pglab.config import DEFAULT_CAPS, Caps
-from pglab.simplicity import simplicity_report
+from pglab.simplicity import census, simplicity_report
 from pglab.substructures import (
     _conjugates,
     _oracle_subgroups,
@@ -258,7 +258,7 @@ class TestNormalScan:
         checked = []
         real = substructures._closed
         monkeypatch.setattr(
-            substructures, "_closed", lambda cube, rows: checked.append(rows) or real(cube, rows)
+            substructures, "_closed", lambda q, rows: checked.append(rows) or real(q, rows)
         )
         seen = 0
         for p in small_corpus:
@@ -274,10 +274,44 @@ class TestNormalScan:
         assert seen > 0
 
 
+def z2_4(images, arity):
+    """der(Z2⁴, θ, 0, arity) on bit vectors (x·y = x XOR y), θ the linear
+    map sending the basis vector 2^i to images[i]."""
+    base = make_group([[x ^ y for y in range(16)] for x in range(16)])
+    perm = [0] * 16
+    for x in range(16):
+        for i in range(4):
+            perm[x] ^= images[i] if x >> i & 1 else 0
+    return derive(base, Automorphism(tuple(perm)), 0, arity)
+
+
+def no_table(monkeypatch):
+    """Make building any m^n table (polyadic._twisted_table) fail."""
+
+    def built(*args):
+        raise AssertionError("an m^n table was built")
+
+    monkeypatch.setattr(polyadic, "_twisted_table", built)
+
+
+def assert_routes_agree(p):
+    """Theorem and oracle give the same polyadic subgroups, normal ones and
+    congruences, and a report runs both routes."""
+    for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
+        theorem = [s.members for s in enumerate_(p, strategy="theorem")]
+        oracle = [s.members for s in enumerate_(p, strategy="oracle")]
+        assert theorem == oracle
+    oracle = congruences_bruteforce(p)
+    assert [c.classes for c in oracle] == [c.classes for c in congruences_theorem(p)]
+    assert simplicity_report(p).method == "both"
+
+
 class TestBeyondDefaultOracleRange:
-    """Orders 13-16: the filtered subset scan (its ternary-term filter on at
-    arities 4 and 5) and the Mal'cev congruence oracle are the independent
-    checks of the theorem routes there, and "auto" runs both oracles."""
+    """Orders 13-16 and arities whose m^n table is past axiom_cost_cap: the
+    filtered subset scan (Post's closure families) and the Mal'cev
+    congruence oracle (Post's translations) are the independent checks of
+    the theorem routes there, "auto" runs both oracles, and on derived
+    input no route builds the m^n table."""
 
     @pytest.mark.parametrize(
         "base",
@@ -293,57 +327,82 @@ class TestBeyondDefaultOracleRange:
         ],
         ids=["D7", "Z13", "Z2xZ8", "Q8xZ2", "D8", "Z2^4", "Z4xZ4", "Z16"],
     )
-    def test_theorem_equals_closure_oracle(self, base):
+    def test_theorem_equals_closure_oracle(self, base, monkeypatch):
         rng = random.Random(base.order)
+        no_table(monkeypatch)
         for arity in (3, 4, 5):
             for p in rng.sample(all_derived(base, arity), 3):
-                for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
-                    theorem = [s.members for s in enumerate_(p, strategy="theorem")]
-                    oracle = [s.members for s in enumerate_(p, strategy="oracle")]
-                    assert theorem == oracle
-                oracle = congruences_bruteforce(p)
-                assert [c.classes for c in oracle] == [c.classes for c in congruences_theorem(p)]
-                assert simplicity_report(p).method == "both"
+                assert_routes_agree(p)
+
+    @pytest.mark.parametrize(
+        "images, arity, counts",
+        [((1, 2, 4, 8), 8, (67, 67, 67)), ((2, 4, 8, 15), 6, (17, 1, 2))],
+        ids=["id-8", "theta5-6"],
+    )
+    def test_z2_4_past_the_table_cap(self, monkeypatch, images, arity, counts):
+        # θ₅ (the companion map of x⁴+x³+x²+x+1) has order 5, so θ₅^5 = id
+        p = z2_4(images, arity)
+        assert p.order**arity > DEFAULT_CAPS.axiom_cost_cap
+        no_table(monkeypatch)
+        assert_routes_agree(p)
+        subs, normal = enumerate_polyadic_subgroups(p), enumerate_normal_polyadic(p)
+        assert (len(subs), len(normal), len(congruences_theorem(p))) == counts
+
+    def test_census_8_8_representatives(self, monkeypatch):
+        entries = census(8, 8)
+        assert len(entries) == 7 and all(e.report.method == "both" for e in entries)
+        no_table(monkeypatch)
+        for e in entries:
+            r = e.representative
+            assert_routes_agree(PolyadicGroup(r.arity, r.presentation))
+
+    def test_no_table_on_derived_input(self, corpus, monkeypatch):
+        """Both routes of the subgroup, normal and simplicity deciders run
+        on every sampled derived structure, and none builds its m^n table."""
+        no_table(monkeypatch)
+        for r in corpus[::7]:
+            p = PolyadicGroup(r.arity, r.presentation)
+            enumerate_polyadic_subgroups(p)
+            enumerate_normal_polyadic(p)
+            assert simplicity_report(p).method == "both"
+            assert {"subgroups_theorem", "subgroups_oracle_scan", "normal_theorem",
+                    "normal_oracle_scan", "congruences_oracle"} <= set(p.__dict__)
 
 
 class TestSubsetScanCap:
     """The subset scan runs only inside the oracles' one gate: its m·2^m
-    mask and the m^n table fit axiom_cost_cap, and the order fits a packed
-    key.  Outside it the scan is refused before the mask or the table is
-    built."""
+    mask fits axiom_cost_cap, and the order fits a packed key.  Outside it
+    the scan is refused before the mask is built; inside it, a derived
+    group's scan builds no m^n table, however large that table would be."""
 
     def test_order_24_refused_before_the_scan(self, monkeypatch):
         caps = Caps(order_cap=24)
         base = make_group([[(i + j) % 24 for j in range(24)] for i in range(24)], caps=caps)
         p = derive_b(base, 0, 3, caps=caps)
         monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
-        with pytest.raises(CostCapExceeded, match="402653184 cells") as err:
-            enumerate_polyadic_subgroups(p, strategy="oracle", caps=caps)
-        assert err.value.cap == "axiom_cost_cap"
+        monkeypatch.setattr(substructures, "_conjugates", lambda p: pytest.fail("table built"))
+        for enumerate_ in (enumerate_polyadic_subgroups, enumerate_normal_polyadic):
+            with pytest.raises(CostCapExceeded, match="402653184 cells") as err:
+                enumerate_(p, strategy="oracle", caps=caps)
+            assert err.value.cap == "axiom_cost_cap"
+        assert not {"diagonal", "subgroups_oracle_scan", "normal_oracle_scan"} & set(p.__dict__)
 
-    def test_large_table_refused_before_it_is_built(self, monkeypatch):
-        # 12^8 ≈ 4.3e8 table cells; the mask is only 12·2^12
+    def test_large_arity_subgroup_oracle_builds_no_table(self):
+        # 12^8 ≈ 4.3e8 cells a table would hold; the mask is only 12·2^12
         p = derive_b(cyclic(12), 0, 8)
-        monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
-        with pytest.raises(CostCapExceeded) as err:
-            enumerate_polyadic_subgroups(p, "oracle")
-        assert err.value.cap == "axiom_cost_cap" and err.value.required == 12**8
+        both = enumerate_polyadic_subgroups(p)
+        assert "subgroups_oracle_scan" in p.__dict__  # auto ran the oracle too
+        assert both == enumerate_polyadic_subgroups(p, "oracle")
+        assert both == enumerate_polyadic_subgroups(p, "theorem")
         assert "flat_np" not in p.__dict__
 
-    def test_normal_oracle_refused_before_its_mask_or_tables(self, monkeypatch):
-        # 12^8 ≈ 4.3e8 table cells: refused before the conjugate table, the
-        # m^n table or the scan's masks are built
+    def test_large_arity_normal_oracle_builds_no_table(self):
         p = derive_b(cyclic(12), 0, 8)
-        monkeypatch.setattr(substructures, "_subset_scan", lambda p, rows: pytest.fail("scan ran"))
-        monkeypatch.setattr(substructures, "_conjugates", lambda p: pytest.fail("table built"))
-        for call in (
-            lambda: enumerate_normal_polyadic(p, "oracle"),
-            lambda: _oracle_subgroups(p, DEFAULT_CAPS, normal=True),
-        ):
-            with pytest.raises(CostCapExceeded) as err:
-                call()
-            assert err.value.cap == "axiom_cost_cap" and err.value.required == 12**8
-        assert not {"flat_np", "diagonal", "normal_oracle_scan"} & set(p.__dict__)
+        both = enumerate_normal_polyadic(p)
+        assert "normal_oracle_scan" in p.__dict__
+        assert both == enumerate_normal_polyadic(p, "oracle")
+        assert both == enumerate_normal_polyadic(p, "theorem")
+        assert "flat_np" not in p.__dict__
 
     @pytest.mark.parametrize("slack, runs", [(-1, False), (0, True)])
     def test_gate_is_the_mask_size(self, slack, runs):
