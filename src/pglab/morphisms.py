@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check, refusal
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, cross_check, refusal
 from .errors import (
     ArityMismatch,
     CapExceeded,
@@ -29,7 +29,6 @@ from .polyadic import (
     PolyadicGroup,
     hg_anchor0,
     n_ary_identity,
-    packed_tuples,
     row_blocks,
 )
 
@@ -70,14 +69,12 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     ])
 
 
-def _oracle_refusal(
-    p: PolyadicGroup, q: PolyadicGroup, caps: Caps, scan: bool = True
-) -> Optional[CapExceeded]:
+def _oracle_refusal(p: PolyadicGroup, q: PolyadicGroup, caps: Caps) -> Optional[CapExceeded]:
     """Why the hom oracle may not run from p to q, or None: its |Q|^|P| maps
-    must fit hom_oracle_cap (unless scan is False, for a one-map check), and
-    the cells of the two m^n tables it reads axiom_cost_cap."""
-    return (scan and refusal(caps, "hom_oracle_cap", q.order**p.order, "the hom oracle's scan")
-            or refusal(caps, "axiom_cost_cap", max(p.order, q.order) ** p.arity, "the hom check"))
+    must fit hom_oracle_cap, and the |Q|^n cells of q's table, the one table
+    its frontier reads, axiom_cost_cap (p is read through _scan_rows)."""
+    return (refusal(caps, "hom_oracle_cap", q.order**p.order, "the hom oracle's scan")
+            or refusal(caps, "axiom_cost_cap", q.order**p.arity, "the hom oracle's target table"))
 
 
 def is_polyadic_hom(
@@ -86,27 +83,27 @@ def is_polyadic_hom(
     q: PolyadicGroup,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exhaustive check of psi(f(xs)) = h(psi(xs)); returns first bad tuple.
+    """Whether psi(f(t)) = h(psi(t)) for every tuple t, with the first
+    failing tuple of p's stored rows (_scan_rows, whose Post rows decide:
+    the check reads the n-ary group axioms of both, not the split), or None.
 
-    h(psi(xs)) for every xs is q's table gathered at psi along each of its
-    n axes; the hom oracle runs the same check on many maps at once."""
+    The (n−1)·m² + 2m rows are charged to axiom_cost_cap before they are
+    built, and h is read by one q.eval_many on them: no m^n table of
+    either side is built.  Images must be integers in q's carrier
+    (ValidationError)."""
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
     if len(psi) != p.order:
         raise ArityMismatch(f"map has {len(psi)} entries for order {p.order}")
-    bad = [y for y in psi if not 0 <= y < q.order]
-    if bad:
-        raise ValidationError(f"images {bad} are outside the target carrier 0..{q.order - 1}")
-    refusal = _oracle_refusal(p, q, caps, scan=False)
-    if refusal:
-        raise refusal
-    psi_np, image = np.asarray(psi, dtype=q.flat_np.dtype), q.cube
-    for k in range(p.arity):
-        image = image.take(psi_np, axis=k)
-    bad = (image.ravel() != psi_np.take(p.flat_np)).nonzero()[0]
+    psi_np = q._in_carrier(psi)
+    m, n = p.order, p.arity
+    charge(caps, "axiom_cost_cap", (n - 1) * m * m + 2 * m, "the hom check")
+    rows, _ = _scan_rows(p)
+    images = psi_np[rows]
+    bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
     if not len(bad):
         return True, None
-    return False, tuple(int(c) for c in np.unravel_index(bad[0], image.shape))
+    return False, tuple(rows[:-1, bad[0]].tolist())
 
 
 def _condition_masks(
@@ -172,11 +169,9 @@ def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     p, q = psi.source, psi.target
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
-    images = tuple(map(int, psi.map))
-    if len(images) != p.order or min(images) < 0 or max(images) >= q.order:
-        raise ValidationError(
-            f"need {p.order} images in the target carrier 0..{q.order - 1}, got {list(psi.map)}"
-        )
+    if len(psi.map) != p.order:
+        raise ValidationError(f"need {p.order} images, got {list(psi.map)}")
+    images = tuple(q._in_carrier(psi.map).tolist())
     stored = _stored_split(p, q, images)
     if stored is not None:
         return HomDecomposition(*stored)
@@ -205,19 +200,19 @@ def compose_hom(
     """Build psi = (translate by a) ∘ phi after validating both conditions.
 
     a and phi are given in presentation coordinates: phi maps the source
-    presentation base into the anchor-0 base of the target.  The conditions
-    are not re-derived when the theorem route's stored table p → q holds
-    the built map with this very split; the complete check always runs.
+    presentation base into the anchor-0 base of the target; a and phi's
+    images must be integers in q's carrier (ValidationError).  The
+    conditions are not re-derived when the theorem route's stored table
+    p → q holds the built map with this very split; the hom check
+    (is_polyadic_hom, on p's stored rows) always runs.
     """
+    if len(phi) != p.order:
+        raise ValidationError(f"need {p.order} images of phi, got {list(phi)}")
+    split = q._in_carrier([a, *phi])
+    a, phi_t = int(split[0]), split[1:]
     src, tgt = p.view, hg_anchor0(q)
-    images = [int(x) for x in phi]
-    if len(images) != p.order or not all(0 <= y < q.order for y in [a, *images]):
-        raise ValidationError(
-            f"need a and {p.order} images of phi in the target carrier 0..{q.order - 1}"
-        )
-    phi_t = np.asarray(images)
     (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
-    if _stored_split(p, q, psi_map) != (a, tuple(images)):
+    if _stored_split(p, q, psi_map) != (a, tuple(phi_t.tolist())):
         failure = _split_failure(src, tgt, a, phi_t)
         if failure is not None:
             raise ConditionViolated({
@@ -234,63 +229,68 @@ def compose_hom(
     return psi
 
 
-def _scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
-    """The diagonal (x,...,x), skew (x,...,x,skew(x)) and edge (x,0,...,0,y)
-    tuples of p, each as the n+1 columns (t, f(t)), grouped by the largest
-    element among them: the step of the scan at which all are assigned.
-    Stored on p."""
+def _scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The tuples t of p a hom check reads, as one (n+1)×R array of the
+    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), with the
+    offsets of its steps: the columns of step k, offsets[k]:offsets[k+1],
+    are those whose largest entry is k, the frontier step at which the
+    scan has assigned all of them.  Stored on p.
+
+    The tuples are the diagonal (x,…,x), the skew tuples (x,…,x,skew(x))
+    and Post's families with u = 0 and ū = skew(0) (E. L. Post, "Polyadic
+    groups", Trans. AMS 48, 1940): (A_j) (x, 0^(j−1), y, 0^(n−j−2), ū),
+    j = 1..n−2, and (B) (x, 0^(n−2), y), the edge tuples.  A map between
+    n-ary groups is a hom exactly when it commutes with f on the two
+    families, (n−1)·m² tuples; the diagonal and skew tuples only prune
+    the scan earlier.  f(t) is one p.eval_many: no m^n table is built."""
     return cached_on(p, "hom_scan_rows", lambda: _build_scan_rows(p))
 
 
-def _build_scan_rows(p: PolyadicGroup) -> list[Optional[np.ndarray]]:
-    n = p.arity
-    rows = {(x,) * n + (d,) for x, d in enumerate(p.diagonal.tolist())}
-    rows |= {(x,) * (n - 1) + (s, x) for x, s in enumerate(p.skew_table)}
-    edge = p.cube[(slice(None),) + (0,) * (n - 2) + (slice(None),)]
-    rows |= {
-        (x,) + (0,) * (n - 2) + (y, e)
-        for x, row in enumerate(edge.tolist())
-        for y, e in enumerate(row)
-    }
-    by_step: list[list[tuple[int, ...]]] = [[] for _ in range(p.order)]
-    for row in sorted(rows):
-        by_step[max(row)].append(row)
-    return [np.asarray(step).T if step else None for step in by_step]
+def _build_scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
+    m, n = p.order, p.arity
+    x, y = np.divmod(np.arange(m * m), m)
+    diagonal = np.broadcast_to(np.arange(m), (n, m))
+    skew = np.vstack([diagonal[1:], p.skew_table])
+    families = np.zeros((n - 1, n, m * m), dtype=np.intp)
+    for j, family in enumerate(families, 1):
+        family[-1], family[0], family[j] = p.skew_table[0], x, y  # (B) puts y last
+    args = np.hstack([diagonal, skew, *families])
+    rows = np.vstack([args, p.eval_many(args)]).astype(np.min_scalar_type(m - 1))
+    steps = rows.max(axis=0)
+    order = np.argsort(steps, kind="stable")
+    return rows[:, order], np.searchsorted(steps[order], np.arange(m + 1))
 
 
 def _oracle_hom_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> list[tuple[int, ...]]:
-    """Frontier scan of the |Q|^|P| candidate maps, then the complete check.
+    """Frontier scan of the |Q|^|P| candidate maps.
 
     The partial maps are extended one source element at a time, 0 first
-    (the middle argument of every edge tuple).  After each step the rows
-    whose diagonal, skew or edge tuple has just been fully assigned are
-    checked at once and the violating rows dropped.  The surviving total
-    maps get the complete check on every tuple, in blocks.  Columns are
+    (Post's u).  After each step the rows of p's stored tuples
+    (_scan_rows) that have just been fully assigned are checked at once
+    and the violating maps dropped; a map that passes the last step
+    commutes with f on Post's families, so it is a hom.  Columns are
     assigned in order and each row is extended by its images in order, so
     the maps come out sorted.  The scan never consults the theorem route;
-    the oracle's gate refuses before any table is read.
+    the oracle's gate refuses before any table is read, and only q's
+    table is read.
     """
     refusal = _oracle_refusal(p, q, caps)
     if refusal:
         raise refusal
-    mp, mq, n = p.order, q.order, p.arity
+    mq = q.order
+    rows, offsets = _scan_rows(p)
     maps = np.zeros((1, 0), dtype=np.int16)
-    for k, rows in enumerate(_scan_rows(p)):
+    for k in range(p.order):
         grown = np.empty((len(maps), mq, k + 1), dtype=np.int16)
         grown[:, :, :k] = maps[:, None, :]
         grown[:, :, k] = np.arange(mq)
         maps = grown.reshape(-1, k + 1)
-        if rows is not None:
-            maps = maps[_rows_hold(maps, q, rows)]
+        maps = maps[_rows_hold(maps, q, rows[:, offsets[k] : offsets[k + 1]])]
         if not len(maps):
             return []
-    holds = [
-        (q.flat_np[packed_tuples(block, mq, n)] == np.take(block, p.flat_np, axis=1)).all(axis=1)
-        for block in row_blocks(maps, mp**n)
-    ]
-    return [tuple(row) for row in maps[np.concatenate(holds)].tolist()]
+    return [tuple(row) for row in maps.tolist()]
 
 
 def _split_maps(
@@ -334,11 +334,11 @@ def enumerate_homs(
     The theorem route crosses binary homomorphisms with the anchors that
     pass both split conditions, and stores each map's split on p
     (_split_table) for decompose_hom and compose_hom to read.  The oracle
-    scans raw maps: a frontier of partial maps pruned on the diagonal, skew
-    and edge tuples, then the complete check on every leaf.  Auto runs both
-    when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
-    hom_oracle_cap, both tables within axiom_cost_cap) admits the pair, and
-    insists they agree; outside it the theorem runs alone.
+    scans raw maps: a frontier of partial maps pruned on p's stored rows
+    (_scan_rows), whose Post families decide, so a leaf is a hom.  Auto
+    runs both when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
+    hom_oracle_cap, q's |Q|^n table within axiom_cost_cap) admits the
+    pair, and insists they agree; outside it the theorem runs alone.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")

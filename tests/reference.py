@@ -370,6 +370,22 @@ def hom_compose(outer: PolyadicHom, inner: PolyadicHom) -> PolyadicHom:
     )
 
 
+def reference_hom_check(
+    psi: Sequence[int], p: PolyadicGroup, q: PolyadicGroup
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The hom check before Post's reduction, on all m^n tuples t: whether
+    psi(f(t)) = h(psi(t)) for every t, with the lexicographically first t
+    where it fails, or None.  h(psi(t)) for every t is q's table gathered
+    at psi along each of its n axes."""
+    psi_np, image = np.asarray(psi), q.cube
+    for k in range(p.arity):
+        image = image.take(psi_np, axis=k)
+    bad = np.flatnonzero(image.ravel() != psi_np.take(p.flat_np))
+    if not len(bad):
+        return True, None
+    return False, tuple(int(c) for c in np.unravel_index(bad[0], image.shape))
+
+
 def polyadic_subgroup_by_closure(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """Nonempty, closed under skew, and closed under f on every tuple of
     members, read from p's m^n table."""

@@ -30,7 +30,7 @@ from pglab.polyadic import (
     as_table, derive, from_table, hg_anchor0, packed_tuples,
 )
 
-from reference import hom_compose
+from reference import hom_compose, reference_hom_check
 
 
 def brute_homs(p, q):
@@ -84,6 +84,21 @@ def relabelled_table(p, sigma):
     return from_table(n, p.order, cube.ravel().tolist(), verify=False)
 
 
+def assert_decides_like_the_reference(psi, p, q):
+    """is_polyadic_hom decides psi as the m^n reference check does, and its
+    witness, when psi is no hom, is a tuple w with psi(f(w)) != h(psi(w))."""
+    ok, witness = is_polyadic_hom(psi, p, q)
+    assert ok == reference_hom_check(psi, p, q)[0]
+    assert (witness is None) == ok
+    if witness is not None:
+        assert psi[p.eval(list(witness))] != q.eval([psi[x] for x in witness])
+
+
+def one_cell_perturbations(psi, order):
+    """Every map that differs from psi in exactly one image."""
+    return [psi[:x] + (y,) + psi[x + 1:] for x in range(len(psi)) for y in range(order) if y != psi[x]]
+
+
 class TestIsHom:
     def test_identity(self, structs):
         assert is_polyadic_hom((0, 1, 2), structs["T3"], structs["T3"]) == (True, None)
@@ -104,15 +119,20 @@ class TestIsHom:
         with pytest.raises(CostCapExceeded):
             is_polyadic_hom((0, 1, 2), structs["T3"], structs["T3"], caps=Caps(axiom_cost_cap=8))
 
-    def test_cost_cap_counts_the_target_table(self):
-        """The check reads both tables: a one-cell source does not admit an
-        8^5-cell target, which is refused before it is built."""
-        p = derive(catalog_group("Z1"), Automorphism.identity(1), 0, 5)
-        q = derive(catalog_group("Z8"), Automorphism.identity(8), 0, 5)
+    def test_one_map_check_builds_no_table(self):
+        """The check reads the (n−1)·m² + 2m rows of the source, charged
+        before they are built, and neither m^n table: der(Z8, id, 0, 8)
+        (8^8 cells) is checked at the default caps."""
+        p = derive(catalog_group("Z8"), Automorphism.identity(8), 0, 8)
         with pytest.raises(CostCapExceeded) as info:
-            is_polyadic_hom([0], p, q, caps=Caps(axiom_cost_cap=1000))
-        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 8**5)
-        assert "flat_np" not in q.__dict__
+            is_polyadic_hom(tuple(range(8)), p, p, caps=Caps(axiom_cost_cap=7 * 64 + 15))
+        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 7 * 64 + 16)
+        assert "hom_scan_rows" not in p.__dict__
+        assert is_polyadic_hom(tuple(range(8)), p, p) == (True, None)
+        shift = tuple(range(1, 8)) + (0,)
+        ok, witness = is_polyadic_hom(shift, p, p)
+        assert not ok and shift[p.eval(list(witness))] != p.eval([shift[x] for x in witness])
+        assert "flat_np" not in p.__dict__
 
 
 class TestEnumerate:
@@ -149,18 +169,19 @@ class TestEnumerate:
         assert enumerate_homs(p, p, caps=Caps(hom_oracle_cap=26)) == theorem
         assert enumerate_homs(p, p, strategy="oracle", caps=Caps(hom_oracle_cap=27)) == theorem
 
-    def test_gate_reads_both_tables_before_building(self):
-        """Der(Z4) → der(Z2) at arity 5 has 2^4 candidate maps but 4^5 table
-        cells: past axiom_cost_cap oracle refuses before building a table,
-        and auto runs the theorem alone, which builds no table of p (q's
-        2^5-cell table, within the cap, comes from its anchor-0 split)."""
-        def pair():
-            return tuple(derive(catalog_group(f"Z{m}"), Automorphism.identity(m), 0, 5)
-                         for m in (4, 2))
-        theorem = [h.map for h in enumerate_homs(*pair(), strategy="theorem")]
-        assert len(theorem) == 4
+    @staticmethod
+    def _pair(m, k, arity):
+        return tuple(derive(catalog_group(f"Z{o}"), Automorphism.identity(o), 0, arity)
+                     for o in (m, k))
+
+    def test_gate_counts_the_target_table_before_building(self):
+        """Der(Z2) → der(Z4) at arity 5 has 4^2 candidate maps but a 4^5-cell
+        target table: past axiom_cost_cap the oracle refuses before building
+        a table, and auto runs the theorem alone."""
+        theorem = [h.map for h in enumerate_homs(*self._pair(2, 4, 5), strategy="theorem")]
+        assert len(theorem) == 8
         caps = Caps(axiom_cost_cap=1000)
-        p, q = pair()
+        p, q = self._pair(2, 4, 5)
         with pytest.raises(CostCapExceeded) as info:
             enumerate_homs(p, q, strategy="oracle", caps=caps)
         assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 4**5)
@@ -168,12 +189,37 @@ class TestEnumerate:
         assert [h.map for h in enumerate_homs(p, q, caps=caps)] == theorem
         assert "flat_np" not in p.__dict__
 
-    def test_auto_runs_the_theorem_alone_past_the_table_cap(self):
-        """At the default caps der(Z8) → der(Z2) at arity 8 fits
-        hom_oracle_cap (2^8 maps) but not the 8^8-cell source table."""
-        p, q = (derive(catalog_group(f"Z{m}"), Automorphism.identity(m), 0, 8) for m in (8, 2))
-        assert [h.map for h in enumerate_homs(p, q)] == [(0,) * 8, (0, 1) * 4]
+    def test_oracle_reads_no_source_table(self):
+        """Der(Z4) → der(Z2) at arity 5: the oracle reads q's 2^5 cells, not
+        p's 4^5, so it runs within axiom_cost_cap=1000 and equals the
+        theorem, and p's table is never built."""
+        theorem = [h.map for h in enumerate_homs(*self._pair(4, 2, 5), strategy="theorem")]
+        assert len(theorem) == 4
+        p, q = self._pair(4, 2, 5)
+        oracle = enumerate_homs(p, q, strategy="oracle", caps=Caps(axiom_cost_cap=1000))
+        assert [h.map for h in oracle] == theorem
         assert "flat_np" not in p.__dict__
+
+    def test_auto_runs_both_routes_without_the_source_table(self, monkeypatch):
+        """At the default caps der(Z8) → der(Z2) at arity 8 fits the oracle's
+        gate (2^8 maps, a 2^8-cell target table): auto runs both routes and
+        never builds the 8^8-cell source table."""
+        p, q = self._pair(8, 2, 8)
+        ran = []
+        oracle = morphisms._oracle_hom_maps
+        monkeypatch.setattr(morphisms, "_oracle_hom_maps", lambda *a: ran.append(a) or oracle(*a))
+        assert [h.map for h in enumerate_homs(p, q)] == [(0,) * 8, (0, 1) * 4]
+        assert len(ran) == 1
+        assert "flat_np" not in p.__dict__
+
+    def test_binary_groups_have_the_group_homs(self):
+        """At arity 2 der(G, id, 0, 2) is G itself and the (B) rows (x, y)
+        are the whole hom check: both routes find the group homomorphisms."""
+        for a, b in [("Z4", "Z2"), ("Z2xZ2", "Z4"), ("S3", "Z2"), ("Z6", "S3")]:
+            g, h = catalog_group(a), catalog_group(b)
+            p, q = (derive(k, Automorphism.identity(k.order), 0, 2) for k in (g, h))
+            for strategy in ("theorem", "oracle"):
+                assert tuple(psi.map for psi in enumerate_homs(p, q, strategy)) == binary_homs(g, h)
 
     def test_oracle_equals_dense_reference(self, corpus):
         pairs = [
@@ -197,41 +243,38 @@ class TestEnumerate:
             assert [h.map for h in enumerate_homs(p, q)] == dense_hom_maps(p, q)
 
     def test_witness_is_first_bad_tuple(self, structs):
+        """The check decides every hom, random maps and every one-cell
+        perturbation of a hom as the m^n reference does, and a witness is a
+        real counterexample (the first failing row of the stored order)."""
         rng = random.Random(8)
-        for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "T2"), ("T5", "T5")]:
+        for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "T2"), ("T5", "T5"), ("T2", "T4")]:
             p, q = structs[a], structs[b]
-            for _ in range(20):
-                psi = tuple(rng.randrange(q.order) for _ in range(p.order))
-                first = next(
-                    (
-                        args
-                        for args in itertools.product(range(p.order), repeat=p.arity)
-                        if psi[p.eval(list(args))] != q.eval([psi[x] for x in args])
-                    ),
-                    None,
-                )
-                assert is_polyadic_hom(psi, p, q) == (first is None, first)
+            homs = [h.map for h in enumerate_homs(p, q)]
+            maps = [tuple(rng.randrange(q.order) for _ in range(p.order)) for _ in range(20)]
+            for psi in homs + maps + [m for h in homs for m in one_cell_perturbations(h, q.order)]:
+                assert_decides_like_the_reference(psi, p, q)
 
     @settings(max_examples=40)
     @given(data=st.data())
     def test_witness_is_first_bad_tuple_on_corpus_pairs(self, small_corpus, data):
-        # random maps and true homomorphisms, between derived and table forms
-        p = data.draw(st.sampled_from(small_corpus))
-        q = data.draw(st.sampled_from([q for q in small_corpus if q.arity == p.arity]))
+        # homs, random maps and one-cell perturbations of homs, between
+        # derived, table and relabelled table forms
+        def form(p):
+            kind = data.draw(st.sampled_from(["derived", "table", "relabelled"]))
+            if kind == "relabelled":
+                return relabelled_table(p, np.asarray(data.draw(st.permutations(range(p.order)))))
+            return as_table(p) if kind == "table" else p
+
+        p = form(data.draw(st.sampled_from(small_corpus)))
+        q = form(data.draw(st.sampled_from([q for q in small_corpus if q.arity == p.arity])))
         homs = [h.map for h in enumerate_homs(p, q)]
-        maps = st.lists(st.integers(0, q.order - 1), min_size=p.order, max_size=p.order)
-        psi = data.draw(st.sampled_from(homs) | maps if homs else maps)
-        p = as_table(p) if data.draw(st.booleans()) else p
-        q = as_table(q) if data.draw(st.booleans()) else q
-        first = next(
-            (
-                args
-                for args in itertools.product(range(p.order), repeat=p.arity)
-                if psi[p.eval(list(args))] != q.eval([psi[x] for x in args])
-            ),
-            None,
-        )
-        assert is_polyadic_hom(psi, p, q) == (first is None, first)
+        maps = st.lists(st.integers(0, q.order - 1), min_size=p.order, max_size=p.order).map(tuple)
+        if homs:
+            perturbed = st.sampled_from(homs).flatmap(
+                lambda h: st.sampled_from(one_cell_perturbations(h, q.order) or [h])
+            )
+            maps = st.sampled_from(homs) | maps | perturbed
+        assert_decides_like_the_reference(data.draw(maps), p, q)
 
     def test_composition_is_hom(self, structs):
         p = structs["T4inv"]
@@ -317,7 +360,9 @@ class TestDecompose:
         with pytest.raises(ArityMismatch):
             decompose_hom(PolyadicHom(p3, p4, (0, 1)))
 
-    @pytest.mark.parametrize("image", [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1)])
+    @pytest.mark.parametrize(
+        "image", [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1), (0, 1, 2.7)]
+    )
     def test_rejects_a_map_outside_the_carriers(self, structs, image):
         with pytest.raises(ValidationError):
             decompose_hom(PolyadicHom(structs["T3"], structs["T3"], image))
@@ -420,7 +465,8 @@ class TestCompose:
             compose_hom(0, (0, 1, 2, 3), structs["T4"], structs["T4inv"])
 
     @pytest.mark.parametrize("a, phi", [(0, (0, 1)), (0, (0, 1, 2, 0)), (0, (0, 1, 3)),
-                                        (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2))])
+                                        (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2)),
+                                        (0.5, (0, 1, 2))])
     def test_rejects_out_of_range_split(self, structs, a, phi):
         with pytest.raises(ValidationError):
             compose_hom(a, phi, structs["T3"], structs["T3"])

@@ -614,10 +614,11 @@ class TestMemberRange:
             lambda t: polyadic_coset(t, [5], 0),
             lambda t: is_polyadic_hom((0, -1, -2), t, t),
             lambda t: is_polyadic_hom((0, 5, 1), t, t),
+            lambda t: is_polyadic_hom((0, 1.5, 2), t, t),
         ],
         ids=[
             "quotient", "sim_h", "normal", "subgroup", "coset_x", "coset_members",
-            "hom_negative", "hom_too_large",
+            "hom_negative", "hom_too_large", "hom_non_integer",
         ],
     )
     def test_out_of_range_elements_refused(self, structs, call):
