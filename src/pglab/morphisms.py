@@ -21,7 +21,6 @@ from .errors import (
     CapExceeded,
     ConditionViolated,
     DecompositionFailed,
-    ValidationError,
 )
 from .groups import FiniteGroup, hom_rows
 from .polyadic import (
@@ -77,6 +76,16 @@ def _oracle_refusal(p: PolyadicGroup, q: PolyadicGroup, caps: Caps) -> Optional[
             or refusal(caps, "axiom_cost_cap", q.order**p.arity, "the hom oracle's target table"))
 
 
+def _check_shape(psi: Sequence[int], p: PolyadicGroup, q: PolyadicGroup) -> None:
+    """The shape every map p → q must have, checked before its images
+    (q._in_carrier): p and q of different arities, or a map of another
+    length than p's order, raise ArityMismatch."""
+    if p.arity != q.arity:
+        raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
+    if len(psi) != p.order:
+        raise ArityMismatch(f"map has {len(psi)} entries for order {p.order}")
+
+
 def is_polyadic_hom(
     psi: Sequence[int],
     p: PolyadicGroup,
@@ -89,17 +98,21 @@ def is_polyadic_hom(
 
     The (n−1)·m² + 2m rows are charged to axiom_cost_cap before they are
     built, and h is read by one q.eval_many on them: no m^n table of
-    either side is built.  Images must be integers in q's carrier
-    (ValidationError)."""
-    if p.arity != q.arity:
-        raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
-    if len(psi) != p.order:
-        raise ArityMismatch(f"map has {len(psi)} entries for order {p.order}")
-    psi_np = q._in_carrier(psi)
+    either side is built.  The map is checked first: its shape
+    (_check_shape, ArityMismatch), then its images, integers in q's
+    carrier (ValidationError)."""
+    _check_shape(psi, p, q)
+    return _hom_check(q._in_carrier(psi), p, q, caps)
+
+
+def _hom_check(
+    psi: np.ndarray, p: PolyadicGroup, q: PolyadicGroup, caps: Caps
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """is_polyadic_hom on a map already checked."""
     m, n = p.order, p.arity
     charge(caps, "axiom_cost_cap", (n - 1) * m * m + 2 * m, "the hom check")
     rows, _ = _scan_rows(p)
-    images = psi_np[rows]
+    images = psi[rows]
     bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
     if not len(bad):
         return True, None
@@ -167,10 +180,7 @@ def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     before being returned.
     """
     p, q = psi.source, psi.target
-    if p.arity != q.arity:
-        raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")
-    if len(psi.map) != p.order:
-        raise ValidationError(f"need {p.order} images, got {list(psi.map)}")
+    _check_shape(psi.map, p, q)
     images = tuple(q._in_carrier(psi.map).tolist())
     stored = _stored_split(p, q, images)
     if stored is not None:
@@ -200,14 +210,15 @@ def compose_hom(
     """Build psi = (translate by a) ∘ phi after validating both conditions.
 
     a and phi are given in presentation coordinates: phi maps the source
-    presentation base into the anchor-0 base of the target; a and phi's
-    images must be integers in q's carrier (ValidationError).  The
-    conditions are not re-derived when the theorem route's stored table
-    p → q holds the built map with this very split; the hom check
-    (is_polyadic_hom, on p's stored rows) always runs.
+    presentation base into the anchor-0 base of the target.  Both are
+    checked before any split is built: phi's shape (_check_shape,
+    ArityMismatch), then a and phi's images, integers in q's carrier
+    (ValidationError).  The conditions are not re-derived when the
+    theorem route's stored table p → q holds the built map with this very
+    split; the hom check (is_polyadic_hom's, on p's stored rows) always
+    runs, on the built map without re-checking its images.
     """
-    if len(phi) != p.order:
-        raise ValidationError(f"need {p.order} images of phi, got {list(phi)}")
+    _check_shape(phi, p, q)
     split = q._in_carrier([a, *phi])
     a, phi_t = int(split[0]), split[1:]
     src, tgt = p.view, hg_anchor0(q)
@@ -220,13 +231,12 @@ def compose_hom(
                 "anchor": "anchor condition fails: h(a,...,a) differs from phi(b)∗a",
                 "intertwine": "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi",
             }[failure])
-    psi = PolyadicHom(p, q, psi_map)
-    ok, witness = is_polyadic_hom(psi.map, p, q, caps)
+    ok, witness = _hom_check(np.asarray(psi_map), p, q, caps)
     if not ok:
         raise DecompositionFailed(
             f"valid (a, phi) produced a non-homomorphism at {witness}"
         )
-    return psi
+    return PolyadicHom(p, q, psi_map)
 
 
 def _scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:

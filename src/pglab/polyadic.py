@@ -119,17 +119,28 @@ class PolyadicGroup:
             )
         return column
 
+    @cached_property
+    def power_tables(self) -> tuple[np.ndarray, ...]:
+        """A derived group's n−1 tables x·θ^i(y), i = 1..n−1, the last
+        multiplied by b: f(x1..xn) is x1 carried through them, one gather
+        an argument (at arity 2 one table holds both θ and b)."""
+        table = self.presentation.base.np_table
+        tables = [table[:, perm] for perm in self.theta_pows[1:]]
+        tables[-1] = table[tables[-1], self.presentation.b]
+        return tuple(tables)
+
     def eval_many(self, args: np.ndarray) -> np.ndarray:
-        """eval on every column of args, an n-row array of carrier elements,
-        read from the presentation: a derived group builds no m^n table.
-        Unchecked: callers pass integer arrays in 0..m−1."""
-        pres = self.presentation
-        if isinstance(pres, TablePresentation):
+        """eval on every column of args, an n-row array of carrier elements
+        in any integer dtype, read from the presentation: a table by one
+        gather of its cells, a derived group by one gather of power_tables
+        an argument, with no m^n table.  Unchecked: callers pass integer
+        arrays in 0..m−1."""
+        if not self.is_derived:
             return self.flat_np[np.ravel_multi_index(tuple(args), (self.order,) * self.arity)]
-        table, acc = pres.base.np_table, args[0]
-        for perm, x in zip(self.theta_pows[1:], args[1:]):
-            acc = table[acc, perm[x]]
-        return table[acc, pres.b]
+        acc = args[0]
+        for table, x in zip(self.power_tables, args[1:]):
+            acc = table[acc, x]
+        return acc
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -508,8 +519,13 @@ def _retract(p: PolyadicGroup, a: int):
     unrelabel = np.asarray([abar] + [x for x in range(m) if x != abar])
     relabel = np.argsort(unrelabel)
     table = relabel[values[: m * m].reshape(m, m)[np.ix_(unrelabel, unrelabel)]].tolist()
-    group = group_from_rows(tuple(map(tuple, table)), p.name and f"ret_{a}({p.name})")
-    return group, relabel, args, values
+    rows, name = tuple(map(tuple, table)), p.name and f"ret_{a}({p.name})"
+    # a derived p's retracts are validated once per base: der(G, θ, b)'s at
+    # 0 is x·b·y whatever θ is, and every twist of (G, b) shares it
+    groups = cached_on(p.presentation.base, "retract_groups", dict) if p.is_derived else {}
+    if (rows, name) not in groups:
+        groups[rows, name] = group_from_rows(rows, name)
+    return groups[rows, name], relabel, args, values
 
 
 def retract(p: PolyadicGroup, a: int) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -629,9 +645,12 @@ def dornte_witness(p: PolyadicGroup) -> Optional[tuple]:
 
 def hg_anchor0(p: PolyadicGroup) -> HosszuGloskin:
     """The anchor-0 decomposition, the canonical presentation for hom work:
-    a table's view, or for a derived p its split at 0, stored on p and built
-    without p's m^n table."""
-    if not p.is_derived:
+    a table's view; a derived p with b = 0 is its own split at 0
+    (θ^(n−1) = conj(0) = id, so the retract is x·y, the twist θ and the
+    constant 0), its view; any other derived p's split at 0 is stored on p
+    and built without p's m^n table, its gates and round trip checked, its
+    retract group shared by the twists of its (G, b) (_retract)."""
+    if not p.is_derived or p.presentation.b == 0:
         return p.view
     return cached_on(p, "anchor0_view", lambda: hosszu_gloskin(p, 0))
 

@@ -48,6 +48,17 @@ def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
     return table[acc][pres.b]
 
 
+def z2_4(images: Sequence[int], arity: int) -> PolyadicGroup:
+    """der(Z2⁴, θ, 0, arity) on bit vectors (x·y = x XOR y), θ the linear
+    map sending the basis vector 2^i to images[i]."""
+    base = group_from_rows(tuple(tuple(x ^ y for y in range(16)) for x in range(16)))
+    perm = [0] * 16
+    for x in range(16):
+        for i in range(4):
+            perm[x] ^= images[i] if x >> i & 1 else 0
+    return derive(base, Automorphism(tuple(perm)), 0, arity)
+
+
 def related(r: Congruence, x: int, y: int) -> bool:
     return r.class_of[x] == r.class_of[y]
 

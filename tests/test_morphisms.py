@@ -27,7 +27,7 @@ from pglab.morphisms import (
     is_polyadic_hom,
 )
 from pglab.polyadic import (
-    as_table, derive, from_table, hg_anchor0, packed_tuples,
+    as_table, derive, derive_b, from_table, hg_anchor0, packed_tuples,
 )
 
 from reference import hom_compose, reference_hom_check
@@ -474,6 +474,33 @@ class TestCompose:
     def test_rejects_non_homomorphism_phi(self, structs):
         with pytest.raises(ConditionViolated, match="homomorphism"):
             compose_hom(0, (0, 1, 1), structs["T3"], structs["T3"])
+
+    @pytest.mark.parametrize("b", [0, 2])
+    def test_arity_mismatch_builds_no_split(self, b):
+        # (0, 1, 2, 3) has p's length: only the arities differ
+        z4 = catalog_group("Z4")
+        p, q = derive(z4, Automorphism.identity(4), 0, 3), derive_b(z4, b, 4)
+        with pytest.raises(ArityMismatch, match="arities differ: 3 vs 4"):
+            compose_hom(0, (0, 1, 2, 3), p, q)
+        assert not {"view", "anchor0_view"} & (p.__dict__.keys() | q.__dict__.keys())
+
+
+class TestMapShape:
+    """A map of the wrong length is one refusal in all three entry points."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda psi, p: is_polyadic_hom(psi, p, p),
+            lambda psi, p: decompose_hom(PolyadicHom(p, p, psi)),
+            lambda psi, p: compose_hom(0, psi, p, p),
+        ],
+        ids=["is_polyadic_hom", "decompose_hom", "compose_hom"],
+    )
+    @pytest.mark.parametrize("psi", [(0, 1), (0, 1, 2, 0)], ids=["short", "long"])
+    def test_wrong_length(self, structs, call, psi):
+        with pytest.raises(ArityMismatch, match=rf"^map has {len(psi)} entries for order 3$"):
+            call(psi, structs["T3"])
 
 
 def brute_binary_homs(g, h):

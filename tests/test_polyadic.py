@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pglab.polyadic as polyadic
-from reference import full_grid_axioms, is_identity
+from reference import full_grid_axioms, is_identity, scalar_eval, z2_4
 
 from pglab.catalog import catalog_group, cyclic, direct_product
 from pglab.config import DEFAULT_CAPS, Caps
@@ -231,6 +232,55 @@ class TestEval:
             assert p.flat_np.dtype == np.uint8 and p.flat_np.nbytes == m**arity
             every = itertools.product(range(m), repeat=arity)
             assert p.flat_np.tolist() == [p.eval(list(args)) for args in every]
+
+
+class TestEvalMany:
+    """eval_many, one gather of power_tables an argument on derived input,
+    equals the scalar reference."""
+
+    @staticmethod
+    def assert_equals_scalar_eval(p, args):
+        assert p.eval_many(args).tolist() == [scalar_eval(p, col) for col in args.T.tolist()]
+
+    def test_every_corpus_structure(self, corpus):
+        rng = np.random.default_rng(0)
+        for p in corpus:
+            args = rng.integers(0, p.order, (p.arity, 40))
+            self.assert_equals_scalar_eval(p, args)
+            if p.order <= 4:
+                self.assert_equals_scalar_eval(as_table(p), args)
+
+    def test_arity_two_reads_theta_and_b_from_one_table(self):
+        twists = [p for p in all_derived(catalog_group("D4"), 2) if p.presentation.b != 0]
+        assert any(not is_identity(p.presentation.theta) for p in twists)
+        every = np.indices((8, 8)).reshape(2, -1)
+        for p in twists:
+            assert len(p.power_tables) == 1
+            self.assert_equals_scalar_eval(p, every)
+
+    @pytest.mark.parametrize(
+        "p",
+        [derive_b(cyclic(8), 4, 8), z2_4((2, 4, 8, 15), 6)],
+        ids=["Z8-b4-8", "Z2^4-theta5-6"],
+    )
+    def test_past_the_table_cap(self, p):
+        # θ₅ (the companion map of x⁴+x³+x²+x+1) has order 5, so θ₅^5 = id
+        assert p.order**p.arity > DEFAULT_CAPS.axiom_cost_cap
+        args = np.random.default_rng(p.arity).integers(0, p.order, (p.arity, 2000))
+        self.assert_equals_scalar_eval(p, args)
+        assert "flat_np" not in p.__dict__
+
+    @pytest.mark.parametrize("dtype", [np.intp, np.int64, np.uint8, np.int8])
+    def test_argument_dtypes(self, small_corpus, dtype):
+        # the (n, X) arrays eval_many's readers pass, and diagonal's read-only view
+        rng = np.random.default_rng(1)
+        for p in small_corpus[::7]:
+            args = rng.integers(0, p.order, (p.arity, 30)).astype(dtype)
+            self.assert_equals_scalar_eval(p, args)
+            diagonal = np.broadcast_to(np.arange(p.order, dtype=dtype), (p.arity, p.order))
+            assert not diagonal.flags.writeable
+            self.assert_equals_scalar_eval(p, diagonal)
+            assert p.diagonal.tolist() == [scalar_eval(p, [x] * p.arity) for x in range(p.order)]
 
 
 class TestHash:
@@ -618,6 +668,45 @@ class TestHosszuGloskin:
                     for x in range(p.order)
                     for y in range(p.order)
                 )
+
+
+class TestAnchor0:
+    """hg_anchor0's shortcuts: a derived group with b = 0 is its own split
+    at 0, and the twists of one (G, b) share one retract group."""
+
+    def test_equals_the_split_at_0(self, corpus):
+        for q in corpus:
+            p = dataclasses.replace(q)
+            view, exact = hg_anchor0(p), hosszu_gloskin(p, 0)
+            assert (view.group, view.relabel) == (exact.group, exact.relabel)
+
+    def test_b_0_builds_no_split(self, corpus, monkeypatch):
+        monkeypatch.setattr(polyadic, "hosszu_gloskin", lambda *a: pytest.fail("split built"))
+        fixed = [dataclasses.replace(q) for q in corpus if q.presentation.b == 0]
+        assert fixed
+        for p in fixed:
+            assert hg_anchor0(p) is p.view
+
+    def test_twists_of_one_base_and_b_share_the_retract(self):
+        z8 = catalog_group("Z8")
+        p, q = (derive(z8, Automorphism(tuple(k * x % 8 for x in range(8))), 4, 3) for k in (1, 3))
+        assert p != q
+        assert hg_anchor0(p).base is hg_anchor0(q).base
+        assert hg_anchor0(p).group != hg_anchor0(q).group
+
+    def test_round_trip_still_runs_for_b_not_0(self):
+        # der(Z8, id, 4, 8) with c = f(ū,…,ū) read wrong: the twist gates
+        # still pass (θ = id, Z8 abelian), and only the round trip refuses
+        p = derive_b(cyclic(8), 4, 8)
+        abar, eval_many = p.skew(0), p.eval_many
+
+        def corrupted(args):
+            values = eval_many(args)
+            return np.where((np.asarray(args) == abar).all(axis=0), (values + 1) % 8, values)
+
+        p.__dict__["eval_many"] = corrupted
+        with pytest.raises(RoundTripMismatch, match="rebuilt operation differs"):
+            hg_anchor0(p)
 
 
 class TestIdentityAndDornte:

@@ -33,7 +33,7 @@ from pglab.substructures import (
 from reference import (
     gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
     normal_by_conjugate_table, polyadic_coset, reference_normal_scan, reference_theorem_subgroups,
-    right_translate, sim_h,
+    right_translate, sim_h, z2_4,
 )
 
 
@@ -272,17 +272,6 @@ class TestNormalScan:
                     assert set(images[:, members].ravel().tolist()) <= set(members.tolist())
                 seen += len(rows)
         assert seen > 0
-
-
-def z2_4(images, arity):
-    """der(Z2⁴, θ, 0, arity) on bit vectors (x·y = x XOR y), θ the linear
-    map sending the basis vector 2^i to images[i]."""
-    base = make_group([[x ^ y for y in range(16)] for x in range(16)])
-    perm = [0] * 16
-    for x in range(16):
-        for i in range(4):
-            perm[x] ^= images[i] if x >> i & 1 else 0
-    return derive(base, Automorphism(tuple(perm)), 0, arity)
 
 
 def no_table(monkeypatch):
