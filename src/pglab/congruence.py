@@ -370,10 +370,10 @@ def enumerate_normal_polyadic(
     """All normal polyadic subgroups, sorted by (size, members).
 
     The theorem strategy reads the kernel table: the distinct classes [a]_r
-    over every congruence r and every a with normal[r, a].  The oracle is
-    the normal subset scan (substructures._oracle_subgroups), which never
-    reads the view.  Each route's answer is stored on p; in auto mode both
-    run (inside the oracles' gate) and must agree.
+    over every congruence r and every a with normal[r, a].  The oracle, the
+    normal subset scan (substructures._oracle_subgroups), reads no view and
+    re-tests no subset p's subgroup scan decided.  Each route's answer is
+    stored on p; in auto mode both run (inside the oracles' gate) and must agree.
     """
 
     def theorem() -> tuple[PolyadicSubgroup, ...]:

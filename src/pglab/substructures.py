@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, cross_check, oracle_refusal
-from .errors import NoSolution, NotNormal, ValidationError
+from .errors import NoSolution, NotNormal
 from .groups import invariant_subgroups
 from .polyadic import PolyadicGroup, row_blocks, split_tuples
 
@@ -38,36 +38,35 @@ class PolyadicSubgroup:
 
 
 def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int, ...]:
-    """The sorted members of h, refused unless each lies in 0..m-1."""
+    """The sorted members of h, refused unless each is an integer in 0..m-1 (p._in_carrier)."""
     members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
-    bad = [x for x in members if not 0 <= x < p.order]
-    if bad:
-        raise ValidationError(f"elements {bad} are outside the carrier 0..{p.order - 1}")
-    return members
+    return tuple(p._in_carrier(members).tolist()) if members else ()
 
 
-def _closed(p: PolyadicGroup, members: np.ndarray) -> np.ndarray:
-    """For each row of members (the sorted members of a skew-closed subset
-    S, all rows of one size k), whether f maps S into S, by Post's reduction
-    (E. L. Post, "Polyadic groups", Trans. AMS 48, 1940): with u the least
-    member and ū = skew(u), exactly when f maps into S, for s, t in S, the
-    tuples (A_j) (s, u^(j−1), t, u^(n−j−2), ū), j = 1..n−2, and (B)
-    (s, u^(n−2), t), family j = n−1; each picks its arguments from a row's
-    members and ū (column k), by one eval_many per block of the rows the
-    families before it kept.  The proof reads the n-ary group axioms, not
-    the split: from_table(verify=False) is the caller's promise of them."""
-    n, k = p.arity, members.shape[1]
-    s, t = np.divmod(np.arange(k * k), k)
-    pool = np.column_stack([members, np.asarray(p.skew_table)[members[:, 0]]]).T
-    bits = np.left_shift(1, members).sum(axis=1)
-    keep = np.ones(len(members), dtype=bool)
-    for j in range(1, n):
-        family = np.zeros((n, k * k), dtype=np.intp)
-        family[-1], family[0], family[j] = k, s, t  # (B) puts t last
-        for rows in row_blocks(np.flatnonzero(keep), k * k):
-            args = pool[family[..., None], rows].reshape(n, -1)
-            values = p.eval_many(args).reshape(k * k, -1)
-            keep[rows] = (bits[rows] >> values & 1).all(axis=0)
+def _closed(p: PolyadicGroup, inside: np.ndarray) -> np.ndarray:
+    """For each boolean row of inside (a subset S closed under skew and the
+    diagonal), whether f maps S into S, by one family of Post's reduction
+    (E. L. Post, "Polyadic groups", Trans. AMS 48, 1940), every row's tuples
+    in one eval_many per block: at arity ≥ 3 (A_1), the k² tuples
+    (s, t, u^(n−3), ū) for s, t in S, u the least member and ū = skew(u); at
+    arity 2 (B), (s, t), the whole test.  Given the diagonal row, (A_1)
+    alone decides: it makes S·u⁻¹ a ψ_u-invariant subgroup of the view, and
+    f(u,…,u) ∈ S does the rest (CHANGES.md proves it under "One closure test
+    for the subset oracles").  The proof reads the n-ary group axioms, not
+    the split: from_table(verify=False) promises them."""
+    sizes = inside.sum(axis=1)
+    keep = np.empty(len(inside), dtype=bool)
+    for rows in row_blocks(np.arange(len(inside)), int(sizes.max()) ** 2):
+        block, k = inside[rows], sizes[rows]
+        members = np.nonzero(block)[1]  # row by row, each row's least member first
+        row = np.repeat(np.arange(len(rows)), k * k)  # the row each tuple tests
+        start = np.repeat(np.cumsum(k) - k, k * k)  # where that row's members begin
+        s, t = np.divmod(np.arange(len(row)) - np.repeat(np.cumsum(k * k) - k * k, k * k), k[row])
+        args = np.broadcast_to(members[start], (p.arity, len(row))).copy()  # u
+        args[-1] = np.asarray(p.skew_table)[args[-1]]  # ū; at arity 2 t overwrites it
+        args[0], args[1] = members[start + s], members[start + t]
+        misses = row[~block[row, p.eval_many(args)]]
+        keep[rows] = np.bincount(misses, minlength=len(rows)) == 0
     return keep
 
 
@@ -84,40 +83,41 @@ def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
 def _oracle_subgroups(
     p: PolyadicGroup, caps: Caps, normal: bool = False
 ) -> tuple[tuple[int, ...], ...]:
-    """The subset scan's polyadic subgroups, or the normal ones, each stored
-    on p; the oracles' gate (config.oracle_refusal) is checked on every
-    call, before the mask is built."""
+    """The subset scan's polyadic subgroups, or the normal ones (the scan
+    passes the conjugations too), each stored on p and sharing p's closure
+    verdicts (_subset_scan); the oracles' gate (config.oracle_refusal) is
+    checked on every call, before the mask is built."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
-
-    def scan() -> tuple[tuple[int, ...], ...]:
-        rows = [p.skew_table, p.diagonal] + ([_conjugates(p)] if normal else [])
-        return _subset_scan(p, np.vstack(rows))
-
-    return cached_on(p, "normal_oracle_scan" if normal else "subgroups_oracle_scan", scan)
+    key = "normal_oracle_scan" if normal else "subgroups_oracle_scan"
+    return cached_on(p, key, lambda: _subset_scan(p, [_conjugates(p)] if normal else []))
 
 
-def _subset_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The nonempty subsets closed under f and each unary map (a row of
-    images, the diagonal among them), in mask order.  A mask S passes when
-    need[x], the OR of the bits of x's images, lies in S for every x in S;
-    survivors of sizes 2..m−1 are checked for closure under f by Post's
-    reduction (_closed).  {x} is closed exactly when the diagonal fixes x,
-    and the whole carrier always is."""
+def _subset_scan(p: PolyadicGroup, extra_rows: Sequence[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets closed under f, skew, the diagonal and each map
+    of extra_rows, in mask order.  A mask S passes when need[x], the OR of
+    the bits of x's images, lies in S for every x in S.  {x} is closed
+    exactly when the diagonal fixes x, and the whole carrier always is; a
+    survivor of size 2..m−1 by its verdict on p (one int8 a mask: 0
+    undecided, 1 closed, −1 not), which one _closed call decides for the
+    undecided ones.  Skew and the diagonal, which _closed needs, are always
+    rows, so no verdict depends on the scan that wrote it."""
     m = p.order
-    need = np.bitwise_or.reduce(np.left_shift(1, images.astype(np.int64)), axis=0)
+    images = np.vstack([p.skew_table, p.diagonal, *extra_rows]).astype(np.int64)
+    need = np.bitwise_or.reduce(np.left_shift(1, images), axis=0)
     covered = np.zeros(1, dtype=np.int64)  # covered[S]: the OR of need over S
     for x in range(m):
         covered = np.concatenate([covered, covered | need[x]])
     masks = np.flatnonzero((covered & ~np.arange(1 << m)) == 0)[1:]
     inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
     sizes = inside.sum(axis=1)
-    found = [np.flatnonzero((sizes == 1) | (sizes == m))]
-    for k in np.unique(sizes[(sizes > 1) & (sizes < m)]):
-        rows = np.flatnonzero(sizes == k)
-        found.append(rows[_closed(p, np.nonzero(inside[rows])[1].reshape(-1, k))])
-    return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
+    verdicts = cached_on(p, "closure_verdicts", lambda: np.zeros(1 << m, dtype=np.int8))
+    rows = np.flatnonzero((sizes > 1) & (sizes < m) & (verdicts[masks] == 0))
+    if len(rows):
+        verdicts[masks[rows]] = np.where(_closed(p, inside[rows]), 1, -1)
+    kept = (sizes == 1) | (sizes == m) | (verdicts[masks] == 1)
+    return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[kept])
 
 
 def _theorem_subgroups(p: PolyadicGroup) -> list[tuple[int, ...]]:

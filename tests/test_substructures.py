@@ -32,8 +32,8 @@ from pglab.substructures import (
 
 from reference import (
     gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
-    normal_by_conjugate_table, polyadic_coset, reference_normal_scan, reference_theorem_subgroups,
-    right_translate, sim_h, z2_4,
+    normal_by_conjugate_table, polyadic_coset, reference_cube_scan, reference_normal_scan,
+    reference_theorem_subgroups, right_translate, sim_h, z2_4,
 )
 
 
@@ -55,9 +55,14 @@ def reference_subset_scan(p):
 
 
 def unary_rows(p, normal=False):
-    """The unary maps the oracles pass to the scan: skew and the diagonal,
-    and for the normal oracle every conjugation h ↦ conj[x, h]."""
+    """The unary maps an oracle's scan filters by: skew and the diagonal,
+    and for the normal oracle every conjugation h ↦ conj[x, h] too."""
     return np.vstack([p.skew_table, p.diagonal] + ([_conjugates(p)] if normal else []))
+
+
+def fresh(p):
+    """A copy of p with nothing stored on it: no scan, no closure verdict."""
+    return PolyadicGroup(p.arity, p.presentation, p.name)
 
 
 def relabelled(p, sigma):
@@ -138,8 +143,10 @@ class TestEnumerateSubgroups:
     def test_scan_in_small_blocks(self, small_corpus, monkeypatch, cells):
         monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
         for p in small_corpus[cells::9]:
-            assert _subset_scan(p, unary_rows(p)) == reference_subset_scan(p)
-            assert _subset_scan(p, unary_rows(p, normal=True)) == reference_normal_scan(p)
+            # each scan on its own fresh copy, so each decides its own masks
+            assert _subset_scan(fresh(p), []) == reference_subset_scan(p)
+            q = fresh(p)
+            assert _subset_scan(q, [_conjugates(q)]) == reference_normal_scan(p)
 
     def test_is_polyadic_subgroup_spot(self, structs):
         assert is_polyadic_subgroup(structs["T4inv"], (0, 2))
@@ -267,11 +274,67 @@ class TestNormalScan:
             _oracle_subgroups(t, DEFAULT_CAPS, normal)
             images = unary_rows(t, normal)
             for rows in checked:
-                assert 1 < rows.shape[1] < t.order
-                for members in rows:
+                for row in rows:
+                    members = np.flatnonzero(row)
+                    assert 1 < len(members) < t.order
                     assert set(images[:, members].ravel().tolist()) <= set(members.tolist())
                 seen += len(rows)
         assert seen > 0
+
+
+class TestSharedVerdicts:
+    """The two oracle scans on one structure share its closure verdicts, one
+    a mask: the normal scan after the subgroup scan sends _closed no row,
+    the subgroup scan after the normal scan sends it only the masks the
+    normal scan left undecided, no mask is decided twice on one structure,
+    and in both orders both answers equal the references."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        """The masks of the rows _closed is sent, in call order."""
+        masks, real = [], substructures._closed
+        monkeypatch.setattr(
+            substructures, "_closed",
+            lambda q, rows: masks.extend((rows @ (1 << np.arange(q.order))).tolist())
+            or real(q, rows),
+        )
+        return masks
+
+    @staticmethod
+    def assert_shared(p, decided, subgroups, normal):
+        decided.clear()
+        q = fresh(p)
+        assert _oracle_subgroups(q, DEFAULT_CAPS) == subgroups
+        by_subgroup_scan = list(decided)
+        assert _oracle_subgroups(q, DEFAULT_CAPS, normal=True) == normal
+        assert decided == by_subgroup_scan  # the normal scan sent no row
+
+        decided.clear()
+        q = fresh(p)
+        assert _oracle_subgroups(q, DEFAULT_CAPS, normal=True) == normal
+        by_normal_scan = set(decided)
+        assert _oracle_subgroups(q, DEFAULT_CAPS) == subgroups
+        assert len(set(decided)) == len(decided)  # no mask decided twice
+        assert set(decided) == set(by_subgroup_scan) >= by_normal_scan
+        return len(by_normal_scan)
+
+    def test_corpus_and_table_forms(self, corpus, decided):
+        shared = 0
+        for p in corpus + [as_table(p) for p in corpus[::3]]:
+            subgroups, normal = reference_subset_scan(p), reference_normal_scan(p)
+            shared += self.assert_shared(p, decided, subgroups, normal)
+        assert shared > 0
+
+    @pytest.mark.parametrize("name", sorted(ORDER_12_TO_16))
+    def test_orders_12_to_16(self, name, decided):
+        base = ORDER_12_TO_16[name]()
+        rng = random.Random(base.order)
+        for arity in (3, 4, 5):
+            for p in rng.sample(all_derived(base, arity), 3):
+                # the per-mask Python reference takes minutes at order 16; the
+                # cube scan is its batched form
+                subgroups = reference_cube_scan(p, np.vstack([p.skew_table, p.diagonal]))
+                self.assert_shared(p, decided, subgroups, reference_normal_scan(p))
 
 
 def no_table(monkeypatch):
@@ -604,12 +667,21 @@ class TestMemberRange:
             lambda t: is_polyadic_hom((0, -1, -2), t, t),
             lambda t: is_polyadic_hom((0, 5, 1), t, t),
             lambda t: is_polyadic_hom((0, 1.5, 2), t, t),
+            lambda t: is_polyadic_subgroup(t, [0, 1.5]),
+            lambda t: is_normal_polyadic(t, [0, 1.5]),
+            lambda t: is_normal_polyadic(t, [True]),
+            lambda t: coset_classes(t, [0.0, 1.0, 2.0]),
+            lambda t: quotient_polyadic(t, [0, 0.5]),
         ],
         ids=[
             "quotient", "sim_h", "normal", "subgroup", "coset_x", "coset_members",
-            "hom_negative", "hom_too_large", "hom_non_integer",
+            "hom_negative", "hom_too_large", "hom_non_integer", "subgroup_float",
+            "normal_float", "normal_bool", "coset_float", "quotient_float",
         ],
     )
     def test_out_of_range_elements_refused(self, structs, call):
         with pytest.raises(ValidationError):
             call(structs["T3"])
+
+    def test_empty_members_are_no_subgroup(self, structs):
+        assert not is_polyadic_subgroup(structs["T3"], [])
