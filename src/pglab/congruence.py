@@ -13,7 +13,7 @@ normal witnesses and the normal polyadic subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .config import KEY_VALUES, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
-    PolyadicGroup, _twist, _wrap_table, n_ary_identity, packed_tuples, row_blocks,
+    PolyadicGroup, _twist, _wrap_table, distinct, n_ary_identity, packed_tuples, row_blocks,
 )
 from .substructures import (
     PolyadicSubgroup, _as_subgroups, _cosets, _oracle_subgroups, coset_classes, twisted_conjugates,
@@ -108,7 +108,7 @@ def _classes(rel: np.ndarray) -> np.ndarray:
     """The keys of the distinct equivalences a stack of reflexive, symmetric
     relations generate, each labelling x by the least member of its class."""
     labels = _closure(rel).argmax(axis=-1).astype(np.uint8)
-    return np.unique(_keys(labels.reshape(-1, labels.shape[-1])))
+    return distinct(_keys(labels.reshape(-1, labels.shape[-1])))
 
 
 def _relations(keys: np.ndarray, m: int) -> np.ndarray:
@@ -119,11 +119,8 @@ def _relations(keys: np.ndarray, m: int) -> np.ndarray:
 def congruences_bruteforce(
     p: PolyadicGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[Congruence]:
-    """The congruence lattice by Mal'cev's lemma, true in every algebra: Cg(a, b) is the least
-    equivalence containing (a, b) that the basic translations (_translations: by Post's lemma
-    on a derived group) and skew respect, and every congruence is a join of these (R. Freese,
-    Algebra Universalis 59, 2008).  The oracles' gate (config.oracle_refusal) is checked on
-    every call; the lattice is stored on p."""
+    """The congruence lattice by Mal'cev's lemma (_malcev_lattice).  The oracles' gate
+    (config.oracle_refusal) is checked on every call; the lattice is stored on p."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
@@ -131,28 +128,34 @@ def congruences_bruteforce(
 
 
 def _translations(p: PolyadicGroup) -> np.ndarray:
-    """The keys of p's distinct basic translations x ↦ f(c₁,…,x,…,c_{n−1}): a table,
-    maybe no n-ary group (from_table(verify=False)), gives every row of every axis.  In
-    an n-ary group each is x ↦ f(α, u,…,u, x, u,…,u, γ), α dropped at the first position
-    and γ at the last (E. L. Post, Trans. AMS 48, 1940): a derived group's, by one eval_many."""
+    """Maps, a row each, whose compositions give every basic translation.  A table, maybe
+    no n-ary group (from_table(verify=False)), gives its distinct rows of every axis.  A
+    derived group gives Post's generators, by one eval_many: L_α(x) = f(α, 0,…,0, x),
+    R_γ(x) = f(x, 0,…,0, γ) and M_i(x) = f(0,…,x at i,…,0), i = 1..n−2.  Every translation
+    is L_α, R_γ or some L_α∘R_γ∘M_i (E. L. Post, Trans. AMS 48, 1940; CHANGES.md proves it
+    under "Mal'cev from Post's generators")."""
     m, n, r = p.order, p.arity, np.arange(p.order)
     if not p.is_derived:
-        return reduce(np.union1d, [_keys(p.cube.swapaxes(i, -1).reshape(-1, m)) for i in range(n)])
-    grid = np.zeros((n, n, m, m, m), dtype=np.intp)  # [argument, position, α, γ, x], u = 0
-    grid[0], grid[-1], grid[range(n), range(n)] = r[:, None, None], r[:, None], r
-    return np.unique(_keys(p.eval_many(grid.reshape(n, -1)).reshape(-1, m).astype(np.uint8)))
+        keys = [_keys(p.cube.swapaxes(i, -1).reshape(-1, m)) for i in range(n)]
+        return _rows(distinct(np.concatenate(keys)), m)
+    args = np.zeros((n, 2 * m + n - 2, m), dtype=np.intp)  # [argument, map, x]
+    args[0, :m], args[-1, :m] = r[:, None], r
+    args[0, m : 2 * m], args[-1, m : 2 * m] = r, r[:, None]
+    args[range(1, n - 1), range(2 * m, 2 * m + n - 2)] = r
+    return p.eval_many(args.reshape(n, -1)).reshape(-1, m)
 
 
-def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
-    m = p.order
-    maps = np.vstack([_rows(_translations(p), m), [p.skew_table]])
-    # Cg(a, b) for every a < b, a fixpoint on a stack of relations held as
-    # labels (x ↦ the least member of its class): a round relates t(x) to
-    # t(label x) for every map t and every x not its own label, then closes
-    # the relations; it stops when a round relates no new pair
-    r = np.arange(m)
-    a, b = np.nonzero(r[:, None] < r)
-    labels = np.where(r == b[:, None], a[:, None], r)
+def _principal(maps: np.ndarray, pairs: Optional[tuple] = None) -> np.ndarray:
+    """The distinct keys of Cg(a, b) over the pairs, by default (0, c) for c = 1..m−1 if each
+    element is sent to 0 by a map that is a permutation, else every a < b (t(a) = 0 gives
+    Cg(a, b) = Cg(0, t(b)): t and t⁻¹, a power of t, respect every congruence).  A fixpoint on
+    labels (x ↦ the least member of its class): a round relates t(x) to t(label x) for every
+    map t and every x not its own label, then closes the relations, until nothing is new."""
+    r = np.arange(maps.shape[1])
+    if pairs is None:
+        reach = (maps[(np.sort(maps, axis=1) == r).all(axis=1)] == 0).any(axis=0).all()
+        pairs = (np.zeros_like(r[1:]), r[1:]) if reach else np.nonzero(r[:, None] < r)
+    labels = np.where(r == pairs[1][:, None], pairs[0][:, None], r)
     while True:
         i, x = np.nonzero(labels != r)
         tx, ty = maps[:, x], maps[:, labels[i, x]]
@@ -162,13 +165,21 @@ def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
         rel = labels[:, :, None] == labels[:, None, :]
         rel[np.broadcast_to(i, tx.shape)[apart], tx[apart], ty[apart]] = True
         labels = _closure(rel | rel.transpose(0, 2, 1)).argmax(axis=-1)
-    principal = np.unique(_keys(labels.astype(np.uint8)))
+    return distinct(_keys(labels.astype(np.uint8)))
+
+
+def _malcev_lattice(p: PolyadicGroup) -> tuple[Congruence, ...]:
+    """Mal'cev's lemma, true in every algebra: Cg(a, b) is the least equivalence holding (a, b)
+    that the basic translations (_translations) and skew respect, and every congruence is a
+    join of these (R. Freese, Algebra Universalis 59, 2008): the join closure of _principal."""
+    m = p.order
+    principal = _principal(np.vstack([_translations(p), [p.skew_table]]))
     generators = _relations(principal, m)
-    lattice = new = np.union1d(principal, _keys(np.arange(m, dtype=np.uint8)))
+    lattice = new = distinct(np.append(principal, _keys(np.arange(m, dtype=np.uint8))))
     while len(new):
         joins = _classes(_relations(new, m)[:, None] | generators)
-        new = np.setdiff1d(joins, lattice)
-        lattice = np.union1d(lattice, new)
+        new = joins[lattice[np.minimum(np.searchsorted(lattice, joins), len(lattice) - 1)] != joins]
+        lattice = np.sort(np.append(lattice, new))
     congs = [_partition_by(p, row.tolist()) for row in _rows(lattice, m)]
     return tuple(congs[i] for i in _canonical_order(congs))
 
@@ -380,7 +391,7 @@ def enumerate_normal_polyadic(
         t = kernel_table(p)
         r, a = np.nonzero(t.normal)
         # a class is its row and its label: distinct kernels have no coset in common
-        r, label = np.divmod(np.unique(r * p.order + t.labels[r, a]), p.order)
+        r, label = np.divmod(distinct(r * p.order + t.labels[r, a]), p.order)
         classes = t.labels[r] == label[:, None]
         return _as_subgroups(p, (tuple(np.flatnonzero(c).tolist()) for c in classes))
 

@@ -9,7 +9,7 @@ varying fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -251,6 +251,12 @@ def row_blocks(rows: np.ndarray, cells_per_row: int) -> Iterator[np.ndarray]:
     return (rows[lo : lo + step] for lo in range(0, len(rows), step))
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-D array, without the numpy.ma import np.unique makes."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
+
+
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n, m)):
         raise ValidationError(f"arity and order must be integers, got {n!r} and {m!r}")
@@ -281,7 +287,7 @@ def derive(
 
 def _twist(base: FiniteGroup, theta: Automorphism, b: int, arity: int, name: str) -> PolyadicGroup:
     """derive without the caps, for an arity and order already checked."""
-    failures = _twist_gates(base, theta, arity)[b]
+    failures = _twist_gates(base, theta.np_perm[None], arity)[0, b]
     if failures[0]:
         raise BNotFixed(f"theta({b}) = {theta(b)} differs from {b}")
     if failures.any():
@@ -292,11 +298,11 @@ def _twist(base: FiniteGroup, theta: Automorphism, b: int, arity: int, name: str
     return PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=name)
 
 
-def _twist_gates(base: FiniteGroup, theta: Automorphism, arity: int) -> np.ndarray:
-    """derive's gates, a row for each b: whether theta(b) ≠ b, then for each
-    x whether theta^(n−1)(x) ≠ b·x·b⁻¹."""
-    power = theta.power(arity - 1).np_perm
-    return np.column_stack([theta.np_perm != np.arange(base.order), base.conj_table != power])
+def _twist_gates(base: FiniteGroup, perms: np.ndarray, arity: int) -> np.ndarray:
+    """derive's gates for a (k, m) stack of automorphisms θ and every b, a (k, m, m + 1) array:
+    θ(b) ≠ b, then θ^(n−1)(x) ≠ b·x·b⁻¹ for each x (the Hosszú–Gluskin conditions)."""
+    pw = reduce(lambda q, _: np.take_along_axis(perms, q, axis=1), range(arity - 2), perms)
+    return np.dstack([(perms != np.arange(base.order))[..., None], base.conj_table != pw[:, None]])
 
 
 def derive_b(
@@ -659,12 +665,18 @@ def all_derived(
     base: FiniteGroup, arity: int, caps: Caps = DEFAULT_CAPS
 ) -> list[PolyadicGroup]:
     """Every valid twist (theta, b) of a base group at a given arity, theta
-    in automorphism order, then b ascending: each gate of derive is checked
-    once, for every b at once."""
+    in automorphism order, then b ascending: _valid_twists' pairs."""
+    auts, _, thetas, bs = _valid_twists(base, arity, caps)
+    return [
+        PolyadicGroup(arity, DerivedPresentation(base, auts[i], b), name=base.name)
+        for i, b in zip(thetas.tolist(), bs.tolist())
+    ]
+
+
+def _valid_twists(base: FiniteGroup, arity: int, caps: Caps) -> tuple:
+    """Aut(base), its (k, m) stack of permutations and the valid twists as
+    index arrays (θ's row, b) in all_derived's order, by one _twist_gates."""
     auts = automorphisms(base, caps=caps)
     _check_arity_order(arity, base.order, caps)
-    return [
-        PolyadicGroup(arity, DerivedPresentation(base, theta, b), name=base.name)
-        for theta in auts
-        for b in np.flatnonzero(~_twist_gates(base, theta, arity).any(axis=1)).tolist()
-    ]
+    perms = np.asarray([a.perm for a in auts], dtype=np.int64).reshape(len(auts), base.order)
+    return (auts, perms, *np.nonzero(~_twist_gates(base, perms, arity).any(axis=2)))

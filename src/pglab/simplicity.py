@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Literal, Optional, TypeVar
 
 import numpy as np
@@ -20,9 +20,10 @@ from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences, enumerate_normal_polyadic
 from .groups import FiniteGroup, automorphisms
 from .polyadic import (
+    DerivedPresentation,
     PolyadicGroup,
     _check_arity_order,
-    all_derived,
+    _valid_twists,
     from_table,
     is_reduced,
     packed_tuples,
@@ -31,9 +32,6 @@ from .polyadic import (
 from .substructures import PolyadicSubgroup
 
 T = TypeVar("T")
-K = TypeVar("K")
-# A twist (theta.perm, b) of a fixed base group.
-Twist = tuple[tuple[int, ...], int]
 
 
 def is_uas(
@@ -145,10 +143,13 @@ def census(
             flat for flat in itertools.product(range(order), repeat=order**arity)
             if verify_table_axioms(arity, order, flat, caps=caps).ok
         ]
-        orbits = _orbit_classes(flats, flats, _relabellings(order, arity), lambda stray, key: (
-            f"table {stray} is a relabelling of the valid table {key} but fails the axiom check"
-        ))
-        classes = [(from_table(arity, order, f, caps=caps, verify=False), k) for f, k in orbits]
+        index, moves = {flat: i for i, flat in enumerate(flats)}, _relabellings(order, arity)
+        images = [np.array([index.get(move(f), -1) for f in flats], dtype=np.intp)
+                  for move in moves]
+        classes = [(from_table(arity, order, flats[i], caps=caps, verify=False), k)
+                   for i, k in _orbit_classes(len(flats), images, lambda i, j: (
+                       f"table {moves[j](flats[i])} is a relabelling of the valid table "
+                       f"{flats[i]} but fails the axiom check"))]
     return [
         CensusEntry(rep, simplicity_report(rep, caps=caps), count)
         for rep, count in classes
@@ -156,44 +157,45 @@ def census(
 
 
 def _orbit_classes(
-    candidates: list[T], keys: list[K], moves: list[Callable[[K], K]],
-    stray_message: Callable[[K, K], str],
-) -> list[tuple[T, int]]:
-    """(representative, orbit size) for the orbits of the moves on the
-    candidates' keys, in candidate order: each orbit is walked from the key
-    of its first candidate.  An orbit that reaches a key of no candidate
-    raises InternalContradiction, with stray_message(stray key, key)."""
-    index = set(keys)
-    seen: set[K] = set()
-    classes = []
-    for cand, key in zip(candidates, keys):
-        if key in seen:
-            continue
-        orbit = _orbit(key, moves)
-        stray = orbit - index
-        if stray:
-            raise InternalContradiction(stray_message(min(stray), key))
-        seen |= orbit
-        classes.append((cand, len(orbit)))
-    return classes
+    count: int, images: list[np.ndarray], stray_message: Callable[[int, int], str]
+) -> list[tuple[int, int]]:
+    """(first candidate, orbit size) per orbit, in candidate order; move j takes candidate i to
+    images[j][i], −1 for none (InternalContradiction, stray_message(i, j)).  Labels fall to
+    their images' least (the moves are bijections of a finite set, so forward images reach a
+    whole orbit), then to their label's label (pointer jumping): at rest, each orbit's least."""
+    strays = [(int((img < 0).argmax()), j) for j, img in enumerate(images) if (img < 0).any()]
+    if strays:
+        raise InternalContradiction(stray_message(*strays[0]))
+    label, prev = np.arange(count), None
+    while not np.array_equal(label, prev):
+        least = reduce(np.minimum, [label[img] for img in images], label)
+        label, prev = least[least], label
+    reps = np.flatnonzero(label == np.arange(count))
+    return list(zip(reps.tolist(), np.bincount(label, minlength=count)[reps].tolist()))
 
 
 def _twist_classes(
     base: FiniteGroup, arity: int, caps: Caps
 ) -> list[tuple[PolyadicGroup, int]]:
-    """(representative, orbit size) for the Hol(base)-orbits of the valid
-    twists, in the order of all_derived; every twist an orbit reaches must
-    be one of them."""
-    candidates = all_derived(base, arity, caps=caps)
-    keys = [(p.presentation.theta.perm, p.presentation.b) for p in candidates]
-    moves = [
-        partial(_transport_twist, base, arity, phi, g)
-        for phi, g in _hol_generators(base, caps)
-    ]
-    return _orbit_classes(candidates, keys, moves, lambda stray, key: (
-        f"twist {stray} of {base!r} is isomorphic to the valid twist {key} "
-        f"but is not among the valid twists at arity {arity}"
-    ))
+    """(representative, orbit size) per Hol(base)-orbit of _valid_twists' index arrays, in
+    all_derived's order, a PolyadicGroup built per representative alone: each generator of
+    Hol(base) moves every twist at once (_transport), onto valid twists only."""
+    auts, perms, thetas, bs = _valid_twists(base, arity, caps)
+    m, rows = base.order, {row.tobytes(): i for i, row in enumerate(perms)}
+    where = np.full(len(auts) * m, -1)
+    where[thetas * m + bs] = np.arange(len(bs))
+    images, moved = [], []
+    for phi, g in _hol_generators(base, caps):
+        theta2, b2 = _transport(base, arity, np.asarray(phi), g, perms, thetas, bs)
+        aut = np.array([rows.get(row.tobytes(), -1) for row in theta2])[thetas]
+        images.append(np.where(aut < 0, -1, where[aut * m + b2]))
+        moved.append((theta2, b2))
+    classes = _orbit_classes(len(bs), images, lambda i, j: (
+        f"twist {(tuple(moved[j][0][thetas[i]].tolist()), int(moved[j][1][i]))} of {base!r} is "
+        f"isomorphic to the valid twist {(auts[thetas[i]].perm, int(bs[i]))} "
+        f"but is not among the valid twists at arity {arity}"))
+    return [(PolyadicGroup(arity, DerivedPresentation(base, auts[thetas[i]], int(bs[i])),
+                           base.name), k) for i, k in classes]
 
 
 def _relabellings(order: int, arity: int) -> list[Callable[[tuple], tuple]]:
@@ -212,22 +214,20 @@ def _relabel(sigma: tuple[int, ...], cells: list[int], flat: tuple) -> tuple:
     return tuple([sigma[flat[i]] for i in cells])
 
 
-def _transport_twist(
-    base: FiniteGroup, arity: int, phi: tuple[int, ...], g: int, twist: Twist
-) -> Twist:
-    """The twist (θ′, b′) onto which ψ = R_g ∘ φ (ψ(x) = φ(x)·g, φ an
-    automorphism of base) carries der(base, θ, b) = twist: with
-    θ₁ = φθφ⁻¹, θ′(x) = g⁻¹·θ₁(x)·g and
-    b′ = g⁻¹·θ₁(g⁻¹)·…·θ₁^(n−1)(g⁻¹)·φ(b)·g."""
-    theta, b = twist
-    t, gi = base.table, base.inverses[g]
-    theta1 = [0] * base.order
-    for x, y in enumerate(phi):
-        theta1[y] = phi[theta[x]]
-    acc, y = 0, gi
+def _transport(
+    base: FiniteGroup, arity: int, phi: np.ndarray, g: int,
+    perms: np.ndarray, thetas: np.ndarray, bs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where ψ = R_g ∘ φ (ψ(x) = φ(x)·g, φ ∈ Aut(base)) carries der(base, θ, b),
+    by gathers: θ′ for each row θ of perms, b′ for each twist (perms[thetas[i]],
+    bs[i]).  With θ₁ = φθφ⁻¹, ψ∘f∘(ψ⁻¹)ⁿ is der(base, θ′, b′) for
+    θ′(x) = g⁻¹·θ₁(x)·g and b′ = g⁻¹·θ₁(g⁻¹)·…·θ₁^(n−1)(g⁻¹)·φ(b)·g."""
+    t, gi = base.np_table, base.inverses[g]
+    theta1 = phi[perms[:, np.argsort(phi)]]
+    acc, y = np.zeros(len(perms), dtype=np.intp), np.full(len(perms), gi)
     for _ in range(arity):
-        acc, y = t[acc][y], theta1[y]
-    return tuple(t[t[gi][z]][g] for z in theta1), t[t[acc][phi[b]]][g]
+        acc, y = t[acc, y], np.take_along_axis(theta1, y[:, None], axis=1)[:, 0]
+    return t[t[gi, theta1], g], t[t[acc[thetas], phi[bs]], g]
 
 
 def _hol_generators(

@@ -134,7 +134,7 @@ def _theorem_subgroups(p: PolyadicGroup) -> list[tuple[int, ...]]:
     kept = invariant_subgroups(base, base.conj_table[:, hg.theta.np_perm])
     u, k = np.nonzero(kept & masks[:, anchor].T)
     cosets = masks[k[:, None], quotients[np.asarray(hg.relabel)][:, u].T]
-    return [tuple(np.flatnonzero(row).tolist()) for row in np.unique(cosets, axis=0)]
+    return [tuple(np.flatnonzero(c).tolist()) for c in {c.tobytes(): c for c in cosets}.values()]
 
 
 def enumerate_polyadic_subgroups(
@@ -202,9 +202,10 @@ def _twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
 
 
 def is_normal_polyadic(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> bool:
-    """Normality of a polyadic subgroup via the twist criterion: every
-    twisted conjugate of a member stays inside."""
-    return _stays_inside(twisted_conjugates(p), _members(p, h))
+    """Whether h is a polyadic subgroup (so never for the empty set) every
+    twisted conjugate of whose members stays inside: the twist criterion."""
+    members = _members(p, h)
+    return is_polyadic_subgroup(p, members) and _stays_inside(twisted_conjugates(p), members)
 
 
 def _cosets(p: PolyadicGroup, hs: Sequence[int], us, xs: Sequence[int]) -> np.ndarray:
@@ -222,7 +223,7 @@ def coset_classes(
 ) -> tuple[tuple[int, ...], ...]:
     """The sorted polyadic cosets of a normal polyadic subgroup."""
     members = _members(p, h)
-    if not (is_polyadic_subgroup(p, members) and is_normal_polyadic(p, members)):
+    if not is_normal_polyadic(p, members):
         raise NotNormal(f"{list(members)} is not a normal polyadic subgroup")
     rows = _cosets(p, members, members[0], range(p.order)).tolist()
     return tuple(sorted({tuple(sorted(set(row))) for row in rows}))

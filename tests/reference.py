@@ -15,7 +15,7 @@ import numpy as np
 
 from pglab.config import DEFAULT_CAPS
 from pglab.congruence import (
-    Congruence, KernelClass, LatticeOps, _keys, _partition_by, class_signature,
+    Congruence, KernelClass, LatticeOps, _keys, _partition_by, _rows, class_signature,
 )
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
@@ -29,6 +29,7 @@ from pglab.polyadic import (
     AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
     packed_tuples, row_blocks,
 )
+from pglab.simplicity import _hol_generators
 from pglab.substructures import (
     PolyadicSubgroup, _conjugates, _cosets, _members, _stays_inside, coset_classes,
     enumerate_polyadic_subgroups, is_normal_polyadic,
@@ -294,6 +295,72 @@ def reference_translations(p: PolyadicGroup) -> np.ndarray:
     m = p.order
     keys = [np.unique(_keys(np.moveaxis(p.cube, i, -1).reshape(-1, m))) for i in range(p.arity)]
     return np.unique(np.concatenate(keys))
+
+
+def post_translations(p: PolyadicGroup) -> np.ndarray:
+    """The keys of a derived p's distinct Post maps x ↦ f(α, 0,…,0, x, 0,…,0, γ),
+    x at each position, α dropped at the first and γ at the last (E. L. Post,
+    Trans. AMS 48, 1940), by one eval_many: the congruence oracle's map set
+    before it read Post's generators."""
+    m, n, r = p.order, p.arity, np.arange(p.order)
+    grid = np.zeros((n, n, m, m, m), dtype=np.intp)  # [argument, position, α, γ, x]
+    grid[0], grid[-1], grid[range(n), range(n)] = r[:, None, None], r[:, None], r
+    return np.unique(_keys(p.eval_many(grid.reshape(n, -1)).reshape(-1, m).astype(np.uint8)))
+
+
+def monoid_keys(maps: np.ndarray) -> np.ndarray:
+    """The sorted keys of every composition of one or more rows of maps
+    (transformations of 0..m−1, one a row), grown a layer at a time."""
+    m = maps.shape[1]
+    seen = frontier = np.unique(_keys(maps.astype(np.uint8)))
+    while len(frontier):
+        rows = _rows(frontier, m)
+        composed = np.unique(_keys(maps[:, rows].reshape(-1, m).astype(np.uint8)))  # t ∘ s
+        frontier = np.setdiff1d(composed, seen)
+        seen = np.union1d(seen, frontier)
+    return seen
+
+
+def transport_twist(
+    base: FiniteGroup, arity: int, phi: Sequence[int], g: int, twist: tuple
+) -> tuple[tuple[int, ...], int]:
+    """The twist (θ′, b′) onto which ψ = R_g ∘ φ carries der(base, θ, b),
+    one element at a time: with θ₁ = φθφ⁻¹, θ′(x) = g⁻¹·θ₁(x)·g and
+    b′ = g⁻¹·θ₁(g⁻¹)·…·θ₁^(n−1)(g⁻¹)·φ(b)·g."""
+    theta, b = twist
+    t, gi = base.table, base.inverses[g]
+    theta1 = [0] * base.order
+    for x, y in enumerate(phi):
+        theta1[y] = phi[theta[x]]
+    acc, y = 0, gi
+    for _ in range(arity):
+        acc, y = t[acc][y], theta1[y]
+    return tuple(t[t[gi][z]][g] for z in theta1), t[t[acc][phi[b]]][g]
+
+
+def reference_twist_classes(base: FiniteGroup, arity: int) -> list[tuple[PolyadicGroup, int]]:
+    """(representative, orbit size) for the Hol(base)-orbits of the valid
+    twists, each orbit walked by transport_twist from the key of its first
+    candidate, in all_derived's order: the census's scalar orbit walk."""
+    candidates = all_derived(base, arity)
+    keys = [(p.presentation.theta.perm, p.presentation.b) for p in candidates]
+    gens = _hol_generators(base)
+    seen, classes = set(), []
+    for cand, key in zip(candidates, keys):
+        if key in seen:
+            continue
+        orbit, stack = {key}, [key]
+        while stack:
+            x = stack.pop()
+            for phi, g in gens:
+                y = transport_twist(base, arity, phi, g, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        assert orbit <= set(keys), (base, arity, key)
+        seen |= orbit
+        classes.append((cand, len(orbit)))
+    return classes
 
 
 def normal_congruence_condition_direct(r, a: int) -> bool:

@@ -267,6 +267,41 @@ def run_cli(argv, env):
     )
 
 
+class TestNoMaskedArrays:
+    def test_cli_never_imports_numpy_ma(self, tmp_path):
+        """np.unique (and union1d, setdiff1d) import numpy.ma on their first
+        call, which costs a fresh interpreter 9–15 ms; pglab's commands must
+        not make that import."""
+        script = """
+import contextlib, io, json, sys
+from pglab.catalog import cyclic
+from pglab.cli import main
+from pglab.groups import Automorphism
+from pglab.polyadic import as_table, derive
+from pglab.serialize import polyadic_to_doc
+z4, z2 = (derive(cyclic(m), Automorphism.identity(m), 0, 3) for m in (4, 2))
+for name, p in (("z4", z4), ("z4t", as_table(z4)), ("z2", z2)):
+    json.dump(polyadic_to_doc(p), open(name + ".json", "w"))
+analyze = ["--json", "analyze", "--subgroups", "--normal", "--congruences", "--simplicity"]
+runs = [analyze + ["z4.json"], analyze + ["z4t.json"],
+        ["--json", "census", "--order", "8", "--arity", "3"],
+        ["--json", "census", "--order", "2", "--arity", "3", "--mode", "exhaustive"],
+        ["--json", "quotient", "--subgroup", "0,2", "z4.json"],
+        ["--json", "hom", "--from", "z4.json", "--to", "z2.json", "--enumerate"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(pglab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", proc.stdout
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_gives_no_traceback(self):
         """A reader that closes the pipe before the output is written (as

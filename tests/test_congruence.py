@@ -23,7 +23,9 @@ from pglab.congruence import (
 )
 from pglab.catalog import catalog, catalog_group, groups_of_order
 from pglab.config import DEFAULT_CAPS, Caps
-from pglab.errors import MethodDisagreement, OrderCapExceeded, ValidationError
+from pglab.errors import (
+    MethodDisagreement, NoSolution, NotUnique, OrderCapExceeded, ValidationError,
+)
 from pglab.groups import Automorphism, make_group
 from pglab.polyadic import PolyadicGroup, all_derived, as_table, derive, derive_b, from_table
 from pglab.simplicity import _twist_classes, simplicity_report
@@ -42,6 +44,8 @@ from reference import (
     reference_normal_by_twist,
     reference_normal_congruence,
     reference_normal_theorem,
+    monoid_keys,
+    post_translations,
     reference_partition_scan,
     reference_translations,
     related,
@@ -157,33 +161,147 @@ class TestBruteforce:
 
 
 class TestTranslations:
-    """The congruence oracle's maps: on a derived group Post's
-    f(α, 0,…,0, x, 0,…,0, γ), on a table every row of every axis.  Both must
-    be the distinct translations the table rows give.  The lattice tests
-    above cannot tell a map set that only generates the same congruences
-    (γ held at 0 at the inner positions, or the end positions dropped, give
-    the true lattice on the whole corpus), so the sets are compared here."""
+    """The congruence oracle's maps.  Post's maps f(α, 0,…,0, x, 0,…,0, γ)
+    (tests/reference.py::post_translations) must be the distinct
+    translations the table rows give, and a table's own map set is those
+    rows.  A derived group's maps are Post's generators L_α, R_γ and M_i:
+    each must be a table row, and their compositions must reach every Post
+    map.  The lattice tests cannot tell a map set that only generates the
+    same congruences (γ held at 0 at the inner positions, or the end
+    positions dropped, give the true lattice on the whole corpus), so the
+    sets are compared here."""
 
     def test_equal_the_table_rows_on_the_corpus(self, corpus):
         for p in corpus:
             fresh = PolyadicGroup(p.arity, p.presentation)  # holds no table yet
-            post = congruence._translations(fresh)
+            post = post_translations(fresh)
             assert "flat_np" not in fresh.__dict__
             expected = reference_translations(fresh)
             assert np.array_equal(post, expected), p
-            assert np.array_equal(congruence._translations(as_table(fresh)), expected), p
+            table_maps = congruence._translations(as_table(fresh))
+            assert np.array_equal(congruence._keys(table_maps.astype(np.uint8)), expected), p
 
     @pytest.mark.parametrize("order, arity", [(7, 7), (7, 8), (8, 7), (8, 8)])
     def test_equal_the_table_rows_on_census_representatives(self, order, arity):
         for base in groups_of_order(order):
             for p, _ in _twist_classes(base, arity, DEFAULT_CAPS):
-                assert np.array_equal(congruence._translations(p), reference_translations(p)), p
+                assert np.array_equal(post_translations(p), reference_translations(p)), p
+
+    @staticmethod
+    def _generators_reach_post(p, rows):
+        """rows: the keys of p's table rows, or of its Post maps, which the
+        tests above show equal to them (the m^n rows of an arity-8
+        representative take seconds to read)."""
+        fresh = PolyadicGroup(p.arity, p.presentation)
+        maps = congruence._translations(fresh)
+        if fresh.is_derived:
+            assert "flat_np" not in fresh.__dict__
+            assert len(maps) == 2 * p.order + p.arity - 2, p
+        keys = congruence._keys(maps.astype(np.uint8))
+        assert np.isin(keys, rows).all(), p  # every generator is a basic translation
+        post = post_translations(fresh) if fresh.is_derived else rows
+        assert np.isin(post, monoid_keys(maps)).all(), p
+
+    def test_generators_reach_every_post_map_on_the_corpus(self, corpus):
+        for p in corpus:
+            rows = reference_translations(p)
+            self._generators_reach_post(p, rows)
+            self._generators_reach_post(as_table(p), rows)
+
+    @pytest.mark.parametrize("order, arity", [(7, 7), (7, 8), (8, 7), (8, 8)])
+    def test_generators_reach_every_post_map_on_census_representatives(self, order, arity):
+        for base in groups_of_order(order):
+            for p, _ in _twist_classes(base, arity, DEFAULT_CAPS):
+                self._generators_reach_post(p, post_translations(p))
 
     def test_derived_oracle_builds_no_operation_table(self):
         v = catalog_group("Z2xZ2")
         for p in (derive(v, Automorphism((0, 2, 1, 3)), 0, 7), derive_b(catalog_group("Z7"), 2, 7)):
             assert congruences_bruteforce(p) == congruences_theorem(p)
             assert "flat_np" not in p.__dict__
+
+
+def _reaches_zero(maps):
+    """Whether every element is sent to 0 by some map that is a
+    permutation, read map by map."""
+    m = maps.shape[1]
+    hit = {row.index(0) for row in maps.tolist() if sorted(row) == list(range(m))}
+    return len(hit) == m
+
+
+def _all_pairs(m):
+    r = np.arange(m)
+    return np.nonzero(r[:, None] < r)
+
+
+def _zero_pairs(m):
+    return np.zeros(m - 1, dtype=np.intp), np.arange(1, m)
+
+
+def _oracle_maps(p):
+    return np.vstack([congruence._translations(p), [p.skew_table]])
+
+
+def _tables_with_skew():
+    """Seeded uniform tables of orders 3–4 and arities 2–3 whose skew is
+    well defined: none need be an n-ary group."""
+    rng, out = random.Random(5), []
+    for _ in range(3000):
+        m, n = rng.choice((3, 4)), rng.choice((2, 3))
+        p = from_table(n, m, [rng.randrange(m) for _ in range(m**n)], verify=False)
+        try:
+            p.skew_table
+        except (NoSolution, NotUnique):
+            continue
+        out.append(p)
+    return out
+
+
+# The one table of _tables_with_skew whose lattice the (0, c) pairs alone
+# would change: Cg(1, 2) = {0}{1, 2} is no Cg(0, c).
+ZERO_PAIRS_FAIL = (2, 3, (0, 1, 1, 2, 1, 2, 1, 1, 2))
+
+
+class TestPrincipalSeeds:
+    """The Mal'cev oracle seeds its fixpoint with the (0, c) pairs when
+    every element is sent to 0 by a map that is a permutation, and with
+    every pair otherwise; either way it finds every principal congruence."""
+
+    def test_zero_pairs_on_the_corpus_and_its_table_forms(self, corpus):
+        for p in corpus:
+            for q in (PolyadicGroup(p.arity, p.presentation), as_table(p)):
+                maps = _oracle_maps(q)
+                assert _reaches_zero(maps), q
+                everything = congruence._principal(maps, _all_pairs(q.order))
+                assert np.array_equal(congruence._principal(maps, _zero_pairs(q.order)), everything)
+                assert np.array_equal(congruence._principal(maps), everything), q
+
+    def test_tables_that_are_no_groups(self):
+        tables = _tables_with_skew()
+        failing = [p for p in tables if not _reaches_zero(_oracle_maps(p))]
+        assert (len(tables), len(failing)) == (198, 113)
+        for p in tables:
+            maps = _oracle_maps(p)
+            everything = congruence._principal(maps, _all_pairs(p.order))
+            assert np.array_equal(congruence._principal(maps), everything), p
+            if p not in failing:
+                assert np.array_equal(congruence._principal(maps, _zero_pairs(p.order)), everything)
+            assert [c.classes for c in congruences_bruteforce(p)] == reference_partition_scan(p)
+
+    def test_zero_pairs_alone_change_one_lattice(self):
+        def changed(p):
+            maps = _oracle_maps(p)
+            zero = congruence._principal(maps, _zero_pairs(p.order))
+            return not np.array_equal(zero, congruence._principal(maps, _all_pairs(p.order)))
+
+        found = [p for p in _tables_with_skew() if changed(p)]
+        assert [(p.arity, p.order, tuple(p.flat_np.tolist())) for p in found] == [ZERO_PAIRS_FAIL]
+        # the (0, c) pairs give the full relation alone, so their joins would
+        # be the diagonal and the full relation; {0}{1, 2} is a congruence too
+        full = congruence._keys(np.zeros((1, 3), dtype=np.uint8))
+        assert np.array_equal(congruence._principal(_oracle_maps(found[0]), _zero_pairs(3)), full)
+        lattice = [((0,), (1,), (2,)), ((0,), (1, 2)), ((0, 1, 2),)]
+        assert reference_partition_scan(found[0]) == lattice
 
 
 class TestTheorem:

@@ -1,9 +1,10 @@
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from pglab import congruence, morphisms, simplicity, substructures
+from pglab import congruence, morphisms, polyadic, simplicity, substructures
 from pglab.catalog import catalog_group, cyclic, groups_of_order
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import CostCapExceeded, InternalContradiction, ValidationError
@@ -19,6 +20,8 @@ from pglab.simplicity import (
     is_uas,
     simplicity_report,
 )
+
+from reference import reference_twist_classes, transport_twist
 
 
 class TestThetaSimple:
@@ -297,8 +300,9 @@ class TestHolomorphOrbits:
 
     def test_transport_is_the_transported_operation(self, corpus):
         """For every twist of order at most 8 and every generator ψ = R_g ∘ φ,
-        the closed form equals the twist read off f′ = ψ∘f∘(ψ⁻¹)ⁿ:
-        b′ = f′(0,...,0) and θ′(x) = f′(0,x,0,...,0)·b′⁻¹."""
+        the array transport, given the twist as a stack of one, equals the
+        twist read off f′ = ψ∘f∘(ψ⁻¹)ⁿ: b′ = f′(0,...,0) and
+        θ′(x) = f′(0,x,0,...,0)·b′⁻¹."""
         for p in corpus:
             base, n = p.presentation.base, p.arity
             twist = (p.presentation.theta.perm, p.presentation.b)
@@ -314,7 +318,12 @@ class TestHolomorphOrbits:
                     base.mul(moved(0, x, *[0] * (n - 2)), base.inv(b))
                     for x in range(p.order)
                 )
-                assert simplicity._transport_twist(base, n, phi, g, twist) == (theta, b)
+                theta2, b2 = simplicity._transport(
+                    base, n, np.asarray(phi), g, np.asarray([twist[0]]), np.zeros(1, int),
+                    np.asarray([twist[1]]),
+                )
+                assert (tuple(theta2[0].tolist()), int(b2[0])) == (theta, b)
+                assert transport_twist(base, n, phi, g, twist) == (theta, b)
 
     def test_derived_census_is_not_pairwise(self, monkeypatch):
         """Both modes class by orbits alone: with the reports stubbed (they
@@ -333,14 +342,36 @@ class TestHolomorphOrbits:
         assert [len(e) for e in got] == [7, 2, 1]
 
     def test_orbit_outside_the_valid_twists_is_refused(self, monkeypatch):
-        # der(Z3, id, 1) lies in the orbit of der(Z3, id, 0); hide it
-        def drop_second(base, arity, caps):
-            twists = all_derived(base, arity, caps=caps)
-            return twists[:1] + twists[2:]
+        # der(Z3, id, 1) lies in the orbit of der(Z3, id, 0); the shared
+        # gate fails it
+        gates = polyadic._twist_gates
 
-        monkeypatch.setattr(simplicity, "all_derived", drop_second)
-        with pytest.raises(InternalContradiction):
+        def fail_second(base, perms, arity):
+            out = gates(base, perms, arity)
+            if base.order == 3:
+                out[(perms == np.arange(3)).all(axis=1), 1, 0] = True
+            return out
+
+        monkeypatch.setattr(polyadic, "_twist_gates", fail_second)
+        assert len(all_derived(catalog_group("Z3"), 3)) == 3
+        with pytest.raises(InternalContradiction, match=r"twist \(\(0, 1, 2\), 1\)"):
             census(3, 3)
+
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_array_classes_equal_the_scalar_walk(self, order):
+        for base in groups_of_order(order):
+            for arity in range(2, 9):
+                got = simplicity._twist_classes(base, arity, DEFAULT_CAPS)
+                assert got == reference_twist_classes(base, arity), (base, arity)
+
+    @pytest.mark.parametrize("order, arity, total", [(4, 4, 2), (9, 5, 6), (8, 8, 48)])
+    def test_uas_multiplicities(self, order, arity, total):
+        """The θ-simple twists of Z_p^k are those whose θ has an irreducible
+        characteristic polynomial and θ^(n−1) = 1: 2, 6 and 48 on these
+        cells, each class cross-checked by both routes."""
+        entries = census(order, arity)
+        assert all(e.report.method == "both" for e in entries)
+        assert sum(e.multiplicity for e in entries if e.report.uas) == total
 
     def test_relabelled_table_outside_the_valid_tables_is_refused(self, monkeypatch):
         # the two tables of Z2 (identity 0 and identity 1) are one orbit of

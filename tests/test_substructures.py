@@ -164,6 +164,14 @@ class TestNormality:
         assert is_normal_polyadic(structs["V4swap"], (0, 3))
         assert normal_by_conjugate_table(structs["V4swap"], (0, 3))
 
+    @pytest.mark.parametrize("members", [[], [1], [1, 2]], ids=["empty", "singleton", "pair"])
+    def test_no_polyadic_subgroup_is_not_normal(self, structs, members):
+        # on der(Z3, id, 0, 3) none of these is closed under f; each has
+        # its twisted conjugates inside
+        p = structs["T3"]
+        assert not is_polyadic_subgroup(p, members)
+        assert not is_normal_polyadic(p, members)
+
     def test_alternating_singleton_not_normal(self, structs):
         assert not is_normal_polyadic(structs["T4inv"], (1,))
         assert not normal_by_conjugate_table(structs["T4inv"], (1,))
