@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from .errors import (
     NotLatinSquare,
     ValidationError,
 )
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -74,8 +77,10 @@ class FiniteGroup:
 
     @cached_property
     def subgroup_lattice(self) -> tuple[tuple[int, ...], ...]:
-        """Every subgroup: the closure lattice above the trivial one."""
-        return closure_lattice(partial(subgroup_closure, self.table), self.order)
+        """Every subgroup: the closure lattice above the trivial one, a seed
+        closed by the span of 0 under its elements' left multiplications."""
+        moves = [row.__getitem__ for row in self.table]
+        return closure_lattice(lambda seed: frozenset(span(0, [moves[g] for g in seed])), self.order)
 
     @cached_property
     def subgroup_masks(self) -> np.ndarray:
@@ -270,28 +275,19 @@ class Subgroup:
         return f"Subgroup({list(self.members)})"
 
 
-def subgroup_closure(
-    table: Sequence[Sequence[int]], seed: Iterable[int]
-) -> frozenset[int]:
-    """Smallest subgroup containing seed in the group with this multiplication
-    table (product closure; inverses follow)."""
-    elems = list(dict.fromkeys(seed))
-    if not elems:
-        elems = [0]
-    known = set(elems)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        row = table[a]
-        for b in elems[: i + 1]:
-            for p in (row[b], table[b][a]):
-                if p not in known:
-                    known.add(p)
-                    elems.append(p)
-        i += 1
-    if 0 not in known:  # powers of any element reach the identity
-        known.add(0)
-    return frozenset(known)
+def span(start: T, moves: Sequence[Callable[[T], T]]) -> set[T]:
+    """Everything reached from start by the moves, which are bijections of a
+    finite set, so what they reach is also what their inverses reach: from
+    the identity by left multiplications, the subgroup they generate."""
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def closure_lattice(

@@ -27,7 +27,6 @@ from .polyadic import (
     HosszuGloskin,
     PolyadicGroup,
     hg_anchor0,
-    n_ary_identity,
     row_blocks,
 )
 
@@ -93,14 +92,14 @@ def is_polyadic_hom(
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether psi(f(t)) = h(psi(t)) for every tuple t, with the first
-    failing tuple of p's stored rows (_scan_rows, whose Post rows decide:
+    failing tuple of p's stored rows (_scan_rows, whose (A_1) rows decide:
     the check reads the n-ary group axioms of both, not the split), or None.
 
-    The (n−1)·m² + 2m rows are charged to axiom_cost_cap before they are
-    built, and h is read by one q.eval_many on them: no m^n table of
-    either side is built.  The map is checked first: its shape
-    (_check_shape, ArityMismatch), then its images, integers in q's
-    carrier (ValidationError)."""
+    The m² + 2m rows are charged to axiom_cost_cap before they are built,
+    and h is read by one q.eval_many on them: no m^n table of either side
+    is built.  The map is checked first: its shape (_check_shape,
+    ArityMismatch), then its images, integers in q's carrier
+    (ValidationError)."""
     _check_shape(psi, p, q)
     return _hom_check(q._in_carrier(psi), p, q, caps)
 
@@ -109,8 +108,8 @@ def _hom_check(
     psi: np.ndarray, p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """is_polyadic_hom on a map already checked."""
-    m, n = p.order, p.arity
-    charge(caps, "axiom_cost_cap", (n - 1) * m * m + 2 * m, "the hom check")
+    m = p.order
+    charge(caps, "axiom_cost_cap", m * m + 2 * m, "the hom check")
     rows, _ = _scan_rows(p)
     images = psi[rows]
     bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
@@ -247,24 +246,22 @@ def _scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
     scan has assigned all of them.  Stored on p.
 
     The tuples are the diagonal (x,…,x), the skew tuples (x,…,x,skew(x))
-    and Post's families with u = 0 and ū = skew(0) (E. L. Post, "Polyadic
-    groups", Trans. AMS 48, 1940): (A_j) (x, 0^(j−1), y, 0^(n−j−2), ū),
-    j = 1..n−2, and (B) (x, 0^(n−2), y), the edge tuples.  A map between
-    n-ary groups is a hom exactly when it commutes with f on the two
-    families, (n−1)·m² tuples; the diagonal and skew tuples only prune
-    the scan earlier.  f(t) is one p.eval_many: no m^n table is built."""
+    and Post's (A_1) with u = 0 and ū = skew(0) (E. L. Post, "Polyadic
+    groups", Trans. AMS 48, 1940): (x, y, 0^(n−3), ū), at arity 2 (B)
+    (x, y).  A map between n-ary groups is a hom exactly when it commutes
+    with f on these m² tuples (CHANGES.md proves it under "Post's lemma for
+    the hom check"); the diagonal and skew tuples only prune the scan
+    earlier.  f(t) is one p.eval_many: no m^n table is built."""
     return cached_on(p, "hom_scan_rows", lambda: _build_scan_rows(p))
 
 
 def _build_scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
     m, n = p.order, p.arity
-    x, y = np.divmod(np.arange(m * m), m)
     diagonal = np.broadcast_to(np.arange(m), (n, m))
     skew = np.vstack([diagonal[1:], p.skew_table])
-    families = np.zeros((n - 1, n, m * m), dtype=np.intp)
-    for j, family in enumerate(families, 1):
-        family[-1], family[0], family[j] = p.skew_table[0], x, y  # (B) puts y last
-    args = np.hstack([diagonal, skew, *families])
+    post = np.zeros((n, m * m), dtype=np.intp)
+    post[-1], post[:2] = p.skew_table[0], np.divmod(np.arange(m * m), m)  # at arity 2 y overwrites ū
+    args = np.hstack([diagonal, skew, post])
     rows = np.vstack([args, p.eval_many(args)]).astype(np.min_scalar_type(m - 1))
     steps = rows.max(axis=0)
     order = np.argsort(steps, kind="stable")
@@ -280,7 +277,7 @@ def _oracle_hom_maps(
     (Post's u).  After each step the rows of p's stored tuples
     (_scan_rows) that have just been fully assigned are checked at once
     and the violating maps dropped; a map that passes the last step
-    commutes with f on Post's families, so it is a hom.  Columns are
+    commutes with f on Post's (A_1) tuples, so it is a hom.  Columns are
     assigned in order and each row is extended by its images in order, so
     the maps come out sorted.  The scan never consults the theorem route;
     the oracle's gate refuses before any table is read, and only q's
@@ -345,7 +342,7 @@ def enumerate_homs(
     pass both split conditions, and stores each map's split on p
     (_split_table) for decompose_hom and compose_hom to read.  The oracle
     scans raw maps: a frontier of partial maps pruned on p's stored rows
-    (_scan_rows), whose Post families decide, so a leaf is a hom.  Auto
+    (_scan_rows), whose Post family decides, so a leaf is a hom.  Auto
     runs both when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
     hom_oracle_cap, q's |Q|^n table within axiom_cost_cap) admits the
     pair, and insists they agree; outside it the theorem runs alone.
@@ -362,27 +359,12 @@ def enumerate_homs(
     return [PolyadicHom(p, q, m) for m in maps]
 
 
-def _iso_invariants(p: PolyadicGroup) -> tuple:
-    # stored on p: a structure compared with many others computes them once
-    return cached_on(p, "iso_invariants", lambda: (
-        p.order,
-        p.arity,
-        n_ary_identity(p) is not None,
-        sum(1 for x in range(p.order) if p.skew(x) == x),
-        len(p.idempotents()),
-    ))
-
-
 def are_isomorphic(p: PolyadicGroup, q: PolyadicGroup) -> Optional[PolyadicHom]:
-    """The smallest bijective homomorphism in map order, or None.
-
-    Cheap invariants (order, arity, identity presence, skew fixed points,
-    idempotent count) prune before the bijection search; the search itself
-    crosses the injective binary homomorphisms with valid anchors.
+    """The smallest bijective homomorphism in map order, or None: for equal
+    orders and arities, the bijection search alone, the injective binary
+    homomorphisms crossed with the anchors that pass both split conditions.
     """
     if p.arity != q.arity or p.order != q.order:
-        return None
-    if _iso_invariants(p) != _iso_invariants(q):
         return None
     best = min((psi for psi, _ in _split_maps(p, q, bijective=True)), default=None)
     return PolyadicHom(p, q, best) if best is not None else None

@@ -151,10 +151,12 @@ def axiom_report_to_doc(report) -> dict:
 def load_document(path: str | Path, caps: Caps = DEFAULT_CAPS, verify: bool = True):
     """Load a group or polyadic document from a JSON file."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, a missing permission
+        raise ParseError(f"{path}: cannot read ({exc.strerror})")
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})")
     kind = _expect(obj, "kind", str(path))
     if kind == "group":

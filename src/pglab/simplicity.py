@@ -18,7 +18,7 @@ from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, oracle_refu
 from .errors import InternalContradiction, MethodDisagreement, ValidationError
 from .catalog import A000001, groups_of_order
 from .congruence import Congruence, congruences, enumerate_normal_polyadic
-from .groups import FiniteGroup, automorphisms
+from .groups import FiniteGroup, automorphisms, span
 from .polyadic import (
     DerivedPresentation,
     PolyadicGroup,
@@ -254,23 +254,9 @@ def _generating_set(elements: Iterable[T], identity: T, mul: Callable[[T, T], T]
     """A generating set of the finite group of elements: each element
     outside the span of those kept so far is kept."""
     gens: list[T] = []
-    span = {identity}
+    reached = {identity}
     for x in elements:
-        if x not in span:
+        if x not in reached:
             gens.append(x)
-            span = _orbit(identity, [partial(mul, g) for g in gens])
+            reached = span(identity, [partial(mul, g) for g in gens])
     return gens
-
-
-def _orbit(start: T, moves: list[Callable[[T], T]]) -> set[T]:
-    """Everything reached from start by the moves, which are bijections
-    of a finite set."""
-    seen, stack = {start}, [start]
-    while stack:
-        x = stack.pop()
-        for move in moves:
-            y = move(x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen

@@ -390,6 +390,30 @@ def is_inner(group: FiniteGroup, alpha: Automorphism) -> Optional[int]:
     return None
 
 
+def subgroup_closure(
+    table: Sequence[Sequence[int]], seed: Iterable[int]
+) -> frozenset[int]:
+    """Smallest subgroup containing seed in the group with this multiplication
+    table (product closure; inverses follow)."""
+    elems = list(dict.fromkeys(seed))
+    if not elems:
+        elems = [0]
+    known = set(elems)
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        row = table[a]
+        for b in elems[: i + 1]:
+            for p in (row[b], table[b][a]):
+                if p not in known:
+                    known.add(p)
+                    elems.append(p)
+        i += 1
+    if 0 not in known:  # powers of any element reach the identity
+        known.add(0)
+    return frozenset(known)
+
+
 def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     mset = set(members)
     return all(group.conj(g, h) in mset for g in range(group.order) for h in mset)

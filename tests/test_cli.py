@@ -345,6 +345,22 @@ class TestBadInput:
         assert proc.stderr.startswith("ValidationError: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, None],
+        ids=["not-utf8", "nested-100000", "directory"],
+    )
+    def test_unreadable_document_exits_1(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        proc = run_cli(["analyze", str(path)], {})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"ParseError: {path}: ")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("order, flat", [(0, []), (True, [0])])
     def test_bad_table_order_exits_1(self, tmp_path, order, flat):
         doc = {"kind": "polyadic", "arity": 3,

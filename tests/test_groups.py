@@ -1,10 +1,13 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pglab.catalog import A000001, catalog, catalog_group, cyclic, groups_of_order
+from pglab.catalog import (
+    A000001, catalog, catalog_group, cyclic, dihedral, direct_product, groups_of_order,
+)
 from pglab.errors import (
     NoIdentityAtZero,
     NotAssociative,
@@ -17,6 +20,7 @@ from pglab.errors import (
 from pglab.groups import (
     Automorphism,
     automorphisms,
+    closure_lattice,
     enumerate_subgroups,
     invariant_subgroups,
     make_automorphism,
@@ -24,7 +28,8 @@ from pglab.groups import (
 )
 
 from reference import (
-    inner_automorphism, is_identity, is_inner, is_normal_subgroup, quotient_group, twisted_quotient,
+    inner_automorphism, is_identity, is_inner, is_normal_subgroup, quotient_group, subgroup_closure,
+    twisted_quotient,
 )
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -159,6 +164,14 @@ class TestSubgroups:
                     if {theta(x) for x in members} == set(members)
                     and is_normal_subgroup(g, members)
                 ]
+
+    def test_lattice_equals_product_closure_lattice(self):
+        # the span walk closes each seed; the reference closes it by products
+        v, z4 = catalog_group("Z2xZ2"), catalog_group("Z4")
+        extra = [direct_product(v, v), direct_product(z4, z4), dihedral(8)]
+        for g in [*catalog().values(), *extra]:
+            reference = closure_lattice(partial(subgroup_closure, g.table), g.order)
+            assert g.subgroup_lattice == reference, g
 
     def test_invariant_subgroups_per_permutation(self):
         # row i of the matrix: the subgroups perms[i] maps onto itself

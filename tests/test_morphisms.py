@@ -120,13 +120,14 @@ class TestIsHom:
             is_polyadic_hom((0, 1, 2), structs["T3"], structs["T3"], caps=Caps(axiom_cost_cap=8))
 
     def test_one_map_check_builds_no_table(self):
-        """The check reads the (n−1)·m² + 2m rows of the source, charged
-        before they are built, and neither m^n table: der(Z8, id, 0, 8)
-        (8^8 cells) is checked at the default caps."""
+        """The check reads the m² + 2m rows of the source (the diagonal,
+        skew and Post's (A_1)), charged before they are built, and neither
+        m^n table: der(Z8, id, 0, 8) (8^8 cells) is checked at the default
+        caps."""
         p = derive(catalog_group("Z8"), Automorphism.identity(8), 0, 8)
         with pytest.raises(CostCapExceeded) as info:
-            is_polyadic_hom(tuple(range(8)), p, p, caps=Caps(axiom_cost_cap=7 * 64 + 15))
-        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 7 * 64 + 16)
+            is_polyadic_hom(tuple(range(8)), p, p, caps=Caps(axiom_cost_cap=64 + 15))
+        assert (info.value.cap, info.value.required) == ("axiom_cost_cap", 64 + 16)
         assert "hom_scan_rows" not in p.__dict__
         assert is_polyadic_hom(tuple(range(8)), p, p) == (True, None)
         shift = tuple(range(1, 8)) + (0,)

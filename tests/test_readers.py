@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reference
+from pglab import substructures
 from pglab.catalog import catalog, groups_of_order
 from pglab.config import DEFAULT_CAPS
 from pglab.polyadic import all_derived, as_table, dornte_witness, from_table, n_ary_identity
@@ -111,10 +112,17 @@ def test_all_derived_equals_the_gate_loop(arity):
         assert got == want and [p.name for p in got] == [p.name for p in want]
 
 
-def test_is_polyadic_subgroup_equals_closure(small_corpus):
-    """The split-tuple test against closure under f and skew on the m^n
-    table, on every subset of each structure of order up to 5 and of its
-    table form."""
+def test_is_polyadic_subgroup_equals_closure(small_corpus, monkeypatch):
+    """The one-set test (skew, the diagonal, then one _closed row) against
+    closure under f and skew on the m^n table, on every subset of each
+    structure of order up to 5 and of its table form; _closed is handed
+    only sets that skew and the diagonal keep, the condition its proof
+    reads."""
+    checked = []
+    real = substructures._closed
+    monkeypatch.setattr(
+        substructures, "_closed", lambda q, rows: checked.append((q, rows)) or real(q, rows)
+    )
     found = 0
     for p in small_corpus:
         for t in (p, as_table(p)):
@@ -123,4 +131,6 @@ def test_is_polyadic_subgroup_equals_closure(small_corpus):
                 got = is_polyadic_subgroup(t, members)
                 assert got == reference.polyadic_subgroup_by_closure(t, members), (t, members)
                 found += got
-    assert found > 0
+    assert found > 0 and checked
+    for q, rows in checked:
+        assert all(row[np.vstack([q.skew_table, q.diagonal])[:, row]].all() for row in rows)
