@@ -244,7 +244,7 @@ def _kernel_table(p: PolyadicGroup) -> KernelTable:
     classes (MethodDisagreement).  Then the rows are sorted finest first."""
     hg, m = p.view, p.order
     base, tc = hg.base, twisted_conjugates(p)
-    relabel, unrelabel = np.asarray(hg.relabel), np.asarray(hg.unrelabel)
+    relabel, unrelabel = hg.np_relabel, hg.np_unrelabel
     kernel = base.subgroup_masks[invariant_normal(base, hg.theta)]
     products = unrelabel[base.np_table[relabel]]  # [x, v] = x·v, x read in the view, back in p
     labels, normal = np.empty(kernel.shape, dtype=np.intp), np.empty(kernel.shape, dtype=bool)
@@ -286,7 +286,7 @@ def kernel_class(r: Congruence) -> KernelClass:
     exactly when the kernel class is itself a polyadic subgroup.  Read from
     r's row of the kernel table, so no m^n table is built."""
     t, i = _kernel_row(r)
-    members = np.asarray(r.ambient.view.unrelabel)[t.kernel[i]]
+    members = r.ambient.view.np_unrelabel[t.kernel[i]]
     return KernelClass(tuple(sorted(members.tolist())), bool(t.b_related[i]))
 
 
@@ -335,9 +335,8 @@ def _lattice_table(p: PolyadicGroup) -> LatticeTable:
     rel = labels[:, :, None] == labels[:, None, :]
     weight = rel.astype(np.float32)  # boolean products by BLAS
     rows = {x.tobytes(): i for i, x in enumerate(labels)}
-    relabel = np.asarray(hg.relabel)
     left_quotient = hg.base.np_table[np.asarray(hg.base.inverses)]  # [n, x] = n⁻¹x
-    shifted, cosets = kernel[:, left_quotient], left_quotient[np.ix_(relabel, relabel)]
+    shifted, cosets = kernel[:, left_quotient], left_quotient[np.ix_(hg.np_relabel, hg.np_relabel)]
     meet, join = np.zeros((2, k, k), dtype=np.intp)
     commutes, composition_is_product, kernel_identities = np.zeros((3, k, k), dtype=bool)
     for r in row_blocks(np.arange(k), k * m * m):
@@ -470,7 +469,7 @@ def quotient_polyadic(
         charge(caps, "axiom_cost_cap", k**n, "the quotient table")
         q, proj = _quotient(p, Congruence(p, classes))
         to_q = np.empty(k, dtype=np.intp)
-        to_q[cls_of] = proj[np.asarray(p.view.relabel)]
+        to_q[cls_of] = proj[p.view.np_relabel]
         back, flat = np.argsort(to_q), np.empty(k**n, dtype=np.min_scalar_type(k - 1))
         for cells in row_blocks(range(k**n), n):  # the class tuples, a block at a time
             args = np.unravel_index(np.arange(cells.start, cells.stop), (k,) * n)

@@ -41,7 +41,8 @@ class PolyadicHom:
         return self.map[x]
 
     def is_bijective(self) -> bool:
-        return sorted(self.map) == list(range(len(self.map)))
+        """Whether the map hits each element of the target's carrier exactly once."""
+        return sorted(self.map) == list(range(self.target.order))
 
     def __repr__(self) -> str:
         return f"PolyadicHom({list(self.map)})"
@@ -97,21 +98,28 @@ def is_polyadic_hom(
 
     The m² + 2m rows are charged to axiom_cost_cap before they are built,
     and h is read by one q.eval_many on them: no m^n table of either side
-    is built.  The map is checked first: its shape (_check_shape,
-    ArityMismatch), then its images, integers in q's carrier
-    (ValidationError)."""
+    is built.  A map the hom oracle found for the pair has passed these
+    very rows, and is a hom with nothing evaluated (_hom_check).  The map
+    is checked first: its shape (_check_shape, ArityMismatch), then its
+    images, integers in q's carrier (ValidationError)."""
     _check_shape(psi, p, q)
-    return _hom_check(q._in_carrier(psi), p, q, caps)
+    return _hom_check(tuple(q._in_carrier(psi).tolist()), p, q, caps)
 
 
 def _hom_check(
-    psi: np.ndarray, p: PolyadicGroup, q: PolyadicGroup, caps: Caps
+    psi: tuple[int, ...], p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """is_polyadic_hom on a map already checked."""
+    """is_polyadic_hom on a map already checked, given as its images.  The
+    rows are charged first; then a map in the hom oracle's stored answer
+    p → q (_oracle_hom_maps) is a hom, since the oracle kept it only after
+    it passed every one of these rows, and any other map, or any map of a
+    pair the oracle never scanned, is read by one q.eval_many."""
     m = p.order
     charge(caps, "axiom_cost_cap", m * m + 2 * m, "the hom check")
+    if psi in p.__dict__.get("oracle_homs", {}).get(q, ()):
+        return True, None
     rows, _ = _scan_rows(p)
-    images = psi[rows]
+    images = np.asarray(psi)[rows]
     bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
     if not len(bad):
         return True, None
@@ -152,8 +160,8 @@ def _raw_maps(
 ) -> list[tuple[int, ...]]:
     """psi(x) = phi(x) ∗ a for each row phi of phis and its anchor a, taken
     back to the original carriers."""
-    images = tgt.base.np_table[phis[:, src.relabel], anchors[:, None]]
-    return [tuple(m) for m in np.asarray(tgt.unrelabel)[images].tolist()]
+    images = tgt.base.np_table[phis[:, src.np_relabel], anchors[:, None]]
+    return [tuple(m) for m in tgt.np_unrelabel[images].tolist()]
 
 
 def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -180,13 +188,13 @@ def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     """
     p, q = psi.source, psi.target
     _check_shape(psi.map, p, q)
-    images = tuple(q._in_carrier(psi.map).tolist())
-    stored = _stored_split(p, q, images)
+    images = q._in_carrier(psi.map)
+    stored = _stored_split(p, q, tuple(images.tolist()))
     if stored is not None:
         return HomDecomposition(*stored)
     src, tgt = p.view, hg_anchor0(q)
     h_group = tgt.base
-    psi_t = np.asarray([tgt.relabel[images[x]] for x in src.unrelabel])
+    psi_t = tgt.np_relabel[images[src.np_unrelabel]]
     a = int(psi_t[0])
     phi = h_group.np_table[psi_t, h_group.inv(a)]
     failure = _split_failure(src, tgt, a, phi)
@@ -214,8 +222,10 @@ def compose_hom(
     ArityMismatch), then a and phi's images, integers in q's carrier
     (ValidationError).  The conditions are not re-derived when the
     theorem route's stored table p → q holds the built map with this very
-    split; the hom check (is_polyadic_hom's, on p's stored rows) always
-    runs, on the built map without re-checking its images.
+    split.  The hom check (_hom_check, is_polyadic_hom's) always runs on
+    the built map, without re-checking its images: its rows are charged,
+    and a map the hom oracle found for the pair is a hom with nothing
+    evaluated.
     """
     _check_shape(phi, p, q)
     split = q._in_carrier([a, *phi])
@@ -230,7 +240,7 @@ def compose_hom(
                 "anchor": "anchor condition fails: h(a,...,a) differs from phi(b)∗a",
                 "intertwine": "intertwine condition fails: phi∘theta differs from I_a∘eta∘phi",
             }[failure])
-    ok, witness = _hom_check(np.asarray(psi_map), p, q, caps)
+    ok, witness = _hom_check(psi_map, p, q, caps)
     if not ok:
         raise DecompositionFailed(
             f"valid (a, phi) produced a non-homomorphism at {witness}"
@@ -271,21 +281,33 @@ def _build_scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
 def _oracle_hom_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> list[tuple[int, ...]]:
+    """The hom oracle's answer p → q, sorted: the gate (_oracle_refusal),
+    which refuses before any table is read, on every call, then the
+    frontier scan (_frontier_homs) once per pair.  The answer is stored on
+    p, keyed by q, so that a second enumeration of the pair is a lookup
+    and the hom check (_hom_check) reads it; the theorem route never
+    writes it."""
+    refusal = _oracle_refusal(p, q, caps)
+    if refusal:
+        raise refusal
+    answers = cached_on(p, "oracle_homs", dict)
+    if q not in answers:
+        answers[q] = dict.fromkeys(_frontier_homs(p, q))  # ordered, and a set for _hom_check
+    return list(answers[q])
+
+
+def _frontier_homs(p: PolyadicGroup, q: PolyadicGroup) -> list[tuple[int, ...]]:
     """Frontier scan of the |Q|^|P| candidate maps.
 
     The partial maps are extended one source element at a time, 0 first
     (Post's u).  After each step the rows of p's stored tuples
     (_scan_rows) that have just been fully assigned are checked at once
     and the violating maps dropped; a map that passes the last step
-    commutes with f on Post's (A_1) tuples, so it is a hom.  Columns are
-    assigned in order and each row is extended by its images in order, so
-    the maps come out sorted.  The scan never consults the theorem route;
-    the oracle's gate refuses before any table is read, and only q's
-    table is read.
+    commutes with f on every row, Post's (A_1) tuples among them, so it is
+    a hom.  Columns are assigned in order and each row is extended by its
+    images in order, so the maps come out sorted.  The scan never consults
+    the theorem route, and only q's table is read.
     """
-    refusal = _oracle_refusal(p, q, caps)
-    if refusal:
-        raise refusal
     mq = q.order
     rows, offsets = _scan_rows(p)
     maps = np.zeros((1, 0), dtype=np.int16)
@@ -342,7 +364,9 @@ def enumerate_homs(
     pass both split conditions, and stores each map's split on p
     (_split_table) for decompose_hom and compose_hom to read.  The oracle
     scans raw maps: a frontier of partial maps pruned on p's stored rows
-    (_scan_rows), whose Post family decides, so a leaf is a hom.  Auto
+    (_scan_rows), whose Post family decides, so a leaf is a hom; it stores
+    its answer on p (_oracle_hom_maps), and the hom check of compose_hom
+    and is_polyadic_hom reads it instead of evaluating those maps.  Auto
     runs both when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
     hom_oracle_cap, q's |Q|^n table within axiom_cost_cap) admits the
     pair, and insists they agree; outside it the theorem runs alone.

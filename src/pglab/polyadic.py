@@ -113,9 +113,10 @@ class PolyadicGroup:
 
     def _in_carrier(self, args) -> np.ndarray:
         column = np.asarray(args)
-        if column.dtype.kind not in "iu" or column.min() < 0 or column.max() >= self.order:
+        if not _holds_integers(column, args) or column.min() < 0 or column.max() >= self.order:
+            shown = np.asarray(args, dtype=object).tolist()
             raise ValidationError(
-                f"arguments {column.tolist()} must be elements of the carrier 0..{self.order - 1}"
+                f"arguments {shown} must be elements of the carrier 0..{self.order - 1}"
             )
         return column
 
@@ -403,6 +404,18 @@ def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:
     return True, ()
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _holds_integers(arr: np.ndarray, values) -> bool:
+    """Whether arr, np.asarray(values), holds integers and no bool.  numpy
+    reads a bool among ints as 0 or 1, so the cell types of values that is
+    not an array are read; an array's dtype says it all."""
+    return arr.dtype.kind in "iu" and (
+        isinstance(values, np.ndarray) or _BOOLS.isdisjoint(map(type, values))
+    )
+
+
 def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     """flat in flat_np's dtype, refused (ValidationError) unless it has m^n
     entries, each an integer (not a bool) in 0..m−1; bytes are read as a
@@ -410,9 +423,7 @@ def _table_array(n: int, m: int, flat: Sequence[int]) -> np.ndarray:
     if isinstance(flat, bytes):
         flat = np.frombuffer(flat, dtype=np.uint8)
     arr = np.asarray(flat)
-    # numpy reads a bool among ints as 0 or 1, so a list's cell types are read
-    bools = not isinstance(flat, np.ndarray) and bool in set(map(type, flat))
-    if arr.dtype.kind not in "iu" or bools:
+    if not _holds_integers(arr, flat):
         raise ValidationError("table entries must be integers")
     if arr.shape != (m**n,):
         raise ValidationError(f"flat table must have m^n = {m ** n} entries")
@@ -573,6 +584,22 @@ class HosszuGloskin:
     @cached_property
     def unrelabel(self) -> tuple[int, ...]:
         return inverse_perm(self.relabel)
+
+    @cached_property
+    def np_relabel(self) -> np.ndarray:
+        """relabel as a read-only array, for gathers."""
+        return _read_only(self.relabel)
+
+    @cached_property
+    def np_unrelabel(self) -> np.ndarray:
+        """unrelabel as a read-only array, for gathers."""
+        return _read_only(self.unrelabel)
+
+
+def _read_only(values: Sequence[int]) -> np.ndarray:
+    arr = np.asarray(values)
+    arr.flags.writeable = False
+    return arr
 
 
 def hosszu_gloskin(p: PolyadicGroup, a: int) -> HosszuGloskin:

@@ -133,7 +133,7 @@ def _theorem_subgroups(p: PolyadicGroup) -> list[tuple[int, ...]]:
     anchor = quotients[hg.group.diagonal, np.arange(p.order)]  # f(u,…,u)·u⁻¹
     kept = invariant_subgroups(base, base.conj_table[:, hg.theta.np_perm])
     u, k = np.nonzero(kept & masks[:, anchor].T)
-    cosets = masks[k[:, None], quotients[np.asarray(hg.relabel)][:, u].T]
+    cosets = masks[k[:, None], quotients[hg.np_relabel][:, u].T]
     return [tuple(np.flatnonzero(c).tolist()) for c in {c.tobytes(): c for c in cosets}.values()]
 
 
@@ -196,9 +196,9 @@ def twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
 def _twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
     hg = p.view
     table, x = hg.base.np_table, np.arange(p.order)
-    theta_inv, relabel = np.argsort(hg.theta.np_perm), np.asarray(hg.relabel)
+    theta_inv, relabel = np.argsort(hg.theta.np_perm), hg.np_relabel
     tc = table[theta_inv[table[np.asarray(hg.base.inverses)[:, None], x]], x[:, None]]
-    return np.asarray(hg.unrelabel)[tc[np.ix_(relabel, relabel)]]
+    return hg.np_unrelabel[tc[np.ix_(relabel, relabel)]]
 
 
 def is_normal_polyadic(p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int]) -> bool:

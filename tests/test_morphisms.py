@@ -362,7 +362,8 @@ class TestDecompose:
             decompose_hom(PolyadicHom(p3, p4, (0, 1)))
 
     @pytest.mark.parametrize(
-        "image", [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1), (0, 1, 2.7)]
+        "image",
+        [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1), (0, 1, 2.7), (0, True, 2)],
     )
     def test_rejects_a_map_outside_the_carriers(self, structs, image):
         with pytest.raises(ValidationError):
@@ -447,6 +448,101 @@ class TestStoredSplits:
             decompose_hom(PolyadicHom(p, q, (0, 1, 2, 3)))
 
 
+class TestStoredOracleAnswer:
+    """The hom oracle stores its answer per pair; the hom check of
+    compose_hom and is_polyadic_hom reads it instead of evaluating a map the
+    oracle found, and evaluates every other map."""
+
+    PAIRS = [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "V4swap"), ("V4swap", "T2"), ("T2", "T4")]
+
+    @staticmethod
+    def _eval_spy(monkeypatch):
+        calls = []
+        eval_many = polyadic.PolyadicGroup.eval_many
+        monkeypatch.setattr(
+            polyadic.PolyadicGroup, "eval_many",
+            lambda self, args: calls.append(self) or eval_many(self, args),
+        )
+        return calls
+
+    def _oracle_pairs(self, structs, corpus):
+        """Fresh struct pairs and a few corpus pairs in table form, each
+        enumerated by the oracle alone, with its homs."""
+        small = [p for p in corpus if p.order <= 6][::23]
+        pairs = [(_fresh(structs[a]), _fresh(structs[b])) for a, b in self.PAIRS]
+        pairs += [(as_table(p), _fresh(q)) for p in small for q in small if p.arity == q.arity]
+        return [(p, q, enumerate_homs(p, q, strategy="oracle")) for p, q in pairs]
+
+    def test_found_maps_are_not_evaluated_again(self, structs, corpus, monkeypatch):
+        pairs = self._oracle_pairs(structs, corpus)
+        assert sum(len(found) for _, _, found in pairs) > 20
+        splits = [[decompose_hom(psi) for psi in found] for _, _, found in pairs]
+        calls = self._eval_spy(monkeypatch)
+        for (p, q, found), split in zip(pairs, splits):
+            assert "split_tables" not in p.__dict__
+            for psi, dec in zip(found, split):
+                assert compose_hom(dec.a, dec.phi, p, q).map == psi.map
+                assert is_polyadic_hom(psi.map, p, q) == reference_hom_check(psi.map, p, q)
+        assert calls == []
+
+    def test_theorem_answer_is_not_read(self, structs, monkeypatch):
+        """The check is independent of the product: after the theorem route
+        alone, every map is evaluated."""
+        p, q = _fresh(structs["T3"]), _fresh(structs["T3"])
+        found = enumerate_homs(p, q, strategy="theorem")
+        assert "oracle_homs" not in p.__dict__
+        morphisms._scan_rows(p)
+        calls = self._eval_spy(monkeypatch)
+        for psi in found:
+            assert is_polyadic_hom(psi.map, p, q) == (True, None)
+        assert len(calls) == len(found) and all(c is q for c in calls)
+
+    def test_other_maps_get_the_reference_answer(self, structs, monkeypatch):
+        p = _fresh(structs["T3"])
+        found = [h.map for h in enumerate_homs(p, p, strategy="oracle")]
+        assert found == [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
+        calls = self._eval_spy(monkeypatch)
+        shift = (1, 2, 0)
+        assert is_polyadic_hom(shift, p, p) == reference_hom_check(shift, p, p) == (False, (0, 0, 0))
+        assert calls == [p]
+        # a corrupted theorem entry skips the split conditions, not the check
+        morphisms._split_table(p, p)[(1, 2, 0)] = (1, (0, 1, 2))
+        with pytest.raises(DecompositionFailed, match=r"non-homomorphism at \(0, 0, 0\)"):
+            compose_hom(1, (0, 1, 2), p, p)
+        # every map outside the answer is decided as the reference decides
+        # it, with the witness of a pair the oracle never scanned
+        for a, b in self.PAIRS:
+            p, q = _fresh(structs[a]), structs[b]
+            homs = [h.map for h in enumerate_homs(p, q, strategy="oracle")]
+            for psi in [m for h in homs for m in one_cell_perturbations(h, q.order)]:
+                assert_decides_like_the_reference(psi, p, q)
+                assert is_polyadic_hom(psi, p, q) == is_polyadic_hom(psi, _fresh(p), q)
+
+    def test_caps_still_refuse(self, structs):
+        """With the answer stored, the check still charges its m² + 2m rows
+        first, and the oracle's gate still runs on every enumeration."""
+        p = _fresh(structs["T3"])
+        enumerate_homs(p, p, strategy="oracle")
+        tight = Caps(axiom_cost_cap=9 + 6 - 1)
+        with pytest.raises(CostCapExceeded) as info:
+            is_polyadic_hom((0, 1, 2), p, p, caps=tight)
+        assert info.value.required == 9 + 6
+        with pytest.raises(CostCapExceeded):
+            compose_hom(0, (0, 1, 2), p, p, caps=tight)
+        with pytest.raises(CostCapExceeded):
+            enumerate_homs(p, p, strategy="oracle", caps=Caps(hom_oracle_cap=26))
+        assert is_polyadic_hom((0, 1, 2), p, p, caps=Caps(axiom_cost_cap=9 + 6)) == (True, None)
+
+    def test_second_enumeration_is_a_lookup(self, structs, monkeypatch):
+        p, q = _fresh(structs["V4swap"]), structs["V4swap"]
+        first = enumerate_homs(p, q, strategy="oracle")
+        assert len(first) > 1
+        monkeypatch.setattr(morphisms, "_rows_hold", lambda *a: pytest.fail("re-scanned"))
+        assert enumerate_homs(p, q, strategy="oracle") == first
+        assert enumerate_homs(p, _fresh(q), strategy="oracle") == first
+        assert enumerate_homs(p, q) == first
+
+
 class TestCompose:
     def test_identity(self, structs):
         psi = compose_hom(0, (0, 1, 2), structs["T3"], structs["T3"])
@@ -467,7 +563,7 @@ class TestCompose:
 
     @pytest.mark.parametrize("a, phi", [(0, (0, 1)), (0, (0, 1, 2, 0)), (0, (0, 1, 3)),
                                         (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2)),
-                                        (0.5, (0, 1, 2))])
+                                        (0.5, (0, 1, 2)), (0, (0, True, 2)), (False, (0, 1, 2))])
     def test_rejects_out_of_range_split(self, structs, a, phi):
         with pytest.raises(ValidationError):
             compose_hom(a, phi, structs["T3"], structs["T3"])
@@ -565,6 +661,17 @@ class TestIsomorphism:
 
     def test_alternating_vs_plain(self, structs):
         assert are_isomorphic(structs["T4inv"], structs["T4"]) is None
+
+    def test_bijective_means_onto_the_target(self, structs):
+        z2, v4 = catalog_group("Z2"), catalog_group("Z2xZ2")
+        p, q = derive_b(z2, 0, 3), derive_b(v4, 0, 3)
+        homs = enumerate_homs(p, q)
+        assert {(0, 1), (1, 0)} <= {h.map for h in homs}
+        assert not any(h.is_bijective() for h in homs)
+        assert not PolyadicHom(q, p, (0, 1, 1, 0)).is_bijective()
+        for a, b in [("T3", "T3"), ("V4swap", "V4swap"), ("T2", "T2")]:
+            psi = are_isomorphic(structs[a], structs[b])
+            assert psi.is_bijective()
 
     def test_shifted_sums_on_z3_are_isomorphic(self):
         z3 = catalog_group("Z3")

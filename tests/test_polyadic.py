@@ -186,7 +186,9 @@ class TestEval:
         with pytest.raises(ArityMismatch):
             structs["T3"].eval([1, 1])
 
-    @pytest.mark.parametrize("args", [[0, 0, -1], [0, 0, 5], [3, 0, 0], [0, 1.5, 0]])
+    @pytest.mark.parametrize(
+        "args", [[0, 0, -1], [0, 0, 5], [3, 0, 0], [0, 1.5, 0], [True, 0, 0], [0, np.True_, 0]]
+    )
     def test_arguments_outside_the_carrier_are_refused(self, structs, args):
         # at the parent -1 wrapped round to 2 and 5 raised a bare IndexError
         for p in (structs["T3"], as_table(structs["T3"])):

@@ -675,7 +675,9 @@ class TestMemberRange:
             lambda t: is_polyadic_hom((0, -1, -2), t, t),
             lambda t: is_polyadic_hom((0, 5, 1), t, t),
             lambda t: is_polyadic_hom((0, 1.5, 2), t, t),
+            lambda t: is_polyadic_hom((0, True, 2), t, t),
             lambda t: is_polyadic_subgroup(t, [0, 1.5]),
+            lambda t: is_polyadic_subgroup(t, [0, True]),
             lambda t: is_normal_polyadic(t, [0, 1.5]),
             lambda t: is_normal_polyadic(t, [True]),
             lambda t: coset_classes(t, [0.0, 1.0, 2.0]),
@@ -683,7 +685,8 @@ class TestMemberRange:
         ],
         ids=[
             "quotient", "sim_h", "normal", "subgroup", "coset_x", "coset_members",
-            "hom_negative", "hom_too_large", "hom_non_integer", "subgroup_float",
+            "hom_negative", "hom_too_large", "hom_non_integer", "hom_bool", "subgroup_float",
+            "subgroup_bool",
             "normal_float", "normal_bool", "coset_float", "quotient_float",
         ],
     )
