@@ -101,9 +101,10 @@ def is_polyadic_hom(
     is built.  A map the hom oracle found for the pair has passed these
     very rows, and is a hom with nothing evaluated (_hom_check).  The map
     is checked first: its shape (_check_shape, ArityMismatch), then its
-    images, integers in q's carrier (ValidationError)."""
+    images, integers in q's carrier (q._in_carrier, ValidationError; a
+    flat tuple or list of ints is read without numpy, as a tuple)."""
     _check_shape(psi, p, q)
-    return _hom_check(tuple(q._in_carrier(psi).tolist()), p, q, caps)
+    return _hom_check(q._in_carrier(psi), p, q, caps)
 
 
 def _hom_check(
@@ -169,32 +170,38 @@ def binary_homs(g: FiniteGroup, h: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, hom_rows(g, h).tolist()))
 
 
-def _stored_split(
-    p: PolyadicGroup, q: PolyadicGroup, psi: tuple[int, ...]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """psi's split (a, phi) in the theorem route's table p → q, or None when
-    that pair was never enumerated by the theorem route or psi is not in
-    its table.  Reads the table and never builds it."""
-    return p.__dict__.get("split_tables", {}).get(q, {}).get(psi)
+def _stored_map(p: PolyadicGroup, q: PolyadicGroup, split: tuple) -> Optional[tuple[int, ...]]:
+    """The map with this split (a, phi) in the theorem route's table p → q,
+    or None, read from the table's reverse view: built on the first call
+    for an enumerated pair, keyed by the table's own splits, and stored on
+    p next to it.  A pair never enumerated gets no view."""
+    table = p.__dict__.get("split_tables", {}).get(q)
+    if table is None:
+        return None
+    views = cached_on(p, "split_views", dict)
+    if q not in views:
+        views[q] = {s: psi for psi, s in table.items()}
+    return views[q].get(split)
 
 
 def decompose_hom(psi: PolyadicHom) -> HomDecomposition:
     """The canonical split with a = psi(identity of the source presentation).
 
-    phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹.  A map
-    the theorem route has enumerated for its pair is read from the stored
-    table; any other split is validated against both side conditions
-    before being returned.
+    phi has to fix identities, so a is forced and phi = psi ∗ a⁻¹.  Once
+    the map's shape and images are checked (a bool or a float is refused
+    before any lookup), a map the theorem route has enumerated for its
+    pair is read from the stored table; any other split is validated
+    against both side conditions before being returned.
     """
     p, q = psi.source, psi.target
     _check_shape(psi.map, p, q)
     images = q._in_carrier(psi.map)
-    stored = _stored_split(p, q, tuple(images.tolist()))
+    stored = p.__dict__.get("split_tables", {}).get(q, {}).get(images)
     if stored is not None:
         return HomDecomposition(*stored)
     src, tgt = p.view, hg_anchor0(q)
     h_group = tgt.base
-    psi_t = tgt.np_relabel[images[src.np_unrelabel]]
+    psi_t = tgt.np_relabel[np.asarray(images)[src.np_unrelabel]]
     a = int(psi_t[0])
     phi = h_group.np_table[psi_t, h_group.inv(a)]
     failure = _split_failure(src, tgt, a, phi)
@@ -218,21 +225,22 @@ def compose_hom(
 
     a and phi are given in presentation coordinates: phi maps the source
     presentation base into the anchor-0 base of the target.  Both are
-    checked before any split is built: phi's shape (_check_shape,
+    checked before any split is looked up: phi's shape (_check_shape,
     ArityMismatch), then a and phi's images, integers in q's carrier
-    (ValidationError).  The conditions are not re-derived when the
-    theorem route's stored table p → q holds the built map with this very
-    split.  The hom check (_hom_check, is_polyadic_hom's) always runs on
-    the built map, without re-checking its images: its rows are charged,
-    and a map the hom oracle found for the pair is a hom with nothing
-    evaluated.
+    (ValidationError).  A split in the theorem route's stored table p → q
+    (_stored_map) gives its map with both conditions known to hold; any
+    other builds its map and has the conditions derived.  The hom check
+    (_hom_check) always runs on the map: its rows are charged, and a map
+    the hom oracle found for the pair is a hom with nothing evaluated.
     """
     _check_shape(phi, p, q)
     split = q._in_carrier([a, *phi])
-    a, phi_t = int(split[0]), split[1:]
-    src, tgt = p.view, hg_anchor0(q)
-    (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
-    if _stored_split(p, q, psi_map) != (a, tuple(phi_t.tolist())):
+    a, phi = split[0], split[1:]
+    psi_map = _stored_map(p, q, (a, phi))
+    if psi_map is None:
+        src, tgt = p.view, hg_anchor0(q)
+        phi_t = np.asarray(phi)
+        (psi_map,) = _raw_maps(src, tgt, phi_t[None], np.asarray([a]))
         failure = _split_failure(src, tgt, a, phi_t)
         if failure is not None:
             raise ConditionViolated({

@@ -109,16 +109,20 @@ class PolyadicGroup:
         (ValidationError)."""
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
-        return int(self.eval_many(self._in_carrier(args)[:, None])[0])
+        return int(self.eval_many(np.asarray(self._in_carrier(args))[:, None])[0])
 
-    def _in_carrier(self, args) -> np.ndarray:
+    def _in_carrier(self, args) -> tuple[int, ...]:
+        """args as a tuple of Python ints, refused (ValidationError) unless
+        each is an integer, not a bool, in 0..m−1: a non-empty flat tuple or
+        list of exact ints in pure Python, any other input by numpy."""
+        m = self.order
+        if type(args) in (tuple, list) and args and all(type(v) is int and 0 <= v < m for v in args):
+            return tuple(args)
         column = np.asarray(args)
-        if not _holds_integers(column, args) or column.min() < 0 or column.max() >= self.order:
+        if not _holds_integers(column, args) or column.min() < 0 or column.max() >= m:
             shown = np.asarray(args, dtype=object).tolist()
-            raise ValidationError(
-                f"arguments {shown} must be elements of the carrier 0..{self.order - 1}"
-            )
-        return column
+            raise ValidationError(f"arguments {shown} must be elements of the carrier 0..{m - 1}")
+        return tuple(column.tolist())
 
     @cached_property
     def power_tables(self) -> tuple[np.ndarray, ...]:
@@ -181,7 +185,7 @@ class PolyadicGroup:
     def skew_oracle(self, x: int) -> int:
         """The unique y with f(x,...,x,y) = x, found by scanning all candidates;
         an x outside 0..m−1 is refused (ValidationError)."""
-        return self._skew_scan(self._in_carrier([x]))[0]
+        return self._skew_scan(np.asarray(self._in_carrier([x])))[0]
 
     def _skew_scan(self, xs: np.ndarray) -> list[int]:
         """skew_oracle of each x in xs, by one eval_many of every (x,...,x,y);
@@ -207,9 +211,6 @@ class PolyadicGroup:
         if self.is_derived:
             return HosszuGloskin(self, tuple(range(self.order)))
         return hosszu_gloskin(self, 0)
-
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(x for x, y in enumerate(self.diagonal.tolist()) if x == y)
 
     def __repr__(self) -> str:
         if isinstance(self.presentation, DerivedPresentation):

@@ -40,7 +40,7 @@ class PolyadicSubgroup:
 def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int, ...]:
     """The sorted members of h, refused unless each is an integer in 0..m-1 (p._in_carrier)."""
     members = h.members if isinstance(h, PolyadicSubgroup) else tuple(sorted(h))
-    return tuple(p._in_carrier(members).tolist()) if members else ()
+    return p._in_carrier(members) if members else ()
 
 
 def _closed(p: PolyadicGroup, inside: np.ndarray) -> np.ndarray:

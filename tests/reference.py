@@ -19,15 +19,15 @@ from pglab.congruence import (
 )
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
-    NotUnique, PowerCondition,
+    NotUnique, PowerCondition, ValidationError,
 )
 from pglab.groups import (
     Automorphism, FiniteGroup, Subgroup, automorphisms, group_from_rows, inverse_perm,
 )
 from pglab.morphisms import PolyadicHom
 from pglab.polyadic import (
-    AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _table_array, derive,
-    packed_tuples, row_blocks,
+    AxiomReport, PolyadicGroup, TablePresentation, _check_solvability, _holds_integers,
+    _table_array, derive, packed_tuples, row_blocks,
 )
 from pglab.simplicity import _hol_generators
 from pglab.substructures import (
@@ -486,6 +486,19 @@ def reference_hom_check(
     if not len(bad):
         return True, None
     return False, tuple(int(c) for c in np.unravel_index(bad[0], image.shape))
+
+
+def reference_in_carrier(p: PolyadicGroup, args) -> np.ndarray:
+    """PolyadicGroup._in_carrier as it was before its pure-Python path: args
+    as one numpy array, refused (ValidationError) unless it holds integers,
+    no bool, all in 0..m−1."""
+    column = np.asarray(args)
+    if not _holds_integers(column, args) or column.min() < 0 or column.max() >= p.order:
+        shown = np.asarray(args, dtype=object).tolist()
+        raise ValidationError(
+            f"arguments {shown} must be elements of the carrier 0..{p.order - 1}"
+        )
+    return column
 
 
 def polyadic_subgroup_by_closure(p: PolyadicGroup, members: Sequence[int]) -> bool:

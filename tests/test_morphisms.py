@@ -363,16 +363,47 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "image",
-        [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1), (0, 1, 2.7), (0, True, 2)],
+        [(99, 99, 99), (-1, -1, -1), (0, 1), (0, 1, 2, 0), (0, 3, 1), (0, 1, 2.7), (0, True, 2),
+         (0.0, 1, 2), (0, 1.0, 2), (np.float64(0), 1, 2), (np.bool_(False), 1, 2)],
     )
     def test_rejects_a_map_outside_the_carriers(self, structs, image):
-        with pytest.raises(ValidationError):
-            decompose_hom(PolyadicHom(structs["T3"], structs["T3"], image))
+        """Refused on a fresh pair and again once the pair is enumerated,
+        where an image that hashes like a stored map's would find its split."""
+        assert_refused_before_any_lookup(
+            lambda p: decompose_hom(PolyadicHom(p, p, image)), structs, len(image)
+        )
 
 
 def _fresh(p):
     """An equal copy of p that holds none of p's stored answers."""
     return dataclasses.replace(p)
+
+
+def assert_refused_before_any_lookup(call, structs, length):
+    """call(p) on T3 is refused by the map's check, on a fresh p and again
+    after p → p is enumerated: a map of the wrong length by ArityMismatch,
+    any other by the carrier check, which no failed split condition
+    (ConditionViolated, a ValidationError too) may stand in for."""
+    p = _fresh(structs["T3"])
+    for enumerated in (False, True):
+        if enumerated:
+            enumerate_homs(p, p)
+            assert "split_tables" in p.__dict__
+        if length != p.order:
+            with pytest.raises(ArityMismatch):
+                call(p)
+            continue
+        with pytest.raises(ValidationError, match="elements of the carrier") as info:
+            call(p)
+        assert not isinstance(info.value, ConditionViolated)
+
+
+def outcome(call, *args):
+    """call(*args)'s answer, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestStoredSplits:
@@ -432,6 +463,58 @@ class TestStoredSplits:
         with pytest.raises(ConditionViolated, match="anchor"):
             compose_hom(1, (0, 1, 2), p, p)
 
+    def test_enumerated_splits_are_lookups(self, structs, monkeypatch):
+        """compose_hom of a stored split reads its map from the table's
+        reverse view: no map is built and no condition derived, and the hom
+        check runs once a call."""
+        pairs = [(_fresh(structs[a]), structs[b])
+                 for a, b in [("T3", "T3"), ("T4inv", "T4"), ("V4swap", "V4swap"), ("T2", "T4")]]
+        found = [(p, q, enumerate_homs(p, q)) for p, q in pairs]
+        splits = [[decompose_hom(psi) for psi in homs] for _, _, homs in found]
+        assert sum(map(len, splits)) > 10
+        for name in ("_raw_maps", "_split_failure"):
+            monkeypatch.setattr(morphisms, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        checks = []
+        hom_check = morphisms._hom_check
+        monkeypatch.setattr(
+            morphisms, "_hom_check", lambda *a: checks.append(a[0]) or hom_check(*a)
+        )
+        for (p, q, homs), split in zip(found, splits):
+            for psi, dec in zip(homs, split):
+                checks.clear()
+                assert compose_hom(dec.a, dec.phi, p, q).map == psi.map
+                assert checks == [psi.map]
+            assert set(p.split_views[q]) == set(p.split_tables[q].values())
+
+    def test_stored_and_unstored_paths_agree_on_c9_pairs(self, corpus):
+        """On a seeded sample of C9's pairs, enumerated on p, compose_hom and
+        decompose_hom answer every stored split and map, and every one-cell
+        perturbation of them, as on a fresh copy of p that stores nothing."""
+        rng = random.Random("stored splits")
+        pairs = [(p, q) for p in corpus for q in corpus
+                 if p.arity == q.arity and q.order**p.order <= 10_000]
+        caps = Caps(hom_oracle_cap=10_000)
+        pick = lambda seq, k: rng.sample(seq, min(len(seq), k))  # noqa: E731
+        built = 0
+        for p, q in rng.sample(pairs, 40):
+            p = _fresh(p)
+            homs = enumerate_homs(p, q, caps=caps)
+            fresh = _fresh(p)
+            for psi in pick(homs, 3):
+                maps = [psi.map] + pick(one_cell_perturbations(psi.map, q.order), 2)
+                for image in maps:
+                    stored = outcome(decompose_hom, PolyadicHom(p, q, image))
+                    assert stored == outcome(decompose_hom, PolyadicHom(fresh, q, image))
+                dec = decompose_hom(psi)
+                splits = [(dec.a, dec.phi), ((dec.a + 1) % q.order, dec.phi)]
+                splits += [(dec.a, phi) for phi in pick(one_cell_perturbations(dec.phi, q.order), 2)]
+                for a, phi in splits:
+                    stored = outcome(compose_hom, a, phi, p, q)
+                    assert stored == outcome(compose_hom, a, phi, fresh, q)
+                    built += isinstance(stored, PolyadicHom)
+            assert not {"split_tables", "split_views"} & fresh.__dict__.keys()
+        assert built > 20
+
     def test_pair_never_enumerated_takes_the_one_split_path(self, structs, monkeypatch):
         p, q = _fresh(structs["T4"]), _fresh(structs["T4inv"])
         calls = []
@@ -443,7 +526,7 @@ class TestStoredSplits:
             split = decompose_hom(PolyadicHom(p, q, image))
             assert compose_hom(split.a, split.phi, p, q).map == image
         assert len(calls) == 4
-        assert "split_tables" not in p.__dict__
+        assert not {"split_tables", "split_views"} & p.__dict__.keys()
         with pytest.raises(DecompositionFailed, match="intertwine"):
             decompose_hom(PolyadicHom(p, q, (0, 1, 2, 3)))
 
@@ -479,10 +562,10 @@ class TestStoredOracleAnswer:
         splits = [[decompose_hom(psi) for psi in found] for _, _, found in pairs]
         calls = self._eval_spy(monkeypatch)
         for (p, q, found), split in zip(pairs, splits):
-            assert "split_tables" not in p.__dict__
             for psi, dec in zip(found, split):
                 assert compose_hom(dec.a, dec.phi, p, q).map == psi.map
                 assert is_polyadic_hom(psi.map, p, q) == reference_hom_check(psi.map, p, q)
+            assert not {"split_tables", "split_views"} & p.__dict__.keys()
         assert calls == []
 
     def test_theorem_answer_is_not_read(self, structs, monkeypatch):
@@ -563,10 +646,15 @@ class TestCompose:
 
     @pytest.mark.parametrize("a, phi", [(0, (0, 1)), (0, (0, 1, 2, 0)), (0, (0, 1, 3)),
                                         (0, (0, -1, 1)), (3, (0, 1, 2)), (-1, (0, 1, 2)),
-                                        (0.5, (0, 1, 2)), (0, (0, True, 2)), (False, (0, 1, 2))])
+                                        (0.5, (0, 1, 2)), (0, (0, True, 2)), (False, (0, 1, 2)),
+                                        (0.0, (0, 1, 2)), (1.0, (0, 1, 2)),
+                                        (np.float64(0), (0, 1, 2)), (np.bool_(False), (0, 1, 2)),
+                                        (0, (0.0, 1, 2)), (0, (0, 1.0, 2)),
+                                        (0, (np.float64(0), 1, 2)), (0, (np.bool_(False), 1, 2))])
     def test_rejects_out_of_range_split(self, structs, a, phi):
-        with pytest.raises(ValidationError):
-            compose_hom(a, phi, structs["T3"], structs["T3"])
+        """Refused before the split is looked up: (False, (0, 1, 2)) and
+        (0.0, (0, 1, 2)) hash like the stored split (0, (0, 1, 2))."""
+        assert_refused_before_any_lookup(lambda p: compose_hom(a, phi, p, p), structs, len(phi))
 
     def test_rejects_non_homomorphism_phi(self, structs):
         with pytest.raises(ConditionViolated, match="homomorphism"):

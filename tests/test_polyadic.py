@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pglab.polyadic as polyadic
-from reference import full_grid_axioms, is_identity, scalar_eval, z2_4
+from reference import full_grid_axioms, is_identity, reference_in_carrier, scalar_eval, z2_4
 
 from pglab.catalog import catalog_group, cyclic, direct_product
 from pglab.config import DEFAULT_CAPS, Caps
@@ -234,6 +234,60 @@ class TestEval:
             assert p.flat_np.dtype == np.uint8 and p.flat_np.nbytes == m**arity
             every = itertools.product(range(m), repeat=arity)
             assert p.flat_np.tolist() == [p.eval(list(args)) for args in every]
+
+
+def _outcome(check, p, args):
+    """check(p, args) as ("ok", its answer as a tuple) or as the type and
+    message of what it raised."""
+    try:
+        return "ok", tuple(np.asarray(check(p, args)).tolist())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_ELEMENT = st.one_of(
+    st.integers(-3, 20),
+    st.integers(2**62, 2**80) | st.integers(-(2**80), -(2**62)),
+    st.booleans(),
+    st.integers(-2, 20).map(float),
+    st.integers(-2, 20).map(np.int64),
+    st.integers(0, 20).map(np.uint8),
+    st.floats(-2, 20).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=2),
+    st.none(),
+)
+
+_CARRIER_INPUT = st.one_of(
+    st.lists(st.integers(-1, 6), max_size=6),
+    st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    st.lists(_ELEMENT, max_size=6),
+    st.lists(_ELEMENT, max_size=6).map(tuple),
+    st.lists(st.integers(-2, 8), max_size=6).map(np.array),
+    st.lists(st.integers(0, 8), min_size=1, max_size=6).map(lambda v: np.array(v, dtype=np.uint8)),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.lists(st.integers(-1, 6), min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.lists(_ELEMENT, max_size=2), min_size=1, max_size=3),
+)
+
+
+class TestInCarrier:
+    """_in_carrier accepts and refuses what the numpy check it replaced on
+    flat lists of ints did, with the same message, and answers a tuple of
+    Python ints."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_equals_the_numpy_check(self, structs, data):
+        p = data.draw(st.sampled_from([structs["T1"], structs["T3"], structs["T5"]]))
+        args = data.draw(_CARRIER_INPUT)
+        got = _outcome(polyadic.PolyadicGroup._in_carrier, p, args)
+        assert got == _outcome(reference_in_carrier, p, args)
+        if got[0] == "ok" and np.ndim(args) == 1:
+            answer = p._in_carrier(args)
+            assert type(answer) is tuple and all(type(v) is int for v in answer)
 
 
 class TestEvalMany:
@@ -559,7 +613,7 @@ class TestSkew:
 
     def test_idempotent_is_self_skew(self, structs):
         p = structs["T4inv"]
-        for x in p.idempotents():
+        for x in np.flatnonzero(p.diagonal == np.arange(p.order)):
             assert p.skew_oracle(x) == x
 
     @given(st.data())
