@@ -328,9 +328,26 @@ def _caps_from_args(args) -> Caps:
     return dataclasses.replace(caps, **overrides)
 
 
+# Flags whose value is an element list (_parse_elements).
+_ELEMENT_FLAGS = frozenset({"--map", "--quotient", "--subgroup", "--congruence"})
+
+
+def _element_lists_joined(argv: Sequence[str]) -> list[str]:
+    """argv with each element-list flag joined to a value that starts with
+    a negative element (--map -1,2 as --map=-1,2): argparse reads such a
+    value as an option, and the library's carrier check refuses it."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _ELEMENT_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_element_lists_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, _caps_from_args(args))
     except CapExceeded as exc:

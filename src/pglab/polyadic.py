@@ -114,12 +114,17 @@ class PolyadicGroup:
     def _in_carrier(self, args) -> tuple[int, ...]:
         """args as a tuple of Python ints, refused (ValidationError) unless
         each is an integer, not a bool, in 0..m−1: a non-empty flat tuple or
-        list of exact ints in pure Python, any other input by numpy."""
+        list of exact ints in pure Python, any other input by numpy, whose
+        array form must be 1-D (a nested or ragged input is refused)."""
         m = self.order
         if type(args) in (tuple, list) and args and all(type(v) is int and 0 <= v < m for v in args):
             return tuple(args)
-        column = np.asarray(args)
-        if not _holds_integers(column, args) or column.min() < 0 or column.max() >= m:
+        try:
+            column = np.asarray(args)
+        except ValueError:  # ragged nesting: numpy has no array form of it
+            column = np.asarray(args, dtype=object)
+        if (column.ndim != 1 or not _holds_integers(column, args)
+                or column.min() < 0 or column.max() >= m):
             shown = np.asarray(args, dtype=object).tolist()
             raise ValidationError(f"arguments {shown} must be elements of the carrier 0..{m - 1}")
         return tuple(column.tolist())
@@ -259,6 +264,20 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, firsts) for the rows of a 2-D array, rows equal when all their
+    cells are: ids[r] is row r's class, the classes numbered in sorted
+    order, and firsts[c] the first row of class c.  Each row is one void
+    key, sorted stably, so no np.unique (and no numpy.ma) is read."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.append(True, ranked[1:] != ranked[:-1])
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, order[starts]
+
+
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (n, m)):
         raise ValidationError(f"arity and order must be integers, got {n!r} and {m!r}")
@@ -330,9 +349,11 @@ def verify_table_axioms(
     for every adjacent pair of placements i over all m^(2n−1) argument
     tuples, a block of leading coordinates x₀ at a time (see
     _associativity_witness): one block of each placement grid is live, in
-    the table's dtype (flat_np's), not two m^(2n−1) grids.  It refuses
-    (CostCapExceeded) when m^(2n−1) exceeds the cost cap rather than
-    silently sampling.
+    the table's dtype (flat_np's), not two m^(2n−1) grids, and on a grid of
+    more than one block each distinct translation block of a level i ≥ 2
+    is gathered once (_placement_memo), each memo within one block.  It
+    refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap rather
+    than silently sampling.
     """
     m, n = order, arity
     _check_arity_order(n, m, caps)
@@ -368,26 +389,55 @@ def _associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]
     itself.  A later block can only lower the failing placement, so after a
     failure at i the later blocks compare the placements below i alone.  A
     grid of at most _BLOCK_CELLS cells is one block: each placement is one
-    gather of the whole grid."""
+    gather of the whole grid.  On a grid of more than one block, placement
+    i ≥ 2 is read from its level's memo where one fits (_placement_memo,
+    built on the level's first use): each prefix's placement is a whole row
+    of the table pushed through its block, so each distinct block is
+    gathered once, not once per prefix."""
     rows, width = small.reshape(m, -1), m ** (2 * n - 2)
-    found, limit, start = None, n, 0
+    # no memos on a one-block grid; level 1's block is the x₀ row, lead itself
+    memos = None if _BLOCK_CELLS // width >= m else {1: None}
+    found, limit, x0 = None, n, 0
     for lead in row_blocks(rows, width):
         k = len(lead)
         prev = np.take(rows, lead, axis=0).ravel()
         for i in range(1, limit):
-            cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
+            if memos is not None and i not in memos:
+                memos[i] = _placement_memo(small, m, n, i)
+            if memos is None or memos[i] is None:
+                cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
+            else:
+                ids, pushed = memos[i]
+                cur = np.take(pushed, ids[x0 : x0 + k], axis=0).ravel()
             differ = prev != cur
             if differ.any():
-                found, limit = (i, start + int(differ.argmax())), i
+                found, limit = (i, x0 * width + int(differ.argmax())), i
                 break
             prev = cur
         if limit == 1:
             break
-        start += k * width
+        x0 += k
     if found is None:
         return None
     bad = np.unravel_index(found[1], (m,) * (2 * n - 1))
     return ("associativity", found[0], tuple(int(v) for v in bad))
+
+
+def _placement_memo(small: np.ndarray, m: int, n: int, i: int) -> Optional[tuple]:
+    """Placement i ≥ 2 of the whole grid as (ids, pushed), or None when
+    pushed would pass one block (_BLOCK_CELLS, or one x₀ row of the grid if
+    that is larger).  The level-i block of a prefix x₀…x_{i−1} is its
+    table cells T[x₀…x_{i−1}, ·, …], as (m, m^(n−1−i)); pushed holds each
+    distinct block, compared by all its cells, indexed along its first axis
+    by the table itself, one row a block; ids, (m, m^(i−1)), is the row of
+    each prefix, so placement i of x₀ is pushed[ids[x₀]].  A derived table,
+    relabelled or not, has at most m distinct blocks a level."""
+    blocks = small.reshape(m**i, -1)
+    ids, firsts = _distinct_rows(blocks)
+    if len(firsts) * m ** (2 * n - 1 - i) > max(_BLOCK_CELLS, m ** (2 * n - 2)):
+        return None
+    pushed = np.take(blocks[firsts].reshape(len(firsts), m, -1), small, axis=1)
+    return ids.reshape(m, -1), pushed.reshape(len(firsts), -1)
 
 
 def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:

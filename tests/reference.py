@@ -101,6 +101,34 @@ def full_grid_axioms(arity: int, order: int, flat: Sequence[int]) -> AxiomReport
     return AxiomReport(associative, solvable, violations + solve_viol)
 
 
+def blocked_associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]:
+    """polyadic._associativity_witness as it was before its level memos:
+    the grid in blocks of leading coordinates x₀ (row_blocks), placement 0
+    of a block rows[rows[x₀]], placement i ≥ 1 one gather of rows[x₀],
+    viewed as (m^(i−1), m, m^(n−1−i)), along its middle axis by the table
+    itself, for every prefix alike; after a failure at i the later blocks
+    compare the placements below i alone."""
+    rows, width = small.reshape(m, -1), m ** (2 * n - 2)
+    found, limit, start = None, n, 0
+    for lead in row_blocks(rows, width):
+        k = len(lead)
+        prev = np.take(rows, lead, axis=0).ravel()
+        for i in range(1, limit):
+            cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
+            differ = prev != cur
+            if differ.any():
+                found, limit = (i, start + int(differ.argmax())), i
+                break
+            prev = cur
+        if limit == 1:
+            break
+        start += k * width
+    if found is None:
+        return None
+    bad = np.unravel_index(found[1], (m,) * (2 * n - 1))
+    return ("associativity", found[0], tuple(int(v) for v in bad))
+
+
 def skew_oracle(p: PolyadicGroup, x: int) -> int:
     """The unique y with f(x,...,x,y) = x, one candidate at a time."""
     hits = [y for y in range(p.order) if scalar_eval(p, [x] * (p.arity - 1) + [y]) == x]
@@ -490,10 +518,15 @@ def reference_hom_check(
 
 def reference_in_carrier(p: PolyadicGroup, args) -> np.ndarray:
     """PolyadicGroup._in_carrier as it was before its pure-Python path: args
-    as one numpy array, refused (ValidationError) unless it holds integers,
-    no bool, all in 0..m−1."""
-    column = np.asarray(args)
-    if not _holds_integers(column, args) or column.min() < 0 or column.max() >= p.order:
+    as one numpy array, refused (ValidationError) unless it is 1-D (numpy
+    has no array form of a ragged nesting) and holds integers, no bool, all
+    in 0..m−1."""
+    try:
+        column = np.asarray(args)
+    except ValueError:
+        column = np.asarray(args, dtype=object)
+    if (column.ndim != 1 or not _holds_integers(column, args)
+            or column.min() < 0 or column.max() >= p.order):
         shown = np.asarray(args, dtype=object).tolist()
         raise ValidationError(
             f"arguments {shown} must be elements of the carrier 0..{p.order - 1}"

@@ -336,6 +336,11 @@ class TestBadInput:
             (["quotient", "{T3}", "--congruence", "0|1|2|"], {}),
             (["census", "--order", "-2", "--arity", "3", "--mode", "exhaustive"], {}),
             (["census", "--order", "2", "--arity", "-1", "--mode", "exhaustive"], {}),
+            # element lists that start with "-": argparse read them as options (exit 2)
+            (["hom", "--from", "{T3}", "--to", "{T3}", "--map", "-1,1,2"], {}),
+            (["quotient", "{T3}", "--subgroup", "-1,0"], {}),
+            (["quotient", "{T3}", "--congruence", "-1,0|1|2"], {}),
+            (["analyze", "{T4}", "--quotient", "-1,0"], {}),
         ],
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pglab.polyadic as polyadic
-from reference import full_grid_axioms, is_identity, reference_in_carrier, scalar_eval, z2_4
+from reference import (
+    blocked_associativity_witness, full_grid_axioms, is_identity, reference_in_carrier,
+    scalar_eval, z2_4,
+)
 
 from pglab.catalog import catalog_group, cyclic, direct_product
 from pglab.config import DEFAULT_CAPS, Caps
@@ -25,6 +28,8 @@ from pglab.errors import (
     ValidationError,
 )
 from pglab.groups import Automorphism
+from pglab.morphisms import is_polyadic_hom
+from pglab.substructures import is_polyadic_subgroup
 from pglab.polyadic import (
     all_derived,
     as_table,
@@ -275,7 +280,8 @@ _CARRIER_INPUT = st.one_of(
 class TestInCarrier:
     """_in_carrier accepts and refuses what the numpy check it replaced on
     flat lists of ints did, with the same message, and answers a tuple of
-    Python ints."""
+    Python ints.  A nested or ragged input is refused: its numpy form is not
+    1-D."""
 
     @settings(max_examples=200, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -285,9 +291,23 @@ class TestInCarrier:
         args = data.draw(_CARRIER_INPUT)
         got = _outcome(polyadic.PolyadicGroup._in_carrier, p, args)
         assert got == _outcome(reference_in_carrier, p, args)
-        if got[0] == "ok" and np.ndim(args) == 1:
+        if got[0] == "ok":
             answer = p._in_carrier(args)
             assert type(answer) is tuple and all(type(v) is int for v in answer)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: is_polyadic_hom([[0], [1], [2]], t, t),
+        lambda t: is_polyadic_subgroup(t, [[0]]),
+        lambda t: t.eval([[0], [1], [2]]),
+        lambda t: t.skew_oracle([1]),
+        lambda t: t.eval([[0, 1], [1], 2]),
+    ], ids=["hom-map", "subgroup", "eval", "skew-oracle", "ragged"])
+    def test_nested_input_is_refused(self, structs, call):
+        # nested lists passed as a hom and a subgroup, and eval and
+        # skew_oracle raised a bare TypeError
+        for p in (structs["T3"], as_table(structs["T3"])):
+            with pytest.raises(ValidationError, match="must be elements of the carrier 0..2"):
+                call(p)
 
 
 class TestEvalMany:
@@ -523,6 +543,112 @@ class TestBlockedOracle:
 def theorem_ok(p):
     """The theorem route's decision: solvable, then split at anchor 0."""
     return _solvability(p, DEFAULT_CAPS)[0] and _split_report(p).ok
+
+
+def _memo_bases():
+    doubling = Automorphism(tuple(2 * x % 5 for x in range(5)))
+    return [derive(catalog_group("Z5"), doubling, 0, 5),
+            derive(catalog_group("Z2xZ2xZ2"), Automorphism.identity(8), 0, 4)]
+
+
+class TestMemoisedScan:
+    """_associativity_witness reads placement i ≥ 2 of a grid of more than
+    one block from a memo of the level's distinct blocks; its report and
+    witness are the blocked scan's (reference.blocked_associativity_witness)
+    and the full grid's."""
+
+    @pytest.mark.parametrize("p", _memo_bases(), ids=["z5-doubling-5", "z2^3-4"])
+    def test_one_corrupted_copy_of_a_repeated_block_equals_full_grid(self, p):
+        m, n = p.order, p.arity
+        rng = random.Random(39)
+        grid = m ** (2 * n - 1)
+        for i in range(2, n):
+            for draw in range(3):
+                flat = relabelled(p, np.asarray(rng.sample(range(m), m))).copy()
+                blocks = flat.reshape(m**i, -1)
+                prefix = rng.randrange(m**i)
+                assert sum(np.array_equal(b, blocks[prefix]) for b in blocks) > 1
+                cell = blocks.shape[1] - 1 if draw == 0 else rng.randrange(blocks.shape[1])
+                blocks[prefix, cell] = (blocks[prefix, cell] + rng.randrange(1, m)) % m
+                expected = full_grid_axioms(n, m, flat)
+                assert not expected.associative
+                for cells in (polyadic._BLOCK_CELLS, 1, grid):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(polyadic, "_BLOCK_CELLS", cells)
+                        report = verify_table_axioms(n, m, flat)
+                        small = polyadic._table_array(n, m, flat)
+                        witness = polyadic._associativity_witness(small, m, n)
+                        assert witness == blocked_associativity_witness(small, m, n)
+                    assert report == expected and report.violations == expected.violations
+
+    @pytest.mark.parametrize("p", _memo_bases(), ids=["z5-doubling-5", "z2^3-4"])
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_memos_hold_levels_two_and_up_within_one_block(self, monkeypatch, p, cells):
+        m, n = p.order, p.arity
+        if cells is not None:
+            monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+        built, memo = [], polyadic._placement_memo
+
+        def recorded(small, m, n, i):
+            built.append((i, memo(small, m, n, i)))
+            return built[-1][1]
+
+        monkeypatch.setattr(polyadic, "_placement_memo", recorded)
+        flat = relabelled(p, np.arange(m)[::-1].copy())
+        assert verify_table_axioms(n, m, flat).ok
+        assert [i for i, _ in built] == list(range(2, n))
+        budget = max(polyadic._BLOCK_CELLS, m ** (2 * n - 2))
+        for i, (ids, pushed) in built:
+            assert len(pushed) == m and pushed.size <= budget and ids.shape == (m, m ** (i - 1))
+
+    def test_a_one_block_grid_builds_no_memo(self, monkeypatch):
+        monkeypatch.setattr(polyadic, "_placement_memo", None)
+        p = _memo_bases()[0]
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", p.order ** (2 * p.arity - 1))
+        assert verify_table_axioms(p.arity, p.order, as_table(p).flat_np).ok
+
+    def test_corpus_tables_relabellings_and_corruptions_equal_blocked_scan(self, corpus):
+        rng = random.Random(39)
+        tables = 0
+        for p in filter(within_cap, corpus):
+            m, n = p.order, p.arity
+            flat = relabelled(p, np.asarray(rng.sample(range(m), m)))
+            once, twice = flat.copy(), flat.copy()
+            once[rng.randrange(len(flat))] = rng.randrange(m)
+            for _ in range(2):
+                twice[rng.randrange(len(flat))] = rng.randrange(m)
+            for table in (as_table(p).flat_np, flat, once, twice):
+                small = polyadic._table_array(n, m, table)
+                witness = polyadic._associativity_witness(small, m, n)
+                assert witness == blocked_associativity_witness(small, m, n)
+                tables += 1
+        assert tables == 4 * 476
+
+    @pytest.mark.parametrize("m, n", [(5, 5), (8, 4)])
+    def test_blocks_alike_in_their_first_row_are_told_apart(self, m, n):
+        """f = min is associative, not solvable, and every level-i block
+        has the same first row, all zeros: only their other cells tell the
+        m distinct blocks apart."""
+        flat = np.min(np.indices((m,) * n), axis=0).ravel()
+        report, expected = verify_table_axioms(n, m, flat), full_grid_axioms(n, m, flat)
+        assert report == expected and report.associative and not report.solvable
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_every_order_two_ternary_table_equals_blocked_scan(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+        for flat in itertools.product(range(2), repeat=8):
+            small = polyadic._table_array(3, 2, flat)
+            assert polyadic._associativity_witness(small, 2, 3) == (
+                blocked_associativity_witness(small, 2, 3))
+
+    @pytest.mark.parametrize("m, n", [(5, 5), (8, 4)])
+    def test_random_tables_equal_blocked_scan(self, m, n):
+        rng = np.random.default_rng(39)
+        for _ in range(5):
+            small = rng.integers(0, m, m**n).astype(np.uint8)
+            assert polyadic._associativity_witness(small, m, n) == (
+                blocked_associativity_witness(small, m, n))
 
 
 class TestAxiomRoutes:
