@@ -274,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         name = f.name.replace("_", "-")
         parser.add_argument(f"--{name}", type=int, default=None, help=f"override {name}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_verify = sub.add_parser("verify", help="validate a polyadic document")
     p_verify.add_argument("path")
@@ -332,22 +333,37 @@ def _caps_from_args(args) -> Caps:
 _ELEMENT_FLAGS = frozenset({"--map", "--quotient", "--subgroup", "--congruence"})
 
 
-def _element_lists_joined(argv: Sequence[str]) -> list[str]:
+def _element_lists_joined(commands: dict, argv: Sequence[str]) -> list[str]:
     """argv with each element-list flag joined to a value that starts with
     a negative element (--map -1,2 as --map=-1,2): argparse reads such a
-    value as an option, and the library's carrier check refuses it."""
+    value as an option, and the library's carrier check refuses it.  A flag
+    is read as argparse reads it among its subcommand's options (commands,
+    name to subparser): spelled in full, or a prefix of one option alone
+    (--quot for --quotient)."""
+    command = next((commands[tok] for tok in argv if tok in commands), None)
+    options = command._option_string_actions if command else {}
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _ELEMENT_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and tok[:1] == "-" and tok[1:2].isdigit() and _resolved(out[-1], options) in _ELEMENT_FLAGS:
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
 
 
+def _resolved(flag: str, options) -> Optional[str]:
+    """The option argparse reads the long flag as: itself, or the one option
+    it is a prefix of; None when it is no prefix or an ambiguous one."""
+    if flag in options or not flag.startswith("--"):
+        return flag
+    hits = [option for option in options if option.startswith(flag)]
+    return hits[0] if len(hits) == 1 else None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_element_lists_joined(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_element_lists_joined(parser.commands, argv))
     try:
         return args.func(args, _caps_from_args(args))
     except CapExceeded as exc:

@@ -349,9 +349,9 @@ def verify_table_axioms(
     for every adjacent pair of placements i over all m^(2n−1) argument
     tuples, a block of leading coordinates x₀ at a time (see
     _associativity_witness): one block of each placement grid is live, in
-    the table's dtype (flat_np's), not two m^(2n−1) grids, and on a grid of
-    more than one block each distinct translation block of a level i ≥ 2
-    is gathered once (_placement_memo), each memo within one block.  It
+    the table's dtype (flat_np's), not two m^(2n−1) grids.  A grid of more
+    than one block is decided first by one tuple per distinct key
+    (_keyed_associative), each level's keys within one block.  It
     refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap rather
     than silently sampling.
     """
@@ -382,62 +382,75 @@ def _associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]
     and i differ, args their first differing tuple in C order; None when
     the table is associative.
 
-    The grid is read in blocks of leading coordinates x₀ (row_blocks, one x₀
-    at least), in C order.  With rows = the table as (m, m^(n−1)), placement
-    0 of a block is rows[rows[x₀]]; placement i ≥ 1 indexes rows[x₀],
-    viewed as (m^(i−1), m, m^(n−1−i)), along its middle axis by the table
-    itself.  A later block can only lower the failing placement, so after a
-    failure at i the later blocks compare the placements below i alone.  A
-    grid of at most _BLOCK_CELLS cells is one block: each placement is one
-    gather of the whole grid.  On a grid of more than one block, placement
-    i ≥ 2 is read from its level's memo where one fits (_placement_memo,
-    built on the level's first use): each prefix's placement is a whole row
-    of the table pushed through its block, so each distinct block is
-    gathered once, not once per prefix."""
+    A grid of more than one block that _keyed_associative decides
+    associative returns None at once.  Otherwise the grid is read in blocks
+    of leading coordinates x₀ (row_blocks, one x₀ at least), in C order.
+    With rows = the table as (m, m^(n−1)), placement 0 of a block is
+    rows[rows[x₀]]; placement i ≥ 1 indexes rows[x₀], viewed as
+    (m^(i−1), m, m^(n−1−i)), along its middle axis by the table itself.  A
+    later block can only lower the failing placement, so after a failure
+    at i the later blocks compare the placements below i alone.  A grid of
+    at most _BLOCK_CELLS cells is one block: each placement is one gather
+    of the whole grid."""
     rows, width = small.reshape(m, -1), m ** (2 * n - 2)
-    # no memos on a one-block grid; level 1's block is the x₀ row, lead itself
-    memos = None if _BLOCK_CELLS // width >= m else {1: None}
-    found, limit, x0 = None, n, 0
+    if _BLOCK_CELLS // width < m and _keyed_associative(small, m, n):
+        return None
+    found, limit, start = None, n, 0
     for lead in row_blocks(rows, width):
         k = len(lead)
         prev = np.take(rows, lead, axis=0).ravel()
         for i in range(1, limit):
-            if memos is not None and i not in memos:
-                memos[i] = _placement_memo(small, m, n, i)
-            if memos is None or memos[i] is None:
-                cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
-            else:
-                ids, pushed = memos[i]
-                cur = np.take(pushed, ids[x0 : x0 + k], axis=0).ravel()
+            cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
             differ = prev != cur
             if differ.any():
-                found, limit = (i, x0 * width + int(differ.argmax())), i
+                found, limit = (i, start + int(differ.argmax())), i
                 break
             prev = cur
         if limit == 1:
             break
-        x0 += k
+        start += k * width
     if found is None:
         return None
     bad = np.unravel_index(found[1], (m,) * (2 * n - 1))
     return ("associativity", found[0], tuple(int(v) for v in bad))
 
 
-def _placement_memo(small: np.ndarray, m: int, n: int, i: int) -> Optional[tuple]:
-    """Placement i ≥ 2 of the whole grid as (ids, pushed), or None when
-    pushed would pass one block (_BLOCK_CELLS, or one x₀ row of the grid if
-    that is larger).  The level-i block of a prefix x₀…x_{i−1} is its
-    table cells T[x₀…x_{i−1}, ·, …], as (m, m^(n−1−i)); pushed holds each
-    distinct block, compared by all its cells, indexed along its first axis
-    by the table itself, one row a block; ids, (m, m^(i−1)), is the row of
-    each prefix, so placement i of x₀ is pushed[ids[x₀]].  A derived table,
-    relabelled or not, has at most m distinct blocks a level."""
-    blocks = small.reshape(m**i, -1)
-    ids, firsts = _distinct_rows(blocks)
-    if len(firsts) * m ** (2 * n - 1 - i) > max(_BLOCK_CELLS, m ** (2 * n - 2)):
-        return None
-    pushed = np.take(blocks[firsts].reshape(len(firsts), m, -1), small, axis=1)
-    return ids.reshape(m, -1), pushed.reshape(len(firsts), -1)
+def _keyed_associative(small: np.ndarray, m: int, n: int) -> bool:
+    """True when every pair of adjacent placements agrees on the whole
+    grid, decided by one representative tuple per distinct key; False when
+    a pair differs somewhere, or when a level's keys would pass one block
+    (_BLOCK_CELLS, or one x₀ row of the grid if that is larger).
+
+    For the pair (i−1, i) write a tuple as (π, a, w, r), π = x₀…x_{i−2},
+    a = x_{i−1}, w = x_i…x_{i+n−2} and r the last n−i coordinates.  Over
+    r, placement i−1 is row T(a, w) of π's level-(i−1) block T[π, ·, …],
+    and placement i is row a of that block, (π, a)'s level-i block,
+    indexed along its first axis by w's row T[w, ·].  Both depend on the
+    tuple only through π's block and the right key (a, T(a, w), w's row),
+    blocks and rows told apart by all their cells (_distinct_rows).  Every
+    block meets every right key, so the keys are the distinct blocks times
+    the distinct right keys: one gather and one compare of m^(n−i) cells a
+    key.  A derived table, relabelled or not, has at most m distinct blocks
+    a level and m² right keys."""
+    ids, firsts = _distinct_rows(small.reshape(-1, m))
+    right = distinct(((np.arange(m)[:, None] * m + small.reshape(m, -1)) * len(firsts) + ids).ravel())
+    (a, t), w = divmod(right // len(firsts), m), small.reshape(-1, m)[firsts[right % len(firsts)]]
+    budget, pis = max(_BLOCK_CELLS, m ** (2 * n - 2)), np.zeros((1, 1), dtype=np.intp)
+    for i in range(1, n):
+        if i > 1:
+            # π's block is a row of its parent's block, so the last level's
+            # distinct prefixes, extended, hold every distinct block; m or
+            # fewer are taken as they are
+            pis = (pis * m + np.arange(m)).reshape(-1, 1)
+            if len(pis) > m:
+                pis = pis[_distinct_rows(small.reshape(m ** (i - 1), -1)[pis[:, 0]])[1]]
+        if pis.size * len(right) * m ** (n - i) > budget:
+            return False
+        prev = small.reshape(m ** (i - 1), m, -1)[pis, t]
+        cur = small.reshape(m**i, m, -1)[(pis * m + a)[..., None], w]
+        if (prev.reshape(cur.shape) != cur).any():
+            return False
+    return True
 
 
 def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:

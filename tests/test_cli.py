@@ -341,6 +341,11 @@ class TestBadInput:
             (["quotient", "{T3}", "--subgroup", "-1,0"], {}),
             (["quotient", "{T3}", "--congruence", "-1,0|1|2"], {}),
             (["analyze", "{T4}", "--quotient", "-1,0"], {}),
+            # the same, each flag abbreviated to a prefix argparse resolves
+            (["analyze", "--quot", "-1,0", "{T4}"], {}),
+            (["hom", "--from", "{T3}", "--to", "{T3}", "--ma", "-1,1,2"], {}),
+            (["quotient", "{T3}", "--sub", "-1,0"], {}),
+            (["quotient", "{T3}", "--con", "-1,0|1|2"], {}),
         ],
     )
     def test_exit_1_without_traceback(self, doc_path, argv, env):
@@ -348,6 +353,21 @@ class TestBadInput:
         proc = run_cli([paths.get(a, a) for a in argv], env)
         assert proc.returncode == 1
         assert proc.stderr.startswith("ValidationError: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # --s: --skew, --subgroups or --simplicity
+            (["analyze", "--s", "-1,0", "{T4}"], "ambiguous option: --s could match"),
+            # --con is analyze's --congruences, which takes no element list
+            (["analyze", "--con", "-1,0", "{T4}"], "unrecognized arguments: -1,0"),
+        ],
+    )
+    def test_a_prefix_of_no_element_list_flag_exits_2(self, doc_path, argv, message):
+        proc = run_cli([doc_path("T4") if a == "{T4}" else a for a in argv], {})
+        assert proc.returncode == 2
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(

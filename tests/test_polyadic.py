@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -545,19 +546,31 @@ def theorem_ok(p):
     return _solvability(p, DEFAULT_CAPS)[0] and _split_report(p).ok
 
 
-def _memo_bases():
+def _multi_block_bases():
     doubling = Automorphism(tuple(2 * x % 5 for x in range(5)))
     return [derive(catalog_group("Z5"), doubling, 0, 5),
             derive(catalog_group("Z2xZ2xZ2"), Automorphism.identity(8), 0, 4)]
 
 
-class TestMemoisedScan:
-    """_associativity_witness reads placement i ≥ 2 of a grid of more than
-    one block from a memo of the level's distinct blocks; its report and
-    witness are the blocked scan's (reference.blocked_associativity_witness)
-    and the full grid's."""
+def _recorded_keys(monkeypatch):
+    """The answers of polyadic._keyed_associative, recorded as it is called."""
+    decided, keyed = [], polyadic._keyed_associative
 
-    @pytest.mark.parametrize("p", _memo_bases(), ids=["z5-doubling-5", "z2^3-4"])
+    def recorded(small, m, n):
+        decided.append(keyed(small, m, n))
+        return decided[-1]
+
+    monkeypatch.setattr(polyadic, "_keyed_associative", recorded)
+    return decided
+
+
+class TestMemoisedScan:
+    """_associativity_witness decides a grid of more than one block by one
+    representative tuple per distinct key first (_keyed_associative); its
+    report and witness are the blocked scan's
+    (reference.blocked_associativity_witness) and the full grid's."""
+
+    @pytest.mark.parametrize("p", _multi_block_bases(), ids=["z5-doubling-5", "z2^3-4"])
     def test_one_corrupted_copy_of_a_repeated_block_equals_full_grid(self, p):
         m, n = p.order, p.arity
         rng = random.Random(39)
@@ -581,31 +594,62 @@ class TestMemoisedScan:
                         assert witness == blocked_associativity_witness(small, m, n)
                     assert report == expected and report.violations == expected.violations
 
-    @pytest.mark.parametrize("p", _memo_bases(), ids=["z5-doubling-5", "z2^3-4"])
-    @pytest.mark.parametrize("cells", [None, 1])
-    def test_memos_hold_levels_two_and_up_within_one_block(self, monkeypatch, p, cells):
+    @pytest.mark.parametrize("p", _multi_block_bases(), ids=["z5-doubling-5", "z2^3-4"])
+    @pytest.mark.parametrize("cells", [None, 1, "grid-1"])
+    def test_keys_decide_a_multi_block_grid_without_the_scan(self, monkeypatch, p, cells):
         m, n = p.order, p.arity
         if cells is not None:
-            monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
-        built, memo = [], polyadic._placement_memo
-
-        def recorded(small, m, n, i):
-            built.append((i, memo(small, m, n, i)))
-            return built[-1][1]
-
-        monkeypatch.setattr(polyadic, "_placement_memo", recorded)
+            monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 1 if cells == 1 else m ** (2 * n - 1) - 1)
+        decided = _recorded_keys(monkeypatch)
+        monkeypatch.setattr(polyadic, "row_blocks", None)
         flat = relabelled(p, np.arange(m)[::-1].copy())
         assert verify_table_axioms(n, m, flat).ok
-        assert [i for i, _ in built] == list(range(2, n))
-        budget = max(polyadic._BLOCK_CELLS, m ** (2 * n - 2))
-        for i, (ids, pushed) in built:
-            assert len(pushed) == m and pushed.size <= budget and ids.shape == (m, m ** (i - 1))
+        assert decided == [True]
 
-    def test_a_one_block_grid_builds_no_memo(self, monkeypatch):
-        monkeypatch.setattr(polyadic, "_placement_memo", None)
-        p = _memo_bases()[0]
-        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", p.order ** (2 * p.arity - 1))
-        assert verify_table_axioms(p.arity, p.order, as_table(p).flat_np).ok
+    @pytest.mark.parametrize("flat, m, n", [
+        (as_table(_multi_block_bases()[0]).flat_np, 5, 5),
+        (as_table(_multi_block_bases()[1]).flat_np, 8, 4),
+        (np.zeros(8, dtype=np.uint8), 2, 3),
+    ], ids=["z5-doubling-5", "z2^3-4", "zero-2-3"])
+    def test_a_one_block_grid_reads_no_keys(self, monkeypatch, flat, m, n):
+        monkeypatch.setattr(polyadic, "_keyed_associative", None)
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", max(polyadic._BLOCK_CELLS, m ** (2 * n - 1)))
+        assert verify_table_axioms(n, m, flat).associative
+
+    @pytest.mark.parametrize("name", ["Z5", "S3"])
+    def test_keys_past_one_block_fall_back_to_the_blocked_scan(self, monkeypatch, name):
+        """A binary group's keys are its whole grid, m³ cells, more than
+        one x₀ row (m²): on any grid of more than one block the keys give
+        up and the blocked scan decides."""
+        g = catalog_group(name)
+        m = g.order
+        small = as_table(derive(g, Automorphism.identity(m), 0, 2)).flat_np
+        scanned, blocks = [], polyadic.row_blocks
+
+        def recorded(rows, cells_per_row):
+            scanned.append(cells_per_row)
+            return blocks(rows, cells_per_row)
+
+        monkeypatch.setattr(polyadic, "row_blocks", recorded)
+        for cells in (1, m**2, m**3 - 1):
+            monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+            assert polyadic._keyed_associative(small, m, 2) is False
+            scanned.clear()
+            assert polyadic._associativity_witness(small, m, 2) is None
+            assert scanned == [m**2]
+
+    def test_every_order_two_quaternary_table_equals_blocked_scan(self, monkeypatch):
+        """All 65,536 (2, 4) tables on a grid of two blocks, one x₀ row each,
+        so that every table reads its keys first."""
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 2**6)
+        decided = _recorded_keys(monkeypatch)
+        levels = collections.Counter()
+        for small in np.asarray(list(itertools.product(range(2), repeat=16)), dtype=np.uint8):
+            witness = polyadic._associativity_witness(small, 2, 4)
+            assert witness == blocked_associativity_witness(small, 2, 4)
+            levels[witness and witness[1]] += 1
+        assert len(decided) == 2**16 and sum(decided) == levels[None] == 8
+        assert levels == {None: 8, 1: 65515, 2: 12, 3: 1}
 
     def test_corpus_tables_relabellings_and_corruptions_equal_blocked_scan(self, corpus):
         rng = random.Random(39)
@@ -641,6 +685,36 @@ class TestMemoisedScan:
             small = polyadic._table_array(3, 2, flat)
             assert polyadic._associativity_witness(small, 2, 3) == (
                 blocked_associativity_witness(small, 2, 3))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_semigroup_tables_changed_in_one_block_equal_blocked_scan(self, monkeypatch, n):
+        """x₁·x₂···x_n over each of the 113 semigroups on 3 points, with one
+        to three cells of one level block changed, on grids of one x₀ row a
+        block, so that every table reads its keys first.  Such a table may
+        fail at one placement pair alone, and only behind a block or a row
+        that is not the first of its key's kind."""
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 1)
+        m, rng = 3, random.Random(40)
+        binary = np.asarray(list(itertools.product(range(m), repeat=m * m))).reshape(-1, m, m)
+        k, (x, y, z) = np.arange(len(binary))[:, None, None, None], np.indices((m,) * 3)
+        associative = (binary[k, binary[k, x, y], z] == binary[k, x, binary[k, y, z]]).all(axis=(1, 2, 3))
+        semigroups = binary[associative]
+        assert len(semigroups) == 113
+        args, levels = np.indices((m,) * n).reshape(n, -1), collections.Counter()
+        for _ in range(3000):
+            s = semigroups[rng.randrange(len(semigroups))]
+            flat = args[0]
+            for col in args[1:]:
+                flat = s[flat, col]
+            flat = flat.astype(np.uint8)
+            level = rng.randrange(1, n)
+            block = flat.reshape(m**level, -1)[rng.randrange(m**level)]
+            for _ in range(rng.randint(1, 3)):
+                block[rng.randrange(len(block))] = rng.randrange(m)
+            witness = polyadic._associativity_witness(flat, m, n)
+            assert witness == blocked_associativity_witness(flat, m, n)
+            levels[witness and witness[1]] += 1
+        assert all(levels[i] for i in range(1, n))
 
     @pytest.mark.parametrize("m, n", [(5, 5), (8, 4)])
     def test_random_tables_equal_blocked_scan(self, m, n):
