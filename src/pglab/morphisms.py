@@ -93,8 +93,9 @@ def is_polyadic_hom(
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether psi(f(t)) = h(psi(t)) for every tuple t, with the first
-    failing tuple of p's stored rows (_scan_rows, whose (A_1) rows decide:
-    the check reads the n-ary group axioms of both, not the split), or None.
+    failing tuple of p's stored rows in largest-entry order (_scan_rows,
+    whose (A_1) rows decide: the check reads the n-ary group axioms of
+    both, not the split), or None.
 
     The m² + 2m rows are charged to axiom_cost_cap before they are built,
     and h is read by one q.eval_many on them: no m^n table of either side
@@ -119,7 +120,7 @@ def _hom_check(
     charge(caps, "axiom_cost_cap", m * m + 2 * m, "the hom check")
     if psi in p.__dict__.get("oracle_homs", {}).get(q, ()):
         return True, None
-    rows, _ = _scan_rows(p)
+    rows = _scan_rows(p)[0]
     images = np.asarray(psi)[rows]
     bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
     if not len(bad):
@@ -256,12 +257,16 @@ def compose_hom(
     return PolyadicHom(p, q, psi_map)
 
 
-def _scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
+def _scan_rows(
+    p: PolyadicGroup,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     """The tuples t of p a hom check reads, as one (n+1)×R array of the
-    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), with the
-    offsets of its steps: the columns of step k, offsets[k]:offsets[k+1],
-    are those whose largest entry is k, the frontier step at which the
-    scan has assigned all of them.  Stored on p.
+    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), ordered
+    by their largest entry (the order of the hom check's witness), with
+    the frontier's plan: the step that assigns each element (None when it
+    is the element itself), the same columns relabelled by step and
+    ordered by their last step, and the offsets of the steps (the columns
+    of step k are offsets[k]:offsets[k+1]).  Stored on p.
 
     The tuples are the diagonal (x,…,x), the skew tuples (x,…,x,skew(x))
     and Post's (A_1) with u = 0 and ū = skew(0) (E. L. Post, "Polyadic
@@ -269,21 +274,38 @@ def _scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
     (x, y).  A map between n-ary groups is a hom exactly when it commutes
     with f on these m² tuples (CHANGES.md proves it under "Post's lemma for
     the hom check"); the diagonal and skew tuples only prune the scan
-    earlier.  f(t) is one p.eval_many: no m^n table is built."""
+    earlier.  Every (A_1) row reads 0 and ū, so the frontier assigns 0,
+    then ū, then the rest ascending, and those rows prune from its second
+    step; the order is natural when ū ≤ 1 and at arity 2, where (B) reads
+    no ū.  f(t) is one p.eval_many: no m^n table is built."""
     return cached_on(p, "hom_scan_rows", lambda: _build_scan_rows(p))
 
 
-def _build_scan_rows(p: PolyadicGroup) -> tuple[np.ndarray, np.ndarray]:
+def _build_scan_rows(
+    p: PolyadicGroup,
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     m, n = p.order, p.arity
     diagonal = np.broadcast_to(np.arange(m), (n, m))
     skew = np.vstack([diagonal[1:], p.skew_table])
     post = np.zeros((n, m * m), dtype=np.intp)
     post[-1], post[:2] = p.skew_table[0], np.divmod(np.arange(m * m), m)  # at arity 2 y overwrites ū
     args = np.hstack([diagonal, skew, post])
-    rows = np.vstack([args, p.eval_many(args)]).astype(np.min_scalar_type(m - 1))
-    steps = rows.max(axis=0)
+    cols = np.vstack([args, p.eval_many(args)]).astype(np.min_scalar_type(m - 1))
+    rows, offsets = _by_last_step(cols, m)
+    u_bar = int(p.skew_table[0])
+    if n == 2 or u_bar <= 1:
+        return rows, None, rows, offsets
+    step_of = np.arange(m, dtype=cols.dtype) + (np.arange(m) < u_bar)
+    step_of[[0, u_bar]] = 0, 1
+    return rows, step_of, *_by_last_step(step_of[cols], m)
+
+
+def _by_last_step(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns ordered stably by their largest entry, and the offsets
+    at which the entries 0, …, m−1 and then the end begin."""
+    steps = cols.max(axis=0)
     order = np.argsort(steps, kind="stable")
-    return rows[:, order], np.searchsorted(steps[order], np.arange(m + 1))
+    return cols[:, order], np.searchsorted(steps[order], np.arange(m + 1))
 
 
 def _oracle_hom_maps(
@@ -307,26 +329,31 @@ def _oracle_hom_maps(
 def _frontier_homs(p: PolyadicGroup, q: PolyadicGroup) -> list[tuple[int, ...]]:
     """Frontier scan of the |Q|^|P| candidate maps.
 
-    The partial maps are extended one source element at a time, 0 first
-    (Post's u).  After each step the rows of p's stored tuples
-    (_scan_rows) that have just been fully assigned are checked at once
-    and the violating maps dropped; a map that passes the last step
-    commutes with f on every row, Post's (A_1) tuples among them, so it is
-    a hom.  Columns are assigned in order and each row is extended by its
-    images in order, so the maps come out sorted.  The scan never consults
-    the theorem route, and only q's table is read.
+    The partial maps are extended one source element at a time in the
+    order of p's plan (_scan_rows): 0 (Post's u), then ū, then the rest.
+    After each step the rows it completes, f(t) included, are checked at
+    once and the violating maps dropped, so the survivors do not depend on
+    the order; a map that passes the last step commutes with f on every
+    row, Post's (A_1) tuples among them, so it is a hom.  Each column is
+    extended in order, so the maps come out sorted by their images in
+    assignment order; put back in element order they stay sorted, as two
+    homs that agree at 0 agree at ū, which a hom maps to skew(ψ(0)) (a
+    skew row).  The scan never consults the theorem route, and only q's
+    table is read.
     """
     mq = q.order
-    rows, offsets = _scan_rows(p)
+    _, step_of, plan, offsets = _scan_rows(p)
     maps = np.zeros((1, 0), dtype=np.int16)
     for k in range(p.order):
         grown = np.empty((len(maps), mq, k + 1), dtype=np.int16)
         grown[:, :, :k] = maps[:, None, :]
         grown[:, :, k] = np.arange(mq)
         maps = grown.reshape(-1, k + 1)
-        maps = maps[_rows_hold(maps, q, rows[:, offsets[k] : offsets[k + 1]])]
+        maps = maps[_rows_hold(maps, q, plan[:, offsets[k] : offsets[k + 1]])]
         if not len(maps):
             return []
+    if step_of is not None:
+        maps = maps[:, step_of]
     return [tuple(row) for row in maps.tolist()]
 
 
@@ -371,13 +398,15 @@ def enumerate_homs(
     The theorem route crosses binary homomorphisms with the anchors that
     pass both split conditions, and stores each map's split on p
     (_split_table) for decompose_hom and compose_hom to read.  The oracle
-    scans raw maps: a frontier of partial maps pruned on p's stored rows
-    (_scan_rows), whose Post family decides, so a leaf is a hom; it stores
-    its answer on p (_oracle_hom_maps), and the hom check of compose_hom
-    and is_polyadic_hom reads it instead of evaluating those maps.  Auto
-    runs both when the oracle's gate (_oracle_refusal: |Q|^|P| maps within
-    hom_oracle_cap, q's |Q|^n table within axiom_cost_cap) admits the
-    pair, and insists they agree; outside it the theorem runs alone.
+    scans raw maps: a frontier of partial maps, assigned 0, then ū =
+    skew(0), then the rest, pruned on p's stored rows (_scan_rows) as each
+    step completes them, whose Post family decides, so a leaf is a hom; it
+    stores its answer on p (_oracle_hom_maps), and the hom check of
+    compose_hom and is_polyadic_hom reads it instead of evaluating those
+    maps.  Auto runs both when the oracle's gate (_oracle_refusal:
+    |Q|^|P| maps within hom_oracle_cap, q's |Q|^n table within
+    axiom_cost_cap) admits the pair, and insists they agree; outside it
+    the theorem runs alone.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")

@@ -626,6 +626,63 @@ class TestStoredOracleAnswer:
         assert enumerate_homs(p, q) == first
 
 
+class TestFrontierOrder:
+    """The hom oracle's frontier assigns 0, then ū = skew(0), then the rest
+    ascending, so Post's (A_1) rows (x, y, 0^(n−3), ū) prune from its second
+    step; the hom check still reads the rows in element-step order."""
+
+    @staticmethod
+    def _source():
+        return derive(catalog_group("Z2xZ2"), Automorphism.identity(4), 3, 4)
+
+    @staticmethod
+    def _targets():
+        return [
+            derive(catalog_group("Z8"), Automorphism.identity(8), 0, 4),
+            derive(catalog_group("Q8"), Automorphism((0, 1, 6, 7, 2, 3, 4, 5)), 1, 4),
+        ]
+
+    def test_witnesses_keep_the_element_step_order(self):
+        """The first failing row is read in the element-step order, not the
+        frontier's: these witnesses differ on the frontier's grouping."""
+        p, q = self._source(), self._targets()[0]
+        assert p.skew_table[0] == 3
+        for psi, witness in [((5, 4, 1, 4), (1, 1, 1, 1)), ((6, 5, 2, 0), (1, 1, 1, 1)),
+                             ((1, 5, 0, 4), (2, 2, 2, 2))]:
+            assert is_polyadic_hom(psi, p, q) == (False, witness)
+
+    def test_anchor_pair_first_bounds_the_frontier(self, monkeypatch):
+        """The candidate maps the frontier checks, summed over its steps:
+        4,680 into der(Z8) when the (A_1) rows waited for step ū = 3."""
+        seen = []
+        rows_hold = morphisms._rows_hold
+        monkeypatch.setattr(
+            morphisms, "_rows_hold", lambda maps, q, rows: seen.append(len(maps)) or rows_hold(maps, q, rows)
+        )
+        for q, bound in zip(self._targets(), (120, 264)):
+            p = self._source()
+            seen.clear()
+            assert morphisms._frontier_homs(p, q) == dense_hom_maps(p, q)
+            assert 0 < sum(seen) <= bound
+
+    def test_reordered_sources_equal_dense_reference(self, corpus):
+        """Every corpus source of order ≤ 4 with skew(0) > 1, derived, as a
+        table and relabelled, into a seeded sample of targets: the frontier
+        gives the reference's maps in the reference's order."""
+        rng = random.Random(0)
+        sources = [p for p in corpus if p.order <= 4 and p.skew_table[0] > 1]
+        assert len(sources) == 21
+        reordered = 0
+        for p in sources:
+            targets = [q for q in corpus if q.arity == p.arity and q.order**p.order <= 4096]
+            sigma = np.asarray(rng.sample(range(p.order), p.order))
+            for form in (p, as_table(p), relabelled_table(p, sigma)):
+                reordered += morphisms._scan_rows(form)[1] is not None
+                for q in rng.sample(targets, 3):
+                    assert morphisms._frontier_homs(form, q) == dense_hom_maps(form, q)
+        assert reordered >= 2 * len(sources)
+
+
 class TestCompose:
     def test_identity(self, structs):
         psi = compose_hom(0, (0, 1, 2), structs["T3"], structs["T3"])
