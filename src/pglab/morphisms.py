@@ -57,9 +57,11 @@ class HomDecomposition:
 
 
 def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarray:
-    """For each row of maps (column x holds the image of source element x),
+    """For each row of maps (column x holds the image of label x: a source
+    element in the hom check, a frontier step in the oracle's plan),
     whether h(psi(t)) = psi(f(t)) on every tuple of rows, whose n+1 lines
-    are the tuples' arguments and then their values f(t)."""
+    are the tuples' arguments and then their values f(t), in those
+    labels."""
     args, image = rows[:-1], rows[-1]
     weights = q.order ** np.arange(len(args) - 1, -1, -1)[:, None]
     return np.concatenate([
@@ -92,8 +94,8 @@ def is_polyadic_hom(
     q: PolyadicGroup,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether psi(f(t)) = h(psi(t)) for every tuple t, with the first
-    failing tuple of p's stored rows in largest-entry order (_scan_rows,
+    """Whether psi(f(t)) = h(psi(t)) for every tuple t, with the failing
+    tuple of p's stored rows first in largest-entry order (_scan_rows,
     whose (A_1) rows decide: the check reads the n-ary group axioms of
     both, not the split), or None.
 
@@ -115,17 +117,21 @@ def _hom_check(
     rows are charged first; then a map in the hom oracle's stored answer
     p → q (_oracle_hom_maps) is a hom, since the oracle kept it only after
     it passed every one of these rows, and any other map, or any map of a
-    pair the oracle never scanned, is read by one q.eval_many."""
+    pair the oracle never scanned, is read by one q.eval_many.  Its witness
+    is the failing tuple whose column, f(t) included, has the smallest
+    largest entry, the first such stored: the first a stable sort by
+    largest entry would give."""
     m = p.order
     charge(caps, "axiom_cost_cap", m * m + 2 * m, "the hom check")
     if psi in p.__dict__.get("oracle_homs", {}).get(q, ()):
         return True, None
-    rows = _scan_rows(p)[0]
-    images = np.asarray(psi)[rows]
+    cols = _scan_rows(p)[0]
+    images = np.asarray(psi)[cols]
     bad = np.flatnonzero(q.eval_many(images[:-1]) != images[-1])
     if not len(bad):
         return True, None
-    return False, tuple(rows[:-1, bad[0]].tolist())
+    first = bad[np.argmin(cols[:, bad].max(axis=0))]
+    return False, tuple(cols[:-1, first].tolist())
 
 
 def _condition_masks(
@@ -261,11 +267,10 @@ def _scan_rows(
     p: PolyadicGroup,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     """The tuples t of p a hom check reads, as one (n+1)×R array of the
-    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), ordered
-    by their largest entry (the order of the hom check's witness), with
-    the frontier's plan: the step that assigns each element (None when it
-    is the element itself), the same columns relabelled by step and
-    ordered by their last step, and the offsets of the steps (the columns
+    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), with the
+    frontier's plan: the step that assigns each element (None when it is
+    the element itself), the same columns relabelled by step and ordered
+    stably by their last step, and the offsets of the steps (the columns
     of step k are offsets[k]:offsets[k+1]).  Stored on p.
 
     The tuples are the diagonal (x,…,x), the skew tuples (x,…,x,skew(x))
@@ -276,8 +281,8 @@ def _scan_rows(
     the hom check"); the diagonal and skew tuples only prune the scan
     earlier.  Every (A_1) row reads 0 and ū, so the frontier assigns 0,
     then ū, then the rest ascending, and those rows prune from its second
-    step; the order is natural when ū ≤ 1 and at arity 2, where (B) reads
-    no ū.  f(t) is one p.eval_many: no m^n table is built."""
+    step (at arity 2 only the skew row (0, ū) does); the order is natural
+    when ū ≤ 1.  f(t) is one p.eval_many: no m^n table is built."""
     return cached_on(p, "hom_scan_rows", lambda: _build_scan_rows(p))
 
 
@@ -291,21 +296,14 @@ def _build_scan_rows(
     post[-1], post[:2] = p.skew_table[0], np.divmod(np.arange(m * m), m)  # at arity 2 y overwrites ū
     args = np.hstack([diagonal, skew, post])
     cols = np.vstack([args, p.eval_many(args)]).astype(np.min_scalar_type(m - 1))
-    rows, offsets = _by_last_step(cols, m)
-    u_bar = int(p.skew_table[0])
-    if n == 2 or u_bar <= 1:
-        return rows, None, rows, offsets
-    step_of = np.arange(m, dtype=cols.dtype) + (np.arange(m) < u_bar)
-    step_of[[0, u_bar]] = 0, 1
-    return rows, step_of, *_by_last_step(step_of[cols], m)
-
-
-def _by_last_step(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns ordered stably by their largest entry, and the offsets
-    at which the entries 0, …, m−1 and then the end begin."""
-    steps = cols.max(axis=0)
+    u_bar, step_of, plan = int(p.skew_table[0]), None, cols
+    if u_bar > 1:
+        step_of = np.arange(m, dtype=cols.dtype) + (np.arange(m) < u_bar)
+        step_of[[0, u_bar]] = 0, 1
+        plan = step_of[cols]
+    steps = plan.max(axis=0)
     order = np.argsort(steps, kind="stable")
-    return cols[:, order], np.searchsorted(steps[order], np.arange(m + 1))
+    return cols, step_of, plan[:, order], np.searchsorted(steps[order], np.arange(m + 1))
 
 
 def _oracle_hom_maps(

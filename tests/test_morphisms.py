@@ -651,6 +651,17 @@ class TestFrontierOrder:
                              ((1, 5, 0, 4), (2, 2, 2, 2))]:
             assert is_polyadic_hom(psi, p, q) == (False, witness)
 
+    def test_witness_has_the_smallest_largest_entry(self):
+        """Der(Z3, id, 2, 3) → der(Z2, id, 0, 3): (1, 0, 1) fails on the
+        diagonal row (1, 1, 1), value 2, stored first, but the skew row
+        (0, 0, 1), value 0, has the smaller largest entry and is the
+        witness."""
+        p = derive(catalog_group("Z3"), Automorphism.identity(3), 2, 3)
+        q = derive(catalog_group("Z2"), Automorphism.identity(2), 0, 3)
+        assert p.eval([1, 1, 1]) == 2 and p.eval([0, 0, 1]) == 0
+        for psi in [(1, 0, 1), (0, 1, 0)]:
+            assert is_polyadic_hom(psi, p, q) == (False, (0, 0, 1))
+
     def test_anchor_pair_first_bounds_the_frontier(self, monkeypatch):
         """The candidate maps the frontier checks, summed over its steps:
         4,680 into der(Z8) when the (A_1) rows waited for step ū = 3."""
@@ -681,6 +692,20 @@ class TestFrontierOrder:
                 for q in rng.sample(targets, 3):
                     assert morphisms._frontier_homs(form, q) == dense_hom_maps(form, q)
         assert reordered >= 2 * len(sources)
+
+    def test_binary_sources_reorder_on_their_skew_row(self):
+        """At arity 2 ū = skew(0) is the identity, and only the skew row
+        (0, ū) reads it: binary groups relabelled so that the identity is
+        the last element take the reordered path and give the reference's
+        maps in its order."""
+        binary = {name: derive(catalog_group(name), Automorphism.identity(catalog_group(name).order), 0, 2)
+                  for name in ("Z3", "Z4", "Z2xZ2", "S3", "Z6")}
+        last = lambda g: relabelled_table(g, np.roll(np.arange(g.order), 1))  # noqa: E731
+        for a, b in [("Z3", "Z6"), ("Z4", "Z2xZ2"), ("Z2xZ2", "Z4"), ("S3", "Z6"), ("Z6", "S3")]:
+            p = last(binary[a])
+            assert p.skew_table[0] == p.order - 1 and morphisms._scan_rows(p)[1] is not None
+            for q in (binary[b], last(binary[b])):
+                assert morphisms._frontier_homs(p, q) == dense_hom_maps(p, q)
 
 
 class TestCompose:
