@@ -60,7 +60,8 @@ Presentation = Union[DerivedPresentation, TablePresentation]
 @dataclass(frozen=True)
 class AxiomReport:
     """associative is None when undecided: a table that is not solvable has
-    no split, and past axiom_cost_cap no exhaustive check.  Two reports are
+    no split, and no exhaustive check when the cells that check's largest
+    level compares pass axiom_cost_cap.  Two reports are
     equal when they decide alike; the violations are witnesses, and the
     theorem route and the oracle find different ones."""
 
@@ -264,18 +265,17 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, firsts) for the rows of a 2-D array, rows equal when all their
-    cells are: ids[r] is row r's class, the classes numbered in sorted
-    order, and firsts[c] the first row of class c.  Each row is one void
-    key, sorted stably, so no np.unique (and no numpy.ma) is read."""
+def _firsts(rows: np.ndarray) -> np.ndarray:
+    """The first row of each class of equal rows of a 2-D array, ascending,
+    rows equal when all their cells are.  A row is one void key, sorted,
+    and a class's first row the least index in its run, so no np.unique
+    (and no numpy.ma) is read."""
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort()
     ranked = keys[order]
-    starts = np.append(True, ranked[1:] != ranked[:-1])
-    ids = np.empty(len(order), dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    return ids, order[starts]
+    firsts = np.minimum.reduceat(order, np.concatenate(([0], (ranked[1:] != ranked[:-1]).nonzero()[0] + 1)))
+    firsts.sort()
+    return firsts
 
 
 def _check_arity_order(n: int, m: int, caps: Caps) -> None:
@@ -347,110 +347,90 @@ def verify_table_axioms(
 
     Associativity compares f(x₀…x_{i−1}, f(x_i…x_{i+n−1}), x_{i+n}…)
     for every adjacent pair of placements i over all m^(2n−1) argument
-    tuples, a block of leading coordinates x₀ at a time (see
-    _associativity_witness): one block of each placement grid is live, in
-    the table's dtype (flat_np's), not two m^(2n−1) grids.  A grid of more
-    than one block is decided first by one tuple per distinct key
-    (_keyed_associative), each level's keys within one block.  It
-    refuses (CostCapExceeded) when m^(2n−1) exceeds the cost cap rather
-    than silently sampling.
+    tuples, read as one tuple per distinct block and key
+    (_associativity_witness).  It refuses (CostCapExceeded) when the
+    cells its largest level compares exceed the cost cap rather than
+    silently sampling.
     """
     m, n = order, arity
     _check_arity_order(n, m, caps)
     small = _table_array(n, m, flat)
-    exc = _exhaustive_refusal(m, n, caps)
+    ws = _key_classes(small, m, n)
+    exc = _exhaustive_refusal(ws, m, n, caps)
     if exc:
         raise exc
-    return _exhaustive_report(small, m, n, _check_solvability(small.reshape((m,) * n), m, n))
+    return _exhaustive_report(small, m, n, ws, _check_solvability(small.reshape((m,) * n), m, n))
 
 
-def _exhaustive_refusal(m: int, n: int, caps: Caps) -> Optional[CapExceeded]:
-    """The exhaustive check's gate: its m^(2n−1) tuples within axiom_cost_cap."""
-    return refusal(caps, "axiom_cost_cap", m ** (2 * n - 1), "exhaustive associativity")
+def _exhaustive_refusal(ws: np.ndarray, m: int, n: int, caps: Caps) -> Optional[CapExceeded]:
+    """The exhaustive check's gate: the cells its largest level compares
+    within axiom_cost_cap.  Level i compares B_i·K·m^(n−i) cells for its
+    B_i ≤ m^(i−1) blocks and the K = m·|ws| keys (_key_classes), so the
+    first level, one block, compares the most: K·m^(n−1)."""
+    return refusal(caps, "axiom_cost_cap", len(ws) * m**n, "exhaustive associativity")
 
 
-def _exhaustive_report(small: np.ndarray, m: int, n: int, solvability: tuple) -> AxiomReport:
+def _exhaustive_report(small: np.ndarray, m: int, n: int, ws: np.ndarray, solvability: tuple) -> AxiomReport:
     """The exhaustive check's report on the raw table small: its
     associativity witness first, then solvability's violations."""
-    bad = _associativity_witness(small, m, n)
+    bad = _associativity_witness(small, m, n, ws)
     solvable, violations = solvability
     return AxiomReport(bad is None, solvable, ((bad,) if bad else ()) + violations)
 
 
-def _associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]:
+def _key_classes(small: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The least w = x_i…x_{i+n−2} of each class of w's that the placement
+    pairs cannot tell apart, ascending: w's told apart by their column
+    T[·, w] and their row T[w, ·] (_firsts).  A grid of one block
+    (_BLOCK_CELLS) takes every w as its own class and sorts nothing."""
+    if m ** (2 * n - 1) <= _BLOCK_CELLS:
+        return np.arange(m ** (n - 1))
+    return _firsts(np.concatenate([small.reshape(m, -1).T, small.reshape(-1, m)], axis=1))
+
+
+def _associativity_witness(small: np.ndarray, m: int, n: int, ws: np.ndarray) -> Optional[tuple]:
     """("associativity", i, args) for the smallest i whose placements i−1
     and i differ, args their first differing tuple in C order; None when
     the table is associative.
-
-    A grid of more than one block that _keyed_associative decides
-    associative returns None at once.  Otherwise the grid is read in blocks
-    of leading coordinates x₀ (row_blocks, one x₀ at least), in C order.
-    With rows = the table as (m, m^(n−1)), placement 0 of a block is
-    rows[rows[x₀]]; placement i ≥ 1 indexes rows[x₀], viewed as
-    (m^(i−1), m, m^(n−1−i)), along its middle axis by the table itself.  A
-    later block can only lower the failing placement, so after a failure
-    at i the later blocks compare the placements below i alone.  A grid of
-    at most _BLOCK_CELLS cells is one block: each placement is one gather
-    of the whole grid."""
-    rows, width = small.reshape(m, -1), m ** (2 * n - 2)
-    if _BLOCK_CELLS // width < m and _keyed_associative(small, m, n):
-        return None
-    found, limit, start = None, n, 0
-    for lead in row_blocks(rows, width):
-        k = len(lead)
-        prev = np.take(rows, lead, axis=0).ravel()
-        for i in range(1, limit):
-            cur = np.take(lead.reshape(k, m ** (i - 1), m, -1), small, axis=2).ravel()
-            differ = prev != cur
-            if differ.any():
-                found, limit = (i, start + int(differ.argmax())), i
-                break
-            prev = cur
-        if limit == 1:
-            break
-        start += k * width
-    if found is None:
-        return None
-    bad = np.unravel_index(found[1], (m,) * (2 * n - 1))
-    return ("associativity", found[0], tuple(int(v) for v in bad))
-
-
-def _keyed_associative(small: np.ndarray, m: int, n: int) -> bool:
-    """True when every pair of adjacent placements agrees on the whole
-    grid, decided by one representative tuple per distinct key; False when
-    a pair differs somewhere, or when a level's keys would pass one block
-    (_BLOCK_CELLS, or one x₀ row of the grid if that is larger).
 
     For the pair (i−1, i) write a tuple as (π, a, w, r), π = x₀…x_{i−2},
     a = x_{i−1}, w = x_i…x_{i+n−2} and r the last n−i coordinates.  Over
     r, placement i−1 is row T(a, w) of π's level-(i−1) block T[π, ·, …],
     and placement i is row a of that block, (π, a)'s level-i block,
     indexed along its first axis by w's row T[w, ·].  Both depend on the
-    tuple only through π's block and the right key (a, T(a, w), w's row),
-    blocks and rows told apart by all their cells (_distinct_rows).  Every
-    block meets every right key, so the keys are the distinct blocks times
-    the distinct right keys: one gather and one compare of m^(n−i) cells a
-    key.  A derived table, relabelled or not, has at most m distinct blocks
-    a level and m² right keys."""
-    ids, firsts = _distinct_rows(small.reshape(-1, m))
-    right = distinct(((np.arange(m)[:, None] * m + small.reshape(m, -1)) * len(firsts) + ids).ravel())
-    (a, t), w = divmod(right // len(firsts), m), small.reshape(-1, m)[firsts[right % len(firsts)]]
-    budget, pis = max(_BLOCK_CELLS, m ** (2 * n - 2)), np.zeros((1, 1), dtype=np.intp)
+    tuple only through π's block and the key (a, w's class) (ws,
+    _key_classes), so each level compares one π per distinct block, its
+    least, with every a and each w of ws: m^(n−i) cells a tuple, in blocks
+    of π's and a's (row_blocks; one (π, a) at least, at most m^(2n−2)
+    cells, one x₀ row of the grid).  Blocks, told apart by all their cells
+    (_firsts), are found among the last level's representatives extended
+    by one coordinate, since π's block is a row of its parent's block; m
+    or fewer, or any when every w is its own class, are taken as they are.
+    Blocks run in (π, a, w) order, each class read through its least
+    member, so the first differing tuple at the smallest failing level is
+    the witness."""
+    # T(a, w) for every a and each w of ws, and w's row T[w, ·]
+    values, rows = small.reshape(m, -1).take(ws, axis=1), small.reshape(-1, m).take(ws, axis=0)
+    pis = np.zeros(1, dtype=np.intp)
     for i in range(1, n):
+        width = m ** (n - i)
         if i > 1:
-            # π's block is a row of its parent's block, so the last level's
-            # distinct prefixes, extended, hold every distinct block; m or
-            # fewer are taken as they are
-            pis = (pis * m + np.arange(m)).reshape(-1, 1)
-            if len(pis) > m:
-                pis = pis[_distinct_rows(small.reshape(m ** (i - 1), -1)[pis[:, 0]])[1]]
-        if pis.size * len(right) * m ** (n - i) > budget:
-            return False
-        prev = small.reshape(m ** (i - 1), m, -1)[pis, t]
-        cur = small.reshape(m**i, m, -1)[(pis * m + a)[..., None], w]
-        if (prev.reshape(cur.shape) != cur).any():
-            return False
-    return True
+            pis = (pis[:, None] * m + np.arange(m)).ravel()
+            if len(pis) > m and len(ws) < m ** (n - 1):
+                pis = pis[_firsts(small.reshape(m ** (i - 1), -1).take(pis, axis=0))]
+        for ps in row_blocks(pis, m * len(ws) * width):
+            blocks, lo = small.reshape(-1, m, width).take(ps, axis=0), 0
+            for vs in row_blocks(values, len(ps) * len(ws) * width):  # a = lo, lo + 1, …
+                prev = blocks.take(vs, axis=1)
+                cur = blocks.reshape(len(ps), m, m, -1)[:, lo : lo + len(vs)].take(rows, axis=2)
+                differ = prev != cur.reshape(prev.shape)
+                if differ.any():
+                    p, k, j, r = np.unravel_index(int(differ.argmax()), differ.shape)
+                    at = ((int(ps[p]) * m + lo + int(k)) * m ** (n - 1) + int(ws[j])) * width + int(r)
+                    bad = np.unravel_index(at, (m,) * (2 * n - 1))
+                    return ("associativity", i, tuple(int(v) for v in bad))
+                lo += len(vs)
+    return None
 
 
 def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:
@@ -521,16 +501,18 @@ def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     config.cross_check.  Solvability is read first, from the m^n cells.  On
     a solvable table the theorem route is the split at anchor 0
     (_split_report); the oracle, verify_table_axioms' exhaustive check,
-    runs too where its m^(2n−1) evaluations fit axiom_cost_cap, and its
-    witness comes first, then the split's.  A table that is not solvable
-    has no split: its associativity is the oracle's, None past the cap.
-    Reading the m^n cells is charged to axiom_cost_cap (CostCapExceeded)."""
+    runs too where the cells its largest level compares fit
+    axiom_cost_cap (_exhaustive_refusal), and its witness comes first,
+    then the split's.  A table that is not solvable has no split: its
+    associativity is the oracle's, None past the cap.  Reading the m^n
+    cells is charged to axiom_cost_cap (CostCapExceeded)."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
     m, n = p.order, p.arity
     solvable, violations = _solvability(p, caps)
-    feasible = _exhaustive_refusal(m, n, caps) is None
-    oracle = cache(lambda: _exhaustive_report(p.flat_np, m, n, (solvable, violations)))
+    ws = _key_classes(p.flat_np, m, n)
+    feasible = _exhaustive_refusal(ws, m, n, caps) is None
+    oracle = cache(lambda: _exhaustive_report(p.flat_np, m, n, ws, (solvable, violations)))
     if not solvable:
         return oracle() if feasible else AxiomReport(None, False, violations)
     report = cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)

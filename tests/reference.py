@@ -102,12 +102,13 @@ def full_grid_axioms(arity: int, order: int, flat: Sequence[int]) -> AxiomReport
 
 
 def blocked_associativity_witness(small: np.ndarray, m: int, n: int) -> Optional[tuple]:
-    """polyadic._associativity_witness's blocked scan alone, with no keyed
-    decision before it: the grid in blocks of leading coordinates x₀
-    (row_blocks), placement 0 of a block rows[rows[x₀]], placement i ≥ 1
-    one gather of rows[x₀], viewed as (m^(i−1), m, m^(n−1−i)), along its
-    middle axis by the table itself, for every prefix alike; after a
-    failure at i the later blocks compare the placements below i alone."""
+    """The exhaustive associativity check as it was before it read one
+    tuple per (block, key) class (polyadic._associativity_witness): the
+    grid in blocks of leading coordinates x₀ (row_blocks), placement 0 of
+    a block rows[rows[x₀]], placement i ≥ 1 one gather of rows[x₀], viewed
+    as (m^(i−1), m, m^(n−1−i)), along its middle axis by the table itself,
+    for every prefix alike; after a failure at i the later blocks compare
+    the placements below i alone."""
     rows, width = small.reshape(m, -1), m ** (2 * n - 2)
     found, limit, start = None, n, 0
     for lead in row_blocks(rows, width):

@@ -65,9 +65,9 @@ class TestVerify:
         ]
 
     def test_table_past_the_exhaustive_cap(self, tmp_path, capsys):
-        """der(Z8, id, 0, 5) needs 8^9 exhaustive evaluations, past the
-        default cap: verify and analyze decide it by its split, and a
-        one-cell corruption exits 1, its associativity undecided."""
+        """der(Z8, id, 0, 5)'s grid of 8^9 tuples is past the default cap,
+        its keyed cells are not: verify and analyze decide it, and a
+        one-cell corruption exits 1, not associative."""
         doc = polyadic_to_doc(as_table(derive(cyclic(8), Automorphism.identity(8), 0, 5)))
         path = tmp_path / "z8.json"
         path.write_text(json.dumps(doc))
@@ -77,7 +77,7 @@ class TestVerify:
         doc["presentation"]["flat"][1] = doc["presentation"]["flat"][0]
         path.write_text(json.dumps(doc))
         proc = run_cli(["verify", str(path)], {})
-        assert proc.returncode == 1 and "associative: undecided" in proc.stdout
+        assert proc.returncode == 1 and "associative: no" in proc.stdout
         proc = run_cli(["analyze", "--congruences", str(path)], {})
         assert proc.returncode == 1
         assert proc.stderr.startswith("NotSolvable: table fails solvability")

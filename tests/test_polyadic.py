@@ -488,6 +488,32 @@ class TestVerifyAxioms:
         assert verify_axioms(p).ok
 
 
+def keyed_witness(flat, m, n):
+    """The exhaustive check's one associativity route on a raw table: its
+    key classes (polyadic._key_classes), then its witness."""
+    small = polyadic._table_array(n, m, flat)
+    return polyadic._associativity_witness(small, m, n, polyadic._key_classes(small, m, n))
+
+
+DEFAULT_BLOCK_CELLS = polyadic._BLOCK_CELLS
+
+
+def block_sizes(m, n):
+    """_BLOCK_CELLS values that the route must answer alike at: one
+    (π, a) a block with the keys sorted into classes, the default, and the
+    whole grid (one block, every tuple its own class) where that is small
+    enough to build."""
+    grid = m ** (2 * n - 1)
+    return [1, DEFAULT_BLOCK_CELLS] + ([grid] if grid <= 1 << 22 else [])
+
+
+def check_every_block_size(flat, m, n, expected):
+    for cells in block_sizes(m, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyadic, "_BLOCK_CELLS", cells)
+            assert keyed_witness(flat, m, n) == expected, cells
+
+
 class TestBlockedOracle:
     def test_corpus_tables_relabellings_and_corruptions_equal_full_grid(self, corpus):
         rng = random.Random(24)
@@ -504,29 +530,31 @@ class TestBlockedOracle:
         assert tables == 3 * 476
 
     @given(st.data())
-    def test_one_leading_coordinate_a_block_equals_full_grid(self, data):
+    def test_every_block_size_equals_full_grid(self, data):
         m = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(2, 4))
         flat = data.draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyadic, "_BLOCK_CELLS", 1)
-            check_equals_full_grid(n, m, flat)
+        for cells in block_sizes(m, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyadic, "_BLOCK_CELLS", cells)
+                check_equals_full_grid(n, m, flat)
 
     @pytest.mark.parametrize(
         "flat, violation",
         [
-            # every failing tuple has x₀ = 1, the last block
+            # every failing tuple has x₀ = 1
             ((0, 0, 0, 0, 0, 0, 1, 0), ("associativity", 1, (1, 1, 0, 1, 0))),
-            # placement pair 2 fails in block x₀ = 0, pair 1 only in block 1
+            # placement pair 2 fails at x₀ = 0, pair 1 only at x₀ = 1
             ((0, 1, 0, 0, 0, 1, 0, 1), ("associativity", 1, (1, 0, 0, 1, 1))),
         ],
     )
     def test_witness_is_the_first_failing_placement_over_every_block(self, flat, violation):
         assert full_grid_axioms(3, 2, flat).violations[0] == violation
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyadic, "_BLOCK_CELLS", 1)
-            assert verify_table_axioms(3, 2, flat).violations[0] == violation
-            check_equals_full_grid(3, 2, flat)
+        for cells in block_sizes(2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyadic, "_BLOCK_CELLS", cells)
+                assert verify_table_axioms(3, 2, flat).violations[0] == violation
+                check_equals_full_grid(3, 2, flat)
 
     @pytest.mark.parametrize(
         "flat", [[0.9, 1, 1, 0, 1, 0, 0, 1], ["0", 1, 1, 0, 1, 0, 0, 1],
@@ -552,29 +580,29 @@ def _multi_block_bases():
             derive(catalog_group("Z2xZ2xZ2"), Automorphism.identity(8), 0, 4)]
 
 
-def _recorded_keys(monkeypatch):
-    """The answers of polyadic._keyed_associative, recorded as it is called."""
-    decided, keyed = [], polyadic._keyed_associative
-
-    def recorded(small, m, n):
-        decided.append(keyed(small, m, n))
-        return decided[-1]
-
-    monkeypatch.setattr(polyadic, "_keyed_associative", recorded)
-    return decided
+def keyed_cells(flat, m, n):
+    """The cells the route's largest level compares, counted from the table
+    alone: max_i B_i·K·m^(n−i), B_i the distinct level-i blocks T[π, ·, …]
+    over every π and K = m times the distinct pairs (w's column T[·, w],
+    w's row T[w, ·])."""
+    small = np.asarray(flat).reshape(-1, m)
+    columns = np.asarray(flat).reshape(m, -1).T
+    k = m * len({(c.tobytes(), r.tobytes()) for c, r in zip(columns, small)})
+    return max(len({b.tobytes() for b in np.asarray(flat).reshape(m ** (i - 1), -1)}) * k * m ** (n - i)
+               for i in range(1, n))
 
 
 class TestMemoisedScan:
-    """_associativity_witness decides a grid of more than one block by one
-    representative tuple per distinct key first (_keyed_associative); its
-    report and witness are the blocked scan's
-    (reference.blocked_associativity_witness) and the full grid's."""
+    """_associativity_witness compares one tuple per (block, key) class
+    (the keys' w classes from _key_classes), every tuple its own class on a
+    grid of one block; its report and witness are the blocked scan's
+    (reference.blocked_associativity_witness) and the full grid's at every
+    _BLOCK_CELLS."""
 
     @pytest.mark.parametrize("p", _multi_block_bases(), ids=["z5-doubling-5", "z2^3-4"])
     def test_one_corrupted_copy_of_a_repeated_block_equals_full_grid(self, p):
         m, n = p.order, p.arity
         rng = random.Random(39)
-        grid = m ** (2 * n - 1)
         for i in range(2, n):
             for draw in range(3):
                 flat = relabelled(p, np.asarray(rng.sample(range(m), m))).copy()
@@ -585,26 +613,33 @@ class TestMemoisedScan:
                 blocks[prefix, cell] = (blocks[prefix, cell] + rng.randrange(1, m)) % m
                 expected = full_grid_axioms(n, m, flat)
                 assert not expected.associative
-                for cells in (polyadic._BLOCK_CELLS, 1, grid):
+                small = polyadic._table_array(n, m, flat)
+                check_every_block_size(small, m, n, blocked_associativity_witness(small, m, n))
+                for cells in block_sizes(m, n):
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(polyadic, "_BLOCK_CELLS", cells)
                         report = verify_table_axioms(n, m, flat)
-                        small = polyadic._table_array(n, m, flat)
-                        witness = polyadic._associativity_witness(small, m, n)
-                        assert witness == blocked_associativity_witness(small, m, n)
                     assert report == expected and report.violations == expected.violations
 
     @pytest.mark.parametrize("p", _multi_block_bases(), ids=["z5-doubling-5", "z2^3-4"])
     @pytest.mark.parametrize("cells", [None, 1, "grid-1"])
     def test_keys_decide_a_multi_block_grid_without_the_scan(self, monkeypatch, p, cells):
+        """A relabelled derived table has at most m blocks a level and m²
+        keys, so each level compares at most m^(n+1) cells, not the
+        grid's: the witness reads m or fewer π's a level."""
         m, n = p.order, p.arity
         if cells is not None:
             monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 1 if cells == 1 else m ** (2 * n - 1) - 1)
-        decided = _recorded_keys(monkeypatch)
-        monkeypatch.setattr(polyadic, "row_blocks", None)
         flat = relabelled(p, np.arange(m)[::-1].copy())
+        assert len(polyadic._key_classes(flat, m, n)) == m
+        assert keyed_cells(flat, m, n) == m ** (n + 1)
+        read, blocks = [], polyadic.row_blocks
+        monkeypatch.setattr(polyadic, "row_blocks",
+                            lambda rows, cells: read.append(rows) or blocks(rows, cells))
         assert verify_table_axioms(n, m, flat).ok
-        assert decided == [True]
+        pis = [rows for rows in read if rows.ndim == 1]
+        assert len(pis) >= n - 1 and all(len(rows) <= m for rows in pis)
+        assert keyed_witness(flat, m, n) is None is blocked_associativity_witness(flat, m, n)
 
     @pytest.mark.parametrize("flat, m, n", [
         (as_table(_multi_block_bases()[0]).flat_np, 5, 5),
@@ -612,44 +647,52 @@ class TestMemoisedScan:
         (np.zeros(8, dtype=np.uint8), 2, 3),
     ], ids=["z5-doubling-5", "z2^3-4", "zero-2-3"])
     def test_a_one_block_grid_reads_no_keys(self, monkeypatch, flat, m, n):
-        monkeypatch.setattr(polyadic, "_keyed_associative", None)
-        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", max(polyadic._BLOCK_CELLS, m ** (2 * n - 1)))
+        """On a grid of one block every tuple is its own class: no row is
+        sorted (_firsts), and the witness is the blocked scan's."""
+        monkeypatch.setattr(polyadic, "_firsts", None)
+        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", max(DEFAULT_BLOCK_CELLS, m ** (2 * n - 1)))
+        assert polyadic._key_classes(flat, m, n).tolist() == list(range(m ** (n - 1)))
         assert verify_table_axioms(n, m, flat).associative
+        assert keyed_witness(flat, m, n) is None is blocked_associativity_witness(flat, m, n)
 
     @pytest.mark.parametrize("name", ["Z5", "S3"])
-    def test_keys_past_one_block_fall_back_to_the_blocked_scan(self, monkeypatch, name):
-        """A binary group's keys are its whole grid, m³ cells, more than
-        one x₀ row (m²): on any grid of more than one block the keys give
-        up and the blocked scan decides."""
+    def test_binary_groups_equal_blocked_scan(self, monkeypatch, name):
+        """A binary group's keys are its whole grid, m² pairs (a, w) of m
+        cells, at every block size that classes them; one corrupted cell
+        gives the blocked scan's witness at each."""
         g = catalog_group(name)
         m = g.order
         small = as_table(derive(g, Automorphism.identity(m), 0, 2)).flat_np
-        scanned, blocks = [], polyadic.row_blocks
-
-        def recorded(rows, cells_per_row):
-            scanned.append(cells_per_row)
-            return blocks(rows, cells_per_row)
-
-        monkeypatch.setattr(polyadic, "row_blocks", recorded)
-        for cells in (1, m**2, m**3 - 1):
+        corrupt = small.copy()
+        corrupt[m + 1] = (corrupt[m + 1] + 1) % m
+        for cells in (1, m**2, m**3 - 1, DEFAULT_BLOCK_CELLS):
             monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
-            assert polyadic._keyed_associative(small, m, 2) is False
-            scanned.clear()
-            assert polyadic._associativity_witness(small, m, 2) is None
-            assert scanned == [m**2]
+            if cells < m**3:
+                assert len(polyadic._key_classes(small, m, 2)) == m
+            assert keyed_witness(small, m, 2) is None is blocked_associativity_witness(small, m, 2)
+            assert keyed_witness(corrupt, m, 2) == blocked_associativity_witness(corrupt, m, 2)
 
     def test_every_order_two_quaternary_table_equals_blocked_scan(self, monkeypatch):
-        """All 65,536 (2, 4) tables on a grid of two blocks, one x₀ row each,
-        so that every table reads its keys first."""
-        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 2**6)
-        decided = _recorded_keys(monkeypatch)
+        """All 65,536 (2, 4) tables, at the default block size (one block,
+        every tuple its own class) and at 2^6 cells, where every table is
+        read by its keys."""
         levels = collections.Counter()
         for small in np.asarray(list(itertools.product(range(2), repeat=16)), dtype=np.uint8):
-            witness = polyadic._associativity_witness(small, 2, 4)
-            assert witness == blocked_associativity_witness(small, 2, 4)
+            witness = blocked_associativity_witness(small, 2, 4)
+            for cells in (DEFAULT_BLOCK_CELLS, 2**6):
+                monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+                assert keyed_witness(small, 2, 4) == witness
             levels[witness and witness[1]] += 1
-        assert len(decided) == 2**16 and sum(decided) == levels[None] == 8
         assert levels == {None: 8, 1: 65515, 2: 12, 3: 1}
+
+    def test_every_order_three_binary_table_equals_blocked_scan(self, monkeypatch):
+        """All 19,683 (3, 2) tables, one block (27 cells) or one pair a
+        block."""
+        for small in np.asarray(list(itertools.product(range(3), repeat=9)), dtype=np.uint8):
+            witness = blocked_associativity_witness(small, 3, 2)
+            for cells in (DEFAULT_BLOCK_CELLS, 1):
+                monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+                assert keyed_witness(small, 3, 2) == witness
 
     def test_corpus_tables_relabellings_and_corruptions_equal_blocked_scan(self, corpus):
         rng = random.Random(39)
@@ -663,10 +706,24 @@ class TestMemoisedScan:
                 twice[rng.randrange(len(flat))] = rng.randrange(m)
             for table in (as_table(p).flat_np, flat, once, twice):
                 small = polyadic._table_array(n, m, table)
-                witness = polyadic._associativity_witness(small, m, n)
-                assert witness == blocked_associativity_witness(small, m, n)
+                assert keyed_witness(small, m, n) == blocked_associativity_witness(small, m, n)
                 tables += 1
         assert tables == 4 * 476
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_corrupted_arity_five_corpus_tables_equal_blocked_scan(self, corpus, m):
+        """Seeded one-cell corruptions of (m, 5) corpus table forms, whose
+        m^9 grids the gate refused before their cells were charged by key,
+        against the uncapped blocked scan."""
+        rng = random.Random(42 + m)
+        forms = [p for p in corpus if (p.order, p.arity) == (m, 5)]
+        for p in rng.sample(forms, 2):
+            small = as_table(p).flat_np.copy()
+            cell = rng.randrange(len(small))
+            small[cell] = (small[cell] + rng.randrange(1, m)) % m
+            witness = blocked_associativity_witness(small, m, 5)
+            assert witness is not None
+            check_every_block_size(small, m, 5, witness)
 
     @pytest.mark.parametrize("m, n", [(5, 5), (8, 4)])
     def test_blocks_alike_in_their_first_row_are_told_apart(self, m, n):
@@ -683,17 +740,15 @@ class TestMemoisedScan:
             monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
         for flat in itertools.product(range(2), repeat=8):
             small = polyadic._table_array(3, 2, flat)
-            assert polyadic._associativity_witness(small, 2, 3) == (
-                blocked_associativity_witness(small, 2, 3))
+            assert keyed_witness(small, 2, 3) == blocked_associativity_witness(small, 2, 3)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_semigroup_tables_changed_in_one_block_equal_blocked_scan(self, monkeypatch, n):
         """x₁·x₂···x_n over each of the 113 semigroups on 3 points, with one
-        to three cells of one level block changed, on grids of one x₀ row a
-        block, so that every table reads its keys first.  Such a table may
-        fail at one placement pair alone, and only behind a block or a row
-        that is not the first of its key's kind."""
-        monkeypatch.setattr(polyadic, "_BLOCK_CELLS", 1)
+        to three cells of one level block changed, read by their keys (one
+        pair a block) and as one block.  Such a table may fail at one
+        placement pair alone, and only behind a block or a row that is not
+        the first of its key's kind."""
         m, rng = 3, random.Random(40)
         binary = np.asarray(list(itertools.product(range(m), repeat=m * m))).reshape(-1, m, m)
         k, (x, y, z) = np.arange(len(binary))[:, None, None, None], np.indices((m,) * 3)
@@ -711,8 +766,10 @@ class TestMemoisedScan:
             block = flat.reshape(m**level, -1)[rng.randrange(m**level)]
             for _ in range(rng.randint(1, 3)):
                 block[rng.randrange(len(block))] = rng.randrange(m)
-            witness = polyadic._associativity_witness(flat, m, n)
-            assert witness == blocked_associativity_witness(flat, m, n)
+            witness = blocked_associativity_witness(flat, m, n)
+            for cells in (1, DEFAULT_BLOCK_CELLS):
+                monkeypatch.setattr(polyadic, "_BLOCK_CELLS", cells)
+                assert keyed_witness(flat, m, n) == witness
             levels[witness and witness[1]] += 1
         assert all(levels[i] for i in range(1, n))
 
@@ -721,8 +778,7 @@ class TestMemoisedScan:
         rng = np.random.default_rng(39)
         for _ in range(5):
             small = rng.integers(0, m, m**n).astype(np.uint8)
-            assert polyadic._associativity_witness(small, m, n) == (
-                blocked_associativity_witness(small, m, n))
+            check_every_block_size(small, m, n, blocked_associativity_witness(small, m, n))
 
 
 class TestAxiomRoutes:
@@ -768,22 +824,62 @@ class TestAxiomRoutes:
 
     @pytest.mark.parametrize("base", ["Z8", "Z2^4"])
     def test_tables_past_the_cap_are_verified_by_their_split(self, base):
+        """Both grids pass the cap; der(Z8, id, 0, 5)'s keys (8² of them, 8
+        blocks a level) are charged 8^6 cells and its oracle answers, while
+        der(Z2⁴, id, 0, 5)'s first level alone compares 16²·16^4 cells."""
         v = catalog_group("Z2xZ2")
         group = cyclic(8) if base == "Z8" else direct_product(v, v)
         table = as_table(derive(group, Automorphism.identity(group.order), 0, 5))
         assert not within_cap(table)
         p = from_table(5, table.order, table.flat_np.tolist())
         assert p.view.base.order == group.order and verify_axioms(p).ok
-        with pytest.raises(CostCapExceeded):
-            verify_table_axioms(5, table.order, table.flat_np)
+        if base == "Z8":
+            assert verify_table_axioms(5, 8, table.flat_np).ok
+        else:
+            with pytest.raises(CostCapExceeded) as err:
+                verify_table_axioms(5, 16, table.flat_np)
+            assert err.value.required == 16**6
 
     def test_unsolvable_table_past_the_cap_leaves_associativity_undecided(self):
+        """A corrupted der(Z8, id, 0, 5) is decided by the oracle, with the
+        blocked scan's witness; a corrupted der(Z2⁴, id, 0, 5), whose keys
+        need about 18.9M cells, is still undecided."""
         flat = as_table(derive(cyclic(8), Automorphism.identity(8), 0, 5)).flat_np.copy()
         flat[1] = flat[0]
         report = verify_axioms(from_table(5, 8, flat, verify=False))
-        assert report.associative is None and not report.solvable and not report.ok
+        assert report.associative is False and not report.solvable and not report.ok
+        assert report.violations[0] == ("associativity", 1, (0, 0, 0, 0, 0, 1, 0, 0, 0))
+        assert report.violations[0] == blocked_associativity_witness(flat, 8, 5)
         with pytest.raises(NotSolvable):
             from_table(5, 8, flat)
+        v = catalog_group("Z2xZ2")
+        flat = as_table(derive(direct_product(v, v), Automorphism.identity(16), 0, 5)).flat_np.copy()
+        flat[1] = flat[0]
+        assert keyed_cells(flat, 16, 5) > DEFAULT_CAPS.axiom_cost_cap
+        report = verify_axioms(from_table(5, 16, flat, verify=False))
+        assert report.associative is None and not report.solvable and not report.ok
+        with pytest.raises(NotSolvable):
+            from_table(5, 16, flat)
+
+    def test_the_charge_is_the_largest_levels_keyed_cells(self):
+        # a random table's blocks and keys are all distinct: every level
+        # compares the whole grid, 6^9 cells, past the default cap
+        small = np.random.default_rng(6).integers(0, 6, 6**5)
+        required = keyed_cells(small, 6, 5)
+        assert required == 6**9 > DEFAULT_CAPS.axiom_cost_cap
+        with pytest.raises(CostCapExceeded) as err:
+            verify_table_axioms(5, 6, small)
+        assert (err.value.cap, err.value.required) == ("axiom_cost_cap", required)
+        assert not verify_table_axioms(5, 6, small, Caps(axiom_cost_cap=required)).associative
+
+    def test_the_oracle_runs_on_every_corpus_table_form(self, monkeypatch, corpus):
+        ran, witness = [], polyadic._associativity_witness
+        monkeypatch.setattr(polyadic, "_associativity_witness",
+                            lambda *args: ran.append(args[1:3]) or witness(*args))
+        for p in corpus:
+            assert verify_axioms(as_table(p)).ok
+        assert len(ran) == len(corpus) == 770
+        assert collections.Counter(ran)[(8, 5)] == 272
 
     @given(st.data())
     def test_tables_past_the_cap_fail_typed(self, corpus, data):
