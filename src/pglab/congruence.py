@@ -18,12 +18,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, cross_check, refusal
+from .config import Caps, DEFAULT_CAPS, Strategy, cached_on, charge, cross_check
 from .config import KEY_VALUES, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
-    PolyadicGroup, _twist, _wrap_table, distinct, n_ary_identity, packed_tuples, row_blocks,
+    PolyadicGroup, _firsts, _twist, _wrap_table, distinct, n_ary_identity, row_blocks,
 )
 from .substructures import (
     PolyadicSubgroup, _as_subgroups, _cosets, _oracle_subgroups, coset_classes, twisted_conjugates,
@@ -129,15 +129,18 @@ def congruences_bruteforce(
 
 def _translations(p: PolyadicGroup) -> np.ndarray:
     """Maps, a row each, whose compositions give every basic translation.  A table, maybe
-    no n-ary group (from_table(verify=False)), gives its distinct rows of every axis.  A
-    derived group gives Post's generators, by one eval_many: L_α(x) = f(α, 0,…,0, x),
-    R_γ(x) = f(x, 0,…,0, γ) and M_i(x) = f(0,…,x at i,…,0), i = 1..n−2.  Every translation
-    is L_α, R_γ or some L_α∘R_γ∘M_i (E. L. Post, Trans. AMS 48, 1940; CHANGES.md proves it
-    under "Mal'cev from Post's generators")."""
+    no n-ary group (from_table(verify=False)), gives its distinct rows of every axis, each
+    axis deduplicated in turn (by its bytes past KEY_VALUES).  A derived group gives Post's
+    generators, by one eval_many: L_α(x) = f(α, 0,…,0, x), R_γ(x) = f(x, 0,…,0, γ) and
+    M_i(x) = f(0,…,x at i,…,0), i = 1..n−2.  Every translation is L_α, R_γ or some
+    L_α∘R_γ∘M_i (E. L. Post, Trans. AMS 48, 1940; CHANGES.md proves it under "Mal'cev from
+    Post's generators")."""
     m, n, r = p.order, p.arity, np.arange(p.order)
     if not p.is_derived:
-        keys = [_keys(p.cube.swapaxes(i, -1).reshape(-1, m)) for i in range(n)]
-        return _rows(distinct(np.concatenate(keys)), m)
+        axes = (p.flat_np.reshape((m,) * n).swapaxes(i, -1).reshape(-1, m) for i in range(n))
+        if m > KEY_VALUES:
+            return np.concatenate([rows[_firsts(rows)] for rows in axes])
+        return _rows(distinct(np.concatenate([distinct(_keys(rows)) for rows in axes])), m)
     args = np.zeros((n, 2 * m + n - 2, m), dtype=np.intp)  # [argument, map, x]
     args[0, :m], args[-1, :m] = r[:, None], r
     args[0, m : 2 * m], args[-1, m : 2 * m] = r, r[:, None]
@@ -426,19 +429,6 @@ def quotient_by_congruence(p: PolyadicGroup, r: Congruence) -> PolyadicGroup:
     return _quotient(p, r)[0]
 
 
-def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:
-    """The class operation as a flat k**n table, for classes 0..k-1 that are
-    all inhabited: the entry at the packed argument classes is the class of
-    the value.  None when the value's class is not a function of the
-    argument classes (the class operation is ill defined)."""
-    k = int(cls_of.max()) + 1
-    sig = packed_tuples(cls_of, k, p.arity)
-    vals = np.take(cls_of.astype(p.flat_np.dtype), p.flat_np)
-    table = np.empty(k**p.arity, dtype=vals.dtype)
-    table[sig] = vals
-    return table if np.array_equal(table[sig], vals) else None
-
-
 @dataclass(frozen=True)
 class PolyadicQuotient:
     """Cosets of a normal polyadic subgroup with the induced operation."""
@@ -451,39 +441,51 @@ def quotient_polyadic(
     p: PolyadicGroup, h: PolyadicSubgroup | Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> PolyadicQuotient:
     """Quotient by a normal polyadic subgroup H: a table on coset_classes'
-    classes, in their order; the result is always reduced.  Both routes go
-    through config.cross_check.  Theorem: the classes are the congruence
-    ∼_H, whose quotient is read off its kernel-table row (_quotient) and
-    written in class coordinates by eval_many over the k^n class tuples,
-    a row_blocks block at a time into a one-byte table, charged to
-    axiom_cost_cap before anything is built; it reads no m^n table.
-    Oracle: class_signature on p's m^n table, where those cells fit
-    axiom_cost_cap."""
+    classes, in their order; the result is always reduced.  Its k^n cells
+    are charged to axiom_cost_cap before both routes run through
+    config.cross_check.  Theorem: the quotient of the congruence ∼_H
+    (_quotient), by its eval_many.  Oracle: _class_oracle."""
     classes = coset_classes(p, h)
     k, n, name = len(classes), p.arity, p.name and f"{p.name}/H"
-    cls_of = np.empty(p.order, dtype=np.intp)
-    for i, cls in enumerate(classes):
-        cls_of[list(cls)] = i
+    charge(caps, "axiom_cost_cap", k**n, "the quotient table")
+    r = Congruence(p, classes)
+    cls_of = np.asarray(r.class_of)
 
     def theorem() -> PolyadicGroup:
-        charge(caps, "axiom_cost_cap", k**n, "the quotient table")
-        q, proj = _quotient(p, Congruence(p, classes))
-        to_q = np.empty(k, dtype=np.intp)
-        to_q[cls_of] = proj[p.view.np_relabel]
-        back, flat = np.argsort(to_q), np.empty(k**n, dtype=np.min_scalar_type(k - 1))
-        for cells in row_blocks(range(k**n), n):  # the class tuples, a block at a time
-            args = np.unravel_index(np.arange(cells.start, cells.stop), (k,) * n)
-            flat[cells.start : cells.stop] = back[q.eval_many(to_q[np.stack(args)])]
-        return _wrap_table(n, k, flat, name)
+        q, proj = _quotient(p, r)
+        to_q = proj[p.view.np_relabel[[c[0] for c in classes]]]  # each class's element of q
+        back = np.argsort(to_q)
+        return _wrap_table(n, k, _class_table(k, n, lambda c: back[q.eval_many(to_q[c])]), name)
 
     def oracle() -> PolyadicGroup:
-        flat = class_signature(p, cls_of)
-        if flat is None:
-            raise IllDefined("quotient operation depends on representatives")
-        return _wrap_table(n, k, flat, name)
+        return _wrap_table(n, k, _class_oracle(p, cls_of), name)
 
-    feasible = refusal(caps, "axiom_cost_cap", p.order**n, "the class signature") is None
-    quotient = cross_check("quotient", "auto", theorem, oracle, feasible)
+    quotient = cross_check("quotient", "auto", theorem, oracle, True)
     if n_ary_identity(quotient) is None:
         raise IllDefined("quotient lacks an identity element; expected reduced")
     return PolyadicQuotient(classes, quotient)
+
+
+def _class_table(k: int, n: int, values) -> np.ndarray:
+    """The flat k^n table, one byte a cell through k = 256, whose cells at
+    the class tuples c (an n-row array, a row_blocks block) are values(c)."""
+    flat = np.empty(k**n, dtype=np.min_scalar_type(k - 1))
+    for cells in row_blocks(range(k**n), n):
+        block = np.arange(cells.start, cells.stop)
+        flat[cells.start : cells.stop] = values(np.stack(np.unravel_index(block, (k,) * n)))
+    return flat
+
+
+def _class_oracle(p: PolyadicGroup, cls_of: np.ndarray) -> np.ndarray:
+    """The class operation of x ↦ cls_of[x] (classes 0..k−1, all inhabited)
+    as a flat k^n table: p's eval_many at each class's least member, once
+    every map t of _translations(p), whose compositions give every basic
+    translation, keeps t(x) in the class of t(rep x); else IllDefined.  A
+    table's maps are all its rows, so no axiom is read; a derived p's are
+    Post's generators, and no m^n table is built."""
+    k = int(cls_of.max()) + 1
+    reps = (cls_of == np.arange(k)[:, None]).argmax(axis=1)  # each class's least member
+    maps = _translations(p)
+    if not (cls_of[maps] == cls_of[maps[:, reps[cls_of]]]).all():
+        raise IllDefined("quotient operation depends on representatives")
+    return _class_table(k, p.arity, lambda c: cls_of[p.eval_many(reps[c])])

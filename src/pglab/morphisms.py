@@ -61,21 +61,20 @@ def _rows_hold(maps: np.ndarray, q: PolyadicGroup, rows: np.ndarray) -> np.ndarr
     element in the hom check, a frontier step in the oracle's plan),
     whether h(psi(t)) = psi(f(t)) on every tuple of rows, whose n+1 lines
     are the tuples' arguments and then their values f(t), in those
-    labels."""
+    labels.  h is read by one q.eval_many a block: no m^n table of q is
+    built."""
     args, image = rows[:-1], rows[-1]
-    weights = q.order ** np.arange(len(args) - 1, -1, -1)[:, None]
     return np.concatenate([
-        (q.flat_np[(block[:, args] * weights).sum(axis=1)] == block[:, image]).all(axis=1)
+        (q.eval_many(block[:, args].transpose(1, 0, 2)) == block[:, image]).all(axis=1)
         for block in row_blocks(maps, len(image))
     ])
 
 
 def _oracle_refusal(p: PolyadicGroup, q: PolyadicGroup, caps: Caps) -> Optional[CapExceeded]:
     """Why the hom oracle may not run from p to q, or None: its |Q|^|P| maps
-    must fit hom_oracle_cap, and the |Q|^n cells of q's table, the one table
-    its frontier reads, axiom_cost_cap (p is read through _scan_rows)."""
-    return (refusal(caps, "hom_oracle_cap", q.order**p.order, "the hom oracle's scan")
-            or refusal(caps, "axiom_cost_cap", q.order**p.arity, "the hom oracle's target table"))
+    must fit hom_oracle_cap.  It reads p through _scan_rows and q through
+    eval_many, so no table of either side is charged."""
+    return refusal(caps, "hom_oracle_cap", q.order**p.order, "the hom oracle's scan")
 
 
 def _check_shape(psi: Sequence[int], p: PolyadicGroup, q: PolyadicGroup) -> None:
@@ -267,7 +266,7 @@ def _scan_rows(
     p: PolyadicGroup,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     """The tuples t of p a hom check reads, as one (n+1)×R array of the
-    columns (t, f(t)) in the smallest unsigned dtype (flat_np's), with the
+    columns (t, f(t)) in the smallest unsigned dtype holding m − 1, with the
     frontier's plan: the step that assigns each element (None when it is
     the element itself), the same columns relabelled by step and ordered
     stably by their last step, and the offsets of the steps (the columns
@@ -310,7 +309,7 @@ def _oracle_hom_maps(
     p: PolyadicGroup, q: PolyadicGroup, caps: Caps
 ) -> list[tuple[int, ...]]:
     """The hom oracle's answer p → q, sorted: the gate (_oracle_refusal),
-    which refuses before any table is read, on every call, then the
+    which refuses before any map is built, on every call, then the
     frontier scan (_frontier_homs) once per pair.  The answer is stored on
     p, keyed by q, so that a second enumeration of the pair is a lookup
     and the hom check (_hom_check) reads it; the theorem route never
@@ -336,8 +335,8 @@ def _frontier_homs(p: PolyadicGroup, q: PolyadicGroup) -> list[tuple[int, ...]]:
     extended in order, so the maps come out sorted by their images in
     assignment order; put back in element order they stay sorted, as two
     homs that agree at 0 agree at ū, which a hom maps to skew(ψ(0)) (a
-    skew row).  The scan never consults the theorem route, and only q's
-    table is read.
+    skew row).  The scan never consults the theorem route, and q is read
+    by eval_many alone (_rows_hold).
     """
     mq = q.order
     _, step_of, plan, offsets = _scan_rows(p)
@@ -401,10 +400,9 @@ def enumerate_homs(
     step completes them, whose Post family decides, so a leaf is a hom; it
     stores its answer on p (_oracle_hom_maps), and the hom check of
     compose_hom and is_polyadic_hom reads it instead of evaluating those
-    maps.  Auto runs both when the oracle's gate (_oracle_refusal:
-    |Q|^|P| maps within hom_oracle_cap, q's |Q|^n table within
-    axiom_cost_cap) admits the pair, and insists they agree; outside it
-    the theorem runs alone.
+    maps.  Auto runs both when the oracle's gate (_oracle_refusal: |Q|^|P|
+    maps within hom_oracle_cap) admits the pair, and insists they agree;
+    outside it the theorem runs alone.
     """
     if p.arity != q.arity:
         raise ArityMismatch(f"arities differ: {p.arity} vs {q.arity}")

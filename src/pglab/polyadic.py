@@ -98,11 +98,9 @@ class PolyadicGroup:
     @cached_property
     def theta_pows(self) -> np.ndarray:
         """Permutations id, theta, theta², ..., theta^(n-1), one a row."""
-        pres = self.presentation
-        assert isinstance(pres, DerivedPresentation)
         pows = [np.arange(self.order)]
         for _ in range(self.arity - 1):
-            pows.append(pres.theta.np_perm[pows[-1]])
+            pows.append(self.presentation.theta.np_perm[pows[-1]])
         return np.stack(pows)
 
     def eval(self, args: Sequence[int]) -> int:
@@ -141,11 +139,11 @@ class PolyadicGroup:
         return tuple(tables)
 
     def eval_many(self, args: np.ndarray) -> np.ndarray:
-        """eval on every column of args, an n-row array of carrier elements
-        in any integer dtype, read from the presentation: a table by one
-        gather of its cells, a derived group by one gather of power_tables
-        an argument, with no m^n table.  Unchecked: callers pass integer
-        arrays in 0..m−1."""
+        """eval on every column of args, n equal-shaped arrays of carrier
+        elements in any integer dtype, read from the presentation: a table
+        by one gather of its cells, a derived group (in every oracle and
+        check) by one gather of power_tables an argument, with no m^n
+        table.  Unchecked: callers pass integer arrays in 0..m−1."""
         if not self.is_derived:
             return self.flat_np[np.ravel_multi_index(tuple(args), (self.order,) * self.arity)]
         acc = args[0]
@@ -163,15 +161,13 @@ class PolyadicGroup:
     def flat_np(self) -> np.ndarray:
         """Flat operation table, index of (x1..xn) being sum of xi·m^(n-i), in
         the smallest unsigned dtype holding m−1 (one byte a cell through order
-        256): index with it through np.take, widen it before arithmetic."""
+        256): index with it through np.take, widen it before arithmetic.  A
+        derived group's cells are built (_twisted_table) for as_table alone,
+        which charges them; every other reader takes eval_many."""
         pres = self.presentation
         if isinstance(pres, TablePresentation):
             return np.frombuffer(pres.flat, dtype=np.min_scalar_type(self.order - 1))
         return _twisted_table(pres.base.np_table, pres.theta.np_perm, pres.b, self.arity)
-
-    @cached_property
-    def cube(self) -> np.ndarray:
-        return self.flat_np.reshape((self.order,) * self.arity)
 
     @cached_property
     def skew_table(self) -> tuple[int, ...]:
@@ -356,18 +352,18 @@ def verify_table_axioms(
     _check_arity_order(n, m, caps)
     small = _table_array(n, m, flat)
     ws = _key_classes(small, m, n)
-    exc = _exhaustive_refusal(ws, m, n, caps)
+    exc = _exhaustive_refusal(len(ws), m, n, caps)
     if exc:
         raise exc
-    return _exhaustive_report(small, m, n, ws, _check_solvability(small.reshape((m,) * n), m, n))
+    return _exhaustive_report(small, m, n, ws, _check_solvability(small, m, n))
 
 
-def _exhaustive_refusal(ws: np.ndarray, m: int, n: int, caps: Caps) -> Optional[CapExceeded]:
+def _exhaustive_refusal(classes: int, m: int, n: int, caps: Caps) -> Optional[CapExceeded]:
     """The exhaustive check's gate: the cells its largest level compares
     within axiom_cost_cap.  Level i compares B_i·K·m^(n−i) cells for its
-    B_i ≤ m^(i−1) blocks and the K = m·|ws| keys (_key_classes), so the
-    first level, one block, compares the most: K·m^(n−1)."""
-    return refusal(caps, "axiom_cost_cap", len(ws) * m**n, "exhaustive associativity")
+    B_i ≤ m^(i−1) blocks and the K = m·classes keys (_key_classes' w
+    classes), so the first level, one block, compares the most: K·m^(n−1)."""
+    return refusal(caps, "axiom_cost_cap", classes * m**n, "exhaustive associativity")
 
 
 def _exhaustive_report(small: np.ndarray, m: int, n: int, ws: np.ndarray, solvability: tuple) -> AxiomReport:
@@ -433,10 +429,10 @@ def _associativity_witness(small: np.ndarray, m: int, n: int, ws: np.ndarray) ->
     return None
 
 
-def _check_solvability(cube: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:
-    """Existence of solutions at each argument position (rows must be onto)."""
+def _check_solvability(flat: np.ndarray, m: int, n: int) -> tuple[bool, tuple]:
+    """Existence of solutions at each position of the flat table (rows must be onto)."""
     for i in range(n):
-        rows = np.moveaxis(cube, i, -1).reshape(-1, m)
+        rows = np.moveaxis(flat.reshape((m,) * n), i, -1).reshape(-1, m)
         hit = np.zeros(rows.shape, dtype=bool)
         hit[np.arange(len(rows))[:, None], rows] = True
         ok = hit.all(axis=1)
@@ -480,7 +476,7 @@ def _solvability(p: PolyadicGroup, caps: Caps) -> tuple[bool, tuple]:
     """_check_solvability of p's table, stored on p; reading its m^n cells
     is charged to axiom_cost_cap (CostCapExceeded)."""
     charge(caps, "axiom_cost_cap", p.order**p.arity, "the axiom check")
-    return cached_on(p, "solvability", lambda: _check_solvability(p.cube, p.order, p.arity))
+    return cached_on(p, "solvability", lambda: _check_solvability(p.flat_np, p.order, p.arity))
 
 
 def _split_report(p: PolyadicGroup) -> AxiomReport:
@@ -503,16 +499,19 @@ def verify_axioms(p: PolyadicGroup, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     (_split_report); the oracle, verify_table_axioms' exhaustive check,
     runs too where the cells its largest level compares fit
     axiom_cost_cap (_exhaustive_refusal), and its witness comes first,
-    then the split's.  A table that is not solvable has no split: its
-    associativity is the oracle's, None past the cap.  Reading the m^n
-    cells is charged to axiom_cost_cap (CostCapExceeded)."""
+    then the split's; a solvable table has m w classes or more (w₁ ↦
+    T(w₁, w′, x) is onto), so past m·m^n cells none is sorted.  A table
+    that is not solvable has no split: its associativity is the oracle's,
+    None past the cap.  Reading the m^n cells is charged to axiom_cost_cap
+    (CostCapExceeded)."""
     if p.is_derived:
         raise ValidationError("verify_axioms expects a table presentation")
     m, n = p.order, p.arity
     solvable, violations = _solvability(p, caps)
-    ws = _key_classes(p.flat_np, m, n)
-    feasible = _exhaustive_refusal(ws, m, n, caps) is None
-    oracle = cache(lambda: _exhaustive_report(p.flat_np, m, n, ws, (solvable, violations)))
+    ws = cache(lambda: _key_classes(p.flat_np, m, n))
+    feasible = (_exhaustive_refusal(m if solvable else 1, m, n, caps) is None
+                and _exhaustive_refusal(len(ws()), m, n, caps) is None)
+    oracle = cache(lambda: _exhaustive_report(p.flat_np, m, n, ws(), (solvable, violations)))
     if not solvable:
         return oracle() if feasible else AxiomReport(None, False, violations)
     report = cross_check("table axioms", "auto", lambda: _split_report(p), oracle, feasible)
@@ -611,9 +610,7 @@ class HosszuGloskin:
 
     @property
     def presentation(self) -> DerivedPresentation:
-        pres = self.group.presentation
-        assert isinstance(pres, DerivedPresentation)
-        return pres
+        return self.group.presentation
 
     @cached_property
     def base(self) -> FiniteGroup:

@@ -44,16 +44,17 @@ def _members(p: PolyadicGroup, h: PolyadicSubgroup | Iterable[int]) -> tuple[int
 
 
 def _closed(p: PolyadicGroup, inside: np.ndarray) -> np.ndarray:
-    """For each boolean row of inside (a subset S closed under skew and the
-    diagonal), whether f maps S into S, by one family of Post's reduction
-    (E. L. Post, "Polyadic groups", Trans. AMS 48, 1940), every row's tuples
-    in one eval_many per block: at arity ≥ 3 (A_1), the k² tuples
+    """For each boolean row of inside (a subset S closed under skew), whether
+    f maps S into S, by one family of Post's reduction (E. L. Post,
+    "Polyadic groups", Trans. AMS 48, 1940), every row's tuples in one
+    eval_many per block: at arity ≥ 3 (A_1), the k² tuples
     (s, t, u^(n−3), ū) for s, t in S, u the least member and ū = skew(u); at
-    arity 2 (B), (s, t), the whole test.  Given the diagonal row, (A_1)
-    alone decides: it makes S·u⁻¹ a ψ_u-invariant subgroup of the view, and
-    f(u,…,u) ∈ S does the rest (CHANGES.md proves it under "One closure test
-    for the subset oracles").  The proof reads the n-ary group axioms, not
-    the split: from_table(verify=False) promises them."""
+    arity 2 (B), (s, t), the whole test.  Given ū ∈ S, (A_1) alone decides:
+    it makes H = S·u⁻¹ a ψ_u-invariant subgroup of the view, so
+    f(u,…,u) = ψ_u^(n−1)(ū·u⁻¹)⁻¹·u, read off f(u,…,u,ū) = u, lies in S, and
+    that does the rest (CHANGES.md proves it under "One closure test for the
+    subset oracles").  The proof reads the n-ary group axioms, not the
+    split: from_table(verify=False) promises them."""
     sizes = inside.sum(axis=1)
     keep = np.empty(len(inside), dtype=bool)
     for rows in row_blocks(np.arange(len(inside)), int(sizes.max()) ** 2):
@@ -72,12 +73,12 @@ def _closed(p: PolyadicGroup, inside: np.ndarray) -> np.ndarray:
 
 def is_polyadic_subgroup(p: PolyadicGroup, members: Sequence[int]) -> bool:
     """Nonempty and closed under the operation and skew: exactly when skew
-    and the diagonal keep it and _closed passes its one row, the subset
-    scan's own test; no m^n table is built."""
+    keeps it and _closed passes its one row, whose (A_1) rows then put the
+    diagonal inside too; no m^n table is built."""
     inside = np.zeros(p.order, dtype=bool)
     inside[list(_members(p, members))] = True
-    unary = np.vstack([p.skew_table, p.diagonal])[:, inside]
-    return bool(inside.any() and inside[unary].all() and _closed(p, inside[None])[0])
+    skew = np.asarray(p.skew_table)[inside]
+    return bool(inside.any() and inside[skew].all() and _closed(p, inside[None])[0])
 
 
 def _oracle_subgroups(
@@ -101,8 +102,9 @@ def _subset_scan(p: PolyadicGroup, extra_rows: Sequence[np.ndarray]) -> tuple[tu
     exactly when the diagonal fixes x, and the whole carrier always is; a
     survivor of size 2..m−1 by its verdict on p (one int8 a mask: 0
     undecided, 1 closed, −1 not), which one _closed call decides for the
-    undecided ones.  Skew and the diagonal, which _closed needs, are always
-    rows, so no verdict depends on the scan that wrote it."""
+    undecided ones.  Skew, which _closed needs, and the diagonal, which
+    prunes, are always rows, so no verdict depends on the scan that wrote
+    it."""
     m = p.order
     images = np.vstack([p.skew_table, p.diagonal, *extra_rows]).astype(np.int64)
     need = np.bitwise_or.reduce(np.left_shift(1, images), axis=0)

@@ -14,9 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from pglab.config import DEFAULT_CAPS
-from pglab.congruence import (
-    Congruence, KernelClass, LatticeOps, _keys, _partition_by, _rows, class_signature,
-)
+from pglab.congruence import Congruence, KernelClass, LatticeOps, _keys, _partition_by, _rows
 from pglab.errors import (
     ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
     NotUnique, PowerCondition, ValidationError,
@@ -36,12 +34,32 @@ from pglab.substructures import (
 )
 
 
+def cube(p: PolyadicGroup) -> np.ndarray:
+    """p's m^n table as an m×…×m array, one axis per argument (flat_np,
+    built for a derived p)."""
+    return p.flat_np.reshape((p.order,) * p.arity)
+
+
+def class_signature(p: PolyadicGroup, cls_of: np.ndarray) -> Optional[np.ndarray]:
+    """The quotient oracle before it read p through eval_many: the class
+    operation as a flat k**n table, for classes 0..k-1 that are all
+    inhabited, from p's m^n table: the entry at the packed argument classes
+    is the class of the value.  None when the value's class is not a
+    function of the argument classes (the class operation is ill defined)."""
+    k = int(cls_of.max()) + 1
+    sig = packed_tuples(cls_of, k, p.arity)
+    vals = np.take(cls_of.astype(p.flat_np.dtype), p.flat_np)
+    table = np.empty(k**p.arity, dtype=vals.dtype)
+    table[sig] = vals
+    return table if np.array_equal(table[sig], vals) else None
+
+
 def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
     """f(args) one tuple at a time: a table's cell, or for a derived group
     x1·θ(x2)···θ^(n−1)(xn)·b by the base table and the powers of θ."""
     pres = p.presentation
     if isinstance(pres, TablePresentation):
-        return p.cube.item(*args)
+        return cube(p).item(*args)
     table, pows = pres.base.table, p.theta_pows
     acc = args[0]
     for i in range(1, p.arity):
@@ -97,7 +115,7 @@ def full_grid_axioms(arity: int, order: int, flat: Sequence[int]) -> AxiomReport
             associative = False
             break
         prev = cur
-    solvable, solve_viol = _check_solvability(small.reshape((m,) * n), m, n)
+    solvable, solve_viol = _check_solvability(small, m, n)
     return AxiomReport(associative, solvable, violations + solve_viol)
 
 
@@ -211,15 +229,15 @@ def reference_cube_scan(p: PolyadicGroup, images: np.ndarray) -> tuple[tuple[int
     masks = np.flatnonzero((covered & ~np.arange(1 << m)) == 0)[1:]
     inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
     sizes = inside.sum(axis=1)
-    tables = [p.cube]
+    tables = [cube(p)]
     if n > 3:
         z = np.arange(m)
-        tables = [p.cube[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], p.cube]
+        tables = [cube(p)[(z[:, None, None], z[:, None]) + (z,) * (n - 2)], cube(p)]
     found = [np.flatnonzero((sizes == 1) | (sizes == m))]
     for k in np.unique(sizes[(sizes > 1) & (sizes < m)]):
         rows = np.flatnonzero(sizes == k)
-        for cube in tables:
-            rows = rows[cube_closed(cube, np.nonzero(inside[rows])[1].reshape(-1, k))]
+        for grid in tables:
+            rows = rows[cube_closed(grid, np.nonzero(inside[rows])[1].reshape(-1, k))]
         found.append(rows)
     return tuple(tuple(np.flatnonzero(r).tolist()) for r in inside[np.sort(np.concatenate(found))])
 
@@ -300,7 +318,7 @@ def reference_partition_scan(p: PolyadicGroup):
     """The per-partition Python scan the batched oracle replaced: skew
     images, then one-sided translations with constant filler 0, then the
     complete class-signature check, one partition at a time."""
-    edge = p.cube[(slice(None),) + (0,) * (p.arity - 2) + (slice(None),)].tolist()
+    edge = cube(p)[(slice(None),) + (0,) * (p.arity - 2) + (slice(None),)].tolist()
     out = []
     for cls_of in restricted_growth_strings(p.order):
         if not _factors(cls_of, p.skew_table):
@@ -322,7 +340,7 @@ def reference_translations(p: PolyadicGroup) -> np.ndarray:
     read them before Post's lemma, for every input: each position's m^(n−1)
     rows of the m^n table, deduplicated per position and then together."""
     m = p.order
-    keys = [np.unique(_keys(np.moveaxis(p.cube, i, -1).reshape(-1, m))) for i in range(p.arity)]
+    keys = [np.unique(_keys(np.moveaxis(cube(p), i, -1).reshape(-1, m))) for i in range(p.arity)]
     return np.unique(np.concatenate(keys))
 
 
@@ -508,7 +526,7 @@ def reference_hom_check(
     psi(f(t)) = h(psi(t)) for every t, with the lexicographically first t
     where it fails, or None.  h(psi(t)) for every t is q's table gathered
     at psi along each of its n axes."""
-    psi_np, image = np.asarray(psi), q.cube
+    psi_np, image = np.asarray(psi), cube(q)
     for k in range(p.arity):
         image = image.take(psi_np, axis=k)
     bad = np.flatnonzero(image.ravel() != psi_np.take(p.flat_np))
@@ -544,7 +562,7 @@ def polyadic_subgroup_by_closure(p: PolyadicGroup, members: Sequence[int]) -> bo
     mset = set(members)
     if any(p.skew(x) not in mset for x in members):
         return False
-    return bool(cube_closed(p.cube, np.asarray([members]))[0])
+    return bool(cube_closed(cube(p), np.asarray([members]))[0])
 
 
 def polyadic_coset(

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 
+from reference import cube
+
 from pglab.congruence import (
     congruences_bruteforce,
     congruences_theorem,
@@ -130,12 +132,12 @@ def test_c07_dornte_identities(corpus):
 def test_c08_hosszu_gloskin_roundtrip(corpus):
     checked = 0
     for p in corpus:
-        cube = p.cube
+        grid = cube(p)
         for a in range(p.order):
             hg = hosszu_gloskin(p, a)  # internal gate also verifies
             unrelabel = np.asarray(hg.unrelabel)
             relabel = np.asarray(hg.relabel)
-            original = relabel[cube[np.ix_(*([unrelabel] * p.arity))]].ravel()
+            original = relabel[grid[np.ix_(*([unrelabel] * p.arity))]].ravel()
             if not np.array_equal(original, hg.group.flat_np):
                 _report("C8 decomposition-roundtrip", False, f"at anchor {a} of {p}")
             checked += 1

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import pglab
 
+from pglab import polyadic
 from pglab.catalog import cyclic
 from pglab.cli import main
 from pglab.groups import Automorphism
@@ -228,6 +229,29 @@ class TestHomIsoQuotient:
         assert main(["--axiom-cost-cap", "26", *argv]) == 2
         assert "the quotient table needs 27 cells" in capsys.readouterr().err
         assert main(["--axiom-cost-cap", "27", *argv]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{V4swap}", "--skew", "--retract", "1", "--subgroups", "--normal",
+         "--congruences", "--simplicity", "--quotient", "0,3"],
+        ["hom", "--from", "{V4swap}", "--to", "{V4swap}", "--enumerate"],
+        ["hom", "--from", "{T3}", "--to", "{T3}", "--map", "0,2,1"],
+        ["iso", "--from", "{T4inv}", "--to", "{T4}"],
+        ["quotient", "{V4swap}", "--subgroup", "0,3"],
+        ["quotient", "{T9}", "--congruence", "0,3,6|1,4,7|2,5,8"],
+        ["census", "--order", "4", "--arity", "3"],
+        ["verify", "{T5}"],
+    ], ids=["analyze", "hom-enumerate", "hom-map", "iso", "quotient-subgroup",
+            "quotient-congruence", "census", "verify"])
+    def test_no_table_on_derived_input(self, doc_path, monkeypatch, argv):
+        """Every command on derived documents, every oracle that may run
+        included, reads them through eval_many: no m^n table is built."""
+        argv = [doc_path(a[1:-1]) if a.startswith("{") else a for a in argv]
+
+        def built(*args):
+            raise AssertionError("an m^n table was built")
+
+        monkeypatch.setattr(polyadic, "_twisted_table", built)
+        assert main(argv) == 0
 
     def test_quotient_rejects_non_normal(self, doc_path, capsys):
         rc = main(["quotient", doc_path("T4inv"), "--subgroup", "1"])

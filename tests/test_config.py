@@ -133,7 +133,8 @@ class TestCaps:
 
     def test_quotients_do_not_check_the_caps_again(self):
         """der(Z18, id, 0, 3) built under order_cap 18 has order-18
-        quotients, which the default caps do not refuse."""
+        quotients, which the default caps do not refuse; its table form's
+        quotient oracle reads its 18-value rows unpacked."""
         z18 = make_group([[(i + j) % 18 for j in range(18)] for i in range(18)],
                          caps=Caps(order_cap=18))
         p = derive(z18, Automorphism.identity(18), 0, 3, Caps(order_cap=18))
@@ -144,6 +145,7 @@ class TestCaps:
         by_subgroup = quotient_polyadic(p, [0])
         assert by_subgroup.classes == tuple((x,) for x in range(18))
         assert by_subgroup.quotient.flat_np.tobytes() == p.flat_np.tobytes()
+        assert quotient_polyadic(as_table(p), [0]) == by_subgroup
 
 
 class TestCaches:

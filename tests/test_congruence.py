@@ -17,14 +17,13 @@ from pglab.congruence import (
     Congruence,
     lattice_ops,
     lattice_table,
-    class_signature,
     quotient_by_congruence,
     quotient_polyadic,
 )
 from pglab.catalog import catalog, catalog_group, groups_of_order
 from pglab.config import DEFAULT_CAPS, Caps
 from pglab.errors import (
-    MethodDisagreement, NoSolution, NotUnique, OrderCapExceeded, ValidationError,
+    IllDefined, MethodDisagreement, NoSolution, NotUnique, OrderCapExceeded, ValidationError,
 )
 from pglab.groups import Automorphism, make_group
 from pglab.polyadic import PolyadicGroup, all_derived, as_table, derive, derive_b, from_table
@@ -36,6 +35,8 @@ from pglab.substructures import (
 )
 
 from reference import (
+    class_signature,
+    cube,
     is_normal_subgroup,
     normal_congruence_condition_direct,
     pairs,
@@ -127,8 +128,8 @@ class TestBruteforce:
     def test_equals_reference_on_relabelled_tables(self, corpus, data):
         p = data.draw(st.sampled_from(corpus))
         sigma = np.asarray(data.draw(st.permutations(range(p.order))))
-        cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * p.arity))]]
-        t = from_table(p.arity, p.order, cube.ravel().tolist(), verify=False)
+        grid = sigma[cube(p)[np.ix_(*([np.argsort(sigma)] * p.arity))]]
+        t = from_table(p.arity, p.order, grid.ravel().tolist(), verify=False)
         assert [c.classes for c in congruences_bruteforce(t)] == reference_partition_scan(t)
 
     def test_auto_runs_the_theorem_alone_past_16(self):
@@ -154,7 +155,8 @@ class TestBruteforce:
             flat.append(x if x != y or z == skew[x] else mate)
         p = from_table(3, 4, flat, verify=False)
         assert p.skew_table == skew
-        assert class_signature(p, np.asarray([0, 0, 1, 1])) is not None
+        cls_of = np.asarray([0, 0, 1, 1])
+        assert np.array_equal(congruence._class_oracle(p, cls_of), class_signature(p, cls_of))
         got = [c.classes for c in congruences_bruteforce(p)]
         assert ((0, 1), (2, 3)) not in got
         assert got == reference_partition_scan(p)
@@ -384,8 +386,8 @@ class TestRelabelledTables:
         p = data.draw(st.sampled_from(corpus))
         m, n = p.order, p.arity
         sigma = np.asarray(data.draw(st.permutations(range(m))))
-        cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * n))]]
-        t = from_table(n, m, cube.ravel().tolist(), verify=False)
+        grid = sigma[cube(p)[np.ix_(*([np.argsort(sigma)] * n))]]
+        t = from_table(n, m, grid.ravel().tolist(), verify=False)
 
         image = sorted(
             (
@@ -695,7 +697,7 @@ class TestNormalTheoremRoute:
     def test_relabelled_copy_gives_the_carried_subgroups(self, corpus, data):
         p = data.draw(st.sampled_from(corpus))
         sigma = np.asarray(data.draw(st.permutations(range(p.order))))
-        t = from_table(p.arity, p.order, _carry(p.cube, sigma), verify=False)
+        t = from_table(p.arity, p.order, _carry(cube(p), sigma), verify=False)
         got = enumerate_normal_polyadic(t, "theorem")
         assert got == reference_normal_theorem(t)
         carried = [tuple(sorted(sigma[list(h.members)].tolist()))
@@ -749,19 +751,40 @@ class TestQuotientTransport:
         """A relabelling σ of the table form carries the quotient: the
         quotient of σ·p by σ(H) is p's quotient by H with each class C
         moved to σ(C) and the classes renumbered in sorted order.  Both
-        routes run (m^n ≤ 8^5 fits the default cost cap) and must agree."""
+        routes run and must agree."""
         base = data.draw(st.sampled_from(_SMALL_BASES))
         p = data.draw(st.sampled_from(all_derived(base, data.draw(st.integers(3, 5)))))
         h = data.draw(st.sampled_from(enumerate_normal_polyadic(p)))
         m, n = p.order, p.arity
         sigma = np.asarray(data.draw(st.permutations(range(m))))
-        got = quotient_polyadic(from_table(n, m, _carry(p.cube, sigma)), sigma[list(h.members)])
+        got = quotient_polyadic(from_table(n, m, _carry(cube(p), sigma)), sigma[list(h.members)])
 
         want = quotient_polyadic(p, h)
         carried = [tuple(sorted(sigma[list(c)].tolist())) for c in want.classes]
         pi = np.argsort(sorted(range(len(carried)), key=carried.__getitem__))  # class i ↦ its rank
         assert got.classes == tuple(sorted(carried))
-        assert got.quotient == from_table(n, len(carried), _carry(want.quotient.cube, pi))
+        assert got.quotient == from_table(n, len(carried), _carry(cube(want.quotient), pi))
+
+
+class TestClassOracle:
+    def test_equals_the_class_signature(self, small_corpus):
+        """The quotient oracle against the m^n class signature
+        (tests/reference.py) on every partition of each structure of order
+        up to 4 and of its table form: both refuse, or they write equal
+        tables."""
+        refused = []
+        for p in [q for q in small_corpus if q.order <= 4]:
+            for form in (p, as_table(p)):
+                for cls_of in map(np.asarray, restricted_growth_strings(p.order)):
+                    want = class_signature(form, cls_of)
+                    try:
+                        got = congruence._class_oracle(form, cls_of)
+                    except IllDefined:
+                        got = None
+                    assert (got is None) == (want is None), (form, cls_of)
+                    assert want is None or np.array_equal(got, want), (form, cls_of)
+                    refused.append(want is None)
+        assert any(refused) and not all(refused)
 
 
 class TestFromClasses:

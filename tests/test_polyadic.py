@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pglab.polyadic as polyadic
 from reference import (
-    blocked_associativity_witness, full_grid_axioms, is_identity, reference_in_carrier,
+    blocked_associativity_witness, cube, full_grid_axioms, is_identity, reference_in_carrier,
     scalar_eval, z2_4,
 )
 
@@ -99,7 +99,7 @@ def relabelled(p, sigma):
     """p's table carried through the carrier permutation sigma."""
     m, n = p.order, p.arity
     unsigma = np.argsort(sigma)
-    return sigma[as_table(p).cube[np.ix_(*([unsigma] * n))]].ravel()
+    return sigma[cube(as_table(p))[np.ix_(*([unsigma] * n))]].ravel()
 
 
 def isotope(flat, m, n, j, sigma):
@@ -871,6 +871,16 @@ class TestAxiomRoutes:
             verify_table_axioms(5, 6, small)
         assert (err.value.cap, err.value.required) == ("axiom_cost_cap", required)
         assert not verify_table_axioms(5, 6, small, Caps(axiom_cost_cap=required)).associative
+
+    def test_a_solvable_table_past_the_floor_sorts_no_keys(self, monkeypatch):
+        # der(Z2⁴, id, 0, 5): a solvable table has 16 w classes or more, so
+        # its oracle needs 16^6 cells at least, past the default cap
+        t = as_table(z2_4((1, 2, 4, 8), 5))
+        sorted_keys = []
+        monkeypatch.setattr(polyadic, "_key_classes", lambda *args: sorted_keys.append(args))
+        report = verify_axioms(t)
+        assert sorted_keys == []
+        assert report == polyadic.AxiomReport(True, True, ()) and report.violations == ()
 
     def test_the_oracle_runs_on_every_corpus_table_form(self, monkeypatch, corpus):
         ran, witness = [], polyadic._associativity_witness

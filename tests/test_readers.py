@@ -47,10 +47,10 @@ def forms(corpus):
         if p.order > 1:
             x = rng.randrange(p.order)
             s = p.skew(x)
-            cell = int(np.ravel_multi_index((s,) + (x,) * (p.arity - 2) + (s,), p.cube.shape))
+            cell = int(np.ravel_multi_index((s,) + (x,) * (p.arity - 2) + (s,), (p.order,) * p.arity))
             if p.arity == 2:
                 x = (s + 1 + x % (p.order - 1)) % p.order
-                cell = x * p.order + int(np.argmax(p.cube[x] == s))
+                cell = x * p.order + int(np.argmax(reference.cube(p)[x] == s))
             out += [(corrupted(p, rng.randrange(p.order**p.arity), rng), subs),
                     (corrupted(p, cell, rng), subs)]
     return out
@@ -113,10 +113,10 @@ def test_all_derived_equals_the_gate_loop(arity):
 
 
 def test_is_polyadic_subgroup_equals_closure(small_corpus, monkeypatch):
-    """The one-set test (skew, the diagonal, then one _closed row) against
-    closure under f and skew on the m^n table, on every subset of each
-    structure of order up to 5 and of its table form; _closed is handed
-    only sets that skew and the diagonal keep, the condition its proof
+    """The one-set test (skew, then one _closed row) against closure under f
+    and skew on the m^n table, on every subset of each structure of order up
+    to 5, of each arity-2 twist of order up to 5 and of their table forms;
+    _closed is handed only sets that skew keeps, the condition its proof
     reads."""
     checked = []
     real = substructures._closed
@@ -124,7 +124,8 @@ def test_is_polyadic_subgroup_equals_closure(small_corpus, monkeypatch):
         substructures, "_closed", lambda q, rows: checked.append((q, rows)) or real(q, rows)
     )
     found = 0
-    for p in small_corpus:
+    arity_2 = [q for g in catalog().values() if g.order <= 5 for q in all_derived(g, 2)]
+    for p in list(small_corpus) + arity_2:
         for t in (p, as_table(p)):
             for mask in range(1, 1 << t.order):
                 members = [x for x in range(t.order) if mask >> x & 1]
@@ -133,4 +134,4 @@ def test_is_polyadic_subgroup_equals_closure(small_corpus, monkeypatch):
                 found += got
     assert found > 0 and checked
     for q, rows in checked:
-        assert all(row[np.vstack([q.skew_table, q.diagonal])[:, row]].all() for row in rows)
+        assert all(row[np.asarray(q.skew_table)[row]].all() for row in rows)

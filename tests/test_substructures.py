@@ -31,7 +31,7 @@ from pglab.substructures import (
 )
 
 from reference import (
-    gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
+    cube, gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
     normal_by_conjugate_table, polyadic_coset, reference_cube_scan, reference_normal_scan,
     reference_theorem_subgroups, right_translate, sim_h, z2_4,
 )
@@ -49,7 +49,7 @@ def reference_subset_scan(p):
         if any(p.skew(x) not in mset or diag[x] not in mset for x in members):
             continue
         idx = np.asarray(members)
-        if set(p.cube[np.ix_(*([idx] * p.arity))].ravel().tolist()) <= mset:
+        if set(cube(p)[np.ix_(*([idx] * p.arity))].ravel().tolist()) <= mset:
             out.append(members)
     return tuple(out)
 
@@ -67,8 +67,8 @@ def fresh(p):
 
 def relabelled(p, sigma):
     """p as a raw table carried along the permutation sigma of its carrier."""
-    cube = sigma[p.cube[np.ix_(*([np.argsort(sigma)] * p.arity))]]
-    return from_table(p.arity, p.order, cube.ravel().tolist(), verify=False)
+    grid = sigma[cube(p)[np.ix_(*([np.argsort(sigma)] * p.arity))]]
+    return from_table(p.arity, p.order, grid.ravel().tolist(), verify=False)
 
 
 class TestGuGroup:
