@@ -23,7 +23,8 @@ from .config import KEY_VALUES, oracle_refusal
 from .errors import IllDefined, MethodDisagreement, ValidationError
 from .groups import Automorphism, group_from_rows, invariant_normal
 from .polyadic import (
-    PolyadicGroup, _firsts, _twist, _wrap_table, distinct, n_ary_identity, row_blocks,
+    PolyadicGroup, _firsts, _twist, _twisted_table, _wrap_table, distinct, n_ary_identity,
+    row_blocks,
 )
 from .substructures import (
     PolyadicSubgroup, _as_subgroups, _cosets, _oracle_subgroups, coset_classes, twisted_conjugates,
@@ -444,7 +445,8 @@ def quotient_polyadic(
     classes, in their order; the result is always reduced.  Its k^n cells
     are charged to axiom_cost_cap before both routes run through
     config.cross_check.  Theorem: the quotient of the congruence ∼_H
-    (_quotient), by its eval_many.  Oracle: _class_oracle."""
+    (_quotient), der(G/K, θ̄, b̄), relabelled into class order and built by
+    _twisted_table, with no class tuple read.  Oracle: _class_oracle."""
     classes = coset_classes(p, h)
     k, n, name = len(classes), p.arity, p.name and f"{p.name}/H"
     charge(caps, "axiom_cost_cap", k**n, "the quotient table")
@@ -454,8 +456,10 @@ def quotient_polyadic(
     def theorem() -> PolyadicGroup:
         q, proj = _quotient(p, r)
         to_q = proj[p.view.np_relabel[[c[0] for c in classes]]]  # each class's element of q
-        back = np.argsort(to_q)
-        return _wrap_table(n, k, _class_table(k, n, lambda c: back[q.eval_many(to_q[c])]), name)
+        pres, back = q.presentation, np.argsort(to_q)  # back: q's element ↦ its class
+        table = back[pres.base.np_table[np.ix_(to_q, to_q)]]
+        flat = _twisted_table(table, back[pres.theta.np_perm[to_q]], int(back[pres.b]), n)
+        return _wrap_table(n, k, flat, name)
 
     def oracle() -> PolyadicGroup:
         return _wrap_table(n, k, _class_oracle(p, cls_of), name)
@@ -466,26 +470,21 @@ def quotient_polyadic(
     return PolyadicQuotient(classes, quotient)
 
 
-def _class_table(k: int, n: int, values) -> np.ndarray:
-    """The flat k^n table, one byte a cell through k = 256, whose cells at
-    the class tuples c (an n-row array, a row_blocks block) are values(c)."""
-    flat = np.empty(k**n, dtype=np.min_scalar_type(k - 1))
-    for cells in row_blocks(range(k**n), n):
-        block = np.arange(cells.start, cells.stop)
-        flat[cells.start : cells.stop] = values(np.stack(np.unravel_index(block, (k,) * n)))
-    return flat
-
-
 def _class_oracle(p: PolyadicGroup, cls_of: np.ndarray) -> np.ndarray:
     """The class operation of x ↦ cls_of[x] (classes 0..k−1, all inhabited)
-    as a flat k^n table: p's eval_many at each class's least member, once
-    every map t of _translations(p), whose compositions give every basic
-    translation, keeps t(x) in the class of t(rep x); else IllDefined.  A
-    table's maps are all its rows, so no axiom is read; a derived p's are
-    Post's generators, and no m^n table is built."""
-    k = int(cls_of.max()) + 1
+    as a flat k^n table, one byte a cell through k = 256: p's eval_many at
+    each class's least member, a row_blocks block of class tuples at a time,
+    once every map t of _translations(p), whose compositions give every
+    basic translation, keeps t(x) in the class of t(rep x); else
+    IllDefined.  A table's maps are all its rows, so no axiom is read; a
+    derived p's are Post's generators, and no m^n table is built."""
+    k, n = int(cls_of.max()) + 1, p.arity
     reps = (cls_of == np.arange(k)[:, None]).argmax(axis=1)  # each class's least member
     maps = _translations(p)
     if not (cls_of[maps] == cls_of[maps[:, reps[cls_of]]]).all():
         raise IllDefined("quotient operation depends on representatives")
-    return _class_table(k, p.arity, lambda c: cls_of[p.eval_many(reps[c])])
+    flat = np.empty(k**n, dtype=np.min_scalar_type(k - 1))
+    for cells in row_blocks(range(k**n), n):
+        c = np.unravel_index(np.arange(cells.start, cells.stop), (k,) * n)
+        flat[cells.start : cells.stop] = cls_of[p.eval_many(reps[np.stack(c)])]
+    return flat

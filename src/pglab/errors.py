@@ -58,10 +58,6 @@ class NotNormal(ValidationError):
     """The given subgroup is not normal."""
 
 
-class NotInvariant(ValidationError):
-    """The given subgroup is not invariant under the automorphism."""
-
-
 class ConditionViolated(ValidationError):
     """A (a, phi) pair fails one of the two composition conditions."""
 

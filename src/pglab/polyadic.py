@@ -95,14 +95,6 @@ class PolyadicGroup:
     def __hash__(self) -> int:  # the dataclass's value hash, computed once
         return cached_on(self, "hash", lambda: hash((self.arity, self.presentation)))
 
-    @cached_property
-    def theta_pows(self) -> np.ndarray:
-        """Permutations id, theta, theta², ..., theta^(n-1), one a row."""
-        pows = [np.arange(self.order)]
-        for _ in range(self.arity - 1):
-            pows.append(self.presentation.theta.np_perm[pows[-1]])
-        return np.stack(pows)
-
     def eval(self, args: Sequence[int]) -> int:
         """f(args), read by eval_many; arguments outside 0..m−1 are refused
         (ValidationError)."""
@@ -130,13 +122,9 @@ class PolyadicGroup:
 
     @cached_property
     def power_tables(self) -> tuple[np.ndarray, ...]:
-        """A derived group's n−1 tables x·θ^i(y), i = 1..n−1, the last
-        multiplied by b: f(x1..xn) is x1 carried through them, one gather
-        an argument (at arity 2 one table holds both θ and b)."""
-        table = self.presentation.base.np_table
-        tables = [table[:, perm] for perm in self.theta_pows[1:]]
-        tables[-1] = table[tables[-1], self.presentation.b]
-        return tuple(tables)
+        """A derived group's _power_tables, on its base table."""
+        pres = self.presentation
+        return _power_tables(pres.base.np_table, pres.theta.np_perm, pres.b, self.arity)
 
     def eval_many(self, args: np.ndarray) -> np.ndarray:
         """eval on every column of args, n equal-shaped arrays of carrier
@@ -174,12 +162,13 @@ class PolyadicGroup:
         pres = self.presentation
         if isinstance(pres, TablePresentation):
             return tuple(self._skew_scan(np.arange(self.order)))
-        # skew(x) = b⁻¹ · theta^(n-2)(x⁻¹) ⋯ theta²(x⁻¹) · theta(x⁻¹), every x at once
-        group, inverses = pres.base, np.asarray(pres.base.inverses)
-        acc = np.full(self.order, group.inv(pres.b))
-        for perm in self.theta_pows[self.arity - 2 : 0 : -1]:
-            acc = group.np_table[acc, perm[inverses]]
-        return tuple(acc.tolist())
+        # skew(x) = b⁻¹·P_{n−2}, every x at once: P_0 = e and
+        # P_k = θ(P_{k−1}·x⁻¹) = θ^k(x⁻¹)⋯θ(x⁻¹)
+        table, inverses = pres.base.np_table, np.asarray(pres.base.inverses)
+        acc = np.zeros(self.order, dtype=np.intp)
+        for _ in range(self.arity - 2):
+            acc = pres.theta.np_perm[table[acc, inverses]]
+        return tuple(table[pres.base.inv(pres.b), acc].tolist())
 
     def skew(self, x: int) -> int:
         return self.skew_table[x]
@@ -221,17 +210,29 @@ class PolyadicGroup:
         return f"PolyadicGroup(n={self.arity}, table, order {self.order})"
 
 
-def _twisted_table(table: np.ndarray, theta: np.ndarray, b: int, n: int) -> np.ndarray:
-    """The flat table of x1·θ(x2)···θ^(n−1)(xn)·b by row gathers: acc holds
-    x1·θ(x2)···θ^i(x_{i+1}) for every prefix in flat order, so the rows of
-    table[:, θ^(i+1)] taken at acc append the next argument as the fastest
-    axis; a final gather multiplies by b."""
-    table = np.asarray(table, dtype=np.min_scalar_type(len(table) - 1))
-    acc = perm = np.arange(len(table), dtype=table.dtype)
+def _power_tables(table: np.ndarray, theta: np.ndarray, b: int, n: int) -> tuple[np.ndarray, ...]:
+    """The n−1 tables x·θ^i(y), i = 1..n−1, in table's dtype, the last
+    multiplied by b: f(x1..xn) of der(table, θ, b) is x1 carried through
+    them, one gather an argument (at arity 2 one table holds both θ and b)."""
+    tables, perm = [], np.arange(len(table))
     for _ in range(n - 1):
         perm = np.take(theta, perm)
-        acc = np.take(table[:, perm], acc, axis=0).ravel()
-    return np.take(table[:, b], acc)
+        tables.append(table[:, perm])
+    tables[-1] = table[tables[-1], b]
+    return tuple(tables)
+
+
+def _twisted_table(table: np.ndarray, theta: np.ndarray, b: int, n: int) -> np.ndarray:
+    """The flat table of x1·θ(x2)···θ^(n−1)(xn)·b, one byte a cell through
+    order 256: acc holds f's prefix x1·θ(x2)···θ^i(x_{i+1}) for every prefix
+    in flat order, and the rows of the next power table (_power_tables)
+    taken at acc append the next argument as the fastest axis.  The widest
+    index array is the m^(n−1) prefixes of the last gather."""
+    table = np.asarray(table, dtype=np.min_scalar_type(len(table) - 1))
+    acc = np.arange(len(table), dtype=table.dtype)
+    for powers in _power_tables(table, theta, b, n):
+        acc = np.take(powers, acc, axis=0).ravel()
+    return acc
 
 
 def packed_tuples(values: np.ndarray, base: int, n: int) -> np.ndarray:

@@ -85,14 +85,16 @@ def _oracle_subgroups(
     p: PolyadicGroup, caps: Caps, normal: bool = False
 ) -> tuple[tuple[int, ...], ...]:
     """The subset scan's polyadic subgroups, or the normal ones (the scan
-    passes the conjugations too), each stored on p and sharing p's closure
-    verdicts (_subset_scan); the oracles' gate (config.oracle_refusal) is
-    checked on every call, before the mask is built."""
+    passes the conjugations too, and its answer is stored on p), sharing
+    p's closure verdicts (_subset_scan); the oracles' gate
+    (config.oracle_refusal) is checked on every call, before the mask is
+    built."""
     refusal = oracle_refusal(p, caps)
     if refusal:
         raise refusal
-    key = "normal_oracle_scan" if normal else "subgroups_oracle_scan"
-    return cached_on(p, key, lambda: _subset_scan(p, [_conjugates(p)] if normal else []))
+    if not normal:
+        return _subset_scan(p, [])
+    return cached_on(p, "normal_oracle_scan", lambda: _subset_scan(p, [_conjugates(p)]))
 
 
 def _subset_scan(p: PolyadicGroup, extra_rows: Sequence[np.ndarray]) -> tuple[tuple[int, ...], ...]:
@@ -146,13 +148,13 @@ def enumerate_polyadic_subgroups(
 
     The oracle strategy scans subsets for closure under f and skew; the
     theorem strategy reads the cosets of the psi_u-invariant subgroups of the
-    base (see _theorem_subgroups).  Each route's answer is stored on p; in
-    auto mode both run (inside the oracles' gate) and must agree.
+    base (see _theorem_subgroups).  In auto mode both run (inside the
+    oracles' gate) and must agree.
     """
     return list(cross_check(
         "polyadic subgroup",
         strategy,
-        lambda: cached_on(p, "subgroups_theorem", lambda: _as_subgroups(p, _theorem_subgroups(p))),
+        lambda: _as_subgroups(p, _theorem_subgroups(p)),
         lambda: _as_subgroups(p, _oracle_subgroups(p, caps)),
         oracle_refusal(p, caps) is None,
     ))
@@ -191,11 +193,7 @@ def _conjugates(p: PolyadicGroup) -> np.ndarray:
 
 def twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
     """tc[x, h] = θ⁻¹(x⁻¹·h)·x, read in the view and carried back to p's
-    carrier: the twist criterion's one table, m×m, stored on p."""
-    return cached_on(p, "twisted_conjugates", lambda: _twisted_conjugates(p))
-
-
-def _twisted_conjugates(p: PolyadicGroup) -> np.ndarray:
+    carrier: the twist criterion's one table, m×m."""
     hg = p.view
     table, x = hg.base.np_table, np.arange(p.order)
     theta_inv, relabel = np.argsort(hg.theta.np_perm), hg.np_relabel

@@ -16,7 +16,7 @@ import numpy as np
 from pglab.config import DEFAULT_CAPS
 from pglab.congruence import Congruence, KernelClass, LatticeOps, _keys, _partition_by, _rows
 from pglab.errors import (
-    ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotInvariant, NotNormal,
+    ArityMismatch, BNotFixed, IllDefined, MethodDisagreement, NoSolution, NotNormal,
     NotUnique, PowerCondition, ValidationError,
 )
 from pglab.groups import (
@@ -60,11 +60,30 @@ def scalar_eval(p: PolyadicGroup, args: Sequence[int]) -> int:
     pres = p.presentation
     if isinstance(pres, TablePresentation):
         return cube(p).item(*args)
-    table, pows = pres.base.table, p.theta_pows
+    table, theta = pres.base.table, pres.theta
     acc = args[0]
     for i in range(1, p.arity):
-        acc = table[acc][pows[i, args[i]]]
+        y = args[i]
+        for _ in range(i):  # θ^i(x_{i+1})
+            y = theta(y)
+        acc = table[acc][y]
     return table[acc][pres.b]
+
+
+def no_derived_table(monkeypatch) -> None:
+    """Make building a derived group's m^n table fail.  Its cells come from
+    PolyadicGroup.flat_np alone (as_table reads it), so flat_np raises on a
+    derived group; a table's cells are read as before, a quotient's k^n
+    answer among them, which _twisted_table builds from G/K's arrays and
+    not from any derived group's flat_np."""
+    cells = PolyadicGroup.flat_np.func
+
+    def flat_np(p: PolyadicGroup) -> np.ndarray:
+        if p.is_derived:
+            raise AssertionError(f"the m^n table of {p} was built")
+        return cells(p)
+
+    monkeypatch.setattr(PolyadicGroup, "flat_np", property(flat_np))
 
 
 def z2_4(images: Sequence[int], arity: int) -> PolyadicGroup:
@@ -487,6 +506,10 @@ def quotient_group(
             table[i][j] = proj[group.mul(ci[0], cj[0])]
     name = f"{group.name}/{list(members)}" if group.name else ""
     return group_from_rows(tuple(map(tuple, table)), name), proj
+
+
+class NotInvariant(ValidationError):
+    """The given subgroup is not invariant under the automorphism."""
 
 
 def twisted_quotient(

@@ -172,9 +172,11 @@ def test_c09_hom_decomposition(corpus):
 
 def test_c10_quotients(corpus):
     # quotient_polyadic refuses a quotient that is not reduced, and runs both
-    # routes (the kernel-table gathers and p's m^n table) wherever m^n fits
-    # the cost cap, which holds on the whole corpus; config.cross_check
-    # compares them by equality.  The table form must give the same answer.
+    # routes on every quotient: the kernel-table gathers, built into the k^n
+    # table by _twisted_table, and the class oracle, which reads p through
+    # eval_many; config.cross_check compares them by equality.  The corpus's
+    # m^n tables fit the cost cap, so each table form is built, and it must
+    # give the same answer.
     assert max(p.order**p.arity for p in corpus) <= DEFAULT_CAPS.axiom_cost_cap
     quotients = 0
     for p in corpus:

@@ -11,7 +11,6 @@ from pglab.catalog import (
 from pglab.errors import (
     NoIdentityAtZero,
     NotAssociative,
-    NotInvariant,
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
@@ -28,8 +27,8 @@ from pglab.groups import (
 )
 
 from reference import (
-    inner_automorphism, is_identity, is_inner, is_normal_subgroup, quotient_group, subgroup_closure,
-    twisted_quotient,
+    NotInvariant, inner_automorphism, is_identity, is_inner, is_normal_subgroup, quotient_group,
+    subgroup_closure, twisted_quotient,
 )
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,20 @@ class TestAsTable:
     def test_a_table_is_returned_as_it_is(self, structs):
         table = as_table(structs["T3"])
         assert as_table(table, Caps(axiom_cost_cap=0)) is table
+
+    def test_builds_under_three_bytes_a_cell(self):
+        # der(Z7, id, 0, 8): 7^8 = 5,764,801 one-byte cells, each prefix carried
+        # through the power tables, so the widest index array holds 7^7
+        p = derive(cyclic(7), Automorphism.identity(7), 0, 8)
+        tracemalloc.start()
+        try:
+            table = as_table(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 7**8, peak / 7**8
+        args = np.random.default_rng(8).integers(0, 7, (8, 2000))
+        assert table.eval_many(args).tolist() == p.eval_many(args).tolist()
 
 
 class TestVerifyAxioms:

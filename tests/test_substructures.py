@@ -32,8 +32,8 @@ from pglab.substructures import (
 
 from reference import (
     cube, gu_group, gu_inv, gu_psi_raw, gu_star, is_identity, is_normal_subgroup,
-    normal_by_conjugate_table, polyadic_coset, reference_cube_scan, reference_normal_scan,
-    reference_theorem_subgroups, right_translate, sim_h, z2_4,
+    no_derived_table, normal_by_conjugate_table, polyadic_coset, reference_cube_scan,
+    reference_normal_scan, reference_theorem_subgroups, right_translate, sim_h, z2_4,
 )
 
 
@@ -345,13 +345,23 @@ class TestSharedVerdicts:
                 self.assert_shared(p, decided, subgroups, reference_normal_scan(p))
 
 
-def no_table(monkeypatch):
-    """Make building any m^n table (polyadic._twisted_table) fail."""
+def spy_routes(monkeypatch) -> list:
+    """Record, as (p, route) pairs, each run of the subgroup theorem route
+    ("theorem") and of the subset scan, with extra rows ("normal scan") or
+    without ("scan")."""
+    runs, scan, theorem = [], substructures._subset_scan, substructures._theorem_subgroups
 
-    def built(*args):
-        raise AssertionError("an m^n table was built")
+    def spied_scan(p, extra_rows):
+        runs.append((p, "normal scan" if len(extra_rows) else "scan"))
+        return scan(p, extra_rows)
 
-    monkeypatch.setattr(polyadic, "_twisted_table", built)
+    def spied_theorem(p):
+        runs.append((p, "theorem"))
+        return theorem(p)
+
+    monkeypatch.setattr(substructures, "_subset_scan", spied_scan)
+    monkeypatch.setattr(substructures, "_theorem_subgroups", spied_theorem)
+    return runs
 
 
 def assert_routes_agree(p):
@@ -389,7 +399,7 @@ class TestBeyondDefaultOracleRange:
     )
     def test_theorem_equals_closure_oracle(self, base, monkeypatch):
         rng = random.Random(base.order)
-        no_table(monkeypatch)
+        no_derived_table(monkeypatch)
         for arity in (3, 4, 5):
             for p in rng.sample(all_derived(base, arity), 3):
                 assert_routes_agree(p)
@@ -403,7 +413,7 @@ class TestBeyondDefaultOracleRange:
         # θ₅ (the companion map of x⁴+x³+x²+x+1) has order 5, so θ₅^5 = id
         p = z2_4(images, arity)
         assert p.order**arity > DEFAULT_CAPS.axiom_cost_cap
-        no_table(monkeypatch)
+        no_derived_table(monkeypatch)
         assert_routes_agree(p)
         subs, normal = enumerate_polyadic_subgroups(p), enumerate_normal_polyadic(p)
         assert (len(subs), len(normal), len(congruences_theorem(p))) == counts
@@ -411,7 +421,7 @@ class TestBeyondDefaultOracleRange:
     def test_census_8_8_representatives(self, monkeypatch):
         entries = census(8, 8)
         assert len(entries) == 7 and all(e.report.method == "both" for e in entries)
-        no_table(monkeypatch)
+        no_derived_table(monkeypatch)
         for e in entries:
             r = e.representative
             assert_routes_agree(PolyadicGroup(r.arity, r.presentation))
@@ -419,14 +429,15 @@ class TestBeyondDefaultOracleRange:
     def test_no_table_on_derived_input(self, corpus, monkeypatch):
         """Both routes of the subgroup, normal and simplicity deciders run
         on every sampled derived structure, and none builds its m^n table."""
-        no_table(monkeypatch)
+        no_derived_table(monkeypatch)
+        runs = spy_routes(monkeypatch)
         for r in corpus[::7]:
             p = PolyadicGroup(r.arity, r.presentation)
             enumerate_polyadic_subgroups(p)
             enumerate_normal_polyadic(p)
             assert simplicity_report(p).method == "both"
-            assert {"subgroups_theorem", "subgroups_oracle_scan", "normal_theorem",
-                    "normal_oracle_scan", "congruences_oracle"} <= set(p.__dict__)
+            assert {route for q, route in runs if q is p} == {"theorem", "scan", "normal scan"}
+            assert {"normal_theorem", "normal_oracle_scan", "congruences_oracle"} <= set(p.__dict__)
 
 
 class TestSubsetScanCap:
@@ -445,13 +456,14 @@ class TestSubsetScanCap:
             with pytest.raises(CostCapExceeded, match="402653184 cells") as err:
                 enumerate_(p, strategy="oracle", caps=caps)
             assert err.value.cap == "axiom_cost_cap"
-        assert not {"diagonal", "subgroups_oracle_scan", "normal_oracle_scan"} & set(p.__dict__)
+        assert not {"diagonal", "normal_oracle_scan"} & set(p.__dict__)
 
-    def test_large_arity_subgroup_oracle_builds_no_table(self):
+    def test_large_arity_subgroup_oracle_builds_no_table(self, monkeypatch):
         # 12^8 ≈ 4.3e8 cells a table would hold; the mask is only 12·2^12
         p = derive_b(cyclic(12), 0, 8)
+        runs = spy_routes(monkeypatch)
         both = enumerate_polyadic_subgroups(p)
-        assert "subgroups_oracle_scan" in p.__dict__  # auto ran the oracle too
+        assert sorted(route for _, route in runs) == ["scan", "theorem"]  # auto ran the oracle too
         assert both == enumerate_polyadic_subgroups(p, "oracle")
         assert both == enumerate_polyadic_subgroups(p, "theorem")
         assert "flat_np" not in p.__dict__
@@ -636,7 +648,7 @@ class TestQuotient:
 
     def test_theorem_route_holds_under_four_bytes_a_cell(self):
         # der(Z2⁴, id, 0, 7) / {0, 1}: 8 classes, 8^7 = 2,097,152 class cells;
-        # p's 16^7 cells are past the cost cap, so the theorem route runs alone
+        # both routes run, and neither builds p's 16^7 cells
         v = catalog_group("Z2xZ2")
         p = derive(direct_product(v, v), Automorphism.identity(16), 0, 7)
         tracemalloc.start()
